@@ -2,8 +2,10 @@
 //! contention, trace disabled — exactly the configuration whose per-event
 //! loop is claimed allocation-free once warm.
 //!
-//! Crash-free is deliberate: crash handling allocates by design (queue
-//! purges, first-ever search state per node), and the zero-allocation
+//! Crash-free is deliberate: the protocol's recovery allocates by design
+//! (a fresh search state per re-join, buckets lifted by probe bursts —
+//! `tests/steady_state.rs` pins that count; the queue purge itself is
+//! held to zero by `tests/retain_purge.rs`), and the zero-allocation
 //! claim is about the *steady state* between faults, where throughput is
 //! earned. The claim also applies to the serial driver only — the
 //! windowed driver trades replay buffers for parallelism (see the

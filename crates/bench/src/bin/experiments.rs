@@ -18,9 +18,10 @@
 //! rejected with a usage message.
 
 use oc_bench::{
-    bench_artifact, cli::FlagParser, e1_sweep, e2_sweep, e3_cells, e3_summaries, e3_sweep,
-    e4_average_sweep, e4_sweep, e5_sweep, e6_sweep, e7_cells, e7_sweep, json, render_figure_tree,
-    sweep::SweepOutcome, E1Row, E2Row, E3Row, E3Summary, E4Average, E4Row, E5Row, E6Row, E7Row,
+    bench_artifact, cli::FlagParser, e1_sweep, e2_sweep, e3_cells, e3_horizon_seed,
+    e3_long_horizon, e3_summaries, e3_sweep, e4_average_sweep, e4_sweep, e5_sweep, e6_sweep,
+    e7_cells, e7_sweep, json, render_figure_tree, sweep::SweepOutcome, E1Row, E2Row, E3Row,
+    E3Summary, E4Average, E4Row, E5Row, E6Row, E7Row,
 };
 
 const USAGE: &str = "\
@@ -266,10 +267,67 @@ fn e3(options: &Options) {
             s.n, s.failures, s.overhead.mean, s.overhead.ci95, s.overhead.min, s.overhead.max
         );
     }
+    let horizon = e3_horizon(options);
     let rows = outcome.results.iter().map(E3Row::to_json).collect();
-    let extra =
-        vec![("summaries", json::Value::Arr(summaries.iter().map(E3Summary::to_json).collect()))];
+    let extra = vec![
+        ("summaries", json::Value::Arr(summaries.iter().map(E3Summary::to_json).collect())),
+        ("long_horizon", horizon),
+    ];
     finish(options, "e3", &outcome, rows, extra);
+}
+
+/// E3's long-horizon cells as measured at the parent of the change that
+/// split the event queue into tiers and made the crash purge in place
+/// (this host, master seed 42, one thread, median of three runs
+/// alternated with this change's): `(failures, events per wall second)`.
+/// The "before" half of `BENCH_E3.json`'s before/after rows; the event
+/// counts are the same on both sides.
+const E3_HORIZON_BEFORE: (&str, [(usize, f64); 3]) =
+    ("f2b9131", [(200, 8_189_556.0), (2_000, 2_150_170.0), (20_000, 337_262.0)]);
+
+/// E3's long-horizon group: the n = 64 cell stretched to 2 000 and 20 000
+/// pre-scheduled failures, one after the other on this thread so the
+/// wall-clock column is comparable. Returns the artifact's section.
+fn e3_horizon(options: &Options) -> json::Value {
+    let (before_rev, before) = E3_HORIZON_BEFORE;
+    println!(
+        "\n-- long horizon, n = 64: what a failure costs the simulator (before = {before_rev}) --"
+    );
+    println!(
+        "{:>9} {:>10} {:>14} {:>8} {:>12} {:>14} {:>8}",
+        "failures", "events", "overhead/fail", "wall s", "events/s", "before ev/s", "gain"
+    );
+    // Quick mode leaves out the longest horizon.
+    let cells = &before[..if options.quick { 2 } else { before.len() }];
+    let seed = e3_horizon_seed(options.master_seed, 64);
+    let mut rows = Vec::new();
+    for &(failures, before_eps) in cells {
+        let row = e3_long_horizon(64, failures, seed);
+        println!(
+            "{:>9} {:>10} {:>14.2} {:>8.2} {:>12.0} {:>14.0} {:>7.1}x",
+            row.failures,
+            row.events,
+            row.overhead_per_failure,
+            row.wall_secs,
+            row.events_per_sec,
+            before_eps,
+            row.events_per_sec / before_eps,
+        );
+        rows.push(json::Value::Obj(vec![
+            ("n", json::Value::UInt(row.n as u64)),
+            ("failures", json::Value::UInt(row.failures)),
+            ("events", json::Value::UInt(row.events)),
+            ("overhead_per_failure", json::Value::Num(row.overhead_per_failure)),
+            ("wall_secs", json::Value::Num(row.wall_secs)),
+            ("events_per_sec", json::Value::Num(row.events_per_sec)),
+            ("before_events_per_sec", json::Value::Num(before_eps)),
+        ]));
+    }
+    json::Value::Obj(vec![
+        ("before_rev", json::Value::str(before_rev)),
+        ("before_master_seed", json::Value::UInt(42)),
+        ("rows", json::Value::Arr(rows)),
+    ])
 }
 
 fn e4(options: &Options) {

@@ -242,11 +242,10 @@ pub struct E3Row {
     pub injected: u64,
 }
 
-/// E3: repeated random single failures (with recovery) under steady load,
-/// reproducing the shape of the paper's Estelle/iPSC-2 measurement
-/// (8 msg/failure at N=32 over 300 failures; 9.75 at N=64 over 200).
-#[must_use]
-pub fn e3_failures(n: usize, failures: usize, seed: u64) -> E3Row {
+/// The inputs of one E3 cell: an arrival every 2 000 ticks and a
+/// crash/recover pair every 20 000 (down for 6 000), ten arrivals per
+/// failure plus a tail of twenty, all drawn from `seed`.
+fn e3_inputs(n: usize, failures: usize, seed: u64) -> (ArrivalSchedule, oc_sim::FailurePlan) {
     let request_gap = SimDuration::from_ticks(2_000);
     let failure_period = SimDuration::from_ticks(20_000);
     let downtime = SimDuration::from_ticks(6_000);
@@ -263,6 +262,15 @@ pub fn e3_failures(n: usize, failures: usize, seed: u64) -> E3Row {
         failure_period,
         downtime,
     );
+    (schedule, failure_plan)
+}
+
+/// E3: repeated random single failures (with recovery) under steady load,
+/// reproducing the shape of the paper's Estelle/iPSC-2 measurement
+/// (8 msg/failure at N=32 over 300 failures; 9.75 at N=64 over 200).
+#[must_use]
+pub fn e3_failures(n: usize, failures: usize, seed: u64) -> E3Row {
+    let (schedule, failure_plan) = e3_inputs(n, failures, seed);
 
     // Reference run: same seed and workload, no failures.
     let mut clean = World::new(sim_config(seed), OpenCubeNode::build_all(ft_cfg(n, 1_000)));
@@ -287,6 +295,47 @@ pub fn e3_failures(n: usize, failures: usize, seed: u64) -> E3Row {
         regenerations: u64::from(stats.tokens_regenerated),
         served: world.metrics().cs_entries,
         injected: world.requests_injected(),
+    }
+}
+
+/// One row of E3's long-horizon group: the same cell stretched to many
+/// more failures, timed — what a failure costs the *simulator*.
+#[derive(Debug, Clone, Copy, Serialize)]
+pub struct E3HorizonRow {
+    /// System size.
+    pub n: usize,
+    /// Failures injected, every one pre-scheduled before the first step.
+    pub failures: u64,
+    /// Events processed (deterministic per seed).
+    pub events: u64,
+    /// Failure-machinery messages per failure (deterministic per seed).
+    pub overhead_per_failure: f64,
+    /// Wall-clock seconds from the first step to quiescence.
+    pub wall_secs: f64,
+    /// Engine throughput: events per wall-clock second.
+    pub events_per_sec: f64,
+}
+
+/// E3's failure run alone at a long horizon, timed. Every crash purges the
+/// pending queue, so throughput that falls as `failures` grows means a
+/// crash costs what is *scheduled* rather than what it destroys.
+#[must_use]
+pub fn e3_long_horizon(n: usize, failures: usize, seed: u64) -> E3HorizonRow {
+    let (schedule, failure_plan) = e3_inputs(n, failures, seed);
+    let mut world = World::new(sim_config(seed), OpenCubeNode::build_all(ft_cfg(n, 1_000)));
+    world.schedule_workload(&schedule);
+    world.schedule_failures(&failure_plan);
+    let start = std::time::Instant::now();
+    assert!(world.run_to_quiescence(), "E3 long-horizon run wedged");
+    let wall_secs = start.elapsed().as_secs_f64();
+    let events = world.metrics().events_processed;
+    E3HorizonRow {
+        n,
+        failures: failures as u64,
+        events,
+        overhead_per_failure: world.metrics().overhead_messages() as f64 / failures as f64,
+        wall_secs,
+        events_per_sec: if wall_secs > 0.0 { events as f64 / wall_secs } else { 0.0 },
     }
 }
 
@@ -798,6 +847,13 @@ pub fn e3_sweep(cells: &[E3Cell], master: u64, threads: usize) -> SweepOutcome<E
     })
 }
 
+/// The seed of E3's long-horizon cells at size `n`: repetition 0 of the
+/// table's own `n` entry, so the shortest horizon repeats a table row.
+#[must_use]
+pub fn e3_horizon_seed(master: u64, n: usize) -> u64 {
+    derive_seed(master, stream_id(S_E3, n as u64, 0))
+}
+
 /// Multi-seed summary of one E3 plan entry.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct E3Summary {
@@ -984,10 +1040,44 @@ pub fn bench_artifact<T>(
         ("wall_secs", Value::Num(outcome.wall_secs)),
         ("busy_secs", Value::Num(outcome.busy_secs)),
         ("parallel_speedup", Value::Num(outcome.speedup())),
+        ("host", host_info()),
         ("rows", Value::Arr(rows)),
     ];
     fields.extend(extra);
     Value::Obj(fields)
+}
+
+/// Where an artifact's wall-clock columns were measured: core count,
+/// architecture, compiler and commit (`+dirty` when tracked files differ
+/// from it — artifacts are regenerated before the commit that carries
+/// them). `rustc` and `git` are asked at run time; a host without them
+/// records `"unknown"`.
+fn host_info() -> Value {
+    let ask = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_owned())
+    };
+    let unknown = || "unknown".to_owned();
+    let git_rev = ask("git", &["rev-parse", "HEAD"]).map_or_else(unknown, |rev| {
+        let dirty = ask("git", &["status", "--porcelain", "--untracked-files=no"])
+            .is_some_and(|changes| !changes.is_empty());
+        if dirty {
+            rev + "+dirty"
+        } else {
+            rev
+        }
+    });
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    Value::Obj(vec![
+        ("nproc", Value::UInt(nproc as u64)),
+        ("arch", Value::str(std::env::consts::ARCH)),
+        ("rustc", Value::Str(ask("rustc", &["--version"]).unwrap_or_else(unknown))),
+        ("git_rev", Value::Str(git_rev)),
+    ])
 }
 
 impl E1Row {
@@ -1334,6 +1424,8 @@ mod tests {
         let text = doc.render();
         json::validate(&text).expect("artifact must be valid JSON");
         assert!(text.contains("\"experiment\":\"e7\""));
+        assert!(text.contains("\"host\":{\"nproc\":"));
+        assert!(text.contains("\"git_rev\":\""));
         assert!(text.contains("\"events_per_sec\""));
         assert!(text.contains("\"msgs_per_request\""));
         assert!(text.contains("\"mem_bytes_per_node\""));

@@ -123,7 +123,14 @@ impl<E> CalendarQueue<E> {
     /// Timestamp of the earliest event.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.near.peek().map(|Reverse(e)| e.at)
+        self.peek_key().map(|(at, _)| at)
+    }
+
+    /// `(time, seq)` of the earliest event: what a caller merging this
+    /// calendar with another `(time, seq)`-ordered source compares.
+    #[must_use]
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.near.peek().map(|Reverse(e)| (e.at, e.seq))
     }
 
     /// Pre-sizes every tier for sustained load: each bucket to capacity
@@ -173,16 +180,37 @@ impl<E> CalendarQueue<E> {
             self.near.push(Reverse(entry));
             return;
         }
-        if t < self.window_end() {
+        let landed = if t < self.window_end() {
             let idx = self.bucket_index(t);
             debug_assert!(idx >= self.cursor, "push below the calendar cursor");
             self.buckets[idx].push(entry);
+            idx
         } else {
             self.overflow.push(Reverse(entry));
-        }
+            BUCKETS
+        };
         // Keep the invariant: a non-empty queue has a non-empty near heap.
         if self.near.is_empty() {
+            // An empty `near` means the calendar held nothing before this
+            // push: there is nothing between the cursor and it to scan.
+            self.cursor = landed;
             self.advance();
+        }
+    }
+
+    /// Files an event that precedes everything stored — the caller's
+    /// claim, debug-asserted. With `near` non-empty that means at or before
+    /// its head, so the entry belongs in `near` whatever `split` says
+    /// (including the saturated `split = u64::MAX` corner, where a plain
+    /// `push` at `u64::MAX` would queue behind `near`); an empty calendar
+    /// takes it as any other push.
+    pub fn push_head(&mut self, at: SimTime, seq: u64, event: E) {
+        debug_assert!(self.peek_key().is_none_or(|head| (at, seq) < head));
+        if self.near.is_empty() {
+            self.push(at, seq, event);
+        } else {
+            self.len += 1;
+            self.near.push(Reverse(Entry { at, seq, event }));
         }
     }
 
@@ -196,19 +224,26 @@ impl<E> CalendarQueue<E> {
         Some((entry.at, entry.event))
     }
 
-    /// Drops events failing `keep`; returns how many were dropped.
+    /// Drops events failing `keep`, in place; returns how many were
+    /// dropped. Costs what is stored, not the window's size: buckets below
+    /// `cursor` are empty by invariant, and the scan stops once every
+    /// bucketed entry has been seen. Pop order is a function of the unique
+    /// `(at, seq)` keys alone, so how the heaps re-settle cannot show.
     pub fn retain<F: FnMut(&E) -> bool>(&mut self, mut keep: F) -> usize {
         let before = self.len;
-        let near = std::mem::take(&mut self.near);
-        self.near = near.into_iter().filter(|Reverse(e)| keep(&e.event)).collect();
-        for bucket in &mut self.buckets {
+        let mut unseen = before - self.near.len() - self.overflow.len();
+        self.near.retain(|Reverse(e)| keep(&e.event));
+        let mut bucketed = 0;
+        for bucket in &mut self.buckets[self.cursor..] {
+            if unseen == 0 {
+                break;
+            }
+            unseen -= bucket.len();
             bucket.retain(|e| keep(&e.event));
+            bucketed += bucket.len();
         }
-        let overflow = std::mem::take(&mut self.overflow);
-        self.overflow = overflow.into_iter().filter(|Reverse(e)| keep(&e.event)).collect();
-        self.len = self.near.len()
-            + self.buckets.iter().map(Vec::len).sum::<usize>()
-            + self.overflow.len();
+        self.overflow.retain(|Reverse(e)| keep(&e.event));
+        self.len = self.near.len() + bucketed + self.overflow.len();
         if self.near.is_empty() && self.len > 0 {
             self.advance();
         }

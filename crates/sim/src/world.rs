@@ -519,7 +519,7 @@ impl<P: Protocol> World<P> {
     pub fn schedule_request(&mut self, at: SimTime, node: NodeId) {
         assert!(at >= self.core.now, "cannot schedule in the past");
         self.core.requests_injected += 1;
-        self.core.queue.push(at, SimEvent::RequestCs { node });
+        self.core.queue.push_input(at, SimEvent::RequestCs { node });
     }
 
     /// Schedules every arrival of `schedule`.
@@ -532,9 +532,9 @@ impl<P: Protocol> World<P> {
     /// Schedules the crash (and optional recovery) events of `plan`.
     pub fn schedule_failures(&mut self, plan: &FailurePlan) {
         for ev in plan.events() {
-            self.core.queue.push(ev.at, SimEvent::Crash { node: ev.node });
+            self.schedule_failure(ev.at, ev.node);
             if let Some(recover_at) = ev.recover_at {
-                self.core.queue.push(recover_at, SimEvent::Recover { node: ev.node });
+                self.schedule_recovery(recover_at, ev.node);
             }
         }
     }
@@ -542,13 +542,13 @@ impl<P: Protocol> World<P> {
     /// Schedules a single fail-stop crash of `node` at `at`.
     pub fn schedule_failure(&mut self, at: SimTime, node: NodeId) {
         assert!(at >= self.core.now, "cannot schedule in the past");
-        self.core.queue.push(at, SimEvent::Crash { node });
+        self.core.queue.push_input(at, SimEvent::Crash { node });
     }
 
     /// Schedules a recovery of `node` at `at` (no-op if alive then).
     pub fn schedule_recovery(&mut self, at: SimTime, node: NodeId) {
         assert!(at >= self.core.now, "cannot schedule in the past");
-        self.core.queue.push(at, SimEvent::Recover { node });
+        self.core.queue.push_input(at, SimEvent::Recover { node });
     }
 
     /// Runs until no events remain using the serial reference driver,
@@ -847,7 +847,16 @@ impl<P: Protocol> World<P> {
             } else {
                 at
             };
-            self.core.queue.push(at, event);
+            // Each event goes back into the tier `schedule_*` or the run
+            // filed it in: inputs must stay out of reach of a crash purge.
+            if matches!(
+                event,
+                SimEvent::RequestCs { .. } | SimEvent::Crash { .. } | SimEvent::Recover { .. }
+            ) {
+                self.core.queue.push_input(at, event);
+            } else {
+                self.core.queue.push(at, event);
+            }
         }
     }
 }
@@ -1124,7 +1133,7 @@ mod tests {
             nodes,
         );
         world.schedule_request(SimTime::from_ticks(1), NodeId::new(2));
-        world.core.queue.push(SimTime::from_ticks(8), SimEvent::Crash { node: NodeId::new(2) });
+        world.schedule_failure(SimTime::from_ticks(8), NodeId::new(2));
         world.run_to_quiescence();
         assert_eq!(world.metrics().crashes, 1);
         assert!(world.metrics().lost_to_crashes >= 1);
@@ -1538,6 +1547,20 @@ mod tests {
     fn misnumbered_nodes_rejected() {
         let nodes = vec![CentralNode::new(NodeId::new(2)), CentralNode::new(NodeId::new(1))];
         let _ = World::new(SimConfig::default(), nodes);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule in the past")]
+    fn failure_plan_in_the_past_rejected() {
+        // Regression: `schedule_failures` was the one entry point that
+        // filed past events unchecked, and release builds then ran virtual
+        // time backwards to meet them.
+        let mut world = central_world(2, 9);
+        world.schedule_request(SimTime::from_ticks(50), NodeId::new(2));
+        world.run_to_quiescence();
+        assert!(world.now() > SimTime::from_ticks(10));
+        world
+            .schedule_failures(&FailurePlan::none().crash(NodeId::new(2), SimTime::from_ticks(10)));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 
 use opencube::algo::{Config, OpenCubeNode};
 use opencube::sim::{
-    ArrivalSchedule, DelayModel, QueueBackend, SimConfig, SimDuration, SimTime, World,
+    ArrivalSchedule, DelayModel, Driver, FailurePlan, QueueBackend, SimConfig, SimDuration,
+    SimTime, World,
 };
 use opencube::topology::NodeId;
 use rand::{rngs::StdRng, SeedableRng};
@@ -91,3 +92,120 @@ fn golden_trace_hash() {
 const GOLDEN_HASH: u64 = 17_956_546_835_187_287_862;
 const GOLDEN_EVENTS: u64 = 664;
 const GOLDEN_SENT: u64 = 380;
+
+// ---------------------------------------------------------------------
+// The fault path: what a crash purge may and may not change
+// ---------------------------------------------------------------------
+
+const FAULT_PAIRS: usize = 2_000;
+
+/// The `sim-faults` benchmark workload at a tenth of its size, built the
+/// way it builds it: n = 64, one crash/recover pair every 20 000 ticks,
+/// an arrival every 2 000, all scheduled before the first step.
+fn fault_world(backend: QueueBackend, driver: Driver) -> World<OpenCubeNode> {
+    let sim = SimConfig {
+        delay: DelayModel::Uniform {
+            min: SimDuration::from_ticks(1),
+            max: SimDuration::from_ticks(DELTA),
+        },
+        cs_duration: SimDuration::from_ticks(CS),
+        seed: 42,
+        record_trace: true,
+        max_events: 30_000_000,
+        queue: backend,
+        driver,
+        ..SimConfig::default()
+    };
+    let cfg = Config::new(64, SimDuration::from_ticks(DELTA), SimDuration::from_ticks(CS))
+        .with_contention_slack(SimDuration::from_ticks(1_000));
+    let mut rng = StdRng::seed_from_u64(42);
+    let schedule = ArrivalSchedule::uniform(
+        &mut rng,
+        64,
+        FAULT_PAIRS * 10 + 20,
+        SimDuration::from_ticks(2_000),
+    );
+    let failures = FailurePlan::random_singles(
+        &mut rng,
+        64,
+        NodeId::new(1),
+        FAULT_PAIRS,
+        SimTime::from_ticks(1_000),
+        SimDuration::from_ticks(20_000),
+        SimDuration::from_ticks(6_000),
+    );
+    let mut world = World::new(sim, OpenCubeNode::build_all(cfg));
+    world.schedule_workload(&schedule);
+    world.schedule_failures(&failures);
+    world
+}
+
+/// Everything a purge could disturb: how many events ran, what was sent,
+/// what the crashes destroyed and abandoned, and the order of it all.
+fn fault_observables(world: &World<OpenCubeNode>) -> (u64, u64, u64, u64, u64) {
+    let m = world.metrics();
+    assert_eq!((m.crashes, m.recoveries), (FAULT_PAIRS as u64, FAULT_PAIRS as u64));
+    assert_eq!(world.requests_injected(), m.cs_entries + m.requests_abandoned);
+    (
+        m.events_processed,
+        m.total_sent(),
+        m.lost_to_crashes,
+        m.requests_abandoned,
+        world.trace().hash64(),
+    )
+}
+
+/// Taken from the commit before the queue was split into tiers and the
+/// purge made in place; a purge that drops, keeps or reorders anything
+/// else moves them.
+const FAULT_GOLDEN: (u64, u64, u64, u64, u64) =
+    (454_250, 312_318, 548, 81, 2_851_374_949_455_519_051);
+
+#[test]
+fn fault_path_observables_are_pinned_on_every_backend_and_driver() {
+    for (backend, driver) in [
+        (QueueBackend::Heap, Driver::Serial),
+        (QueueBackend::Bucketed, Driver::Serial),
+        (QueueBackend::Bucketed, Driver::Windowed { threads: 2 }),
+    ] {
+        let mut world = fault_world(backend, driver);
+        assert!(world.run_to_quiescence(), "fault run wedged on {backend:?}/{driver:?}");
+        assert_eq!(fault_observables(&world), FAULT_GOLDEN, "{backend:?}/{driver:?}");
+    }
+}
+
+/// A checkpoint taken mid-run — arrivals and most of the failure plan
+/// still pending — resumes into the same future, crashes included.
+#[test]
+fn checkpoint_with_pending_inputs_resumes_identically() {
+    for backend in [QueueBackend::Heap, QueueBackend::Bucketed] {
+        let mut world = fault_world(backend, Driver::Serial);
+        assert!(!world.run_until(SimTime::from_ticks(500_000)), "drained before the checkpoint");
+        let checkpoint = world.checkpoint();
+        assert!(world.run_to_quiescence());
+        assert_eq!(fault_observables(&world), FAULT_GOLDEN, "{backend:?}");
+        let mut fork = checkpoint.to_world();
+        assert!(fork.run_to_quiescence());
+        assert_eq!(fault_observables(&fork), FAULT_GOLDEN, "fork on {backend:?}");
+        world.restore(&checkpoint);
+        assert!(world.run_to_quiescence());
+        assert_eq!(fault_observables(&world), FAULT_GOLDEN, "restore on {backend:?}");
+    }
+}
+
+/// Same, pinned for a perturbed fork: re-filing the whole queue must hand
+/// every arrival, crash and recovery back in its old relative order and
+/// out of reach of the purges that follow.
+const PERTURBED_GOLDEN: (u64, u64, u64, u64, u64) =
+    (454_250, 312_318, 548, 81, 6_859_375_647_461_086_388);
+
+#[test]
+fn perturbed_deliveries_then_crashes_keep_every_input() {
+    for backend in [QueueBackend::Heap, QueueBackend::Bucketed] {
+        let mut world = fault_world(backend, Driver::Serial);
+        assert!(!world.run_until(SimTime::from_ticks(500_000)));
+        world.perturb_deliveries(SimDuration::from_ticks(8), 0xC0FFEE);
+        assert!(world.run_to_quiescence());
+        assert_eq!(fault_observables(&world), PERTURBED_GOLDEN, "{backend:?}");
+    }
+}
