@@ -26,7 +26,6 @@
 //! actually advanced an epoch past 0. A baseline deployment's byte stream
 //! is therefore unchanged, and mixed decoding needs no version handshake.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use oc_topology::NodeId;
 
 use crate::message::{AnswerKind, EnquiryStatus, Msg};
@@ -68,68 +67,68 @@ const TAG_MINT_ACK: u8 = 0x0B;
 
 /// Encodes a message to its wire representation.
 #[must_use]
-pub fn encode(msg: &Msg) -> Bytes {
-    let mut buf = BytesMut::with_capacity(24);
+pub fn encode(msg: &Msg) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(24);
     match msg {
         Msg::Request { claimant, source, source_seq, epoch } => {
-            buf.put_u8(if *epoch == 0 { TAG_REQUEST } else { TAG_REQUEST_E });
-            buf.put_u32_le(claimant.get());
-            buf.put_u32_le(source.get());
-            buf.put_u64_le(u64::from(*source_seq));
+            buf.push(if *epoch == 0 { TAG_REQUEST } else { TAG_REQUEST_E });
+            buf.extend_from_slice(&claimant.get().to_le_bytes());
+            buf.extend_from_slice(&source.get().to_le_bytes());
+            buf.extend_from_slice(&u64::from(*source_seq).to_le_bytes());
             if *epoch != 0 {
-                buf.put_u64_le(*epoch);
+                buf.extend_from_slice(&epoch.to_le_bytes());
             }
         }
         Msg::Token { lender, epoch } => {
-            buf.put_u8(if *epoch == 0 { TAG_TOKEN } else { TAG_TOKEN_E });
+            buf.push(if *epoch == 0 { TAG_TOKEN } else { TAG_TOKEN_E });
             match lender {
                 Some(j) => {
-                    buf.put_u8(1);
-                    buf.put_u32_le(j.get());
+                    buf.push(1);
+                    buf.extend_from_slice(&j.get().to_le_bytes());
                 }
-                None => buf.put_u8(0),
+                None => buf.push(0),
             }
             if *epoch != 0 {
-                buf.put_u64_le(*epoch);
+                buf.extend_from_slice(&epoch.to_le_bytes());
             }
         }
         Msg::Enquiry { source_seq } => {
-            buf.put_u8(TAG_ENQUIRY);
-            buf.put_u64_le(u64::from(*source_seq));
+            buf.push(TAG_ENQUIRY);
+            buf.extend_from_slice(&u64::from(*source_seq).to_le_bytes());
         }
         Msg::EnquiryReply { source_seq, status } => {
-            buf.put_u8(TAG_ENQUIRY_REPLY);
-            buf.put_u64_le(u64::from(*source_seq));
-            buf.put_u8(match status {
+            buf.push(TAG_ENQUIRY_REPLY);
+            buf.extend_from_slice(&u64::from(*source_seq).to_le_bytes());
+            buf.push(match status {
                 EnquiryStatus::StillInCs => 0,
                 EnquiryStatus::TokenReturned => 1,
                 EnquiryStatus::TokenLost => 2,
             });
         }
         Msg::Test { d } => {
-            buf.put_u8(TAG_TEST);
-            buf.put_u32_le(*d);
+            buf.push(TAG_TEST);
+            buf.extend_from_slice(&d.to_le_bytes());
         }
         Msg::Answer { kind, d } => {
-            buf.put_u8(TAG_ANSWER);
-            buf.put_u8(match kind {
+            buf.push(TAG_ANSWER);
+            buf.push(match kind {
                 AnswerKind::Ok => 0,
                 AnswerKind::TryLater => 1,
             });
-            buf.put_u32_le(*d);
+            buf.extend_from_slice(&d.to_le_bytes());
         }
-        Msg::Anomaly => buf.put_u8(TAG_ANOMALY),
+        Msg::Anomaly => buf.push(TAG_ANOMALY),
         Msg::MintRequest { epoch } => {
-            buf.put_u8(TAG_MINT_REQUEST);
-            buf.put_u64_le(*epoch);
+            buf.push(TAG_MINT_REQUEST);
+            buf.extend_from_slice(&epoch.to_le_bytes());
         }
         Msg::MintAck { epoch, granted } => {
-            buf.put_u8(TAG_MINT_ACK);
-            buf.put_u8(u8::from(*granted));
-            buf.put_u64_le(*epoch);
+            buf.push(TAG_MINT_ACK);
+            buf.push(u8::from(*granted));
+            buf.extend_from_slice(&epoch.to_le_bytes());
         }
     }
-    buf.freeze()
+    buf
 }
 
 /// Decodes one message from `bytes`.
@@ -201,25 +200,23 @@ fn decode_inner(buf: &mut &[u8]) -> Result<Msg, DecodeError> {
     }
 }
 
+/// Splits the next `N` bytes off the front of `buf`.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], DecodeError> {
+    let (head, rest) = buf.split_first_chunk::<N>().ok_or(DecodeError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
+}
+
 fn take_u8(buf: &mut &[u8]) -> Result<u8, DecodeError> {
-    if buf.remaining() < 1 {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(buf.get_u8())
+    take::<1>(buf).map(|[byte]| byte)
 }
 
 fn take_u32(buf: &mut &[u8]) -> Result<u32, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(buf.get_u32_le())
+    take(buf).map(u32::from_le_bytes)
 }
 
 fn take_u64(buf: &mut &[u8]) -> Result<u64, DecodeError> {
-    if buf.remaining() < 8 {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(buf.get_u64_le())
+    take(buf).map(u64::from_le_bytes)
 }
 
 /// Sequence numbers travel as u64 on the wire (the format predates the

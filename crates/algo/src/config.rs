@@ -2,7 +2,6 @@
 //! timeout of Section 5 derived from it.
 
 use oc_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A deliberately disabled protocol obligation, for oracle self-tests.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// scenario whose oracle verdict exposes the mutation, then shrinks it to
 /// a minimal replayable counterexample. Every real configuration uses
 /// [`Mutation::None`]; the others exist only to be caught.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Mutation {
     /// The faithful protocol.
     #[default]
@@ -43,7 +42,7 @@ pub enum Mutation {
 /// the `mint` module. [`Hardening::None`] is byte-for-byte the paper
 /// protocol — every hardened branch is gated on this knob, all epochs stay
 /// 0, and traces are bit-identical to a build without the feature.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Hardening {
     /// The paper protocol, unchanged (the default).
     #[default]
@@ -56,17 +55,8 @@ pub enum Hardening {
     Quorum,
 }
 
-impl Hardening {
-    /// `true` for [`Hardening::None`] (serde `skip_serializing_if` helper,
-    /// so configurations embedded in committed artifacts do not change).
-    #[must_use]
-    pub fn is_none(&self) -> bool {
-        *self == Hardening::None
-    }
-}
-
 /// Configuration shared by all nodes of one open-cube system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Config {
     /// Number of nodes; must be a power of two.
     pub n: usize,
@@ -96,10 +86,8 @@ pub struct Config {
     /// (see [`Mutation`]). Always [`Mutation::None`] outside explorer
     /// self-checks.
     pub mutation: Mutation,
-    /// Protocol hardening level (see [`Hardening`]). Defaults to
-    /// [`Hardening::None`] — the paper protocol — both in builders and
-    /// when deserializing configurations written before the field existed.
-    #[serde(default, skip_serializing_if = "Hardening::is_none")]
+    /// Protocol hardening level (see [`Hardening`]). The builders default
+    /// to [`Hardening::None`] — the paper protocol.
     pub hardening: Hardening,
 }
 

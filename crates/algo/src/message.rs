@@ -16,10 +16,9 @@ use core::fmt;
 
 use oc_sim::{MessageKind, MsgKind};
 use oc_topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Status carried by an enquiry reply (Section 5, "Root" cases).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnquiryStatus {
     /// "wait, I'm still in the critical section"
     StillInCs,
@@ -30,7 +29,7 @@ pub enum EnquiryStatus {
 }
 
 /// Verdict carried by an `answer` to a `test(d)` probe (Section 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnswerKind {
     /// "ok" — the answering node qualifies as the prober's father.
     Ok,
@@ -40,7 +39,7 @@ pub enum AnswerKind {
 }
 
 /// A message of the open-cube mutual exclusion protocol.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub enum Msg {
     /// `request(claimant)`: the claim of `claimant` for the token, moving
     /// toward the root. `source`/`source_seq` identify the CS request that

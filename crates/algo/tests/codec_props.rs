@@ -66,7 +66,7 @@ proptest! {
         // re-encode canonically (encodings are unique).
         if let Ok(msg) = decode(&bytes) {
             let reencoded = encode(&msg);
-            prop_assert_eq!(reencoded.as_ref(), &bytes[..]);
+            prop_assert_eq!(&reencoded[..], &bytes[..]);
         }
     }
 

@@ -2,8 +2,6 @@
 //! intervals, and histograms. No external dependencies — the experiments
 //! only need the basics.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean; 0.0 for an empty slice.
 #[must_use]
 pub fn mean(values: &[f64]) -> f64 {
@@ -28,7 +26,7 @@ pub fn ci95_half_width(values: &[f64]) -> f64 {
 }
 
 /// Five-number-style summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,
@@ -60,7 +58,7 @@ impl Summary {
 }
 
 /// A fixed-bucket histogram over `u64` observations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     bucket_width: u64,

@@ -7,9 +7,7 @@
 //! `tests/steady_state.rs` pins that count; the queue purge itself is
 //! held to zero by `tests/retain_purge.rs`), and the zero-allocation
 //! claim is about the *steady state* between faults, where throughput is
-//! earned. The claim also applies to the serial driver only — the
-//! windowed driver trades replay buffers for parallelism (see the
-//! `oc-sim::windowed` module docs).
+//! earned.
 
 use oc_algo::{Config, OpenCubeNode};
 use oc_sim::{ArrivalSchedule, DelayModel, SimConfig, SimDuration, World};

@@ -8,13 +8,12 @@ use std::collections::VecDeque;
 
 use oc_sim::{MessageKind, MsgKind, NodeEvent, Outbox, Protocol};
 use oc_topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// The coordinator's node identity.
 pub const COORDINATOR: NodeId = NodeId::new(1);
 
 /// Messages of the centralized protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CentralMsg {
     /// Ask the coordinator for the lock.
     Request,

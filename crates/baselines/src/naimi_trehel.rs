@@ -8,10 +8,9 @@
 
 use oc_sim::{MessageKind, MsgKind, NodeEvent, Outbox, Protocol};
 use oc_topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Naimi–Trehel's two message types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NtMsg {
     /// `request(origin)`: `origin` wants the token; forwarded along `last`
     /// pointers.

@@ -11,10 +11,9 @@ use std::collections::VecDeque;
 
 use oc_sim::{MessageKind, MsgKind, NodeEvent, Outbox, Protocol};
 use oc_topology::{canonical_father, canonical_sons, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Raymond's two message types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RaymondMsg {
     /// A request for the privilege from a neighboring subtree.
     Request,

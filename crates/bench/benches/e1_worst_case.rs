@@ -12,7 +12,7 @@ fn bench(c: &mut Criterion) {
     for n in [16usize, 64, 256] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
-                let row = e1_worst_case(n, 1, 42);
+                let row = e1_worst_case(n, 1, 42, oc_algo::Hardening::None);
                 assert!(row.measured_worst <= row.bound);
                 row
             });

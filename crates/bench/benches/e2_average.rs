@@ -10,7 +10,7 @@ fn bench(c: &mut Criterion) {
     for n in [16usize, 64, 256] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
-                let row = e2_average(n, 42);
+                let row = e2_average(n, 42, oc_algo::Hardening::None);
                 assert_eq!(row.measured_total, row.alpha);
                 row
             });

@@ -10,7 +10,7 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     for n in [16usize, 32] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| e3_failures(n, 10, 42));
+            b.iter(|| e3_failures(n, 10, 42, oc_algo::Hardening::None));
         });
     }
     group.finish();

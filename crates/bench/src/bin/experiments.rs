@@ -17,6 +17,7 @@
 //! changes the master seed every cell seed derives from. Unknown flags are
 //! rejected with a usage message.
 
+use oc_algo::Hardening;
 use oc_bench::{
     bench_artifact, cli::FlagParser, e1_sweep, e2_sweep, e3_cells, e3_horizon_seed,
     e3_long_horizon, e3_summaries, e3_sweep, e4_average_sweep, e4_sweep, e5_sweep, e6_sweep,
@@ -180,7 +181,7 @@ fn e1(options: &Options) {
     println!("{:>6} {:>8} {:>10} {:>12} {:>10}", "N", "bound", "measured", "w/ return", "requests");
     let sizes: &[usize] =
         if options.quick { &[4, 16, 64] } else { &[4, 8, 16, 32, 64, 128, 256, 512, 1024] };
-    let outcome = e1_sweep(sizes, 3, options.master_seed, options.threads);
+    let outcome = e1_sweep(sizes, 3, options.master_seed, options.threads, Hardening::None);
     for row in &outcome.results {
         println!(
             "{:>6} {:>8} {:>10} {:>12} {:>10}   {}",
@@ -204,7 +205,7 @@ fn e2(options: &Options) {
     );
     let sizes: &[usize] =
         if options.quick { &[4, 16, 64] } else { &[2, 4, 8, 16, 32, 64, 128, 256, 512, 1024] };
-    let outcome = e2_sweep(sizes, options.master_seed, options.threads);
+    let outcome = e2_sweep(sizes, options.master_seed, options.threads, Hardening::None);
     for row in &outcome.results {
         println!(
             "{:>6} {:>10} {:>10} {:>10.3} {:>12.3} {:>12.3}   {}",
@@ -231,7 +232,7 @@ fn e3(options: &Options) {
         &[(16, 100), (32, 300), (64, 200), (128, 100)]
     };
     let seeds = 5;
-    let cells = e3_cells(plan, seeds);
+    let cells = e3_cells(plan, seeds, Hardening::None);
     let outcome = e3_sweep(&cells, options.master_seed, options.threads);
     println!(
         "{:>6} {:>9} {:>6} {:>14} {:>12} {:>9} {:>7} {:>9} {:>9}",
@@ -337,7 +338,7 @@ fn e4(options: &Options) {
         "N", "victim power", "predicted", "measured", "regen", "match"
     );
     let sizes: &[usize] = if options.quick { &[16, 64] } else { &[16, 64, 256, 1024] };
-    let outcome = e4_sweep(sizes, options.master_seed, options.threads);
+    let outcome = e4_sweep(sizes, options.master_seed, options.threads, Hardening::None);
     for row in &outcome.results {
         println!(
             "{:>6} {:>13} {:>12} {:>10} {:>10} {:>6}",
@@ -355,7 +356,7 @@ fn e4(options: &Options) {
         "{:>6} {:>9} {:>12} {:>12} {:>10}",
         "N", "searches", "measured", "predicted", "2*log2 N"
     );
-    let averages = e4_average_sweep(sizes, options.master_seed, options.threads);
+    let averages = e4_average_sweep(sizes, options.master_seed, options.threads, Hardening::None);
     for row in &averages.results {
         println!(
             "{:>6} {:>9} {:>12.2} {:>12.2} {:>10.1}",
@@ -385,7 +386,7 @@ fn e5(options: &Options) {
         "post-burst"
     );
     let sizes: &[usize] = if options.quick { &[16, 64] } else { &[8, 16, 32, 64, 128, 256] };
-    let outcome = e5_sweep(sizes, options.master_seed, options.threads);
+    let outcome = e5_sweep(sizes, options.master_seed, options.threads, Hardening::None);
     let mut current_n = 0usize;
     for row in &outcome.results {
         if current_n != 0 && row.n != current_n {
@@ -415,7 +416,7 @@ fn e6(options: &Options) {
         "N", "slack", "spurious", "wasted probes", "msgs/CS", "served"
     );
     let sizes: &[usize] = if options.quick { &[16] } else { &[16, 64] };
-    let outcome = e6_sweep(sizes, options.master_seed, options.threads);
+    let outcome = e6_sweep(sizes, options.master_seed, options.threads, Hardening::None);
     let mut current_n = 0usize;
     for row in &outcome.results {
         if current_n != 0 && row.n != current_n {
@@ -439,10 +440,9 @@ fn e6(options: &Options) {
 fn e7(options: &Options) {
     println!("== E7: engine throughput scaling (events/sec, heap vs bucketed queue) ==\n");
     println!(
-        "{:>9} {:>10} {:>11} {:>5} {:>10} {:>12} {:>12} {:>10} {:>8} {:>10} {:>14}",
+        "{:>9} {:>10} {:>5} {:>10} {:>12} {:>12} {:>10} {:>8} {:>10} {:>14}",
         "N",
         "backend",
-        "driver",
         "rep",
         "requests",
         "events",
@@ -468,7 +468,7 @@ fn e7(options: &Options) {
             (16_777_216, 16_777_216, 1),
         ]
     };
-    let cells = e7_cells(plan, options.master_seed);
+    let cells = e7_cells(plan, options.master_seed, Hardening::None);
     // E7's wall-clock columns are the artifact of record: concurrent
     // sibling cells would contend for memory bandwidth and skew them, so
     // the timing sweep stays serial unless the user explicitly shards it.
@@ -480,10 +480,9 @@ fn e7(options: &Options) {
     let outcome = e7_sweep(&cells, threads);
     for (cell, row) in cells.iter().zip(&outcome.results) {
         println!(
-            "{:>9} {:>10} {:>11} {:>5} {:>10} {:>12} {:>12} {:>10.2} {:>8} {:>10.3} {:>14.0}",
+            "{:>9} {:>10} {:>5} {:>10} {:>12} {:>12} {:>10.2} {:>8} {:>10.3} {:>14.0}",
             row.n,
             format!("{:?}", row.backend).to_lowercase(),
-            oc_bench::driver_label(row.driver),
             cell.seed_index,
             row.requests,
             row.events,
@@ -498,15 +497,9 @@ fn e7(options: &Options) {
     finish(options, "e7", &outcome, rows, Vec::new());
 }
 
-/// Runs one sweep twice — baseline, then `Hardening::Quorum` — and
-/// restores the baseline selector afterwards.
-fn ab<T>(run: impl Fn() -> SweepOutcome<T>) -> (SweepOutcome<T>, SweepOutcome<T>) {
-    oc_bench::set_hardened(false);
-    let base = run();
-    oc_bench::set_hardened(true);
-    let hard = run();
-    oc_bench::set_hardened(false);
-    (base, hard)
+/// Runs one sweep twice: baseline, then `Hardening::Quorum`.
+fn ab<T>(run: impl Fn(Hardening) -> SweepOutcome<T>) -> (SweepOutcome<T>, SweepOutcome<T>) {
+    (run(Hardening::None), run(Hardening::Quorum))
 }
 
 /// Prints and records one crash-free A/B verdict; returns `true` when the
@@ -557,32 +550,31 @@ fn e11(options: &Options) {
     // identical rows IS the measured overhead of zero.
     println!("-- crash-free tables (must be byte-identical) --");
     {
-        let (b, h) = ab(|| e1_sweep(&[4, 16, 64], 3, seed, threads));
+        let (b, h) = ab(|h| e1_sweep(&[4, 16, 64], 3, seed, threads, h));
         crash_free_ok &= report_identical("e1", &b.results, &h.results, &mut rows);
     }
     {
-        let (b, h) = ab(|| e2_sweep(&[4, 16, 64], seed, threads));
+        let (b, h) = ab(|h| e2_sweep(&[4, 16, 64], seed, threads, h));
         crash_free_ok &= report_identical("e2", &b.results, &h.results, &mut rows);
     }
     {
-        let (b, h) = ab(|| e5_sweep(&[16, 64], seed, threads));
+        let (b, h) = ab(|h| e5_sweep(&[16, 64], seed, threads, h));
         crash_free_ok &= report_identical("e5", &b.results, &h.results, &mut rows);
     }
     {
-        let (b, h) = ab(|| e6_sweep(&[16], seed, threads));
+        let (b, h) = ab(|h| e6_sweep(&[16], seed, threads, h));
         crash_free_ok &= report_identical("e6", &b.results, &h.results, &mut rows);
     }
     {
         // E7's wall-clock columns are not protocol observables; compare
         // the virtual-time ones.
-        let cells = e7_cells(&[(4_096, 8_192, 2)], seed);
-        let (b, h) = ab(|| e7_sweep(&cells, 1));
+        let (b, h) = ab(|h| e7_sweep(&e7_cells(&[(4_096, 8_192, 2)], seed, h), 1));
         let project = |rows: &[E7Row]| -> Vec<(usize, String, u64, u64, u64, u64)> {
             rows.iter()
                 .map(|r| {
                     (
                         r.n,
-                        format!("{:?}/{:?}", r.backend, r.driver),
+                        format!("{:?}", r.backend),
                         r.requests,
                         r.events,
                         r.messages,
@@ -604,8 +596,7 @@ fn e11(options: &Options) {
     );
     {
         let plan: &[(usize, usize)] = &[(32, 30), (64, 20)];
-        let cells = e3_cells(plan, 5);
-        let (b, h) = ab(|| e3_sweep(&cells, seed, threads));
+        let (b, h) = ab(|h| e3_sweep(&e3_cells(plan, 5, h), seed, threads));
         for (base, hard) in b.results.iter().zip(&h.results) {
             assert_eq!((base.n, base.failures), (hard.n, hard.failures));
             println!(
@@ -631,7 +622,7 @@ fn e11(options: &Options) {
         }
     }
     {
-        let (b, h) = ab(|| e4_sweep(&[16, 64], seed, threads));
+        let (b, h) = ab(|h| e4_sweep(&[16, 64], seed, threads, h));
         for (base, hard) in b.results.iter().zip(&h.results) {
             assert_eq!((base.n, base.victim_power), (hard.n, hard.victim_power));
             println!(

@@ -1,9 +1,8 @@
 //! Minimal JSON emission for the `BENCH_E*.json` artifacts.
 //!
-//! The vendored `serde` is a no-op stand-in (no `serde_json` exists
-//! offline), so the bench artifacts are built from this tiny explicit
-//! [`Value`] tree instead: ~150 lines, deterministic field order, RFC
-//! 8259-conformant output. A matching [`validate`] checker keeps the
+//! No JSON crate resolves offline, so the bench artifacts are built from
+//! this tiny explicit [`Value`] tree: ~150 lines, deterministic field
+//! order, RFC 8259-conformant output. A matching [`validate`] checker keeps the
 //! emitter honest in tests and lets CI assert an artifact is well-formed
 //! without external tooling.
 

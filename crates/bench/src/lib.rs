@@ -26,12 +26,10 @@ pub mod sweep;
 use oc_algo::{Config, Hardening, OpenCubeNode};
 use oc_baselines::{CentralNode, NaimiTrehelNode, RaymondNode};
 use oc_sim::{
-    ArrivalSchedule, DelayModel, Driver, Protocol, QueueBackend, SimConfig, SimDuration, SimTime,
-    World,
+    ArrivalSchedule, DelayModel, Protocol, QueueBackend, SimConfig, SimDuration, SimTime, World,
 };
 use oc_topology::NodeId;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
-use serde::Serialize;
 
 use json::Value;
 use sweep::{derive_seed, stream_id, SweepOutcome};
@@ -57,44 +55,19 @@ fn sim_config(seed: u64) -> SimConfig {
     }
 }
 
-/// Process-global hardening selector for the open-cube experiment
-/// configs — the A/B switch of the hardened-overhead harness (E11).
-///
-/// Every `eN_*` experiment builds its open-cube nodes through
-/// [`plain_cfg`]/[`ft_cfg`], so flipping this single atomic re-runs any
-/// table under [`Hardening::Quorum`] without threading a parameter
-/// through two dozen sweep signatures. It defaults to off, and nothing
-/// in the library mutates it: the committed `BENCH_E*.json` artifacts
-/// are untouched unless a caller opts in. Set it *before* a sweep
-/// starts — worker threads read it at cell-config construction.
-static HARDENED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Selects the hardening every subsequent experiment config uses.
-pub fn set_hardened(on: bool) {
-    HARDENED.store(on, std::sync::atomic::Ordering::SeqCst);
-}
-
-fn hardening() -> Hardening {
-    if HARDENED.load(std::sync::atomic::Ordering::SeqCst) {
-        Hardening::Quorum
-    } else {
-        Hardening::None
-    }
-}
-
-fn plain_cfg(n: usize) -> Config {
+fn plain_cfg(n: usize, hardening: Hardening) -> Config {
     Config::without_fault_tolerance(
         n,
         SimDuration::from_ticks(DELTA),
         SimDuration::from_ticks(CS_TICKS),
     )
-    .with_hardening(hardening())
+    .with_hardening(hardening)
 }
 
-fn ft_cfg(n: usize, slack: u64) -> Config {
+fn ft_cfg(n: usize, slack: u64, hardening: Hardening) -> Config {
     Config::new(n, SimDuration::from_ticks(DELTA), SimDuration::from_ticks(CS_TICKS))
         .with_contention_slack(SimDuration::from_ticks(slack))
-        .with_hardening(hardening())
+        .with_hardening(hardening)
 }
 
 // --------------------------------------------------------------------
@@ -102,7 +75,7 @@ fn ft_cfg(n: usize, slack: u64) -> Config {
 // --------------------------------------------------------------------
 
 /// One row of the E1 table.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct E1Row {
     /// System size.
     pub n: usize,
@@ -120,8 +93,8 @@ pub struct E1Row {
 /// E1: closed-loop sweeps over every node (several rounds, so the tree
 /// leaves its canonical shape), recording the costliest single request.
 #[must_use]
-pub fn e1_worst_case(n: usize, rounds: u32, seed: u64) -> E1Row {
-    let mut world = World::new(sim_config(seed), OpenCubeNode::build_all(plain_cfg(n)));
+pub fn e1_worst_case(n: usize, rounds: u32, seed: u64, hardening: Hardening) -> E1Row {
+    let mut world = World::new(sim_config(seed), OpenCubeNode::build_all(plain_cfg(n, hardening)));
     let mut worst_paper = 0u64;
     let mut worst_raw = 0u64;
     let mut last_total = 0u64;
@@ -157,7 +130,7 @@ pub fn e1_worst_case(n: usize, rounds: u32, seed: u64) -> E1Row {
 // --------------------------------------------------------------------
 
 /// One row of the E2 table.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct E2Row {
     /// System size.
     pub n: usize,
@@ -176,13 +149,14 @@ pub struct E2Row {
 
 /// E2: the paper's average-case analysis, measured two ways.
 #[must_use]
-pub fn e2_average(n: usize, seed: u64) -> E2Row {
+pub fn e2_average(n: usize, seed: u64, hardening: Hardening) -> E2Row {
     // (a) Exactly the analysis's setting: each node's request measured
     // from a fresh canonical configuration; the per-world counters reduce
     // into one aggregate via `Metrics::merge`.
     let mut canonical = oc_sim::Metrics::new();
     for raw in 1..=n as u32 {
-        let mut world = World::new(sim_config(seed), OpenCubeNode::build_all(plain_cfg(n)));
+        let mut world =
+            World::new(sim_config(seed), OpenCubeNode::build_all(plain_cfg(n, hardening)));
         world.schedule_request(SimTime::ZERO, NodeId::new(raw));
         assert!(world.run_to_quiescence());
         canonical.merge(world.metrics());
@@ -192,7 +166,7 @@ pub fn e2_average(n: usize, seed: u64) -> E2Row {
     // (b) The evolving-tree variant: one long-lived world, every node
     // requests once in a random order, sequentially.
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut world = World::new(sim_config(seed), OpenCubeNode::build_all(plain_cfg(n)));
+    let mut world = World::new(sim_config(seed), OpenCubeNode::build_all(plain_cfg(n, hardening)));
     let mut order: Vec<NodeId> = NodeId::all(n).collect();
     for i in (1..order.len()).rev() {
         let j = rng.random_range(0..=i);
@@ -220,7 +194,7 @@ pub fn e2_average(n: usize, seed: u64) -> E2Row {
 // --------------------------------------------------------------------
 
 /// One row of the E3 table.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct E3Row {
     /// System size.
     pub n: usize,
@@ -269,16 +243,17 @@ fn e3_inputs(n: usize, failures: usize, seed: u64) -> (ArrivalSchedule, oc_sim::
 /// reproducing the shape of the paper's Estelle/iPSC-2 measurement
 /// (8 msg/failure at N=32 over 300 failures; 9.75 at N=64 over 200).
 #[must_use]
-pub fn e3_failures(n: usize, failures: usize, seed: u64) -> E3Row {
+pub fn e3_failures(n: usize, failures: usize, seed: u64, hardening: Hardening) -> E3Row {
     let (schedule, failure_plan) = e3_inputs(n, failures, seed);
 
     // Reference run: same seed and workload, no failures.
-    let mut clean = World::new(sim_config(seed), OpenCubeNode::build_all(ft_cfg(n, 1_000)));
+    let nodes = || OpenCubeNode::build_all(ft_cfg(n, 1_000, hardening));
+    let mut clean = World::new(sim_config(seed), nodes());
     clean.schedule_workload(&schedule);
     assert!(clean.run_to_quiescence(), "E3 clean run wedged");
     let clean_total = clean.metrics().total_sent();
 
-    let mut world = World::new(sim_config(seed), OpenCubeNode::build_all(ft_cfg(n, 1_000)));
+    let mut world = World::new(sim_config(seed), nodes());
     world.schedule_workload(&schedule);
     world.schedule_failures(&failure_plan);
     assert!(world.run_to_quiescence(), "E3 failure run wedged");
@@ -300,7 +275,7 @@ pub fn e3_failures(n: usize, failures: usize, seed: u64) -> E3Row {
 
 /// One row of E3's long-horizon group: the same cell stretched to many
 /// more failures, timed — what a failure costs the *simulator*.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct E3HorizonRow {
     /// System size.
     pub n: usize,
@@ -322,7 +297,8 @@ pub struct E3HorizonRow {
 #[must_use]
 pub fn e3_long_horizon(n: usize, failures: usize, seed: u64) -> E3HorizonRow {
     let (schedule, failure_plan) = e3_inputs(n, failures, seed);
-    let mut world = World::new(sim_config(seed), OpenCubeNode::build_all(ft_cfg(n, 1_000)));
+    let mut world =
+        World::new(sim_config(seed), OpenCubeNode::build_all(ft_cfg(n, 1_000, Hardening::None)));
     world.schedule_workload(&schedule);
     world.schedule_failures(&failure_plan);
     let start = std::time::Instant::now();
@@ -345,8 +321,10 @@ pub fn e3_long_horizon(n: usize, failures: usize, seed: u64) -> E3HorizonRow {
 /// to the workload draw.
 #[must_use]
 pub fn e3_failures_summary(n: usize, failures: usize, seeds: &[u64]) -> oc_analysis::Summary {
-    let samples: Vec<f64> =
-        seeds.iter().map(|&seed| e3_failures(n, failures, seed).overhead_per_failure).collect();
+    let samples: Vec<f64> = seeds
+        .iter()
+        .map(|&seed| e3_failures(n, failures, seed, Hardening::None).overhead_per_failure)
+        .collect();
     oc_analysis::Summary::of(&samples)
 }
 
@@ -355,7 +333,7 @@ pub fn e3_failures_summary(n: usize, failures: usize, seeds: &[u64]) -> oc_analy
 // --------------------------------------------------------------------
 
 /// One row of the E4 table.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct E4Row {
     /// System size.
     pub n: usize,
@@ -376,7 +354,7 @@ pub struct E4Row {
 /// E4 cell: crash the canonical node of one power and let its lowest son
 /// search; count `test` probes — the sweep's unit of work.
 #[must_use]
-pub fn e4_cell(n: usize, victim_power: u32, seed: u64) -> E4Row {
+pub fn e4_cell(n: usize, victim_power: u32, seed: u64, hardening: Hardening) -> E4Row {
     let pmax = oc_topology::dimension(n);
     // The canonical node of power q: zero-based 2^q... except the root
     // (power pmax) which is node 1.
@@ -388,7 +366,7 @@ pub fn e4_cell(n: usize, victim_power: u32, seed: u64) -> E4Row {
     // Its lowest son: the node at distance 1 below it.
     let searcher = NodeId::from_zero_based(victim.zero_based() | 1);
 
-    let mut world = World::new(sim_config(seed), OpenCubeNode::build_all(ft_cfg(n, 0)));
+    let mut world = World::new(sim_config(seed), OpenCubeNode::build_all(ft_cfg(n, 0, hardening)));
     world.schedule_failure(SimTime::from_ticks(1), victim);
     world.schedule_request(SimTime::from_ticks(10), searcher);
     assert!(world.run_to_quiescence(), "E4 run wedged");
@@ -418,14 +396,14 @@ pub fn e4_cell(n: usize, victim_power: u32, seed: u64) -> E4Row {
 #[must_use]
 pub fn e4_search_cost(n: usize, seed: u64) -> Vec<E4Row> {
     let pmax = oc_topology::dimension(n);
-    (1..=pmax).map(|victim_power| e4_cell(n, victim_power, seed)).collect()
+    (1..=pmax).map(|victim_power| e4_cell(n, victim_power, seed, Hardening::None)).collect()
 }
 
 /// The average-search-cost measurement behind the paper's "O(log2 N) in
 /// the average" claim: run the E4 scenario for *every* possible victim
 /// that has sons (a power-0 node is nobody's father, so its failure
 /// triggers no search), and average the probe counts.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct E4Average {
     /// System size.
     pub n: usize,
@@ -443,7 +421,7 @@ pub struct E4Average {
 /// Returns `(measured probes, predicted probes)`, or `None` when the
 /// victim is a leaf (nobody's father, so its failure triggers no search).
 #[must_use]
-pub fn e4_victim_probes(n: usize, raw: u32, seed: u64) -> Option<(f64, f64)> {
+pub fn e4_victim_probes(n: usize, raw: u32, seed: u64, hardening: Hardening) -> Option<(f64, f64)> {
     use oc_topology::canonical_power;
     let pmax = oc_topology::dimension(n);
     let victim = NodeId::new(raw);
@@ -452,7 +430,7 @@ pub fn e4_victim_probes(n: usize, raw: u32, seed: u64) -> Option<(f64, f64)> {
         return None; // leaf: nobody's father, no search on its failure
     }
     let searcher = NodeId::from_zero_based(victim.zero_based() | 1);
-    let mut world = World::new(sim_config(seed), OpenCubeNode::build_all(ft_cfg(n, 0)));
+    let mut world = World::new(sim_config(seed), OpenCubeNode::build_all(ft_cfg(n, 0, hardening)));
     world.schedule_failure(SimTime::from_ticks(1), victim);
     world.schedule_request(SimTime::from_ticks(10), searcher);
     assert!(world.run_to_quiescence(), "E4b run wedged");
@@ -479,7 +457,7 @@ pub fn e4_average_of(n: usize, samples: &[(f64, f64)]) -> E4Average {
 #[must_use]
 pub fn e4_average(n: usize, seed: u64) -> E4Average {
     let samples: Vec<(f64, f64)> =
-        (1..=n as u32).filter_map(|raw| e4_victim_probes(n, raw, seed)).collect();
+        (1..=n as u32).filter_map(|raw| e4_victim_probes(n, raw, seed, Hardening::None)).collect();
     e4_average_of(n, &samples)
 }
 
@@ -488,7 +466,7 @@ pub fn e4_average(n: usize, seed: u64) -> E4Average {
 // --------------------------------------------------------------------
 
 /// Algorithms compared in E5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algo {
     /// The paper's open-cube algorithm.
     OpenCube,
@@ -520,7 +498,7 @@ impl Algo {
 }
 
 /// One row of the E5 table.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct E5Row {
     /// Which algorithm.
     pub algo: Algo,
@@ -546,11 +524,7 @@ pub struct E5Row {
     pub post_burst_worst: u64,
 }
 
-fn run_schedule<P: Protocol + Send>(
-    nodes: Vec<P>,
-    schedule: &ArrivalSchedule,
-    seed: u64,
-) -> (f64, u64) {
+fn run_schedule<P: Protocol>(nodes: Vec<P>, schedule: &ArrivalSchedule, seed: u64) -> (f64, u64) {
     let mut world = World::new(sim_config(seed), nodes);
     world.schedule_workload(schedule);
     assert!(world.run_to_quiescence(), "E5 run wedged");
@@ -562,7 +536,7 @@ fn run_schedule<P: Protocol + Send>(
 /// Burst: every node requests in the same tick, then — once the burst has
 /// bent the structure into its worst reachable shape — each node issues
 /// one more request sequentially and we record the costliest one.
-fn run_burst<P: Protocol + Send>(nodes: Vec<P>, n: usize, seed: u64) -> (f64, u64) {
+fn run_burst<P: Protocol>(nodes: Vec<P>, n: usize, seed: u64) -> (f64, u64) {
     let mut world = World::new(sim_config(seed), nodes);
     for raw in 1..=n as u32 {
         world.schedule_request(SimTime::ZERO, NodeId::new(raw));
@@ -582,7 +556,7 @@ fn run_burst<P: Protocol + Send>(nodes: Vec<P>, n: usize, seed: u64) -> (f64, u6
     (burst_avg, worst)
 }
 
-fn run_sequential<P: Protocol + Send>(
+fn run_sequential<P: Protocol>(
     mut make: impl FnMut() -> Vec<P>,
     n: usize,
     seed: u64,
@@ -611,7 +585,7 @@ fn run_sequential<P: Protocol + Send>(
 /// concurrent and hotspot schedules are rebuilt from `seed` alone, so
 /// every algorithm at one `(n, seed)` faces byte-identical workloads no
 /// matter which sweep cell (or thread) it runs in.
-fn e5_measure<P: Protocol + Send>(
+fn e5_measure<P: Protocol>(
     make: impl Fn() -> Vec<P>,
     n: usize,
     seed: u64,
@@ -637,9 +611,9 @@ fn e5_measure<P: Protocol + Send>(
 
 /// E5 cell: one algorithm at one size — the sweep's unit of work.
 #[must_use]
-pub fn e5_row(n: usize, algo: Algo, seed: u64) -> E5Row {
+pub fn e5_row(n: usize, algo: Algo, seed: u64, hardening: Hardening) -> E5Row {
     let (seq_avg, seq_worst, conc_avg, hotspot_avg, burst_avg, post_burst_worst) = match algo {
-        Algo::OpenCube => e5_measure(|| OpenCubeNode::build_all(plain_cfg(n)), n, seed),
+        Algo::OpenCube => e5_measure(|| OpenCubeNode::build_all(plain_cfg(n, hardening)), n, seed),
         Algo::Raymond => e5_measure(|| RaymondNode::build_all(n), n, seed),
         Algo::NaimiTrehel => e5_measure(|| NaimiTrehelNode::build_all(n), n, seed),
         Algo::Central => e5_measure(|| CentralNode::build_all(n), n, seed),
@@ -651,7 +625,7 @@ pub fn e5_row(n: usize, algo: Algo, seed: u64) -> E5Row {
 /// workloads of DESIGN.md's experiment index.
 #[must_use]
 pub fn e5_comparison(n: usize, seed: u64) -> Vec<E5Row> {
-    Algo::all().into_iter().map(|algo| e5_row(n, algo, seed)).collect()
+    Algo::all().into_iter().map(|algo| e5_row(n, algo, seed, Hardening::None)).collect()
 }
 
 // --------------------------------------------------------------------
@@ -659,7 +633,7 @@ pub fn e5_comparison(n: usize, seed: u64) -> Vec<E5Row> {
 // --------------------------------------------------------------------
 
 /// One row of the E6 ablation table.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct E6Row {
     /// System size.
     pub n: usize,
@@ -682,7 +656,7 @@ pub struct E6Row {
 /// with adequate slack they never fire. (No failures are injected.)
 #[must_use]
 pub fn e6_slack_ablation(n: usize, seed: u64) -> Vec<E6Row> {
-    E6_SLACKS.iter().map(|&slack| e6_cell(n, slack, seed)).collect()
+    E6_SLACKS.iter().map(|&slack| e6_cell(n, slack, seed, Hardening::None)).collect()
 }
 
 /// The slack levels the E6 ablation walks through.
@@ -692,12 +666,13 @@ pub const E6_SLACKS: [u64; 5] = [0, 500, 2_000, 10_000, 50_000];
 /// (the seed fixes the workload, so slack is the only variable across the
 /// ablation's cells).
 #[must_use]
-pub fn e6_cell(n: usize, slack: u64, seed: u64) -> E6Row {
+pub fn e6_cell(n: usize, slack: u64, seed: u64, hardening: Hardening) -> E6Row {
     let count = 4 * n;
     let gap = SimDuration::from_ticks(25); // saturating load
     let mut rng = StdRng::seed_from_u64(seed);
     let schedule = ArrivalSchedule::uniform(&mut rng, n, count, gap);
-    let mut world = World::new(sim_config(seed), OpenCubeNode::build_all(ft_cfg(n, slack)));
+    let mut world =
+        World::new(sim_config(seed), OpenCubeNode::build_all(ft_cfg(n, slack, hardening)));
     world.schedule_workload(&schedule);
     assert!(world.run_to_quiescence(), "E6 run wedged at slack {slack}");
     let stats = oc_algo::aggregate_stats(&world);
@@ -716,14 +691,12 @@ pub fn e6_cell(n: usize, slack: u64, seed: u64) -> E6Row {
 // --------------------------------------------------------------------
 
 /// One row of the E7 throughput table.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct E7Row {
     /// System size.
     pub n: usize,
     /// Which event-queue backend ran the simulation.
     pub backend: QueueBackend,
-    /// Which event-loop driver ran the simulation.
-    pub driver: Driver,
     /// The cell's derived RNG seed (recorded so a row can be replayed).
     pub seed: u64,
     /// Requests injected (all served — asserted).
@@ -754,14 +727,13 @@ pub fn e7_throughput(
     requests: usize,
     seed: u64,
     backend: QueueBackend,
-    driver: Driver,
+    hardening: Hardening,
 ) -> E7Row {
     let mut config = sim_config(seed);
     config.queue = backend;
-    config.driver = driver;
     let mut rng = StdRng::seed_from_u64(seed);
     let schedule = ArrivalSchedule::uniform(&mut rng, n, requests, SimDuration::from_ticks(25));
-    let mut world = World::new(config, OpenCubeNode::build_all(plain_cfg(n)));
+    let mut world = World::new(config, OpenCubeNode::build_all(plain_cfg(n, hardening)));
     world.schedule_workload(&schedule);
     let start = std::time::Instant::now();
     assert!(world.run_to_quiescence(), "E7 run wedged");
@@ -773,7 +745,6 @@ pub fn e7_throughput(
     E7Row {
         n,
         backend,
-        driver,
         seed,
         requests: world.requests_injected(),
         events,
@@ -800,22 +771,33 @@ const S_E7: u64 = 7;
 
 /// E1 as a sweep: one cell per size.
 #[must_use]
-pub fn e1_sweep(sizes: &[usize], rounds: u32, master: u64, threads: usize) -> SweepOutcome<E1Row> {
+pub fn e1_sweep(
+    sizes: &[usize],
+    rounds: u32,
+    master: u64,
+    threads: usize,
+    hardening: Hardening,
+) -> SweepOutcome<E1Row> {
     sweep::sweep(sizes, threads, |_, &n| {
-        e1_worst_case(n, rounds, derive_seed(master, stream_id(S_E1, n as u64, 0)))
+        e1_worst_case(n, rounds, derive_seed(master, stream_id(S_E1, n as u64, 0)), hardening)
     })
 }
 
 /// E2 as a sweep: one cell per size.
 #[must_use]
-pub fn e2_sweep(sizes: &[usize], master: u64, threads: usize) -> SweepOutcome<E2Row> {
+pub fn e2_sweep(
+    sizes: &[usize],
+    master: u64,
+    threads: usize,
+    hardening: Hardening,
+) -> SweepOutcome<E2Row> {
     sweep::sweep(sizes, threads, |_, &n| {
-        e2_average(n, derive_seed(master, stream_id(S_E2, n as u64, 0)))
+        e2_average(n, derive_seed(master, stream_id(S_E2, n as u64, 0)), hardening)
     })
 }
 
 /// One E3 sweep cell: a `(n, failures)` plan entry at one seed index.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct E3Cell {
     /// System size.
     pub n: usize,
@@ -823,15 +805,17 @@ pub struct E3Cell {
     pub failures: usize,
     /// Which independent repetition this is (0-based).
     pub seed_index: usize,
+    /// Hardening the cell's nodes are built under.
+    pub hardening: Hardening,
 }
 
 /// Expands an E3 plan into cells: `seeds` independent repetitions per
 /// plan entry, grouped so each entry's repetitions are consecutive.
 #[must_use]
-pub fn e3_cells(plan: &[(usize, usize)], seeds: usize) -> Vec<E3Cell> {
+pub fn e3_cells(plan: &[(usize, usize)], seeds: usize, hardening: Hardening) -> Vec<E3Cell> {
     plan.iter()
         .flat_map(|&(n, failures)| {
-            (0..seeds).map(move |seed_index| E3Cell { n, failures, seed_index })
+            (0..seeds).map(move |seed_index| E3Cell { n, failures, seed_index, hardening })
         })
         .collect()
 }
@@ -843,7 +827,7 @@ pub fn e3_cells(plan: &[(usize, usize)], seeds: usize) -> Vec<E3Cell> {
 pub fn e3_sweep(cells: &[E3Cell], master: u64, threads: usize) -> SweepOutcome<E3Row> {
     sweep::sweep(cells, threads, |_, cell| {
         let seed = derive_seed(master, stream_id(S_E3, cell.n as u64, cell.seed_index as u64));
-        e3_failures(cell.n, cell.failures, seed)
+        e3_failures(cell.n, cell.failures, seed, cell.hardening)
     })
 }
 
@@ -855,7 +839,7 @@ pub fn e3_horizon_seed(master: u64, n: usize) -> u64 {
 }
 
 /// Multi-seed summary of one E3 plan entry.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct E3Summary {
     /// System size.
     pub n: usize,
@@ -893,22 +877,33 @@ pub fn e3_summaries(cells: &[E3Cell], rows: &[E3Row]) -> Vec<E3Summary> {
 
 /// E4 (per-power table) as a sweep: one cell per `(size, victim power)`.
 #[must_use]
-pub fn e4_sweep(sizes: &[usize], master: u64, threads: usize) -> SweepOutcome<E4Row> {
+pub fn e4_sweep(
+    sizes: &[usize],
+    master: u64,
+    threads: usize,
+    hardening: Hardening,
+) -> SweepOutcome<E4Row> {
     let cells: Vec<(usize, u32)> =
         sizes.iter().flat_map(|&n| (1..=oc_topology::dimension(n)).map(move |q| (n, q))).collect();
     sweep::sweep(&cells, threads, |_, &(n, q)| {
-        e4_cell(n, q, derive_seed(master, stream_id(S_E4, n as u64, u64::from(q))))
+        e4_cell(n, q, derive_seed(master, stream_id(S_E4, n as u64, u64::from(q))), hardening)
     })
 }
 
 /// E4b (average over all victims) as a sweep: one cell per victim, folded
 /// back into one [`E4Average`] per size.
 #[must_use]
-pub fn e4_average_sweep(sizes: &[usize], master: u64, threads: usize) -> SweepOutcome<E4Average> {
+pub fn e4_average_sweep(
+    sizes: &[usize],
+    master: u64,
+    threads: usize,
+    hardening: Hardening,
+) -> SweepOutcome<E4Average> {
     let cells: Vec<(usize, u32)> =
         sizes.iter().flat_map(|&n| (1..=n as u32).map(move |raw| (n, raw))).collect();
     let outcome = sweep::sweep(&cells, threads, |_, &(n, raw)| {
-        (n, e4_victim_probes(n, raw, derive_seed(master, stream_id(S_E4B, n as u64, 0))))
+        let seed = derive_seed(master, stream_id(S_E4B, n as u64, 0));
+        (n, e4_victim_probes(n, raw, seed, hardening))
     });
     let mut averages = Vec::new();
     for &n in sizes {
@@ -932,28 +927,38 @@ pub fn e4_average_sweep(sizes: &[usize], master: u64, threads: usize) -> SweepOu
 /// at one size share a seed, hence byte-identical workloads — the
 /// comparison stays fair under sharding.
 #[must_use]
-pub fn e5_sweep(sizes: &[usize], master: u64, threads: usize) -> SweepOutcome<E5Row> {
+pub fn e5_sweep(
+    sizes: &[usize],
+    master: u64,
+    threads: usize,
+    hardening: Hardening,
+) -> SweepOutcome<E5Row> {
     let cells: Vec<(usize, Algo)> =
         sizes.iter().flat_map(|&n| Algo::all().into_iter().map(move |algo| (n, algo))).collect();
     sweep::sweep(&cells, threads, |_, &(n, algo)| {
-        e5_row(n, algo, derive_seed(master, stream_id(S_E5, n as u64, 0)))
+        e5_row(n, algo, derive_seed(master, stream_id(S_E5, n as u64, 0)), hardening)
     })
 }
 
 /// E6 as a sweep: one cell per `(size, slack)`. All slack levels at one
 /// size share a seed (the ablation varies slack only).
 #[must_use]
-pub fn e6_sweep(sizes: &[usize], master: u64, threads: usize) -> SweepOutcome<E6Row> {
+pub fn e6_sweep(
+    sizes: &[usize],
+    master: u64,
+    threads: usize,
+    hardening: Hardening,
+) -> SweepOutcome<E6Row> {
     let cells: Vec<(usize, u64)> =
         sizes.iter().flat_map(|&n| E6_SLACKS.into_iter().map(move |s| (n, s))).collect();
     sweep::sweep(&cells, threads, |_, &(n, slack)| {
-        e6_cell(n, slack, derive_seed(master, stream_id(S_E6, n as u64, 0)))
+        e6_cell(n, slack, derive_seed(master, stream_id(S_E6, n as u64, 0)), hardening)
     })
 }
 
 /// One E7 sweep cell: a full timed run of one size on one backend with
 /// one derived seed.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct E7Cell {
     /// System size.
     pub n: usize,
@@ -961,44 +966,28 @@ pub struct E7Cell {
     pub requests: usize,
     /// Event-queue backend under test.
     pub backend: QueueBackend,
-    /// Event-loop driver under test.
-    pub driver: Driver,
     /// Which independent repetition of this size (0-based).
     pub seed_index: usize,
     /// Derived RNG seed for this cell.
     pub seed: u64,
+    /// Hardening the cell's nodes are built under.
+    pub hardening: Hardening,
 }
 
 /// Expands an E7 scaling plan — `(n, requests, independent seeds)` — into
-/// cells over both queue backends, plus one windowed-driver cell per plan
-/// entry (bucketed queue, two reaction workers, seed 0 — the same seed as
-/// the serial bucketed cell, so the pair doubles as an end-to-end
-/// cross-driver determinism check on real workloads).
+/// cells over both queue backends. A heap/bucketed pair shares its seed,
+/// so the pair doubles as a cross-backend determinism check on real
+/// workloads.
 #[must_use]
-pub fn e7_cells(plan: &[(usize, usize, usize)], master: u64) -> Vec<E7Cell> {
+pub fn e7_cells(plan: &[(usize, usize, usize)], master: u64, hardening: Hardening) -> Vec<E7Cell> {
     let mut cells = Vec::new();
     for &(n, requests, seeds) in plan {
         for seed_index in 0..seeds {
+            let seed = derive_seed(master, stream_id(S_E7, n as u64, seed_index as u64));
             for backend in [QueueBackend::Heap, QueueBackend::Bucketed] {
-                let seed = derive_seed(master, stream_id(S_E7, n as u64, seed_index as u64));
-                cells.push(E7Cell {
-                    n,
-                    requests,
-                    backend,
-                    driver: Driver::Serial,
-                    seed_index,
-                    seed,
-                });
+                cells.push(E7Cell { n, requests, backend, seed_index, seed, hardening });
             }
         }
-        cells.push(E7Cell {
-            n,
-            requests,
-            backend: QueueBackend::Bucketed,
-            driver: Driver::Windowed { threads: 2 },
-            seed_index: 0,
-            seed: derive_seed(master, stream_id(S_E7, n as u64, 0)),
-        });
     }
     cells
 }
@@ -1010,7 +999,7 @@ pub fn e7_cells(plan: &[(usize, usize, usize)], master: u64) -> Vec<E7Cell> {
 #[must_use]
 pub fn e7_sweep(cells: &[E7Cell], threads: usize) -> SweepOutcome<E7Row> {
     sweep::sweep(cells, threads, |_, cell| {
-        e7_throughput(cell.n, cell.requests, cell.seed, cell.backend, cell.driver)
+        e7_throughput(cell.n, cell.requests, cell.seed, cell.backend, cell.hardening)
     })
 }
 
@@ -1203,15 +1192,6 @@ impl E6Row {
     }
 }
 
-/// Renders a [`Driver`] for tables and JSON: `serial` or `windowed:k`.
-#[must_use]
-pub fn driver_label(driver: Driver) -> String {
-    match driver {
-        Driver::Serial => "serial".to_string(),
-        Driver::Windowed { threads } => format!("windowed:{}", threads.max(1)),
-    }
-}
-
 impl E7Row {
     /// Serializes the row for `BENCH_E7.json`.
     #[must_use]
@@ -1219,7 +1199,6 @@ impl E7Row {
         Value::Obj(vec![
             ("n", Value::UInt(self.n as u64)),
             ("backend", Value::str(format!("{:?}", self.backend).to_lowercase())),
-            ("driver", Value::str(driver_label(self.driver))),
             ("seed", Value::UInt(self.seed)),
             ("requests", Value::UInt(self.requests)),
             ("events", Value::UInt(self.events)),
@@ -1267,14 +1246,14 @@ mod tests {
 
     #[test]
     fn e1_respects_bound_small() {
-        let row = e1_worst_case(8, 2, 1);
+        let row = e1_worst_case(8, 2, 1, Hardening::None);
         assert!(row.measured_worst <= row.bound);
         assert_eq!(row.bound, 4);
     }
 
     #[test]
     fn e2_matches_alpha_small() {
-        let row = e2_average(8, 1);
+        let row = e2_average(8, 1, Hardening::None);
         assert_eq!(row.measured_total, row.alpha);
     }
 
@@ -1329,18 +1308,13 @@ mod tests {
 
     #[test]
     fn e7_backends_agree_on_virtual_results() {
-        let heap = e7_throughput(64, 128, 1, QueueBackend::Heap, Driver::Serial);
-        let bucketed = e7_throughput(64, 128, 1, QueueBackend::Bucketed, Driver::Serial);
-        let windowed =
-            e7_throughput(64, 128, 1, QueueBackend::Bucketed, Driver::Windowed { threads: 2 });
+        let heap = e7_throughput(64, 128, 1, QueueBackend::Heap, Hardening::None);
+        let bucketed = e7_throughput(64, 128, 1, QueueBackend::Bucketed, Hardening::None);
         assert_eq!(heap.requests, 128);
         assert_eq!(heap.events, bucketed.events);
         assert_eq!(heap.messages, bucketed.messages);
-        assert_eq!(windowed.events, bucketed.events);
-        assert_eq!(windowed.messages, bucketed.messages);
         assert!(bucketed.events_per_sec > 0.0);
         assert!(bucketed.mem_bytes_per_node > 0);
-        assert_eq!(windowed.mem_bytes_per_node, bucketed.mem_bytes_per_node);
     }
 
     #[test]
@@ -1358,7 +1332,7 @@ mod tests {
 
     #[test]
     fn e3_sweep_is_byte_identical_at_any_thread_count() {
-        let cells = e3_cells(&[(16, 3), (8, 2)], 2);
+        let cells = e3_cells(&[(16, 3), (8, 2)], 2, Hardening::None);
         assert_eq!(cells.len(), 4);
         let serial = e3_sweep(&cells, 42, 1);
         for threads in [2, 4, 7] {
@@ -1380,7 +1354,7 @@ mod tests {
 
     #[test]
     fn e4_sweeps_match_their_serial_counterparts() {
-        let per_power = e4_sweep(&[16], 42, 2);
+        let per_power = e4_sweep(&[16], 42, 2, Hardening::None);
         let serial = e4_search_cost(16, derive_seed(42, stream_id(S_E4, 16, 1)));
         // Same probe counts per power (seeds differ per power in the sweep,
         // but probe counts are workload-independent for E4's scenario).
@@ -1390,7 +1364,7 @@ mod tests {
             assert_eq!(a.predicted_probes, b.predicted_probes);
         }
 
-        let averaged = e4_average_sweep(&[16], 42, 3);
+        let averaged = e4_average_sweep(&[16], 42, 3, Hardening::None);
         let expected = e4_average(16, derive_seed(42, stream_id(S_E4B, 16, 0)));
         assert_eq!(averaged.results.len(), 1);
         assert_eq!(averaged.results[0].searches, expected.searches);
@@ -1400,24 +1374,19 @@ mod tests {
 
     #[test]
     fn e7_cells_expand_the_scaling_plan() {
-        let cells = e7_cells(&[(64, 128, 2), (128, 64, 1)], 42);
-        // Per entry: seeds × 2 serial backends + 1 windowed cell.
-        assert_eq!(cells.len(), 5 + 3);
+        let cells = e7_cells(&[(64, 128, 2), (128, 64, 1)], 42, Hardening::None);
+        // Per entry: seeds × 2 backends.
+        assert_eq!(cells.len(), 4 + 2);
         // Heap/bucketed pairs share the seed, so their virtual results
         // must agree.
         assert_eq!(cells[0].seed, cells[1].seed);
         assert_ne!(cells[0].seed, cells[2].seed);
-        // The windowed cell reuses seed 0 of its entry: together with the
-        // serial bucketed cell it pins cross-driver determinism.
-        assert_eq!(cells[4].driver, Driver::Windowed { threads: 2 });
-        assert_eq!(cells[4].seed, cells[1].seed);
-        assert_eq!(cells[4].backend, QueueBackend::Bucketed);
-        assert_ne!(cells[0].seed, cells[5].seed);
+        assert_ne!(cells[0].seed, cells[4].seed);
     }
 
     #[test]
     fn bench_artifacts_render_wellformed_json() {
-        let cells = e7_cells(&[(64, 128, 1)], 42);
+        let cells = e7_cells(&[(64, 128, 1)], 42, Hardening::None);
         let outcome = e7_sweep(&cells, 2);
         let rows = outcome.results.iter().map(E7Row::to_json).collect();
         let doc = bench_artifact("e7", 42, true, &outcome, rows, Vec::new());
@@ -1429,11 +1398,9 @@ mod tests {
         assert!(text.contains("\"events_per_sec\""));
         assert!(text.contains("\"msgs_per_request\""));
         assert!(text.contains("\"mem_bytes_per_node\""));
-        assert!(text.contains("\"driver\":\"serial\""));
-        assert!(text.contains("\"driver\":\"windowed:2\""));
         assert!(text.contains("\"parallel_speedup\""));
 
-        let e1 = e1_sweep(&[8], 1, 42, 1);
+        let e1 = e1_sweep(&[8], 1, 42, 1, Hardening::None);
         let doc = bench_artifact(
             "e1",
             42,

@@ -2,8 +2,8 @@
 
 use oc_algo::{Config, Hardening, Mutation, NodeStats, OpenCubeNode};
 use oc_sim::{
-    check_liveness, DelayModel, LinkFaults, LivenessReport, MsgKind, OracleReport, Protocol,
-    SimConfig, SimDuration, SimTime, World,
+    check_liveness, DelayModel, LivenessReport, MsgKind, OracleReport, Protocol, SimConfig,
+    SimDuration, SimTime, World,
 };
 use oc_topology::NodeId;
 
@@ -204,7 +204,7 @@ pub fn run_scenario_hardened(
 #[must_use]
 pub fn run_scenario_with<P, F>(scenario: &Scenario, build: F) -> Outcome
 where
-    P: Protocol + Send,
+    P: Protocol,
     F: FnOnce(&Scenario) -> Vec<P>,
 {
     run_scenario_observed(scenario, build, |_, _| {})
@@ -219,7 +219,7 @@ where
 #[must_use]
 pub fn run_scenario_observed<P, F, O>(scenario: &Scenario, build: F, observe: O) -> Outcome
 where
-    P: Protocol + Send,
+    P: Protocol,
     F: FnOnce(&Scenario) -> Vec<P>,
     O: FnOnce(&World<P>, &mut CoverageStats),
 {
@@ -232,12 +232,6 @@ where
         seed: scenario.seed,
         record_trace: false,
         max_events: scenario.max_events,
-        faults: LinkFaults {
-            window_from: SimTime::from_ticks(scenario.lossy_from),
-            window_until: SimTime::from_ticks(scenario.lossy_until),
-            loss_per_mille: scenario.loss_per_mille,
-            duplicate_per_mille: scenario.duplicate_per_mille,
-        },
         script: scenario.fault_script(),
         ..SimConfig::default()
     };

@@ -393,10 +393,27 @@ impl Scenario {
         }
     }
 
-    /// The scenario's fault script as the substrates consume it.
+    /// The scenario's fault script as the substrates consume it: the
+    /// link-fault window, when it can inject anything, as a leading
+    /// `LossDup` phase, then [`Scenario::phases`] in order. The window
+    /// goes **first** because script order is draw order — its loss and
+    /// duplication draws precede every scripted phase's, which is what
+    /// the committed fingerprints and every pinned `oc1-` ID replay.
     #[must_use]
     pub fn fault_script(&self) -> FaultScript {
         let mut script = FaultScript::none();
+        if self.lossy_from < self.lossy_until
+            && (self.loss_per_mille > 0 || self.duplicate_per_mille > 0)
+        {
+            script.push(FaultPhase {
+                from: SimTime::from_ticks(self.lossy_from),
+                until: SimTime::from_ticks(self.lossy_until),
+                kind: FaultPhaseKind::LossDup {
+                    loss_per_mille: self.loss_per_mille,
+                    duplicate_per_mille: self.duplicate_per_mille,
+                },
+            });
+        }
         let ids = |nodes: &[u32]| nodes.iter().map(|i| NodeId::new(*i)).collect::<Vec<_>>();
         for phase in &self.phases {
             let kind = match &phase.kind {
@@ -843,15 +860,69 @@ mod tests {
         assert!(any_lossy, "an allow_loss space should sample lossy windows");
     }
 
+    /// The explorer's spaces — default, `--loss`, `--hard`,
+    /// `--partitions` — and one that samples a link-fault window *and*
+    /// scripted phases in the same scenario.
+    fn explorer_spaces() -> [Space; 5] {
+        [
+            Space::default(),
+            Space { allow_loss: true, ..Space::default() },
+            Space { overlapping_crashes: true, ..Space::default() },
+            Space { partitions: true, ..Space::default() },
+            Space {
+                allow_loss: true,
+                overlapping_crashes: true,
+                partitions: true,
+                ..Space::default()
+            },
+        ]
+    }
+
     #[test]
     fn id_roundtrips_exactly() {
-        let space = Space { allow_loss: true, partitions: true, ..Space::default() };
-        for index in 0..256 {
-            let s = Scenario::generate(&space, 11, index);
-            let id = s.id();
-            let back = Scenario::from_id(&id).expect("generated ids must decode");
-            assert_eq!(s, back, "roundtrip mismatch for index {index}");
+        for space in explorer_spaces() {
+            for index in 0..256 {
+                let s = Scenario::generate(&space, 11, index);
+                let id = s.id();
+                let back = Scenario::from_id(&id).expect("generated ids must decode");
+                assert_eq!(s, back, "roundtrip mismatch for index {index}");
+                assert_eq!(back.id(), id, "re-encoding moved a byte at index {index}");
+            }
         }
+    }
+
+    #[test]
+    fn fault_script_leads_with_the_link_fault_window() {
+        // The window becomes the script's FIRST phase exactly when it can
+        // inject something; the scenario's own phases follow unchanged.
+        let mut both = 0usize;
+        for space in explorer_spaces() {
+            for index in 0..256 {
+                let s = Scenario::generate(&space, 11, index);
+                let script = s.fault_script();
+                let unfolded = Scenario { lossy_from: 0, lossy_until: 0, ..s.clone() };
+                let own = unfolded.fault_script();
+                assert_eq!(own.phases().len(), s.phases.len());
+                let injects = s.lossy_from < s.lossy_until
+                    && (s.loss_per_mille > 0 || s.duplicate_per_mille > 0);
+                if !injects {
+                    assert_eq!(script, own, "index {index}");
+                    continue;
+                }
+                let window = FaultPhase {
+                    from: SimTime::from_ticks(s.lossy_from),
+                    until: SimTime::from_ticks(s.lossy_until),
+                    kind: FaultPhaseKind::LossDup {
+                        loss_per_mille: s.loss_per_mille,
+                        duplicate_per_mille: s.duplicate_per_mille,
+                    },
+                };
+                assert_eq!(script.phases()[0], window, "index {index}");
+                assert_eq!(&script.phases()[1..], own.phases(), "index {index}");
+                both += usize::from(!s.phases.is_empty());
+            }
+        }
+        assert!(both > 10, "some scenarios must carry a window and phases together: {both}");
     }
 
     #[test]

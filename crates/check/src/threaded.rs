@@ -18,7 +18,7 @@
 use std::time::Duration;
 
 use oc_algo::{Config, Mutation, OpenCubeNode};
-use oc_runtime::{Runtime, RuntimeConfig, RuntimeFaults};
+use oc_runtime::{Runtime, RuntimeConfig};
 use oc_sim::{ArrivalSchedule, SimDuration, SimTime};
 use oc_topology::NodeId;
 
@@ -81,12 +81,6 @@ pub fn run_scenario_runtime(
             max_network_delay: ticks(profile, scenario.delay_max),
             cs_duration: ticks(profile, scenario.cs_ticks),
             seed: scenario.seed,
-            faults: RuntimeFaults {
-                window_from: ticks(profile, scenario.lossy_from),
-                window_until: ticks(profile, scenario.lossy_until),
-                loss_per_mille: scenario.loss_per_mille,
-                duplicate_per_mille: scenario.duplicate_per_mille,
-            },
             record_trace: false,
             ..RuntimeConfig::default()
         },

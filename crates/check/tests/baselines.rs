@@ -31,7 +31,7 @@ fn baseline_space() -> Space {
 
 fn battery<F, P>(name: &str, build: F)
 where
-    P: oc_sim::Protocol + Send,
+    P: oc_sim::Protocol,
     F: Fn(&Scenario) -> Vec<P>,
 {
     let space = baseline_space();

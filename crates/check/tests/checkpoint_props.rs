@@ -12,9 +12,7 @@
 
 use oc_algo::{Config, Mutation, OpenCubeNode};
 use oc_check::{Scenario, Space};
-use oc_sim::{
-    check_liveness, DelayModel, LinkFaults, QueueBackend, SimConfig, SimDuration, SimTime, World,
-};
+use oc_sim::{check_liveness, DelayModel, QueueBackend, SimConfig, SimDuration, SimTime, World};
 use oc_topology::NodeId;
 use proptest::prelude::*;
 
@@ -32,14 +30,7 @@ fn build_world(scenario: &Scenario, backend: QueueBackend) -> World<OpenCubeNode
         record_trace: true,
         max_events: scenario.max_events,
         queue: backend,
-        faults: LinkFaults {
-            window_from: SimTime::from_ticks(scenario.lossy_from),
-            window_until: SimTime::from_ticks(scenario.lossy_until),
-            loss_per_mille: scenario.loss_per_mille,
-            duplicate_per_mille: scenario.duplicate_per_mille,
-        },
         script: scenario.fault_script(),
-        ..SimConfig::default()
     };
     let cfg = Config::new(
         scenario.n,

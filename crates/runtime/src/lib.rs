@@ -20,9 +20,9 @@
 //! * **multi-tenant namespaces** ([`Runtime::start_multi`]) — many
 //!   independent lock instances sharing one worker pool and one router
 //!   layer, each judged by its own unmodified `oc_sim` oracle;
-//! * crash/recovery and message-loss/duplication injection mirroring the
-//!   simulator's `SimConfig`/`LinkFaults` ([`RuntimeFaults`],
-//!   [`Runtime::schedule_failures`]);
+//! * crash/recovery injection ([`Runtime::schedule_failures`]) and the
+//!   simulator's own link-fault program, consumed verbatim
+//!   ([`Runtime::start_scripted`]);
 //! * a linearized event log ([`oc_sim::Trace`], stamped in ticks under
 //!   the monitor lock) and *the unmodified `oc_sim` oracles* judging the
 //!   execution: the safety [`oc_sim::Oracle`] is fed live from the
@@ -78,12 +78,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod faults;
 mod histogram;
 mod report;
 mod session;
 
-pub use faults::RuntimeFaults;
 pub use histogram::{LatencyHistogram, LatencySummary};
 pub use report::RuntimeReport;
 pub use session::{RequestId, RequestStatus};
@@ -127,8 +125,6 @@ pub struct RuntimeConfig {
     /// Seed for the delay- and fault-injection RNGs (per-worker streams
     /// derive from it).
     pub seed: u64,
-    /// Link-level fault injection, mirroring `oc_sim::LinkFaults`.
-    pub faults: RuntimeFaults,
     /// Record the full linearized event log (costs memory and a lock per
     /// message; CS/crash/recovery events feed the safety oracle even
     /// when this is off). Multi-tenant runs record namespace 0 only.
@@ -151,7 +147,6 @@ impl Default for RuntimeConfig {
             max_network_delay: Duration::from_millis(1),
             cs_duration: Duration::from_micros(500),
             seed: 0,
-            faults: RuntimeFaults::none(),
             record_trace: false,
             batch: 0,
             routers: 0,
@@ -1247,72 +1242,37 @@ impl<M: MessageKind + core::fmt::Debug + Clone + Send + 'static> ActionSink<M>
                 TraceRecord::Send { from, to, kind: msg.kind(), desc: format!("{msg:?}") },
             );
         }
-        // A standing partition destroys every crossing message before
-        // any probabilistic fault machinery runs (deterministic, no RNG
-        // draw) — mirroring the simulator: the legacy duplication window
-        // below can never smuggle a copy across the cut.
-        let now_ticks = shared.sim_now();
-        if shared.script.active_at(now_ticks) && shared.script.cut(now_ticks, from, to) {
-            self.stats.lost_to_partition += 1;
-            return;
-        }
         // Decide-before-act, identical to the simulator's `Core::send`:
-        // every fault source votes on the message's fate before any copy
-        // is enqueued. Any drop wins outright — a send the scripted
-        // program destroys leaves no legacy-window duplicate behind —
-        // and overlapping duplication verdicts collapse to ONE extra
-        // delivery. Draw order (legacy loss, legacy dup, script) is the
-        // same as the old act-as-you-go code, so equal-seed runs that
-        // don't combine sources behave identically.
-        let mut duplicate = false;
-        let faults = &self.config.faults;
-        if faults.active_at(shared.epoch.elapsed()) {
-            if faults.loss_per_mille > 0
-                && self.rng.random_range(0..1000u32) < u32::from(faults.loss_per_mille)
-            {
-                self.stats.lost_to_faults += 1;
-                return;
-            }
-            if faults.duplicate_per_mille > 0
-                && !msg.carries_token()
-                && self.rng.random_range(0..1000u32) < u32::from(faults.duplicate_per_mille)
-            {
-                duplicate = true;
-            }
-        }
+        // the script decides the message's fate before any copy is
+        // enqueued, so a drop destroys the logical send outright.
+        let now_ticks = shared.sim_now();
+        let to_global = self.global(to);
+        let carries_token = msg.carries_token();
         if shared.script.active_at(now_ticks) {
-            match shared.script.probabilistic_fate(
-                now_ticks,
-                from,
-                to,
-                msg.carries_token(),
-                self.rng,
-            ) {
+            match shared.script.fate(now_ticks, from, to, carries_token, self.rng) {
                 LinkFate::Deliver => {}
                 LinkFate::DropPartition => {
-                    unreachable!("probabilistic_fate skips partition phases by construction")
+                    self.stats.lost_to_partition += 1;
+                    return;
                 }
                 LinkFate::DropLoss => {
                     self.stats.lost_to_faults += 1;
                     return;
                 }
-                LinkFate::DeliverAndDuplicate => duplicate = true,
+                LinkFate::DeliverAndDuplicate => {
+                    self.stats.duplicated_deliveries += 1;
+                    let delay = self.sample_delay();
+                    let _ = route(
+                        shared,
+                        self.routers,
+                        self.config.workers,
+                        Instant::now() + delay,
+                        to_global,
+                        NodeCmd::Deliver { from, msg: msg.clone() },
+                    );
+                }
             }
         }
-        let to_global = self.global(to);
-        if duplicate {
-            self.stats.duplicated_deliveries += 1;
-            let delay = self.sample_delay();
-            let _ = route(
-                shared,
-                self.routers,
-                self.config.workers,
-                Instant::now() + delay,
-                to_global,
-                NodeCmd::Deliver { from, msg: msg.clone() },
-            );
-        }
-        let carries_token = msg.carries_token();
         if carries_token {
             shared.tokens_in_flight[self.ns].fetch_add(1, Ordering::SeqCst);
         }
@@ -1948,23 +1908,26 @@ mod tests {
     #[test]
     fn scripted_drop_destroys_the_legacy_duplicate_too() {
         use oc_sim::{FaultPhase, FaultPhaseKind};
-        // The fault-ordering bugfix, runtime side: a legacy window that
-        // duplicates EVERY message overlaps a scripted phase that drops
-        // EVERY message. Decide-before-act means the drop verdict
-        // destroys the original *and* its would-be duplicate; the buggy
-        // order enqueued the duplicate before the script ruled.
-        let mut cfg = config(2);
-        cfg.faults = RuntimeFaults {
-            window_from: Duration::ZERO,
-            window_until: Duration::from_secs(3600),
-            loss_per_mille: 0,
-            duplicate_per_mille: 1000,
-        };
-        let script = FaultScript::none().with_phase(FaultPhase {
+        // The fault-ordering pin, runtime side: a phase that duplicates
+        // EVERY message is listed before one that drops EVERY message.
+        // Decide-before-act means the drop verdict destroys the original
+        // *and* its would-be duplicate; an act-as-you-go injector
+        // enqueues the duplicate before the later phase rules.
+        let cfg = config(2);
+        let always = |kind| FaultPhase {
             from: SimTime::from_ticks(0),
             until: SimTime::from_ticks(u64::MAX),
-            kind: FaultPhaseKind::LossDup { loss_per_mille: 1000, duplicate_per_mille: 0 },
-        });
+            kind,
+        };
+        let script = FaultScript::none()
+            .with_phase(always(FaultPhaseKind::LossDup {
+                loss_per_mille: 0,
+                duplicate_per_mille: 1000,
+            }))
+            .with_phase(always(FaultPhaseKind::LossDup {
+                loss_per_mille: 1000,
+                duplicate_per_mille: 0,
+            }));
         let rt = Runtime::start_scripted(cfg, script, OpenCubeNode::build_all(protocol(4)));
         // Node 2 does not hold the token, so the acquire must send — and
         // every send dies on the scripted loss.
@@ -1974,7 +1937,7 @@ mod tests {
         assert!(report.lost_to_faults > 0, "every send must hit the scripted loss: {report:?}");
         assert_eq!(
             report.duplicated_deliveries, 0,
-            "a dropped send must not leave a legacy duplicate behind"
+            "a dropped send must not leave a duplicate behind"
         );
         assert_eq!(report.cs_entries, 0);
         assert!(report.safety.is_clean(), "safety: {report:?}");

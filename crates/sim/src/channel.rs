@@ -7,12 +7,11 @@
 
 use oc_topology::NodeId;
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 use crate::time::{SimDuration, SimTime};
 
 /// How per-message network delays are drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DelayModel {
     /// Every message takes exactly this long (a FIFO network).
     Constant(SimDuration),
@@ -36,17 +35,6 @@ impl DelayModel {
         }
     }
 
-    /// The minimum delay this model can produce — the lookahead bound a
-    /// conservative windowed driver is allowed to exploit: no send made at
-    /// time `t` can be delivered before `t + min_delay()`.
-    #[must_use]
-    pub fn min_delay(&self) -> SimDuration {
-        match *self {
-            DelayModel::Constant(d) => d,
-            DelayModel::Uniform { min, .. } => min,
-        }
-    }
-
     /// Samples one message delay.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
         match *self {
@@ -66,73 +54,12 @@ impl Default for DelayModel {
     }
 }
 
-/// Link-level fault injection *between live nodes*, beyond the paper's
-/// model.
-///
-/// The paper assumes reliable channels: a message is destroyed only when
-/// its destination crashes. These faults deliberately step outside that
-/// assumption so the adversarial explorer (`oc-check`) can probe how the
-/// protocol degrades — and prove the oracles notice when it does:
-///
-/// * **Loss** drops a message on the wire during the `[window_from,
-///   window_until)` window with probability `loss_per_mille`/1000. A
-///   dropped token-carrying message destroys the token exactly as a
-///   crashed carrier would; the Section 5 machinery (loan enquiry,
-///   `search_father`, regeneration) is what restores it. Loss *violates*
-///   the reliable-channel assumption the safety argument rests on, so
-///   clean runs are not guaranteed — see DESIGN.md ("Fault model
-///   soundness").
-/// * **Duplicate delivery** enqueues a second, independently delayed copy
-///   of a message with probability `duplicate_per_mille`/1000 inside the
-///   same window. Token-carrying messages are never duplicated: a wire
-///   duplicate of the token is indistinguishable from real token
-///   duplication, which any transport for a token algorithm must prevent
-///   (one sequence number suffices) — modeled here as exactly-once for
-///   tokens, at-least-once for everything else.
-///
-/// The default ([`LinkFaults::none`]) injects nothing and draws no
-/// randomness, so traces and golden hashes of existing configurations are
-/// byte-identical.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LinkFaults {
-    /// Start of the faulty window (inclusive).
-    pub window_from: SimTime,
-    /// End of the faulty window (exclusive).
-    pub window_until: SimTime,
-    /// Per-message loss probability inside the window, in 1/1000 units.
-    pub loss_per_mille: u16,
-    /// Per-message duplication probability inside the window, in 1/1000
-    /// units (token-carrying messages are exempt, see above).
-    pub duplicate_per_mille: u16,
-}
-
-impl LinkFaults {
-    /// No faults — the reliable-channel model of the paper.
-    #[must_use]
-    pub fn none() -> Self {
-        LinkFaults::default()
-    }
-
-    /// `true` if this configuration can ever inject a fault.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        (self.loss_per_mille > 0 || self.duplicate_per_mille > 0)
-            && self.window_from < self.window_until
-    }
-
-    /// `true` while `now` lies inside the faulty window.
-    #[must_use]
-    pub fn active_at(&self, now: SimTime) -> bool {
-        self.enabled() && now >= self.window_from && now < self.window_until
-    }
-}
-
 /// One kind of time-scripted network fault (see [`FaultScript`]).
 ///
 /// Partitions and degradation are *directional in time, not in intent*:
 /// a partition drops every message whose endpoints sit in different
 /// blocks, in both directions; degradation is explicitly one-way.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultPhaseKind {
     /// Split the system into the cube's aligned p-groups
     /// (`oc_topology::p_group`): every `2^p`-node block becomes an
@@ -161,9 +88,26 @@ pub enum FaultPhaseKind {
         /// Drop probability for matching sends, in 1/1000 units.
         loss_per_mille: u16,
     },
-    /// Uniform loss/duplication, the [`LinkFaults`] semantics as a script
-    /// phase: loss first, then (for non-token messages) an extra,
-    /// independently delayed delivery.
+    /// Uniform loss and duplicate delivery between live nodes, decided
+    /// per send in that order:
+    ///
+    /// * **Loss** drops the message with probability
+    ///   `loss_per_mille`/1000. A dropped token-carrying message destroys
+    ///   the token exactly as a crashed carrier would; the Section 5
+    ///   machinery (loan enquiry, `search_father`, regeneration) is what
+    ///   restores it. Loss *violates* the reliable-channel assumption the
+    ///   safety argument rests on, so clean runs are not guaranteed — see
+    ///   DESIGN.md ("Fault model soundness").
+    /// * **Duplicate delivery** flags a surviving message for a second,
+    ///   independently delayed copy with probability
+    ///   `duplicate_per_mille`/1000. Token-carrying messages are never
+    ///   duplicated: a wire duplicate of the token is indistinguishable
+    ///   from real token duplication, which any transport for a token
+    ///   algorithm must prevent (one sequence number suffices) — modeled
+    ///   here as exactly-once for tokens, at-least-once for everything
+    ///   else.
+    ///
+    /// A zero rate draws no randomness on its branch.
     LossDup {
         /// Per-message loss probability, in 1/1000 units.
         loss_per_mille: u16,
@@ -181,7 +125,7 @@ pub enum FaultPhaseKind {
 /// may run its full course and regenerate — the instant the partition
 /// heals, two tokens can meet. The safety oracle's census watches
 /// exactly that.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPhase {
     /// Phase start (inclusive).
     pub from: SimTime,
@@ -197,6 +141,22 @@ impl FaultPhase {
     pub fn active_at(&self, now: SimTime) -> bool {
         now >= self.from && now < self.until
     }
+
+    /// Uniform loss/duplication during `[from, until)` ticks — the phase
+    /// this crate's tests build most.
+    #[cfg(test)]
+    pub(crate) fn loss_dup(
+        from: u64,
+        until: u64,
+        loss_per_mille: u16,
+        duplicate_per_mille: u16,
+    ) -> Self {
+        FaultPhase {
+            from: SimTime::from_ticks(from),
+            until: SimTime::from_ticks(until),
+            kind: FaultPhaseKind::LossDup { loss_per_mille, duplicate_per_mille },
+        }
+    }
 }
 
 /// A time-scripted program of network-fault phases.
@@ -210,10 +170,12 @@ impl FaultPhase {
 /// randomness, so traces and golden hashes of unscripted configurations
 /// are byte-identical.
 ///
-/// Like [`LinkFaults`], every scripted fault steps outside the paper's
-/// reliable-channel model on purpose — see DESIGN.md, "Fault scripting &
-/// partition semantics".
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// The paper assumes reliable channels: a message is destroyed only when
+/// its destination crashes. Every scripted fault steps outside that model
+/// on purpose, so the adversarial explorer (`oc-check`) can probe how the
+/// protocol degrades — and prove the oracles notice when it does. See
+/// DESIGN.md, "Fault scripting & partition semantics".
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultScript {
     phases: Vec<FaultPhase>,
 }
@@ -365,24 +327,14 @@ impl CompiledScript {
         self.phases.iter().any(|ph| ph.active_at(now))
     }
 
-    /// `true` if a partition phase active at `now` separates `from` and
-    /// `to`. Deterministic — draws nothing — so the substrates evaluate
-    /// it *before* any probabilistic fault machinery: a cut destroys
-    /// every crossing message, including would-be duplicates.
-    #[must_use]
-    pub fn cut(&self, now: SimTime, from: NodeId, to: NodeId) -> bool {
-        let (src, dst) = (from.zero_based() as usize, to.zero_based() as usize);
-        self.phases.iter().filter(|ph| ph.active_at(now)).any(|phase| match &phase.action {
-            CompiledAction::Partition { block } => block[src] != block[dst],
-            _ => false,
-        })
-    }
-
-    /// Decides the fate of one `from → to` send at `now`, applying every
-    /// active phase in script order. Draws randomness only for the
-    /// probabilistic phases that match the send. The one-call API:
-    /// equivalent to [`CompiledScript::cut`] followed by
-    /// [`CompiledScript::probabilistic_fate`].
+    /// Decides the fate of one `from → to` send at `now` — the one call
+    /// on each substrate's send path. Active partition phases go first
+    /// and draw nothing: a cut destroys every crossing message, so no
+    /// duplicate can be smuggled across it. The survivors then see every
+    /// active probabilistic phase in script order, each drawing only for
+    /// the sends it matches: the first drop wins and destroys the logical
+    /// send outright, duplication flags accumulate into at most one
+    /// extra copy.
     pub fn fate<R: Rng + ?Sized>(
         &self,
         now: SimTime,
@@ -391,28 +343,17 @@ impl CompiledScript {
         carries_token: bool,
         rng: &mut R,
     ) -> LinkFate {
-        if self.cut(now, from, to) {
+        let (src, dst) = (from.zero_based() as usize, to.zero_based() as usize);
+        let active = || self.phases.iter().filter(|ph| ph.active_at(now));
+        let cut = active().any(|phase| match &phase.action {
+            CompiledAction::Partition { block } => block[src] != block[dst],
+            _ => false,
+        });
+        if cut {
             return LinkFate::DropPartition;
         }
-        self.probabilistic_fate(now, from, to, carries_token, rng)
-    }
-
-    /// The probabilistic phases only (degradation, loss, duplication) —
-    /// partition phases are skipped entirely, so this **never** returns
-    /// [`LinkFate::DropPartition`]. The substrates call
-    /// [`CompiledScript::cut`] first (before any other fault machinery)
-    /// and this second, so each phase is examined exactly once per send.
-    pub fn probabilistic_fate<R: Rng + ?Sized>(
-        &self,
-        now: SimTime,
-        from: NodeId,
-        to: NodeId,
-        carries_token: bool,
-        rng: &mut R,
-    ) -> LinkFate {
-        let (src, dst) = (from.zero_based() as usize, to.zero_based() as usize);
         let mut duplicate = false;
-        for phase in self.phases.iter().filter(|ph| ph.active_at(now)) {
+        for phase in active() {
             match &phase.action {
                 CompiledAction::Partition { .. } => {}
                 CompiledAction::Degrade { from, to, loss_per_mille } => {
@@ -536,38 +477,42 @@ mod tests {
 
     #[test]
     fn link_faults_default_is_inert() {
-        let f = LinkFaults::none();
-        assert!(!f.enabled());
-        assert!(!f.active_at(SimTime::ZERO));
-        assert_eq!(f, LinkFaults::default());
+        let script = FaultScript::default();
+        assert_eq!(script, FaultScript::none());
+        assert!(script.phases().is_empty());
+        assert!(!script.enabled());
     }
 
     #[test]
     fn link_faults_window_bounds_are_half_open() {
-        let f = LinkFaults {
-            window_from: SimTime::from_ticks(10),
-            window_until: SimTime::from_ticks(20),
-            loss_per_mille: 100,
-            duplicate_per_mille: 0,
-        };
-        assert!(f.enabled());
-        assert!(!f.active_at(SimTime::from_ticks(9)));
-        assert!(f.active_at(SimTime::from_ticks(10)));
-        assert!(f.active_at(SimTime::from_ticks(19)));
-        assert!(!f.active_at(SimTime::from_ticks(20)));
+        let compiled =
+            FaultScript::none().with_phase(FaultPhase::loss_dup(10, 20, 1_000, 0)).compile(2);
+        let mut rng = StdRng::seed_from_u64(7);
+        let (a, b) = (NodeId::new(1), NodeId::new(2));
+        for (tick, fate) in [
+            (9, LinkFate::Deliver),
+            (10, LinkFate::DropLoss),
+            (19, LinkFate::DropLoss),
+            (20, LinkFate::Deliver),
+        ] {
+            let at = SimTime::from_ticks(tick);
+            assert_eq!(compiled.fate(at, a, b, false, &mut rng), fate, "t={tick}");
+        }
     }
 
     #[test]
     fn link_faults_need_both_rate_and_window() {
-        // A rate without a window, or a window without a rate, stays inert.
-        let no_window = LinkFaults { loss_per_mille: 500, ..LinkFaults::none() };
+        // A rate without a window never activates; a window without a
+        // rate activates but decides nothing and draws nothing.
+        let no_window = FaultScript::none().with_phase(FaultPhase::loss_dup(0, 0, 500, 500));
         assert!(!no_window.enabled());
-        let no_rate = LinkFaults {
-            window_from: SimTime::ZERO,
-            window_until: SimTime::from_ticks(100),
-            ..LinkFaults::none()
-        };
-        assert!(!no_rate.enabled());
+        assert!(!no_window.compile(2).active_at(SimTime::ZERO));
+        let no_rate = FaultScript::none().with_phase(FaultPhase::loss_dup(0, 100, 0, 0)).compile(2);
+        assert!(no_rate.active_at(SimTime::ZERO));
+        assert_eq!(
+            no_rate.fate(SimTime::ZERO, NodeId::new(1), NodeId::new(2), false, &mut NoDraw),
+            LinkFate::Deliver
+        );
     }
 
     #[test]
@@ -584,35 +529,25 @@ mod tests {
 
     #[test]
     fn empty_and_degenerate_windows_are_inert() {
-        // `window_from == window_until` is the empty half-open interval:
-        // no instant satisfies `from <= now < until`, whatever the rate.
-        let degenerate = LinkFaults {
-            window_from: SimTime::from_ticks(10),
-            window_until: SimTime::from_ticks(10),
-            loss_per_mille: 1_000,
-            duplicate_per_mille: 1_000,
-        };
-        assert!(!degenerate.enabled());
-        for t in [0u64, 9, 10, 11, u64::MAX] {
-            assert!(!degenerate.active_at(SimTime::from_ticks(t)));
+        // `from == until` is the empty half-open interval: no instant
+        // satisfies `from <= now < until`, whatever the rate. An inverted
+        // window is empty too, not wrap-around.
+        for (from, until) in [(10, 10), (20, 10)] {
+            let script =
+                FaultScript::none().with_phase(FaultPhase::loss_dup(from, until, 1_000, 1_000));
+            assert!(!script.enabled());
+            let compiled = script.compile(2);
+            for t in [0u64, 9, 10, 11, 15, 20, u64::MAX] {
+                assert!(!compiled.active_at(SimTime::from_ticks(t)), "[{from}, {until}) at {t}");
+            }
         }
-        // An inverted window is empty too, not wrap-around.
-        let inverted = LinkFaults {
-            window_from: SimTime::from_ticks(20),
-            window_until: SimTime::from_ticks(10),
-            loss_per_mille: 500,
-            duplicate_per_mille: 0,
-        };
-        assert!(!inverted.enabled());
-        assert!(!inverted.active_at(SimTime::from_ticks(15)));
     }
 
     #[test]
     fn per_mille_zero_and_full_are_exact() {
         // 0 ‰ never fires and draws nothing on its branch; 1000 ‰ always
         // fires — the `random_range(0..1000) < rate` comparison has no
-        // off-by-one at either end. Proven through the script path, which
-        // shares the comparison shape with the legacy window.
+        // off-by-one at either end.
         let mut rng = StdRng::seed_from_u64(9);
         let always = FaultScript::none()
             .with_phase(FaultPhase {
@@ -778,7 +713,7 @@ mod tests {
             compiled.fate(at, NodeId::new(1), NodeId::new(2), false, &mut rng),
             LinkFate::DeliverAndDuplicate
         );
-        // Tokens stay exempt from duplication, like LinkFaults.
+        // Tokens stay exempt from duplication.
         assert_eq!(
             compiled.fate(at, NodeId::new(1), NodeId::new(2), true, &mut NoDraw),
             LinkFate::Deliver

@@ -7,12 +7,11 @@
 
 use oc_topology::NodeId;
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 use crate::time::{SimDuration, SimTime};
 
 /// One scheduled crash, with an optional recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashEvent {
     /// Which node fails.
     pub node: NodeId,
@@ -23,7 +22,7 @@ pub struct CrashEvent {
 }
 
 /// A schedule of crashes and recoveries to inject into a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FailurePlan {
     events: Vec<CrashEvent>,
 }

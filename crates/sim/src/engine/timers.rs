@@ -11,7 +11,7 @@
 //!
 //! [`TimerRow`] is one node's state (used directly by `oc-runtime`'s
 //! per-node threads); [`TimerTable`] is the simulator's node-indexed table
-//! with the shared generation counter.
+//! with the per-node generation counters.
 
 /// One node's armed timers: `(timer id, live generation)` pairs.
 ///
@@ -81,9 +81,7 @@ impl TimerRow {
 /// simulator.
 ///
 /// Generations are per node, not global: a generation only ever guards
-/// firings on its own row, so node-local counters preserve the stale-timer
-/// semantics exactly while letting a windowed driver arm timers on disjoint
-/// node ranges concurrently without contending on one shared counter.
+/// firings on its own row.
 #[derive(Debug, Clone)]
 pub struct TimerTable {
     rows: Vec<TimerRow>,
@@ -132,12 +130,6 @@ impl TimerTable {
     /// Disarms everything on node `idx` (crash).
     pub fn clear_node(&mut self, idx: usize) {
         self.rows[idx].clear();
-    }
-
-    /// The rows and generation counters as parallel slices, so the
-    /// windowed driver can split them into disjoint per-chunk borrows.
-    pub(crate) fn parts_mut(&mut self) -> (&mut [TimerRow], &mut [u64]) {
-        (&mut self.rows, &mut self.gens)
     }
 }
 

@@ -25,7 +25,6 @@
 
 mod outbox;
 mod time;
-mod windowed;
 
 pub mod channel;
 pub mod crash;
@@ -40,9 +39,7 @@ pub mod trace;
 pub mod workload;
 pub mod world;
 
-pub use channel::{
-    CompiledScript, DelayModel, FaultPhase, FaultPhaseKind, FaultScript, LinkFate, LinkFaults,
-};
+pub use channel::{CompiledScript, DelayModel, FaultPhase, FaultPhaseKind, FaultScript, LinkFate};
 pub use crash::FailurePlan;
 pub use engine::{drive, drive_recovery, ActionSink, TimerRow, TimerTable};
 pub use hash::Fnv64;
@@ -58,4 +55,4 @@ pub use queue::{EventQueue, QueueBackend};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceRecord};
 pub use workload::{ArrivalSchedule, Workload};
-pub use world::{Checkpoint, Driver, SimConfig, World};
+pub use world::{Checkpoint, SimConfig, World};

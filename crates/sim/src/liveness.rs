@@ -33,12 +33,11 @@
 //! the same oracle pins the open-cube algorithm and all baselines.
 
 use oc_topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::{protocol::Protocol, world::World};
 
 /// One observed violation of a liveness property.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LivenessViolation {
     /// The run converged but some surviving requests never entered the CS
     /// (or entries and injections disagree in either direction).
@@ -77,7 +76,7 @@ pub enum LivenessViolation {
 }
 
 /// The liveness oracle's report over one finished run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LivenessReport {
     violations: Vec<LivenessViolation>,
 }

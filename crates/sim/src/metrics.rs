@@ -1,13 +1,11 @@
 //! Message accounting — the raw material of every experiment in the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Classification of protocol traffic.
 ///
 /// `Request` and `Token` are the base algorithm of Section 3; the remaining
 /// kinds only appear in the fault-tolerance machinery of Section 5 and are
 /// what the paper counts as *overhead messages per failure*.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MsgKind {
     /// `request(j)` — a claim for the token travelling toward the root.
     Request,
@@ -65,7 +63,7 @@ impl MsgKind {
 }
 
 /// Aggregated counters collected by a simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Messages sent, indexed by [`MsgKind`] discriminant. A fixed array
     /// instead of a map: `record_send` sits on the per-send hot path, and
@@ -73,9 +71,8 @@ pub struct Metrics {
     sends_by_kind: [u64; 9],
     /// Messages destroyed because the destination had crashed.
     pub lost_to_crashes: u64,
-    /// Messages dropped on links to *live* nodes by injected link faults
-    /// ([`crate::channel::LinkFaults`] loss windows and scripted
-    /// degradation/loss phases).
+    /// Messages dropped on links to *live* nodes by scripted
+    /// degradation/loss phases ([`crate::channel::FaultScript`]).
     pub lost_to_faults: u64,
     /// Messages destroyed at a scripted partition boundary
     /// ([`crate::channel::FaultScript`]). Counted apart from
@@ -108,7 +105,6 @@ pub struct Metrics {
     /// `Hardening::None`. Filled from the nodes' own counters by
     /// `World::metrics` (the discard happens inside the protocol, not in
     /// the substrate).
-    #[serde(default)]
     pub epoch_discards: u64,
 }
 

@@ -6,12 +6,11 @@
 //! report is clean.
 
 use oc_topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::time::SimTime;
 
 /// One observed violation of a safety property.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
     /// Two nodes were inside the critical section simultaneously.
     MutualExclusion {
@@ -33,7 +32,7 @@ pub enum Violation {
 }
 
 /// The oracle's final report.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OracleReport {
     violations: Vec<Violation>,
 }

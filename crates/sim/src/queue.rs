@@ -36,13 +36,11 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::calendar::{CalendarQueue, Entry};
 use crate::time::SimTime;
 
 /// Which data structure orders the pending events.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum QueueBackend {
     /// Binary heap over all pending events: O(log n) everywhere. The
     /// reference backend.

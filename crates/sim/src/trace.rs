@@ -4,12 +4,11 @@
 use core::fmt;
 
 use oc_topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::{metrics::MsgKind, time::SimTime};
 
 /// One recorded simulator event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceRecord {
     /// A message was sent.
     Send {
@@ -44,7 +43,7 @@ pub enum TraceRecord {
 }
 
 /// A time-ordered log of [`TraceRecord`]s.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     records: Vec<(SimTime, TraceRecord)>,
     enabled: bool,

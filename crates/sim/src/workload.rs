@@ -2,12 +2,11 @@
 
 use oc_topology::NodeId;
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 use crate::time::{SimDuration, SimTime};
 
 /// A label describing the request pattern, for experiment tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     /// Each node requests exactly once, in a random order, sequentially —
     /// the setting of the paper's average-case analysis (Section 4).
@@ -37,7 +36,7 @@ impl Workload {
 
 /// A concrete, time-stamped arrival schedule: which node calls `enter_cs`
 /// when.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ArrivalSchedule {
     arrivals: Vec<(SimTime, NodeId)>,
 }

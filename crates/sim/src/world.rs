@@ -11,11 +11,10 @@
 use std::collections::VecDeque;
 
 use oc_topology::NodeId;
-use rand::{rngs::StdRng, RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
+use rand::{rngs::StdRng, SeedableRng};
 
 use crate::{
-    channel::{CompiledScript, DelayModel, FaultScript, LinkFate, LinkFaults},
+    channel::{CompiledScript, DelayModel, FaultScript, LinkFate},
     crash::FailurePlan,
     engine::{self, ActionSink, TimerTable},
     metrics::Metrics,
@@ -46,39 +45,12 @@ pub struct SimConfig {
     /// Event-queue backend. Both backends produce identical traces for
     /// identical seeds; [`QueueBackend::Bucketed`] is the fast default.
     pub queue: QueueBackend,
-    /// Link-level fault injection between live nodes (loss window,
-    /// duplicate delivery). [`LinkFaults::none`] by default: no faults, no
-    /// extra RNG draws, so traces of existing configurations are
-    /// byte-identical.
-    pub faults: LinkFaults,
-    /// Time-scripted fault program: partitions (with heal events),
-    /// one-way degradation, loss/duplication phases.
-    /// [`FaultScript::none`] by default: nothing injected, no extra RNG
-    /// draws, so traces of unscripted configurations are byte-identical.
+    /// Time-scripted fault program, the one way to inject link faults:
+    /// partitions (with heal events), one-way degradation,
+    /// loss/duplication phases. [`FaultScript::none`] by default: nothing
+    /// injected, no extra RNG draws, so traces of unscripted
+    /// configurations are byte-identical.
     pub script: FaultScript,
-    /// Which event-loop driver executes the run. [`Driver::Serial`] is the
-    /// reference; [`Driver::Windowed`] processes conservative same-horizon
-    /// event windows with protocol reactions computed on worker threads.
-    /// Both produce byte-identical traces (see `crate::windowed`).
-    pub driver: Driver,
-}
-
-/// Event-loop driver selection for [`SimConfig`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Driver {
-    /// One event at a time on the calling thread — the reference driver.
-    #[default]
-    Serial,
-    /// Conservative window-based parallel driver: batches every event below
-    /// the safe horizon (`min link delay`, floored at one tick), computes
-    /// the per-node protocol reactions on `threads` workers over disjoint
-    /// node ranges, then applies all side effects serially in canonical
-    /// `(time, seq)` order — so traces, metrics, and RNG draws are
-    /// byte-identical to [`Driver::Serial`] at any thread count.
-    Windowed {
-        /// Worker threads for the reaction phase (floored at 1).
-        threads: usize,
-    },
 }
 
 impl Default for SimConfig {
@@ -90,9 +62,7 @@ impl Default for SimConfig {
             record_trace: false,
             max_events: 100_000_000,
             queue: QueueBackend::default(),
-            faults: LinkFaults::none(),
             script: FaultScript::none(),
-            driver: Driver::Serial,
         }
     }
 }
@@ -179,81 +149,34 @@ impl<M: Clone + core::fmt::Debug + MessageKind> ActionSink<M> for Core<M> {
             self.metrics.lost_to_crashes += 1;
             return;
         }
-        // A standing partition destroys every crossing message before
-        // any probabilistic fault machinery runs — deterministically, no
-        // RNG draw, so the legacy duplication window below can never
-        // smuggle a copy across the cut. A token dies here exactly as
-        // one whose carrier crashed; it was never in flight as far as
-        // the census is concerned.
-        if self.compiled.active_at(self.now) && self.compiled.cut(self.now, from, to) {
-            self.metrics.lost_to_partition += 1;
-            return;
-        }
-        // Probabilistic fault machinery: *every* fate is decided before
-        // any copy is enqueued, so a drop from either machinery (the
-        // legacy window or a scripted loss/degrade phase) destroys the
-        // logical send outright — no duplicate of a destroyed original
-        // can survive — and the two duplication windows collapse to at
-        // most one extra copy, mirroring how phases compose *within* a
-        // script (first drop wins, duplication flags accumulate).
-        //
-        // Both branches are off by default and then draw no randomness,
-        // keeping legacy traces byte-identical. Draw order (legacy loss,
-        // legacy dup, scripted phases in script order, then the delay
-        // samples) is unchanged from the act-as-you-go code for every
-        // configuration that does not combine a legacy window with a
-        // probabilistic script phase.
-        let mut duplicate = false;
-        if self.config.faults.active_at(self.now) {
-            let faults = self.config.faults;
-            if faults.loss_per_mille > 0
-                && self.rng.random_range(0..1000u32) < u32::from(faults.loss_per_mille)
-            {
-                // Dropped on the wire to a live node. A token-carrying
-                // message is destroyed exactly like one whose carrier
-                // crashed; it was never in flight as far as the census is
-                // concerned.
-                self.metrics.lost_to_faults += 1;
-                return;
-            }
-            if faults.duplicate_per_mille > 0
-                && !msg.carries_token()
-                && self.rng.random_range(0..1000u32) < u32::from(faults.duplicate_per_mille)
-            {
-                duplicate = true;
-            }
-        }
+        // Every fate is decided before any copy is enqueued, so a drop
+        // destroys the logical send outright. A token dies here exactly
+        // as one whose carrier crashed; it was never in flight as far as
+        // the census is concerned. The empty script is never active and
+        // draws nothing.
+        let carries_token = msg.carries_token();
         if self.compiled.active_at(self.now) {
-            let fate = self.compiled.probabilistic_fate(
-                self.now,
-                from,
-                to,
-                msg.carries_token(),
-                &mut self.rng,
-            );
-            match fate {
+            match self.compiled.fate(self.now, from, to, carries_token, &mut self.rng) {
                 LinkFate::Deliver => {}
                 LinkFate::DropPartition => {
-                    unreachable!("probabilistic_fate skips partition phases by construction")
+                    self.metrics.lost_to_partition += 1;
+                    return;
                 }
                 LinkFate::DropLoss => {
-                    // The drop wins: a pending legacy duplicate dies with
-                    // the original it would have copied.
                     self.metrics.lost_to_faults += 1;
                     return;
                 }
-                LinkFate::DeliverAndDuplicate => duplicate = true,
+                LinkFate::DeliverAndDuplicate => {
+                    // A second, independently delayed delivery of the
+                    // same logical send.
+                    self.metrics.duplicated_deliveries += 1;
+                    let delay = self.config.delay.sample(&mut self.rng);
+                    self.queue
+                        .push(self.now + delay, SimEvent::Deliver { to, from, msg: msg.clone() });
+                }
             }
         }
-        if duplicate {
-            // A second, independently delayed delivery of the same
-            // logical send (tokens exempt: see `LinkFaults`). At most one
-            // extra copy however many windows flagged it.
-            self.metrics.duplicated_deliveries += 1;
-            let delay = self.config.delay.sample(&mut self.rng);
-            self.queue.push(self.now + delay, SimEvent::Deliver { to, from, msg: msg.clone() });
-        }
-        if msg.carries_token() {
+        if carries_token {
             self.tokens_in_flight += 1;
             // A token minted and immediately forwarded within one event can
             // reach the wire before the holder cache sees the new epoch.
@@ -551,29 +474,15 @@ impl<P: Protocol> World<P> {
         self.core.queue.push_input(at, SimEvent::Recover { node });
     }
 
-    /// Runs until no events remain using the serial reference driver,
-    /// regardless of `SimConfig::driver`. Returns `true` if the queue
-    /// drained, `false` if the `max_events` backstop tripped first.
-    pub fn run_to_quiescence_serial(&mut self) -> bool {
+    /// Runs until no events remain. Returns `true` if the queue drained,
+    /// `false` if the `max_events` backstop tripped first.
+    pub fn run_to_quiescence(&mut self) -> bool {
         while self.core.metrics.events_processed < self.core.config.max_events {
             if !self.step() {
                 return true;
             }
         }
         false
-    }
-
-    /// Runs until no events remain, honouring `SimConfig::driver`.
-    /// Returns `true` if the queue drained, `false` if the `max_events`
-    /// backstop tripped first.
-    pub fn run_to_quiescence(&mut self) -> bool
-    where
-        P: Send,
-    {
-        match self.core.config.driver {
-            Driver::Serial => self.run_to_quiescence_serial(),
-            Driver::Windowed { threads } => self.run_to_quiescence_windowed(threads),
-        }
     }
 
     /// Runs until virtual time would exceed `deadline` (events at exactly
@@ -605,14 +514,6 @@ impl<P: Protocol> World<P> {
         let Some((at, event)) = self.core.queue.pop() else {
             return false;
         };
-        self.process_event(at, event);
-        true
-    }
-
-    /// Processes one already-popped event at its timestamp — the single
-    /// serial execution path shared by [`World::step`] and the windowed
-    /// driver's barrier/small-batch fallbacks.
-    pub(crate) fn process_event(&mut self, at: SimTime, event: SimEvent<P::Msg>) {
         debug_assert!(at >= self.core.now, "event queue went backwards");
         self.core.now = at;
         self.core.metrics.events_processed += 1;
@@ -631,6 +532,7 @@ impl<P: Protocol> World<P> {
         self.core
             .oracle
             .token_census(self.core.now, self.core.holders_at_max + self.core.in_flight_at_max);
+        true
     }
 
     fn handle_deliver(&mut self, to: NodeId, from: NodeId, msg: P::Msg) {
@@ -769,14 +671,6 @@ impl<P: Protocol> World<P> {
         let held = self.core.alive[idx] && self.nodes[idx].holds_token();
         let epoch = if held { self.nodes[idx].token_epoch() } else { 0 };
         let discards = self.nodes[idx].epoch_discards();
-        self.apply_token_sync(idx, held, epoch, discards);
-    }
-
-    /// The cache/census update of [`World::sync_token_cache`] against
-    /// externally observed node state — shared with the windowed driver,
-    /// whose phase A snapshots `(held, epoch, discards)` per event so
-    /// phase B can commit the census in canonical order.
-    pub(crate) fn apply_token_sync(&mut self, idx: usize, held: bool, epoch: u64, discards: u64) {
         if held && epoch > self.core.max_epoch {
             // A mint just happened here: older holders left the at-max
             // count wholesale (bump zeroes it), without touching their
@@ -943,6 +837,7 @@ impl<P: Protocol + Clone> World<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::{FaultPhase, FaultPhaseKind};
     use crate::metrics::MsgKind;
 
     /// A minimal centralized-coordinator protocol for exercising the world:
@@ -1148,12 +1043,7 @@ mod tests {
         let nodes = (1..=2u32).map(|i| CentralNode::new(NodeId::new(i))).collect();
         let mut world = World::new(
             SimConfig {
-                faults: LinkFaults {
-                    window_from: SimTime::ZERO,
-                    window_until: SimTime::from_ticks(1_000),
-                    loss_per_mille: 1_000,
-                    duplicate_per_mille: 0,
-                },
+                script: FaultScript::none().with_phase(FaultPhase::loss_dup(0, 1_000, 1_000, 0)),
                 ..SimConfig::default()
             },
             nodes,
@@ -1179,12 +1069,8 @@ mod tests {
         let nodes = (1..=2u32).map(|i| CentralNode::new(NodeId::new(i))).collect();
         let mut world = World::new(
             SimConfig {
-                faults: LinkFaults {
-                    window_from: SimTime::ZERO,
-                    window_until: SimTime::from_ticks(1_000_000),
-                    loss_per_mille: 0,
-                    duplicate_per_mille: 1_000,
-                },
+                script: FaultScript::none()
+                    .with_phase(FaultPhase::loss_dup(0, 1_000_000, 0, 1_000)),
                 max_events: 100_000,
                 ..SimConfig::default()
             },
@@ -1204,7 +1090,6 @@ mod tests {
 
     #[test]
     fn partition_phase_drops_cross_cut_messages_until_heal() {
-        use crate::channel::{FaultPhase, FaultPhaseKind, FaultScript};
         // Full isolation (p = 0: every node its own island) during
         // [0, 100): node 2's request to the coordinator dies at the
         // boundary. A second request after the heal goes through.
@@ -1238,24 +1123,19 @@ mod tests {
 
     #[test]
     fn partition_outranks_the_legacy_duplication_window() {
-        use crate::channel::{FaultPhase, FaultPhaseKind, FaultScript};
-        // Total duplication AND a full cut, both active: the cut must
-        // destroy the cross-cut send before the duplication window can
-        // enqueue a copy — nothing may cross, not even a duplicate.
+        // Total duplication listed first AND a full cut, both active: the
+        // cut must destroy the cross-cut send before the duplication
+        // phase can flag a copy — nothing may cross, not even a duplicate.
         let nodes = (1..=2u32).map(|i| CentralNode::new(NodeId::new(i))).collect();
         let mut world = World::new(
             SimConfig {
-                faults: LinkFaults {
-                    window_from: SimTime::ZERO,
-                    window_until: SimTime::from_ticks(1_000_000),
-                    loss_per_mille: 0,
-                    duplicate_per_mille: 1_000,
-                },
-                script: FaultScript::none().with_phase(FaultPhase {
-                    from: SimTime::ZERO,
-                    until: SimTime::from_ticks(1_000_000),
-                    kind: FaultPhaseKind::GroupPartition { p: 0 },
-                }),
+                script: FaultScript::none()
+                    .with_phase(FaultPhase::loss_dup(0, 1_000_000, 0, 1_000))
+                    .with_phase(FaultPhase {
+                        from: SimTime::ZERO,
+                        until: SimTime::from_ticks(1_000_000),
+                        kind: FaultPhaseKind::GroupPartition { p: 0 },
+                    }),
                 ..SimConfig::default()
             },
             nodes,
@@ -1269,27 +1149,18 @@ mod tests {
 
     #[test]
     fn scripted_drop_destroys_the_legacy_duplicate_too() {
-        use crate::channel::{FaultPhase, FaultPhaseKind, FaultScript};
-        // The fault-ordering pin: a legacy window flags every non-token
-        // message for duplication, while a scripted loss phase destroys
-        // every message. The drop must win over the *whole* logical send
-        // — the act-as-you-go bug enqueued the legacy duplicate before
-        // the script decided the original's fate, delivering a copy of a
-        // message that was never sent.
+        // The fault-ordering pin: the first phase flags every non-token
+        // message for duplication, the second destroys every message. The
+        // drop must win over the *whole* logical send — an act-as-you-go
+        // injector enqueues the duplicate before the later phase decides
+        // the original's fate, delivering a copy of a message that was
+        // never sent.
         let nodes = (1..=2u32).map(|i| CentralNode::new(NodeId::new(i))).collect();
         let mut world = World::new(
             SimConfig {
-                faults: LinkFaults {
-                    window_from: SimTime::ZERO,
-                    window_until: SimTime::from_ticks(1_000_000),
-                    loss_per_mille: 0,
-                    duplicate_per_mille: 1_000,
-                },
-                script: FaultScript::none().with_phase(FaultPhase {
-                    from: SimTime::ZERO,
-                    until: SimTime::from_ticks(1_000_000),
-                    kind: FaultPhaseKind::LossDup { loss_per_mille: 1_000, duplicate_per_mille: 0 },
-                }),
+                script: FaultScript::none()
+                    .with_phase(FaultPhase::loss_dup(0, 1_000_000, 0, 1_000))
+                    .with_phase(FaultPhase::loss_dup(0, 1_000_000, 1_000, 0)),
                 ..SimConfig::default()
             },
             nodes,
@@ -1303,24 +1174,14 @@ mod tests {
 
     #[test]
     fn overlapping_duplication_windows_yield_one_copy() {
-        use crate::channel::{FaultPhase, FaultPhaseKind, FaultScript};
-        // Legacy total duplication AND a scripted total-duplication phase:
-        // the flags collapse to at most ONE extra copy per logical send —
-        // the old code enqueued one copy per machinery (two total).
+        // Two overlapping total-duplication phases: the flags collapse to
+        // at most ONE extra copy per logical send, not one per phase.
         let nodes = (1..=2u32).map(|i| CentralNode::new(NodeId::new(i))).collect();
         let mut world = World::new(
             SimConfig {
-                faults: LinkFaults {
-                    window_from: SimTime::ZERO,
-                    window_until: SimTime::from_ticks(1_000_000),
-                    loss_per_mille: 0,
-                    duplicate_per_mille: 1_000,
-                },
-                script: FaultScript::none().with_phase(FaultPhase {
-                    from: SimTime::ZERO,
-                    until: SimTime::from_ticks(1_000_000),
-                    kind: FaultPhaseKind::LossDup { loss_per_mille: 0, duplicate_per_mille: 1_000 },
-                }),
+                script: FaultScript::none()
+                    .with_phase(FaultPhase::loss_dup(0, 1_000_000, 0, 1_000))
+                    .with_phase(FaultPhase::loss_dup(0, 1_000_000, 0, 1_000)),
                 max_events: 100_000,
                 ..SimConfig::default()
             },
@@ -1337,7 +1198,6 @@ mod tests {
 
     #[test]
     fn scripted_runs_are_deterministic_under_seed() {
-        use crate::channel::{FaultPhase, FaultPhaseKind, FaultScript};
         let run = |seed| {
             let nodes = (1..=8u32).map(|i| CentralNode::new(NodeId::new(i))).collect();
             let script = FaultScript::none()
@@ -1385,12 +1245,7 @@ mod tests {
             let mut world = World::new(
                 SimConfig {
                     seed,
-                    faults: LinkFaults {
-                        window_from: SimTime::from_ticks(5),
-                        window_until: SimTime::from_ticks(500),
-                        loss_per_mille: 200,
-                        duplicate_per_mille: 300,
-                    },
+                    script: FaultScript::none().with_phase(FaultPhase::loss_dup(5, 500, 200, 300)),
                     ..SimConfig::default()
                 },
                 nodes,

@@ -1,8 +1,6 @@
 use core::fmt;
 use core::num::NonZeroU32;
 
-use serde::{Deserialize, Serialize};
-
 /// Identity of a node, numbered `1..=n` as in the paper.
 ///
 /// `NodeId` is a thin newtype over [`NonZeroU32`]; the 1-based numbering
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(id.to_string(), "9");
 /// assert_eq!(core::mem::size_of::<Option<NodeId>>(), 4);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(NonZeroU32);
 
 impl NodeId {

@@ -1,8 +1,6 @@
 //! The mutable open-cube tree: father pointers plus the derived notions of
 //! power, sons, last son and boundary edges.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{
     canonical::canonical_father, dimension, dist, error::TopologyError, invariant, NodeId,
     StructureError,
@@ -31,7 +29,7 @@ use crate::{
 /// assert_eq!(cube.root(), NodeId::new(5));
 /// assert!(cube.verify().is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpenCube {
     /// `fathers[z]` is the father of the node with 0-based index `z`.
     fathers: Vec<Option<NodeId>>,

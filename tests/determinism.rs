@@ -5,8 +5,8 @@
 
 use opencube::algo::{Config, OpenCubeNode};
 use opencube::sim::{
-    ArrivalSchedule, DelayModel, Driver, FailurePlan, QueueBackend, SimConfig, SimDuration,
-    SimTime, World,
+    ArrivalSchedule, DelayModel, FailurePlan, FaultPhase, FaultPhaseKind, FaultScript,
+    QueueBackend, SimConfig, SimDuration, SimTime, World,
 };
 use opencube::topology::NodeId;
 use rand::{rngs::StdRng, SeedableRng};
@@ -28,12 +28,9 @@ fn traced_run(seed: u64, backend: QueueBackend) -> (u64, u64, u64) {
         record_trace: true,
         max_events: 30_000_000,
         queue: backend,
-        // Explicitly the reliable-channel defaults: the golden hash below
-        // pins that the fault-injection hooks — windowed link faults AND
-        // the scripted fault program — change nothing when off.
-        faults: opencube::sim::LinkFaults::none(),
-        script: opencube::sim::FaultScript::none(),
-        driver: opencube::sim::Driver::Serial,
+        // Explicitly the reliable-channel default: the golden hash below
+        // pins that the scripted fault program changes nothing when off.
+        script: FaultScript::none(),
     };
     let cfg = Config::new(32, SimDuration::from_ticks(DELTA), SimDuration::from_ticks(CS))
         .with_contention_slack(SimDuration::from_ticks(2_000));
@@ -102,7 +99,7 @@ const FAULT_PAIRS: usize = 2_000;
 /// The `sim-faults` benchmark workload at a tenth of its size, built the
 /// way it builds it: n = 64, one crash/recover pair every 20 000 ticks,
 /// an arrival every 2 000, all scheduled before the first step.
-fn fault_world(backend: QueueBackend, driver: Driver) -> World<OpenCubeNode> {
+fn fault_world(backend: QueueBackend) -> World<OpenCubeNode> {
     let sim = SimConfig {
         delay: DelayModel::Uniform {
             min: SimDuration::from_ticks(1),
@@ -113,7 +110,6 @@ fn fault_world(backend: QueueBackend, driver: Driver) -> World<OpenCubeNode> {
         record_trace: true,
         max_events: 30_000_000,
         queue: backend,
-        driver,
         ..SimConfig::default()
     };
     let cfg = Config::new(64, SimDuration::from_ticks(DELTA), SimDuration::from_ticks(CS))
@@ -163,14 +159,10 @@ const FAULT_GOLDEN: (u64, u64, u64, u64, u64) =
 
 #[test]
 fn fault_path_observables_are_pinned_on_every_backend_and_driver() {
-    for (backend, driver) in [
-        (QueueBackend::Heap, Driver::Serial),
-        (QueueBackend::Bucketed, Driver::Serial),
-        (QueueBackend::Bucketed, Driver::Windowed { threads: 2 }),
-    ] {
-        let mut world = fault_world(backend, driver);
-        assert!(world.run_to_quiescence(), "fault run wedged on {backend:?}/{driver:?}");
-        assert_eq!(fault_observables(&world), FAULT_GOLDEN, "{backend:?}/{driver:?}");
+    for backend in [QueueBackend::Heap, QueueBackend::Bucketed] {
+        let mut world = fault_world(backend);
+        assert!(world.run_to_quiescence(), "fault run wedged on {backend:?}");
+        assert_eq!(fault_observables(&world), FAULT_GOLDEN, "{backend:?}");
     }
 }
 
@@ -179,7 +171,7 @@ fn fault_path_observables_are_pinned_on_every_backend_and_driver() {
 #[test]
 fn checkpoint_with_pending_inputs_resumes_identically() {
     for backend in [QueueBackend::Heap, QueueBackend::Bucketed] {
-        let mut world = fault_world(backend, Driver::Serial);
+        let mut world = fault_world(backend);
         assert!(!world.run_until(SimTime::from_ticks(500_000)), "drained before the checkpoint");
         let checkpoint = world.checkpoint();
         assert!(world.run_to_quiescence());
@@ -202,10 +194,91 @@ const PERTURBED_GOLDEN: (u64, u64, u64, u64, u64) =
 #[test]
 fn perturbed_deliveries_then_crashes_keep_every_input() {
     for backend in [QueueBackend::Heap, QueueBackend::Bucketed] {
-        let mut world = fault_world(backend, Driver::Serial);
+        let mut world = fault_world(backend);
         assert!(!world.run_until(SimTime::from_ticks(500_000)));
         world.perturb_deliveries(SimDuration::from_ticks(8), 0xC0FFEE);
         assert!(world.run_to_quiescence());
         assert_eq!(fault_observables(&world), PERTURBED_GOLDEN, "{backend:?}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The link-fault path: script order is draw order
+// ---------------------------------------------------------------------
+
+/// `(events, sent, lost_to_faults, duplicated_deliveries, trace hash)` of
+/// the run below, taken at the last commit that had a separate
+/// `SimConfig::faults` window (ticks 100..2 000, 10 ‰ loss, 200 ‰
+/// duplication) beside the two scripted phases. That window drew before
+/// the script did; a leading `LossDup` phase draws in the same place.
+const LINK_FAULT_GOLDEN: (u64, u64, u64, u64, u64) =
+    (3_820, 2_682, 25, 228, 5_318_256_125_972_993_502);
+
+/// n = 16 under three overlapping probabilistic phases. Every send inside
+/// the overlap draws for each of them in script order, so moving the
+/// first phase anywhere else shifts every later draw and the trace.
+#[test]
+fn leading_loss_dup_phase_reproduces_the_separate_fault_window() {
+    let phase = |from, until, kind| FaultPhase {
+        from: SimTime::from_ticks(from),
+        until: SimTime::from_ticks(until),
+        kind,
+    };
+    let script = FaultScript::none()
+        .with_phase(phase(
+            100,
+            2_000,
+            FaultPhaseKind::LossDup { loss_per_mille: 10, duplicate_per_mille: 200 },
+        ))
+        .with_phase(phase(
+            200,
+            2_500,
+            FaultPhaseKind::Degrade {
+                from: (1..=8).map(NodeId::new).collect(),
+                to: (9..=16).map(NodeId::new).collect(),
+                loss_per_mille: 100,
+            },
+        ))
+        .with_phase(phase(
+            150,
+            3_000,
+            FaultPhaseKind::LossDup { loss_per_mille: 10, duplicate_per_mille: 300 },
+        ));
+    for backend in [QueueBackend::Heap, QueueBackend::Bucketed] {
+        let sim = SimConfig {
+            delay: DelayModel::Uniform {
+                min: SimDuration::from_ticks(1),
+                max: SimDuration::from_ticks(DELTA),
+            },
+            cs_duration: SimDuration::from_ticks(CS),
+            seed: 3,
+            record_trace: true,
+            max_events: 30_000_000,
+            queue: backend,
+            script: script.clone(),
+        };
+        let cfg = Config::new(16, SimDuration::from_ticks(DELTA), SimDuration::from_ticks(CS))
+            .with_contention_slack(SimDuration::from_ticks(2_000));
+        let mut world = World::new(sim, OpenCubeNode::build_all(cfg));
+        let mut rng = StdRng::seed_from_u64(3);
+        world.schedule_workload(&ArrivalSchedule::uniform(
+            &mut rng,
+            16,
+            80,
+            SimDuration::from_ticks(30),
+        ));
+        assert!(world.run_to_quiescence(), "link-fault run wedged on {backend:?}");
+        let m = world.metrics();
+        assert_eq!(
+            (
+                m.events_processed,
+                m.total_sent(),
+                m.lost_to_faults,
+                m.duplicated_deliveries,
+                world.trace().hash64()
+            ),
+            LINK_FAULT_GOLDEN,
+            "{backend:?}"
+        );
     }
 }

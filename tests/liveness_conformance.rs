@@ -36,7 +36,7 @@ fn sim_config(seed: u64) -> SimConfig {
 
 /// Runs `nodes` through a 48-request uniform workload and asserts both
 /// oracle suites pass and the liveness accounting closes exactly.
-fn assert_clean<P: Protocol + Send>(name: &str, nodes: Vec<P>, seed: u64) {
+fn assert_clean<P: Protocol>(name: &str, nodes: Vec<P>, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let schedule = ArrivalSchedule::uniform(&mut rng, N, 48, SimDuration::from_ticks(120));
     let mut world = World::new(sim_config(seed), nodes);
