@@ -41,22 +41,35 @@ pub fn disarm_allocation_trap() {
 pub struct CountingAlloc {
     allocs: AtomicU64,
     bytes: AtomicU64,
+    live: AtomicU64,
 }
 
 impl CountingAlloc {
     /// A fresh counter (all zeros).
     #[must_use]
     pub const fn new() -> Self {
-        CountingAlloc { allocs: AtomicU64::new(0), bytes: AtomicU64::new(0) }
+        CountingAlloc {
+            allocs: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+            live: AtomicU64::new(0),
+        }
     }
 
     /// The `(allocation count, bytes requested)` totals so far. Reallocs
-    /// count as one allocation of the new size; frees are not tracked —
-    /// the audit asks "did the hot loop touch the heap at all", and a
+    /// count as one allocation of the new size; frees do not count here
+    /// — this pair asks "did the hot loop touch the heap at all", and a
     /// steady-state loop must neither grow nor churn.
     #[must_use]
     pub fn snapshot(&self) -> (u64, u64) {
         (self.allocs.load(Ordering::Relaxed), self.bytes.load(Ordering::Relaxed))
+    }
+
+    /// Bytes allocated and not yet freed. This one asks "does the loop
+    /// keep what it allocates": a structure that holds dead entries
+    /// churns like a healthy one but grows.
+    #[must_use]
+    pub fn live_bytes(&self) -> u64 {
+        self.live.load(Ordering::Relaxed)
     }
 }
 
@@ -66,8 +79,8 @@ impl Default for CountingAlloc {
     }
 }
 
-// SAFETY: both methods delegate directly to `System`, which upholds the
-// `GlobalAlloc` contract; the added atomic increments have no effect on
+// SAFETY: every method delegates directly to `System`, which upholds
+// the `GlobalAlloc` contract; the added atomic counting has no effect on
 // the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -81,10 +94,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
         }
         self.allocs.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        self.live.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        self.live.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
@@ -99,6 +114,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
         }
         self.allocs.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(new_size as u64, Ordering::Relaxed);
+        // Wrapping: the net of the two is what the block grew or shrank by.
+        self.live
+            .fetch_add((new_size as u64).wrapping_sub(layout.size() as u64), Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -113,6 +131,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         }
         self.allocs.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        self.live.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 }

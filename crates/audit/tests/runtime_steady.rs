@@ -1,18 +1,28 @@
 //! The runtime hot-path allocation budget: after a warmup stretch has
-//! grown every capacity (worker batch queues, session table, watcher
-//! channels, latency histogram), a measured stretch of auto-release
-//! acquisitions must stay under a small fixed allocation budget per
-//! acquisition.
+//! grown every capacity (worker batch and delay queues, session table,
+//! watcher channels, latency histogram), a measured stretch of
+//! auto-release acquisitions must stay under a small fixed allocation
+//! budget per acquisition — and must not keep what it allocates.
 //!
 //! Unlike the simulator's gate this is a *bound*, not zero: the vendored
-//! `crossbeam-channel` is a std-mpsc wrapper that heap-allocates one
-//! node per `send`, and one acquisition crosses at least three channels
-//! (client → worker, worker → watcher, plus occasional router traffic).
-//! The budget asserts the batched dispatch path adds nothing beyond
-//! those constitutive sends — no per-event buffers, no per-batch Vec
-//! churn beyond the reused queue, no stats boxing. A regression that
+//! `crossbeam-channel` is a std-mpsc wrapper that heap-allocates as it
+//! sends, one acquisition crosses at least two channels (client →
+//! worker, worker → watcher), and on the contended stretches every
+//! message for another worker's node rides a `Mail::Many` burst whose
+//! `Vec` is allocated by the sender and freed by the receiver. The
+//! budget asserts the batched dispatch path adds nothing beyond those
+//! constitutive sends — no per-event buffers, no per-batch Vec churn
+//! beyond the reused queues, no stats boxing. A regression that
 //! allocates per message or per event lands well above the ceiling and
 //! fails reproducibly.
+//!
+//! Three stretches: the dispatch ceiling (every request at the token's
+//! holder: no message, no timer), and a contended lock (n = 16, requests
+//! at random nodes, so the token moves and every claim arms and cancels
+//! its timeouts) on one worker — no message touches a channel — and on
+//! two. The contended stretches also hold *live* heap bytes level: a
+//! delay queue or deadline set that kept dead entries for a suspicion
+//! slack's length would churn no more than a healthy one, but grow.
 //!
 //! `harness = false` for the same reason as `steady_state`: libtest's
 //! own thread machinery allocates while the measured window runs.
@@ -24,34 +34,36 @@ use oc_audit::CountingAlloc;
 use oc_runtime::{Runtime, RuntimeConfig};
 use oc_sim::SimDuration;
 use oc_topology::NodeId;
+use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// Generous ceiling on heap allocations per steady-state acquisition.
-/// The constitutive cost is ~4 channel sends (acquire command, watcher
-/// completion, and slack for timer/router crossings); 16 leaves room
+/// The constitutive cost is the acquire command, the watcher completion
+/// and — contended, two workers — a burst per batch that has messages
+/// for the other worker (~4 messages per acquisition); 16 leaves room
 /// for allocator-internal noise while still catching any per-event or
 /// per-message buffer introduced into the dispatch loop.
 const MAX_ALLOCS_PER_ACQUISITION: u64 = 16;
 
-fn acquire_burst(rt: &Runtime<OpenCubeNode>, count: u64) {
-    let watcher = rt.watcher();
-    for _ in 0..count {
-        let _ = rt.acquire_watched(0, NodeId::new(1), &watcher, true);
-        assert!(
-            watcher.recv_timeout(Duration::from_secs(30)).is_some(),
-            "steady-state acquisition wedged"
-        );
-    }
-}
+const WARMUP: u64 = 2_000;
+const MEASURED: u64 = 10_000;
+/// Acquisitions the contended stretches keep outstanding, so the lock is
+/// always wanted and timeouts are armed and cancelled at the rate the
+/// token moves.
+const OUTSTANDING: u64 = 8;
 
-fn main() {
-    let protocol = Config::new(4, SimDuration::from_ticks(16), SimDuration::from_ticks(25))
+/// The one thing a stretch may keep: the session table's 16-byte record
+/// per request, in a `Vec` that doubles.
+const SESSION_VECTOR_BYTES: u64 = (WARMUP + MEASURED).next_power_of_two() * 16;
+
+fn start(n: usize, workers: usize) -> Runtime<OpenCubeNode> {
+    let protocol = Config::new(n, SimDuration::from_ticks(16), SimDuration::from_ticks(25))
         .with_contention_slack(SimDuration::from_ticks(50_000));
-    let rt = Runtime::start(
+    Runtime::start(
         RuntimeConfig {
-            workers: 1,
+            workers,
             tick: Duration::from_micros(20),
             max_network_delay: Duration::from_micros(200),
             cs_duration: Duration::from_micros(500),
@@ -59,35 +71,87 @@ fn main() {
             ..RuntimeConfig::default()
         },
         OpenCubeNode::build_all(protocol),
-    );
+    )
+}
 
-    // Warmup: session slots, histogram buckets, batch queues, watcher
-    // channel — every capacity the measured stretch will reuse.
-    acquire_burst(&rt, 2_000);
+/// `count` auto-release acquisitions, `outstanding` at a time, each at
+/// the node `pick` names.
+fn acquire_burst(
+    rt: &Runtime<OpenCubeNode>,
+    count: u64,
+    outstanding: u64,
+    mut pick: impl FnMut() -> NodeId,
+) {
+    let watcher = rt.watcher();
+    for done in 0..count + outstanding {
+        if done >= outstanding {
+            assert!(
+                watcher.recv_timeout(Duration::from_secs(30)).is_some(),
+                "steady-state acquisition wedged"
+            );
+        }
+        if done < count {
+            let _ = rt.acquire_watched(0, pick(), &watcher, true);
+        }
+    }
+}
 
-    let before = ALLOC.snapshot();
-    let measured = 10_000u64;
-    acquire_burst(&rt, measured);
-    let after = ALLOC.snapshot();
+/// Warm up, measure (holding allocations per acquisition to the
+/// budget), settle, shut down; returns the growth of live heap bytes
+/// over the measured stretch.
+fn stretch(
+    name: &str,
+    rt: Runtime<OpenCubeNode>,
+    outstanding: u64,
+    mut pick: impl FnMut() -> NodeId,
+) -> i64 {
+    // Warmup: session slots, histogram buckets, batch and delay queues,
+    // watcher channel — every capacity the measured stretch will reuse.
+    acquire_burst(&rt, WARMUP, outstanding, &mut pick);
+
+    let (before, live_before) = (ALLOC.snapshot(), ALLOC.live_bytes());
+    acquire_burst(&rt, MEASURED, outstanding, &mut pick);
+    let (after, live_after) = (ALLOC.snapshot(), ALLOC.live_bytes());
 
     let allocs = after.0 - before.0;
-    let per_acq = allocs / measured;
+    let per_acq = allocs / MEASURED;
     assert!(
         per_acq <= MAX_ALLOCS_PER_ACQUISITION,
-        "runtime hot path allocates too much: {allocs} allocations / {measured} acquisitions \
-         = {per_acq}/acq (budget {MAX_ALLOCS_PER_ACQUISITION}/acq, bytes {} -> {})",
+        "{name}: runtime hot path allocates too much: {allocs} allocations / {MEASURED} \
+         acquisitions = {per_acq}/acq (budget {MAX_ALLOCS_PER_ACQUISITION}/acq, bytes {} -> {})",
         before.1,
         after.1
     );
 
-    assert!(rt.await_settled(Duration::from_secs(30)), "runtime did not settle");
+    assert!(rt.await_settled(Duration::from_secs(30)), "{name}: runtime did not settle");
     let t0 = Instant::now();
     let report = rt.shutdown();
-    assert!(report.is_clean(), "oracle violations: {:?}", report.safety.violations());
-    assert_eq!(report.requests_completed, 12_000);
+    assert!(report.is_clean(), "{name}: oracle violations: {:?}", report.safety.violations());
+    assert_eq!(report.requests_completed, WARMUP + MEASURED);
+    let grown = live_after as i64 - live_before as i64;
     println!(
-        "runtime steady-state audit: {per_acq} allocs/acquisition across {measured} \
-         (budget {MAX_ALLOCS_PER_ACQUISITION}) — ok (shutdown {:?})",
+        "runtime steady-state audit, {name}: {per_acq} allocs/acquisition across {MEASURED} \
+         (budget {MAX_ALLOCS_PER_ACQUISITION}), live heap {grown:+} bytes, {:.2} msgs/acq — ok \
+         (shutdown {:?})",
+        report.messages_sent as f64 / report.requests_completed as f64,
         t0.elapsed()
     );
+    grown
+}
+
+fn main() {
+    let _ = stretch("dispatch", start(4, 1), 1, || NodeId::new(1));
+
+    for workers in [1, 2] {
+        let mut rng = StdRng::seed_from_u64(42);
+        let name = format!("contended x{workers}");
+        let grown = stretch(&name, start(16, workers), OUTSTANDING, || {
+            NodeId::new(rng.random_range(1..=16))
+        });
+        assert!(
+            grown <= SESSION_VECTOR_BYTES as i64,
+            "{name}: live heap grew {grown} bytes over {MEASURED} acquisitions — more than the \
+             session vector ({SESSION_VECTOR_BYTES}): something keeps entries past their use"
+        );
+    }
 }

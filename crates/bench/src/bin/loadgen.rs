@@ -18,7 +18,7 @@
 use std::time::Duration;
 
 use oc_bench::cli::FlagParser;
-use oc_bench::loadgen::{battery, loadgen_artifact, run_cell, LoadCell, LoadMode};
+use oc_bench::loadgen::{battery, loadgen_artifact, run_cell, LoadCell, LoadMode, SPREAD_BEFORE};
 
 const USAGE: &str = "\
 Usage: loadgen [FLAGS]
@@ -35,16 +35,19 @@ runtime, reporting latency quantiles, throughput, and oracle verdicts.
   --rate R        custom cell: open-loop requests/second
   --clients C     custom cell: closed-loop client count
   --namespaces K  custom cell: multi-tenant namespaces (needs --clients)
+  --spread        custom cell: with --namespaces, each request at a random
+                  node instead of the token's holder (the token moves)
   --churn K       custom cell: crash/recovery pairs across the window
   --partitions K  custom cell: partition/heal cycles across the window
   --help          this message
 
 Without --n/--rate/--clients the standard battery runs (open loop at
-two scales, closed-loop saturation, multi-tenant saturation, open loop
-under crash churn, open loop under partition churn); --quick shrinks
-it. A custom cell needs --n plus exactly one of --rate or --clients;
---clients with --namespaces drives the batched multi-tenant hot path
-(fault-free: --churn/--partitions must stay 0).
+two scales, closed-loop saturation, multi-tenant saturation at the
+dispatch ceiling and spread over random nodes, open loop under crash
+churn, open loop under partition churn); --quick shrinks it. A custom
+cell needs --n plus exactly one of --rate or --clients; --clients with
+--namespaces drives the batched multi-tenant hot path (fault-free:
+--churn/--partitions must stay 0).
 ";
 
 struct Options {
@@ -57,6 +60,7 @@ struct Options {
     rate: Option<u64>,
     clients: Option<usize>,
     namespaces: Option<usize>,
+    spread: bool,
     churn: usize,
     partitions: usize,
 }
@@ -72,6 +76,7 @@ fn parse_options(args: &[String]) -> Options {
         rate: None,
         clients: None,
         namespaces: None,
+        spread: false,
         churn: 0,
         partitions: 0,
     };
@@ -144,6 +149,7 @@ fn parse_options(args: &[String]) -> Options {
             }
             "--quick" => options.quick = true,
             "--json" => options.json = true,
+            "--spread" => options.spread = true,
             _ => parser.usage_error(&format!("unknown flag: {:?}", flag.raw)),
         }
     }
@@ -155,6 +161,9 @@ fn parse_options(args: &[String]) -> Options {
     }
     if options.n.is_some() && options.rate.is_none() && options.clients.is_none() {
         parser.usage_error("--n needs one of --rate or --clients");
+    }
+    if options.spread && options.namespaces.is_none() {
+        parser.usage_error("--spread needs --namespaces");
     }
     if options.namespaces.is_some() {
         if options.clients.is_none() {
@@ -177,7 +186,7 @@ fn main() {
                 (Some(rate_per_sec), None, None) => LoadMode::Open { rate_per_sec },
                 (None, Some(clients), None) => LoadMode::Closed { clients },
                 (None, Some(clients), Some(namespaces)) => {
-                    LoadMode::Tenants { clients, namespaces }
+                    LoadMode::Tenants { clients, namespaces, spread: options.spread }
                 }
                 _ => unreachable!("validated in parse_options"),
             };
@@ -256,6 +265,17 @@ fn main() {
         rows.iter().map(|row| row.served).sum::<u64>(),
         rows.iter().map(|row| row.abandoned).sum::<u64>(),
     );
+
+    let (before_rev, spread_mode, before_acq, before_events) = SPREAD_BEFORE;
+    for row in rows.iter().filter(|row| row.mode == spread_mode) {
+        println!(
+            "{spread_mode}: {:.0} acq/s at {:.2} events/acq; before ({before_rev}): \
+             {before_acq:.0} acq/s at {before_events:.2} events/acq ({:.2}x)",
+            row.acq_per_sec,
+            row.events as f64 / row.served as f64,
+            row.acq_per_sec / before_acq,
+        );
+    }
 
     if options.json {
         let doc = loadgen_artifact(options.seed, options.quick, &rows);

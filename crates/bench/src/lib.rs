@@ -1041,7 +1041,7 @@ pub fn bench_artifact<T>(
 /// from it — artifacts are regenerated before the commit that carries
 /// them). `rustc` and `git` are asked at run time; a host without them
 /// records `"unknown"`.
-fn host_info() -> Value {
+pub(crate) fn host_info() -> Value {
     let ask = |program: &str, args: &[&str]| {
         std::process::Command::new(program)
             .args(args)

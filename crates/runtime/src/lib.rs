@@ -4,11 +4,15 @@
 //! crate runs the *same* [`Protocol`] state machines as a real threaded
 //! lock service: `n` nodes multiplexed over a configurable **worker
 //! pool** (not thread-per-node, so `n = 1024` costs 8 threads, not
-//! 1024), plus router threads that model the network (per-message
-//! random delays bounded by δ), the timer service, and CS leases.
-//! Nothing about the protocol changes — that is the point of the sans-io
-//! design: both substrates execute actions through the same
-//! [`oc_sim::drive`] engine loop.
+//! 1024) and no other thread. Each worker also *is* the network, the
+//! timer service and the lease clock of its own nodes: it keeps a delay
+//! queue of everything addressed to them that is not due yet (messages
+//! under their per-message random delay bounded by δ, CS leases,
+//! scheduled arrivals, crashes and recoveries) and the deadlines of
+//! their live timers, and sleeps until mail arrives or the earliest of
+//! those falls due. Nothing about the protocol changes — that is the
+//! point of the sans-io design: both substrates execute actions through
+//! the same [`oc_sim::drive`] engine loop.
 //!
 //! On top of the substrate sit the pieces a lock *service* needs:
 //!
@@ -18,8 +22,8 @@
 //!   and [`Runtime::acquire_watched`] to block on completions instead of
 //!   sleep-polling statuses;
 //! * **multi-tenant namespaces** ([`Runtime::start_multi`]) — many
-//!   independent lock instances sharing one worker pool and one router
-//!   layer, each judged by its own unmodified `oc_sim` oracle;
+//!   independent lock instances sharing one worker pool, each judged by
+//!   its own unmodified `oc_sim` oracle;
 //! * crash/recovery injection ([`Runtime::schedule_failures`]) and the
 //!   simulator's own link-fault program, consumed verbatim
 //!   ([`Runtime::start_scripted`]);
@@ -33,21 +37,25 @@
 //!
 //! Three mechanisms keep the per-acquisition cost flat under load:
 //!
-//! * **Mailbox batching** — routers deliver due commands as one
-//!   [`Mail::Many`] per worker per pass, and workers drain their mailbox
-//!   in `try_recv` bursts (bounded by [`RuntimeConfig::batch`]) after
-//!   each blocking `recv`, so a saturated worker pays one channel
-//!   round-trip per *batch*, not per command.
+//! * **Mailbox batching** — a message for a node of the same worker
+//!   goes straight into that worker's delay queue and touches no channel;
+//!   messages for other workers are collected per destination and sent
+//!   as one [`Mail::Many`] per batch, and workers drain their mailbox in
+//!   `try_recv` bursts (bounded by [`RuntimeConfig::batch`]) after each
+//!   blocking receive — one channel crossing per message at most, one
+//!   channel round-trip per *burst*.
 //! * **Worker-local statistics** — pure counters (messages, events,
 //!   losses) accumulate in a [`LocalStats`] and flush to the shared
 //!   atomics once per batch with `Relaxed` ordering; only the
 //!   control-plane atomics that [`Runtime::settled`] reasons about
 //!   (`inflight`, per-namespace `tokens_in_flight`, idle flags) keep
 //!   `SeqCst`.
-//! * **Router sharding** ([`RuntimeConfig::routers`]) — the delay heap
-//!   can be split across several router threads (workers are assigned
-//!   round-robin), removing the single-router bottleneck at high
-//!   namespace counts.
+//! * **Live timers only** — arming a timer puts its deadline in the
+//!   owning worker's [`DeadlineSet`]; cancelling, re-arming or crashing
+//!   takes it out again. The protocol arms its Section 5 timeouts per
+//!   claim and cancels them when the token arrives, so in a healthy run
+//!   no timer ever becomes an event, and none outlives its cancellation
+//!   to hold [`Runtime::settled`] back.
 //!
 //! ## Example
 //!
@@ -93,12 +101,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, SendError, Sender};
 use oc_sim::{
     check_horizon, drive, drive_recovery, isolation_from_components, ActionSink, ArrivalSchedule,
-    CompiledScript, FailurePlan, FaultScript, Horizon, LinkFate, LivenessReport, MessageKind,
-    NodeAtHorizon, NodeEvent, Oracle, OracleReport, Outbox, Protocol, SimDuration, SimTime,
-    TimerRow, Trace, TraceRecord,
+    CompiledScript, DeadlineSet, FailurePlan, FaultScript, Horizon, LinkFate, LivenessReport,
+    MessageKind, NodeAtHorizon, NodeEvent, Oracle, OracleReport, Outbox, Protocol, SimDuration,
+    SimTime, Trace, TraceRecord,
 };
 use oc_topology::NodeId;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -116,7 +124,8 @@ pub struct RuntimeConfig {
     /// that the protocol's δ (in ticks) times `tick` exceeds
     /// `max_network_delay`.
     pub tick: Duration,
-    /// Upper bound on the per-message delay the router injects.
+    /// Upper bound on the per-message delay the runtime injects (drawn
+    /// uniformly from `0..=max_network_delay` by the sending worker).
     pub max_network_delay: Duration,
     /// How long a granted request holds the critical section before the
     /// lease expires (an explicit [`Runtime::release`] ends it earlier;
@@ -133,10 +142,6 @@ pub struct RuntimeConfig {
     /// publishing effects (idle flags, statistics, in-flight claims).
     /// `0` means 128. `1` degenerates to the unbatched one-command loop.
     pub batch: usize,
-    /// Router threads the delay heap is sharded over (worker `w` is
-    /// served by router `w % routers`). `0` means 1; clamped to the
-    /// worker count.
-    pub routers: usize,
 }
 
 impl Default for RuntimeConfig {
@@ -149,7 +154,6 @@ impl Default for RuntimeConfig {
             seed: 0,
             record_trace: false,
             batch: 0,
-            routers: 0,
         }
     }
 }
@@ -165,18 +169,12 @@ fn ticks_to_wall(tick_nanos: u64, ticks: u64) -> Duration {
     Duration::from_nanos(ticks.saturating_mul(tick_nanos))
 }
 
-/// Timer events travel through the router as `NodeCmd::Timer(packed)`
-/// with the arming's generation packed into the id's high bits; the
-/// owning worker unpacks and checks it against the node's [`TimerRow`]
-/// on receipt. Protocol timer ids stay below `2^GEN_SHIFT`.
-const GEN_SHIFT: u32 = 20;
-
 /// One command addressed to a node, executed by its owning worker.
+/// (Timers are not commands: they never leave the worker that owns the
+/// node — see [`DeadlineSet`].)
 enum NodeCmd<M> {
     /// A network message arrives (`from` in the namespace's local ids).
     Deliver { from: NodeId, msg: M },
-    /// A timer fires (generation-packed).
-    Timer(u64),
     /// A client request reaches its node (`RequestCs`).
     Acquire(u64),
     /// A client releases a granted request early.
@@ -187,7 +185,7 @@ enum NodeCmd<M> {
     Crash,
     /// Recovery.
     Recover,
-    /// Worker shutdown (sent directly, never through the router).
+    /// Worker shutdown.
     Stop,
 }
 
@@ -199,17 +197,28 @@ struct Targeted<M> {
     cmd: NodeCmd<M>,
 }
 
-enum RouterMsg<M> {
-    Route { deliver_at: Instant, item: Targeted<M> },
-    Stop,
-}
-
-/// What worker mailboxes carry: single commands (direct client sends,
-/// Stop) or a router's batch of due deliveries — one channel round-trip
-/// for the whole burst.
+/// What worker mailboxes carry: one command that is due now (client
+/// acquires and releases, immediate crash/recover, Stop) — queued by the
+/// receiver without a look at the clock — or a burst of commands with
+/// the instant each is due, which the receiver files in its delay queue:
+/// another worker's messages for this worker's nodes, one channel
+/// round-trip for the whole burst, or a schedule's arrivals and
+/// failures.
 enum Mail<M> {
     One(Targeted<M>),
-    Many(Vec<Targeted<M>>),
+    Many(Vec<(Instant, Targeted<M>)>),
+}
+
+/// A command that will never be processed leaves its namespace's token
+/// census if it carried the token. (Its in-flight claim is the caller's
+/// to release.)
+fn discard<M: MessageKind>(shared: &Shared, item: &Targeted<M>) {
+    if let NodeCmd::Deliver { msg, .. } = &item.cmd {
+        if msg.carries_token() {
+            let ns = shared.ns_of(item.to.zero_based() as usize);
+            shared.tokens_in_flight[ns].fetch_sub(1, Ordering::SeqCst);
+        }
+    }
 }
 
 /// Monitor: the linearization point of one namespace. Every CS
@@ -293,13 +302,17 @@ struct Shared {
     /// Completed critical sections per namespace. `Relaxed`: monotone
     /// statistics, polled by `await_cs_entries` and summed after join.
     cs_entries: Vec<AtomicU64>,
-    /// Commands alive in the system: incremented before anything enters
-    /// a router or a worker mailbox, decremented when a worker finishes
-    /// processing it (or a router discards it at shutdown). Zero means
-    /// nothing is queued and nothing is mid-processing. Workers release
-    /// their claims batch-at-a-time, *after* publishing the batch's idle
-    /// flags — the count stays elevated while effects are pending, which
-    /// is what keeps [`Runtime::settled`] sound.
+    /// Claims on the system's attention: one per command sitting in a
+    /// mailbox, a worker's batch queue or its delay queue, and one per
+    /// live timer arming (from arm to fire, cancel or crash — a
+    /// superseding re-arm inherits it). A claim is taken before its
+    /// command enters a mailbox; whatever a worker files with itself in
+    /// mid-batch is covered by the claims of the batch being processed
+    /// until its own are added. Workers settle a batch's claims in one
+    /// step, *after* publishing the batch's idle flags — the count stays
+    /// elevated while effects are pending, which is what keeps
+    /// [`Runtime::settled`] sound. Zero means nothing is queued, nothing
+    /// is armed and nothing is mid-processing.
     inflight: AtomicU64,
     /// Token-carrying messages currently in flight, per namespace — the
     /// runtime's share of each namespace's live-token census.
@@ -322,10 +335,14 @@ struct Shared {
 }
 
 impl Shared {
+    /// Elapsed wall time in nanoseconds — the session table's clock.
+    fn now_nanos(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
     /// Elapsed wall time as protocol ticks — the trace/oracle timestamp.
     fn sim_now(&self) -> SimTime {
-        let nanos = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        SimTime::from_ticks(nanos / self.tick_nanos)
+        SimTime::from_ticks(self.now_nanos() / self.tick_nanos)
     }
 
     fn lock_monitor(&self, ns: usize) -> std::sync::MutexGuard<'_, Monitor> {
@@ -335,29 +352,6 @@ impl Shared {
     /// The namespace a global zero-based node index belongs to.
     fn ns_of(&self, global_idx: usize) -> usize {
         self.ns.partition_point(|meta| (meta.offset as usize) <= global_idx).saturating_sub(1)
-    }
-}
-
-/// Enqueues `item` (addressed by global node id) for delivery at
-/// `deliver_at`, through the router shard that serves the destination's
-/// worker. Returns `false` (after undoing the in-flight accounting) if
-/// the router is gone — only possible during shutdown.
-fn route<M>(
-    shared: &Shared,
-    routers: &[Sender<RouterMsg<M>>],
-    workers: usize,
-    deliver_at: Instant,
-    to: NodeId,
-    cmd: NodeCmd<M>,
-) -> bool {
-    shared.inflight.fetch_add(1, Ordering::SeqCst);
-    let w = (to.zero_based() as usize) % workers;
-    let router = &routers[w % routers.len()];
-    if router.send(RouterMsg::Route { deliver_at, item: Targeted { to, cmd } }).is_err() {
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        false
-    } else {
-        true
     }
 }
 
@@ -388,10 +382,8 @@ impl Watcher {
 /// The threaded runtime handle.
 pub struct Runtime<P: Protocol> {
     shared: Arc<Shared>,
-    router_txs: Vec<Sender<RouterMsg<P::Msg>>>,
     worker_txs: Vec<Sender<Mail<P::Msg>>>,
     worker_handles: Vec<JoinHandle<Vec<WorkerFinal<P>>>>,
-    router_handles: Vec<JoinHandle<()>>,
     config: RuntimeConfig,
     n: usize,
 }
@@ -405,7 +397,7 @@ struct WorkerFinal<P> {
 }
 
 impl<P: Protocol + Send + 'static> Runtime<P> {
-    /// Starts the worker pool and the router with a single namespace.
+    /// Starts the worker pool with a single namespace.
     /// `nodes[k]` must have identity `k + 1`.
     ///
     /// # Panics
@@ -434,10 +426,10 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
 
     /// Starts a **multi-tenant** runtime: `populations[k]` is namespace
     /// `k`, an independent lock instance with its own token, oracle, and
-    /// liveness horizon — all namespaces sharing one worker pool and one
-    /// router layer. Within namespace `k`, `populations[k][j]` must have
-    /// identity `j + 1` (each namespace numbers its nodes from 1, exactly
-    /// as a standalone system would).
+    /// liveness horizon — all namespaces sharing one worker pool. Within
+    /// namespace `k`, `populations[k][j]` must have identity `j + 1`
+    /// (each namespace numbers its nodes from 1, exactly as a standalone
+    /// system would).
     ///
     /// Address namespace `k`'s nodes through [`Runtime::acquire_in`] /
     /// [`Runtime::acquire_watched`]. The single-namespace conveniences
@@ -490,10 +482,6 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         if config.batch == 0 {
             config.batch = 128;
         }
-        config.routers = match config.routers {
-            0 => 1,
-            r => r.min(workers),
-        };
 
         let namespaces = populations.len();
         let shared = Arc::new(Shared {
@@ -505,7 +493,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
                     })
                 })
                 .collect(),
-            sessions: SessionTable::new(n),
+            sessions: SessionTable::new(n, ns.iter().map(|meta| meta.offset).collect()),
             counters: Counters::default(),
             cs_entries: (0..namespaces).map(|_| AtomicU64::new(0)).collect(),
             inflight: AtomicU64::new(0),
@@ -526,18 +514,6 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
             worker_rxs.push(rx);
         }
 
-        let mut router_txs = Vec::with_capacity(config.routers);
-        let mut router_handles = Vec::with_capacity(config.routers);
-        for _ in 0..config.routers {
-            let (tx, rx) = unbounded::<RouterMsg<P::Msg>>();
-            let mailboxes = worker_txs.clone();
-            let router_shared = Arc::clone(&shared);
-            router_handles.push(std::thread::spawn(move || {
-                router_main::<P::Msg>(rx, mailboxes, router_shared)
-            }));
-            router_txs.push(tx);
-        }
-
         // Shard the nodes: worker w owns global indices w, w+W, w+2W, …
         // (ascending within each worker, so slot_pos = idx / W).
         let mut sharded: Vec<Vec<Slot<P>>> = (0..workers).map(|_| Vec::new()).collect();
@@ -547,28 +523,27 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
                 let idx = meta.offset as usize + j;
                 sharded[idx % workers].push(Slot {
                     idx,
+                    pos: (idx / workers) as u32,
                     ns: k,
                     ns_offset: meta.offset,
                     node,
                     crashed: false,
                     recovered_ever: false,
-                    timers: TimerRow::new(),
-                    next_gen: 0,
                     lease: 0,
                 });
             }
         }
 
         let mut worker_handles = Vec::with_capacity(workers);
-        for (slots, rx) in sharded.into_iter().zip(worker_rxs) {
+        for (me, (slots, rx)) in sharded.into_iter().zip(worker_rxs).enumerate() {
             let shared = Arc::clone(&shared);
-            let routers = router_txs.clone();
+            let mailboxes = worker_txs.clone();
             worker_handles.push(std::thread::spawn(move || {
-                worker_main::<P>(slots, rx, routers, shared, config)
+                worker_main::<P>(me, slots, rx, mailboxes, shared, config)
             }));
         }
 
-        Runtime { shared, router_txs, worker_txs, worker_handles, router_handles, config, n }
+        Runtime { shared, worker_txs, worker_handles, config, n }
     }
 
     /// Total number of nodes across all namespaces.
@@ -632,10 +607,10 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         NodeId::new(meta.offset + node.get())
     }
 
-    /// Hands one command straight to the destination's worker mailbox —
-    /// no router hop for work that is due *now* (client acquires and
-    /// releases, immediate crash/recover). Returns `false` (after
-    /// undoing the in-flight claim) if the worker is gone.
+    /// Hands one command that is due *now* to the destination's worker
+    /// mailbox (client acquires and releases, immediate crash/recover).
+    /// Returns `false` (after undoing the in-flight claim) if the worker
+    /// is gone.
     fn send_direct(&self, to: NodeId, cmd: NodeCmd<P::Msg>) -> bool {
         self.shared.inflight.fetch_add(1, Ordering::SeqCst);
         let w = (to.zero_based() as usize) % self.config.workers;
@@ -645,6 +620,30 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         } else {
             true
         }
+    }
+
+    /// Posts commands that are due later, each to its destination
+    /// worker's mailbox — one [`Mail::Many`] per worker, filed in that
+    /// worker's delay queue in the order given. Returns the commands of
+    /// any worker that is gone (their in-flight claims undone).
+    fn send_later(&self, items: Vec<(Instant, Targeted<P::Msg>)>) -> Vec<Targeted<P::Msg>> {
+        let mut bursts: Vec<Vec<_>> = self.worker_txs.iter().map(|_| Vec::new()).collect();
+        for item in items {
+            bursts[(item.1.to.zero_based() as usize) % self.config.workers].push(item);
+        }
+        let mut undelivered = Vec::new();
+        for (tx, burst) in self.worker_txs.iter().zip(bursts) {
+            let claims = burst.len() as u64;
+            if claims == 0 {
+                continue;
+            }
+            self.shared.inflight.fetch_add(claims, Ordering::SeqCst);
+            if let Err(SendError(Mail::Many(burst))) = tx.send(Mail::Many(burst)) {
+                self.shared.inflight.fetch_sub(claims, Ordering::SeqCst);
+                undelivered.extend(burst.into_iter().map(|(_, item)| item));
+            }
+        }
+        undelivered
     }
 
     /// Issues a lock request at `node` of namespace 0, to be granted
@@ -663,7 +662,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// Panics if `ns` or `node` is out of range.
     pub fn acquire_in(&self, ns: usize, node: NodeId) -> RequestId {
         let global = self.global_of(ns, node);
-        let id = self.shared.sessions.open(global, Instant::now(), false, None);
+        let id = self.shared.sessions.open(global, self.shared.now_nanos(), false, None);
         if !self.send_direct(global, NodeCmd::Acquire(id.index())) {
             let _ = self.shared.sessions.abandon(id);
         }
@@ -687,7 +686,12 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         auto_release: bool,
     ) -> RequestId {
         let global = self.global_of(ns, node);
-        let id = self.shared.sessions.open(global, Instant::now(), auto_release, Some(watcher.id));
+        let id = self.shared.sessions.open(
+            global,
+            self.shared.now_nanos(),
+            auto_release,
+            Some(watcher.id),
+        );
         if !self.send_direct(global, NodeCmd::Acquire(id.index())) {
             let _ = self.shared.sessions.abandon(id);
         }
@@ -743,26 +747,23 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// returning the request ids in schedule order — the same generators
     /// (`oc_sim::workload`) drive both the simulator and the runtime.
     pub fn schedule_workload(&self, schedule: &ArrivalSchedule) -> Vec<RequestId> {
-        schedule
-            .arrivals()
-            .iter()
-            .map(|(at, node)| {
-                self.assert_node(*node);
-                let deliver_at = self.instant_of(*at);
-                let id = self.shared.sessions.open(*node, deliver_at, false, None);
-                if !route(
-                    &self.shared,
-                    &self.router_txs,
-                    self.config.workers,
-                    deliver_at,
-                    *node,
-                    NodeCmd::Acquire(id.index()),
-                ) {
-                    let _ = self.shared.sessions.abandon(id);
-                }
-                id
-            })
-            .collect()
+        let mut ids = Vec::with_capacity(schedule.len());
+        let mut later = Vec::with_capacity(schedule.len());
+        for (at, node) in schedule.arrivals() {
+            self.assert_node(*node);
+            let due = ticks_to_wall(self.shared.tick_nanos, at.ticks());
+            let t0 = u64::try_from(due.as_nanos()).unwrap_or(u64::MAX);
+            let id = self.shared.sessions.open(*node, t0, false, None);
+            let cmd = NodeCmd::Acquire(id.index());
+            later.push((self.shared.epoch + due, Targeted { to: *node, cmd }));
+            ids.push(id);
+        }
+        for lost in self.send_later(later) {
+            if let NodeCmd::Acquire(id) = lost.cmd {
+                let _ = self.shared.sessions.abandon(RequestId::from_index(id));
+            }
+        }
+        ids
     }
 
     /// Schedules the crash (and optional recovery) events of `plan`,
@@ -770,26 +771,15 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// addressed by global id — the same `FailurePlan` the simulator
     /// consumes.
     pub fn schedule_failures(&self, plan: &FailurePlan) {
+        let mut later = Vec::new();
         for ev in plan.events() {
-            let _ = route(
-                &self.shared,
-                &self.router_txs,
-                self.config.workers,
-                self.instant_of(ev.at),
-                ev.node,
-                NodeCmd::Crash,
-            );
+            later.push((self.instant_of(ev.at), Targeted { to: ev.node, cmd: NodeCmd::Crash }));
             if let Some(recover_at) = ev.recover_at {
-                let _ = route(
-                    &self.shared,
-                    &self.router_txs,
-                    self.config.workers,
-                    self.instant_of(recover_at),
-                    ev.node,
-                    NodeCmd::Recover,
-                );
+                let cmd = NodeCmd::Recover;
+                later.push((self.instant_of(recover_at), Targeted { to: ev.node, cmd }));
             }
         }
+        let _ = self.send_later(later);
     }
 
     /// Critical sections completed so far, summed over all namespaces.
@@ -866,9 +856,10 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     }
 
     /// Stops the service and returns the final report: every worker is
-    /// joined, the routers' queues are discarded, and every request ends
-    /// in a terminal state (still-pending ones become `Abandoned`,
-    /// granted ones `Completed`). Each namespace is judged separately —
+    /// joined, whatever it still held queued, delayed or armed is
+    /// discarded, and every request ends in a terminal state
+    /// (still-pending ones become `Abandoned`, granted ones
+    /// `Completed`). Each namespace is judged separately —
     /// its own safety oracle, terminal token census, and liveness
     /// horizon — and the verdicts fold into one report; call
     /// [`Runtime::await_settled`] first if the run is supposed to have
@@ -886,8 +877,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         let _ = shared.sessions.finalize();
         let (completed, abandoned) = shared.sessions.terminal_counts();
         let injected = shared.sessions.opened();
-        let offsets: Vec<u32> = shared.ns.iter().map(|meta| meta.offset).collect();
-        let buckets = shared.sessions.counts_by_bucket(&offsets);
+        let buckets = shared.sessions.counts_by_bucket();
 
         let counters = &shared.counters;
         let events = counters.events_processed.load(Ordering::Relaxed);
@@ -980,17 +970,12 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
 }
 
 impl<P: Protocol> Runtime<P> {
-    /// Stops the routers, then the workers, and joins everything —
-    /// mailbox FIFO means commands already delivered to a worker are
-    /// processed before its Stop. Idempotent: joined handles are taken,
-    /// so a second call is a no-op returning nothing.
+    /// Stops the workers and joins them — mailbox FIFO means commands
+    /// that were due on arrival are processed before the worker's Stop;
+    /// what sits in its delay queue or timer set is discarded.
+    /// Idempotent: joined handles are taken, so a second call is a no-op
+    /// returning nothing.
     fn stop_threads(&mut self) -> Vec<WorkerFinal<P>> {
-        for tx in &self.router_txs {
-            let _ = tx.send(RouterMsg::Stop);
-        }
-        for handle in self.router_handles.drain(..) {
-            let _ = handle.join();
-        }
         if self.worker_handles.is_empty() {
             return Vec::new();
         }
@@ -1012,160 +997,13 @@ impl<P: Protocol> Runtime<P> {
 }
 
 /// Dropping a runtime without [`Runtime::shutdown`] (an early return, a
-/// panicking test) must not strand the router and worker threads: the
-/// channel topology is a cycle (workers hold router senders, routers
-/// hold worker senders), so nobody would ever observe disconnection.
-/// Drop performs the same stop sequence and discards the final states.
+/// panicking test) must not strand the worker threads: every worker
+/// holds a sender to every mailbox, its own included, so nobody would
+/// ever observe disconnection. Drop performs the same stop sequence and
+/// discards the final states.
 impl<P: Protocol> Drop for Runtime<P> {
     fn drop(&mut self) {
         let _ = self.stop_threads();
-    }
-}
-
-// --------------------------------------------------------------------
-// Routers
-// --------------------------------------------------------------------
-
-/// One router shard: a thread holding the delay heap for network
-/// messages, timers, CS leases, and scheduled crash/recovery commands of
-/// the workers it serves. Due commands are delivered as one batch per
-/// worker per pass ([`Mail::Many`]), so a burst of simultaneous
-/// deliveries costs one channel send, not one per message.
-fn router_main<M: MessageKind + Send + 'static>(
-    rx: Receiver<RouterMsg<M>>,
-    mailboxes: Vec<Sender<Mail<M>>>,
-    shared: Arc<Shared>,
-) {
-    struct Pending<M> {
-        deliver_at: Instant,
-        seq: u64,
-        item: Targeted<M>,
-    }
-    impl<M> PartialEq for Pending<M> {
-        fn eq(&self, other: &Self) -> bool {
-            self.seq == other.seq
-        }
-    }
-    impl<M> Eq for Pending<M> {}
-    impl<M> PartialOrd for Pending<M> {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<M> Ord for Pending<M> {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            (self.deliver_at, self.seq).cmp(&(other.deliver_at, other.seq))
-        }
-    }
-
-    /// A command that will never be processed leaves the in-flight count
-    /// (and, for a token-carrying delivery, its namespace's census).
-    fn discard<M: MessageKind>(shared: &Shared, item: &Targeted<M>) {
-        if let NodeCmd::Deliver { msg, .. } = &item.cmd {
-            if msg.carries_token() {
-                let ns = shared.ns_of(item.to.zero_based() as usize);
-                shared.tokens_in_flight[ns].fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    let workers = mailboxes.len();
-    let mut heap: BinaryHeap<Reverse<Pending<M>>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    // Reused per-worker delivery buffers and the token-namespace
-    // snapshot for failed sends (the vendored channel consumes the
-    // payload on failure, so census bookkeeping is recorded first).
-    let mut batches: Vec<Vec<Targeted<M>>> = (0..workers).map(|_| Vec::new()).collect();
-    let mut token_ns: Vec<usize> = Vec::new();
-    let mut open = true;
-    'outer: while open || !heap.is_empty() {
-        // Deliver everything due, grouped by worker.
-        let now = Instant::now();
-        let mut any_due = false;
-        while let Some(Reverse(top)) = heap.peek() {
-            if top.deliver_at > now {
-                break;
-            }
-            let Reverse(p) = heap.pop().expect("peeked");
-            let w = (p.item.to.zero_based() as usize) % workers;
-            batches[w].push(p.item);
-            any_due = true;
-        }
-        if any_due {
-            for (w, batch) in batches.iter_mut().enumerate() {
-                if batch.is_empty() {
-                    continue;
-                }
-                let count = batch.len() as u64;
-                token_ns.clear();
-                for item in batch.iter() {
-                    if let NodeCmd::Deliver { msg, .. } = &item.cmd {
-                        if msg.carries_token() {
-                            token_ns.push(shared.ns_of(item.to.zero_based() as usize));
-                        }
-                    }
-                }
-                let mail = if count == 1 {
-                    Mail::One(batch.pop().expect("len 1"))
-                } else {
-                    Mail::Many(std::mem::take(batch))
-                };
-                if mailboxes[w].send(mail).is_err() {
-                    // Worker gone (shutdown): the whole batch dies here.
-                    for &ns in &token_ns {
-                        shared.tokens_in_flight[ns].fetch_sub(1, Ordering::SeqCst);
-                    }
-                    shared.inflight.fetch_sub(count, Ordering::SeqCst);
-                }
-            }
-        }
-        // Wait for the next deadline or new work.
-        let wait =
-            heap.peek().map(|Reverse(p)| p.deliver_at.saturating_duration_since(Instant::now()));
-        let received = match wait {
-            Some(d) if !heap.is_empty() => match rx.recv_timeout(d) {
-                Ok(msg) => Some(msg),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => {
-                    // No more senders: sleep out the remaining deadline so
-                    // queued deliveries still happen on time.
-                    open = false;
-                    std::thread::sleep(d);
-                    None
-                }
-            },
-            _ => match rx.recv() {
-                Ok(msg) => Some(msg),
-                Err(_) => {
-                    open = false;
-                    None
-                }
-            },
-        };
-        match received {
-            Some(RouterMsg::Route { deliver_at, item }) => {
-                seq += 1;
-                heap.push(Reverse(Pending { deliver_at, seq, item }));
-            }
-            Some(RouterMsg::Stop) => {
-                // Discard everything undelivered — the delay heap AND
-                // whatever is still queued in the channel behind this
-                // Stop — with the same accounting, so the in-flight
-                // count and the token census agree on what the forced
-                // shutdown destroyed, whichever queue it sat in.
-                for Reverse(p) in heap.drain() {
-                    discard(&shared, &p.item);
-                }
-                while let Ok(msg) = rx.try_recv() {
-                    if let RouterMsg::Route { item, .. } = msg {
-                        discard(&shared, &item);
-                    }
-                }
-                break 'outer;
-            }
-            None => {}
-        }
     }
 }
 
@@ -1177,6 +1015,9 @@ fn router_main<M: MessageKind + Send + 'static>(
 struct Slot<P> {
     /// Global zero-based index (namespace offset + local index).
     idx: usize,
+    /// Position in the owning worker's shard (`idx / workers`) — also the
+    /// node's owner id in that worker's [`DeadlineSet`].
+    pos: u32,
     /// Namespace this node belongs to.
     ns: usize,
     /// The namespace's global offset: local id = global id − offset.
@@ -1184,12 +1025,15 @@ struct Slot<P> {
     node: P,
     crashed: bool,
     recovered_ever: bool,
-    timers: TimerRow,
-    next_gen: u64,
     lease: u64,
 }
 
 impl<P> Slot<P> {
+    /// The node's global id — what commands are addressed by.
+    fn global(&self) -> NodeId {
+        NodeId::new(self.idx as u32 + 1)
+    }
+
     /// The node's namespace-local id — what the protocol state machine
     /// and the namespace's oracle speak.
     fn local(&self, global: NodeId) -> NodeId {
@@ -1198,42 +1042,194 @@ impl<P> Slot<P> {
     }
 }
 
-/// One node's substrate effects: the runtime's [`ActionSink`], handing
-/// the engine's actions to a router thread with real-time deadlines.
-/// The deliver→step→collect-actions loop itself lives in
-/// [`oc_sim::drive`] — the same code path the simulator runs. Node ids
-/// crossing this sink are namespace-local (the protocol's view);
-/// routing converts to global ids.
-struct ThreadSink<'a, M> {
-    shared: &'a Shared,
-    routers: &'a [Sender<RouterMsg<M>>],
-    config: &'a RuntimeConfig,
-    rng: &'a mut StdRng,
-    timers: &'a mut TimerRow,
-    next_gen: &'a mut u64,
-    lease: &'a mut u64,
-    ns: usize,
-    ns_offset: u32,
-    stats: &'a mut LocalStats,
+/// A command in a worker's delay queue. The sequence number keeps
+/// commands due at the same instant in the order they were filed.
+struct Delayed<M> {
+    deliver_at: Instant,
+    seq: u64,
+    item: Targeted<M>,
 }
 
-impl<M> ThreadSink<'_, M> {
-    fn global(&self, local: NodeId) -> NodeId {
-        NodeId::new(local.get() + self.ns_offset)
+impl<M> PartialEq for Delayed<M> {
+    fn eq(&self, other: &Self) -> bool {
+        self.seq == other.seq
+    }
+}
+impl<M> Eq for Delayed<M> {}
+impl<M> PartialOrd for Delayed<M> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<M> Ord for Delayed<M> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.deliver_at, self.seq).cmp(&(other.deliver_at, other.seq))
+    }
+}
+
+/// Everything a worker owns besides its nodes: the network, timer
+/// service and lease clock of exactly those nodes, and the books it
+/// settles once per batch.
+struct Worker<'a, M> {
+    /// This worker's index: it owns the nodes with `idx % workers == me`.
+    me: usize,
+    shared: &'a Shared,
+    config: &'a RuntimeConfig,
+    /// Every worker's mailbox, this one's included.
+    mailboxes: &'a [Sender<Mail<M>>],
+    rng: StdRng,
+    stats: LocalStats,
+    /// The batch: commands that are due, in processing order.
+    queue: VecDeque<Targeted<M>>,
+    /// The delay queue: commands for this worker's nodes that are not
+    /// due yet, earliest first.
+    delayed: BinaryHeap<Reverse<Delayed<M>>>,
+    next_seq: u64,
+    /// Deadlines of the live timers of this worker's nodes (owner =
+    /// [`Slot::pos`]).
+    timers: DeadlineSet,
+    /// Commands for the other workers' nodes, per destination worker,
+    /// sent as one [`Mail::Many`] each when the batch is settled.
+    outgoing: Vec<Vec<(Instant, Targeted<M>)>>,
+    /// In-flight claims the batch owes for what it created: commands
+    /// filed or buffered, timers newly armed.
+    claims_taken: u64,
+    /// In-flight claims the batch is done with: commands processed or
+    /// discarded, timers fired, cancelled or lost to a crash.
+    claims_released: u64,
+}
+
+impl<M: MessageKind> Worker<'_, M> {
+    /// The instant the earliest delayed command or live timer is due.
+    fn next_due(&self) -> Option<Instant> {
+        let delayed = self.delayed.peek().map(|Reverse(d)| d.deliver_at);
+        match (delayed, self.timers.next_deadline()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    fn delay(&mut self, deliver_at: Instant, item: Targeted<M>) {
+        self.next_seq += 1;
+        self.delayed.push(Reverse(Delayed { deliver_at, seq: self.next_seq, item }));
+    }
+
+    /// Takes in one piece of mail: what is due now joins the batch, what
+    /// carries a delivery instant goes to the delay queue.
+    fn accept(&mut self, mail: Mail<M>) {
+        match mail {
+            Mail::One(item) => self.queue.push_back(item),
+            Mail::Many(items) => {
+                for (deliver_at, item) in items {
+                    self.delay(deliver_at, item);
+                }
+            }
+        }
+    }
+
+    /// Sends `cmd` on its way to node `to` (global id), due at
+    /// `deliver_at`: into this worker's own delay queue if the node is
+    /// one of its own — no channel at all — and otherwise into the
+    /// destination worker's outgoing burst.
+    fn post(&mut self, deliver_at: Instant, to: NodeId, cmd: NodeCmd<M>) {
+        self.claims_taken += 1;
+        let w = (to.zero_based() as usize) % self.config.workers;
+        let item = Targeted { to, cmd };
+        if w == self.me {
+            self.delay(deliver_at, item);
+        } else {
+            self.outgoing[w].push((deliver_at, item));
+        }
     }
 
     fn sample_delay(&mut self) -> Duration {
         let max = u64::try_from(self.config.max_network_delay.as_nanos()).unwrap_or(u64::MAX);
         Duration::from_nanos(self.rng.random_range(0..=max))
     }
+
+    /// Stop: nothing this worker still holds will ever be processed —
+    /// its batch, its delay queue, its live timers, and whatever is
+    /// still in its mailbox all leave the in-flight count and the token
+    /// census.
+    fn discard_all(&mut self, rx: &Receiver<Mail<M>>) {
+        while let Ok(mail) = rx.try_recv() {
+            self.accept(mail);
+        }
+        let delayed = self.delayed.drain().map(|Reverse(d)| d.item);
+        for item in self.queue.drain(..).chain(delayed) {
+            discard(self.shared, &item);
+            self.claims_released += 1;
+        }
+        self.claims_released += self.timers.len() as u64;
+        self.timers = DeadlineSet::new();
+    }
+
+    /// Settles a batch. In order: the claims of everything the batch
+    /// created are taken, *then* the other workers get their bursts; the
+    /// idle flags of the nodes the batch touched are published, *then*
+    /// the claims the batch is done with are released — so
+    /// [`Runtime::settled`] never observes a zero in-flight count while
+    /// a command, a live timer or an unpublished flag exists.
+    fn settle(&mut self, idle: impl Iterator<Item = (usize, bool)>) {
+        let shared = self.shared;
+        if self.claims_taken != 0 {
+            shared.inflight.fetch_add(self.claims_taken, Ordering::SeqCst);
+            self.claims_taken = 0;
+        }
+        for (burst, mailbox) in self.outgoing.iter_mut().zip(self.mailboxes) {
+            if burst.is_empty() {
+                continue;
+            }
+            if let Err(SendError(Mail::Many(lost))) =
+                mailbox.send(Mail::Many(std::mem::take(burst)))
+            {
+                // That worker has exited (shutdown): the burst dies here.
+                for (_, item) in &lost {
+                    discard(shared, item);
+                }
+                self.claims_released += lost.len() as u64;
+            }
+        }
+        for (idx, flag) in idle {
+            shared.idle[idx].store(flag, Ordering::SeqCst);
+        }
+        self.stats.flush(&shared.counters);
+        if self.claims_released != 0 {
+            shared.inflight.fetch_sub(self.claims_released, Ordering::SeqCst);
+            self.claims_released = 0;
+        }
+    }
+}
+
+/// One node's substrate effects: the runtime's [`ActionSink`], filing
+/// the engine's actions with the node's [`Worker`] under real-time
+/// deadlines. The deliver→step→collect-actions loop itself lives in
+/// [`oc_sim::drive`] — the same code path the simulator runs. Node ids
+/// crossing this sink are namespace-local (the protocol's view);
+/// posting converts to global ids.
+struct ThreadSink<'a, 'w, M> {
+    worker: &'a mut Worker<'w, M>,
+    lease: &'a mut u64,
+    /// The node's owner id in the worker's [`DeadlineSet`].
+    pos: u32,
+    ns: usize,
+    ns_offset: u32,
+}
+
+impl<M> ThreadSink<'_, '_, M> {
+    fn global(&self, local: NodeId) -> NodeId {
+        NodeId::new(local.get() + self.ns_offset)
+    }
 }
 
 impl<M: MessageKind + core::fmt::Debug + Clone + Send + 'static> ActionSink<M>
-    for ThreadSink<'_, M>
+    for ThreadSink<'_, '_, M>
 {
     fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
-        let shared = self.shared;
-        self.stats.messages_sent += 1;
+        let to_global = self.global(to);
+        let worker = &mut *self.worker;
+        let shared = worker.shared;
+        worker.stats.messages_sent += 1;
         if shared.trace_enabled && self.ns == 0 {
             let mut monitor = shared.lock_monitor(0);
             let at = shared.sim_now();
@@ -1246,54 +1242,35 @@ impl<M: MessageKind + core::fmt::Debug + Clone + Send + 'static> ActionSink<M>
         // the script decides the message's fate before any copy is
         // enqueued, so a drop destroys the logical send outright.
         let now_ticks = shared.sim_now();
-        let to_global = self.global(to);
         let carries_token = msg.carries_token();
         if shared.script.active_at(now_ticks) {
-            match shared.script.fate(now_ticks, from, to, carries_token, self.rng) {
+            match shared.script.fate(now_ticks, from, to, carries_token, &mut worker.rng) {
                 LinkFate::Deliver => {}
                 LinkFate::DropPartition => {
-                    self.stats.lost_to_partition += 1;
+                    worker.stats.lost_to_partition += 1;
                     return;
                 }
                 LinkFate::DropLoss => {
-                    self.stats.lost_to_faults += 1;
+                    worker.stats.lost_to_faults += 1;
                     return;
                 }
                 LinkFate::DeliverAndDuplicate => {
-                    self.stats.duplicated_deliveries += 1;
-                    let delay = self.sample_delay();
-                    let _ = route(
-                        shared,
-                        self.routers,
-                        self.config.workers,
-                        Instant::now() + delay,
-                        to_global,
-                        NodeCmd::Deliver { from, msg: msg.clone() },
-                    );
+                    worker.stats.duplicated_deliveries += 1;
+                    let delay = worker.sample_delay();
+                    let copy = NodeCmd::Deliver { from, msg: msg.clone() };
+                    worker.post(Instant::now() + delay, to_global, copy);
                 }
             }
         }
         if carries_token {
             shared.tokens_in_flight[self.ns].fetch_add(1, Ordering::SeqCst);
         }
-        let delay = self.sample_delay();
-        if !route(
-            shared,
-            self.routers,
-            self.config.workers,
-            Instant::now() + delay,
-            to_global,
-            NodeCmd::Deliver { from, msg },
-        ) && carries_token
-        {
-            // Router gone (shutdown): the message — and its token — die.
-            // `route` already undid the in-flight count; undo the census.
-            shared.tokens_in_flight[self.ns].fetch_sub(1, Ordering::SeqCst);
-        }
+        let delay = worker.sample_delay();
+        worker.post(Instant::now() + delay, to_global, NodeCmd::Deliver { from, msg });
     }
 
     fn enter_cs(&mut self, node: NodeId, token_epoch: u64) {
-        let shared = self.shared;
+        let shared = self.worker.shared;
         *self.lease += 1;
         {
             let mut monitor = shared.lock_monitor(self.ns);
@@ -1303,130 +1280,137 @@ impl<M: MessageKind + core::fmt::Debug + Clone + Send + 'static> ActionSink<M>
         }
         shared.cs_entries[self.ns].fetch_add(1, Ordering::Relaxed);
         let global = self.global(node);
-        let auto = matches!(shared.sessions.grant(global, Instant::now()), Some((_, _, true)));
+        let auto = matches!(shared.sessions.grant(global, shared.now_nanos()), Some((_, _, true)));
         // Auto-release requests skip the wall-clock lease: the worker
         // exits the CS immediately after this command (`drain_auto`),
-        // so no ExitLease ever crosses the router for them.
+        // so no ExitLease is ever filed for them.
         if !auto {
-            let _ = route(
-                shared,
-                self.routers,
-                self.config.workers,
-                Instant::now() + self.config.cs_duration,
-                global,
-                NodeCmd::ExitLease { lease: *self.lease },
-            );
+            let expiry = Instant::now() + self.worker.config.cs_duration;
+            self.worker.post(expiry, global, NodeCmd::ExitLease { lease: *self.lease });
         }
     }
 
-    fn set_timer(&mut self, node: NodeId, timer_id: u64, delay: SimDuration) {
-        assert!(timer_id < (1 << GEN_SHIFT), "timer id too large for packing");
-        *self.next_gen += 1;
-        self.timers.arm(timer_id, *self.next_gen);
-        let packed = timer_id | (*self.next_gen << GEN_SHIFT);
-        let real_delay = ticks_to_wall(self.shared.tick_nanos, delay.ticks());
-        let _ = route(
-            self.shared,
-            self.routers,
-            self.config.workers,
-            Instant::now() + real_delay,
-            self.global(node),
-            NodeCmd::Timer(packed),
-        );
+    fn set_timer(&mut self, _node: NodeId, timer_id: u64, delay: SimDuration) {
+        let worker = &mut *self.worker;
+        let deadline = Instant::now() + ticks_to_wall(worker.shared.tick_nanos, delay.ticks());
+        // A re-arm inherits the claim of the arming it supersedes.
+        if !worker.timers.arm(self.pos, timer_id, deadline) {
+            worker.claims_taken += 1;
+        }
     }
 
     fn cancel_timer(&mut self, _node: NodeId, timer_id: u64) {
-        self.timers.cancel(timer_id);
+        if self.worker.timers.cancel(self.pos, timer_id) {
+            self.worker.claims_released += 1;
+        }
     }
 }
 
-/// One worker's thread: drains its mailbox in batches, runs its shard of
-/// nodes through the shared engine driver, executes actions through the
-/// routers and monitors. Effects are published batch-at-a-time — idle
-/// flags first, then statistics, then the batch's in-flight claims are
-/// released in one subtraction — so [`Runtime::settled`] never observes
-/// a zero in-flight count with unpublished effects. Returns the shard's
-/// final node states for the shutdown horizon.
+/// One worker's thread. Sleeps until mail arrives or the earliest thing
+/// it holds itself — a delayed command, a live timer — falls due; then
+/// runs everything that is due through the shared engine driver as one
+/// batch and settles the batch's books ([`Worker::settle`]). Returns the
+/// shard's final node states for the shutdown horizon.
 fn worker_main<P: Protocol + Send + 'static>(
+    me: usize,
     mut slots: Vec<Slot<P>>,
     rx: Receiver<Mail<P::Msg>>,
-    routers: Vec<Sender<RouterMsg<P::Msg>>>,
+    mailboxes: Vec<Sender<Mail<P::Msg>>>,
     shared: Arc<Shared>,
     config: RuntimeConfig,
 ) -> Vec<WorkerFinal<P>> {
-    fn enqueue<M>(queue: &mut VecDeque<Targeted<M>>, mail: Mail<M>) {
-        match mail {
-            Mail::One(item) => queue.push_back(item),
-            Mail::Many(items) => queue.extend(items),
-        }
-    }
-
     let workers = config.workers;
-    let mut rng = StdRng::seed_from_u64(
-        config.seed
-            ^ slots.first().map_or(0, |s| (s.idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-    );
+    let mut worker = Worker {
+        me,
+        shared: &shared,
+        config: &config,
+        mailboxes: &mailboxes,
+        rng: StdRng::seed_from_u64(
+            config.seed
+                ^ slots
+                    .first()
+                    .map_or(0, |s| (s.idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        ),
+        stats: LocalStats::default(),
+        queue: VecDeque::new(),
+        delayed: BinaryHeap::new(),
+        next_seq: 0,
+        timers: DeadlineSet::new(),
+        outgoing: (0..workers).map(|_| Vec::new()).collect(),
+        claims_taken: 0,
+        claims_released: 0,
+    };
     let mut out: Outbox<P::Msg> = Outbox::new();
-    let mut queue: VecDeque<Targeted<P::Msg>> = VecDeque::new();
     let mut touched: Vec<usize> = Vec::new();
-    let mut stats = LocalStats::default();
     let mut stopping = false;
 
-    'main: loop {
-        match rx.recv() {
-            Ok(mail) => enqueue(&mut queue, mail),
-            Err(_) => break 'main,
-        }
-        // Opportunistic burst: top the batch up from whatever is already
-        // queued, without blocking.
-        while queue.len() < config.batch {
-            match rx.try_recv() {
-                Ok(mail) => enqueue(&mut queue, mail),
+    while !stopping {
+        match worker.next_due() {
+            None => match rx.recv() {
+                Ok(mail) => worker.accept(mail),
                 Err(_) => break,
-            }
-        }
-        let mut processed = 0u64;
-        touched.clear();
-        while let Some(Targeted { to, cmd }) = queue.pop_front() {
-            processed += 1;
-            if matches!(cmd, NodeCmd::Stop) {
-                stopping = true;
-                break;
-            }
-            stats.events_processed += 1;
-            let slot_pos = (to.zero_based() as usize) / workers;
-            let slot = &mut slots[slot_pos];
-            process(slot, to, cmd, &mut out, &routers, &shared, &config, &mut rng, &mut stats);
-            drain_auto(slot, to, &mut out, &routers, &shared, &config, &mut rng, &mut stats);
-            touched.push(slot_pos);
-        }
-        // Publish the batch's effects, *then* release its in-flight
-        // claims (idle-before-inflight is what `settled` relies on).
-        touched.sort_unstable();
-        touched.dedup();
-        for &pos in touched.iter() {
-            let slot = &slots[pos];
-            shared.idle[slot.idx].store(slot.crashed || slot.node.is_idle(), Ordering::SeqCst);
-        }
-        stats.flush(&shared.counters);
-        if stopping {
-            // Mailbox FIFO puts Stop last, so nothing should follow it —
-            // but account for any leftovers defensively, exactly like a
-            // router discard.
-            for item in queue.drain(..) {
-                processed += 1;
-                if let NodeCmd::Deliver { msg, .. } = &item.cmd {
-                    if msg.carries_token() {
-                        let ns = shared.ns_of(item.to.zero_based() as usize);
-                        shared.tokens_in_flight[ns].fetch_sub(1, Ordering::SeqCst);
+            },
+            Some(due) => {
+                let wait = due.saturating_duration_since(Instant::now());
+                if !wait.is_zero() {
+                    match rx.recv_timeout(wait) {
+                        Ok(mail) => worker.accept(mail),
+                        Err(RecvTimeoutError::Timeout) => {}
+                        Err(RecvTimeoutError::Disconnected) => break,
                     }
                 }
             }
         }
-        shared.inflight.fetch_sub(processed, Ordering::SeqCst);
-        if stopping {
-            break 'main;
+        // Opportunistic burst: top the batch up from whatever is already
+        // in the mailbox, without blocking.
+        while worker.queue.len() < config.batch {
+            match rx.try_recv() {
+                Ok(mail) => worker.accept(mail),
+                Err(_) => break,
+            }
         }
+        // Delayed commands that have fallen due join the batch. A worker
+        // with nothing delayed and nothing armed never reads the clock.
+        let now = (!worker.delayed.is_empty() || !worker.timers.is_empty()).then(Instant::now);
+        if let Some(now) = now {
+            while worker.delayed.peek().is_some_and(|Reverse(d)| d.deliver_at <= now) {
+                let Reverse(due) = worker.delayed.pop().expect("peeked");
+                worker.queue.push_back(due.item);
+            }
+        }
+        touched.clear();
+        while let Some(Targeted { to, cmd }) = worker.queue.pop_front() {
+            worker.claims_released += 1;
+            if matches!(cmd, NodeCmd::Stop) {
+                stopping = true;
+                worker.discard_all(&rx);
+                break;
+            }
+            worker.stats.events_processed += 1;
+            let pos = (to.zero_based() as usize) / workers;
+            let slot = &mut slots[pos];
+            process(slot, to, cmd, &mut out, &mut worker);
+            drain_auto(slot, to, &mut out, &mut worker);
+            touched.push(pos);
+        }
+        // Due timers fire after the batch's commands, one at a time and
+        // each taken from the live set at the moment it fires: one that
+        // an earlier command or timer of this batch cancelled is gone.
+        while let Some((pos, timer_id)) = now.and_then(|now| worker.timers.pop_due(now)) {
+            worker.claims_released += 1;
+            worker.stats.events_processed += 1;
+            let slot = &mut slots[pos as usize];
+            debug_assert!(!slot.crashed, "a crash clears the node's timers");
+            drive_slot(slot, Some(NodeEvent::Timer(timer_id)), &mut out, &mut worker);
+            drain_auto(slot, slot.global(), &mut out, &mut worker);
+            touched.push(pos as usize);
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        worker.settle(touched.iter().map(|&pos| {
+            let slot = &slots[pos];
+            (slot.idx, slot.crashed || slot.node.is_idle())
+        }));
     }
     slots
         .into_iter()
@@ -1442,28 +1426,18 @@ fn worker_main<P: Protocol + Send + 'static>(
 /// The single construction point for [`ThreadSink`]'s split borrows:
 /// builds the slot's sink and feeds one event through the shared engine
 /// driver (`None` runs the recovery hook instead).
-#[allow(clippy::too_many_arguments)]
 fn drive_slot<P: Protocol + Send + 'static>(
     slot: &mut Slot<P>,
     event: Option<NodeEvent<P::Msg>>,
     out: &mut Outbox<P::Msg>,
-    routers: &[Sender<RouterMsg<P::Msg>>],
-    shared: &Shared,
-    config: &RuntimeConfig,
-    rng: &mut StdRng,
-    stats: &mut LocalStats,
+    worker: &mut Worker<'_, P::Msg>,
 ) {
     let mut sink = ThreadSink {
-        shared,
-        routers,
-        config,
-        rng,
-        timers: &mut slot.timers,
-        next_gen: &mut slot.next_gen,
+        worker,
         lease: &mut slot.lease,
+        pos: slot.pos,
         ns: slot.ns,
         ns_offset: slot.ns_offset,
-        stats,
     };
     match event {
         Some(event) => drive(&mut slot.node, event, out, &mut sink),
@@ -1473,39 +1447,30 @@ fn drive_slot<P: Protocol + Send + 'static>(
 
 /// Exits the CS for as long as the node sits inside it on behalf of an
 /// auto-release request — the closed-loop fast path: grant and exit
-/// happen within one worker dispatch, no ExitLease round-trips through
-/// the router. Loops because an exit can immediately re-grant the next
-/// queued request, which may itself be auto-release.
-#[allow(clippy::too_many_arguments)]
+/// happen within one worker dispatch, no ExitLease is ever filed. Loops
+/// because an exit can immediately re-grant the next queued request,
+/// which may itself be auto-release.
 fn drain_auto<P: Protocol + Send + 'static>(
     slot: &mut Slot<P>,
     global: NodeId,
     out: &mut Outbox<P::Msg>,
-    routers: &[Sender<RouterMsg<P::Msg>>],
-    shared: &Shared,
-    config: &RuntimeConfig,
-    rng: &mut StdRng,
-    stats: &mut LocalStats,
+    worker: &mut Worker<'_, P::Msg>,
 ) {
-    while !slot.crashed && slot.node.in_cs() && shared.sessions.current_is_auto(global) {
-        exit_cs(slot, global, out, routers, shared, config, rng, stats);
+    while !slot.crashed && slot.node.in_cs() && worker.shared.sessions.current_is_auto(global) {
+        exit_cs(slot, global, out, worker);
     }
 }
 
 /// Executes one command against its node. `global` is the routing id;
 /// the protocol and the namespace's monitor speak the local id.
-#[allow(clippy::too_many_arguments)]
 fn process<P: Protocol + Send + 'static>(
     slot: &mut Slot<P>,
     global: NodeId,
     cmd: NodeCmd<P::Msg>,
     out: &mut Outbox<P::Msg>,
-    routers: &[Sender<RouterMsg<P::Msg>>],
-    shared: &Shared,
-    config: &RuntimeConfig,
-    rng: &mut StdRng,
-    stats: &mut LocalStats,
+    worker: &mut Worker<'_, P::Msg>,
 ) {
+    let shared = worker.shared;
     let local = slot.local(global);
     match cmd {
         NodeCmd::Stop => unreachable!("handled by the worker loop"),
@@ -1515,7 +1480,7 @@ fn process<P: Protocol + Send + 'static>(
             }
             if slot.crashed {
                 // Fail-stop: everything delivered while down is lost.
-                stats.lost_to_crashes += 1;
+                worker.stats.lost_to_crashes += 1;
                 return;
             }
             if shared.trace_enabled && slot.ns == 0 {
@@ -1531,36 +1496,7 @@ fn process<P: Protocol + Send + 'static>(
                     },
                 );
             }
-            drive_slot(
-                slot,
-                Some(NodeEvent::Deliver { from, msg }),
-                out,
-                routers,
-                shared,
-                config,
-                rng,
-                stats,
-            );
-        }
-        NodeCmd::Timer(packed) => {
-            if slot.crashed {
-                return;
-            }
-            let timer_id = packed & ((1 << GEN_SHIFT) - 1);
-            let generation = packed >> GEN_SHIFT;
-            if !slot.timers.fire(timer_id, generation) {
-                return; // cancelled or superseded
-            }
-            drive_slot(
-                slot,
-                Some(NodeEvent::Timer(timer_id)),
-                out,
-                routers,
-                shared,
-                config,
-                rng,
-                stats,
-            );
+            drive_slot(slot, Some(NodeEvent::Deliver { from, msg }), out, worker);
         }
         NodeCmd::Acquire(id) => {
             let request = RequestId::from_index(id);
@@ -1571,7 +1507,7 @@ fn process<P: Protocol + Send + 'static>(
                 return;
             }
             shared.sessions.activate(request);
-            drive_slot(slot, Some(NodeEvent::RequestCs), out, routers, shared, config, rng, stats);
+            drive_slot(slot, Some(NodeEvent::RequestCs), out, worker);
         }
         NodeCmd::Release(id) => {
             if slot.crashed
@@ -1580,7 +1516,7 @@ fn process<P: Protocol + Send + 'static>(
             {
                 return;
             }
-            exit_cs(slot, global, out, routers, shared, config, rng, stats);
+            exit_cs(slot, global, out, worker);
         }
         NodeCmd::ExitLease { lease } => {
             // Stale leases (superseded by a later CS entry, or by a
@@ -1589,7 +1525,7 @@ fn process<P: Protocol + Send + 'static>(
             if slot.crashed || lease != slot.lease || !slot.node.in_cs() {
                 return;
             }
-            exit_cs(slot, global, out, routers, shared, config, rng, stats);
+            exit_cs(slot, global, out, worker);
         }
         NodeCmd::Crash => {
             if slot.crashed {
@@ -1606,10 +1542,11 @@ fn process<P: Protocol + Send + 'static>(
             // All volatile node state is lost — including the
             // application's not-yet-served requests, which are
             // therefore abandoned; a granted request's CS died with the
-            // node (its lease is invalidated below).
+            // node (its lease is invalidated below), and its timers
+            // leave the worker's deadline set, claims and all.
             let _ = shared.sessions.crash_node(global);
             slot.node.on_crash();
-            slot.timers.clear();
+            worker.claims_released += worker.timers.clear_owner(slot.pos) as u64;
             slot.lease += 1;
         }
         NodeCmd::Recover => {
@@ -1624,7 +1561,7 @@ fn process<P: Protocol + Send + 'static>(
                 let at = shared.sim_now();
                 monitor.trace.push(at, TraceRecord::Recover(local));
             }
-            drive_slot(slot, None, out, routers, shared, config, rng, stats);
+            drive_slot(slot, None, out, worker);
         }
     }
 }
@@ -1655,17 +1592,13 @@ fn isolation_at<P: Protocol>(
 }
 
 /// The shared CS-exit path (lease expiry, early release, auto-release).
-#[allow(clippy::too_many_arguments)]
 fn exit_cs<P: Protocol + Send + 'static>(
     slot: &mut Slot<P>,
     global: NodeId,
     out: &mut Outbox<P::Msg>,
-    routers: &[Sender<RouterMsg<P::Msg>>],
-    shared: &Shared,
-    config: &RuntimeConfig,
-    rng: &mut StdRng,
-    stats: &mut LocalStats,
+    worker: &mut Worker<'_, P::Msg>,
 ) {
+    let shared = worker.shared;
     let local = slot.local(global);
     {
         let mut monitor = shared.lock_monitor(slot.ns);
@@ -1674,7 +1607,7 @@ fn exit_cs<P: Protocol + Send + 'static>(
         monitor.trace.push(at, TraceRecord::ExitCs(local));
     }
     let _ = shared.sessions.complete_current(global);
-    drive_slot(slot, Some(NodeEvent::ExitCs), out, routers, shared, config, rng, stats);
+    drive_slot(slot, Some(NodeEvent::ExitCs), out, worker);
 }
 
 #[cfg(test)]
@@ -1946,7 +1879,6 @@ mod tests {
     #[test]
     fn namespaces_are_independent_lock_instances() {
         let mut cfg = config(2);
-        cfg.routers = 2;
         cfg.batch = 32;
         let populations: Vec<Vec<OpenCubeNode>> =
             (0..4).map(|_| OpenCubeNode::build_all(protocol(4))).collect();
@@ -1970,6 +1902,58 @@ mod tests {
         assert_eq!(report.requests_completed, 16);
         assert_eq!(report.terminal_token_census, 4, "one token per namespace");
         assert!(report.is_clean(), "oracles: {report:?}");
+    }
+
+    #[test]
+    fn cancelled_timers_are_never_events() {
+        // The protocol arms its Section 5 timeouts per claim and cancels
+        // them when the token arrives: on a fault-free run with a slack
+        // no queue can outlast, none of them may become an event, and
+        // none may hold `settled` back once the last request is done.
+        let (n, namespaces, requests) = (16u32, 8usize, 4_000u64);
+        let proto = Config::new(16, SimDuration::from_ticks(16), SimDuration::from_ticks(25))
+            .with_contention_slack(SimDuration::from_ticks(50_000));
+        let cfg = RuntimeConfig {
+            workers: 2,
+            tick: Duration::from_micros(20),
+            max_network_delay: Duration::from_micros(200),
+            ..RuntimeConfig::default()
+        };
+        let rt = Runtime::start_multi(
+            cfg,
+            (0..namespaces).map(|_| OpenCubeNode::build_all(proto)).collect(),
+        );
+        let watcher = rt.watcher();
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut submit = |ns: usize| {
+            let node = NodeId::new(rng.random_range(1..=n));
+            let _ = rt.acquire_watched(ns, node, &watcher, true);
+        };
+        (0..namespaces).for_each(&mut submit);
+        let mut submitted = namespaces as u64;
+        for _ in 0..requests {
+            let (id, status) = watcher.recv_timeout(Duration::from_secs(30)).expect("completion");
+            assert_eq!(status, RequestStatus::Completed);
+            if submitted < requests {
+                submit(rt.namespace_of(id).expect("issued here"));
+                submitted += 1;
+            }
+        }
+        let last_completion = Instant::now();
+        assert!(rt.await_settled(Duration::from_secs(30)));
+        let settle = last_completion.elapsed();
+        assert!(
+            settle < Duration::from_millis(100),
+            "settled {settle:?} after the last completion"
+        );
+        let report = rt.shutdown();
+        assert!(report.is_clean(), "oracles: {report:?}");
+        assert_eq!(report.requests_completed, requests);
+        assert!(report.messages_sent > requests, "the token has to move: {report:?}");
+        // Deliveries and acquisitions are the only other commands of an
+        // auto-release, crash-free run; the rest are timers that fired.
+        let fired = report.events_processed - report.messages_sent - report.requests_injected;
+        assert!(fired * 100 < requests, "{fired} timers fired on a calm run: {report:?}");
     }
 
     #[test]

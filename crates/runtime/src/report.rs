@@ -25,10 +25,13 @@ use crate::histogram::LatencySummary;
 pub struct RuntimeReport {
     /// Completed critical sections.
     pub cs_entries: u64,
-    /// Protocol messages sent through the router.
+    /// Protocol messages sent (each delayed by its sender, then filed
+    /// with the destination's worker).
     pub messages_sent: u64,
-    /// Commands processed across all workers (deliveries, timers,
-    /// acquisitions, leases, crashes) — the runtime's events/s numerator.
+    /// Commands processed across all workers (deliveries, acquisitions,
+    /// leases, crashes) plus timers that fired — a cancelled or
+    /// superseded timer is never an event. The runtime's events/s
+    /// numerator.
     pub events_processed: u64,
     /// Requests issued (`acquire` calls plus scheduled arrivals).
     pub requests_injected: u64,

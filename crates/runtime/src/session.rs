@@ -24,7 +24,6 @@
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
-use std::time::Instant;
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use oc_topology::NodeId;
@@ -42,8 +41,8 @@ impl RequestId {
         self.0
     }
 
-    /// Rebuilds an id from its raw index (crate-internal: ids cross the
-    /// router as plain `u64`s).
+    /// Rebuilds an id from its raw index (crate-internal: ids travel in
+    /// worker commands as plain `u64`s).
     pub(crate) fn from_index(index: u64) -> Self {
         RequestId(index)
     }
@@ -53,14 +52,14 @@ impl RequestId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestStatus {
     /// Issued, not yet granted.
-    Pending,
+    Pending = 0,
     /// Inside the critical section right now.
-    Granted,
+    Granted = 1,
     /// Served: the critical section completed (terminal).
-    Completed,
+    Completed = 2,
     /// Never served: its node crashed while it waited, it was issued to a
     /// crashed node, or the runtime shut down first (terminal).
-    Abandoned,
+    Abandoned = 3,
 }
 
 impl RequestStatus {
@@ -74,19 +73,52 @@ impl RequestStatus {
 /// A terminal-state notification: `(request, its terminal status)`.
 pub(crate) type Completion = (RequestId, RequestStatus);
 
+/// One record per request ever issued — the table's only per-request
+/// memory, kept for the runtime's whole life so that every
+/// [`RequestId`] stays answerable. Sixteen bytes.
 #[derive(Debug)]
 struct RequestSlot {
+    /// Issue time in nanoseconds since the runtime's epoch — for
+    /// scheduled arrivals, the *scheduled* delivery instant, so open-loop
+    /// latency includes queueing behind the lock but not the schedule's
+    /// lead time.
+    t0: u64,
     node: NodeId,
-    /// Issue time — for scheduled arrivals, the *scheduled* delivery
-    /// instant, so open-loop latency includes queueing behind the lock
-    /// but not the schedule's lead time.
-    t0: Instant,
-    status: RequestStatus,
-    /// Exit the CS immediately after entry (no wall-clock lease).
-    auto_release: bool,
-    /// Registered completion channel to notify at the terminal
-    /// transition, by watcher index.
-    watcher: Option<u32>,
+    /// Status in the low two bits, the auto-release flag (exit the CS
+    /// immediately after entry, no wall-clock lease) in bit 2, and above
+    /// them the index of the completion channel to notify at the terminal
+    /// transition ([`NO_WATCHER`] for none).
+    packed: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<RequestSlot>() <= 16);
+
+const STATUS_MASK: u32 = 0b11;
+const AUTO_RELEASE: u32 = 0b100;
+const WATCHER_SHIFT: u32 = 3;
+const NO_WATCHER: u32 = u32::MAX >> WATCHER_SHIFT;
+
+impl RequestSlot {
+    fn status(&self) -> RequestStatus {
+        match self.packed & STATUS_MASK {
+            0 => RequestStatus::Pending,
+            1 => RequestStatus::Granted,
+            2 => RequestStatus::Completed,
+            _ => RequestStatus::Abandoned,
+        }
+    }
+
+    fn set_status(&mut self, status: RequestStatus) {
+        self.packed = (self.packed & !STATUS_MASK) | status as u32;
+    }
+
+    fn auto_release(&self) -> bool {
+        self.packed & AUTO_RELEASE != 0
+    }
+
+    fn watcher(&self) -> Option<u32> {
+        Some(self.packed >> WATCHER_SHIFT).filter(|&w| w != NO_WATCHER)
+    }
 }
 
 struct SessionInner {
@@ -101,21 +133,44 @@ struct SessionInner {
     /// registrations keep their identities) and never sent to again.
     watchers: Vec<Option<Sender<Completion>>>,
     histogram: LatencyHistogram,
+    /// Requests not yet terminal (pending or granted).
+    live: u64,
+    /// The node space cut into contiguous buckets (the runtime's
+    /// namespaces): bucket `k` starts at zero-based node index
+    /// `offsets[k]` and runs to the next offset, the last to infinity.
+    offsets: Vec<u32>,
+    /// Running `(injected, completed, abandoned)` per bucket, moved at
+    /// the transitions — the liveness horizon's starvation equation, one
+    /// namespace at a time, without a scan of `slots`.
+    counts: Vec<(u64, u64, u64)>,
 }
 
 impl SessionInner {
-    /// Fires the slot's completion notification, if a watcher is
-    /// registered. Call only after a *terminal* transition — each slot
-    /// notifies at most once because terminal states never transition
-    /// again. A disconnected watcher is pruned: its sender is dropped on
-    /// the first failed send, so a departed client's channel does not
-    /// keep accumulating (and silently failing) terminal notifications
-    /// for the rest of the runtime's life.
-    fn notify(&mut self, id: u64) {
-        let slot = &self.slots[id as usize];
-        debug_assert!(slot.status.is_terminal());
-        let Some(w) = slot.watcher else { return };
-        let status = slot.status;
+    fn bucket_of(&self, node: NodeId) -> usize {
+        self.offsets.partition_point(|&off| off <= node.zero_based()).saturating_sub(1)
+    }
+
+    /// The one terminal transition: records the status, moves the running
+    /// counters, and fires the slot's completion notification if a
+    /// watcher is registered — each slot notifies at most once because
+    /// terminal states never transition again. A disconnected watcher is
+    /// pruned: its sender is dropped on the first failed send, so a
+    /// departed client's channel does not keep accumulating (and silently
+    /// failing) terminal notifications for the rest of the runtime's
+    /// life.
+    fn finish(&mut self, id: u64, status: RequestStatus) {
+        let slot = &mut self.slots[id as usize];
+        debug_assert!(status.is_terminal() && !slot.status().is_terminal());
+        slot.set_status(status);
+        let (node, watcher) = (slot.node, slot.watcher());
+        self.live -= 1;
+        let bucket = self.bucket_of(node);
+        if status == RequestStatus::Completed {
+            self.counts[bucket].1 += 1;
+        } else {
+            self.counts[bucket].2 += 1;
+        }
+        let Some(w) = watcher else { return };
         if let Some(tx) = &self.watchers[w as usize] {
             if tx.send((RequestId(id), status)).is_err() {
                 self.watchers[w as usize] = None;
@@ -137,7 +192,10 @@ pub(crate) struct SessionTable {
 }
 
 impl SessionTable {
-    pub(crate) fn new(n: usize) -> Self {
+    /// A table over `n` nodes whose request accounting is kept per
+    /// bucket of the node space (see `SessionInner::offsets`).
+    pub(crate) fn new(n: usize, offsets: Vec<u32>) -> Self {
+        assert_eq!(offsets.first(), Some(&0), "the first bucket starts at node index 0");
         SessionTable {
             inner: Mutex::new(SessionInner {
                 slots: Vec::new(),
@@ -145,6 +203,9 @@ impl SessionTable {
                 current: vec![None; n],
                 watchers: Vec::new(),
                 histogram: LatencyHistogram::new(),
+                live: 0,
+                counts: vec![(0, 0, 0); offsets.len()],
+                offsets,
             }),
         }
     }
@@ -165,27 +226,29 @@ impl SessionTable {
         let (tx, rx) = unbounded();
         let mut inner = self.lock();
         let idx = inner.watchers.len() as u32;
+        assert!(idx < NO_WATCHER, "watcher index does not fit its request-slot field");
         inner.watchers.push(Some(tx));
         (idx, rx)
     }
 
     /// Opens a new request slot (status `Pending`, not yet activated).
+    /// `t0` is in nanoseconds since the runtime's epoch.
     pub(crate) fn open(
         &self,
         node: NodeId,
-        t0: Instant,
+        t0: u64,
         auto_release: bool,
         watcher: Option<u32>,
     ) -> RequestId {
         let mut inner = self.lock();
         let id = inner.slots.len() as u64;
-        inner.slots.push(RequestSlot {
-            node,
-            t0,
-            status: RequestStatus::Pending,
-            auto_release,
-            watcher,
-        });
+        let packed = RequestStatus::Pending as u32
+            | if auto_release { AUTO_RELEASE } else { 0 }
+            | watcher.unwrap_or(NO_WATCHER) << WATCHER_SHIFT;
+        inner.slots.push(RequestSlot { t0, node, packed });
+        inner.live += 1;
+        let bucket = inner.bucket_of(node);
+        inner.counts[bucket].0 += 1;
         RequestId(id)
     }
 
@@ -202,31 +265,25 @@ impl SessionTable {
     /// if it was still pending.
     pub(crate) fn abandon(&self, id: RequestId) -> bool {
         let mut inner = self.lock();
-        let slot = &mut inner.slots[id.0 as usize];
-        if slot.status == RequestStatus::Pending {
-            slot.status = RequestStatus::Abandoned;
-            inner.notify(id.0);
-            true
-        } else {
-            false
+        let pending = inner.slots[id.0 as usize].status() == RequestStatus::Pending;
+        if pending {
+            inner.finish(id.0, RequestStatus::Abandoned);
         }
+        pending
     }
 
-    /// Grants the node's oldest activated request: pops the FIFO, marks
-    /// it `Granted`, and records its latency. Returns the request, its
-    /// latency, and whether it auto-releases — or `None` if the node
-    /// entered the CS with no session request queued.
-    pub(crate) fn grant(&self, node: NodeId, now: Instant) -> Option<(RequestId, u64, bool)> {
+    /// Grants the node's oldest activated request at `now` (nanoseconds
+    /// since the runtime's epoch): pops the FIFO, marks it `Granted`, and
+    /// records its latency. Returns the request, its latency, and whether
+    /// it auto-releases — or `None` if the node entered the CS with no
+    /// session request queued.
+    pub(crate) fn grant(&self, node: NodeId, now: u64) -> Option<(RequestId, u64, bool)> {
         let mut inner = self.lock();
         let idx = node.zero_based() as usize;
         let id = inner.pending[idx].pop_front()?;
-        let (latency, auto) = {
-            let slot = &mut inner.slots[id as usize];
-            slot.status = RequestStatus::Granted;
-            let latency = u64::try_from(now.saturating_duration_since(slot.t0).as_nanos())
-                .unwrap_or(u64::MAX);
-            (latency, slot.auto_release)
-        };
+        let slot = &mut inner.slots[id as usize];
+        slot.set_status(RequestStatus::Granted);
+        let (latency, auto) = (now.saturating_sub(slot.t0), slot.auto_release());
         inner.current[idx] = Some(id);
         inner.histogram.record(latency);
         Some((RequestId(id), latency, auto))
@@ -236,10 +293,8 @@ impl SessionTable {
     /// one was current.
     pub(crate) fn complete_current(&self, node: NodeId) -> Option<RequestId> {
         let mut inner = self.lock();
-        let idx = node.zero_based() as usize;
-        let id = inner.current[idx].take()?;
-        inner.slots[id as usize].status = RequestStatus::Completed;
-        inner.notify(id);
+        let id = inner.current[node.zero_based() as usize].take()?;
+        inner.finish(id, RequestStatus::Completed);
         Some(RequestId(id))
     }
 
@@ -255,7 +310,7 @@ impl SessionTable {
     pub(crate) fn current_is_auto(&self, node: NodeId) -> bool {
         let inner = self.lock();
         inner.current[node.zero_based() as usize]
-            .is_some_and(|id| inner.slots[id as usize].auto_release)
+            .is_some_and(|id| inner.slots[id as usize].auto_release())
     }
 
     /// The node a request was issued against.
@@ -272,13 +327,11 @@ impl SessionTable {
         let idx = node.zero_based() as usize;
         let mut abandoned = 0;
         while let Some(id) = inner.pending[idx].pop_front() {
-            inner.slots[id as usize].status = RequestStatus::Abandoned;
-            inner.notify(id);
+            inner.finish(id, RequestStatus::Abandoned);
             abandoned += 1;
         }
         if let Some(id) = inner.current[idx].take() {
-            inner.slots[id as usize].status = RequestStatus::Completed;
-            inner.notify(id);
+            inner.finish(id, RequestStatus::Completed);
         }
         abandoned
     }
@@ -290,23 +343,20 @@ impl SessionTable {
     pub(crate) fn finalize(&self) -> u64 {
         let mut inner = self.lock();
         let mut newly_abandoned = 0;
-        let mut newly_terminal = Vec::new();
-        for (id, slot) in inner.slots.iter_mut().enumerate() {
-            match slot.status {
+        // A request opened but not yet activated sits in no queue, so
+        // the stragglers can only be found by a scan — which stops at
+        // the last of them, and which a settled run skips.
+        let mut id = 0;
+        while inner.live > 0 {
+            match inner.slots[id as usize].status() {
                 RequestStatus::Pending => {
-                    slot.status = RequestStatus::Abandoned;
+                    inner.finish(id, RequestStatus::Abandoned);
                     newly_abandoned += 1;
-                    newly_terminal.push(id as u64);
                 }
-                RequestStatus::Granted => {
-                    slot.status = RequestStatus::Completed;
-                    newly_terminal.push(id as u64);
-                }
+                RequestStatus::Granted => inner.finish(id, RequestStatus::Completed),
                 _ => {}
             }
-        }
-        for id in newly_terminal {
-            inner.notify(id);
+            id += 1;
         }
         for queue in &mut inner.pending {
             queue.clear();
@@ -320,51 +370,23 @@ impl SessionTable {
     /// One request's status.
     pub(crate) fn status(&self, id: RequestId) -> Option<RequestStatus> {
         let inner = self.lock();
-        inner.slots.get(id.0 as usize).map(|slot| slot.status)
+        inner.slots.get(id.0 as usize).map(RequestSlot::status)
     }
 
     /// `true` if no request is pending or granted.
     pub(crate) fn all_terminal(&self) -> bool {
-        let inner = self.lock();
-        inner.slots.iter().all(|slot| slot.status.is_terminal())
+        self.lock().live == 0
     }
 
     /// Terminal counts: `(completed, abandoned)`.
     pub(crate) fn terminal_counts(&self) -> (u64, u64) {
         let inner = self.lock();
-        let mut completed = 0;
-        let mut abandoned = 0;
-        for slot in &inner.slots {
-            match slot.status {
-                RequestStatus::Completed => completed += 1,
-                RequestStatus::Abandoned => abandoned += 1,
-                _ => {}
-            }
-        }
-        (completed, abandoned)
+        inner.counts.iter().fold((0, 0), |(c, a), bucket| (c + bucket.1, a + bucket.2))
     }
 
-    /// Per-bucket request accounting for a partition of the node space
-    /// into contiguous ranges: `offsets[k]` is bucket `k`'s first
-    /// zero-based node index, buckets run to the next offset (the last to
-    /// infinity). Returns `(injected, completed, abandoned)` per bucket —
-    /// the liveness horizon's starvation equation, one namespace at a
-    /// time.
-    pub(crate) fn counts_by_bucket(&self, offsets: &[u32]) -> Vec<(u64, u64, u64)> {
-        let inner = self.lock();
-        let mut counts = vec![(0u64, 0u64, 0u64); offsets.len()];
-        for slot in &inner.slots {
-            let idx = slot.node.zero_based();
-            let bucket = offsets.partition_point(|&off| off <= idx).saturating_sub(1);
-            let entry = &mut counts[bucket];
-            entry.0 += 1;
-            match slot.status {
-                RequestStatus::Completed => entry.1 += 1,
-                RequestStatus::Abandoned => entry.2 += 1,
-                _ => {}
-            }
-        }
-        counts
+    /// `(injected, completed, abandoned)` per bucket of the node space.
+    pub(crate) fn counts_by_bucket(&self) -> Vec<(u64, u64, u64)> {
+        self.lock().counts.clone()
     }
 
     /// Requests opened so far.
@@ -387,23 +409,25 @@ impl SessionTable {
 mod tests {
     use super::*;
 
+    /// Four nodes in two buckets: nodes {1, 2} and {3, 4}.
     fn table() -> SessionTable {
-        SessionTable::new(4)
+        SessionTable::new(4, vec![0, 2])
     }
 
     fn open(t: &SessionTable, node: u32) -> RequestId {
-        t.open(NodeId::new(node), Instant::now(), false, None)
+        t.open(NodeId::new(node), 0, false, None)
     }
 
     #[test]
     fn lifecycle_pending_granted_completed() {
         let t = table();
-        let now = Instant::now();
+        let now = 1_000;
         let id = open(&t, 2);
         assert_eq!(t.status(id), Some(RequestStatus::Pending));
         t.activate(id);
-        let (granted, _latency, auto) = t.grant(NodeId::new(2), now).expect("queued request");
+        let (granted, latency, auto) = t.grant(NodeId::new(2), now).expect("queued request");
         assert_eq!(granted, id);
+        assert_eq!(latency, now, "opened at 0 ns, granted at `now` ns");
         assert!(!auto);
         assert_eq!(t.status(id), Some(RequestStatus::Granted));
         assert!(t.is_current(id, NodeId::new(2)));
@@ -416,7 +440,7 @@ mod tests {
     #[test]
     fn grant_order_is_fifo_per_node() {
         let t = table();
-        let now = Instant::now();
+        let now = 1_000;
         let a = open(&t, 1);
         let b = open(&t, 1);
         t.activate(a);
@@ -429,7 +453,7 @@ mod tests {
     #[test]
     fn crash_abandons_pending_and_completes_current() {
         let t = table();
-        let now = Instant::now();
+        let now = 1_000;
         let served = open(&t, 3);
         let starved = open(&t, 3);
         t.activate(served);
@@ -444,7 +468,7 @@ mod tests {
     #[test]
     fn finalize_terminates_everything() {
         let t = table();
-        let now = Instant::now();
+        let now = 1_000;
         let pending = open(&t, 1);
         let granted = open(&t, 2);
         t.activate(granted);
@@ -459,16 +483,16 @@ mod tests {
     #[test]
     fn grant_without_session_request_is_none() {
         let t = table();
-        assert!(t.grant(NodeId::new(1), Instant::now()).is_none());
+        assert!(t.grant(NodeId::new(1), 0).is_none());
         assert!(t.complete_current(NodeId::new(1)).is_none());
     }
 
     #[test]
     fn auto_release_flag_travels_through_grant() {
         let t = table();
-        let id = t.open(NodeId::new(1), Instant::now(), true, None);
+        let id = t.open(NodeId::new(1), 0, true, None);
         t.activate(id);
-        let (_, _, auto) = t.grant(NodeId::new(1), Instant::now()).unwrap();
+        let (_, _, auto) = t.grant(NodeId::new(1), 0).unwrap();
         assert!(auto);
         assert!(t.current_is_auto(NodeId::new(1)));
     }
@@ -477,12 +501,12 @@ mod tests {
     fn watcher_sees_every_terminal_transition_once() {
         let t = table();
         let (w, rx) = t.register_watcher();
-        let completed = t.open(NodeId::new(1), Instant::now(), false, Some(w));
-        let crashed = t.open(NodeId::new(2), Instant::now(), false, Some(w));
-        let finalized = t.open(NodeId::new(3), Instant::now(), false, Some(w));
+        let completed = t.open(NodeId::new(1), 0, false, Some(w));
+        let crashed = t.open(NodeId::new(2), 0, false, Some(w));
+        let finalized = t.open(NodeId::new(3), 0, false, Some(w));
         let unwatched = open(&t, 4);
         t.activate(completed);
-        t.grant(NodeId::new(1), Instant::now()).unwrap();
+        t.grant(NodeId::new(1), 0).unwrap();
         t.complete_current(NodeId::new(1));
         t.activate(crashed);
         t.crash_node(NodeId::new(2));
@@ -513,7 +537,7 @@ mod tests {
         let (w, rx) = t.register_watcher();
         let (live_w, live_rx) = t.register_watcher();
         assert_eq!(t.lock().live_watchers(), 2);
-        let first = t.open(NodeId::new(1), Instant::now(), false, Some(w));
+        let first = t.open(NodeId::new(1), 0, false, Some(w));
         drop(rx);
         // The client left; the first terminal transition hits the dead
         // channel and prunes the sender.
@@ -524,11 +548,11 @@ mod tests {
         // dead watcher id stay pruned (no resurrection, no panic), and a
         // live watcher keeps its identity and its notifications.
         for i in 0..300 {
-            let id = t.open(NodeId::new(1 + (i % 4)), Instant::now(), false, Some(w));
+            let id = t.open(NodeId::new(1 + (i % 4)), 0, false, Some(w));
             t.abandon(id);
         }
         assert_eq!(t.lock().live_watchers(), 1);
-        let watched = t.open(NodeId::new(2), Instant::now(), false, Some(live_w));
+        let watched = t.open(NodeId::new(2), 0, false, Some(live_w));
         t.abandon(watched);
         assert_eq!(live_rx.try_recv().ok(), Some((watched, RequestStatus::Abandoned)));
     }
@@ -552,24 +576,27 @@ mod tests {
         assert_eq!(t.status(id), Some(RequestStatus::Pending));
         // Mutation through the recovered guard still works too.
         t.activate(id);
-        assert!(t.grant(NodeId::new(3), Instant::now()).is_some());
+        assert!(t.grant(NodeId::new(3), 0).is_some());
         assert_eq!(t.status(id), Some(RequestStatus::Granted));
     }
 
     #[test]
     fn counts_by_bucket_partitions_the_node_space() {
         let t = table();
-        // Buckets: nodes {1,2} and {3,4}.
         let a = open(&t, 1);
         let b = open(&t, 3);
         let c = open(&t, 4);
         t.activate(a);
-        t.grant(NodeId::new(1), Instant::now()).unwrap();
+        t.grant(NodeId::new(1), 0).unwrap();
         t.complete_current(NodeId::new(1));
         t.activate(b);
         t.crash_node(NodeId::new(3));
-        let counts = t.counts_by_bucket(&[0, 2]);
-        assert_eq!(counts, vec![(1, 1, 0), (2, 0, 1)]);
+        assert_eq!(t.counts_by_bucket(), vec![(1, 1, 0), (2, 0, 1)]);
+        assert_eq!(t.terminal_counts(), (1, 1));
+        assert!(!t.all_terminal(), "the request at node 4 is still pending");
+        assert_eq!(t.finalize(), 1);
+        assert_eq!(t.counts_by_bucket(), vec![(1, 1, 0), (2, 0, 2)]);
+        assert!(t.all_terminal());
         let _ = c;
     }
 }

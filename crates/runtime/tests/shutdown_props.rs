@@ -1,13 +1,14 @@
 //! Property: `Runtime::shutdown` always joins all workers and leaves no
 //! request in a non-terminal state, whatever instant it is called at —
 //! before anything was served, mid-grant, with messages and timers in
-//! flight, or with a node crashed.
+//! flight, with a node crashed, or with leases, live timers and scheduled
+//! arrivals an hour away sitting in the workers' delay queues.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use oc_algo::{Config, OpenCubeNode};
 use oc_runtime::{Runtime, RuntimeConfig};
-use oc_sim::SimDuration;
+use oc_sim::{ArrivalSchedule, SimDuration, SimTime};
 use oc_topology::NodeId;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -55,5 +56,50 @@ proptest! {
         // The latency histogram saw exactly the completed-through-grant
         // requests (completed = granted-ever after finalization).
         prop_assert!(report.latency.count <= requests as u64);
+    }
+
+    #[test]
+    fn shutdown_discards_what_workers_hold_for_later(
+        (p, workers, waiters, scheduled, delay_us) in
+            (2u32..=4, 1usize..=4, 1u32..=3, 1u64..=20, 0u64..5_000)
+    ) {
+        // Everything a worker keeps for later is live at the cut: a CS
+        // lease (node 1 holds the lock for an hour), the token-wait and
+        // loan timers of the claims queued behind it, and scheduled
+        // arrivals an hour away. A worker asleep until the earliest of
+        // those must still wake for its Stop, and drop them all.
+        let n = 1usize << p;
+        let hour = Duration::from_secs(3_600);
+        let protocol =
+            Config::new(n, SimDuration::from_ticks(40), SimDuration::from_ticks(20))
+                .with_contention_slack(SimDuration::from_ticks(100_000_000));
+        let rt = Runtime::start(
+            RuntimeConfig { workers, cs_duration: hour, ..RuntimeConfig::default() },
+            OpenCubeNode::build_all(protocol),
+        );
+        let _ = rt.acquire(NodeId::new(1));
+        prop_assert!(rt.await_cs_entries(1, Duration::from_secs(30)));
+        for node in 2..=1 + waiters {
+            let _ = rt.acquire(NodeId::new(node));
+        }
+        let hour_ticks = (hour.as_nanos() / RuntimeConfig::default().tick.as_nanos()) as u64;
+        let mut schedule = ArrivalSchedule::new();
+        for k in 0..scheduled {
+            let node = NodeId::new((k % n as u64) as u32 + 1);
+            schedule = schedule.then(SimTime::from_ticks(hour_ticks + k), node);
+        }
+        prop_assert_eq!(rt.schedule_workload(&schedule).len() as u64, scheduled);
+        std::thread::sleep(Duration::from_micros(delay_us));
+        prop_assert!(!rt.settled(), "a lease, timers and arrivals are all outstanding");
+
+        let cut = Instant::now();
+        let report = rt.shutdown();
+        prop_assert!(cut.elapsed() < Duration::from_secs(5), "shutdown took {:?}", cut.elapsed());
+        prop_assert!(!report.drained);
+        let injected = 1 + u64::from(waiters) + scheduled;
+        prop_assert_eq!(report.requests_injected, injected);
+        prop_assert_eq!(report.requests_completed + report.requests_abandoned, injected);
+        prop_assert_eq!(report.requests_completed, 1, "only the lease holder was ever served");
+        prop_assert!(report.mutual_exclusion_held());
     }
 }

@@ -7,9 +7,10 @@
 //! * [`calendar`] — the bucketed calendar backing [`crate::queue::EventQueue`]:
 //!   O(1) near-future scheduling with a heap fallback for far-future events,
 //!   preserving the exact `(time, seq)` pop order of a binary heap.
-//! * [`timers`] — dense `Vec`-indexed per-node timer generations (lazy
-//!   cancellation) shared by the simulator and the threaded runtime,
-//!   replacing per-node hash maps on the hot path.
+//! * [`timers`] — dense `Vec`-indexed per-node timer state: generations
+//!   with lazy cancellation for the simulator's virtual clock, and the
+//!   live-armings-only wall-clock deadline set both real-time substrates
+//!   share.
 //! * [`driver`] — the one place that turns a [`crate::Protocol`]'s emitted
 //!   [`crate::Action`]s into substrate effects. Both [`crate::World`] and
 //!   `oc-runtime` route through [`driver::drive`], so the sans-io contract
@@ -24,4 +25,4 @@ pub mod timers;
 
 pub use calendar::CalendarQueue;
 pub use driver::{drive, drive_recovery, ActionSink};
-pub use timers::{TimerRow, TimerTable};
+pub use timers::{DeadlineSet, TimerTable};

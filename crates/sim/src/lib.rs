@@ -41,7 +41,7 @@ pub mod world;
 
 pub use channel::{CompiledScript, DelayModel, FaultPhase, FaultPhaseKind, FaultScript, LinkFate};
 pub use crash::FailurePlan;
-pub use engine::{drive, drive_recovery, ActionSink, TimerRow, TimerTable};
+pub use engine::{drive, drive_recovery, ActionSink, DeadlineSet, TimerTable};
 pub use hash::Fnv64;
 pub use liveness::{
     check_horizon, check_liveness, isolation_from_components, Horizon, LivenessReport,

@@ -13,8 +13,9 @@
 //! * `enter_cs` — flush an `EnterCs` record to the event log **before**
 //!   granting the front pending session, so a SIGKILL can never produce
 //!   a CS entry the post-hoc oracle replay does not see;
-//! * `set_timer`/`cancel_timer` — a generation-checked wall-clock timer
-//!   heap, ticks mapped by the configured tick duration.
+//! * `set_timer`/`cancel_timer` — the wall-clock [`DeadlineSet`] the
+//!   threaded runtime's workers use (live armings only), ticks mapped by
+//!   the configured tick duration.
 //!
 //! One thread owns the protocol; the acceptor and per-connection reader
 //! threads only convert inbound frames into [`Cmd`]s on a channel. The
@@ -23,7 +24,7 @@
 //! [`Frame::ClientHello`] marks a session-API client (the gateway), and
 //! replies to a client go back over that same connection.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -31,7 +32,9 @@ use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use oc_algo::{Config, Hardening, Msg, OpenCubeNode};
-use oc_sim::{drive, drive_recovery, ActionSink, NodeEvent, Outbox, Protocol, SimDuration};
+use oc_sim::{
+    drive, drive_recovery, ActionSink, DeadlineSet, NodeEvent, Outbox, Protocol, SimDuration,
+};
 use oc_topology::NodeId;
 
 use crate::frame::{read_frame, write_frame};
@@ -163,47 +166,8 @@ struct Pending {
     auto_release: bool,
 }
 
-/// Generation-checked wall-clock timers (the heap may hold stale
-/// entries; the generation map decides which are live — the same
-/// re-arm/cancel semantics as the runtime's timer rows).
-#[derive(Default)]
-struct Timers {
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(Instant, u64, u64)>>,
-    gens: HashMap<u64, u64>,
-    armed: HashMap<u64, u64>,
-}
-
-impl Timers {
-    fn set(&mut self, id: u64, deadline: Instant) {
-        let gen = self.gens.entry(id).and_modify(|g| *g += 1).or_insert(1);
-        self.armed.insert(id, *gen);
-        self.heap.push(std::cmp::Reverse((deadline, id, *gen)));
-    }
-
-    fn cancel(&mut self, id: u64) {
-        self.armed.remove(&id);
-    }
-
-    fn next_deadline(&self) -> Option<Instant> {
-        self.heap.peek().map(|std::cmp::Reverse((at, _, _))| *at)
-    }
-
-    /// Pops every timer due at `now` whose generation is still armed.
-    fn due(&mut self, now: Instant) -> Vec<u64> {
-        let mut fired = Vec::new();
-        while let Some(std::cmp::Reverse((at, id, gen))) = self.heap.peek().copied() {
-            if at > now {
-                break;
-            }
-            self.heap.pop();
-            if self.armed.get(&id) == Some(&gen) {
-                self.armed.remove(&id);
-                fired.push(id);
-            }
-        }
-        fired
-    }
-}
+/// The process's one node, as an owner in its [`DeadlineSet`].
+const ME: u32 = 0;
 
 /// The [`ActionSink`] the socket substrate hands to [`drive`]: borrows
 /// everything *around* the protocol state machine (which `drive` itself
@@ -215,7 +179,7 @@ struct SocketSink<'a> {
     log: &'a mut LogWriter,
     peers: &'a mut PeerLinks,
     clients: &'a ClientTable,
-    timers: &'a mut Timers,
+    timers: &'a mut DeadlineSet,
     pending: &'a mut VecDeque<Pending>,
     granted: &'a mut Option<Pending>,
     cs_entries: &'a mut u64,
@@ -248,11 +212,11 @@ impl ActionSink<Msg> for SocketSink<'_> {
 
     fn set_timer(&mut self, _node: NodeId, id: u64, delay: SimDuration) {
         let wall = self.tick.saturating_mul(u32::try_from(delay.ticks()).unwrap_or(u32::MAX));
-        self.timers.set(id, Instant::now() + wall);
+        self.timers.arm(ME, id, Instant::now() + wall);
     }
 
     fn cancel_timer(&mut self, _node: NodeId, id: u64) {
-        self.timers.cancel(id);
+        self.timers.cancel(ME, id);
     }
 }
 
@@ -265,7 +229,7 @@ struct Proc {
     log: LogWriter,
     peers: PeerLinks,
     clients: ClientTable,
-    timers: Timers,
+    timers: DeadlineSet,
     pending: VecDeque<Pending>,
     granted: Option<Pending>,
     cs_entries: u64,
@@ -430,7 +394,7 @@ pub fn run(opts: NodeOptions) -> io::Result<()> {
         log: LogWriter::open(&opts.log_path)?,
         peers: PeerLinks::new(opts.cluster.clone(), opts.id),
         clients,
-        timers: Timers::default(),
+        timers: DeadlineSet::new(),
         pending: VecDeque::new(),
         granted: None,
         cs_entries: 0,
@@ -471,7 +435,7 @@ pub fn run(opts: NodeOptions) -> io::Result<()> {
             Some(deadline) => {
                 let now = Instant::now();
                 if deadline <= now {
-                    for id in proc.timers.due(now) {
+                    while let Some((_, id)) = proc.timers.pop_due(now) {
                         proc.drive_event(NodeEvent::Timer(id))?;
                     }
                     continue;
@@ -628,20 +592,5 @@ mod tests {
         assert!(parse_args(["--id"].iter().map(|s| (*s).to_owned())).is_err());
         assert!(parse_args(["--wat"].iter().map(|s| (*s).to_owned())).is_err());
         assert!(parse_args(std::iter::empty()).is_err());
-    }
-
-    #[test]
-    fn timers_respect_generations() {
-        let mut timers = Timers::default();
-        let now = Instant::now();
-        timers.set(7, now);
-        timers.set(8, now);
-        timers.cancel(8);
-        timers.set(9, now + Duration::from_secs(60));
-        // Re-arm 7: the first entry's generation goes stale.
-        timers.set(7, now);
-        let fired = timers.due(Instant::now());
-        assert_eq!(fired, vec![7], "cancelled and stale entries must not fire");
-        assert!(timers.next_deadline().unwrap() > now + Duration::from_secs(59));
     }
 }
