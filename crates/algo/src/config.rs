@@ -55,6 +55,12 @@ pub enum Hardening {
     Quorum,
 }
 
+/// Margin added to every timeout so that an event taking *exactly* its
+/// worst-case time still beats the timer. The paper treats δ as a strict
+/// bound; with δ attainable (as in our simulator), a `test` round trip
+/// can take exactly `2δ` and must not lose the race against a `2δ` timer.
+const TIMEOUT_MARGIN: SimDuration = SimDuration::from_ticks(1);
+
 /// Configuration shared by all nodes of one open-cube system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Config {
@@ -76,12 +82,6 @@ pub struct Config {
     /// real deployments must budget for the expected backlog. Expressed as
     /// a duration added on top of `2·pmax·δ`.
     pub contention_slack: SimDuration,
-    /// Margin added to every timeout so that an event taking *exactly* its
-    /// worst-case time still beats the timer. The paper treats δ as a
-    /// strict bound; with δ attainable (as in our simulator), a `test`
-    /// round trip can take exactly `2δ` and must not lose the race against
-    /// a `2δ` timer.
-    pub timeout_margin: SimDuration,
     /// Oracle self-test knob: a deliberately disabled protocol obligation
     /// (see [`Mutation`]). Always [`Mutation::None`] outside explorer
     /// self-checks.
@@ -107,7 +107,6 @@ impl Config {
             cs_estimate,
             fault_tolerance: true,
             contention_slack: SimDuration::ZERO,
-            timeout_margin: SimDuration::from_ticks(1),
             mutation: Mutation::None,
             hardening: Hardening::None,
         }
@@ -159,14 +158,14 @@ impl Config {
     /// configured contention slack.
     #[must_use]
     pub fn token_wait_timeout(&self) -> SimDuration {
-        self.delta * (2 * u64::from(self.pmax())) + self.contention_slack + self.timeout_margin
+        self.delta * (2 * u64::from(self.pmax())) + self.contention_slack + TIMEOUT_MARGIN
     }
 
     /// The root's loan timeout when the token went directly to the source:
     /// `2δ + e` (Section 5, case j = s), plus contention slack.
     #[must_use]
     pub fn loan_timeout_direct(&self) -> SimDuration {
-        self.delta * 2 + self.cs_estimate + self.contention_slack + self.timeout_margin
+        self.delta * 2 + self.cs_estimate + self.contention_slack + TIMEOUT_MARGIN
     }
 
     /// The root's loan timeout when the token travels through proxies:
@@ -176,20 +175,20 @@ impl Config {
         self.delta * (u64::from(self.pmax()) + 1)
             + self.cs_estimate
             + self.contention_slack
-            + self.timeout_margin
+            + TIMEOUT_MARGIN
     }
 
     /// How long to wait for an enquiry reply before concluding the source
     /// is down: `2δ`.
     #[must_use]
     pub fn enquiry_timeout(&self) -> SimDuration {
-        self.delta * 2 + self.timeout_margin
+        self.delta * 2 + TIMEOUT_MARGIN
     }
 
     /// How long each `search_father` phase waits for answers: `2δ`.
     #[must_use]
     pub fn search_phase_timeout(&self) -> SimDuration {
-        self.delta * 2 + self.timeout_margin
+        self.delta * 2 + TIMEOUT_MARGIN
     }
 
     /// How many try-later re-probe rounds one search phase tolerates
@@ -226,7 +225,7 @@ impl Config {
     /// the farthest acker, like the enquiry and search-phase timers.
     #[must_use]
     pub fn mint_timeout(&self) -> SimDuration {
-        self.delta * 2 + self.timeout_margin
+        self.delta * 2 + TIMEOUT_MARGIN
     }
 
     /// Ballot retries within one mint attempt before the minter parks

@@ -4,9 +4,9 @@
 //! auto-release acquisitions must stay under a small fixed allocation
 //! budget per acquisition — and must not keep what it allocates.
 //!
-//! Unlike the simulator's gate this is a *bound*, not zero: the vendored
-//! `crossbeam-channel` is a std-mpsc wrapper that heap-allocates as it
-//! sends, one acquisition crosses at least two channels (client →
+//! Unlike the simulator's gate this is a *bound*, not zero: a
+//! `std::sync::mpsc` channel heap-allocates as it sends (one block per
+//! 31 messages), one acquisition crosses at least two channels (client →
 //! worker, worker → watcher), and on the contended stretches every
 //! message for another worker's node rides a `Mail::Many` burst whose
 //! `Vec` is allocated by the sender and freed by the receiver. The

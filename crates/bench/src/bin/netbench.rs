@@ -15,16 +15,18 @@
 //! the per-process event logs and judges them with the unmodified
 //! simulator oracles. Any violation — or a run that fails to settle —
 //! exits 1. With `--differential`, every cell's scenario also runs
-//! through the in-process runtime and the outcomes must conform.
+//! through the threaded runtime (`oc_check::run_scenario_runtime`, same
+//! tick) and the two outcomes must conform.
 
 use std::time::Duration;
 
+use oc_algo::Mutation;
 use oc_bench::cli::FlagParser;
 use oc_bench::orchestrator::{
-    net_artifact, net_battery, run_deployment, sibling_node_binary, NetCell, TransportKind,
+    net_artifact, net_battery, run_scenario_sockets, sibling_node_binary, NetCell, TransportKind,
     NET_TICK,
 };
-use oc_check::netgate::{conforms, run_inprocess, GateKill, GateScenario};
+use oc_check::{conforms, run_scenario_runtime, GateKill, GateScenario, RuntimeProfile};
 
 const USAGE: &str = "\
 Usage: netbench [FLAGS]
@@ -188,13 +190,15 @@ fn main() {
     let mut rows = Vec::with_capacity(cells.len());
     let mut divergences = 0usize;
     for cell in &cells {
-        let row = match run_deployment(&node_bin, cell) {
-            Ok(row) => row,
-            Err(err) => {
-                eprintln!("error: deployment failed: {err}");
-                std::process::exit(1);
-            }
-        };
+        let scenario = cell.scenario.scenario();
+        let row =
+            match run_scenario_sockets(&node_bin, cell.transport, &scenario, cell.settle_timeout) {
+                Ok(row) => row,
+                Err(err) => {
+                    eprintln!("error: deployment failed: {err}");
+                    std::process::exit(1);
+                }
+            };
         println!(
             "{:>5} {:>6} {:>9} {:>9} {:>6} {:>7} {:>8} {:>9.2} {:>10.1} {:>10.1} {:>10.1} {:>6}",
             row.transport,
@@ -202,8 +206,8 @@ fn main() {
             row.injected,
             row.served,
             row.abandoned,
-            row.crashes,
-            row.recoveries,
+            row.outcome.crashes,
+            row.outcome.recoveries,
             row.wall_secs,
             row.cs_per_sec,
             row.p50_us,
@@ -211,11 +215,14 @@ fn main() {
             if row.clean() { "yes" } else { "NO" },
         );
         if options.differential {
-            let inprocess = run_inprocess(&cell.scenario, NET_TICK, 4, cell.settle_timeout);
-            match conforms(&inprocess, &row.outcome()) {
+            let profile =
+                RuntimeProfile { tick: NET_TICK, workers: 4, settle_timeout: cell.settle_timeout };
+            let inprocess = run_scenario_runtime(&scenario, Mutation::None, &profile);
+            let both = [("in-process", &inprocess), ("socket", &row.outcome)];
+            match conforms(scenario.arrivals.len(), &both) {
                 Ok(()) => println!(
                     "      conformance ok: in-process served {} == socket served {}",
-                    inprocess.served, row.served
+                    inprocess.cs_entries, row.served
                 ),
                 Err(why) => {
                     eprintln!("      CONFORMANCE FAILURE: {why}");

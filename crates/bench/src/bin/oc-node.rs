@@ -12,7 +12,7 @@ fn main() {
             eprintln!(
                 "usage: oc-node --id <i> --n <n> --transport <tcp:host:port|uds:dir> \
                  --log <path> [--delta <ticks>] [--cs <ticks>] [--slack <ticks>] \
-                 [--tick-ns <ns>] [--hardened] [--recover]"
+                 [--tick-ns <ns>] [--recover]"
             );
             std::process::exit(2);
         }

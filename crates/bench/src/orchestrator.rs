@@ -3,12 +3,17 @@
 //! gateway connections, SIGKILLs and restarts processes on schedule,
 //! and judges the run post hoc with the unmodified `oc-sim` oracles.
 //!
-//! The scenario language is `oc_check::netgate::GateScenario` — the
-//! same plain-ticks data the in-process differential twin consumes —
-//! so a conformance test runs *one* scenario through both substrates
-//! and compares [`GateOutcome`]s. On top of that, this module measures
-//! the deployment (scheduled-arrival-to-grant latency quantiles,
-//! throughput) and renders `BENCH_NET.json` rows.
+//! [`run_scenario_sockets`] is the third runner of `oc_check`'s one
+//! scenario language: it plays an `oc_check::Scenario` — the arrival
+//! list and **every** entry of the crash list, so multi-kill timelines
+//! are data — and answers with the same `oc_check::Outcome` the
+//! simulator and the threaded runtime give (which counters a socket
+//! outcome leaves at zero is written on that type). What the sockets
+//! cannot honour yet, a fault script (there is no link shim), is
+//! refused, never run and reported clean. On top of the verdict this
+//! module measures the deployment (scheduled-arrival-to-grant latency
+//! quantiles, throughput) and renders `BENCH_NET.json` rows; a
+//! [`NetCell`] names its scenario by an `oc_check::GateScenario` shape.
 //!
 //! Judgement pipeline, after the run: read every node's event log plus
 //! the orchestrator's own log of synthesized `Crash` records (sound to
@@ -24,11 +29,11 @@ use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use oc_check::netgate::{GateOutcome, GateScenario};
-use oc_sim::{check_horizon, Horizon, NodeAtHorizon};
+use oc_check::{GateScenario, Outcome, Scenario};
+use oc_sim::{check_horizon, ticks_to_wall, Horizon, NodeAtHorizon};
 use oc_topology::NodeId;
 use oc_transport::{
     frame::{read_frame, write_frame},
@@ -70,15 +75,18 @@ impl TransportKind {
 pub struct NetCell {
     /// Transport under test.
     pub transport: TransportKind,
-    /// The scenario (sizes, arrivals, optional SIGKILL cycle) — shared
-    /// verbatim with the in-process differential twin.
+    /// The shape of the scenario (sizes, arrivals, optional SIGKILL
+    /// cycle); [`run_deployment`] plays its `scenario()`.
     pub scenario: GateScenario,
     /// How long to wait for all requests to finish and the cluster to
     /// settle before declaring the horizon unsettled.
     pub settle_timeout: Duration,
 }
 
-/// One row of the E13 table / `BENCH_NET.json`.
+/// One row of the E13 table / `BENCH_NET.json`: the deployment's
+/// verdict, and beside it what only a timed run of real processes has —
+/// wall time, rate and grant latency. The counters repeated from
+/// [`NetRow::outcome`] are the columns of the table.
 #[derive(Debug, Clone)]
 pub struct NetRow {
     /// Transport label.
@@ -87,14 +95,11 @@ pub struct NetRow {
     pub n: usize,
     /// Requests injected through the gateway.
     pub injected: u64,
-    /// Critical sections witnessed by the merged logs.
+    /// Critical sections witnessed by the merged logs
+    /// (`outcome.cs_entries`).
     pub served: u64,
     /// Requests abandoned (killed node, dead gateway link, shutdown).
     pub abandoned: u64,
-    /// SIGKILLs delivered.
-    pub crashes: u64,
-    /// Process restarts.
-    pub recoveries: u64,
     /// Wall-clock seconds from the first arrival to the last terminal
     /// completion.
     pub wall_secs: f64,
@@ -112,28 +117,17 @@ pub struct NetRow {
     pub safety_violations: usize,
     /// Liveness violations at the horizon.
     pub liveness_violations: usize,
-    /// The run settled before its timeout.
+    /// The run settled before its timeout (`outcome.drained`).
     pub settled: bool,
+    /// The verdict, in the shape every substrate answers with.
+    pub outcome: Outcome,
 }
 
 impl NetRow {
     /// Clean: settled with zero oracle violations.
     #[must_use]
     pub fn clean(&self) -> bool {
-        self.settled && self.safety_violations == 0 && self.liveness_violations == 0
-    }
-
-    /// The row reduced to the differential-comparison payload.
-    #[must_use]
-    pub fn outcome(&self) -> GateOutcome {
-        GateOutcome {
-            injected: self.injected,
-            served: self.served,
-            abandoned: self.abandoned,
-            safety_violations: self.safety_violations,
-            liveness_violations: self.liveness_violations,
-            settled: self.settled,
-        }
+        self.settled && self.outcome.is_clean()
     }
 
     /// Serializes the row for `BENCH_NET.json`.
@@ -145,8 +139,8 @@ impl NetRow {
             ("injected", Value::UInt(self.injected)),
             ("served", Value::UInt(self.served)),
             ("abandoned", Value::UInt(self.abandoned)),
-            ("crashes", Value::UInt(self.crashes)),
-            ("recoveries", Value::UInt(self.recoveries)),
+            ("crashes", Value::UInt(self.outcome.crashes)),
+            ("recoveries", Value::UInt(self.outcome.recoveries)),
             ("wall_secs", Value::Num(self.wall_secs)),
             ("cs_per_sec", Value::Num(self.cs_per_sec)),
             ("p50_us", Value::Num(self.p50_us)),
@@ -218,22 +212,14 @@ struct Req {
 /// One step of the orchestrator's wall-clock timeline.
 #[derive(Debug, Clone, Copy)]
 enum Step {
-    Arrive { req: usize, node: u32, at: u64 },
-    Kill { node: u32, at: u64 },
-    Respawn { node: u32, at: u64 },
-}
-
-impl Step {
-    fn at(&self) -> u64 {
-        match self {
-            Step::Arrive { at, .. } | Step::Kill { at, .. } | Step::Respawn { at, .. } => *at,
-        }
-    }
+    Arrive { node: u32 },
+    Kill { node: u32 },
+    Respawn { node: u32 },
 }
 
 /// The live deployment the orchestrator manages.
-struct Deployment {
-    scenario: GateScenario,
+struct Deployment<'a> {
+    scenario: &'a Scenario,
     cluster: Cluster,
     node_bin: PathBuf,
     workdir: PathBuf,
@@ -251,13 +237,13 @@ struct Deployment {
     recoveries: u64,
 }
 
-impl Deployment {
+impl Deployment<'_> {
     fn log_path(&self, id: u32) -> PathBuf {
         self.workdir.join(format!("node-{id}.log"))
     }
 
     fn spawn_node(&self, id: u32, recover: bool) -> io::Result<Child> {
-        let s = &self.scenario;
+        let s = self.scenario;
         let mut cmd = Command::new(&self.node_bin);
         cmd.arg("--id")
             .arg(id.to_string())
@@ -268,11 +254,11 @@ impl Deployment {
             .arg("--log")
             .arg(self.log_path(id))
             .arg("--delta")
-            .arg(s.delta_ticks.to_string())
+            .arg(s.delay_max.to_string())
             .arg("--cs")
             .arg(s.cs_ticks.to_string())
             .arg("--slack")
-            .arg(s.slack_ticks.to_string())
+            .arg(s.contention_slack.to_string())
             .arg("--tick-ns")
             .arg(u64::try_from(NET_TICK.as_nanos()).unwrap_or(u64::MAX).to_string())
             .stdin(Stdio::null())
@@ -359,8 +345,12 @@ impl Deployment {
         }
     }
 
+    /// A no-op on a node that is already down, as in the simulator.
     fn kill(&mut self, node: u32) -> io::Result<()> {
         let idx = (node - 1) as usize;
+        if self.dead[idx] {
+            return Ok(());
+        }
         if let Some(child) = self.children[idx].as_mut() {
             // SIGKILL on unix — the fail-stop crash model, no grace.
             let _ = child.kill();
@@ -388,8 +378,12 @@ impl Deployment {
         Ok(())
     }
 
+    /// A no-op on a node that is up, as in the simulator.
     fn respawn(&mut self, node: u32) -> io::Result<()> {
         let idx = (node - 1) as usize;
+        if !self.dead[idx] {
+            return Ok(());
+        }
         self.children[idx] = Some(self.spawn_node(node, true)?);
         self.conns[idx] = Some(self.connect_gateway(node)?);
         self.dead[idx] = false;
@@ -434,20 +428,55 @@ impl Deployment {
     }
 }
 
-/// Runs one deployment cell end to end and reports its row.
+/// Runs one deployment cell end to end and reports its row:
+/// [`run_scenario_sockets`] on the cell's `scenario.scenario()`.
+///
+/// # Errors
+///
+/// As [`run_scenario_sockets`].
+pub fn run_deployment(node_bin: &Path, cell: &NetCell) -> io::Result<NetRow> {
+    run_scenario_sockets(node_bin, cell.transport, &cell.scenario.scenario(), cell.settle_timeout)
+}
+
+/// Plays `scenario` over one `oc-node` process per node and reports the
+/// verdict with the run's timing.
+///
+/// The timeline is `scenario.arrivals` (each an auto-release `Acquire`
+/// through its node's gateway, ids in injection order — list order, for
+/// a tick-sorted list) plus, for every entry of `scenario.crashes`, a
+/// SIGKILL at `at` and a `--recover` respawn at `recover_at` (none for a
+/// permanent crash), walked in tick order at [`NET_TICK`] per tick;
+/// arrivals go before kills of the same tick. A request at a node that
+/// is down is abandoned at injection. `settle_timeout` bounds the wait
+/// for the last completions and for the cluster to settle.
 ///
 /// `node_bin` is the `oc-node` executable (tests:
 /// `env!("CARGO_BIN_EXE_oc-node")`; binaries: [`sibling_node_binary`]).
 ///
 /// # Errors
 ///
-/// Propagates orchestration I/O failures (spawn, connect, log files).
-/// Oracle violations are not errors — they come back in the row.
-pub fn run_deployment(node_bin: &Path, cell: &NetCell) -> io::Result<NetRow> {
-    let s = cell.scenario.clone();
+/// `InvalidInput`, before anything is spawned, for a scenario with an
+/// active fault script: nothing between the processes can drop, cut or
+/// duplicate a frame yet, and running it unfaulted would report a
+/// verdict about a different scenario. Otherwise propagates
+/// orchestration I/O failures (spawn, connect, log files). Oracle
+/// violations are not errors — they come back in the row.
+pub fn run_scenario_sockets(
+    node_bin: &Path,
+    transport: TransportKind,
+    scenario: &Scenario,
+    settle_timeout: Duration,
+) -> io::Result<NetRow> {
+    let s = scenario;
+    if s.fault_script().enabled() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "the socket deployment has no link shim: a scenario with a fault script cannot run",
+        ));
+    }
     let workdir = fresh_workdir(s.seed)?;
-    let cluster = make_cluster(cell.transport, &workdir, s.n, s.seed)?;
-    let (tx, rx) = unbounded();
+    let cluster = make_cluster(transport, &workdir, s.n, s.seed)?;
+    let (tx, rx) = channel();
     let orch_log_path = workdir.join("orchestrator.log");
     let mut deploy = Deployment {
         cluster,
@@ -456,7 +485,7 @@ pub fn run_deployment(node_bin: &Path, cell: &NetCell) -> io::Result<NetRow> {
         conns: (0..s.n).map(|_| None).collect(),
         rx,
         tx,
-        reqs: Vec::new(),
+        reqs: Vec::with_capacity(s.arrivals.len()),
         statuses: vec![None; s.n],
         dead: vec![false; s.n],
         recovered: vec![false; s.n],
@@ -465,7 +494,7 @@ pub fn run_deployment(node_bin: &Path, cell: &NetCell) -> io::Result<NetRow> {
         crashes: 0,
         recoveries: 0,
         workdir: workdir.clone(),
-        scenario: s.clone(),
+        scenario,
     };
 
     // Boot: every process up and listening before the first arrival.
@@ -476,28 +505,25 @@ pub fn run_deployment(node_bin: &Path, cell: &NetCell) -> io::Result<NetRow> {
         deploy.conns[(id - 1) as usize] = Some(deploy.connect_gateway(id)?);
     }
 
-    // Timeline: arrivals plus the kill/heal cycle, in tick order.
-    let schedule = s.schedule();
-    let mut steps: Vec<Step> = schedule
-        .arrivals()
-        .iter()
-        .enumerate()
-        .map(|(req, (at, node))| Step::Arrive { req, node: node.get(), at: at.ticks() })
-        .collect();
-    if let Some(k) = s.kill {
-        steps.push(Step::Kill { node: k.node, at: k.at_ticks });
-        steps.push(Step::Respawn { node: k.node, at: k.recover_ticks });
+    // Timeline: arrivals, then every crash's kill and restart; the sort
+    // is stable, so arrivals precede kills of the same tick.
+    let mut steps: Vec<(u64, Step)> =
+        s.arrivals.iter().map(|(at, node)| (*at, Step::Arrive { node: *node })).collect();
+    for crash in &s.crashes {
+        steps.push((crash.at, Step::Kill { node: crash.node }));
+        if let Some(recover_at) = crash.recover_at {
+            steps.push((recover_at, Step::Respawn { node: crash.node }));
+        }
     }
-    steps.sort_by_key(Step::at);
+    steps.sort_by_key(|(at, _)| *at);
 
-    let tick_nanos = u64::try_from(NET_TICK.as_nanos()).unwrap_or(u64::MAX);
     let start = Instant::now();
-    for step in steps {
-        let deadline = start + Duration::from_nanos(tick_nanos.saturating_mul(step.at()));
+    for (at, step) in steps {
+        let deadline = start + ticks_to_wall(at, NET_TICK);
         deploy.drain_until(deadline);
         match step {
-            Step::Arrive { req, node, at: _ } => {
-                debug_assert_eq!(req, deploy.reqs.len());
+            Step::Arrive { node } => {
+                let req = deploy.reqs.len();
                 deploy.reqs.push(Req {
                     node,
                     scheduled: deadline,
@@ -514,14 +540,14 @@ pub fn run_deployment(node_bin: &Path, cell: &NetCell) -> io::Result<NetRow> {
                     deploy.reqs[req].terminal = Some(false);
                 }
             }
-            Step::Kill { node, at: _ } => deploy.kill(node)?,
-            Step::Respawn { node, at: _ } => deploy.respawn(node)?,
+            Step::Kill { node } => deploy.kill(node)?,
+            Step::Respawn { node } => deploy.respawn(node)?,
         }
     }
 
     // Completion: every request terminal (served, or abandoned by a
     // kill), bounded by the settle timeout.
-    let settle_deadline = Instant::now() + cell.settle_timeout;
+    let settle_deadline = Instant::now() + settle_timeout;
     while deploy.reqs.iter().any(|r| r.terminal.is_none()) && Instant::now() < settle_deadline {
         deploy.drain_until(Instant::now() + Duration::from_millis(20));
     }
@@ -572,11 +598,12 @@ pub fn run_deployment(node_bin: &Path, cell: &NetCell) -> io::Result<NetRow> {
     let merged = merge(logs);
     let verdict = replay(&merged, census);
 
+    let injected = deploy.reqs.len() as u64;
     let abandoned = deploy.reqs.iter().filter(|r| r.terminal != Some(true)).count() as u64;
     let horizon = Horizon {
         drained: settled,
         events: merged.len() as u64,
-        injected: deploy.reqs.len() as u64,
+        injected,
         served: verdict.served,
         abandoned,
         unreachable: 0,
@@ -593,7 +620,19 @@ pub fn run_deployment(node_bin: &Path, cell: &NetCell) -> io::Result<NetRow> {
             })
             .collect(),
     };
-    let liveness = check_horizon(&horizon);
+    // What the logs and the status answers cannot say stays zero (see
+    // `Outcome`).
+    let outcome = Outcome {
+        drained: settled,
+        events: horizon.events,
+        cs_entries: verdict.served,
+        crashes: deploy.crashes,
+        recoveries: deploy.recoveries,
+        abandoned,
+        safety: verdict.safety,
+        liveness: check_horizon(&horizon),
+        ..Outcome::default()
+    };
 
     let mut lat: Vec<u64> = deploy
         .reqs
@@ -617,22 +656,21 @@ pub fn run_deployment(node_bin: &Path, cell: &NetCell) -> io::Result<NetRow> {
 
     let wall_secs = work_wall.as_secs_f64();
     Ok(NetRow {
-        transport: cell.transport.label(),
+        transport: transport.label(),
         n: s.n,
-        injected: deploy.reqs.len() as u64,
-        served: verdict.served,
+        injected,
+        served: outcome.cs_entries,
         abandoned,
-        crashes: deploy.crashes,
-        recoveries: deploy.recoveries,
         wall_secs,
-        cs_per_sec: if wall_secs > 0.0 { verdict.served as f64 / wall_secs } else { 0.0 },
+        cs_per_sec: if wall_secs > 0.0 { outcome.cs_entries as f64 / wall_secs } else { 0.0 },
         p50_us: quantile(0.50),
         p99_us: quantile(0.99),
         max_us: quantile(1.0),
         samples: lat.len() as u64,
-        safety_violations: verdict.safety.violations().len(),
-        liveness_violations: liveness.violations().len(),
+        safety_violations: outcome.safety.violations().len(),
+        liveness_violations: outcome.liveness.violations().len(),
         settled,
+        outcome,
     })
 }
 
@@ -641,7 +679,7 @@ pub fn run_deployment(node_bin: &Path, cell: &NetCell) -> io::Result<NetRow> {
 /// counts for CI smoke.
 #[must_use]
 pub fn net_battery(quick: bool, seed: u64) -> Vec<NetCell> {
-    use oc_check::netgate::GateKill;
+    use oc_check::GateKill;
     let scenario = |n: usize, requests: usize, kill: Option<GateKill>, seed: u64| GateScenario {
         n,
         requests,
@@ -702,6 +740,7 @@ pub fn net_artifact(seed: u64, quick: bool, rows: &[NetRow]) -> Value {
         ("violations", Value::UInt(violations)),
         ("all_settled", Value::Bool(rows.iter().all(|r| r.settled))),
         ("tick_us", Value::Num(NET_TICK.as_secs_f64() * 1e6)),
+        ("host", crate::host_info()),
         ("rows", Value::Arr(rows.iter().map(NetRow::to_json).collect())),
     ])
 }
@@ -721,7 +760,7 @@ mod tests {
         // Kill cells always spare their victim in the schedule.
         for cell in quick.iter().chain(full.iter()) {
             if let Some(k) = cell.scenario.kill {
-                assert!(cell.scenario.schedule().arrivals().iter().all(|(_, v)| v.get() != k.node));
+                assert!(cell.scenario.scenario().arrivals.iter().all(|(_, v)| *v != k.node));
                 assert!(k.recover_ticks > k.at_ticks);
             }
         }
@@ -731,8 +770,6 @@ mod tests {
             injected: 10,
             served: 10,
             abandoned: 0,
-            crashes: 1,
-            recoveries: 1,
             wall_secs: 1.0,
             cs_per_sec: 10.0,
             p50_us: 100.0,
@@ -742,14 +779,15 @@ mod tests {
             safety_violations: 0,
             liveness_violations: 0,
             settled: true,
+            outcome: Outcome { drained: true, cs_entries: 10, crashes: 1, ..Outcome::default() },
         };
         assert!(row.clean());
-        assert_eq!(row.outcome().served, 10);
         let doc = net_artifact(9, true, &[row]);
         let text = doc.render();
         crate::json::validate(&text).expect("artifact must validate");
-        assert!(text.contains("\"experiment\":\"net\""));
+        assert!(text.contains("\"experiment\":\"net\"") && text.contains("\"host\":{"));
         assert!(text.contains("\"transport\":\"uds\""));
+        assert!(text.contains("\"crashes\":1"));
     }
 
     #[test]

@@ -107,20 +107,10 @@ where
 
 /// Derives a cell's RNG seed from the master seed and the cell's stable
 /// identity (an experiment-chosen stream number: typically the cell index,
-/// or a hash of `(n, seed_index)`).
-///
-/// This is a splitmix64 finalizer over the golden-ratio-scrambled stream:
-/// statistically independent streams for adjacent identities, and a pure
-/// function of `(master, stream)` — reordering or resharding cells can
-/// never change a cell's seed.
-#[must_use]
-pub fn derive_seed(master: u64, stream: u64) -> u64 {
-    let mut z = master ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// or a hash of `(n, seed_index)`) — a pure function of `(master,
+/// stream)`, so reordering or resharding cells can never change a cell's
+/// seed. The explorer's scenario seeds are the same derivation.
+pub use oc_check::scenario_seed as derive_seed;
 
 /// Composes a stable stream number from an experiment tag and up to two
 /// cell coordinates, for use with [`derive_seed`]. The tag keeps different

@@ -42,11 +42,25 @@
 //! the `explore` binary of `oc-bench`, which drives this crate through
 //! `oc_bench::sweep`.
 //!
-//! Scenarios also run against the *threaded* lock service:
-//! [`run_scenario_runtime`] maps a scenario's ticks to wall time and
-//! plays it through `oc_runtime::Runtime`, returning the same
-//! [`Outcome`] judged by the same oracles — the bridge the sim-vs-
-//! runtime conformance suite is built on.
+//! **One scenario language, one verdict, three runners.** A [`Scenario`]
+//! is the only description of adversarial work in the tree and an
+//! [`Outcome`] the only answer, whatever carries the messages:
+//!
+//! * [`run_scenario`] — the deterministic simulator; fills every field
+//!   of the outcome, bit-identically per scenario;
+//! * [`run_scenario_runtime`] — the threaded lock service
+//!   (`oc_runtime::Runtime`), ticks mapped to wall time by a
+//!   [`RuntimeProfile`];
+//! * `oc_bench::orchestrator::run_scenario_sockets` — one `oc-node`
+//!   process per node over TCP or Unix sockets, crashes by SIGKILL (it
+//!   lives in `oc-bench` because it needs the node binary).
+//!
+//! They are plain functions of one shape, not a trait: no caller is
+//! generic over substrates. The socket deployment's cells are
+//! [`GateScenario`] shapes that materialise into scenarios, and
+//! [`conforms`] is the contract the three outcomes are held to (see
+//! [`netgate`]). Which counters a runtime or socket outcome cannot know
+//! is written on [`Outcome`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,7 +77,7 @@ mod threaded;
 pub use coverage::{Corpus, CorpusEntry, Coverage};
 pub use guided::{explore_guided, explore_guided_with, GuidedConfig, GuidedEpoch, GuidedResult};
 pub use mutate::mutate;
-pub use netgate::{conforms, run_inprocess, GateKill, GateOutcome, GateScenario};
+pub use netgate::{conforms, GateKill, GateScenario};
 pub use run::{
     run_scenario, run_scenario_hardened, run_scenario_observed, run_scenario_with, CoverageStats,
     Outcome,
@@ -117,9 +131,10 @@ pub const HEALED_PARTITION_PINS: &[(&str, &str)] = &[
 ];
 
 /// Derives the i-th scenario seed from a master seed: a splitmix64
-/// finalizer over the golden-ratio-scrambled index, the same construction
-/// as `oc_bench::sweep::derive_seed` (duplicated here because `oc-bench`
-/// depends on this crate, not the other way around).
+/// finalizer over the golden-ratio-scrambled index — statistically
+/// independent streams for adjacent indices, and a pure function of
+/// `(master, index)`. `oc_bench::sweep::derive_seed` is this function
+/// (`oc-bench` depends on this crate, not the other way around).
 #[must_use]
 pub fn scenario_seed(master: u64, index: u64) -> u64 {
     let mut z = master ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);

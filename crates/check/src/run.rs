@@ -1,6 +1,6 @@
 //! Playing one scenario through the deterministic engine and judging it.
 
-use oc_algo::{Config, Hardening, Mutation, NodeStats, OpenCubeNode};
+use oc_algo::{Hardening, Mutation, NodeStats, OpenCubeNode};
 use oc_sim::{
     check_liveness, DelayModel, LivenessReport, MsgKind, OracleReport, Protocol, SimConfig,
     SimDuration, SimTime, World,
@@ -46,13 +46,29 @@ pub struct CoverageStats {
     pub unreachable: u64,
 }
 
-/// The oracle verdict and headline counters of one scenario run.
+/// The oracle verdict and headline counters of one scenario run — the
+/// one verdict type of all three substrates.
 ///
-/// Equal scenarios produce equal outcomes — `PartialEq` over the whole
-/// struct is the "replays byte-identically" check, and
-/// [`Outcome::fingerprint`] folds it into one `u64` for aggregate
-/// summaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// From the simulator ([`run_scenario`]) every field is filled and equal
+/// scenarios produce equal outcomes — `PartialEq` over the whole struct
+/// is the "replays byte-identically" check, and [`Outcome::fingerprint`]
+/// folds it into one `u64` for aggregate summaries.
+///
+/// From the threaded runtime ([`crate::run_scenario_runtime`]) and from
+/// real processes (`oc_bench::orchestrator::run_scenario_sockets`) an
+/// outcome is verdict evidence, not a fingerprint: real clocks, so equal
+/// scenarios give equal *verdicts* on healthy runs, not equal counters.
+/// `events` counts what the substrate calls an event (worker-processed
+/// commands; merged log records), and what a substrate cannot know it
+/// leaves at zero:
+///
+/// * both: `coverage` (per-kind sends, protocol signals) and the mint
+///   traffic `epoch_discards`, `mint_requests`, `mint_acks` — neither
+///   keeps per-kind accounting or reads node state after the run;
+/// * sockets also: `messages` (no process counts its sends) and
+///   `lost_to_faults`, `lost_to_partition`, `duplicated` (there is no
+///   link shim yet; a scenario with an active fault script is refused).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Outcome {
     /// `true` if the run reached quiescence under its event cap.
     pub drained: bool,
@@ -162,17 +178,7 @@ pub fn run_scenario_hardened(
 ) -> Outcome {
     run_scenario_observed(
         scenario,
-        |s| {
-            let cfg = Config::new(
-                s.n,
-                SimDuration::from_ticks(s.delay_max),
-                SimDuration::from_ticks(s.cs_ticks),
-            )
-            .with_contention_slack(SimDuration::from_ticks(s.contention_slack))
-            .with_mutation(mutation)
-            .with_hardening(hardening);
-            OpenCubeNode::build_all(cfg)
-        },
+        |s| OpenCubeNode::build_all(s.config(mutation, hardening)),
         |world, coverage| {
             // The open cube exposes per-node protocol counters; fold them
             // into the coverage block so the guided explorer can reward

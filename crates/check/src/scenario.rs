@@ -1,5 +1,6 @@
 //! Scenario encoding, generation, and the portable `oc1-…` scenario ID.
 
+use oc_algo::{Config, Hardening, Mutation};
 use oc_sim::{
     ArrivalSchedule, FailurePlan, FaultPhase, FaultPhaseKind, FaultScript, SimDuration, SimTime,
     Workload,
@@ -391,6 +392,30 @@ impl Scenario {
             crashes,
             phases,
         }
+    }
+
+    /// The open-cube configuration every substrate builds its nodes from:
+    /// δ is `delay_max`, the CS estimate is `cs_ticks`. Mutation and
+    /// hardening are run parameters, not part of the scenario — the same
+    /// `oc1-` ID replays under either.
+    #[must_use]
+    pub fn config(&self, mutation: Mutation, hardening: Hardening) -> Config {
+        Config::new(
+            self.n,
+            SimDuration::from_ticks(self.delay_max),
+            SimDuration::from_ticks(self.cs_ticks),
+        )
+        .with_contention_slack(SimDuration::from_ticks(self.contention_slack))
+        .with_mutation(mutation)
+        .with_hardening(hardening)
+    }
+
+    /// The arrival list as the runtime's `schedule_workload` consumes it.
+    #[must_use]
+    pub fn schedule(&self) -> ArrivalSchedule {
+        self.arrivals.iter().fold(ArrivalSchedule::new(), |schedule, (at, node)| {
+            schedule.then(SimTime::from_ticks(*at), NodeId::new(*node))
+        })
     }
 
     /// The scenario's fault script as the substrates consume it: the

@@ -4,7 +4,10 @@
 use std::time::Duration;
 
 use oc_algo::Mutation;
-use oc_check::{run_scenario, run_scenario_runtime, RuntimeProfile, Scenario, ScenarioCrash};
+use oc_check::{
+    conforms, run_scenario, run_scenario_runtime, GateKill, GateScenario, RuntimeProfile, Scenario,
+    ScenarioCrash,
+};
 
 /// Compact, hand-authored scenario: small spans keep the wall-clock
 /// mapping (ticks × 20µs) in the tens of milliseconds.
@@ -75,4 +78,32 @@ fn planted_safety_bug_is_caught_on_real_threads() {
     // census does — the explorer's teeth work on real threads too.
     let threaded = run_scenario_runtime(&tiny_scenario(), Mutation::KeepTokenOnTransit, &profile());
     assert!(!threaded.safety.is_clean(), "expected a safety violation, got: {threaded:?}");
+}
+
+#[test]
+fn gate_kill_cell_conforms_on_the_runtime() {
+    // The runner's other call shape: a socket cell's scenario (n = 16,
+    // 60 arrivals 1 ms apart, node 3 down from 30 ms to 230 ms) at the
+    // deployment's 50 µs tick on four workers — what `netbench
+    // --differential` holds every socket row against.
+    let scenario = GateScenario {
+        n: 16,
+        requests: 60,
+        gap_ticks: 20,
+        delta_ticks: 40,
+        cs_ticks: 20,
+        slack_ticks: 20_000,
+        seed: 1009,
+        kill: Some(GateKill { node: 3, at_ticks: 600, recover_ticks: 4_600 }),
+    }
+    .scenario();
+    let profile = RuntimeProfile {
+        tick: Duration::from_micros(50),
+        workers: 4,
+        settle_timeout: Duration::from_secs(60),
+    };
+    let sim = run_scenario(&scenario, Mutation::None);
+    let threaded = run_scenario_runtime(&scenario, Mutation::None, &profile);
+    conforms(60, &[("sim", &sim), ("runtime", &threaded)]).expect("the kill cell conforms");
+    assert_eq!((threaded.crashes, threaded.recoveries), (1, 1));
 }

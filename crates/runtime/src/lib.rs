@@ -97,16 +97,16 @@ pub use session::{RequestId, RequestStatus};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, SendError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, SendError, Sender};
 use oc_sim::{
-    check_horizon, drive, drive_recovery, isolation_from_components, ActionSink, ArrivalSchedule,
-    CompiledScript, DeadlineSet, FailurePlan, FaultScript, Horizon, LinkFate, LivenessReport,
-    MessageKind, NodeAtHorizon, NodeEvent, Oracle, OracleReport, Outbox, Protocol, SimDuration,
-    SimTime, Trace, TraceRecord,
+    check_horizon, drive, drive_recovery, isolation_from_components, ticks_to_wall, ActionSink,
+    ArrivalSchedule, CompiledScript, DeadlineSet, FailurePlan, FaultScript, Horizon, LinkFate,
+    LivenessReport, MessageKind, NodeAtHorizon, NodeEvent, Oracle, OracleReport, Outbox, Protocol,
+    SimDuration, SimTime, Trace, TraceRecord,
 };
 use oc_topology::NodeId;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -156,17 +156,6 @@ impl Default for RuntimeConfig {
             batch: 0,
         }
     }
-}
-
-/// Maps a tick count onto wall time, entirely in `u64` nanoseconds.
-///
-/// The arithmetic saturates at `u64::MAX` nanos (≈ 584 years) instead of
-/// clamping the *tick count* to `u32::MAX` the way the pre-fix code did
-/// — a `2^40`-tick schedule entry now lands ≈ 636 days out (at a 50µs
-/// tick) rather than collapsing to ≈ 2.4 days alongside every other
-/// large timestamp.
-fn ticks_to_wall(tick_nanos: u64, ticks: u64) -> Duration {
-    Duration::from_nanos(ticks.saturating_mul(tick_nanos))
 }
 
 /// One command addressed to a node, executed by its owning worker.
@@ -509,7 +498,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         let mut worker_txs = Vec::with_capacity(workers);
         let mut worker_rxs = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let (tx, rx) = unbounded::<Mail<P::Msg>>();
+            let (tx, rx) = channel::<Mail<P::Msg>>();
             worker_txs.push(tx);
             worker_rxs.push(rx);
         }
@@ -737,9 +726,8 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     }
 
     /// Converts a tick timestamp into the wall-clock instant it maps to.
-    /// Pure `u64`-nanosecond arithmetic — see [`ticks_to_wall`].
     fn instant_of(&self, at: SimTime) -> Instant {
-        self.shared.epoch + ticks_to_wall(self.shared.tick_nanos, at.ticks())
+        self.shared.epoch + ticks_to_wall(at.ticks(), self.config.tick)
     }
 
     /// Schedules every arrival of `schedule` (tick timestamps mapped
@@ -751,7 +739,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         let mut later = Vec::with_capacity(schedule.len());
         for (at, node) in schedule.arrivals() {
             self.assert_node(*node);
-            let due = ticks_to_wall(self.shared.tick_nanos, at.ticks());
+            let due = ticks_to_wall(at.ticks(), self.config.tick);
             let t0 = u64::try_from(due.as_nanos()).unwrap_or(u64::MAX);
             let id = self.shared.sessions.open(*node, t0, false, None);
             let cmd = NodeCmd::Acquire(id.index());
@@ -1292,7 +1280,7 @@ impl<M: MessageKind + core::fmt::Debug + Clone + Send + 'static> ActionSink<M>
 
     fn set_timer(&mut self, _node: NodeId, timer_id: u64, delay: SimDuration) {
         let worker = &mut *self.worker;
-        let deadline = Instant::now() + ticks_to_wall(worker.shared.tick_nanos, delay.ticks());
+        let deadline = Instant::now() + ticks_to_wall(delay.ticks(), worker.config.tick);
         // A re-arm inherits the claim of the arming it supersedes.
         if !worker.timers.arm(self.pos, timer_id, deadline) {
             worker.claims_taken += 1;
@@ -1817,17 +1805,11 @@ mod tests {
 
     #[test]
     fn large_tick_schedules_map_beyond_the_u32_clamp() {
-        // The wall-clock arithmetic bugfix: tick→wall conversion happens
-        // in u64 nanoseconds. Before the fix, `instant_of` and
-        // `set_timer` clamped the *tick count* to u32::MAX, collapsing
-        // every schedule entry beyond ≈ 2.4 days (at a 50µs tick) onto
-        // the same instant.
+        // The live mapping a scheduled workload uses goes through
+        // `oc_sim::ticks_to_wall` (whose own test holds the arithmetic):
+        // a tick count clamped to u32::MAX would collapse every schedule
+        // entry beyond ≈ 2.4 days (at a 50µs tick) onto the same instant.
         let huge_ticks = 1u64 << 40;
-        assert_eq!(ticks_to_wall(50_000, huge_ticks), Duration::from_nanos(huge_ticks * 50_000),);
-        // Saturation, not wraparound, at the u64 ceiling.
-        assert_eq!(ticks_to_wall(u64::MAX, 2), Duration::from_nanos(u64::MAX));
-
-        // And the live mapping a scheduled workload would use.
         let rt = rt(2, 1);
         let mapped = rt.instant_of(SimTime::from_ticks(huge_ticks));
         let expected = rt.shared.epoch + Duration::from_nanos(huge_ticks * 50_000);

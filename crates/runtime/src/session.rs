@@ -23,9 +23,9 @@
 //!   sleep-polling in closed-loop clients.
 
 use std::collections::VecDeque;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use oc_topology::NodeId;
 
 use crate::histogram::{LatencyHistogram, LatencySummary};
@@ -223,7 +223,7 @@ impl SessionTable {
     /// Registers a completion channel; terminal transitions of slots
     /// opened with the returned index are sent to it.
     pub(crate) fn register_watcher(&self) -> (u32, Receiver<Completion>) {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let mut inner = self.lock();
         let idx = inner.watchers.len() as u32;
         assert!(idx < NO_WATCHER, "watcher index does not fit its request-slot field");

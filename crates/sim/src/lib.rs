@@ -52,7 +52,7 @@ pub use oracle::{Oracle, OracleReport, Violation};
 pub use outbox::Outbox;
 pub use protocol::{Action, MessageKind, NodeEvent, Protocol};
 pub use queue::{EventQueue, QueueBackend};
-pub use time::{SimDuration, SimTime};
+pub use time::{ticks_to_wall, SimDuration, SimTime};
 pub use trace::{Trace, TraceRecord};
 pub use workload::{ArrivalSchedule, Workload};
 pub use world::{Checkpoint, SimConfig, World};

@@ -1,5 +1,6 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Mul, Sub};
+use core::time::Duration;
 
 /// A point in virtual time, in ticks (interpreted as microseconds by
 /// convention, but nothing in the simulator depends on the unit).
@@ -52,6 +53,20 @@ impl SimDuration {
     pub const fn ticks(self) -> u64 {
         self.0
     }
+}
+
+/// The wall-clock length of `ticks` ticks of `tick` each — the one tick
+/// clock of every real-time substrate (the runtime's schedules and
+/// timers, the socket node's timers, the orchestrator's timeline).
+///
+/// Pure `u64`-nanosecond arithmetic, saturating at `u64::MAX` ns (≈ 584
+/// years). The tick *count* is never narrowed: `Duration::saturating_mul`
+/// takes a `u32`, and clamping the count to fit it lands every timestamp
+/// beyond 2^32 ticks (≈ 60 h at a 50 µs tick) on one instant.
+#[must_use]
+pub fn ticks_to_wall(ticks: u64, tick: Duration) -> Duration {
+    let tick_nanos = u64::try_from(tick.as_nanos()).unwrap_or(u64::MAX);
+    Duration::from_nanos(ticks.saturating_mul(tick_nanos))
 }
 
 impl Add<SimDuration> for SimTime {
@@ -131,6 +146,30 @@ mod tests {
     #[should_panic(expected = "time went backwards")]
     fn negative_duration_panics() {
         let _ = SimTime::from_ticks(1).since(SimTime::from_ticks(2));
+    }
+
+    #[test]
+    fn ticks_to_wall_is_exact_beyond_the_u32_clamp_and_saturates() {
+        // 2^40 ticks is ≈ 64 days at 5 µs and ≈ 636 days at 50 µs: exact,
+        // and far beyond where a tick count clamped to `u32` collapses
+        // every larger timestamp onto one instant.
+        let ticks = 1u64 << 40;
+        for micros in [5, 20, 50] {
+            let tick = Duration::from_micros(micros);
+            assert_eq!(ticks_to_wall(ticks, tick), Duration::from_nanos(ticks * micros * 1_000));
+            let old_clamp = tick.saturating_mul(u32::try_from(ticks).unwrap_or(u32::MAX));
+            assert!(ticks_to_wall(ticks, tick) > old_clamp);
+            assert_eq!(ticks_to_wall(7, tick), tick * 7);
+        }
+        // Saturation, not wraparound, at the u64 nanosecond ceiling —
+        // whether the count, the tick or the tick's own nanoseconds
+        // overflow.
+        let ceiling = Duration::from_nanos(u64::MAX);
+        assert_eq!(ticks_to_wall(u64::MAX, Duration::from_micros(20)), ceiling);
+        assert_eq!(ticks_to_wall(2, ceiling), ceiling);
+        assert_eq!(ticks_to_wall(1, Duration::MAX), ceiling);
+        assert_eq!(ticks_to_wall(ticks, Duration::ZERO), Duration::ZERO);
+        assert_eq!(ticks_to_wall(0, Duration::from_secs(1)), Duration::ZERO);
     }
 
     #[test]

@@ -27,13 +27,14 @@
 use std::collections::VecDeque;
 use std::io;
 use std::path::PathBuf;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use oc_algo::{Config, Hardening, Msg, OpenCubeNode};
+use oc_algo::{Config, Msg, OpenCubeNode};
 use oc_sim::{
-    drive, drive_recovery, ActionSink, DeadlineSet, NodeEvent, Outbox, Protocol, SimDuration,
+    drive, drive_recovery, ticks_to_wall, ActionSink, DeadlineSet, NodeEvent, Outbox, Protocol,
+    SimDuration,
 };
 use oc_topology::NodeId;
 
@@ -56,8 +57,6 @@ pub struct NodeOptions {
     pub cs_ticks: u64,
     /// Contention slack, in ticks.
     pub slack_ticks: u64,
-    /// Run with `Hardening::Quorum`.
-    pub hardened: bool,
     /// Wall-clock length of one tick (must make `delta_ticks` a true
     /// upper bound on the deployment's real message delay).
     pub tick: Duration,
@@ -71,6 +70,11 @@ pub struct NodeOptions {
 }
 
 impl NodeOptions {
+    /// Always `Hardening::None`: quorum mode needs `epoch_seen` and
+    /// `epoch_promised` on stable storage (promise amnesia lets two
+    /// quorums form for one epoch), and a process restarted with
+    /// `--recover` starts both at zero. Quorum mode over sockets waits
+    /// until they are persisted.
     fn config(&self) -> Config {
         Config::new(
             self.n,
@@ -78,7 +82,6 @@ impl NodeOptions {
             SimDuration::from_ticks(self.cs_ticks),
         )
         .with_contention_slack(SimDuration::from_ticks(self.slack_ticks))
-        .with_hardening(if self.hardened { Hardening::Quorum } else { Hardening::None })
     }
 }
 
@@ -211,8 +214,7 @@ impl ActionSink<Msg> for SocketSink<'_> {
     }
 
     fn set_timer(&mut self, _node: NodeId, id: u64, delay: SimDuration) {
-        let wall = self.tick.saturating_mul(u32::try_from(delay.ticks()).unwrap_or(u32::MAX));
-        self.timers.arm(ME, id, Instant::now() + wall);
+        self.timers.arm(ME, id, Instant::now() + ticks_to_wall(delay.ticks(), self.tick));
     }
 
     fn cancel_timer(&mut self, _node: NodeId, id: u64) {
@@ -373,7 +375,7 @@ fn serve_connection(mut stream: Stream, clients: &ClientTable, tx: &Sender<Cmd>)
 /// errors (fail-stop loss); client-link failures prune the client.
 pub fn run(opts: NodeOptions) -> io::Result<()> {
     let listener = opts.cluster.endpoint(opts.id).bind()?;
-    let (tx, rx): (Sender<Cmd>, Receiver<Cmd>) = unbounded();
+    let (tx, rx): (Sender<Cmd>, Receiver<Cmd>) = channel();
     let clients: ClientTable = Arc::new(Mutex::new(Vec::new()));
 
     {
@@ -490,9 +492,9 @@ pub fn run(opts: NodeOptions) -> io::Result<()> {
 /// Parses `oc-node`'s command line into [`NodeOptions`] — kept here so
 /// the binary stays a thin shim and the parsing is unit-testable.
 ///
-/// Recognized flags (all `--flag value` pairs except `--recover` and
-/// `--hardened`): `--id`, `--n`, `--transport`, `--log`, `--delta`,
-/// `--cs`, `--slack`, `--tick-ns`, `--recover`, `--hardened`.
+/// Recognized flags (all `--flag value` pairs except `--recover`):
+/// `--id`, `--n`, `--transport`, `--log`, `--delta`, `--cs`, `--slack`,
+/// `--tick-ns`, `--recover`.
 ///
 /// # Errors
 ///
@@ -507,7 +509,6 @@ pub fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<NodeOptions
     let mut slack_ticks = 20_000;
     let mut tick_ns: u64 = 50_000;
     let mut recover = false;
-    let mut hardened = false;
     while let Some(flag) = args.next() {
         let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
         match flag.as_str() {
@@ -533,7 +534,6 @@ pub fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<NodeOptions
                     .map_err(|e: std::num::ParseIntError| e.to_string())?
             }
             "--recover" => recover = true,
-            "--hardened" => hardened = true,
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -547,7 +547,6 @@ pub fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<NodeOptions
         delta_ticks,
         cs_ticks,
         slack_ticks,
-        hardened,
         tick: Duration::from_nanos(tick_ns),
         cluster: Cluster::parse(&spec, n)?,
         log_path,
@@ -579,15 +578,13 @@ mod tests {
             "--tick-ns",
             "25000",
             "--recover",
-            "--hardened",
         ];
         let opts = parse_args(args.iter().map(|s| (*s).to_owned())).unwrap();
         assert_eq!((opts.id, opts.n), (3, 16));
         assert_eq!(opts.cluster.spec(), "uds:/tmp/x");
         assert_eq!(opts.delta_ticks, 32);
         assert_eq!(opts.tick, Duration::from_micros(25));
-        assert!(opts.recover && opts.hardened);
-        assert!(opts.config().hardened());
+        assert!(opts.recover);
 
         assert!(parse_args(["--id"].iter().map(|s| (*s).to_owned())).is_err());
         assert!(parse_args(["--wat"].iter().map(|s| (*s).to_owned())).is_err());

@@ -17,7 +17,7 @@
 //! * [`sim`] — a deterministic discrete-event simulator with bounded-delay
 //!   non-FIFO channels, fail-stop injection, safety oracles and metrics.
 //! * [`runtime`] — the same state machines on real OS threads over
-//!   crossbeam channels.
+//!   `std::sync::mpsc` channels.
 //! * [`baselines`] — Raymond's and Naimi–Trehel's algorithms (plus a
 //!   centralized coordinator) on the same interface, for comparison.
 //! * [`analysis`] — the paper's complexity formulas, executable.
