@@ -19,10 +19,15 @@
 
 use oc_algo::Hardening;
 use oc_bench::{
-    bench_artifact, cli::FlagParser, e1_sweep, e2_sweep, e3_cells, e3_horizon_seed,
-    e3_long_horizon, e3_summaries, e3_sweep, e4_average_sweep, e4_sweep, e5_sweep, e6_sweep,
-    e7_cells, e7_sweep, json, render_figure_tree, sweep::SweepOutcome, E1Row, E2Row, E3Row,
-    E3Summary, E4Average, E4Row, E5Row, E6Row, E7Row,
+    cli::FlagParser,
+    e1_sweep, e2_sweep, e3_cells, e3_horizon_seed, e3_long_horizon, e3_summaries, e3_sweep,
+    e4_average_sweep, e4_sweep, e5_sweep, e6_sweep, e7_cells, e7_sweep,
+    json::Value,
+    render_figure_tree,
+    report::{col, print_table, Artifact, Col},
+    sweep::SweepOutcome,
+    E1_COLS, E2_COLS, E3_COLS, E3_HORIZON_BEFORE, E3_HORIZON_COLS, E3_SUMMARY_COLS,
+    E4_AVERAGE_COLS, E4_COLS, E5_COLS, E6_COLS, E7_COLS, E7_VIRTUAL_KEYS,
 };
 
 const USAGE: &str = "\
@@ -55,58 +60,40 @@ Execution:
 struct Options {
     quick: bool,
     json: bool,
-    threads: usize,
-    /// `--threads` was given explicitly (E7 only shards its timing sweep
-    /// when the user asked for it; see `e7`).
-    threads_explicit: bool,
+    /// `--threads`, when given (E7 only shards its timing sweep when the
+    /// user asked for it; see `e7`).
+    threads: Option<usize>,
     master_seed: u64,
     selected: Vec<&'static str>,
+}
+
+impl Options {
+    /// Sweep worker threads: `--threads`, or else all cores.
+    fn threads(&self) -> usize {
+        self.threads.unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })
+    }
 }
 
 const SELECTABLE: [&str; 9] = ["figures", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e11"];
 
 fn parse_options(args: &[String]) -> Options {
-    let mut options = Options {
-        quick: false,
-        json: false,
-        threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        threads_explicit: false,
-        master_seed: 42,
-        selected: Vec::new(),
-    };
+    let mut options =
+        Options { quick: false, json: false, threads: None, master_seed: 42, selected: Vec::new() };
     let mut parser = FlagParser::new(USAGE, args);
     while let Some(flag) = parser.next_flag() {
         match flag.name.as_str() {
             "--threads" => {
-                let value = parser.value(&flag, "a positive integer");
-                options.threads = value.parse().ok().filter(|&t| t > 0).unwrap_or_else(|| {
-                    parser.usage_error(&format!("invalid --threads value: {value:?}"));
-                });
-                options.threads_explicit = true;
-                continue;
+                options.threads = Some(parser.parsed(&flag, "a positive integer", |&t| t > 0));
             }
-            "--seed" => {
-                let value = parser.value(&flag, "an unsigned integer");
-                options.master_seed = value.parse().unwrap_or_else(|_| {
-                    parser.usage_error(&format!("invalid --seed value: {value:?}"));
-                });
-                continue;
-            }
-            _ => {}
-        }
-        // Every remaining flag is valueless: an inline `=value` (say
-        // `--quick=false`) must be rejected, not silently discarded.
-        parser.no_value(&flag);
-        match flag.name.as_str() {
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            "--quick" => options.quick = true,
-            "--json" => options.json = true,
+            "--seed" => options.master_seed = parser.parsed(&flag, "an unsigned integer", |_| true),
+            "--quick" => options.quick = parser.switch(&flag),
+            "--json" => options.json = parser.switch(&flag),
+            "--help" | "-h" => parser.help(),
             name => match SELECTABLE.iter().find(|sel| name == format!("--{sel}")) {
-                Some(sel) => options.selected.push(sel),
-                None => parser.usage_error(&format!("unknown flag: {:?}", flag.raw)),
+                Some(sel) if parser.switch(&flag) => options.selected.push(sel),
+                _ => parser.unknown(&flag),
             },
         }
     }
@@ -135,36 +122,24 @@ fn main() {
     }
 }
 
-/// Prints the sweep's execution footer and writes the JSON artifact when
-/// requested.
-fn finish<T>(
+/// Ends one experiment's report: the sweep footer and, under `--json`,
+/// `BENCH_<EXPERIMENT>.json` with the sweep's rows.
+fn finish(
     options: &Options,
     experiment: &'static str,
-    outcome: &SweepOutcome<T>,
-    rows: Vec<json::Value>,
-    extra: Vec<(&'static str, json::Value)>,
+    outcome: SweepOutcome<Value>,
+    extra: Vec<(&'static str, Value)>,
 ) {
-    println!(
-        "   [{} cells on {} thread(s): {:.2}s wall, {:.2}s busy, speedup {:.2}x]",
-        outcome.results.len(),
-        outcome.threads,
-        outcome.wall_secs,
-        outcome.busy_secs,
-        outcome.speedup(),
-    );
-    if options.json {
-        let doc =
-            bench_artifact(experiment, options.master_seed, options.quick, outcome, rows, extra);
-        let path_name = format!("BENCH_{}.json", experiment.to_uppercase());
-        let path = std::path::Path::new(&path_name);
-        match doc.write_file(path) {
-            Ok(()) => println!("   wrote {path_name}"),
-            Err(err) => {
-                eprintln!("error: could not write {path_name}: {err}");
-                std::process::exit(1);
-            }
-        }
+    let path = format!("BENCH_{}.json", experiment.to_uppercase());
+    Artifact {
+        experiment,
+        master_seed: options.master_seed,
+        quick: options.quick,
+        timing: Some(outcome.timing),
+        rows: outcome.results,
+        extra,
     }
+    .finish(options.json.then_some(path.as_str()));
     println!();
 }
 
@@ -178,48 +153,20 @@ fn figures() {
 
 fn e1(options: &Options) {
     println!("== E1: worst-case messages per request (bound: log2 N + 1) ==\n");
-    println!("{:>6} {:>8} {:>10} {:>12} {:>10}", "N", "bound", "measured", "w/ return", "requests");
     let sizes: &[usize] =
         if options.quick { &[4, 16, 64] } else { &[4, 8, 16, 32, 64, 128, 256, 512, 1024] };
-    let outcome = e1_sweep(sizes, 3, options.master_seed, options.threads, Hardening::None);
-    for row in &outcome.results {
-        println!(
-            "{:>6} {:>8} {:>10} {:>12} {:>10}   {}",
-            row.n,
-            row.bound,
-            row.measured_worst,
-            row.measured_worst_with_return,
-            row.requests,
-            if row.measured_worst <= row.bound { "ok" } else { "VIOLATED" },
-        );
-    }
-    let rows = outcome.results.iter().map(E1Row::to_json).collect();
-    finish(options, "e1", &outcome, rows, Vec::new());
+    let outcome = e1_sweep(sizes, 3, options.master_seed, options.threads(), Hardening::None);
+    print_table(E1_COLS, &outcome.results);
+    finish(options, "e1", outcome, Vec::new());
 }
 
 fn e2(options: &Options) {
     println!("== E2: average messages per request vs the α_p recurrence ==\n");
-    println!(
-        "{:>6} {:>10} {:>10} {:>10} {:>12} {:>12}",
-        "N", "measured", "alpha_p", "avg", "3/4·p+5/4", "evolving"
-    );
     let sizes: &[usize] =
         if options.quick { &[4, 16, 64] } else { &[2, 4, 8, 16, 32, 64, 128, 256, 512, 1024] };
-    let outcome = e2_sweep(sizes, options.master_seed, options.threads, Hardening::None);
-    for row in &outcome.results {
-        println!(
-            "{:>6} {:>10} {:>10} {:>10.3} {:>12.3} {:>12.3}   {}",
-            row.n,
-            row.measured_total,
-            row.alpha,
-            row.measured_avg,
-            row.closed_form,
-            row.evolving_avg,
-            if row.measured_total == row.alpha { "exact" } else { "MISMATCH" },
-        );
-    }
-    let rows = outcome.results.iter().map(E2Row::to_json).collect();
-    finish(options, "e2", &outcome, rows, Vec::new());
+    let outcome = e2_sweep(sizes, options.master_seed, options.threads(), Hardening::None);
+    print_table(E2_COLS, &outcome.results);
+    finish(options, "e2", outcome, Vec::new());
 }
 
 fn e3(options: &Options) {
@@ -233,225 +180,69 @@ fn e3(options: &Options) {
     };
     let seeds = 5;
     let cells = e3_cells(plan, seeds, Hardening::None);
-    let outcome = e3_sweep(&cells, options.master_seed, options.threads);
-    println!(
-        "{:>6} {:>9} {:>6} {:>14} {:>12} {:>9} {:>7} {:>9} {:>9}",
-        "N",
-        "failures",
-        "rep",
-        "overhead/fail",
-        "extra/fail",
-        "searches",
-        "regen",
-        "served",
-        "injected"
-    );
-    for (cell, row) in cells.iter().zip(&outcome.results) {
-        println!(
-            "{:>6} {:>9} {:>6} {:>14.2} {:>12.2} {:>9} {:>7} {:>9} {:>9}",
-            row.n,
-            row.failures,
-            cell.seed_index,
-            row.overhead_per_failure,
-            row.extra_per_failure,
-            row.searches,
-            row.regenerations,
-            row.served,
-            row.injected,
-        );
-    }
+    let outcome = e3_sweep(&cells, options.master_seed, options.threads());
+    print_table(E3_COLS, &outcome.results);
     println!("\n-- overhead/failure across {seeds} independent seeds (mean ± 95% CI) --");
-    let summaries = e3_summaries(&cells, &outcome.results);
-    for s in &summaries {
-        println!(
-            "{:>6} {:>9}   {:.2} ± {:.2}   (min {:.2}, max {:.2})",
-            s.n, s.failures, s.overhead.mean, s.overhead.ci95, s.overhead.min, s.overhead.max
-        );
-    }
-    let horizon = e3_horizon(options);
-    let rows = outcome.results.iter().map(E3Row::to_json).collect();
-    let extra = vec![
-        ("summaries", json::Value::Arr(summaries.iter().map(E3Summary::to_json).collect())),
-        ("long_horizon", horizon),
-    ];
-    finish(options, "e3", &outcome, rows, extra);
-}
+    let summaries = e3_summaries(&outcome.results);
+    print_table(E3_SUMMARY_COLS, &summaries);
 
-/// E3's long-horizon cells as measured at the parent of the change that
-/// split the event queue into tiers and made the crash purge in place
-/// (this host, master seed 42, one thread, median of three runs
-/// alternated with this change's): `(failures, events per wall second)`.
-/// The "before" half of `BENCH_E3.json`'s before/after rows; the event
-/// counts are the same on both sides.
-const E3_HORIZON_BEFORE: (&str, [(usize, f64); 3]) =
-    ("f2b9131", [(200, 8_189_556.0), (2_000, 2_150_170.0), (20_000, 337_262.0)]);
-
-/// E3's long-horizon group: the n = 64 cell stretched to 2 000 and 20 000
-/// pre-scheduled failures, one after the other on this thread so the
-/// wall-clock column is comparable. Returns the artifact's section.
-fn e3_horizon(options: &Options) -> json::Value {
+    // The long-horizon group: the n = 64 cell stretched to 2 000 and
+    // 20 000 pre-scheduled failures (quick mode leaves out the longest),
+    // one after the other on this thread so the wall-clock column is
+    // comparable.
     let (before_rev, before) = E3_HORIZON_BEFORE;
     println!(
         "\n-- long horizon, n = 64: what a failure costs the simulator (before = {before_rev}) --"
     );
-    println!(
-        "{:>9} {:>10} {:>14} {:>8} {:>12} {:>14} {:>8}",
-        "failures", "events", "overhead/fail", "wall s", "events/s", "before ev/s", "gain"
-    );
-    // Quick mode leaves out the longest horizon.
-    let cells = &before[..if options.quick { 2 } else { before.len() }];
     let seed = e3_horizon_seed(options.master_seed, 64);
-    let mut rows = Vec::new();
-    for &(failures, before_eps) in cells {
-        let row = e3_long_horizon(64, failures, seed);
-        println!(
-            "{:>9} {:>10} {:>14.2} {:>8.2} {:>12.0} {:>14.0} {:>7.1}x",
-            row.failures,
-            row.events,
-            row.overhead_per_failure,
-            row.wall_secs,
-            row.events_per_sec,
-            before_eps,
-            row.events_per_sec / before_eps,
-        );
-        rows.push(json::Value::Obj(vec![
-            ("n", json::Value::UInt(row.n as u64)),
-            ("failures", json::Value::UInt(row.failures)),
-            ("events", json::Value::UInt(row.events)),
-            ("overhead_per_failure", json::Value::Num(row.overhead_per_failure)),
-            ("wall_secs", json::Value::Num(row.wall_secs)),
-            ("events_per_sec", json::Value::Num(row.events_per_sec)),
-            ("before_events_per_sec", json::Value::Num(before_eps)),
-        ]));
-    }
-    json::Value::Obj(vec![
-        ("before_rev", json::Value::str(before_rev)),
-        ("before_master_seed", json::Value::UInt(42)),
-        ("rows", json::Value::Arr(rows)),
-    ])
+    let horizon: Vec<Value> = before[..if options.quick { 2 } else { before.len() }]
+        .iter()
+        .map(|&(failures, before_eps)| e3_long_horizon(64, failures, seed, before_eps))
+        .collect();
+    print_table(E3_HORIZON_COLS, &horizon);
+    let long_horizon = Value::Obj(vec![
+        ("before_rev", Value::str(before_rev)),
+        ("before_master_seed", Value::UInt(42)),
+        ("rows", Value::Arr(horizon)),
+    ]);
+    let extra = vec![("summaries", Value::Arr(summaries)), ("long_horizon", long_horizon)];
+    finish(options, "e3", outcome, extra);
 }
 
 fn e4(options: &Options) {
     println!("== E4: search_father probe counts (ring d holds 2^(d-1) nodes) ==\n");
-    println!(
-        "{:>6} {:>13} {:>12} {:>10} {:>10} {:>6}",
-        "N", "victim power", "predicted", "measured", "regen", "match"
-    );
     let sizes: &[usize] = if options.quick { &[16, 64] } else { &[16, 64, 256, 1024] };
-    let outcome = e4_sweep(sizes, options.master_seed, options.threads, Hardening::None);
-    for row in &outcome.results {
-        println!(
-            "{:>6} {:>13} {:>12} {:>10} {:>10} {:>6}",
-            row.n,
-            row.victim_power,
-            row.predicted_probes,
-            row.measured_probes,
-            row.regenerated,
-            if row.predicted_probes == row.measured_probes { "ok" } else { "DIFF" },
-        );
-    }
-    println!();
-    println!("-- average probes per search over ALL failure positions (paper: O(log2 N)) --");
-    println!(
-        "{:>6} {:>9} {:>12} {:>12} {:>10}",
-        "N", "searches", "measured", "predicted", "2*log2 N"
-    );
-    let averages = e4_average_sweep(sizes, options.master_seed, options.threads, Hardening::None);
-    for row in &averages.results {
-        println!(
-            "{:>6} {:>9} {:>12.2} {:>12.2} {:>10.1}",
-            row.n, row.searches, row.measured_mean, row.predicted_mean, row.two_log_n
-        );
-    }
-    let rows = outcome.results.iter().map(E4Row::to_json).collect();
+    let outcome = e4_sweep(sizes, options.master_seed, options.threads(), Hardening::None);
+    print_table(E4_COLS, &outcome.results);
+    println!("\n-- average probes per search over ALL failure positions (paper: O(log2 N)) --");
+    let averages = e4_average_sweep(sizes, options.master_seed, options.threads(), Hardening::None);
+    print_table(E4_AVERAGE_COLS, &averages.results);
     let extra = vec![
-        ("averages", json::Value::Arr(averages.results.iter().map(E4Average::to_json).collect())),
-        ("averages_wall_secs", json::Value::Num(averages.wall_secs)),
-        ("averages_busy_secs", json::Value::Num(averages.busy_secs)),
+        ("averages", Value::Arr(averages.results)),
+        ("averages_wall_secs", Value::Num(averages.timing.wall_secs)),
+        ("averages_busy_secs", Value::Num(averages.timing.busy_secs)),
     ];
-    finish(options, "e4", &outcome, rows, extra);
+    finish(options, "e4", outcome, extra);
 }
 
 fn e5(options: &Options) {
     println!("== E5: comparison (avg / worst messages per CS) ==\n");
-    println!(
-        "{:>6} {:>14} {:>9} {:>10} {:>10} {:>12} {:>10} {:>11}",
-        "N",
-        "algorithm",
-        "seq avg",
-        "seq worst",
-        "conc avg",
-        "hotspot avg",
-        "burst avg",
-        "post-burst"
-    );
     let sizes: &[usize] = if options.quick { &[16, 64] } else { &[8, 16, 32, 64, 128, 256] };
-    let outcome = e5_sweep(sizes, options.master_seed, options.threads, Hardening::None);
-    let mut current_n = 0usize;
-    for row in &outcome.results {
-        if current_n != 0 && row.n != current_n {
-            println!();
-        }
-        current_n = row.n;
-        println!(
-            "{:>6} {:>14} {:>9.2} {:>10} {:>10.2} {:>12.2} {:>10.2} {:>11}",
-            row.n,
-            row.algo.name(),
-            row.seq_avg,
-            row.seq_worst,
-            row.conc_avg,
-            row.hotspot_avg,
-            row.burst_avg,
-            row.post_burst_worst,
-        );
-    }
-    let rows = outcome.results.iter().map(E5Row::to_json).collect();
-    finish(options, "e5", &outcome, rows, Vec::new());
+    let outcome = e5_sweep(sizes, options.master_seed, options.threads(), Hardening::None);
+    print_table(E5_COLS, &outcome.results);
+    finish(options, "e5", outcome, Vec::new());
 }
 
 fn e6(options: &Options) {
     println!("== E6 (ablation): suspicion-slack sensitivity (no failures injected) ==\n");
-    println!(
-        "{:>6} {:>8} {:>10} {:>13} {:>10} {:>8}",
-        "N", "slack", "spurious", "wasted probes", "msgs/CS", "served"
-    );
     let sizes: &[usize] = if options.quick { &[16] } else { &[16, 64] };
-    let outcome = e6_sweep(sizes, options.master_seed, options.threads, Hardening::None);
-    let mut current_n = 0usize;
-    for row in &outcome.results {
-        if current_n != 0 && row.n != current_n {
-            println!();
-        }
-        current_n = row.n;
-        println!(
-            "{:>6} {:>8} {:>10} {:>13} {:>10.2} {:>8}",
-            row.n,
-            row.slack,
-            row.spurious_searches,
-            row.wasted_probes,
-            row.msgs_per_cs,
-            if row.all_served { "all" } else { "LOST" },
-        );
-    }
-    let rows = outcome.results.iter().map(E6Row::to_json).collect();
-    finish(options, "e6", &outcome, rows, Vec::new());
+    let outcome = e6_sweep(sizes, options.master_seed, options.threads(), Hardening::None);
+    print_table(E6_COLS, &outcome.results);
+    finish(options, "e6", outcome, Vec::new());
 }
 
 fn e7(options: &Options) {
     println!("== E7: engine throughput scaling (events/sec, heap vs bucketed queue) ==\n");
-    println!(
-        "{:>9} {:>10} {:>5} {:>10} {:>12} {:>12} {:>10} {:>8} {:>10} {:>14}",
-        "N",
-        "backend",
-        "rep",
-        "requests",
-        "events",
-        "messages",
-        "msgs/req",
-        "B/node",
-        "wall s",
-        "events/sec"
-    );
     // (n, requests, independent seeds): the scaling ladder tops out at
     // n = 2^24 — the Corten-scale target of the ROADMAP. The 2^22 and
     // 2^24 rungs run one request per node at a single seed: at that size
@@ -472,202 +263,160 @@ fn e7(options: &Options) {
     // E7's wall-clock columns are the artifact of record: concurrent
     // sibling cells would contend for memory bandwidth and skew them, so
     // the timing sweep stays serial unless the user explicitly shards it.
-    let threads = if options.threads_explicit { options.threads } else { 1 };
-    if !options.threads_explicit && options.threads > 1 {
+    if options.threads.is_none() && options.threads() > 1 {
         println!("   (timing sweep pinned to 1 thread; pass --threads to shard and");
         println!("    accept contention in the wall-clock columns)");
     }
-    let outcome = e7_sweep(&cells, threads);
-    for (cell, row) in cells.iter().zip(&outcome.results) {
-        println!(
-            "{:>9} {:>10} {:>5} {:>10} {:>12} {:>12} {:>10.2} {:>8} {:>10.3} {:>14.0}",
-            row.n,
-            format!("{:?}", row.backend).to_lowercase(),
-            cell.seed_index,
-            row.requests,
-            row.events,
-            row.messages,
-            row.messages as f64 / row.requests as f64,
-            row.mem_bytes_per_node,
-            row.wall_secs,
-            row.events_per_sec,
-        );
-    }
-    let rows = outcome.results.iter().map(E7Row::to_json).collect();
-    finish(options, "e7", &outcome, rows, Vec::new());
+    let outcome = e7_sweep(&cells, options.threads.unwrap_or(1));
+    print_table(E7_COLS, &outcome.results);
+    finish(options, "e7", outcome, Vec::new());
 }
 
-/// Runs one sweep twice: baseline, then `Hardening::Quorum`.
-fn ab<T>(run: impl Fn(Hardening) -> SweepOutcome<T>) -> (SweepOutcome<T>, SweepOutcome<T>) {
+/// E11's crash-free table: one row per experiment compared.
+const E11_IDENTICAL_COLS: &[Col] = &[
+    col("exp", "experiment", 4, 0),
+    col("cells", "cells", 6, 0),
+    col("hardened rows identical", "identical", 24, 0),
+];
+
+/// E11's E3 table: per-failure overhead, baseline against hardened.
+const E11_E3_COLS: &[Col] = &[
+    col("exp", "experiment", 4, 0),
+    col("N", "n", 6, 0),
+    col("failures", "failures", 9, 0),
+    col("base ovhd/fail", "base_overhead_per_failure", 15, 2),
+    col("hard ovhd/fail", "hardened_overhead_per_failure", 15, 2),
+    col("base extra/fail", "base_extra_per_failure", 16, 2),
+    col("hard extra/fail", "hardened_extra_per_failure", 16, 2),
+    col("served", "served", 8, 0),
+];
+
+/// E11's E4 table: probes and regenerations, baseline against hardened.
+const E11_E4_COLS: &[Col] = &[
+    col("exp", "experiment", 4, 0),
+    col("N", "n", 6, 0),
+    col("power", "victim_power", 9, 0),
+    col("base probes", "base_probes", 15, 0),
+    col("hard probes", "hardened_probes", 15, 0),
+    col("base regen", "base_regenerated", 16, 0),
+    col("hard regen", "hardened_regenerated", 16, 0),
+];
+
+/// One sweep's rows under a given hardening.
+type Rows<'a> = &'a dyn Fn(Hardening) -> Vec<Value>;
+
+/// One sweep's rows twice: baseline, then `Hardening::Quorum`.
+fn ab(run: Rows) -> (Vec<Value>, Vec<Value>) {
     (run(Hardening::None), run(Hardening::Quorum))
 }
 
-/// Prints and records one crash-free A/B verdict; returns `true` when the
-/// hardened rows are identical to the baseline.
-fn report_identical<T: std::fmt::Debug>(
-    name: &'static str,
-    base: &[T],
-    hard: &[T],
-    rows: &mut Vec<json::Value>,
-) -> bool {
-    let identical = format!("{base:?}") == format!("{hard:?}");
-    println!(
-        "{name:>4}: {:>3} cells — {}",
-        base.len(),
-        if identical {
-            "hardened rows identical (0 extra messages)"
-        } else {
-            "HARDENED ROWS DIFFER"
-        },
-    );
-    if !identical {
-        for (b, h) in base.iter().zip(hard) {
-            let (b, h) = (format!("{b:?}"), format!("{h:?}"));
-            if b != h {
-                println!("      base {b}\n      hard {h}");
-            }
-        }
+/// One row of a failure table: `shared` keys as the baseline has them,
+/// then each `(baseline key, hardened key, row key)` side by side, then
+/// `kept` keys as the hardened run has them.
+fn side_by_side(
+    experiment: &'static str,
+    (base, hard): (&Value, &Value),
+    shared: &[&'static str],
+    paired: &[(&'static str, &'static str, &'static str)],
+    kept: &[&'static str],
+) -> Value {
+    let field = |from: &Value, key: &'static str| (key, from.get(key).clone());
+    assert!(shared.iter().all(|key| base.get(key) == hard.get(key)), "rows of different cells");
+    let mut fields = vec![("experiment", Value::str(experiment))];
+    fields.extend(shared.iter().map(|key| field(base, key)));
+    fields.push(("crash_free", Value::Bool(false)));
+    for &(base_key, hard_key, key) in paired {
+        fields.extend([(base_key, base.get(key).clone()), (hard_key, hard.get(key).clone())]);
     }
-    rows.push(json::Value::Obj(vec![
-        ("experiment", json::Value::str(name)),
-        ("cells", json::Value::UInt(base.len() as u64)),
-        ("crash_free", json::Value::Bool(true)),
-        ("identical", json::Value::Bool(identical)),
-    ]));
-    identical
+    fields.extend(kept.iter().map(|key| field(hard, key)));
+    Value::Obj(fields)
 }
 
 fn e11(options: &Options) {
     println!("== E11: quorum-hardening overhead, baseline vs Hardening::Quorum (quick rows) ==\n");
-    let seed = options.master_seed;
-    let threads = options.threads;
-    let mut rows: Vec<json::Value> = Vec::new();
-    let mut crash_free_ok = true;
+    let (seed, threads) = (options.master_seed, options.threads());
 
     // Crash-free tables. Epoch-0 messages keep the legacy wire encoding
     // and mint traffic exists only on the regeneration path, so without
     // failures the hardened tables must not move by a single message —
-    // identical rows IS the measured overhead of zero.
-    println!("-- crash-free tables (must be byte-identical) --");
-    {
-        let (b, h) = ab(|h| e1_sweep(&[4, 16, 64], 3, seed, threads, h));
-        crash_free_ok &= report_identical("e1", &b.results, &h.results, &mut rows);
+    // identical rows IS the measured overhead of zero. (E7's wall-clock
+    // columns are not protocol observables; its virtual-time ones are
+    // compared.)
+    println!("-- crash-free tables (must be byte-identical: 0 extra messages) --");
+    let e7_virtual = |h| {
+        let rows = e7_sweep(&e7_cells(&[(4_096, 8_192, 2)], seed, h), 1).results;
+        rows.iter().map(|row| row.pick(E7_VIRTUAL_KEYS)).collect()
+    };
+    let crash_free: [(&'static str, Rows); 5] = [
+        ("e1", &|h| e1_sweep(&[4, 16, 64], 3, seed, threads, h).results),
+        ("e2", &|h| e2_sweep(&[4, 16, 64], seed, threads, h).results),
+        ("e5", &|h| e5_sweep(&[16, 64], seed, threads, h).results),
+        ("e6", &|h| e6_sweep(&[16], seed, threads, h).results),
+        ("e7", &e7_virtual),
+    ];
+    let mut rows: Vec<Value> = Vec::new();
+    for (experiment, run) in crash_free {
+        let (base, hard) = ab(run);
+        for (b, h) in base.iter().zip(&hard).filter(|(b, h)| b != h) {
+            print!("      {experiment} base {}      {experiment} hard {}", b.render(), h.render());
+        }
+        rows.push(Value::Obj(vec![
+            ("experiment", Value::str(experiment)),
+            ("cells", Value::UInt(base.len() as u64)),
+            ("crash_free", Value::Bool(true)),
+            ("identical", Value::Bool(base == hard)),
+        ]));
     }
-    {
-        let (b, h) = ab(|h| e2_sweep(&[4, 16, 64], seed, threads, h));
-        crash_free_ok &= report_identical("e2", &b.results, &h.results, &mut rows);
-    }
-    {
-        let (b, h) = ab(|h| e5_sweep(&[16, 64], seed, threads, h));
-        crash_free_ok &= report_identical("e5", &b.results, &h.results, &mut rows);
-    }
-    {
-        let (b, h) = ab(|h| e6_sweep(&[16], seed, threads, h));
-        crash_free_ok &= report_identical("e6", &b.results, &h.results, &mut rows);
-    }
-    {
-        // E7's wall-clock columns are not protocol observables; compare
-        // the virtual-time ones.
-        let (b, h) = ab(|h| e7_sweep(&e7_cells(&[(4_096, 8_192, 2)], seed, h), 1));
-        let project = |rows: &[E7Row]| -> Vec<(usize, String, u64, u64, u64, u64)> {
-            rows.iter()
-                .map(|r| {
-                    (
-                        r.n,
-                        format!("{:?}", r.backend),
-                        r.requests,
-                        r.events,
-                        r.messages,
-                        r.mem_bytes_per_node,
-                    )
-                })
-                .collect()
-        };
-        crash_free_ok &=
-            report_identical("e7", &project(&b.results), &project(&h.results), &mut rows);
-    }
+    print_table(E11_IDENTICAL_COLS, &rows);
+    let crash_free_ok = rows.iter().all(|row| row.get("identical") == &Value::Bool(true));
 
     // Failure tables: regeneration now runs a mint ballot, so the mint
     // traffic shows up as measured overhead per failure.
     println!("\n-- failure tables (mint traffic is the measured overhead) --");
-    println!(
-        "{:>4} {:>6} {:>9} {:>15} {:>15} {:>12}",
-        "exp", "N", "failures", "base ovhd/fail", "hard ovhd/fail", "extra/fail"
-    );
-    {
-        let plan: &[(usize, usize)] = &[(32, 30), (64, 20)];
-        let (b, h) = ab(|h| e3_sweep(&e3_cells(plan, 5, h), seed, threads));
-        for (base, hard) in b.results.iter().zip(&h.results) {
-            assert_eq!((base.n, base.failures), (hard.n, hard.failures));
-            println!(
-                "{:>4} {:>6} {:>9} {:>15.2} {:>15.2} {:>12.2}",
-                "e3",
-                base.n,
-                base.failures,
-                base.overhead_per_failure,
-                hard.overhead_per_failure,
-                hard.overhead_per_failure - base.overhead_per_failure,
-            );
-            rows.push(json::Value::Obj(vec![
-                ("experiment", json::Value::str("e3")),
-                ("n", json::Value::UInt(base.n as u64)),
-                ("failures", json::Value::UInt(base.failures)),
-                ("crash_free", json::Value::Bool(false)),
-                ("base_overhead_per_failure", json::Value::Num(base.overhead_per_failure)),
-                ("hardened_overhead_per_failure", json::Value::Num(hard.overhead_per_failure)),
-                ("base_extra_per_failure", json::Value::Num(base.extra_per_failure)),
-                ("hardened_extra_per_failure", json::Value::Num(hard.extra_per_failure)),
-                ("served", json::Value::UInt(hard.served)),
-            ]));
-        }
-    }
-    {
-        let (b, h) = ab(|h| e4_sweep(&[16, 64], seed, threads, h));
-        for (base, hard) in b.results.iter().zip(&h.results) {
-            assert_eq!((base.n, base.victim_power), (hard.n, hard.victim_power));
-            println!(
-                "{:>4} {:>6} {:>9} {:>15} {:>15} {:>12}",
-                "e4",
-                base.n,
-                format!("p={}", base.victim_power),
-                format!("{} probes", base.measured_probes),
-                format!("{} probes", hard.measured_probes),
-                format!("regen {}={}", base.regenerated, hard.regenerated),
-            );
-            rows.push(json::Value::Obj(vec![
-                ("experiment", json::Value::str("e4")),
-                ("n", json::Value::UInt(base.n as u64)),
-                ("victim_power", json::Value::UInt(u64::from(base.victim_power))),
-                ("crash_free", json::Value::Bool(false)),
-                ("base_probes", json::Value::UInt(base.measured_probes)),
-                ("hardened_probes", json::Value::UInt(hard.measured_probes)),
-                ("base_regenerated", json::Value::UInt(base.regenerated)),
-                ("hardened_regenerated", json::Value::UInt(hard.regenerated)),
-            ]));
-        }
-    }
+    let plan: &[(usize, usize)] = &[(32, 30), (64, 20)];
+    let (base, hard) = ab(&|h| e3_sweep(&e3_cells(plan, 5, h), seed, threads).results);
+    let e3_rows: Vec<Value> = std::iter::zip(&base, &hard)
+        .map(|pair| {
+            let paired = [
+                (
+                    "base_overhead_per_failure",
+                    "hardened_overhead_per_failure",
+                    "overhead_per_failure",
+                ),
+                ("base_extra_per_failure", "hardened_extra_per_failure", "extra_per_failure"),
+            ];
+            side_by_side("e3", pair, &["n", "failures"], &paired, &["served"])
+        })
+        .collect();
+    print_table(E11_E3_COLS, &e3_rows);
+    println!();
+    let (base, hard) = ab(&|h| e4_sweep(&[16, 64], seed, threads, h).results);
+    let e4_rows: Vec<Value> = std::iter::zip(&base, &hard)
+        .map(|pair| {
+            let paired = [
+                ("base_probes", "hardened_probes", "measured_probes"),
+                ("base_regenerated", "hardened_regenerated", "regenerated"),
+            ];
+            side_by_side("e4", pair, &["n", "victim_power"], &paired, &[])
+        })
+        .collect();
+    print_table(E11_E4_COLS, &e4_rows);
+    rows.extend(e3_rows);
+    rows.extend(e4_rows);
 
     println!(
         "\ncrash-free hardened overhead: {}",
         if crash_free_ok { "0 extra messages (all tables identical)" } else { "NONZERO" }
     );
-    if options.json {
-        let doc = json::Value::Obj(vec![
-            ("schema_version", json::Value::UInt(1)),
-            ("experiment", json::Value::str("e11")),
-            ("master_seed", json::Value::UInt(seed)),
-            ("quick", json::Value::Bool(true)),
-            ("crash_free_identical", json::Value::Bool(crash_free_ok)),
-            ("rows", json::Value::Arr(rows)),
-        ]);
-        match doc.write_file(std::path::Path::new("BENCH_E11.json")) {
-            Ok(()) => println!("   wrote BENCH_E11.json"),
-            Err(err) => {
-                eprintln!("error: could not write BENCH_E11.json: {err}");
-                std::process::exit(1);
-            }
-        }
+    Artifact {
+        experiment: "e11",
+        master_seed: seed,
+        quick: true,
+        timing: None,
+        rows,
+        extra: vec![("crash_free_identical", Value::Bool(crash_free_ok))],
     }
+    .finish(options.json.then_some("BENCH_E11.json"));
     println!();
     if !crash_free_ok {
         eprintln!(

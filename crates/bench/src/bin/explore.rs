@@ -24,11 +24,18 @@
 //! violations there are expected findings, not regressions (see
 //! DESIGN.md, "Fault model soundness").
 
+use std::collections::BTreeMap;
+
 use oc_algo::{Hardening, Mutation};
-use oc_bench::{cli::FlagParser, json, sweep};
+use oc_bench::{
+    cli::FlagParser,
+    json::Value,
+    report::{col, print_table, Artifact, Col},
+    sweep,
+};
 use oc_check::{
-    explore_guided_with, repro_snippet, run_scenario, run_scenario_hardened, shrink, GuidedConfig,
-    GuidedResult, Scenario, Space,
+    explore_guided_with, repro_snippet, run_scenario, run_scenario_hardened, shrink, GuidedResult,
+    Outcome, Scenario, Space,
 };
 
 const USAGE: &str = "\
@@ -94,7 +101,8 @@ struct Options {
     partitions: bool,
     hardened: bool,
     guided: bool,
-    json: bool,
+    /// Where the artifact goes, if anywhere: `--out PATH`, or
+    /// `BENCH_CHECK.json` under a bare `--json`.
     out: Option<String>,
 }
 
@@ -108,124 +116,170 @@ fn parse_options(args: &[String]) -> Options {
         partitions: false,
         hardened: false,
         guided: false,
-        json: false,
         out: None,
     };
+    let mut json = false;
     let mut parser = FlagParser::new(USAGE, args);
     while let Some(flag) = parser.next_flag() {
         match flag.name.as_str() {
-            "--budget" => {
-                let value = parser.value(&flag, "a positive integer");
-                options.budget = value.parse().ok().filter(|&b| b > 0).unwrap_or_else(|| {
-                    parser.usage_error(&format!("invalid --budget value: {value:?}"));
-                });
-                continue;
-            }
-            "--seed" => {
-                let value = parser.value(&flag, "an unsigned integer");
-                options.master_seed = value.parse().unwrap_or_else(|_| {
-                    parser.usage_error(&format!("invalid --seed value: {value:?}"));
-                });
-                continue;
-            }
-            "--threads" => {
-                let value = parser.value(&flag, "a positive integer");
-                options.threads = value.parse().ok().filter(|&t| t > 0).unwrap_or_else(|| {
-                    parser.usage_error(&format!("invalid --threads value: {value:?}"));
-                });
-                continue;
-            }
-            "--out" => {
-                options.out = Some(parser.value(&flag, "a file path"));
-                continue;
-            }
-            _ => {}
-        }
-        parser.no_value(&flag);
-        match flag.name.as_str() {
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            "--loss" => options.loss = true,
-            "--hard" => options.hard = true,
-            "--partitions" => options.partitions = true,
-            "--hardened" => options.hardened = true,
-            "--guided" => options.guided = true,
-            "--json" => options.json = true,
-            _ => parser.usage_error(&format!("unknown flag: {:?}", flag.raw)),
+            "--budget" => options.budget = parser.parsed(&flag, "a positive integer", |&b| b > 0),
+            "--seed" => options.master_seed = parser.parsed(&flag, "an unsigned integer", |_| true),
+            "--threads" => options.threads = parser.parsed(&flag, "a positive integer", |&t| t > 0),
+            "--out" => options.out = Some(parser.value(&flag, "a file path")),
+            "--loss" => options.loss = parser.switch(&flag),
+            "--hard" => options.hard = parser.switch(&flag),
+            "--partitions" => options.partitions = parser.switch(&flag),
+            "--hardened" => options.hardened = parser.switch(&flag),
+            "--guided" => options.guided = parser.switch(&flag),
+            "--json" => json = parser.switch(&flag),
+            "--help" | "-h" => parser.help(),
+            _ => parser.unknown(&flag),
         }
     }
-    // A destination implies the artifact: --out without --json would
-    // silently write nothing.
-    if options.out.is_some() {
-        options.json = true;
+    if json && options.out.is_none() {
+        options.out = Some("BENCH_CHECK.json".to_string());
     }
     options
 }
 
-/// Everything the aggregation needs from one scenario run — small, so the
-/// sweep's restored-order result vector stays cheap.
-struct Cell {
-    n: usize,
-    fingerprint: u64,
-    clean: bool,
-    violations: u64,
-    safety_violations: u64,
-    events: u64,
-    messages: u64,
-    cs_entries: u64,
-    crashes: u64,
-    recoveries: u64,
-    lost_to_faults: u64,
-    lost_to_partition: u64,
-    duplicated: u64,
-    epoch_discards: u64,
-    mint_requests: u64,
-    mint_acks: u64,
+/// An artifact key, and how to read its counter off one scenario's outcome.
+type Counter = (&'static str, fn(&Outcome) -> u64);
+
+/// The counters a battery totals.
+const COUNTERS: [Counter; 13] = [
+    ("events", |run| run.events),
+    ("messages", |run| run.messages),
+    ("cs_entries", |run| run.cs_entries),
+    ("crashes", |run| run.crashes),
+    ("recoveries", |run| run.recoveries),
+    ("lost_to_faults", |run| run.lost_to_faults),
+    ("lost_to_partition", |run| run.lost_to_partition),
+    ("duplicated_deliveries", |run| run.duplicated),
+    ("violations", |run| run.violation_count() as u64),
+    ("safety_violations", |run| run.safety.violations().len() as u64),
+    ("epoch_discards", |run| run.epoch_discards),
+    ("mint_requests", |run| run.mint_requests),
+    ("mint_acks", |run| run.mint_acks),
+];
+
+/// The keys of a per-size row — the compact `rows` of `BENCH_CHECK.json`.
+const SIZE_KEYS: &[&str] = &[
+    "n",
+    "scenarios",
+    "events",
+    "messages",
+    "cs_entries",
+    "crashes",
+    "recoveries",
+    "lost_to_faults",
+    "lost_to_partition",
+    "duplicated_deliveries",
+    "violations",
+];
+
+/// The keys of the artifact's `hardened` section.
+const HARDENED_KEYS: &[&str] = &[
+    "scenarios",
+    "events",
+    "messages",
+    "cs_entries",
+    "violations",
+    "safety_violations",
+    "epoch_discards",
+    "mint_requests",
+    "mint_acks",
+    "fingerprint",
+];
+
+/// The per-size table.
+const SIZE_COLS: &[Col] = &[
+    col("N", "n", 6, 0),
+    col("scenarios", "scenarios", 10, 0),
+    col("events", "events", 12, 0),
+    col("messages", "messages", 12, 0),
+    col("cs", "cs_entries", 9, 0),
+    col("crashes", "crashes", 8, 0),
+    col("recover", "recoveries", 8, 0),
+    col("lost", "lost_to_faults", 7, 0),
+    col("plost", "lost_to_partition", 7, 0),
+    col("dup", "duplicated_deliveries", 6, 0),
+    col("violations", "violations", 10, 0),
+];
+
+/// Scenario count and [`COUNTERS`] totals over some of a battery's runs.
+#[derive(Default)]
+struct Tally {
+    scenarios: u64,
+    counts: [u64; COUNTERS.len()],
 }
 
-impl Cell {
-    fn from_outcome(n: usize, run: &oc_check::Outcome) -> Cell {
-        Cell {
-            n,
-            fingerprint: run.fingerprint(),
-            clean: run.is_clean(),
-            violations: run.violation_count() as u64,
-            safety_violations: run.safety.violations().len() as u64,
-            events: run.events,
-            messages: run.messages,
-            cs_entries: run.cs_entries,
-            crashes: run.crashes,
-            recoveries: run.recoveries,
-            lost_to_faults: run.lost_to_faults,
-            lost_to_partition: run.lost_to_partition,
-            duplicated: run.duplicated,
-            epoch_discards: run.epoch_discards,
-            mint_requests: run.mint_requests,
-            mint_acks: run.mint_acks,
+impl Tally {
+    fn add(&mut self, run: &Outcome) {
+        self.scenarios += 1;
+        for (count, (_, read)) in self.counts.iter_mut().zip(COUNTERS) {
+            *count += read(run);
         }
+    }
+
+    /// `lead`, then `scenarios` and every counter, as one object.
+    fn object(&self, mut lead: Vec<(&'static str, Value)>) -> Value {
+        lead.push(("scenarios", Value::UInt(self.scenarios)));
+        lead.extend(COUNTERS.iter().zip(self.counts).map(|((key, _), n)| (*key, Value::UInt(n))));
+        Value::Obj(lead)
     }
 }
 
-/// Per-size aggregate — the compact `rows` of `BENCH_CHECK.json`.
-#[derive(Default)]
-struct SizeAgg {
-    scenarios: u64,
-    events: u64,
-    messages: u64,
-    cs_entries: u64,
-    crashes: u64,
-    recoveries: u64,
-    lost_to_faults: u64,
-    lost_to_partition: u64,
-    duplicated: u64,
-    violations: u64,
+/// One battery folded in cell order — so everything here, and the summary
+/// line printed from it, is byte-identical at any thread count.
+struct Battery {
+    /// One row per system size, ascending: the table and the artifact's
+    /// `rows`.
+    sizes: Vec<Value>,
+    /// The totals over every run, with `failures` and `fingerprint`.
+    total: Value,
+    /// Indices of the scenarios that were not clean.
+    failing: Vec<u64>,
+}
+
+fn fold(runs: &[(usize, Outcome)]) -> Battery {
+    let (mut total, mut by_size) = (Tally::default(), BTreeMap::<usize, Tally>::new());
+    let mut fingerprint = oc_sim::Fnv64::new();
+    let mut failing = Vec::new();
+    for (index, (n, run)) in runs.iter().enumerate() {
+        fingerprint.write_u64(run.fingerprint());
+        total.add(run);
+        by_size.entry(*n).or_default().add(run);
+        if !run.is_clean() {
+            failing.push(index as u64);
+        }
+    }
+    let total = total.object(vec![
+        ("failures", Value::UInt(failing.len() as u64)),
+        ("fingerprint", Value::Str(format!("{:#018x}", fingerprint.finish()))),
+    ]);
+    let sizes = by_size
+        .iter()
+        .map(|(n, tally)| tally.object(vec![("n", Value::UInt(*n as u64))]).pick(SIZE_KEYS))
+        .collect();
+    Battery { sizes, total, failing }
+}
+
+/// `label=value` for each `(label, key)` of `object`, space-separated:
+/// the body of the thread-invariant summary lines CI compares
+/// byte-for-byte across `--threads` values (no wall-clock terms on
+/// purpose).
+fn key_values(object: &Value, shown: &[(&str, &str)]) -> String {
+    let value = |key| match object.get(key) {
+        Value::Str(text) => text.clone(),
+        other => other.render().trim_end().to_string(),
+    };
+    shown.iter().map(|(label, key)| format!("{label}={}", value(key))).collect::<Vec<_>>().join(" ")
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_options(&args);
+    let (seed, budget, threads) = (options.master_seed, options.budget, options.threads);
     let space = Space {
         allow_loss: options.loss,
         overlapping_crashes: options.hard,
@@ -233,167 +287,81 @@ fn main() {
         ..Space::default()
     };
 
+    let on = |flag| if flag { "on" } else { "off" };
     println!(
-        "== explore: {} scenario(s), master seed {}, loss {}, hard {}, partitions {} ==\n",
-        options.budget,
-        options.master_seed,
-        if options.loss { "on" } else { "off" },
-        if options.hard { "on" } else { "off" },
-        if options.partitions { "on" } else { "off" },
+        "== explore: {budget} scenario(s), master seed {seed}, loss {}, hard {}, partitions {} ==\n",
+        on(options.loss),
+        on(options.hard),
+        on(options.partitions),
     );
-    let indices: Vec<u64> = (0..options.budget).collect();
-    let outcome = sweep::sweep(&indices, options.threads, |_, &index| {
-        let scenario = Scenario::generate(&space, options.master_seed, index);
-        let run = run_scenario(&scenario, oc_algo::Mutation::None);
-        Cell::from_outcome(scenario.n, &run)
-    });
-
-    // Aggregate in cell order: byte-identical at any thread count.
-    let mut by_size: std::collections::BTreeMap<usize, SizeAgg> = std::collections::BTreeMap::new();
-    let mut fold = oc_sim::Fnv64::new();
-    let mut failures: Vec<u64> = Vec::new();
-    for (index, cell) in outcome.results.iter().enumerate() {
-        fold.write_u64(cell.fingerprint);
-        let agg = by_size.entry(cell.n).or_default();
-        agg.scenarios += 1;
-        agg.events += cell.events;
-        agg.messages += cell.messages;
-        agg.cs_entries += cell.cs_entries;
-        agg.crashes += cell.crashes;
-        agg.recoveries += cell.recoveries;
-        agg.lost_to_faults += cell.lost_to_faults;
-        agg.lost_to_partition += cell.lost_to_partition;
-        agg.duplicated += cell.duplicated;
-        agg.violations += cell.violations;
-        if !cell.clean {
-            failures.push(index as u64);
-        }
-    }
-
+    let indices: Vec<u64> = (0..budget).collect();
+    let battery = |hardening| {
+        sweep::sweep(&indices, threads, |_, &index| {
+            let scenario = Scenario::generate(&space, seed, index);
+            (scenario.n, run_scenario_hardened(&scenario, Mutation::None, hardening))
+        })
+    };
+    let outcome = battery(Hardening::None);
+    let baseline = fold(&outcome.results);
+    print_table(SIZE_COLS, &baseline.sizes);
     println!(
-        "{:>6} {:>10} {:>12} {:>12} {:>9} {:>8} {:>8} {:>7} {:>7} {:>6} {:>10}",
-        "N",
-        "scenarios",
-        "events",
-        "messages",
-        "cs",
-        "crashes",
-        "recover",
-        "lost",
-        "plost",
-        "dup",
-        "violations"
-    );
-    for (n, agg) in &by_size {
-        println!(
-            "{:>6} {:>10} {:>12} {:>12} {:>9} {:>8} {:>8} {:>7} {:>7} {:>6} {:>10}",
-            n,
-            agg.scenarios,
-            agg.events,
-            agg.messages,
-            agg.cs_entries,
-            agg.crashes,
-            agg.recoveries,
-            agg.lost_to_faults,
-            agg.lost_to_partition,
-            agg.duplicated,
-            agg.violations,
-        );
-    }
-    let fingerprint = fold.finish();
-    let totals = |pick: fn(&SizeAgg) -> u64| by_size.values().map(pick).sum::<u64>();
-    let total_violations = totals(|agg| agg.violations);
-
-    // The thread-invariant one-line summary CI compares byte-for-byte
-    // across `--threads` values (no wall-clock terms on purpose).
-    println!(
-        "\nsummary budget={} seed={} loss={} hard={} partitions={} scenarios={} failures={} \
-         violations={} events={} messages={} cs={} crashes={} recoveries={} lost={} plost={} \
-         dup={} fingerprint={fingerprint:#018x}",
-        options.budget,
-        options.master_seed,
+        "\nsummary budget={budget} seed={seed} loss={} hard={} partitions={} {}",
         u8::from(options.loss),
         u8::from(options.hard),
         u8::from(options.partitions),
-        outcome.results.len(),
-        failures.len(),
-        total_violations,
-        totals(|agg| agg.events),
-        totals(|agg| agg.messages),
-        totals(|agg| agg.cs_entries),
-        totals(|agg| agg.crashes),
-        totals(|agg| agg.recoveries),
-        totals(|agg| agg.lost_to_faults),
-        totals(|agg| agg.lost_to_partition),
-        totals(|agg| agg.duplicated),
-    );
-    println!(
-        "   [{} cells on {} thread(s): {:.2}s wall, {:.2}s busy, speedup {:.2}x]",
-        outcome.results.len(),
-        outcome.threads,
-        outcome.wall_secs,
-        outcome.busy_secs,
-        outcome.speedup(),
+        key_values(
+            &baseline.total,
+            &[
+                ("scenarios", "scenarios"),
+                ("failures", "failures"),
+                ("violations", "violations"),
+                ("events", "events"),
+                ("messages", "messages"),
+                ("cs", "cs_entries"),
+                ("crashes", "crashes"),
+                ("recoveries", "recoveries"),
+                ("lost", "lost_to_faults"),
+                ("plost", "lost_to_partition"),
+                ("dup", "duplicated_deliveries"),
+                ("fingerprint", "fingerprint"),
+            ],
+        ),
     );
 
     // The hardened pass: the very same scenarios, replayed under
     // Hardening::Quorum. The fencing epoch retires stale tokens at the
     // heal and regeneration is quorum-gated, so the healed-partition
     // double-mint cannot happen — zero safety violations is a *gate*
-    // here, not an expected finding. Aggregated in cell order like the
-    // baseline, so the hardened summary line is also byte-identical at
-    // any `--threads`.
+    // here, not an expected finding. Folded like the baseline, so the
+    // hardened summary line is also byte-identical at any `--threads`.
     let hardened = options.hardened.then(|| {
-        let sweep_outcome = sweep::sweep(&indices, options.threads, |_, &index| {
-            let scenario = Scenario::generate(&space, options.master_seed, index);
-            let run = run_scenario_hardened(&scenario, oc_algo::Mutation::None, Hardening::Quorum);
-            Cell::from_outcome(scenario.n, &run)
-        });
-        let mut fold = oc_sim::Fnv64::new();
-        let mut agg = SizeAgg::default();
-        let mut safety_violations = 0u64;
-        let mut epoch_discards = 0u64;
-        let mut mint_requests = 0u64;
-        let mut mint_acks = 0u64;
-        let mut failing: Vec<u64> = Vec::new();
-        for (index, cell) in sweep_outcome.results.iter().enumerate() {
-            fold.write_u64(cell.fingerprint);
-            agg.scenarios += 1;
-            agg.events += cell.events;
-            agg.messages += cell.messages;
-            agg.cs_entries += cell.cs_entries;
-            agg.violations += cell.violations;
-            safety_violations += cell.safety_violations;
-            epoch_discards += cell.epoch_discards;
-            mint_requests += cell.mint_requests;
-            mint_acks += cell.mint_acks;
-            if !cell.clean {
-                failing.push(index as u64);
-            }
-        }
-        let fingerprint = fold.finish();
+        let hardened = fold(&battery(Hardening::Quorum).results);
         println!(
-            "\nhardened summary budget={} seed={} scenarios={} failures={} violations={} \
-             safety_violations={} epoch_discards={} mint_requests={} mint_acks={} events={} \
-             messages={} cs={} fingerprint={fingerprint:#018x}",
-            options.budget,
-            options.master_seed,
-            agg.scenarios,
-            failing.len(),
-            agg.violations,
-            safety_violations,
-            epoch_discards,
-            mint_requests,
-            mint_acks,
-            agg.events,
-            agg.messages,
-            agg.cs_entries,
+            "\nhardened summary budget={budget} seed={seed} {}",
+            key_values(
+                &hardened.total,
+                &[
+                    ("scenarios", "scenarios"),
+                    ("failures", "failures"),
+                    ("violations", "violations"),
+                    ("safety_violations", "safety_violations"),
+                    ("epoch_discards", "epoch_discards"),
+                    ("mint_requests", "mint_requests"),
+                    ("mint_acks", "mint_acks"),
+                    ("events", "events"),
+                    ("messages", "messages"),
+                    ("cs", "cs_entries"),
+                    ("fingerprint", "fingerprint"),
+                ],
+            ),
         );
-        for &index in failing.iter().take(8) {
-            let scenario = Scenario::generate(&space, options.master_seed, index);
-            println!("   hardened failure #{index}: {}", scenario.id());
+        for &index in hardened.failing.iter().take(8) {
+            println!(
+                "   hardened failure #{index}: {}",
+                Scenario::generate(&space, seed, index).id()
+            );
         }
-        (agg, safety_violations, epoch_discards, mint_requests, mint_acks, fingerprint)
+        hardened.total
     });
 
     // The coverage-guided pass: prove the explorer's teeth at a quarter
@@ -403,28 +371,17 @@ fn main() {
     // folded serially in slot order — one `sweep` call per batch — so
     // the `guided summary` line is byte-identical at any `--threads`.
     let guided = options.guided.then(|| {
-        let config = GuidedConfig::default();
         let hunt = |mutation: Mutation, budget: u64| -> GuidedResult {
-            explore_guided_with(
-                &space,
-                options.master_seed,
-                budget,
-                mutation,
-                config,
-                &mut |batch| {
-                    sweep::sweep(batch, options.threads, |_, scenario| {
-                        run_scenario(scenario, mutation)
-                    })
-                    .results
-                },
-            )
+            explore_guided_with(&space, seed, budget, mutation, &mut |batch| {
+                sweep::sweep(batch, threads, |_, scenario| run_scenario(scenario, mutation)).results
+            })
         };
         let keep = hunt(Mutation::KeepTokenOnTransit, GUIDED_DETECTION_BUDGET);
         let skip = hunt(Mutation::SkipTokenRegeneration, GUIDED_DETECTION_BUDGET);
         // The corpus-growth exploration scales with the battery: a
         // quarter of the blind budget, floored so even a tiny --budget
         // produces a real curve.
-        let explore_budget = (options.budget / 4).max(64);
+        let explore_budget = (budget / 4).max(64);
         let growth = hunt(Mutation::None, explore_budget);
 
         println!();
@@ -443,42 +400,65 @@ fn main() {
 
         // Fold the whole corpus growth curve into one fingerprint: any
         // cross-thread divergence in admission order shows up here.
+        let points: Vec<[u64; 4]> = growth
+            .curve
+            .iter()
+            .map(|row| [row.epoch, row.runs, row.corpus as u64, row.features as u64])
+            .collect();
         let mut fold = oc_sim::Fnv64::new();
-        for row in &growth.curve {
-            fold.write_u64(row.epoch);
-            fold.write_u64(row.runs);
-            fold.write_u64(row.corpus as u64);
-            fold.write_u64(row.features as u64);
-        }
-        let curve_fingerprint = fold.finish();
+        points.iter().flatten().for_each(|&word| fold.write_u64(word));
+        let keys = ["epoch", "runs", "corpus", "features"];
+        let curve =
+            points.iter().map(|p| Value::Obj(keys.into_iter().zip(p.map(Value::UInt)).collect()));
+        let curve = Value::Arr(curve.collect());
+        let curve_fingerprint = format!("{:#018x}", fold.finish());
         let index_of = |result: &GuidedResult| {
             result.failure.as_ref().map_or(-1, |failure| i64::try_from(failure.index).unwrap_or(-1))
         };
         println!(
-            "\nguided summary detection_budget={} seed={} keep_detected={} keep_index={} \
-             keep_runs={} skip_detected={} skip_index={} skip_runs={} explore_budget={} \
-             corpus={} features={} curve_fingerprint={curve_fingerprint:#018x}",
-            GUIDED_DETECTION_BUDGET,
-            options.master_seed,
+            "\nguided summary detection_budget={GUIDED_DETECTION_BUDGET} seed={seed} \
+             keep_detected={} keep_index={} keep_runs={} skip_detected={} skip_index={} \
+             skip_runs={} explore_budget={explore_budget} corpus={} features={} \
+             curve_fingerprint={curve_fingerprint}",
             u8::from(keep.failure.is_some()),
             index_of(&keep),
             keep.runs,
             u8::from(skip.failure.is_some()),
             index_of(&skip),
             skip.runs,
-            explore_budget,
             growth.corpus,
             growth.features,
         );
-        (keep, skip, growth, explore_budget, curve_fingerprint)
+        let detection = |result: &GuidedResult| {
+            let mut fields = vec![
+                ("detected", Value::Bool(result.failure.is_some())),
+                ("budget", Value::UInt(GUIDED_DETECTION_BUDGET)),
+                ("runs", Value::UInt(result.runs)),
+            ];
+            if let Some(failure) = &result.failure {
+                fields.push(("index", Value::UInt(failure.index)));
+                fields.push(("scenario_id", Value::str(failure.scenario.id())));
+            }
+            Value::Obj(fields)
+        };
+        let section = Value::Obj(vec![
+            ("keep_token_on_transit", detection(&keep)),
+            ("skip_token_regeneration", detection(&skip)),
+            ("explore_budget", Value::UInt(explore_budget)),
+            ("corpus", Value::UInt(growth.corpus as u64)),
+            ("features", Value::UInt(growth.features as u64)),
+            ("curve_fingerprint", Value::Str(curve_fingerprint)),
+            ("curve", curve),
+        ]);
+        (keep.failure.is_some(), skip.failure.is_some(), section)
     });
 
     // Shrink the first failure (lowest index) to a minimal, replayable
     // counterexample before reporting.
-    let shrunk = failures.first().map(|&index| {
-        let scenario = Scenario::generate(&space, options.master_seed, index);
+    let shrunk: Vec<Value> = baseline.failing.first().map_or_else(Vec::new, |&index| {
+        let scenario = Scenario::generate(&space, seed, index);
         println!("\n!! scenario #{index} fails — shrinking…");
-        let result = shrink(&scenario, oc_algo::Mutation::None);
+        let result = shrink(&scenario, Mutation::None);
         println!(
             "   minimal after {} step(s) / {} run(s): n={}, {} arrival(s), {} crash(es)",
             result.steps,
@@ -494,150 +474,62 @@ fn main() {
         for violation in result.outcome.liveness.violations() {
             println!("   liveness violation: {violation:?}");
         }
-        println!(
-            "\n-- paste-ready repro --\n{}",
-            repro_snippet(&result.scenario, oc_algo::Mutation::None)
-        );
-        (index, result)
+        println!("\n-- paste-ready repro --\n{}", repro_snippet(&result.scenario, Mutation::None));
+        vec![Value::Obj(vec![
+            ("index", Value::UInt(index)),
+            ("scenario_id", Value::str(result.scenario.id())),
+            ("violations", Value::UInt(result.outcome.violation_count() as u64)),
+        ])]
     });
 
-    if options.json {
-        let rows = by_size
-            .iter()
-            .map(|(n, agg)| {
-                json::Value::Obj(vec![
-                    ("n", json::Value::UInt(*n as u64)),
-                    ("scenarios", json::Value::UInt(agg.scenarios)),
-                    ("events", json::Value::UInt(agg.events)),
-                    ("messages", json::Value::UInt(agg.messages)),
-                    ("cs_entries", json::Value::UInt(agg.cs_entries)),
-                    ("crashes", json::Value::UInt(agg.crashes)),
-                    ("recoveries", json::Value::UInt(agg.recoveries)),
-                    ("lost_to_faults", json::Value::UInt(agg.lost_to_faults)),
-                    ("lost_to_partition", json::Value::UInt(agg.lost_to_partition)),
-                    ("duplicated_deliveries", json::Value::UInt(agg.duplicated)),
-                    ("violations", json::Value::UInt(agg.violations)),
-                ])
-            })
-            .collect();
-        let failure_values = shrunk
-            .iter()
-            .map(|(index, result)| {
-                json::Value::Obj(vec![
-                    ("index", json::Value::UInt(*index)),
-                    ("scenario_id", json::Value::str(result.scenario.id())),
-                    ("violations", json::Value::UInt(result.outcome.violation_count() as u64)),
-                ])
-            })
-            .collect();
-        let mut extra = vec![
-            ("budget", json::Value::UInt(options.budget)),
-            ("loss", json::Value::Bool(options.loss)),
-            ("hard", json::Value::Bool(options.hard)),
-            ("partitions", json::Value::Bool(options.partitions)),
-            ("failures", json::Value::UInt(failures.len() as u64)),
-            ("violations", json::Value::UInt(total_violations)),
-            ("fingerprint", json::Value::str(format!("{fingerprint:#018x}"))),
-            ("shrunk_failures", json::Value::Arr(failure_values)),
-        ];
-        // The hardened section is appended after every baseline key, so
-        // a diff of the artifact against a pre-hardening run shows the
-        // baseline battery byte-identical.
-        if let Some((agg, safety, discards, mint_req, mint_ack, hardened_fp)) = &hardened {
-            extra.push((
-                "hardened",
-                json::Value::Obj(vec![
-                    ("scenarios", json::Value::UInt(agg.scenarios)),
-                    ("events", json::Value::UInt(agg.events)),
-                    ("messages", json::Value::UInt(agg.messages)),
-                    ("cs_entries", json::Value::UInt(agg.cs_entries)),
-                    ("violations", json::Value::UInt(agg.violations)),
-                    ("safety_violations", json::Value::UInt(*safety)),
-                    ("epoch_discards", json::Value::UInt(*discards)),
-                    ("mint_requests", json::Value::UInt(*mint_req)),
-                    ("mint_acks", json::Value::UInt(*mint_ack)),
-                    ("fingerprint", json::Value::str(format!("{hardened_fp:#018x}"))),
-                ]),
-            ));
-        }
-        // The guided section follows the same additive rule: appended
-        // after every pre-existing key, so diffing the artifact against
-        // a pre-guided run shows the battery byte-identical.
-        if let Some((keep, skip, growth, explore_budget, curve_fingerprint)) = &guided {
-            let detection = |result: &GuidedResult| {
-                let mut fields = vec![
-                    ("detected", json::Value::Bool(result.failure.is_some())),
-                    ("budget", json::Value::UInt(GUIDED_DETECTION_BUDGET)),
-                    ("runs", json::Value::UInt(result.runs)),
-                ];
-                if let Some(failure) = &result.failure {
-                    fields.push(("index", json::Value::UInt(failure.index)));
-                    fields.push(("scenario_id", json::Value::str(failure.scenario.id())));
-                }
-                json::Value::Obj(fields)
-            };
-            let curve = growth
-                .curve
-                .iter()
-                .map(|row| {
-                    json::Value::Obj(vec![
-                        ("epoch", json::Value::UInt(row.epoch)),
-                        ("runs", json::Value::UInt(row.runs)),
-                        ("corpus", json::Value::UInt(row.corpus as u64)),
-                        ("features", json::Value::UInt(row.features as u64)),
-                    ])
-                })
-                .collect();
-            extra.push((
-                "guided",
-                json::Value::Obj(vec![
-                    ("keep_token_on_transit", detection(keep)),
-                    ("skip_token_regeneration", detection(skip)),
-                    ("explore_budget", json::Value::UInt(*explore_budget)),
-                    ("corpus", json::Value::UInt(growth.corpus as u64)),
-                    ("features", json::Value::UInt(growth.features as u64)),
-                    ("curve_fingerprint", json::Value::str(format!("{curve_fingerprint:#018x}"))),
-                    ("curve", json::Value::Arr(curve)),
-                ]),
-            ));
-        }
-        let doc =
-            oc_bench::bench_artifact("check", options.master_seed, false, &outcome, rows, extra);
-        let path = options.out.as_deref().unwrap_or("BENCH_CHECK.json");
-        match doc.write_file(std::path::Path::new(path)) {
-            Ok(()) => println!("   wrote {path}"),
-            Err(err) => {
-                eprintln!("error: could not write {path}: {err}");
-                std::process::exit(1);
-            }
-        }
+    // The hardened and guided sections are appended after every baseline
+    // key, so a diff of the artifact against a run without them shows the
+    // baseline battery byte-identical.
+    let mut extra = vec![
+        ("budget", Value::UInt(budget)),
+        ("loss", Value::Bool(options.loss)),
+        ("hard", Value::Bool(options.hard)),
+        ("partitions", Value::Bool(options.partitions)),
+        ("failures", baseline.total.get("failures").clone()),
+        ("violations", baseline.total.get("violations").clone()),
+        ("fingerprint", baseline.total.get("fingerprint").clone()),
+        ("shrunk_failures", Value::Arr(shrunk)),
+    ];
+    extra.extend(hardened.iter().map(|total| ("hardened", total.pick(HARDENED_KEYS))));
+    extra.extend(guided.iter().map(|(.., section)| ("guided", section.clone())));
+    Artifact {
+        experiment: "check",
+        master_seed: seed,
+        quick: false,
+        timing: Some(outcome.timing),
+        rows: baseline.sizes,
+        extra,
     }
+    .finish(options.out.as_deref());
 
     // The guided gate: a guided explorer that cannot find a planted
     // mutation within a quarter of the blind budget has lost its teeth.
-    if let Some((keep, skip, ..)) = &guided {
-        if keep.failure.is_none() || skip.failure.is_none() {
+    if let Some((keep, skip, _)) = guided {
+        if !(keep && skip) {
             eprintln!(
                 "error: guided exploration missed a planted mutation within \
-                 {GUIDED_DETECTION_BUDGET} runs (keep detected: {}, skip detected: {})",
-                keep.failure.is_some(),
-                skip.failure.is_some(),
+                 {GUIDED_DETECTION_BUDGET} runs (keep detected: {keep}, skip detected: {skip})",
             );
             std::process::exit(1);
         }
     }
 
-    if let Some((_, safety_violations, ..)) = &hardened {
-        if *safety_violations > 0 {
-            eprintln!(
-                "error: {safety_violations} safety violation(s) under Hardening::Quorum — \
-                 quorum regeneration must close the double-mint window"
-            );
-            std::process::exit(1);
-        }
+    if let Some(Value::UInt(safety_violations @ 1..)) =
+        hardened.as_ref().map(|h| h.get("safety_violations"))
+    {
+        eprintln!(
+            "error: {safety_violations} safety violation(s) under Hardening::Quorum — \
+             quorum regeneration must close the double-mint window"
+        );
+        std::process::exit(1);
     }
 
-    if !failures.is_empty() {
+    if !baseline.failing.is_empty() {
         if options.loss || options.hard || options.partitions {
             // Probe modes step outside the paper's model on purpose:
             // violations there are expected findings, reported above but
@@ -649,7 +541,7 @@ fn main() {
             println!(
                 "\n{} failing scenario(s): expected findings in probe mode \
                  (loss/hard/partitions)",
-                failures.len()
+                baseline.failing.len()
             );
         } else {
             std::process::exit(1);

@@ -18,7 +18,12 @@
 use std::time::Duration;
 
 use oc_bench::cli::FlagParser;
-use oc_bench::loadgen::{battery, loadgen_artifact, run_cell, LoadCell, LoadMode, SPREAD_BEFORE};
+use oc_bench::json::Value;
+use oc_bench::loadgen::{
+    battery, open_loop_gap, run_cell, spread_before, LoadCell, LoadMode, LOAD_COLS, SPREAD_BEFORE,
+    TICK,
+};
+use oc_bench::report::{header, line, Artifact, Verdict};
 
 const USAGE: &str = "\
 Usage: loadgen [FLAGS]
@@ -81,76 +86,25 @@ fn parse_options(args: &[String]) -> Options {
         partitions: 0,
     };
     let mut parser = FlagParser::new(USAGE, args);
+    let positive = "a positive integer";
     while let Some(flag) = parser.next_flag() {
         match flag.name.as_str() {
-            "--seed" | "--n" | "--workers" | "--duration" | "--rate" | "--clients"
-            | "--namespaces" | "--churn" | "--partitions" => {
-                let value = parser.value(&flag, "a number");
-                let bad = |parser: &FlagParser| -> ! {
-                    parser.usage_error(&format!("invalid {} value: {value:?}", flag.name));
-                };
-                match flag.name.as_str() {
-                    "--seed" => {
-                        options.seed = value.parse().unwrap_or_else(|_| bad(&parser));
-                    }
-                    "--n" => {
-                        options.n =
-                            Some(value.parse().ok().filter(|&n| n >= 2).unwrap_or_else(|| {
-                                bad(&parser);
-                            }));
-                    }
-                    "--workers" => {
-                        options.workers =
-                            value.parse().ok().filter(|&w| w > 0).unwrap_or_else(|| {
-                                bad(&parser);
-                            });
-                    }
-                    "--duration" => {
-                        options.duration_secs =
-                            value.parse().ok().filter(|&d: &f64| d > 0.0).unwrap_or_else(|| {
-                                bad(&parser);
-                            });
-                    }
-                    "--rate" => {
-                        options.rate =
-                            Some(value.parse().ok().filter(|&r| r > 0).unwrap_or_else(|| {
-                                bad(&parser);
-                            }));
-                    }
-                    "--clients" => {
-                        options.clients =
-                            Some(value.parse().ok().filter(|&c| c > 0).unwrap_or_else(|| {
-                                bad(&parser);
-                            }));
-                    }
-                    "--namespaces" => {
-                        options.namespaces =
-                            Some(value.parse().ok().filter(|&k| k > 0).unwrap_or_else(|| {
-                                bad(&parser);
-                            }));
-                    }
-                    "--churn" => {
-                        options.churn = value.parse().unwrap_or_else(|_| bad(&parser));
-                    }
-                    "--partitions" => {
-                        options.partitions = value.parse().unwrap_or_else(|_| bad(&parser));
-                    }
-                    _ => unreachable!(),
-                }
-                continue;
+            "--seed" => options.seed = parser.parsed(&flag, "an unsigned integer", |_| true),
+            "--n" => options.n = Some(parser.parsed(&flag, "an integer ≥ 2", |&n| n >= 2)),
+            "--workers" => options.workers = parser.parsed(&flag, positive, |&w| w > 0),
+            "--duration" => {
+                options.duration_secs = parser.parsed(&flag, "seconds > 0", |&d| d > 0.0);
             }
-            _ => {}
-        }
-        parser.no_value(&flag);
-        match flag.name.as_str() {
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            "--quick" => options.quick = true,
-            "--json" => options.json = true,
-            "--spread" => options.spread = true,
-            _ => parser.usage_error(&format!("unknown flag: {:?}", flag.raw)),
+            "--rate" => options.rate = Some(parser.parsed(&flag, positive, |&r| r > 0)),
+            "--clients" => options.clients = Some(parser.parsed(&flag, positive, |&c| c > 0)),
+            "--namespaces" => options.namespaces = Some(parser.parsed(&flag, positive, |&k| k > 0)),
+            "--churn" => options.churn = parser.parsed(&flag, "a count", |_| true),
+            "--partitions" => options.partitions = parser.parsed(&flag, "a count", |_| true),
+            "--quick" => options.quick = parser.switch(&flag),
+            "--json" => options.json = parser.switch(&flag),
+            "--spread" => options.spread = parser.switch(&flag),
+            "--help" | "-h" => parser.help(),
+            _ => parser.unknown(&flag),
         }
     }
     if (options.rate.is_some() || options.clients.is_some()) && options.n.is_none() {
@@ -209,86 +163,46 @@ fn main() {
         options.seed,
         if options.quick { ", quick" } else { "" },
     );
-    println!(
-        "{:>14} {:>6} {:>3} {:>3} {:>6} {:>5} {:>9} {:>9} {:>5} {:>10} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>6}",
-        "mode",
-        "n",
-        "wrk",
-        "ns",
-        "churn",
-        "cuts",
-        "injected",
-        "served",
-        "aband",
-        "events/s",
-        "cs/s",
-        "acq/s",
-        "p50 µs",
-        "p99 µs",
-        "p999 µs",
-        "max µs",
-        "clean",
-    );
-
-    let mut rows = Vec::with_capacity(cells.len());
-    for cell in &cells {
-        let row = run_cell(cell);
-        println!(
-            "{:>14} {:>6} {:>3} {:>3} {:>6} {:>5} {:>9} {:>9} {:>5} {:>10.0} {:>10.1} {:>10.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>6}",
-            row.mode,
-            row.n,
-            row.workers,
-            row.namespaces,
-            row.churn_crashes,
-            row.partition_cycles,
-            row.injected,
-            row.served,
-            row.abandoned,
-            row.events_per_sec,
-            row.cs_per_sec,
-            row.acq_per_sec,
-            row.latency.p50_nanos as f64 / 1_000.0,
-            row.latency.p99_nanos as f64 / 1_000.0,
-            row.latency.p999_nanos as f64 / 1_000.0,
-            row.latency.max_nanos as f64 / 1_000.0,
-            if row.clean() { "yes" } else { "NO" },
-        );
-        rows.push(row);
-    }
-
-    let violations: usize =
-        rows.iter().map(|row| row.safety_violations + row.liveness_violations).sum();
-    let unsettled = rows.iter().filter(|row| !row.settled).count();
-    println!(
-        "\nsummary cells={} served={} abandoned={} violations={violations} unsettled={unsettled}",
-        rows.len(),
-        rows.iter().map(|row| row.served).sum::<u64>(),
-        rows.iter().map(|row| row.abandoned).sum::<u64>(),
-    );
-
-    let (before_rev, spread_mode, before_acq, before_events) = SPREAD_BEFORE;
-    for row in rows.iter().filter(|row| row.mode == spread_mode) {
-        println!(
-            "{spread_mode}: {:.0} acq/s at {:.2} events/acq; before ({before_rev}): \
-             {before_acq:.0} acq/s at {before_events:.2} events/acq ({:.2}x)",
-            row.acq_per_sec,
-            row.events as f64 / row.served as f64,
-            row.acq_per_sec / before_acq,
-        );
-    }
-
-    if options.json {
-        let doc = loadgen_artifact(options.seed, options.quick, &rows);
-        let path = std::path::Path::new("BENCH_RT.json");
-        match doc.write_file(path) {
-            Ok(()) => println!("   wrote BENCH_RT.json"),
-            Err(err) => {
-                eprintln!("error: could not write BENCH_RT.json: {err}");
-                std::process::exit(1);
-            }
+    if let Some(rate) = options.rate {
+        let (gap, realised) = open_loop_gap(rate);
+        if realised != rate as f64 {
+            println!(
+                "   (--rate {rate} is offered as {realised:.1}/s: one arrival per {gap} tick(s) \
+                 of {}µs)\n",
+                TICK.as_micros(),
+            );
         }
     }
+    println!("{}", header(LOAD_COLS));
+    // Row by row: a cell takes seconds, and its line is the progress.
+    let rows: Vec<Value> = cells
+        .iter()
+        .map(|cell| {
+            let row = run_cell(cell).to_json();
+            println!("{}", line(LOAD_COLS, &row));
+            row
+        })
+        .collect();
 
+    let verdict = Verdict::of(&rows);
+    println!("\n{verdict}");
+
+    let (before_rev, spread_mode, before_acq, before_events) = SPREAD_BEFORE;
+    for row in rows.iter().filter(|row| row.get("mode") == &Value::str(spread_mode)) {
+        let acq_per_sec = row.get("acq_per_sec").num();
+        println!(
+            "{spread_mode}: {acq_per_sec:.0} acq/s at {:.2} events/acq; before ({before_rev}): \
+             {before_acq:.0} acq/s at {before_events:.2} events/acq ({:.2}x)",
+            row.get("events").num() / row.get("served").num(),
+            acq_per_sec / before_acq,
+        );
+    }
+
+    let mut artifact = Artifact::measured("rt", options.seed, options.quick, TICK, rows);
+    artifact.extra.push(("spread_before", spread_before()));
+    artifact.finish(options.json.then_some("BENCH_RT.json"));
+
+    let Verdict { violations, unsettled, .. } = verdict;
     if violations > 0 || unsettled > 0 {
         eprintln!("error: {violations} oracle violation(s), {unsettled} unsettled run(s)");
         std::process::exit(1);

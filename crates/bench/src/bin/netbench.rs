@@ -18,15 +18,15 @@
 //! through the threaded runtime (`oc_check::run_scenario_runtime`, same
 //! tick) and the two outcomes must conform.
 
-use std::time::Duration;
-
 use oc_algo::Mutation;
 use oc_bench::cli::FlagParser;
+use oc_bench::json::Value;
 use oc_bench::orchestrator::{
-    net_artifact, net_battery, run_scenario_sockets, sibling_node_binary, NetCell, TransportKind,
-    NET_TICK,
+    net_battery, net_cell, run_scenario_sockets, sibling_node_binary, NetCell, TransportKind,
+    NET_COLS, NET_TICK,
 };
-use oc_check::{conforms, run_scenario_runtime, GateKill, GateScenario, RuntimeProfile};
+use oc_bench::report::{header, line, Artifact, Verdict};
+use oc_check::{conforms, run_scenario_runtime, RuntimeProfile};
 
 const USAGE: &str = "\
 Usage: netbench [FLAGS]
@@ -74,54 +74,27 @@ fn parse_options(args: &[String]) -> Options {
     let mut parser = FlagParser::new(USAGE, args);
     while let Some(flag) = parser.next_flag() {
         match flag.name.as_str() {
-            "--seed" | "--n" | "--requests" | "--kill" | "--transport" => {
-                let value = parser.value(&flag, "a value");
-                let bad = |parser: &FlagParser| -> ! {
-                    parser.usage_error(&format!("invalid {} value: {value:?}", flag.name));
+            "--seed" => options.seed = parser.parsed(&flag, "an unsigned integer", |_| true),
+            "--n" => {
+                let size = |n: &usize| *n >= 2 && n.is_power_of_two();
+                options.n = Some(parser.parsed(&flag, "a power of two ≥ 2", size));
+            }
+            "--requests" => {
+                options.requests = parser.parsed(&flag, "a positive integer", |&r| r > 0)
+            }
+            "--kill" => options.kill = Some(parser.parsed(&flag, "a node id ≥ 1", |&v| v > 0)),
+            "--transport" => {
+                let known = |t: &String| t == "tcp" || t == "uds";
+                options.transport = match parser.parsed(&flag, "tcp or uds", known).as_str() {
+                    "tcp" => TransportKind::Tcp,
+                    _ => TransportKind::Uds,
                 };
-                match flag.name.as_str() {
-                    "--seed" => options.seed = value.parse().unwrap_or_else(|_| bad(&parser)),
-                    "--n" => {
-                        options.n = Some(
-                            value
-                                .parse()
-                                .ok()
-                                .filter(|&n: &usize| n >= 2 && n.is_power_of_two())
-                                .unwrap_or_else(|| bad(&parser)),
-                        );
-                    }
-                    "--requests" => {
-                        options.requests =
-                            value.parse().ok().filter(|&r| r > 0).unwrap_or_else(|| bad(&parser));
-                    }
-                    "--kill" => {
-                        options.kill = Some(
-                            value.parse().ok().filter(|&v| v > 0).unwrap_or_else(|| bad(&parser)),
-                        );
-                    }
-                    "--transport" => {
-                        options.transport = match value.as_str() {
-                            "tcp" => TransportKind::Tcp,
-                            "uds" => TransportKind::Uds,
-                            _ => bad(&parser),
-                        };
-                    }
-                    _ => unreachable!(),
-                }
-                continue;
             }
-            _ => {}
-        }
-        parser.no_value(&flag);
-        match flag.name.as_str() {
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            "--quick" => options.quick = true,
-            "--json" => options.json = true,
-            "--differential" => options.differential = true,
-            _ => parser.usage_error(&format!("unknown flag: {:?}", flag.raw)),
+            "--quick" => options.quick = parser.switch(&flag),
+            "--json" => options.json = parser.switch(&flag),
+            "--differential" => options.differential = parser.switch(&flag),
+            "--help" | "-h" => parser.help(),
+            _ => parser.unknown(&flag),
         }
     }
     if let (Some(n), Some(kill)) = (options.n, options.kill) {
@@ -143,24 +116,9 @@ fn main() {
     }
 
     let cells: Vec<NetCell> = match options.n {
-        Some(n) => vec![NetCell {
-            transport: options.transport,
-            scenario: GateScenario {
-                n,
-                requests: options.requests,
-                gap_ticks: 20,
-                delta_ticks: 40,
-                cs_ticks: 20,
-                slack_ticks: 20_000,
-                seed: options.seed,
-                kill: options.kill.map(|node| GateKill {
-                    node,
-                    at_ticks: 20 * (options.requests as u64 / 2),
-                    recover_ticks: 20 * (options.requests as u64 / 2) + 4_000,
-                }),
-            },
-            settle_timeout: Duration::from_secs(30),
-        }],
+        Some(n) => {
+            vec![net_cell(options.transport, n, options.requests, options.kill, options.seed)]
+        }
         None => net_battery(options.quick, options.seed),
     };
 
@@ -171,23 +129,9 @@ fn main() {
         NET_TICK.as_micros(),
         if options.quick { ", quick" } else { "" },
     );
-    println!(
-        "{:>5} {:>6} {:>9} {:>9} {:>6} {:>7} {:>8} {:>9} {:>10} {:>10} {:>10} {:>6}",
-        "trans",
-        "n",
-        "injected",
-        "served",
-        "aband",
-        "crashes",
-        "recover",
-        "wall s",
-        "cs/s",
-        "p50 µs",
-        "p99 µs",
-        "clean",
-    );
+    println!("{}", header(NET_COLS));
 
-    let mut rows = Vec::with_capacity(cells.len());
+    let mut rows: Vec<Value> = Vec::with_capacity(cells.len());
     let mut divergences = 0usize;
     for cell in &cells {
         let scenario = cell.scenario.scenario();
@@ -199,21 +143,9 @@ fn main() {
                     std::process::exit(1);
                 }
             };
-        println!(
-            "{:>5} {:>6} {:>9} {:>9} {:>6} {:>7} {:>8} {:>9.2} {:>10.1} {:>10.1} {:>10.1} {:>6}",
-            row.transport,
-            row.n,
-            row.injected,
-            row.served,
-            row.abandoned,
-            row.outcome.crashes,
-            row.outcome.recoveries,
-            row.wall_secs,
-            row.cs_per_sec,
-            row.p50_us,
-            row.p99_us,
-            if row.clean() { "yes" } else { "NO" },
-        );
+        let shown = row.to_json();
+        println!("{}", line(NET_COLS, &shown));
+        rows.push(shown);
         if options.differential {
             let profile =
                 RuntimeProfile { tick: NET_TICK, workers: 4, settle_timeout: cell.settle_timeout };
@@ -230,32 +162,14 @@ fn main() {
                 }
             }
         }
-        rows.push(row);
     }
 
-    let violations: usize =
-        rows.iter().map(|row| row.safety_violations + row.liveness_violations).sum();
-    let unsettled = rows.iter().filter(|row| !row.settled).count();
-    println!(
-        "\nsummary cells={} served={} abandoned={} violations={violations} \
-         unsettled={unsettled} divergences={divergences}",
-        rows.len(),
-        rows.iter().map(|row| row.served).sum::<u64>(),
-        rows.iter().map(|row| row.abandoned).sum::<u64>(),
-    );
+    let verdict = Verdict::of(&rows);
+    println!("\n{verdict} divergences={divergences}");
+    Artifact::measured("net", options.seed, options.quick, NET_TICK, rows)
+        .finish(options.json.then_some("BENCH_NET.json"));
 
-    if options.json {
-        let doc = net_artifact(options.seed, options.quick, &rows);
-        let path = std::path::Path::new("BENCH_NET.json");
-        match doc.write_file(path) {
-            Ok(()) => println!("   wrote BENCH_NET.json"),
-            Err(err) => {
-                eprintln!("error: could not write BENCH_NET.json: {err}");
-                std::process::exit(1);
-            }
-        }
-    }
-
+    let Verdict { violations, unsettled, .. } = verdict;
     if violations > 0 || unsettled > 0 || divergences > 0 {
         eprintln!(
             "error: {violations} oracle violation(s), {unsettled} unsettled run(s), \

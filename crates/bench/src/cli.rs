@@ -1,10 +1,11 @@
-//! Flag parsing shared by the `experiments` and `explore` binaries.
+//! Flag parsing shared by the four reporting binaries.
 //!
-//! Both CLIs follow the same contract — `--flag value` or `--flag=value`
-//! forms, valueless flags reject an inline `=value`, and any parse error
-//! prints the binary's usage text and exits 2 (pinned by CI's
-//! unknown-flag smoke). Keeping the scaffolding here means a fix to one
-//! binary's parsing cannot silently miss the other.
+//! They follow one contract — `--flag value` or `--flag=value` forms,
+//! valueless flags reject an inline `=value`, and any parse error prints
+//! the binary's usage text and exits 2 (pinned by CI's unknown-flag
+//! smoke). A binary's flag loop is one `match` on [`Flag::name`] whose
+//! arms are [`FlagParser::parsed`] (a value), [`FlagParser::switch`] (no
+//! value), [`FlagParser::help`] and [`FlagParser::unknown`].
 
 /// One parsed command-line flag: its name and the optional inline
 /// `=value` payload.
@@ -57,11 +58,38 @@ impl<'a> FlagParser<'a> {
         })
     }
 
-    /// Rejects an inline `=value` on a valueless flag (`--quick=false`
-    /// must fail loudly, not silently discard the payload).
-    pub fn no_value(&self, flag: &Flag) {
+    /// The flag's value parsed as a `T` that `accept` admits; anything
+    /// else is a usage error.
+    pub fn parsed<T: std::str::FromStr>(
+        &mut self,
+        flag: &Flag,
+        what: &str,
+        accept: impl Fn(&T) -> bool,
+    ) -> T {
+        let value = self.value(flag, what);
+        value.parse().ok().filter(accept).unwrap_or_else(|| {
+            self.usage_error(&format!("invalid {} value: {value:?} (want {what})", flag.name));
+        })
+    }
+
+    /// A valueless flag was given: `true`, after rejecting an inline
+    /// `=value` (`--quick=false` must fail loudly, not silently discard
+    /// the payload).
+    pub fn switch(&self, flag: &Flag) -> bool {
         if flag.inline.is_some() {
             self.usage_error(&format!("{} does not take a value (got {:?})", flag.name, flag.raw));
         }
+        true
+    }
+
+    /// `--help`: prints the usage text and exits 0.
+    pub fn help(&self) -> ! {
+        print!("{}", self.usage);
+        std::process::exit(0)
+    }
+
+    /// Any flag the binary does not know: a usage error.
+    pub fn unknown(&self, flag: &Flag) -> ! {
+        self.usage_error(&format!("unknown flag: {:?}", flag.raw))
     }
 }

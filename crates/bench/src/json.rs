@@ -1,4 +1,4 @@
-//! Minimal JSON emission for the `BENCH_E*.json` artifacts.
+//! Minimal JSON emission for the `BENCH_*.json` artifacts.
 //!
 //! No JSON crate resolves offline, so the bench artifacts are built from
 //! this tiny explicit [`Value`] tree: ~150 lines, deterministic field
@@ -101,6 +101,38 @@ impl Value {
                 out.push('}');
             }
         }
+    }
+
+    /// Field `key` of an object; `Null` when absent or not an object.
+    #[must_use]
+    pub fn get(&self, key: &str) -> &Value {
+        static NULL: Value = Value::Null;
+        match self {
+            Value::Obj(fields) => fields.iter().find(|(k, _)| *k == key).map_or(&NULL, |(_, v)| v),
+            _ => &NULL,
+        }
+    }
+
+    /// A number as `f64`; NaN for anything that is not one.
+    #[must_use]
+    pub fn num(&self) -> f64 {
+        match self {
+            Value::UInt(u) => *u as f64,
+            Value::Num(x) => *x,
+            _ => f64::NAN,
+        }
+    }
+
+    /// The object's fields named in `keys`, in that order (absent ones
+    /// left out) — a projection of a row.
+    #[must_use]
+    pub fn pick(&self, keys: &[&'static str]) -> Value {
+        Value::Obj(
+            keys.iter()
+                .filter(|key| *self.get(key) != Value::Null)
+                .map(|&key| (key, self.get(key).clone()))
+                .collect(),
+        )
     }
 
     /// Writes the rendered document to `path`.

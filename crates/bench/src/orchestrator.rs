@@ -12,8 +12,9 @@
 //! cannot honour yet, a fault script (there is no link shim), is
 //! refused, never run and reported clean. On top of the verdict this
 //! module measures the deployment (scheduled-arrival-to-grant latency
-//! quantiles, throughput) and renders `BENCH_NET.json` rows; a
-//! [`NetCell`] names its scenario by an `oc_check::GateScenario` shape.
+//! quantiles, throughput) and answers with the rows of the E13 table and
+//! `BENCH_NET.json`; a [`NetCell`] names its scenario by an
+//! `oc_check::GateScenario` shape.
 //!
 //! Judgement pipeline, after the run: read every node's event log plus
 //! the orchestrator's own log of synthesized `Crash` records (sound to
@@ -32,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-use oc_check::{GateScenario, Outcome, Scenario};
+use oc_check::{GateKill, GateScenario, Outcome, Scenario};
 use oc_sim::{check_horizon, ticks_to_wall, Horizon, NodeAtHorizon};
 use oc_topology::NodeId;
 use oc_transport::{
@@ -44,6 +45,23 @@ use oc_transport::{
 };
 
 use crate::json::Value;
+use crate::report::{col, Col};
+
+/// The E13 table.
+pub const NET_COLS: &[Col] = &[
+    col("trans", "transport", 5, 0),
+    col("n", "n", 6, 0),
+    col("injected", "injected", 9, 0),
+    col("served", "served", 9, 0),
+    col("aband", "abandoned", 6, 0),
+    col("crashes", "crashes", 7, 0),
+    col("recover", "recoveries", 8, 0),
+    col("wall s", "wall_secs", 9, 2),
+    col("cs/s", "cs_per_sec", 10, 1),
+    col("p50 µs", "p50_us", 10, 1),
+    col("p99 µs", "p99_us", 10, 1),
+    col("clean", "clean", 6, 0),
+];
 
 /// Wall-clock length of one scenario tick on the socket substrate.
 /// Chosen so the default δ of 40 ticks (2ms) upper-bounds localhost
@@ -130,7 +148,7 @@ impl NetRow {
         self.settled && self.outcome.is_clean()
     }
 
-    /// Serializes the row for `BENCH_NET.json`.
+    /// The row of the table and of `BENCH_NET.json`.
     #[must_use]
     pub fn to_json(&self) -> Value {
         Value::Obj(vec![
@@ -150,6 +168,7 @@ impl NetRow {
             ("safety_violations", Value::UInt(self.safety_violations as u64)),
             ("liveness_violations", Value::UInt(self.liveness_violations as u64)),
             ("settled", Value::Bool(self.settled)),
+            ("clean", Value::Bool(self.clean())),
         ])
     }
 }
@@ -674,75 +693,46 @@ pub fn run_scenario_sockets(
     })
 }
 
-/// The standard E13 battery: clean TCP and UDS cells, plus a UDS cell
-/// with one SIGKILL/restart cycle. `quick` shrinks sizes and request
-/// counts for CI smoke.
+/// One E13 cell: `requests` arrivals 20 ticks apart at `n` processes
+/// (δ = 40 ticks, 20-tick critical sections, 20 000 ticks of slack),
+/// with `kill` SIGKILLed at the schedule's midpoint and restarted 4 000
+/// ticks later.
 #[must_use]
-pub fn net_battery(quick: bool, seed: u64) -> Vec<NetCell> {
-    use oc_check::GateKill;
-    let scenario = |n: usize, requests: usize, kill: Option<GateKill>, seed: u64| GateScenario {
+pub fn net_cell(
+    transport: TransportKind,
+    n: usize,
+    requests: usize,
+    kill: Option<u32>,
+    seed: u64,
+) -> NetCell {
+    let gap_ticks = 20;
+    let at_ticks = gap_ticks * (requests as u64 / 2);
+    let kill = kill.map(|node| GateKill { node, at_ticks, recover_ticks: at_ticks + 4_000 });
+    let scenario = GateScenario {
         n,
         requests,
-        gap_ticks: 20,
+        gap_ticks,
         delta_ticks: 40,
         cs_ticks: 20,
         slack_ticks: 20_000,
         seed,
         kill,
     };
-    let settle = Duration::from_secs(30);
-    let (n_small, n_large, requests) = if quick { (16, 16, 200) } else { (16, 64, 600) };
-    vec![
-        NetCell {
-            transport: TransportKind::Tcp,
-            scenario: scenario(n_small, requests, None, seed),
-            settle_timeout: settle,
-        },
-        NetCell {
-            transport: TransportKind::Uds,
-            scenario: scenario(n_small, requests, None, seed.wrapping_add(1)),
-            settle_timeout: settle,
-        },
-        NetCell {
-            transport: TransportKind::Uds,
-            scenario: scenario(n_large, requests, None, seed.wrapping_add(2)),
-            settle_timeout: settle,
-        },
-        NetCell {
-            transport: TransportKind::Uds,
-            scenario: scenario(
-                n_small,
-                requests / 2,
-                Some(GateKill {
-                    node: 3,
-                    at_ticks: 20 * (requests as u64 / 4),
-                    recover_ticks: 20 * (requests as u64 / 4) + 4_000,
-                }),
-                seed.wrapping_add(3),
-            ),
-            settle_timeout: settle,
-        },
-    ]
+    NetCell { transport, scenario, settle_timeout: Duration::from_secs(30) }
 }
 
-/// Assembles `BENCH_NET.json` — the socket-deployment analogue of
-/// `BENCH_RT.json`'s envelope.
+/// The standard E13 battery: clean TCP and UDS cells, plus a UDS cell
+/// with one SIGKILL/restart cycle. `quick` shrinks sizes and request
+/// counts for CI smoke.
 #[must_use]
-pub fn net_artifact(seed: u64, quick: bool, rows: &[NetRow]) -> Value {
-    let violations: u64 =
-        rows.iter().map(|r| (r.safety_violations + r.liveness_violations) as u64).sum();
-    Value::Obj(vec![
-        ("schema_version", Value::UInt(1)),
-        ("experiment", Value::str("net")),
-        ("master_seed", Value::UInt(seed)),
-        ("quick", Value::Bool(quick)),
-        ("cells", Value::UInt(rows.len() as u64)),
-        ("violations", Value::UInt(violations)),
-        ("all_settled", Value::Bool(rows.iter().all(|r| r.settled))),
-        ("tick_us", Value::Num(NET_TICK.as_secs_f64() * 1e6)),
-        ("host", crate::host_info()),
-        ("rows", Value::Arr(rows.iter().map(NetRow::to_json).collect())),
-    ])
+pub fn net_battery(quick: bool, seed: u64) -> Vec<NetCell> {
+    let (n_small, n_large, requests) = if quick { (16, 16, 200) } else { (16, 64, 600) };
+    vec![
+        net_cell(TransportKind::Tcp, n_small, requests, None, seed),
+        net_cell(TransportKind::Uds, n_small, requests, None, seed.wrapping_add(1)),
+        net_cell(TransportKind::Uds, n_large, requests, None, seed.wrapping_add(2)),
+        net_cell(TransportKind::Uds, n_small, requests / 2, Some(3), seed.wrapping_add(3)),
+    ]
 }
 
 #[cfg(test)]
@@ -750,7 +740,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn battery_shapes_and_artifact_envelope() {
+    fn net_battery_shapes() {
         let quick = net_battery(true, 9);
         assert_eq!(quick.len(), 4);
         assert!(quick.iter().any(|c| c.scenario.kill.is_some()));
@@ -764,30 +754,6 @@ mod tests {
                 assert!(k.recover_ticks > k.at_ticks);
             }
         }
-        let row = NetRow {
-            transport: "uds",
-            n: 16,
-            injected: 10,
-            served: 10,
-            abandoned: 0,
-            wall_secs: 1.0,
-            cs_per_sec: 10.0,
-            p50_us: 100.0,
-            p99_us: 900.0,
-            max_us: 1000.0,
-            samples: 10,
-            safety_violations: 0,
-            liveness_violations: 0,
-            settled: true,
-            outcome: Outcome { drained: true, cs_entries: 10, crashes: 1, ..Outcome::default() },
-        };
-        assert!(row.clean());
-        let doc = net_artifact(9, true, &[row]);
-        let text = doc.render();
-        crate::json::validate(&text).expect("artifact must validate");
-        assert!(text.contains("\"experiment\":\"net\"") && text.contains("\"host\":{"));
-        assert!(text.contains("\"transport\":\"uds\""));
-        assert!(text.contains("\"crashes\":1"));
     }
 
     #[test]

@@ -22,21 +22,31 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Results of one sweep, in cell order, plus timing for the speedup report.
+/// Results of one sweep, in cell order, plus its timing.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome<T> {
     /// One result per cell, in the order the cells were given.
     pub results: Vec<T>,
+    /// How long the sweep took, for the speedup report.
+    pub timing: Timing,
+}
+
+/// The timing of one sweep — the sweep-timed half of an artifact's
+/// envelope and the footer under its table.
+#[derive(Debug, Clone, Copy)]
+pub struct Timing {
+    /// Cells run.
+    pub cells: usize,
+    /// Worker threads actually used (clamped to the cell count).
+    pub threads: usize,
     /// Wall-clock seconds for the whole sweep.
     pub wall_secs: f64,
     /// Sum of per-cell execution seconds — what a single thread would
     /// have spent. `busy_secs / wall_secs` is the parallel speedup.
     pub busy_secs: f64,
-    /// Worker threads actually used (clamped to the cell count).
-    pub threads: usize,
 }
 
-impl<T> SweepOutcome<T> {
+impl Timing {
     /// The measured parallel speedup: total cell time over wall time.
     #[must_use]
     pub fn speedup(&self) -> f64 {
@@ -45,6 +55,20 @@ impl<T> SweepOutcome<T> {
         } else {
             1.0
         }
+    }
+}
+
+impl std::fmt::Display for Timing {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "   [{} cells on {} thread(s): {:.2}s wall, {:.2}s busy, speedup {:.2}x]",
+            self.cells,
+            self.threads,
+            self.wall_secs,
+            self.busy_secs,
+            self.speedup(),
+        )
     }
 }
 
@@ -97,12 +121,9 @@ where
         tagged.sort_by_key(|(index, _, _)| *index);
     }
     let busy_secs = tagged.iter().map(|(_, secs, _)| secs).sum();
-    SweepOutcome {
-        results: tagged.into_iter().map(|(_, _, result)| result).collect(),
-        wall_secs: start.elapsed().as_secs_f64(),
-        busy_secs,
-        threads,
-    }
+    let timing =
+        Timing { cells: cells.len(), threads, wall_secs: start.elapsed().as_secs_f64(), busy_secs };
+    SweepOutcome { results: tagged.into_iter().map(|(_, _, result)| result).collect(), timing }
 }
 
 /// Derives a cell's RNG seed from the master seed and the cell's stable
@@ -142,12 +163,12 @@ mod tests {
     #[test]
     fn thread_count_is_clamped() {
         let outcome = sweep(&[1, 2, 3], 99, |_, c| *c);
-        assert_eq!(outcome.threads, 3);
+        assert_eq!(outcome.timing.threads, 3);
         assert_eq!(outcome.results, vec![1, 2, 3]);
         let empty: Vec<i32> = Vec::new();
         let outcome = sweep(&empty, 4, |_, c: &i32| *c);
         assert!(outcome.results.is_empty());
-        assert_eq!(outcome.threads, 1);
+        assert_eq!(outcome.timing.threads, 1);
     }
 
     #[test]
@@ -156,9 +177,10 @@ mod tests {
             // A little real work so busy time is nonzero.
             (0..10_000u64).fold(i as u64, |acc, x| acc.wrapping_mul(31).wrapping_add(x))
         });
-        assert!(outcome.wall_secs >= 0.0);
-        assert!(outcome.busy_secs >= 0.0);
-        assert!(outcome.speedup() > 0.0);
+        assert!(outcome.timing.wall_secs >= 0.0);
+        assert!(outcome.timing.busy_secs >= 0.0);
+        assert!(outcome.timing.speedup() > 0.0);
+        assert_eq!(outcome.timing.cells, 8);
     }
 
     #[test]

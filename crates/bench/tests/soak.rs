@@ -23,23 +23,28 @@ fn soak_n1024_with_crash_churn_is_clean() {
     });
 
     // Zero oracle violations, settled.
+    let (report, latency) = (&row.report, &row.report.latency);
     assert!(row.settled, "soak did not settle: {row:?}");
-    assert_eq!(row.safety_violations, 0, "safety violations: {row:?}");
-    assert_eq!(row.liveness_violations, 0, "liveness violations: {row:?}");
+    assert!(report.safety.is_clean(), "safety violations: {row:?}");
+    assert!(report.liveness.is_clean(), "liveness violations: {row:?}");
 
     // Churn executed: every crash recovered.
-    assert_eq!(row.crashes, 20, "churn shape: {row:?}");
-    assert_eq!(row.recoveries, 20, "churn shape: {row:?}");
+    assert_eq!(report.crashes, 20, "churn shape: {row:?}");
+    assert_eq!(report.recoveries, 20, "churn shape: {row:?}");
 
     // Counts conserved: every injected request is terminal, every grant
     // produced exactly one latency sample.
-    assert_eq!(row.injected, row.served + row.abandoned, "conservation: {row:?}");
-    assert_eq!(row.latency.count, row.served, "histogram counts: {row:?}");
-    assert!(row.served > 0);
+    assert_eq!(
+        report.requests_injected,
+        report.requests_completed + report.requests_abandoned,
+        "conservation: {row:?}"
+    );
+    assert_eq!(latency.count, report.requests_completed, "histogram counts: {row:?}");
+    assert!(report.requests_completed > 0);
 
     // Histogram sanity: quantiles ordered, bounded by the exact max.
-    assert!(row.latency.p50_nanos <= row.latency.p99_nanos, "{row:?}");
-    assert!(row.latency.p99_nanos <= row.latency.p999_nanos, "{row:?}");
-    assert!(row.latency.p999_nanos <= row.latency.max_nanos, "{row:?}");
-    assert!(row.latency.mean_nanos > 0.0);
+    assert!(latency.p50_nanos <= latency.p99_nanos, "{row:?}");
+    assert!(latency.p99_nanos <= latency.p999_nanos, "{row:?}");
+    assert!(latency.p999_nanos <= latency.max_nanos, "{row:?}");
+    assert!(latency.mean_nanos > 0.0);
 }

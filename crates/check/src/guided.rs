@@ -5,7 +5,7 @@
 //!
 //! Each epoch prepares a *batch* of candidate scenarios up front, as a
 //! pure function of `(master seed, candidate ordinal, corpus state)`:
-//! the first [`GuidedConfig::seed_runs`] candidates are blind
+//! the first [`SEED_RUNS`] candidates are blind
 //! [`Scenario::generate`] draws (the corpus needs something to mutate),
 //! and every later candidate mutates a corpus entry under an ordinal-
 //! seeded RNG. The batch then runs through a caller-supplied runner —
@@ -37,22 +37,12 @@ use crate::{run_scenario, scenario_seed, Failure};
 /// Seed-stream salt separating mutation RNG from scenario generation.
 const GUIDED_STREAM: u64 = 0x6775_6964_6564_2e31; // "guided.1"
 
-/// Tuning knobs of the guided loop. The defaults are what the committed
-/// detection-budget pins and the CI battery run under.
-#[derive(Debug, Clone, Copy)]
-pub struct GuidedConfig {
-    /// Candidates per epoch. One epoch is one runner call — the unit of
-    /// parallelism.
-    pub batch: usize,
-    /// Blind `Scenario::generate` draws before mutation starts.
-    pub seed_runs: u64,
-}
-
-impl Default for GuidedConfig {
-    fn default() -> Self {
-        GuidedConfig { batch: 16, seed_runs: 24 }
-    }
-}
+/// Candidates per epoch. One epoch is one runner call — the unit of
+/// parallelism. With [`SEED_RUNS`], what the committed detection-budget
+/// pins and the CI battery run under.
+pub const BATCH: usize = 16;
+/// Blind `Scenario::generate` draws before mutation starts.
+pub const SEED_RUNS: u64 = 24;
 
 /// One point of the corpus growth curve: the state after an epoch.
 #[derive(Debug, Clone, Copy)]
@@ -95,12 +85,12 @@ pub fn explore_guided(
     budget: u64,
     mutation: Mutation,
 ) -> GuidedResult {
-    explore_guided_with(space, master_seed, budget, mutation, GuidedConfig::default(), &mut |b| {
+    explore_guided_with(space, master_seed, budget, mutation, &mut |b| {
         b.iter().map(|scenario| run_scenario(scenario, mutation)).collect()
     })
 }
 
-/// The guided loop with an explicit configuration and batch runner. The
+/// The guided loop with an explicit batch runner. The
 /// runner must return one [`Outcome`] per candidate, in slot order, each
 /// equal to `run_scenario(&batch[slot], mutation)` — everything else
 /// (candidate construction, coverage folding, failure attribution) is
@@ -110,7 +100,6 @@ pub fn explore_guided_with(
     master_seed: u64,
     budget: u64,
     mutation: Mutation,
-    config: GuidedConfig,
     runner: &mut dyn FnMut(&[Scenario]) -> Vec<Outcome>,
 ) -> GuidedResult {
     let mut corpus = Corpus::new();
@@ -121,12 +110,12 @@ pub fn explore_guided_with(
     let mut failure = None;
 
     'epochs: while scheduled < budget {
-        let batch_len = usize::try_from((budget - scheduled).min(config.batch as u64))
-            .expect("batch fits usize");
+        let batch_len =
+            usize::try_from((budget - scheduled).min(BATCH as u64)).expect("batch fits usize");
         let mut batch = Vec::with_capacity(batch_len);
         for slot in 0..batch_len {
             let ordinal = scheduled + slot as u64;
-            if ordinal < config.seed_runs || corpus.is_empty() {
+            if ordinal < SEED_RUNS || corpus.is_empty() {
                 batch.push(Scenario::generate(space, master_seed, ordinal));
             } else {
                 let mut rng =
@@ -226,23 +215,16 @@ mod tests {
         // (but returns them in slot order, as required) changes nothing.
         let space = Space::default();
         let serial = explore_guided(&space, 7, 48, Mutation::None);
-        let shuffled = explore_guided_with(
-            &space,
-            7,
-            48,
-            Mutation::None,
-            GuidedConfig::default(),
-            &mut |batch| {
-                let mut out: Vec<(usize, Outcome)> = batch
-                    .iter()
-                    .enumerate()
-                    .rev()
-                    .map(|(slot, s)| (slot, run_scenario(s, Mutation::None)))
-                    .collect();
-                out.sort_by_key(|(slot, _)| *slot);
-                out.into_iter().map(|(_, o)| o).collect()
-            },
-        );
+        let shuffled = explore_guided_with(&space, 7, 48, Mutation::None, &mut |batch| {
+            let mut out: Vec<(usize, Outcome)> = batch
+                .iter()
+                .enumerate()
+                .rev()
+                .map(|(slot, s)| (slot, run_scenario(s, Mutation::None)))
+                .collect();
+            out.sort_by_key(|(slot, _)| *slot);
+            out.into_iter().map(|(_, o)| o).collect()
+        });
         assert_eq!(serial.runs, shuffled.runs);
         assert_eq!(serial.corpus, shuffled.corpus);
         assert_eq!(serial.features, shuffled.features);

@@ -75,7 +75,7 @@ mod shrink;
 mod threaded;
 
 pub use coverage::{Corpus, CorpusEntry, Coverage};
-pub use guided::{explore_guided, explore_guided_with, GuidedConfig, GuidedEpoch, GuidedResult};
+pub use guided::{explore_guided, explore_guided_with, GuidedEpoch, GuidedResult};
 pub use mutate::mutate;
 pub use netgate::{conforms, GateKill, GateScenario};
 pub use run::{

@@ -559,16 +559,6 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         self.shared.ns.len()
     }
 
-    /// Number of nodes in namespace `ns`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ns` is out of range.
-    #[must_use]
-    pub fn namespace_len(&self, ns: usize) -> usize {
-        self.shared.ns[ns].len as usize
-    }
-
     /// The namespace a request was issued in.
     #[must_use]
     pub fn namespace_of(&self, id: RequestId) -> Option<usize> {
@@ -694,11 +684,6 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         Watcher { id, rx }
     }
 
-    /// Compatibility alias for [`Runtime::acquire`], discarding the id.
-    pub fn request_cs(&self, node: NodeId) {
-        let _ = self.acquire(node);
-    }
-
     /// Releases a granted request early (before its lease expires).
     /// Ignored unless `id` currently holds its node's critical section.
     pub fn release(&self, id: RequestId) {
@@ -784,12 +769,6 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     #[must_use]
     pub fn cs_entries_in(&self, ns: usize) -> u64 {
         self.shared.cs_entries[ns].load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of the acquire-to-grant latency summary.
-    #[must_use]
-    pub fn latency_summary(&self) -> LatencySummary {
-        self.shared.sessions.latency_summary()
     }
 
     /// Clones the full latency histogram.
@@ -1623,7 +1602,7 @@ mod tests {
         let rt = rt(8, 3);
         assert_eq!(rt.workers(), 3);
         for i in 1..=8u32 {
-            rt.request_cs(NodeId::new(i));
+            let _ = rt.acquire(NodeId::new(i));
         }
         assert!(rt.await_cs_entries(8, Duration::from_secs(30)));
         assert!(rt.await_settled(Duration::from_secs(30)));
@@ -1651,8 +1630,8 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         rt.recover(NodeId::new(5));
         // The system must keep serving.
-        rt.request_cs(NodeId::new(2));
-        rt.request_cs(NodeId::new(7));
+        let _ = rt.acquire(NodeId::new(2));
+        let _ = rt.acquire(NodeId::new(7));
         assert!(rt.await_cs_entries(3, Duration::from_secs(60)));
         assert!(rt.await_settled(Duration::from_secs(60)));
         let report = rt.shutdown();
@@ -1867,7 +1846,6 @@ mod tests {
         let rt = Runtime::start_multi(cfg, populations);
         assert_eq!(rt.namespaces(), 4);
         assert_eq!(rt.len(), 16);
-        assert_eq!(rt.namespace_len(2), 4);
         let mut ids = Vec::new();
         for ns in 0..4 {
             for i in 1..=4u32 {

@@ -11,22 +11,9 @@ fn main() {
     assert!(opencube::topology::is_valid_size(n), "n must be a power of two");
 
     println!("comparing on n = {n} nodes (uniform, hotspot and burst workloads)\n");
-    println!(
-        "{:>14} {:>9} {:>10} {:>10} {:>12} {:>10} {:>11}",
-        "algorithm", "seq avg", "seq worst", "conc avg", "hotspot avg", "burst avg", "post-burst"
-    );
-    for row in oc_bench::e5_comparison(n, 42) {
-        println!(
-            "{:>14} {:>9.2} {:>10} {:>10.2} {:>12.2} {:>10.2} {:>11}",
-            row.algo.name(),
-            row.seq_avg,
-            row.seq_worst,
-            row.conc_avg,
-            row.hotspot_avg,
-            row.burst_avg,
-            row.post_burst_worst,
-        );
-    }
+    // The E5 experiment at one size: a sweep of four cells on one thread.
+    let rows = oc_bench::e5_sweep(&[n], 42, 1, oc_algo::Hardening::None).results;
+    oc_bench::report::print_table(oc_bench::E5_COLS, &rows);
 
     println!();
     println!("reading guide:");

@@ -152,7 +152,7 @@ fn simulator_and_threaded_runtime_agree_on_outcomes() {
         .with_contention_slack(SimDuration::from_ticks(50_000));
     let rt = Runtime::start(RuntimeConfig::default(), OpenCubeNode::build_all(config));
     for i in 1..=n as u32 {
-        rt.request_cs(NodeId::new(i));
+        let _ = rt.acquire(NodeId::new(i));
     }
     assert!(rt.await_cs_entries(n as u64, Duration::from_secs(60)));
     assert!(rt.await_settled(Duration::from_secs(60)));
