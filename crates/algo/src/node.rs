@@ -225,13 +225,6 @@ impl OpenCubeNode {
         &self.cfg
     }
 
-    /// The shared configuration handle, for drivers that build extra nodes
-    /// of the same world (recovery, sharding) without re-allocating.
-    #[must_use]
-    pub fn shared_config(&self) -> std::sync::Arc<Config> {
-        self.cfg.clone()
-    }
-
     /// Pre-sizes the fair waiting queue for `cap` queued claims — a pure
     /// capacity hint. The queue holds at most one remote claim per peer,
     /// so `cap = n` makes steady-state enqueues allocation-free; it is

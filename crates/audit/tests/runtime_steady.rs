@@ -1,8 +1,9 @@
 //! The runtime hot-path allocation budget: after a warmup stretch has
-//! grown every capacity (worker batch and delay queues, session table,
+//! grown every capacity (worker batch and delay queues, grant queues,
 //! watcher channels, latency histogram), a measured stretch of
 //! auto-release acquisitions must stay under a small fixed allocation
-//! budget per acquisition — and must not keep what it allocates.
+//! budget per acquisition — and must keep none of what it allocates: a
+//! request is a ticket in a command, and nothing after its completion.
 //!
 //! Unlike the simulator's gate this is a *bound*, not zero: a
 //! `std::sync::mpsc` channel heap-allocates as it sends (one block per
@@ -20,9 +21,10 @@
 //! holder: no message, no timer), and a contended lock (n = 16, requests
 //! at random nodes, so the token moves and every claim arms and cancels
 //! its timeouts) on one worker — no message touches a channel — and on
-//! two. The contended stretches also hold *live* heap bytes level: a
+//! two. Every stretch also holds *live* heap bytes level, and as level
+//! over four times as many acquisitions: a per-request record, or a
 //! delay queue or deadline set that kept dead entries for a suspicion
-//! slack's length would churn no more than a healthy one, but grow.
+//! slack's length, would churn no more than a healthy run, but grow.
 //!
 //! `harness = false` for the same reason as `steady_state`: libtest's
 //! own thread machinery allocates while the measured window runs.
@@ -54,9 +56,11 @@ const MEASURED: u64 = 10_000;
 /// token moves.
 const OUTSTANDING: u64 = 8;
 
-/// The one thing a stretch may keep: the session table's 16-byte record
-/// per request, in a `Vec` that doubles.
-const SESSION_VECTOR_BYTES: u64 = (WARMUP + MEASURED).next_power_of_two() * 16;
+/// Ceiling on the growth of live heap bytes over a measured stretch,
+/// however long: room for a channel block or a queue that doubles once
+/// more, nothing that scales with the number of requests (at 16 bytes
+/// per request, `MEASURED` of them would already be 160 KB).
+const MAX_LIVE_GROWTH: i64 = 64 * 1024;
 
 fn start(n: usize, workers: usize) -> Runtime<OpenCubeNode> {
     let protocol = Config::new(n, SimDuration::from_ticks(16), SimDuration::from_ticks(25))
@@ -96,62 +100,64 @@ fn acquire_burst(
     }
 }
 
-/// Warm up, measure (holding allocations per acquisition to the
-/// budget), settle, shut down; returns the growth of live heap bytes
-/// over the measured stretch.
+/// Warm up, measure `measured` acquisitions (holding allocations per
+/// acquisition to the budget and live heap growth to the ceiling),
+/// settle, shut down.
 fn stretch(
     name: &str,
     rt: Runtime<OpenCubeNode>,
     outstanding: u64,
+    measured: u64,
     mut pick: impl FnMut() -> NodeId,
-) -> i64 {
-    // Warmup: session slots, histogram buckets, batch and delay queues,
+) {
+    // Warmup: grant queues, histogram buckets, batch and delay queues,
     // watcher channel — every capacity the measured stretch will reuse.
     acquire_burst(&rt, WARMUP, outstanding, &mut pick);
 
     let (before, live_before) = (ALLOC.snapshot(), ALLOC.live_bytes());
-    acquire_burst(&rt, MEASURED, outstanding, &mut pick);
+    acquire_burst(&rt, measured, outstanding, &mut pick);
     let (after, live_after) = (ALLOC.snapshot(), ALLOC.live_bytes());
 
     let allocs = after.0 - before.0;
-    let per_acq = allocs / MEASURED;
+    let per_acq = allocs / measured;
     assert!(
         per_acq <= MAX_ALLOCS_PER_ACQUISITION,
-        "{name}: runtime hot path allocates too much: {allocs} allocations / {MEASURED} \
+        "{name}: runtime hot path allocates too much: {allocs} allocations / {measured} \
          acquisitions = {per_acq}/acq (budget {MAX_ALLOCS_PER_ACQUISITION}/acq, bytes {} -> {})",
         before.1,
         after.1
+    );
+    let grown = live_after as i64 - live_before as i64;
+    assert!(
+        grown <= MAX_LIVE_GROWTH,
+        "{name}: live heap grew {grown} bytes over {measured} acquisitions (ceiling \
+         {MAX_LIVE_GROWTH}): something keeps entries past their use"
     );
 
     assert!(rt.await_settled(Duration::from_secs(30)), "{name}: runtime did not settle");
     let t0 = Instant::now();
     let report = rt.shutdown();
     assert!(report.is_clean(), "{name}: oracle violations: {:?}", report.safety.violations());
-    assert_eq!(report.requests_completed, WARMUP + MEASURED);
-    let grown = live_after as i64 - live_before as i64;
+    assert_eq!(report.requests_completed, WARMUP + measured);
     println!(
-        "runtime steady-state audit, {name}: {per_acq} allocs/acquisition across {MEASURED} \
+        "runtime steady-state audit, {name}: {per_acq} allocs/acquisition across {measured} \
          (budget {MAX_ALLOCS_PER_ACQUISITION}), live heap {grown:+} bytes, {:.2} msgs/acq — ok \
          (shutdown {:?})",
         report.messages_sent as f64 / report.requests_completed as f64,
         t0.elapsed()
     );
-    grown
 }
 
 fn main() {
-    let _ = stretch("dispatch", start(4, 1), 1, || NodeId::new(1));
+    for measured in [MEASURED, 4 * MEASURED] {
+        stretch("dispatch", start(4, 1), 1, measured, || NodeId::new(1));
 
-    for workers in [1, 2] {
-        let mut rng = StdRng::seed_from_u64(42);
-        let name = format!("contended x{workers}");
-        let grown = stretch(&name, start(16, workers), OUTSTANDING, || {
-            NodeId::new(rng.random_range(1..=16))
-        });
-        assert!(
-            grown <= SESSION_VECTOR_BYTES as i64,
-            "{name}: live heap grew {grown} bytes over {MEASURED} acquisitions — more than the \
-             session vector ({SESSION_VECTOR_BYTES}): something keeps entries past their use"
-        );
+        for workers in [1, 2] {
+            let mut rng = StdRng::seed_from_u64(42);
+            let name = format!("contended x{workers}");
+            stretch(&name, start(16, workers), OUTSTANDING, measured, || {
+                NodeId::new(rng.random_range(1..=16))
+            });
+        }
     }
 }

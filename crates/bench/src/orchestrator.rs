@@ -236,7 +236,10 @@ enum Step {
     Respawn { node: u32 },
 }
 
-/// The live deployment the orchestrator manages.
+/// The live deployment the orchestrator manages. Dropping it — on the
+/// way out of a finished run or of any error after the first spawn —
+/// kills and reaps every process still running and removes the work
+/// directory (`std::process::Child` does neither on its own).
 struct Deployment<'a> {
     scenario: &'a Scenario,
     cluster: Cluster,
@@ -254,6 +257,16 @@ struct Deployment<'a> {
     orch_log: LogWriter,
     crashes: u64,
     recoveries: u64,
+}
+
+impl Drop for Deployment<'_> {
+    fn drop(&mut self) {
+        for child in self.children.iter_mut().flatten() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        let _ = std::fs::remove_dir_all(&self.workdir);
+    }
 }
 
 impl Deployment<'_> {
@@ -289,25 +302,33 @@ impl Deployment<'_> {
     }
 
     /// Connects this orchestrator's session-API link to node `id`,
-    /// retrying while the freshly spawned process binds its endpoint,
-    /// and starts the reader thread that feeds `self.rx`.
-    fn connect_gateway(&self, id: u32) -> io::Result<Stream> {
+    /// retrying while the freshly spawned process binds its endpoint —
+    /// for as long as that process is alive, and 10 s at most — and
+    /// starts the reader thread that feeds `self.rx`.
+    fn connect_gateway(&mut self, id: u32) -> io::Result<()> {
+        let idx = (id - 1) as usize;
         let endpoint = self.cluster.endpoint(id);
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut stream = loop {
             match endpoint.connect() {
                 Ok(s) => break s,
-                Err(e) if Instant::now() < deadline => {
-                    let _ = e;
+                Err(e) => {
+                    let child = self.children[idx].as_mut().expect("spawned before it is dialled");
+                    if let Some(status) = child.try_wait()? {
+                        return Err(io::Error::other(format!(
+                            "node {id} exited before its gateway came up ({status}): {e}"
+                        )));
+                    }
+                    if Instant::now() >= deadline {
+                        return Err(e);
+                    }
                     std::thread::sleep(Duration::from_millis(5));
                 }
-                Err(e) => return Err(e),
             }
         };
         write_frame(&mut stream, &wire::encode(&Frame::ClientHello))?;
         let mut reader = stream.try_clone()?;
         let tx = self.tx.clone();
-        let idx = (id - 1) as usize;
         std::thread::spawn(move || {
             while let Ok(Some(payload)) = read_frame(&mut reader) {
                 if let Ok(frame) = wire::decode(&payload) {
@@ -317,7 +338,8 @@ impl Deployment<'_> {
                 }
             }
         });
-        Ok(stream)
+        self.conns[idx] = Some(stream);
+        Ok(())
     }
 
     fn send(&mut self, idx: usize, frame: &Frame) -> bool {
@@ -404,7 +426,7 @@ impl Deployment<'_> {
             return Ok(());
         }
         self.children[idx] = Some(self.spawn_node(node, true)?);
-        self.conns[idx] = Some(self.connect_gateway(node)?);
+        self.connect_gateway(node)?;
         self.dead[idx] = false;
         self.recovered[idx] = true;
         self.recoveries += 1;
@@ -512,7 +534,7 @@ pub fn run_scenario_sockets(
         orch_log: LogWriter::open(&orch_log_path)?,
         crashes: 0,
         recoveries: 0,
-        workdir: workdir.clone(),
+        workdir,
         scenario,
     };
 
@@ -521,7 +543,7 @@ pub fn run_scenario_sockets(
         deploy.children[(id - 1) as usize] = Some(deploy.spawn_node(id, false)?);
     }
     for id in 1..=s.n as u32 {
-        deploy.conns[(id - 1) as usize] = Some(deploy.connect_gateway(id)?);
+        deploy.connect_gateway(id)?;
     }
 
     // Timeline: arrivals, then every crash's kill and restart; the sort
@@ -670,8 +692,6 @@ pub fn run_scenario_sockets(
         let pos = ((lat.len() - 1) as f64 * q).round() as usize;
         lat[pos] as f64 / 1_000.0
     };
-
-    let _ = std::fs::remove_dir_all(&workdir);
 
     let wall_secs = work_wall.as_secs_f64();
     Ok(NetRow {

@@ -100,6 +100,28 @@ fn tcp_clean_conforms_at_n16() {
 }
 
 #[test]
+fn a_failed_boot_leaves_no_process_and_no_directory() {
+    // A node binary that exits at once (`experiments` rejects `--id`,
+    // exit 2): the boot fails as soon as the first gateway dial finds its
+    // process gone — not after 10 s of redialling — and the error path
+    // reaps the other seven and removes the work directory.
+    let scenario = shape(8, 4, 77_001, None);
+    let not_a_node = Path::new(env!("CARGO_BIN_EXE_experiments"));
+    let started = std::time::Instant::now();
+    let err = run_scenario_sockets(not_a_node, TransportKind::Uds, &scenario, SETTLE)
+        .expect_err("no gateway ever comes up");
+    assert!(started.elapsed() < Duration::from_secs(2), "gave up after {:?}", started.elapsed());
+    assert!(err.to_string().contains("exited before its gateway came up"), "{err}");
+    let prefix = format!("oc-net-{}-{}-", std::process::id(), scenario.seed);
+    let left: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+        .expect("temp dir is listable")
+        .filter_map(Result::ok)
+        .filter(|entry| entry.file_name().to_string_lossy().starts_with(&prefix))
+        .collect();
+    assert!(left.is_empty(), "work directories left behind: {left:?}");
+}
+
+#[test]
 fn a_fault_script_is_refused_before_anything_is_spawned() {
     // The sockets have no link shim, so a scenario that scripts a fault
     // is refused, never run unfaulted and reported clean. A node binary

@@ -3,7 +3,6 @@
 use oc_algo::{Config, Hardening, Mutation};
 use oc_sim::{
     ArrivalSchedule, FailurePlan, FaultPhase, FaultPhaseKind, FaultScript, SimDuration, SimTime,
-    Workload,
 };
 use oc_topology::NodeId;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -224,24 +223,19 @@ impl Scenario {
         };
 
         // The workload shapes of the paper's experiments, materialized.
-        let workload = match rng.random_range(0..4u32) {
-            0 => Workload::EveryNodeOnce,
-            1 => Workload::Uniform,
-            2 => Workload::Hotspot,
-            _ => Workload::Adversarial,
-        };
-        let schedule = match workload {
-            Workload::EveryNodeOnce => ArrivalSchedule::every_node_once(&mut rng, n, gap),
-            Workload::Uniform => ArrivalSchedule::uniform(&mut rng, n, arrival_count, gap),
-            Workload::Hotspot => {
+        let schedule = match rng.random_range(0..4u32) {
+            // Each node requests once, in a random order — the setting of
+            // Section 4's average-case analysis.
+            0 => ArrivalSchedule::every_node_once(&mut rng, n, gap),
+            1 => ArrivalSchedule::uniform(&mut rng, n, arrival_count, gap),
+            // One node issues most requests — the adaptivity claim.
+            2 => {
                 let hot = [NodeId::new(rng.random_range(1..=n as u32))];
                 ArrivalSchedule::hotspot(&mut rng, n, &hot, 0.9, arrival_count, gap)
             }
-            Workload::Adversarial => {
-                // The deepest node of the canonical cube requests
-                // repeatedly — Section 4's worst case.
-                ArrivalSchedule::repeated(NodeId::new(n as u32), arrival_count, gap)
-            }
+            // The deepest node of the canonical cube requests
+            // repeatedly — Section 4's worst case.
+            _ => ArrivalSchedule::repeated(NodeId::new(n as u32), arrival_count, gap),
         };
         let arrivals: Vec<(u64, u32)> =
             schedule.arrivals().iter().map(|(at, node)| (at.ticks(), node.get())).collect();

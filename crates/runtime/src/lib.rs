@@ -17,10 +17,13 @@
 //! On top of the substrate sit the pieces a lock *service* needs:
 //!
 //! * a client session API — [`Runtime::acquire`] / [`Runtime::release`]
-//!   with [`RequestId`]s, per-request lifecycle, and an acquire-to-grant
-//!   [`LatencyHistogram`]; closed-loop clients use [`Runtime::watcher`]
-//!   and [`Runtime::acquire_watched`] to block on completions instead of
-//!   sleep-polling statuses;
+//!   with [`RequestId`]s and an acquire-to-grant [`LatencyHistogram`];
+//!   a client that wants to know how its requests end registers a
+//!   [`Runtime::watcher`] and issues them with
+//!   [`Runtime::acquire_watched`]: each one sends exactly one
+//!   `(id, Completed | Abandoned)` notice. A request is a ticket that
+//!   travels with its command and waits at its node; nothing is kept
+//!   about it once it has ended;
 //! * **multi-tenant namespaces** ([`Runtime::start_multi`]) — many
 //!   independent lock instances sharing one worker pool, each judged by
 //!   its own unmodified `oc_sim` oracle;
@@ -44,12 +47,14 @@
 //!   `try_recv` bursts (bounded by [`RuntimeConfig::batch`]) after each
 //!   blocking receive — one channel crossing per message at most, one
 //!   channel round-trip per *burst*.
-//! * **Worker-local statistics** — pure counters (messages, events,
-//!   losses) accumulate in a [`LocalStats`] and flush to the shared
-//!   atomics once per batch with `Relaxed` ordering; only the
-//!   control-plane atomics that [`Runtime::settled`] reasons about
-//!   (`inflight`, per-namespace `tokens_in_flight`, idle flags) keep
-//!   `SeqCst`.
+//! * **Worker-owned books** — what only a node's worker writes stays
+//!   with that worker: the node's grant queue, one plain
+//!   [`oc_sim::Metrics`] of messages, events and losses, and a signed
+//!   per-namespace tally of token messages sent minus received. They are
+//!   handed back when the worker is joined and folded at shutdown. What
+//!   two threads touch is shared: the in-flight claims, the live-request
+//!   count and the idle flags that [`Runtime::settled`] reasons about
+//!   (`SeqCst`), the request accounts, and the latency histogram.
 //! * **Live timers only** — arming a timer puts its deadline in the
 //!   owning worker's [`DeadlineSet`]; cancelling, re-arming or crashing
 //!   takes it out again. The protocol arms its Section 5 timeouts per
@@ -61,7 +66,7 @@
 //!
 //! ```
 //! use oc_algo::{Config, OpenCubeNode};
-//! use oc_runtime::{Runtime, RuntimeConfig};
+//! use oc_runtime::{RequestStatus, Runtime, RuntimeConfig};
 //! use oc_sim::SimDuration;
 //! use oc_topology::NodeId;
 //! use std::time::Duration;
@@ -72,15 +77,15 @@
 //!     SimDuration::from_ticks(20),
 //! );
 //! let rt = Runtime::start(RuntimeConfig::default(), OpenCubeNode::build_all(config));
-//! let a = rt.acquire(NodeId::new(5));
-//! let b = rt.acquire(NodeId::new(3));
-//! assert!(rt.await_cs_entries(2, Duration::from_secs(10)));
+//! let watcher = rt.watcher();
+//! let a = rt.acquire_watched(0, NodeId::new(5), &watcher, false);
+//! let _ = rt.acquire(NodeId::new(3));
 //! assert!(rt.await_settled(Duration::from_secs(10)));
+//! assert_eq!(watcher.try_recv(), Some((a, RequestStatus::Completed)));
 //! let report = rt.shutdown();
 //! assert_eq!(report.cs_entries, 2);
 //! assert_eq!(report.requests_completed, 2);
 //! assert!(report.is_clean(), "oracles: {:?}", report);
-//! # let _ = (a, b);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -105,13 +110,13 @@ use std::time::{Duration, Instant};
 use oc_sim::{
     check_horizon, drive, drive_recovery, isolation_from_components, ticks_to_wall, ActionSink,
     ArrivalSchedule, CompiledScript, DeadlineSet, FailurePlan, FaultScript, Horizon, LinkFate,
-    LivenessReport, MessageKind, NodeAtHorizon, NodeEvent, Oracle, OracleReport, Outbox, Protocol,
-    SimDuration, SimTime, Trace, TraceRecord,
+    LivenessReport, MessageKind, Metrics, NodeAtHorizon, NodeEvent, Oracle, OracleReport, Outbox,
+    Protocol, SimDuration, SimTime, Trace, TraceRecord,
 };
 use oc_topology::NodeId;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
-use session::{Completion, SessionTable};
+use session::{Completion, Sessions, Ticket};
 
 /// Configuration of the threaded runtime.
 #[derive(Debug, Clone, Copy)]
@@ -164,10 +169,10 @@ impl Default for RuntimeConfig {
 enum NodeCmd<M> {
     /// A network message arrives (`from` in the namespace's local ids).
     Deliver { from: NodeId, msg: M },
-    /// A client request reaches its node (`RequestCs`).
-    Acquire(u64),
+    /// A client request reaches its node (`RequestCs`), ticket and all.
+    Acquire(Ticket),
     /// A client releases a granted request early.
-    Release(u64),
+    Release(RequestId),
     /// The CS lease of generation `lease` expires.
     ExitLease { lease: u64 },
     /// Fail-stop.
@@ -198,18 +203,6 @@ enum Mail<M> {
     Many(Vec<(Instant, Targeted<M>)>),
 }
 
-/// A command that will never be processed leaves its namespace's token
-/// census if it carried the token. (Its in-flight claim is the caller's
-/// to release.)
-fn discard<M: MessageKind>(shared: &Shared, item: &Targeted<M>) {
-    if let NodeCmd::Deliver { msg, .. } = &item.cmd {
-        if msg.carries_token() {
-            let ns = shared.ns_of(item.to.zero_based() as usize);
-            shared.tokens_in_flight[ns].fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-}
-
 /// Monitor: the linearization point of one namespace. Every CS
 /// entry/exit, crash, recovery, and (when tracing) message event of the
 /// namespace takes this lock; the lock's acquisition order *is* the
@@ -220,57 +213,6 @@ fn discard<M: MessageKind>(shared: &Shared, item: &Targeted<M>) {
 struct Monitor {
     oracle: Oracle,
     trace: Trace,
-}
-
-/// Cross-thread statistics counters.
-///
-/// All loads and stores are `Relaxed`: these are pure monotone
-/// statistics — workers flush their [`LocalStats`] into them once per
-/// batch, and readers either poll a single counter (monotone, no
-/// cross-counter invariant) or read after the worker threads are joined
-/// (the join is the happens-before edge). Nothing here participates in
-/// the [`Runtime::settled`] protocol; the control-plane atomics that do
-/// (`Shared::inflight`, `Shared::tokens_in_flight`, `Shared::idle`)
-/// live outside and keep `SeqCst`.
-#[derive(Default)]
-struct Counters {
-    messages_sent: AtomicU64,
-    events_processed: AtomicU64,
-    crashes: AtomicU64,
-    recoveries: AtomicU64,
-    lost_to_crashes: AtomicU64,
-    lost_to_faults: AtomicU64,
-    lost_to_partition: AtomicU64,
-    duplicated_deliveries: AtomicU64,
-}
-
-/// One worker's batch-local statistics, flushed to [`Counters`] once per
-/// mailbox batch instead of one `SeqCst` RMW per event.
-#[derive(Default)]
-struct LocalStats {
-    messages_sent: u64,
-    events_processed: u64,
-    lost_to_crashes: u64,
-    lost_to_faults: u64,
-    lost_to_partition: u64,
-    duplicated_deliveries: u64,
-}
-
-impl LocalStats {
-    fn flush(&mut self, counters: &Counters) {
-        fn add(counter: &AtomicU64, local: &mut u64) {
-            if *local != 0 {
-                counter.fetch_add(*local, Ordering::Relaxed);
-                *local = 0;
-            }
-        }
-        add(&counters.messages_sent, &mut self.messages_sent);
-        add(&counters.events_processed, &mut self.events_processed);
-        add(&counters.lost_to_crashes, &mut self.lost_to_crashes);
-        add(&counters.lost_to_faults, &mut self.lost_to_faults);
-        add(&counters.lost_to_partition, &mut self.lost_to_partition);
-        add(&counters.duplicated_deliveries, &mut self.duplicated_deliveries);
-    }
 }
 
 /// One namespace's slice of the global node space: nodes
@@ -286,8 +228,8 @@ struct Shared {
     /// One linearization monitor per namespace (only namespace 0 records
     /// a trace).
     monitors: Vec<Mutex<Monitor>>,
-    sessions: SessionTable,
-    counters: Counters,
+    /// The request accounts and the latency histogram.
+    sessions: Sessions,
     /// Completed critical sections per namespace. `Relaxed`: monotone
     /// statistics, polled by `await_cs_entries` and summed after join.
     cs_entries: Vec<AtomicU64>,
@@ -303,9 +245,6 @@ struct Shared {
     /// [`Runtime::settled`] sound. Zero means nothing is queued, nothing
     /// is armed and nothing is mid-processing.
     inflight: AtomicU64,
-    /// Token-carrying messages currently in flight, per namespace — the
-    /// runtime's share of each namespace's live-token census.
-    tokens_in_flight: Vec<AtomicU64>,
     /// Per-node "has nothing pending" flags, refreshed by the owning
     /// worker after every batch (crashed nodes read as idle — the
     /// liveness oracle only judges live nodes).
@@ -324,7 +263,7 @@ struct Shared {
 }
 
 impl Shared {
-    /// Elapsed wall time in nanoseconds — the session table's clock.
+    /// Elapsed wall time in nanoseconds — the clock tickets are stamped by.
     fn now_nanos(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
@@ -338,19 +277,28 @@ impl Shared {
         self.monitors[ns].lock().expect("monitor poisoned")
     }
 
-    /// The namespace a global zero-based node index belongs to.
-    fn ns_of(&self, global_idx: usize) -> usize {
-        self.ns.partition_point(|meta| (meta.offset as usize) <= global_idx).saturating_sub(1)
+    /// The namespace a (global) node belongs to.
+    fn ns_of(&self, node: NodeId) -> usize {
+        self.ns.partition_point(|meta| meta.offset <= node.zero_based()).saturating_sub(1)
+    }
+
+    /// A command that will never be processed: if it carried a request,
+    /// the request is abandoned. (Its in-flight claim, and the token
+    /// tally of a message, are the caller's to settle.)
+    fn abandon<M>(&self, item: Targeted<M>) {
+        if let NodeCmd::Acquire(ticket) = item.cmd {
+            self.sessions.end(self.ns_of(item.to), ticket, RequestStatus::Abandoned);
+        }
     }
 }
 
-/// A registered completion stream: every request opened through
+/// A completion stream: every request issued through
 /// [`Runtime::acquire_watched`] with this watcher sends exactly one
-/// `(id, terminal status)` pair here when it completes or is abandoned.
-/// Closed-loop clients block on this instead of sleep-polling
-/// [`Runtime::request_status`].
+/// `(id, how it ended)` pair here when it completes or is abandoned —
+/// the only way to learn how a request ended, and what closed-loop
+/// clients block on. Each ticket carries a clone of the sending half.
 pub struct Watcher {
-    id: u32,
+    tx: Sender<Completion>,
     rx: Receiver<Completion>,
 }
 
@@ -372,17 +320,9 @@ impl Watcher {
 pub struct Runtime<P: Protocol> {
     shared: Arc<Shared>,
     worker_txs: Vec<Sender<Mail<P::Msg>>>,
-    worker_handles: Vec<JoinHandle<Vec<WorkerFinal<P>>>>,
+    worker_handles: Vec<JoinHandle<WorkerExit<P>>>,
     config: RuntimeConfig,
     n: usize,
-}
-
-/// One node's state as a worker returns it at shutdown.
-struct WorkerFinal<P> {
-    idx: usize,
-    node: P,
-    crashed: bool,
-    recovered_ever: bool,
 }
 
 impl<P: Protocol + Send + 'static> Runtime<P> {
@@ -482,11 +422,9 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
                     })
                 })
                 .collect(),
-            sessions: SessionTable::new(n, ns.iter().map(|meta| meta.offset).collect()),
-            counters: Counters::default(),
+            sessions: Sessions::new(namespaces),
             cs_entries: (0..namespaces).map(|_| AtomicU64::new(0)).collect(),
             inflight: AtomicU64::new(0),
-            tokens_in_flight: (0..namespaces).map(|_| AtomicU64::new(0)).collect(),
             idle: (0..n).map(|_| AtomicBool::new(true)).collect(),
             ns,
             script: script.compile(n),
@@ -511,14 +449,18 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
             for (j, node) in nodes.into_iter().enumerate() {
                 let idx = meta.offset as usize + j;
                 sharded[idx % workers].push(Slot {
-                    idx,
-                    pos: (idx / workers) as u32,
-                    ns: k,
-                    ns_offset: meta.offset,
                     node,
-                    crashed: false,
-                    recovered_ever: false,
-                    lease: 0,
+                    seat: Seat {
+                        idx,
+                        pos: (idx / workers) as u32,
+                        ns: k,
+                        ns_offset: meta.offset,
+                        crashed: false,
+                        recovered_ever: false,
+                        lease: 0,
+                        pending: VecDeque::new(),
+                        current: None,
+                    },
                 });
             }
         }
@@ -559,11 +501,11 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         self.shared.ns.len()
     }
 
-    /// The namespace a request was issued in.
+    /// The namespace a request was issued in (`None` for an id this
+    /// runtime cannot have issued).
     #[must_use]
     pub fn namespace_of(&self, id: RequestId) -> Option<usize> {
-        let node = self.shared.sessions.node_of(id)?;
-        Some(self.shared.ns_of(node.zero_based() as usize))
+        (id.node().get() as usize <= self.n).then(|| self.shared.ns_of(id.node()))
     }
 
     fn assert_node(&self, node: NodeId) {
@@ -588,47 +530,45 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
 
     /// Hands one command that is due *now* to the destination's worker
     /// mailbox (client acquires and releases, immediate crash/recover).
-    /// Returns `false` (after undoing the in-flight claim) if the worker
-    /// is gone.
-    fn send_direct(&self, to: NodeId, cmd: NodeCmd<P::Msg>) -> bool {
+    /// If the worker is gone the in-flight claim is undone and a request
+    /// the command carried is abandoned.
+    fn send_direct(&self, to: NodeId, cmd: NodeCmd<P::Msg>) {
         self.shared.inflight.fetch_add(1, Ordering::SeqCst);
         let w = (to.zero_based() as usize) % self.config.workers;
-        if self.worker_txs[w].send(Mail::One(Targeted { to, cmd })).is_err() {
+        if let Err(SendError(Mail::One(lost))) =
+            self.worker_txs[w].send(Mail::One(Targeted { to, cmd }))
+        {
             self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
-            false
-        } else {
-            true
+            self.shared.abandon(lost);
         }
     }
 
     /// Posts commands that are due later, each to its destination
     /// worker's mailbox — one [`Mail::Many`] per worker, filed in that
-    /// worker's delay queue in the order given. Returns the commands of
-    /// any worker that is gone (their in-flight claims undone).
-    fn send_later(&self, items: Vec<(Instant, Targeted<P::Msg>)>) -> Vec<Targeted<P::Msg>> {
+    /// worker's delay queue in the order given. What was meant for a
+    /// worker that is gone is dropped like a failed
+    /// [`Runtime::send_direct`].
+    fn send_later(&self, items: Vec<(Instant, Targeted<P::Msg>)>) {
         let mut bursts: Vec<Vec<_>> = self.worker_txs.iter().map(|_| Vec::new()).collect();
         for item in items {
             bursts[(item.1.to.zero_based() as usize) % self.config.workers].push(item);
         }
-        let mut undelivered = Vec::new();
         for (tx, burst) in self.worker_txs.iter().zip(bursts) {
             let claims = burst.len() as u64;
             if claims == 0 {
                 continue;
             }
             self.shared.inflight.fetch_add(claims, Ordering::SeqCst);
-            if let Err(SendError(Mail::Many(burst))) = tx.send(Mail::Many(burst)) {
+            if let Err(SendError(Mail::Many(lost))) = tx.send(Mail::Many(burst)) {
                 self.shared.inflight.fetch_sub(claims, Ordering::SeqCst);
-                undelivered.extend(burst.into_iter().map(|(_, item)| item));
+                lost.into_iter().for_each(|(_, item)| self.shared.abandon(item));
             }
         }
-        undelivered
     }
 
     /// Issues a lock request at `node` of namespace 0, to be granted
     /// when the protocol admits it to the critical section. Returns
-    /// immediately with the request's identity; track it with
-    /// [`Runtime::request_status`].
+    /// immediately with the request's identity.
     pub fn acquire(&self, node: NodeId) -> RequestId {
         self.acquire_in(0, node)
     }
@@ -640,15 +580,10 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     ///
     /// Panics if `ns` or `node` is out of range.
     pub fn acquire_in(&self, ns: usize, node: NodeId) -> RequestId {
-        let global = self.global_of(ns, node);
-        let id = self.shared.sessions.open(global, self.shared.now_nanos(), false, None);
-        if !self.send_direct(global, NodeCmd::Acquire(id.index())) {
-            let _ = self.shared.sessions.abandon(id);
-        }
-        id
+        self.submit(ns, node, false, None)
     }
 
-    /// Issues a lock request whose terminal transition is delivered to
+    /// Issues a lock request whose completion notice is delivered to
     /// `watcher` — the closed-loop client primitive. With `auto_release`
     /// the critical section exits immediately after entry (no wall-clock
     /// lease), so the completion arrives as fast as the protocol can
@@ -664,50 +599,51 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         watcher: &Watcher,
         auto_release: bool,
     ) -> RequestId {
+        self.submit(ns, node, auto_release, Some(watcher.tx.clone()))
+    }
+
+    /// The one body of every immediate acquire: issue the ticket, send it
+    /// to its node.
+    fn submit(
+        &self,
+        ns: usize,
+        node: NodeId,
+        auto_release: bool,
+        watcher: Option<Sender<Completion>>,
+    ) -> RequestId {
         let global = self.global_of(ns, node);
-        let id = self.shared.sessions.open(
-            global,
-            self.shared.now_nanos(),
-            auto_release,
-            Some(watcher.id),
-        );
-        if !self.send_direct(global, NodeCmd::Acquire(id.index())) {
-            let _ = self.shared.sessions.abandon(id);
-        }
+        let now = self.shared.now_nanos();
+        let ticket = self.shared.sessions.open(ns, global, now, auto_release, watcher);
+        let id = ticket.id;
+        self.send_direct(global, NodeCmd::Acquire(ticket));
         id
     }
 
-    /// Registers a completion stream for [`Runtime::acquire_watched`].
+    /// Opens a completion stream for [`Runtime::acquire_watched`].
     #[must_use]
     pub fn watcher(&self) -> Watcher {
-        let (id, rx) = self.shared.sessions.register_watcher();
-        Watcher { id, rx }
+        let (tx, rx) = channel();
+        Watcher { tx, rx }
     }
 
     /// Releases a granted request early (before its lease expires).
     /// Ignored unless `id` currently holds its node's critical section.
     pub fn release(&self, id: RequestId) {
-        if let Some(node) = self.shared.sessions.node_of(id) {
-            let _ = self.send_direct(node, NodeCmd::Release(id.index()));
+        if self.namespace_of(id).is_some() {
+            self.send_direct(id.node(), NodeCmd::Release(id));
         }
-    }
-
-    /// One request's lifecycle state.
-    #[must_use]
-    pub fn request_status(&self, id: RequestId) -> Option<RequestStatus> {
-        self.shared.sessions.status(id)
     }
 
     /// Fail-stops `node` (global id) now.
     pub fn crash(&self, node: NodeId) {
         self.assert_node(node);
-        let _ = self.send_direct(node, NodeCmd::Crash);
+        self.send_direct(node, NodeCmd::Crash);
     }
 
     /// Recovers `node` (global id) now.
     pub fn recover(&self, node: NodeId) {
         self.assert_node(node);
-        let _ = self.send_direct(node, NodeCmd::Recover);
+        self.send_direct(node, NodeCmd::Recover);
     }
 
     /// Converts a tick timestamp into the wall-clock instant it maps to.
@@ -726,16 +662,13 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
             self.assert_node(*node);
             let due = ticks_to_wall(at.ticks(), self.config.tick);
             let t0 = u64::try_from(due.as_nanos()).unwrap_or(u64::MAX);
-            let id = self.shared.sessions.open(*node, t0, false, None);
-            let cmd = NodeCmd::Acquire(id.index());
+            let ticket =
+                self.shared.sessions.open(self.shared.ns_of(*node), *node, t0, false, None);
+            ids.push(ticket.id);
+            let cmd = NodeCmd::Acquire(ticket);
             later.push((self.shared.epoch + due, Targeted { to: *node, cmd }));
-            ids.push(id);
         }
-        for lost in self.send_later(later) {
-            if let NodeCmd::Acquire(id) = lost.cmd {
-                let _ = self.shared.sessions.abandon(RequestId::from_index(id));
-            }
-        }
+        self.send_later(later);
         ids
     }
 
@@ -752,7 +685,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
                 later.push((self.instant_of(recover_at), Targeted { to: ev.node, cmd }));
             }
         }
-        let _ = self.send_later(later);
+        self.send_later(later);
     }
 
     /// Critical sections completed so far, summed over all namespaces.
@@ -774,32 +707,23 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// Clones the full latency histogram.
     #[must_use]
     pub fn latency_histogram(&self) -> LatencyHistogram {
-        self.shared.sessions.histogram()
+        self.shared.sessions.histogram().clone()
     }
 
     /// Blocks until at least `count` critical sections completed or the
     /// timeout elapses; returns whether the count was reached.
     #[must_use]
     pub fn await_cs_entries(&self, count: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.cs_entries() >= count {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return self.cs_entries() >= count;
-            }
-            std::thread::sleep(Duration::from_micros(500));
-        }
+        poll_until(timeout, || self.cs_entries() >= count)
     }
 
-    /// `true` if nothing is in flight, every request is terminal, and
+    /// `true` if nothing is in flight, every request has ended, and
     /// every live node is idle — the runtime's quiescence predicate
     /// (the analogue of the simulator's drained event queue).
     #[must_use]
     pub fn settled(&self) -> bool {
         self.shared.inflight.load(Ordering::SeqCst) == 0
-            && self.shared.sessions.all_terminal()
+            && self.shared.sessions.all_ended()
             && self.shared.idle.iter().all(|flag| flag.load(Ordering::SeqCst))
             // Re-check: a command processed between the first check and
             // the idle scan would have been visible as in-flight (workers
@@ -810,25 +734,15 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// Polls [`Runtime::settled`] until it holds or `timeout` elapses.
     #[must_use]
     pub fn await_settled(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.settled() {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return self.settled();
-            }
-            std::thread::sleep(Duration::from_micros(500));
-        }
+        poll_until(timeout, || self.settled())
     }
 
     /// Stops the service and returns the final report: every worker is
     /// joined, whatever it still held queued, delayed or armed is
-    /// discarded, and every request ends in a terminal state
-    /// (still-pending ones become `Abandoned`, granted ones
-    /// `Completed`). Each namespace is judged separately —
-    /// its own safety oracle, terminal token census, and liveness
-    /// horizon — and the verdicts fold into one report; call
+    /// discarded, and every request still live is ended (waiting ones
+    /// `Abandoned`, granted ones `Completed`). Each namespace is judged
+    /// separately — its own safety oracle, terminal token census, and
+    /// liveness horizon — and the verdicts fold into one report; call
     /// [`Runtime::await_settled`] first if the run is supposed to have
     /// converged.
     #[must_use]
@@ -836,49 +750,64 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         let wall = self.shared.epoch.elapsed();
         let horizon_ticks = self.shared.sim_now();
         let drained = self.settled();
-        let mut finals = self.stop_threads();
-        assert_eq!(finals.len(), self.n, "a worker panicked; its shard's final state is lost");
-        finals.sort_by_key(|f| f.idx);
-
+        let exits = self.stop_threads();
         let shared = &self.shared;
-        let _ = shared.sessions.finalize();
-        let (completed, abandoned) = shared.sessions.terminal_counts();
-        let injected = shared.sessions.opened();
-        let buckets = shared.sessions.counts_by_bucket();
 
-        let counters = &shared.counters;
-        let events = counters.events_processed.load(Ordering::Relaxed);
+        // Fold what the workers hand back: their nodes in global order,
+        // one sum of their statistics, and per namespace the token
+        // messages sent and never received — the ones still in flight
+        // (nonzero only on a forced shutdown).
+        let mut slots: Vec<Slot<P>> = Vec::with_capacity(self.n);
+        let mut metrics = Metrics::default();
+        let mut tokens_afloat = vec![0i64; shared.ns.len()];
+        for exit in exits {
+            slots.extend(exit.slots);
+            metrics.merge(&exit.metrics);
+            for (sum, tally) in tokens_afloat.iter_mut().zip(exit.tokens_afloat) {
+                *sum += tally;
+            }
+        }
+        assert_eq!(slots.len(), self.n, "a worker panicked; its shard's final state is lost");
+        slots.sort_by_key(|slot| slot.seat.idx);
+        // The requests the cut found at their nodes. (Those still on
+        // their way were ended by their worker's Stop.)
+        slots.iter_mut().for_each(|slot| slot.seat.vacate(&shared.sessions));
 
         // Judge each namespace with its own oracles, then fold. The
         // terminal token census counts live holders plus tokens still in
-        // flight (nonzero only on a forced shutdown); the *safety*
-        // census counts only holders at the namespace's highest
-        // witnessed epoch — a fenced-out stale token awaiting discard is
-        // the current token's predecessor, not a duplicate (identical to
-        // the total under `Hardening::None`, where every epoch is 0).
+        // flight; the *safety* census counts only holders at the
+        // namespace's highest witnessed epoch — a fenced-out stale token
+        // awaiting discard is the current token's predecessor, not a
+        // duplicate (identical to the total under `Hardening::None`,
+        // where every epoch is 0).
+        let events = metrics.events_processed;
         let mut safety = OracleReport::default();
         let mut liveness = LivenessReport::default();
         let mut trace = Trace::new(false);
         let mut census_total = 0usize;
-        let mut cs_total = 0u64;
+        let (mut cs_total, mut injected, mut completed, mut abandoned) = (0u64, 0u64, 0u64, 0u64);
         for (k, meta) in shared.ns.iter().enumerate() {
             let lo = meta.offset as usize;
-            let span = &finals[lo..lo + meta.len as usize];
-            let live_held = || span.iter().filter(|f| !f.crashed && f.node.holds_token());
+            let span = &slots[lo..lo + meta.len as usize];
+            let live_held = || span.iter().filter(|s| !s.seat.crashed && s.node.holds_token());
             let holders = live_held().count();
-            let max_epoch = live_held().map(|f| f.node.token_epoch()).max().unwrap_or(0);
-            let holders_at_max = live_held().filter(|f| f.node.token_epoch() == max_epoch).count();
-            let in_flight = shared.tokens_in_flight[k].load(Ordering::SeqCst) as usize;
+            let max_epoch = live_held().map(|s| s.node.token_epoch()).max().unwrap_or(0);
+            let holders_at_max = live_held().filter(|s| s.node.token_epoch() == max_epoch).count();
+            let in_flight = usize::try_from(tokens_afloat[k])
+                .expect("a token message was received more often than it was sent");
             let census = holders + in_flight;
             census_total += census;
             let served = shared.cs_entries[k].load(Ordering::Relaxed);
             cs_total += served;
-            let (ns_injected, _ns_completed, ns_abandoned) = buckets[k];
+            let (ns_injected, ns_completed, ns_abandoned) = shared.sessions.counts(k);
+            injected += ns_injected;
+            completed += ns_completed;
+            abandoned += ns_abandoned;
             // Partition awareness at the shutdown horizon, mirroring the
             // simulator's `World::partition_isolation` (scripts exist
             // only in single-namespace runs; elsewhere this is one
-            // healed component). Pending requests were just finalized
-            // into `abandoned`, so `unreachable` stays 0.
+            // healed component). Waiting requests were just ended as
+            // `abandoned`, so `unreachable` stays 0.
             let isolated = isolation_at(&shared.script, horizon_ticks, drained, span, census);
             let horizon = Horizon {
                 drained,
@@ -891,13 +820,13 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
                 nodes: span
                     .iter()
                     .enumerate()
-                    .map(|(j, f)| NodeAtHorizon {
+                    .map(|(j, Slot { node, seat })| NodeAtHorizon {
                         node: NodeId::new(j as u32 + 1),
-                        alive: !f.crashed,
-                        idle: f.node.is_idle(),
-                        recovered: f.recovered_ever,
+                        alive: !seat.crashed,
+                        idle: node.is_idle(),
+                        recovered: seat.recovered_ever,
                         isolated: isolated[j],
-                        quorum_blocked: !f.crashed && f.node.quorum_blocked(),
+                        quorum_blocked: !seat.crashed && node.quorum_blocked(),
                     })
                     .collect(),
             };
@@ -913,26 +842,41 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
 
         RuntimeReport {
             cs_entries: cs_total,
-            messages_sent: counters.messages_sent.load(Ordering::Relaxed),
+            messages_sent: metrics.total_sent(),
             events_processed: events,
             requests_injected: injected,
             requests_completed: completed,
             requests_abandoned: abandoned,
-            crashes: counters.crashes.load(Ordering::Relaxed),
-            recoveries: counters.recoveries.load(Ordering::Relaxed),
-            lost_to_crashes: counters.lost_to_crashes.load(Ordering::Relaxed),
-            lost_to_faults: counters.lost_to_faults.load(Ordering::Relaxed),
-            lost_to_partition: counters.lost_to_partition.load(Ordering::Relaxed),
-            duplicated_deliveries: counters.duplicated_deliveries.load(Ordering::Relaxed),
+            crashes: metrics.crashes,
+            recoveries: metrics.recoveries,
+            lost_to_crashes: metrics.lost_to_crashes,
+            lost_to_faults: metrics.lost_to_faults,
+            lost_to_partition: metrics.lost_to_partition,
+            duplicated_deliveries: metrics.duplicated_deliveries,
             terminal_token_census: census_total,
             namespaces: shared.ns.len(),
             drained,
             safety,
             liveness,
-            latency: shared.sessions.latency_summary(),
+            latency: shared.sessions.histogram().summary(),
             trace,
             wall,
         }
+    }
+}
+
+/// Polls `done` every 500 µs until it holds or `timeout` elapses;
+/// returns whether it held.
+fn poll_until(timeout: Duration, mut done: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + timeout;
+    loop {
+        if done() {
+            return true;
+        }
+        if Instant::now() >= deadline {
+            return done();
+        }
+        std::thread::sleep(Duration::from_micros(500));
     }
 }
 
@@ -942,7 +886,7 @@ impl<P: Protocol> Runtime<P> {
     /// what sits in its delay queue or timer set is discarded.
     /// Idempotent: joined handles are taken, so a second call is a no-op
     /// returning nothing.
-    fn stop_threads(&mut self) -> Vec<WorkerFinal<P>> {
+    fn stop_threads(&mut self) -> Vec<WorkerExit<P>> {
         if self.worker_handles.is_empty() {
             return Vec::new();
         }
@@ -952,14 +896,10 @@ impl<P: Protocol> Runtime<P> {
                 self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
             }
         }
-        let mut finals: Vec<WorkerFinal<P>> = Vec::with_capacity(self.n);
-        for handle in self.worker_handles.drain(..) {
-            // A panicked worker yields nothing; shutdown() notices the
-            // missing nodes and panics loudly there — panicking here
-            // would abort the process when stop runs during unwinding.
-            finals.extend(handle.join().unwrap_or_default());
-        }
-        finals
+        // A panicked worker yields nothing; shutdown() notices the
+        // missing nodes and panics loudly there — panicking here would
+        // abort the process when stop runs during unwinding.
+        self.worker_handles.drain(..).filter_map(|handle| handle.join().ok()).collect()
     }
 }
 
@@ -978,8 +918,16 @@ impl<P: Protocol> Drop for Runtime<P> {
 // Workers
 // --------------------------------------------------------------------
 
-/// One node's substrate state within its worker's shard.
+/// One node within its worker's shard: the protocol state machine and,
+/// apart from it (the engine borrows the two separately), its seat in
+/// the substrate.
 struct Slot<P> {
+    node: P,
+    seat: Seat,
+}
+
+/// One node's substrate state, written only by the worker that owns it.
+struct Seat {
     /// Global zero-based index (namespace offset + local index).
     idx: usize,
     /// Position in the owning worker's shard (`idx / workers`) — also the
@@ -989,13 +937,18 @@ struct Slot<P> {
     ns: usize,
     /// The namespace's global offset: local id = global id − offset.
     ns_offset: u32,
-    node: P,
     crashed: bool,
     recovered_ever: bool,
     lease: u64,
+    /// Requests that reached the node and wait for its critical section,
+    /// oldest first — grant order is per-node FIFO, like the simulator's
+    /// `pending_request_times` queues.
+    pending: VecDeque<Ticket>,
+    /// The request inside the critical section, if any.
+    current: Option<Ticket>,
 }
 
-impl<P> Slot<P> {
+impl Seat {
     /// The node's global id — what commands are addressed by.
     fn global(&self) -> NodeId {
         NodeId::new(self.idx as u32 + 1)
@@ -1003,10 +956,34 @@ impl<P> Slot<P> {
 
     /// The node's namespace-local id — what the protocol state machine
     /// and the namespace's oracle speak.
-    fn local(&self, global: NodeId) -> NodeId {
-        debug_assert_eq!(global.zero_based() as usize, self.idx, "misrouted command");
-        NodeId::new(global.get() - self.ns_offset)
+    fn local(&self) -> NodeId {
+        NodeId::new(self.global().get() - self.ns_offset)
     }
+
+    /// Ends every request at the node, at its crash or at shutdown: the
+    /// waiting ones will never be served; the granted one's critical
+    /// section was, however abruptly it ended.
+    fn vacate(&mut self, sessions: &Sessions) {
+        for ticket in self.pending.drain(..) {
+            sessions.end(self.ns, ticket, RequestStatus::Abandoned);
+        }
+        if let Some(ticket) = self.current.take() {
+            sessions.end(self.ns, ticket, RequestStatus::Completed);
+        }
+    }
+
+    /// `true` while the node sits in the critical section on behalf of a
+    /// request that does not wait out a lease.
+    fn serving_auto(&self) -> bool {
+        self.current.as_ref().is_some_and(|ticket| ticket.auto_release)
+    }
+}
+
+/// What a worker hands back when it is joined: everything only it wrote.
+struct WorkerExit<P> {
+    slots: Vec<Slot<P>>,
+    metrics: Metrics,
+    tokens_afloat: Vec<i64>,
 }
 
 /// A command in a worker's delay queue. The sequence number keeps
@@ -1045,7 +1022,14 @@ struct Worker<'a, M> {
     /// Every worker's mailbox, this one's included.
     mailboxes: &'a [Sender<Mail<M>>],
     rng: StdRng,
-    stats: LocalStats,
+    /// Messages, events, losses, crashes and recoveries of this worker's
+    /// nodes; summed over the workers at shutdown.
+    metrics: Metrics,
+    /// Per namespace, token-carrying messages this worker sent minus
+    /// those it received (or discarded): summed over the workers, the
+    /// tokens in flight — the runtime's share of each namespace's
+    /// live-token census.
+    tokens_afloat: Vec<i64>,
     /// The batch: commands that are due, in processing order.
     queue: VecDeque<Targeted<M>>,
     /// The delay queue: commands for this worker's nodes that are not
@@ -1109,23 +1093,38 @@ impl<M: MessageKind> Worker<'_, M> {
         }
     }
 
-    fn sample_delay(&mut self) -> Duration {
+    /// Puts one copy of a message of namespace `ns` on the wire, under
+    /// its own random delay.
+    fn transmit(&mut self, ns: usize, to: NodeId, from: NodeId, msg: M) {
         let max = u64::try_from(self.config.max_network_delay.as_nanos()).unwrap_or(u64::MAX);
-        Duration::from_nanos(self.rng.random_range(0..=max))
+        let delay = Duration::from_nanos(self.rng.random_range(0..=max));
+        self.tokens_afloat[ns] += i64::from(msg.carries_token());
+        self.post(Instant::now() + delay, to, NodeCmd::Deliver { from, msg });
+    }
+
+    /// A command that will never be processed gives up its in-flight
+    /// claim, leaves its namespace's token census if it carried the
+    /// token, and abandons the request it carried, if any.
+    fn discard(&mut self, item: Targeted<M>) {
+        self.claims_released += 1;
+        if let NodeCmd::Deliver { msg, .. } = &item.cmd {
+            if msg.carries_token() {
+                self.tokens_afloat[self.shared.ns_of(item.to)] -= 1;
+            }
+        }
+        self.shared.abandon(item);
     }
 
     /// Stop: nothing this worker still holds will ever be processed —
     /// its batch, its delay queue, its live timers, and whatever is
-    /// still in its mailbox all leave the in-flight count and the token
-    /// census.
+    /// still in its mailbox.
     fn discard_all(&mut self, rx: &Receiver<Mail<M>>) {
         while let Ok(mail) = rx.try_recv() {
             self.accept(mail);
         }
-        let delayed = self.delayed.drain().map(|Reverse(d)| d.item);
-        for item in self.queue.drain(..).chain(delayed) {
-            discard(self.shared, &item);
-            self.claims_released += 1;
+        let delayed = std::mem::take(&mut self.delayed).into_iter().map(|Reverse(d)| d.item);
+        for item in std::mem::take(&mut self.queue).into_iter().chain(delayed) {
+            self.discard(item);
         }
         self.claims_released += self.timers.len() as u64;
         self.timers = DeadlineSet::new();
@@ -1143,24 +1142,20 @@ impl<M: MessageKind> Worker<'_, M> {
             shared.inflight.fetch_add(self.claims_taken, Ordering::SeqCst);
             self.claims_taken = 0;
         }
-        for (burst, mailbox) in self.outgoing.iter_mut().zip(self.mailboxes) {
-            if burst.is_empty() {
+        let mailboxes = self.mailboxes;
+        for (w, mailbox) in mailboxes.iter().enumerate() {
+            if self.outgoing[w].is_empty() {
                 continue;
             }
-            if let Err(SendError(Mail::Many(lost))) =
-                mailbox.send(Mail::Many(std::mem::take(burst)))
-            {
+            let burst = std::mem::take(&mut self.outgoing[w]);
+            if let Err(SendError(Mail::Many(lost))) = mailbox.send(Mail::Many(burst)) {
                 // That worker has exited (shutdown): the burst dies here.
-                for (_, item) in &lost {
-                    discard(shared, item);
-                }
-                self.claims_released += lost.len() as u64;
+                lost.into_iter().for_each(|(_, item)| self.discard(item));
             }
         }
         for (idx, flag) in idle {
             shared.idle[idx].store(flag, Ordering::SeqCst);
         }
-        self.stats.flush(&shared.counters);
         if self.claims_released != 0 {
             shared.inflight.fetch_sub(self.claims_released, Ordering::SeqCst);
             self.claims_released = 0;
@@ -1176,28 +1171,18 @@ impl<M: MessageKind> Worker<'_, M> {
 /// posting converts to global ids.
 struct ThreadSink<'a, 'w, M> {
     worker: &'a mut Worker<'w, M>,
-    lease: &'a mut u64,
-    /// The node's owner id in the worker's [`DeadlineSet`].
-    pos: u32,
-    ns: usize,
-    ns_offset: u32,
-}
-
-impl<M> ThreadSink<'_, '_, M> {
-    fn global(&self, local: NodeId) -> NodeId {
-        NodeId::new(local.get() + self.ns_offset)
-    }
+    seat: &'a mut Seat,
 }
 
 impl<M: MessageKind + core::fmt::Debug + Clone + Send + 'static> ActionSink<M>
     for ThreadSink<'_, '_, M>
 {
     fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
-        let to_global = self.global(to);
+        let (ns, to_global) = (self.seat.ns, NodeId::new(to.get() + self.seat.ns_offset));
         let worker = &mut *self.worker;
         let shared = worker.shared;
-        worker.stats.messages_sent += 1;
-        if shared.trace_enabled && self.ns == 0 {
+        worker.metrics.record_send(msg.kind());
+        if shared.trace_enabled && ns == 0 {
             let mut monitor = shared.lock_monitor(0);
             let at = shared.sim_now();
             monitor.trace.push(
@@ -1209,51 +1194,49 @@ impl<M: MessageKind + core::fmt::Debug + Clone + Send + 'static> ActionSink<M>
         // the script decides the message's fate before any copy is
         // enqueued, so a drop destroys the logical send outright.
         let now_ticks = shared.sim_now();
-        let carries_token = msg.carries_token();
         if shared.script.active_at(now_ticks) {
-            match shared.script.fate(now_ticks, from, to, carries_token, &mut worker.rng) {
+            match shared.script.fate(now_ticks, from, to, msg.carries_token(), &mut worker.rng) {
                 LinkFate::Deliver => {}
                 LinkFate::DropPartition => {
-                    worker.stats.lost_to_partition += 1;
+                    worker.metrics.lost_to_partition += 1;
                     return;
                 }
                 LinkFate::DropLoss => {
-                    worker.stats.lost_to_faults += 1;
+                    worker.metrics.lost_to_faults += 1;
                     return;
                 }
                 LinkFate::DeliverAndDuplicate => {
-                    worker.stats.duplicated_deliveries += 1;
-                    let delay = worker.sample_delay();
-                    let copy = NodeCmd::Deliver { from, msg: msg.clone() };
-                    worker.post(Instant::now() + delay, to_global, copy);
+                    worker.metrics.duplicated_deliveries += 1;
+                    worker.transmit(ns, to_global, from, msg.clone());
                 }
             }
         }
-        if carries_token {
-            shared.tokens_in_flight[self.ns].fetch_add(1, Ordering::SeqCst);
-        }
-        let delay = worker.sample_delay();
-        worker.post(Instant::now() + delay, to_global, NodeCmd::Deliver { from, msg });
+        worker.transmit(ns, to_global, from, msg);
     }
 
     fn enter_cs(&mut self, node: NodeId, token_epoch: u64) {
-        let shared = self.worker.shared;
-        *self.lease += 1;
+        let (worker, seat) = (&mut *self.worker, &mut *self.seat);
+        let shared = worker.shared;
+        seat.lease += 1;
         {
-            let mut monitor = shared.lock_monitor(self.ns);
+            let mut monitor = shared.lock_monitor(seat.ns);
             let at = shared.sim_now();
             monitor.oracle.enter_cs(at, node, token_epoch);
             monitor.trace.push(at, TraceRecord::EnterCs(node));
         }
-        shared.cs_entries[self.ns].fetch_add(1, Ordering::Relaxed);
-        let global = self.global(node);
-        let auto = matches!(shared.sessions.grant(global, shared.now_nanos()), Some((_, _, true)));
+        shared.cs_entries[seat.ns].fetch_add(1, Ordering::Relaxed);
+        // The node's oldest waiting request is the one being served (a
+        // node may also enter with no request of ours waiting).
+        seat.current = seat.pending.pop_front();
+        if let Some(ticket) = &seat.current {
+            shared.sessions.histogram().record(shared.now_nanos().saturating_sub(ticket.t0));
+        }
         // Auto-release requests skip the wall-clock lease: the worker
         // exits the CS immediately after this command (`drain_auto`),
         // so no ExitLease is ever filed for them.
-        if !auto {
-            let expiry = Instant::now() + self.worker.config.cs_duration;
-            self.worker.post(expiry, global, NodeCmd::ExitLease { lease: *self.lease });
+        if !seat.serving_auto() {
+            let expiry = Instant::now() + worker.config.cs_duration;
+            worker.post(expiry, seat.global(), NodeCmd::ExitLease { lease: seat.lease });
         }
     }
 
@@ -1261,13 +1244,13 @@ impl<M: MessageKind + core::fmt::Debug + Clone + Send + 'static> ActionSink<M>
         let worker = &mut *self.worker;
         let deadline = Instant::now() + ticks_to_wall(delay.ticks(), worker.config.tick);
         // A re-arm inherits the claim of the arming it supersedes.
-        if !worker.timers.arm(self.pos, timer_id, deadline) {
+        if !worker.timers.arm(self.seat.pos, timer_id, deadline) {
             worker.claims_taken += 1;
         }
     }
 
     fn cancel_timer(&mut self, _node: NodeId, timer_id: u64) {
-        if self.worker.timers.cancel(self.pos, timer_id) {
+        if self.worker.timers.cancel(self.seat.pos, timer_id) {
             self.worker.claims_released += 1;
         }
     }
@@ -1277,7 +1260,7 @@ impl<M: MessageKind + core::fmt::Debug + Clone + Send + 'static> ActionSink<M>
 /// it holds itself — a delayed command, a live timer — falls due; then
 /// runs everything that is due through the shared engine driver as one
 /// batch and settles the batch's books ([`Worker::settle`]). Returns the
-/// shard's final node states for the shutdown horizon.
+/// shard and the worker's own books for the shutdown fold.
 fn worker_main<P: Protocol + Send + 'static>(
     me: usize,
     mut slots: Vec<Slot<P>>,
@@ -1285,7 +1268,7 @@ fn worker_main<P: Protocol + Send + 'static>(
     mailboxes: Vec<Sender<Mail<P::Msg>>>,
     shared: Arc<Shared>,
     config: RuntimeConfig,
-) -> Vec<WorkerFinal<P>> {
+) -> WorkerExit<P> {
     let workers = config.workers;
     let mut worker = Worker {
         me,
@@ -1296,9 +1279,10 @@ fn worker_main<P: Protocol + Send + 'static>(
             config.seed
                 ^ slots
                     .first()
-                    .map_or(0, |s| (s.idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                    .map_or(0, |s| (s.seat.idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         ),
-        stats: LocalStats::default(),
+        metrics: Metrics::default(),
+        tokens_afloat: vec![0; shared.ns.len()],
         queue: VecDeque::new(),
         delayed: BinaryHeap::new(),
         next_seq: 0,
@@ -1353,11 +1337,12 @@ fn worker_main<P: Protocol + Send + 'static>(
                 worker.discard_all(&rx);
                 break;
             }
-            worker.stats.events_processed += 1;
+            worker.metrics.events_processed += 1;
             let pos = (to.zero_based() as usize) / workers;
             let slot = &mut slots[pos];
-            process(slot, to, cmd, &mut out, &mut worker);
-            drain_auto(slot, to, &mut out, &mut worker);
+            debug_assert_eq!(slot.seat.global(), to, "misrouted command");
+            process(slot, cmd, &mut out, &mut worker);
+            drain_auto(slot, &mut out, &mut worker);
             touched.push(pos);
         }
         // Due timers fire after the batch's commands, one at a time and
@@ -1365,47 +1350,33 @@ fn worker_main<P: Protocol + Send + 'static>(
         // an earlier command or timer of this batch cancelled is gone.
         while let Some((pos, timer_id)) = now.and_then(|now| worker.timers.pop_due(now)) {
             worker.claims_released += 1;
-            worker.stats.events_processed += 1;
+            worker.metrics.events_processed += 1;
             let slot = &mut slots[pos as usize];
-            debug_assert!(!slot.crashed, "a crash clears the node's timers");
+            debug_assert!(!slot.seat.crashed, "a crash clears the node's timers");
             drive_slot(slot, Some(NodeEvent::Timer(timer_id)), &mut out, &mut worker);
-            drain_auto(slot, slot.global(), &mut out, &mut worker);
+            drain_auto(slot, &mut out, &mut worker);
             touched.push(pos as usize);
         }
         touched.sort_unstable();
         touched.dedup();
         worker.settle(touched.iter().map(|&pos| {
-            let slot = &slots[pos];
-            (slot.idx, slot.crashed || slot.node.is_idle())
+            let Slot { node, seat } = &slots[pos];
+            (seat.idx, seat.crashed || node.is_idle())
         }));
     }
-    slots
-        .into_iter()
-        .map(|slot| WorkerFinal {
-            idx: slot.idx,
-            node: slot.node,
-            crashed: slot.crashed,
-            recovered_ever: slot.recovered_ever,
-        })
-        .collect()
+    let Worker { metrics, tokens_afloat, .. } = worker;
+    WorkerExit { slots, metrics, tokens_afloat }
 }
 
-/// The single construction point for [`ThreadSink`]'s split borrows:
-/// builds the slot's sink and feeds one event through the shared engine
-/// driver (`None` runs the recovery hook instead).
+/// Feeds one event through the shared engine driver (`None` runs the
+/// recovery hook instead), the node's seat and worker as its sink.
 fn drive_slot<P: Protocol + Send + 'static>(
     slot: &mut Slot<P>,
     event: Option<NodeEvent<P::Msg>>,
     out: &mut Outbox<P::Msg>,
     worker: &mut Worker<'_, P::Msg>,
 ) {
-    let mut sink = ThreadSink {
-        worker,
-        lease: &mut slot.lease,
-        pos: slot.pos,
-        ns: slot.ns,
-        ns_offset: slot.ns_offset,
-    };
+    let mut sink = ThreadSink { worker, seat: &mut slot.seat };
     match event {
         Some(event) => drive(&mut slot.node, event, out, &mut sink),
         None => drive_recovery(&mut slot.node, out, &mut sink),
@@ -1419,38 +1390,35 @@ fn drive_slot<P: Protocol + Send + 'static>(
 /// which may itself be auto-release.
 fn drain_auto<P: Protocol + Send + 'static>(
     slot: &mut Slot<P>,
-    global: NodeId,
     out: &mut Outbox<P::Msg>,
     worker: &mut Worker<'_, P::Msg>,
 ) {
-    while !slot.crashed && slot.node.in_cs() && worker.shared.sessions.current_is_auto(global) {
-        exit_cs(slot, global, out, worker);
+    while !slot.seat.crashed && slot.node.in_cs() && slot.seat.serving_auto() {
+        exit_cs(slot, out, worker);
     }
 }
 
-/// Executes one command against its node. `global` is the routing id;
-/// the protocol and the namespace's monitor speak the local id.
+/// Executes one command against its node. The protocol and the
+/// namespace's monitor speak the node's namespace-local id.
 fn process<P: Protocol + Send + 'static>(
     slot: &mut Slot<P>,
-    global: NodeId,
     cmd: NodeCmd<P::Msg>,
     out: &mut Outbox<P::Msg>,
     worker: &mut Worker<'_, P::Msg>,
 ) {
     let shared = worker.shared;
-    let local = slot.local(global);
+    let seat = &mut slot.seat;
+    let local = seat.local();
     match cmd {
         NodeCmd::Stop => unreachable!("handled by the worker loop"),
         NodeCmd::Deliver { from, msg } => {
-            if msg.carries_token() {
-                shared.tokens_in_flight[slot.ns].fetch_sub(1, Ordering::SeqCst);
-            }
-            if slot.crashed {
+            worker.tokens_afloat[seat.ns] -= i64::from(msg.carries_token());
+            if seat.crashed {
                 // Fail-stop: everything delivered while down is lost.
-                worker.stats.lost_to_crashes += 1;
+                worker.metrics.lost_to_crashes += 1;
                 return;
             }
-            if shared.trace_enabled && slot.ns == 0 {
+            if shared.trace_enabled && seat.ns == 0 {
                 let mut monitor = shared.lock_monitor(0);
                 let at = shared.sim_now();
                 monitor.trace.push(
@@ -1465,66 +1433,60 @@ fn process<P: Protocol + Send + 'static>(
             }
             drive_slot(slot, Some(NodeEvent::Deliver { from, msg }), out, worker);
         }
-        NodeCmd::Acquire(id) => {
-            let request = RequestId::from_index(id);
-            if slot.crashed {
+        NodeCmd::Acquire(ticket) => {
+            if seat.crashed {
                 // The application on a crashed node cannot request; the
                 // injection is abandoned, never served.
-                let _ = shared.sessions.abandon(request);
+                shared.sessions.end(seat.ns, ticket, RequestStatus::Abandoned);
                 return;
             }
-            shared.sessions.activate(request);
+            seat.pending.push_back(ticket);
             drive_slot(slot, Some(NodeEvent::RequestCs), out, worker);
         }
         NodeCmd::Release(id) => {
-            if slot.crashed
-                || !shared.sessions.is_current(RequestId::from_index(id), global)
-                || !slot.node.in_cs()
-            {
-                return;
+            let holds = seat.current.as_ref().is_some_and(|ticket| ticket.id == id);
+            if holds && !seat.crashed && slot.node.in_cs() {
+                exit_cs(slot, out, worker);
             }
-            exit_cs(slot, global, out, worker);
         }
         NodeCmd::ExitLease { lease } => {
             // Stale leases (superseded by a later CS entry, or by a
             // crash) are dropped — the runtime's analogue of the
             // simulator purging a dead CS's scheduled exit.
-            if slot.crashed || lease != slot.lease || !slot.node.in_cs() {
-                return;
+            if !seat.crashed && lease == seat.lease && slot.node.in_cs() {
+                exit_cs(slot, out, worker);
             }
-            exit_cs(slot, global, out, worker);
         }
         NodeCmd::Crash => {
-            if slot.crashed {
+            if seat.crashed {
                 return;
             }
-            slot.crashed = true;
-            shared.counters.crashes.fetch_add(1, Ordering::Relaxed);
+            seat.crashed = true;
+            worker.metrics.crashes += 1;
             {
-                let mut monitor = shared.lock_monitor(slot.ns);
+                let mut monitor = shared.lock_monitor(seat.ns);
                 let at = shared.sim_now();
                 monitor.oracle.exit_cs(local);
                 monitor.trace.push(at, TraceRecord::Crash(local));
             }
             // All volatile node state is lost — including the
-            // application's not-yet-served requests, which are
-            // therefore abandoned; a granted request's CS died with the
-            // node (its lease is invalidated below), and its timers
-            // leave the worker's deadline set, claims and all.
-            let _ = shared.sessions.crash_node(global);
+            // application's requests (a granted one's lease is
+            // invalidated below) — and the node's timers leave the
+            // worker's deadline set, claims and all.
+            seat.vacate(&shared.sessions);
             slot.node.on_crash();
-            worker.claims_released += worker.timers.clear_owner(slot.pos) as u64;
-            slot.lease += 1;
+            worker.claims_released += worker.timers.clear_owner(seat.pos) as u64;
+            seat.lease += 1;
         }
         NodeCmd::Recover => {
-            if !slot.crashed {
+            if !seat.crashed {
                 return;
             }
-            slot.crashed = false;
-            slot.recovered_ever = true;
-            shared.counters.recoveries.fetch_add(1, Ordering::Relaxed);
+            seat.crashed = false;
+            seat.recovered_ever = true;
+            worker.metrics.recoveries += 1;
             {
-                let mut monitor = shared.lock_monitor(slot.ns);
+                let mut monitor = shared.lock_monitor(seat.ns);
                 let at = shared.sim_now();
                 monitor.trace.push(at, TraceRecord::Recover(local));
             }
@@ -1544,12 +1506,12 @@ fn isolation_at<P: Protocol>(
     script: &CompiledScript,
     at: SimTime,
     drained: bool,
-    span: &[WorkerFinal<P>],
+    span: &[Slot<P>],
     census: usize,
 ) -> Vec<bool> {
     let n = span.len();
-    let alive: Vec<bool> = span.iter().map(|f| !f.crashed).collect();
-    let holders: Vec<bool> = span.iter().map(|f| !f.crashed && f.node.holds_token()).collect();
+    let alive: Vec<bool> = span.iter().map(|s| !s.seat.crashed).collect();
+    let holders: Vec<bool> = span.iter().map(|s| !s.seat.crashed && s.node.holds_token()).collect();
     isolation_from_components(
         script.components_at_horizon(at, n, drained),
         &alive,
@@ -1561,19 +1523,21 @@ fn isolation_at<P: Protocol>(
 /// The shared CS-exit path (lease expiry, early release, auto-release).
 fn exit_cs<P: Protocol + Send + 'static>(
     slot: &mut Slot<P>,
-    global: NodeId,
     out: &mut Outbox<P::Msg>,
     worker: &mut Worker<'_, P::Msg>,
 ) {
     let shared = worker.shared;
-    let local = slot.local(global);
+    let seat = &mut slot.seat;
+    let local = seat.local();
     {
-        let mut monitor = shared.lock_monitor(slot.ns);
+        let mut monitor = shared.lock_monitor(seat.ns);
         let at = shared.sim_now();
         monitor.oracle.exit_cs(local);
         monitor.trace.push(at, TraceRecord::ExitCs(local));
     }
-    let _ = shared.sessions.complete_current(global);
+    if let Some(ticket) = seat.current.take() {
+        shared.sessions.end(seat.ns, ticket, RequestStatus::Completed);
+    }
     drive_slot(slot, Some(NodeEvent::ExitCs), out, worker);
 }
 
@@ -1666,17 +1630,19 @@ mod tests {
         cfg.cs_duration = Duration::from_millis(300);
         let rt = Runtime::start(cfg, OpenCubeNode::build_all(protocol(8)));
         // Occupy the lock from node 1 so node 6's request stays pending.
-        let holder = rt.acquire(NodeId::new(1));
+        let watcher = rt.watcher();
+        let holder = rt.acquire_watched(0, NodeId::new(1), &watcher, false);
         assert!(rt.await_cs_entries(1, Duration::from_secs(30)));
-        let doomed = rt.acquire(NodeId::new(6));
+        let doomed = rt.acquire_watched(0, NodeId::new(6), &watcher, false);
         // Give the acquire time to reach node 6, then kill the node.
         std::thread::sleep(Duration::from_millis(10));
         rt.crash(NodeId::new(6));
         std::thread::sleep(Duration::from_millis(10));
         rt.recover(NodeId::new(6));
         assert!(rt.await_settled(Duration::from_secs(60)));
-        assert_eq!(rt.request_status(doomed), Some(RequestStatus::Abandoned));
-        assert_eq!(rt.request_status(holder), Some(RequestStatus::Completed));
+        // Settled: both notices are in, the crash's before the lease's.
+        assert_eq!(watcher.try_recv(), Some((doomed, RequestStatus::Abandoned)));
+        assert_eq!(watcher.try_recv(), Some((holder, RequestStatus::Completed)));
         let report = rt.shutdown();
         assert_eq!(report.requests_injected, 2);
         assert_eq!(report.requests_completed, 1);
@@ -1692,16 +1658,17 @@ mod tests {
         let proto = Config::new(4, SimDuration::from_ticks(40), SimDuration::from_ticks(20))
             .with_contention_slack(SimDuration::from_ticks(200_000));
         let rt = Runtime::start(cfg, OpenCubeNode::build_all(proto));
-        let id = rt.acquire(NodeId::new(2));
+        let watcher = rt.watcher();
+        let id = rt.acquire_watched(0, NodeId::new(2), &watcher, false);
         assert!(rt.await_cs_entries(1, Duration::from_secs(10)));
-        assert_eq!(rt.request_status(id), Some(RequestStatus::Granted));
+        assert_eq!(watcher.try_recv(), None, "granted, and the lease has 5s to run");
+        let released = Instant::now();
         rt.release(id);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while rt.request_status(id) != Some(RequestStatus::Completed) {
-            assert!(Instant::now() < deadline, "release did not complete the request");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Well before the 5s lease: the release did it.
+        assert_eq!(
+            watcher.recv_timeout(Duration::from_secs(4)),
+            Some((id, RequestStatus::Completed))
+        );
+        assert!(released.elapsed() < Duration::from_secs(4), "the release did it, not the lease");
         let report = rt.shutdown();
         assert_eq!(report.requests_completed, 1);
         assert!(report.mutual_exclusion_held());

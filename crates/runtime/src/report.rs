@@ -99,17 +99,6 @@ impl RuntimeReport {
         self.safety.is_clean() && self.liveness.is_clean()
     }
 
-    /// Completed critical sections per wall-clock second.
-    #[must_use]
-    pub fn throughput_cs_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.cs_entries as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// Worker-processed commands per wall-clock second.
     #[must_use]
     pub fn events_per_sec(&self) -> f64 {

@@ -1,13 +1,14 @@
-//! Property: `Runtime::shutdown` always joins all workers and leaves no
-//! request in a non-terminal state, whatever instant it is called at —
-//! before anything was served, mid-grant, with messages and timers in
-//! flight, with a node crashed, or with leases, live timers and scheduled
-//! arrivals an hour away sitting in the workers' delay queues.
+//! Property: `Runtime::shutdown` always joins all workers and ends every
+//! request exactly once — one notice on its watcher, one entry in the
+//! report — whatever instant it is called at: before anything was
+//! served, mid-grant, with messages and timers in flight, with a node
+//! crashed, or with leases, live timers and scheduled arrivals an hour
+//! away sitting in the workers' delay queues.
 
 use std::time::{Duration, Instant};
 
 use oc_algo::{Config, OpenCubeNode};
-use oc_runtime::{Runtime, RuntimeConfig};
+use oc_runtime::{RequestId, RequestStatus, Runtime, RuntimeConfig};
 use oc_sim::{ArrivalSchedule, SimDuration, SimTime};
 use oc_topology::NodeId;
 use proptest::prelude::*;
@@ -22,7 +23,7 @@ proptest! {
             (1u32..=4, 1usize..=4, 0usize..=12, 0u64..3_000, 0u64..u64::MAX)
     ) {
         let n = 1usize << p;
-        let crash_first = seed % 2 == 1;
+        let (crash_first, auto_release) = (seed % 2 == 1, seed % 4 >= 2);
         let protocol =
             Config::new(n, SimDuration::from_ticks(40), SimDuration::from_ticks(20))
                 .with_contention_slack(SimDuration::from_ticks(20_000));
@@ -32,10 +33,13 @@ proptest! {
         );
         prop_assert!(rt.workers() <= workers.max(1));
         let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..requests {
-            let node = NodeId::new(rng.random_range(1..=n as u32));
-            let _ = rt.acquire(node);
-        }
+        let watcher = rt.watcher();
+        let issued: Vec<RequestId> = (0..requests)
+            .map(|_| {
+                let node = NodeId::new(rng.random_range(1..=n as u32));
+                rt.acquire_watched(0, node, &watcher, auto_release)
+            })
+            .collect();
         if crash_first {
             rt.crash(NodeId::new(rng.random_range(1..=n as u32)));
         }
@@ -45,17 +49,25 @@ proptest! {
         // harness; returning at all is the join property.
         let report = rt.shutdown();
 
-        // Drain property: every request is terminal, none lost.
+        // Drain property: every request has ended, none lost.
         prop_assert_eq!(report.requests_injected, requests as u64);
         prop_assert_eq!(
             report.requests_completed + report.requests_abandoned,
             requests as u64
         );
+        // Exactly once: each request's one notice is on the watcher by
+        // the time shutdown returns, and the notices are the report.
+        let mut ended: Vec<(RequestId, RequestStatus)> =
+            std::iter::from_fn(|| watcher.try_recv()).collect();
+        let completed = ended.iter().filter(|(_, s)| *s == RequestStatus::Completed).count();
+        prop_assert_eq!(completed as u64, report.requests_completed);
+        ended.sort_by_key(|(id, _)| *id);
+        prop_assert_eq!(ended.into_iter().map(|(id, _)| id).collect::<Vec<_>>(), issued);
         // Mutual exclusion must have held up to the cut, however abrupt.
         prop_assert!(report.mutual_exclusion_held());
-        // The latency histogram saw exactly the completed-through-grant
-        // requests (completed = granted-ever after finalization).
-        prop_assert!(report.latency.count <= requests as u64);
+        // The latency histogram saw exactly the requests that were ever
+        // granted, and shutdown completes a granted request.
+        prop_assert_eq!(report.latency.count, report.requests_completed);
     }
 
     #[test]

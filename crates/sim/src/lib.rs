@@ -54,5 +54,5 @@ pub use protocol::{Action, MessageKind, NodeEvent, Protocol};
 pub use queue::{EventQueue, QueueBackend};
 pub use time::{ticks_to_wall, SimDuration, SimTime};
 pub use trace::{Trace, TraceRecord};
-pub use workload::{ArrivalSchedule, Workload};
+pub use workload::ArrivalSchedule;
 pub use world::{Checkpoint, SimConfig, World};

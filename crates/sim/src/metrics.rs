@@ -133,12 +133,6 @@ impl Metrics {
         self.sends_by_kind.iter().sum()
     }
 
-    /// Messages of the base algorithm only (`request` + `token`).
-    #[must_use]
-    pub fn base_messages(&self) -> u64 {
-        self.sent(MsgKind::Request) + self.sent(MsgKind::Token)
-    }
-
     /// Messages of the failure-handling machinery only.
     #[must_use]
     pub fn overhead_messages(&self) -> u64 {
@@ -211,7 +205,6 @@ mod tests {
         m.record_send(MsgKind::Test);
         assert_eq!(m.sent(MsgKind::Request), 2);
         assert_eq!(m.total_sent(), 4);
-        assert_eq!(m.base_messages(), 3);
         assert_eq!(m.overhead_messages(), 1);
     }
 

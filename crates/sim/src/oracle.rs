@@ -133,12 +133,6 @@ impl Oracle {
         &self.report
     }
 
-    /// Consumes the oracle, yielding its report.
-    #[must_use]
-    pub fn into_report(self) -> OracleReport {
-        self.report
-    }
-
     /// Replays the critical-section occupancy of a recorded [`Trace`]
     /// through a fresh oracle: every `EnterCs`/`ExitCs` record is fed in
     /// log order, and a `Crash` vacates the crashed node's occupancy

@@ -5,35 +5,6 @@ use rand::{Rng, RngExt};
 
 use crate::time::{SimDuration, SimTime};
 
-/// A label describing the request pattern, for experiment tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Workload {
-    /// Each node requests exactly once, in a random order, sequentially —
-    /// the setting of the paper's average-case analysis (Section 4).
-    EveryNodeOnce,
-    /// Requests arrive at uniformly random nodes at a fixed mean rate.
-    Uniform,
-    /// A small subset of nodes issues most requests; exercises the
-    /// adaptivity claim (frequent requesters migrate toward the root).
-    Hotspot,
-    /// The deepest node of the canonical cube requests repeatedly — the
-    /// worst case of Section 4.
-    Adversarial,
-}
-
-impl Workload {
-    /// A short table-friendly name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Workload::EveryNodeOnce => "every-node-once",
-            Workload::Uniform => "uniform",
-            Workload::Hotspot => "hotspot",
-            Workload::Adversarial => "adversarial",
-        }
-    }
-}
-
 /// A concrete, time-stamped arrival schedule: which node calls `enter_cs`
 /// when.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -194,12 +165,6 @@ mod tests {
             .delayed_by(SimDuration::from_ticks(7));
         let times: Vec<u64> = s.arrivals().iter().map(|(t, _)| t.ticks()).collect();
         assert_eq!(times, vec![7, 17, 27, 37]);
-    }
-
-    #[test]
-    fn workload_names() {
-        assert_eq!(Workload::EveryNodeOnce.name(), "every-node-once");
-        assert_eq!(Workload::Adversarial.name(), "adversarial");
     }
 
     // ---- generator properties (seeded, many cases per property) ----

@@ -100,8 +100,8 @@ enum Cmd {
 }
 
 /// A registered session-API client: the write half of its connection.
-/// Slot goes `None` when a send fails (the gateway hung up) — same
-/// pruning discipline as the runtime's watcher table.
+/// Slot goes `None` when a send fails (the gateway hung up): a client
+/// that left is not written to again.
 type ClientTable = Arc<Mutex<Vec<Option<Stream>>>>;
 
 fn send_to_client(clients: &ClientTable, client: usize, frame: &Frame) {
@@ -172,24 +172,27 @@ struct Pending {
 /// The process's one node, as an owner in its [`DeadlineSet`].
 const ME: u32 = 0;
 
-/// The [`ActionSink`] the socket substrate hands to [`drive`]: borrows
-/// everything *around* the protocol state machine (which `drive` itself
-/// borrows mutably).
-struct SocketSink<'a> {
+/// Everything *around* the protocol state machine — clocks, log, links,
+/// timers, sessions — and as such the [`ActionSink`] the socket
+/// substrate hands to [`drive`] (which borrows the state machine itself
+/// mutably).
+struct NodeIo {
     me: u32,
     tick: Duration,
-    hlc: &'a mut Hlc,
-    log: &'a mut LogWriter,
-    peers: &'a mut PeerLinks,
-    clients: &'a ClientTable,
-    timers: &'a mut DeadlineSet,
-    pending: &'a mut VecDeque<Pending>,
-    granted: &'a mut Option<Pending>,
-    cs_entries: &'a mut u64,
-    io_failure: &'a mut Option<io::Error>,
+    hlc: Hlc,
+    log: LogWriter,
+    peers: PeerLinks,
+    clients: ClientTable,
+    timers: DeadlineSet,
+    pending: VecDeque<Pending>,
+    granted: Option<Pending>,
+    cs_entries: u64,
+    /// The first I/O error met inside a sink method, which cannot return
+    /// it; [`Proc::step`] hands it on.
+    failure: Option<io::Error>,
 }
 
-impl ActionSink<Msg> for SocketSink<'_> {
+impl ActionSink<Msg> for NodeIo {
     fn send(&mut self, _from: NodeId, to: NodeId, msg: Msg) {
         let stamp = self.hlc.tick();
         let payload = wire::encode(&Frame::Peer { from: self.me, ns: 0, stamp, msg });
@@ -202,14 +205,14 @@ impl ActionSink<Msg> for SocketSink<'_> {
         let stamp = self.hlc.tick();
         let record = LogRecord::EnterCs { stamp, node: node.get(), epoch: token_epoch };
         if let Err(e) = self.log.append(&record) {
-            self.io_failure.get_or_insert(e);
+            self.failure.get_or_insert(e);
             return;
         }
-        *self.cs_entries += 1;
+        self.cs_entries += 1;
         debug_assert!(self.granted.is_none(), "CS entered while a grant is outstanding");
         if let Some(front) = self.pending.pop_front() {
-            *self.granted = Some(front);
-            send_to_client(self.clients, front.client, &Frame::Granted { req: front.req });
+            self.granted = Some(front);
+            send_to_client(&self.clients, front.client, &Frame::Granted { req: front.req });
         }
     }
 
@@ -222,51 +225,35 @@ impl ActionSink<Msg> for SocketSink<'_> {
     }
 }
 
-/// The protocol thread's whole world.
+/// The protocol thread's whole world: the state machine and its I/O.
 struct Proc {
-    opts: NodeOptions,
     node: OpenCubeNode,
     out: Outbox<Msg>,
-    hlc: Hlc,
-    log: LogWriter,
-    peers: PeerLinks,
-    clients: ClientTable,
-    timers: DeadlineSet,
-    pending: VecDeque<Pending>,
-    granted: Option<Pending>,
-    cs_entries: u64,
-    recovered: bool,
+    io: NodeIo,
 }
 
 impl Proc {
-    /// Feeds one event through [`drive`] and then drains auto-release
-    /// grants: while the CS is occupied by an auto-release request, exit
-    /// immediately — the closed-loop fast path, mirroring the runtime's
-    /// `drain_auto`.
-    fn drive_event(&mut self, event: NodeEvent<Msg>) -> io::Result<()> {
-        let mut failure = None;
-        let mut sink = SocketSink {
-            me: self.opts.id,
-            tick: self.opts.tick,
-            hlc: &mut self.hlc,
-            log: &mut self.log,
-            peers: &mut self.peers,
-            clients: &self.clients,
-            timers: &mut self.timers,
-            pending: &mut self.pending,
-            granted: &mut self.granted,
-            cs_entries: &mut self.cs_entries,
-            io_failure: &mut failure,
-        };
-        drive(&mut self.node, event, &mut self.out, &mut sink);
-        if let Some(e) = failure {
-            return Err(e);
+    /// Feeds one event through [`drive`] (`None`: the recovery hook,
+    /// through [`drive_recovery`]) and reports the I/O error the sink
+    /// met on the way, if any.
+    fn step(&mut self, event: Option<NodeEvent<Msg>>) -> io::Result<()> {
+        match event {
+            Some(event) => drive(&mut self.node, event, &mut self.out, &mut self.io),
+            None => drive_recovery(&mut self.node, &mut self.out, &mut self.io),
         }
+        self.io.failure.take().map_or(Ok(()), Err)
+    }
+
+    /// One event, then the auto-release grants it led to: while the CS
+    /// is occupied by an auto-release request, exit immediately — the
+    /// closed-loop fast path, mirroring the runtime's `drain_auto`.
+    fn drive_event(&mut self, event: NodeEvent<Msg>) -> io::Result<()> {
+        self.step(Some(event))?;
         self.drain_auto()
     }
 
     fn drain_auto(&mut self) -> io::Result<()> {
-        while self.node.in_cs() && self.granted.is_some_and(|g| g.auto_release) {
+        while self.node.in_cs() && self.io.granted.is_some_and(|g| g.auto_release) {
             self.exit_cs()?;
         }
         Ok(())
@@ -276,33 +263,16 @@ impl Proc {
     /// exit, step the protocol (which may immediately re-enter for the
     /// next queued request, via the sink), then complete the session.
     fn exit_cs(&mut self) -> io::Result<()> {
-        let Some(current) = self.granted.take() else { return Ok(()) };
-        let stamp = self.hlc.tick();
-        self.log.append(&LogRecord::ExitCs { stamp, node: self.opts.id })?;
-        let mut failure = None;
-        let mut sink = SocketSink {
-            me: self.opts.id,
-            tick: self.opts.tick,
-            hlc: &mut self.hlc,
-            log: &mut self.log,
-            peers: &mut self.peers,
-            clients: &self.clients,
-            timers: &mut self.timers,
-            pending: &mut self.pending,
-            granted: &mut self.granted,
-            cs_entries: &mut self.cs_entries,
-            io_failure: &mut failure,
-        };
-        drive(&mut self.node, NodeEvent::ExitCs, &mut self.out, &mut sink);
+        let Some(current) = self.io.granted.take() else { return Ok(()) };
+        let stamp = self.io.hlc.tick();
+        self.io.log.append(&LogRecord::ExitCs { stamp, node: self.io.me })?;
+        let stepped = self.step(Some(NodeEvent::ExitCs));
         send_to_client(
-            &self.clients,
+            &self.io.clients,
             current.client,
             &Frame::Completion { req: current.req, status: CompletionStatus::Completed },
         );
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        Ok(())
+        stepped
     }
 
     fn status(&self) -> NodeStatus {
@@ -312,8 +282,8 @@ impl Proc {
             in_cs: self.node.in_cs(),
             idle: self.node.is_idle(),
             quorum_blocked: self.node.quorum_blocked(),
-            cs_entries: self.cs_entries,
-            pending: u32::try_from(self.pending.len() + usize::from(self.granted.is_some()))
+            cs_entries: self.io.cs_entries,
+            pending: u32::try_from(self.io.pending.len() + usize::from(self.io.granted.is_some()))
                 .unwrap_or(u32::MAX),
         }
     }
@@ -392,52 +362,38 @@ pub fn run(opts: NodeOptions) -> io::Result<()> {
     let mut proc = Proc {
         node: OpenCubeNode::new(NodeId::new(opts.id), opts.config()),
         out: Outbox::new(),
-        hlc: Hlc::new(opts.id),
-        log: LogWriter::open(&opts.log_path)?,
-        peers: PeerLinks::new(opts.cluster.clone(), opts.id),
-        clients,
-        timers: DeadlineSet::new(),
-        pending: VecDeque::new(),
-        granted: None,
-        cs_entries: 0,
-        recovered: opts.recover,
-        opts,
+        io: NodeIo {
+            me: opts.id,
+            tick: opts.tick,
+            hlc: Hlc::new(opts.id),
+            log: LogWriter::open(&opts.log_path)?,
+            peers: PeerLinks::new(opts.cluster.clone(), opts.id),
+            clients,
+            timers: DeadlineSet::new(),
+            pending: VecDeque::new(),
+            granted: None,
+            cs_entries: 0,
+            failure: None,
+        },
     };
 
-    if proc.recovered {
+    if opts.recover {
         // The SIGKILLed incarnation's volatile state is already gone with
         // its process; on_crash re-initializes the fresh state machine to
         // the paper's post-crash state, then the recovery protocol
         // re-joins the system.
         proc.node.on_crash();
-        let stamp = proc.hlc.tick();
-        proc.log.append(&LogRecord::Recover { stamp, node: proc.opts.id })?;
-        let mut failure = None;
-        let mut sink = SocketSink {
-            me: proc.opts.id,
-            tick: proc.opts.tick,
-            hlc: &mut proc.hlc,
-            log: &mut proc.log,
-            peers: &mut proc.peers,
-            clients: &proc.clients,
-            timers: &mut proc.timers,
-            pending: &mut proc.pending,
-            granted: &mut proc.granted,
-            cs_entries: &mut proc.cs_entries,
-            io_failure: &mut failure,
-        };
-        drive_recovery(&mut proc.node, &mut proc.out, &mut sink);
-        if let Some(e) = failure {
-            return Err(e);
-        }
+        let stamp = proc.io.hlc.tick();
+        proc.io.log.append(&LogRecord::Recover { stamp, node: opts.id })?;
+        proc.step(None)?;
     }
 
     loop {
-        let cmd = match proc.timers.next_deadline() {
+        let cmd = match proc.io.timers.next_deadline() {
             Some(deadline) => {
                 let now = Instant::now();
                 if deadline <= now {
-                    while let Some((_, id)) = proc.timers.pop_due(now) {
+                    while let Some((_, id)) = proc.io.timers.pop_due(now) {
                         proc.drive_event(NodeEvent::Timer(id))?;
                     }
                     continue;
@@ -455,34 +411,34 @@ pub fn run(opts: NodeOptions) -> io::Result<()> {
         };
         match cmd {
             Cmd::Peer { from, stamp, msg } => {
-                proc.hlc.observe(stamp);
+                proc.io.hlc.observe(stamp);
                 proc.drive_event(NodeEvent::Deliver { from: NodeId::new(from), msg })?;
             }
             Cmd::Acquire { client, req, auto_release } => {
-                proc.pending.push_back(Pending { client, req, auto_release });
+                proc.io.pending.push_back(Pending { client, req, auto_release });
                 proc.drive_event(NodeEvent::RequestCs)?;
             }
             Cmd::Release { req } => {
-                if proc.granted.is_some_and(|g| g.req == req) && proc.node.in_cs() {
+                if proc.io.granted.is_some_and(|g| g.req == req) && proc.node.in_cs() {
                     proc.exit_cs()?;
                     proc.drain_auto()?;
                 }
             }
             Cmd::Status { client } => {
-                send_to_client(&proc.clients, client, &Frame::Status(proc.status()));
+                send_to_client(&proc.io.clients, client, &Frame::Status(proc.status()));
             }
             Cmd::Shutdown { client } => {
                 // Still-pending requests are abandoned (the service is
-                // going away), mirroring the runtime's shutdown
-                // finalization; a granted CS completed its entry already.
-                while let Some(p) = proc.pending.pop_front() {
+                // going away), mirroring the runtime's shutdown fold; a
+                // granted CS completed its entry already.
+                while let Some(p) = proc.io.pending.pop_front() {
                     send_to_client(
-                        &proc.clients,
+                        &proc.io.clients,
                         p.client,
                         &Frame::Completion { req: p.req, status: CompletionStatus::Abandoned },
                     );
                 }
-                send_to_client(&proc.clients, client, &Frame::Status(proc.status()));
+                send_to_client(&proc.io.clients, client, &Frame::Status(proc.status()));
                 return Ok(());
             }
         }

@@ -26,11 +26,18 @@ fn main() {
     println!("lock service up: {} nodes over {} workers", rt.len(), rt.workers());
 
     println!("phase 1: all {n} nodes acquire once, concurrently");
-    let ids: Vec<_> = (1..=n as u32).map(|i| rt.acquire(NodeId::new(i))).collect();
+    // The first request is followed to its end through a watcher; the
+    // others are fire-and-forget.
+    let watcher = rt.watcher();
+    let first = rt.acquire_watched(0, NodeId::new(1), &watcher, false);
+    for i in 2..=n as u32 {
+        let _ = rt.acquire(NodeId::new(i));
+    }
+    let (id, status) = watcher.recv_timeout(Duration::from_secs(60)).expect("request 0 ends");
+    assert_eq!(id, first);
+    println!("  -> request {} is {status:?}", id.index());
     assert!(rt.await_cs_entries(n as u64, Duration::from_secs(60)), "phase 1 did not complete");
     println!("  -> {} critical sections served", rt.cs_entries());
-    let first = rt.request_status(ids[0]);
-    println!("  -> request {} is {:?}", ids[0].index(), first);
 
     println!("phase 2: crash node 5, wait, recover it, keep acquiring");
     rt.crash(NodeId::new(5));
