@@ -3,7 +3,7 @@
 //! The engine's performance story rests on a discipline, not a guess: in
 //! steady state — warm capacities, no crashes in flight, trace disabled —
 //! processing an event allocates *nothing*. Dispatch reuses the shared
-//! outbox, `Core::send` goes straight to the calendar queue, timer rows
+//! outbox, `Core::send` goes straight to the event queue, timer rows
 //! retain capacity, `RingSet` search bookkeeping recycles its buffers, and
 //! metrics are flat counters. This crate turns that discipline into a
 //! regression gate: a counting global allocator plus a scripted

@@ -3,11 +3,10 @@
 //! loop is claimed allocation-free once warm.
 //!
 //! Crash-free is deliberate: the protocol's recovery allocates by design
-//! (a fresh search state per re-join, buckets lifted by probe bursts —
-//! `tests/steady_state.rs` pins that count; the queue purge itself is
-//! held to zero by `tests/retain_purge.rs`), and the zero-allocation
-//! claim is about the *steady state* between faults, where throughput is
-//! earned.
+//! (a fresh search state per re-join — `tests/steady_state.rs` pins that
+//! count; the queue purge itself is held to zero by
+//! `tests/retain_purge.rs`), and the zero-allocation claim is about the
+//! *steady state* between faults, where throughput is earned.
 
 use oc_algo::{Config, OpenCubeNode};
 use oc_sim::{ArrivalSchedule, DelayModel, SimConfig, SimDuration, World};
@@ -48,9 +47,10 @@ pub fn steady_state_world(n: usize, requests: usize, seed: u64) -> World<OpenCub
     let mut rng = StdRng::seed_from_u64(seed);
     let schedule = ArrivalSchedule::uniform(&mut rng, n, requests, SimDuration::from_ticks(GAP));
     world.schedule_workload(&schedule);
-    // Calendar window refills re-map tick ranges onto buckets, so bucket
-    // capacities keep chasing new peaks for a long time under warmup
-    // alone; pre-size them so the measured stretch starts at capacity.
+    // The event heap grows by doubling whenever in-flight load sets a new
+    // peak, which warmup alone cannot promise to have reached; pre-size it
+    // so the measured stretch starts at capacity. (The first argument
+    // sizes calendar buckets and is ignored by the default heap backend.)
     world.reserve_events(64, 8_192);
     world
 }

@@ -20,7 +20,7 @@ use crate::{
 /// A substrate's effect handlers, one per [`Action`] kind.
 ///
 /// Implementations decide what "send" or "arm a timer" physically means:
-/// the simulator files events into its calendar queue at virtual
+/// the simulator files events into its event queue at virtual
 /// timestamps; the threaded runtime files them with the destination
 /// node's worker under real-time deadlines.
 pub trait ActionSink<M> {

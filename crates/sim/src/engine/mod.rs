@@ -4,9 +4,10 @@
 //! The engine is deliberately separate from the *policy* layers around it
 //! ([`crate::world`] for virtual time, `oc-runtime` for real threads):
 //!
-//! * [`calendar`] — the bucketed calendar backing [`crate::queue::EventQueue`]:
-//!   O(1) near-future scheduling with a heap fallback for far-future events,
-//!   preserving the exact `(time, seq)` pop order of a binary heap.
+//! * [`calendar`] — the bucketed calendar, [`crate::queue::EventQueue`]'s
+//!   selectable second backend: O(1) near-future scheduling with a heap
+//!   fallback for far-future events, preserving the exact `(time, seq)`
+//!   pop order of the default binary heap.
 //! * [`timers`] — dense `Vec`-indexed per-node timer state: generations
 //!   with lazy cancellation for the simulator's virtual clock, and the
 //!   live-armings-only wall-clock deadline set both real-time substrates
@@ -17,7 +18,8 @@
 //!   (every effect goes through the outbox, in order) is enforced once.
 //!
 //! Everything here is allocation-free per event once warmed up: the outbox
-//! buffer, calendar buckets and timer rows all retain their capacity.
+//! buffer, the event heap (or the calendar's buckets) and timer rows all
+//! retain their capacity.
 
 pub mod calendar;
 pub mod driver;

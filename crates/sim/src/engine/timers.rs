@@ -25,9 +25,22 @@ use std::time::Instant;
 ///
 /// Linear scan: protocols use a handful of distinct ids, and rows retain
 /// their capacity across crashes, so steady state allocates nothing.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct TimerRow {
     slots: Vec<(u64, u64)>,
+}
+
+impl Clone for TimerRow {
+    fn clone(&self) -> Self {
+        TimerRow { slots: self.slots.clone() }
+    }
+
+    /// Into the slots this row already owns: a restored table reallocates
+    /// no row.
+    fn clone_from(&mut self, source: &Self) {
+        let TimerRow { slots } = source;
+        self.slots.clone_from(slots);
+    }
 }
 
 impl TimerRow {
@@ -90,10 +103,23 @@ impl TimerRow {
 ///
 /// Generations are per node, not global: a generation only ever guards
 /// firings on its own row.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TimerTable {
     rows: Vec<TimerRow>,
     gens: Vec<u64>,
+}
+
+impl Clone for TimerTable {
+    fn clone(&self) -> Self {
+        TimerTable { rows: self.rows.clone(), gens: self.gens.clone() }
+    }
+
+    /// Row by row ([`TimerRow::clone_from`]), keeping both vectors.
+    fn clone_from(&mut self, source: &Self) {
+        let TimerTable { rows, gens } = source;
+        self.rows.clone_from(rows);
+        self.gens.clone_from(gens);
+    }
 }
 
 impl TimerTable {

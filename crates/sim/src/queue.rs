@@ -14,24 +14,51 @@
 //!   [`EventQueue::retain`] inspects, so a crash purge costs what is in
 //!   flight, not what is scheduled.
 //! * the *input* tier ([`EventQueue::push_input`]) holds what is injected
-//!   from outside — workload arrivals, the failure plan. A binary heap
-//!   (fronted by a short run of the next few inputs in order) that
-//!   `retain` never visits: a long horizon of pre-scheduled inputs adds
-//!   nothing to the cost of a purge.
+//!   from outside — workload arrivals, the failure plan. `retain` never
+//!   visits it: a long horizon of pre-scheduled inputs adds nothing to the
+//!   cost of a purge.
 //!
 //! Which tier an event belongs to is the caller's knowledge, stated by the
 //! method it calls; the queue puts no bound on `E`.
+//!
+//! # The input tier: a sorted run and the latecomers
+//!
+//! Inputs are filed the way they are made: an arrival schedule in time
+//! order, then a failure plan in time order behind it. So the tier is two
+//! stores, and the earlier of their two heads is the tier's head:
+//!
+//! * `run` — a deque in ascending `(time, seq)` order. An input whose key
+//!   is above the run's last is appended; the run's head pops in O(1)
+//!   with no sift. A schedule filed in time order lives here entirely.
+//! * `late` — a binary heap of every input that arrived below the run's
+//!   last key: a failure plan filed after the schedule it interleaves
+//!   with, an arrival injected mid-run. It is as large as what was filed
+//!   out of order, not as the horizon.
+//!
+//! The tier used to be one heap of everything behind a 1 024-entry
+//! buffer, refilled by a burst of pops so that a multi-million-entry heap
+//! was at least walked warm. With the run there is no such heap to walk —
+//! the schedule that filled it was in order all along — so the buffer and
+//! its refill loop are gone. The worst case (descending pushes, or one
+//! far-future input filed first) puts all but one input in `late`: the
+//! heap the tier was before, never worse.
 //!
 //! # Backends
 //!
 //! Two interchangeable backends store the generated tier:
 //!
-//! * [`QueueBackend::Bucketed`] — the default: the engine's
-//!   [calendar queue](crate::engine::calendar), O(1) near-future
-//!   scheduling with a heap fallback for far-future events.
-//! * [`QueueBackend::Heap`] — a plain binary heap, kept as the reference
-//!   implementation; the cross-backend determinism test holds both to
-//!   byte-identical traces.
+//! * [`QueueBackend::Heap`] — the default: a plain binary heap. A run
+//!   keeps a few events per busy node in flight, so the heap is shallow,
+//!   and an empty one costs nothing to build, clone or drop — which is
+//!   what the explorer's hundreds of thousands of tiny worlds pay for.
+//! * [`QueueBackend::Bucketed`] — the engine's
+//!   [calendar queue](crate::engine::calendar): O(1) near-future
+//!   scheduling with a heap fallback for far-future events, at a fixed
+//!   cost of 1 024 buckets per queue. Alternated pairs found it no faster
+//!   than the heap on any workload (EXPERIMENTS.md, E7); it stays
+//!   selectable, and held to byte-identical traces by the cross-backend
+//!   determinism tests, only because the frozen benchmark's
+//!   `sim.queue_*` probes name it.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -42,12 +69,12 @@ use crate::time::SimTime;
 /// Which data structure orders the pending events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum QueueBackend {
-    /// Binary heap over all pending events: O(log n) everywhere. The
-    /// reference backend.
-    Heap,
-    /// Bucketed calendar with heap overflow: O(1) near-future pushes. The
-    /// production default.
+    /// Binary heap over all pending events: O(log n) everywhere, nothing
+    /// to build when empty. The default.
     #[default]
+    Heap,
+    /// Bucketed calendar with heap overflow: O(1) near-future pushes,
+    /// 1 024 buckets to build, clone and drop per queue.
     Bucketed,
 }
 
@@ -62,53 +89,53 @@ enum Store<E> {
     Bucketed(CalendarQueue<E>),
 }
 
-/// Inputs moved from the heap to the in-order run per refill. A run of
-/// a million arrivals holds a heap of hundreds of megabytes; popping it
-/// once per arrival, between events that each touch other memory, walks
-/// it cold every time (−6 % on the n = 2^20 run against a queue with no
-/// input tier), where a burst of pops walks it warm.
-const INPUT_BURST: usize = 1024;
-
-/// The input tier: a heap of everything scheduled from outside, fronted by
-/// the next few inputs in pop order.
+/// The input tier: a sorted run of what was filed in time order, and a
+/// heap of what was not. See the module docs.
 #[derive(Debug, Clone)]
 struct Inputs<E> {
-    /// The earliest inputs, ascending; every key here is below every key in
-    /// `far`. Refilled from `far` in bursts of [`INPUT_BURST`].
-    next: VecDeque<Entry<E>>,
-    /// Everything else.
-    far: BinaryHeap<Reverse<Entry<E>>>,
+    /// Ascending; an input above the last key is appended here.
+    run: VecDeque<Entry<E>>,
+    /// Every input filed below `run`'s last key at the time.
+    late: BinaryHeap<Reverse<Entry<E>>>,
 }
 
 impl<E> Inputs<E> {
     fn len(&self) -> usize {
-        self.next.len() + self.far.len()
+        self.run.len() + self.late.len()
     }
 
     fn push(&mut self, entry: Entry<E>) {
-        if self.next.back().is_some_and(|last| entry < *last) {
-            let at = self.next.partition_point(|e| *e < entry);
-            self.next.insert(at, entry);
+        if self.run.back().is_none_or(|last| *last < entry) {
+            self.run.push_back(entry);
         } else {
-            self.far.push(Reverse(entry));
+            self.late.push(Reverse(entry));
         }
+    }
+
+    /// `true` when the tier's head is `late`'s, not `run`'s.
+    fn late_is_next(&self) -> bool {
+        self.late.peek().is_some_and(|Reverse(late)| self.run.front().is_none_or(|run| late < run))
     }
 
     fn head(&self) -> Option<&Entry<E>> {
-        self.next.front().or_else(|| self.far.peek().map(|Reverse(e)| e))
+        if self.late_is_next() {
+            self.late.peek().map(|Reverse(e)| e)
+        } else {
+            self.run.front()
+        }
     }
 
     fn pop(&mut self) -> Option<Entry<E>> {
-        if self.next.is_empty() {
-            let burst = INPUT_BURST.min(self.far.len());
-            self.next.extend((0..burst).filter_map(|_| self.far.pop()).map(|Reverse(e)| e));
+        if self.late_is_next() {
+            self.late.pop().map(|Reverse(e)| e)
+        } else {
+            self.run.pop_front()
         }
-        self.next.pop_front()
     }
 }
 
 /// A deterministic min-priority queue of simulation events.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EventQueue<E> {
     /// The generated tier, on the chosen backend.
     store: Store<E>,
@@ -118,6 +145,31 @@ pub struct EventQueue<E> {
     next_seq: u64,
 }
 
+impl<E: Clone> Clone for EventQueue<E> {
+    fn clone(&self) -> Self {
+        EventQueue {
+            store: self.store.clone(),
+            inputs: self.inputs.clone(),
+            next_seq: self.next_seq,
+        }
+    }
+
+    /// Overwrites in place, keeping every buffer this queue already owns
+    /// (a calendar is copied afresh): what [`crate::World::restore`] runs
+    /// once per rewind. `source` is destructured without `..`, so a new
+    /// field does not compile until it is restored here.
+    fn clone_from(&mut self, source: &Self) {
+        let EventQueue { store, inputs: Inputs { run, late }, next_seq } = source;
+        match (&mut self.store, store) {
+            (Store::Heap(heap), Store::Heap(from)) => heap.clone_from(from),
+            (store, from) => *store = from.clone(),
+        }
+        self.inputs.run.clone_from(run);
+        self.inputs.late.clone_from(late);
+        self.next_seq = *next_seq;
+    }
+}
+
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
@@ -125,7 +177,7 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the default (bucketed) backend.
+    /// Creates an empty queue on the default (heap) backend.
     #[must_use]
     pub fn new() -> Self {
         Self::with_backend(QueueBackend::default())
@@ -140,7 +192,7 @@ impl<E> EventQueue<E> {
         };
         EventQueue {
             store,
-            inputs: Inputs { next: VecDeque::new(), far: BinaryHeap::new() },
+            inputs: Inputs { run: VecDeque::new(), late: BinaryHeap::new() },
             next_seq: 0,
         }
     }
@@ -154,12 +206,13 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pre-sizes the store for sustained load: on the bucketed backend,
-    /// every calendar bucket gets capacity for `per_bucket` entries and
-    /// the internal heaps room for `heap` more each; the plain heap
-    /// backend reserves `heap`. Purely a capacity hint — behaviour is
-    /// unchanged, but a warm queue keeps the steady-state event loop
-    /// allocation-free (see the `oc-audit` crate).
+    /// Pre-sizes the generated store for sustained load: the heap backend
+    /// reserves room for `heap` more entries and ignores `per_bucket`; on
+    /// the bucketed backend every calendar bucket gets capacity for
+    /// `per_bucket` entries and the internal heaps room for `heap` more
+    /// each. Purely a capacity hint — behaviour is unchanged, but a warm
+    /// queue keeps the steady-state event loop allocation-free (see the
+    /// `oc-audit` crate).
     pub fn reserve(&mut self, per_bucket: usize, heap: usize) {
         match &mut self.store {
             Store::Heap(binary_heap) => binary_heap.reserve(heap),
@@ -346,8 +399,82 @@ mod tests {
     }
 
     #[test]
-    fn default_backend_is_bucketed() {
+    fn a_time_ordered_schedule_never_touches_a_heap() {
+        let mut q = EventQueue::new();
+        for i in 0..10_000u64 {
+            // Ties included: equal ticks are still in `(time, seq)` order.
+            q.push_input(SimTime::from_ticks(i / 2), i);
+        }
+        assert_eq!((q.inputs.run.len(), q.inputs.late.len()), (10_000, 0));
+        for i in 0..10_000u64 {
+            assert!(q.inputs.late.is_empty());
+            // Staging passes each input through the generated store, one
+            // at a time: it never holds more than the one being popped.
+            assert_eq!(q.len() - q.inputs.len(), 0);
+            assert_eq!(q.pop(), Some((SimTime::from_ticks(i / 2), i)));
+        }
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_plan_filed_after_the_schedule_is_all_that_is_late() {
+        // `sim-faults`' shape: arrivals in time order, then crash/recover
+        // pairs in time order across the same span.
+        for backend in backends() {
+            let mut q = EventQueue::with_backend(backend);
+            for i in 0..1_000u64 {
+                q.push_input(SimTime::from_ticks(i * 10), i);
+            }
+            for k in 0..50u64 {
+                q.push_input(SimTime::from_ticks(k * 200 + 5), 1_000 + 2 * k);
+                q.push_input(SimTime::from_ticks(k * 200 + 95), 1_001 + 2 * k);
+            }
+            // One past the schedule's end extends the run instead.
+            q.push_input(SimTime::from_ticks(20_000), 1_100);
+            assert_eq!((q.inputs.run.len(), q.inputs.late.len()), (1_001, 100));
+            let mut popped = Vec::new();
+            while let Some((at, _)) = q.pop() {
+                popped.push(at);
+            }
+            assert_eq!(popped.len(), 1_101);
+            assert!(popped.is_sorted());
+        }
+    }
+
+    #[test]
+    fn clone_from_keeps_buffers_and_copies_everything() {
+        for backend in backends() {
+            let mut source = EventQueue::with_backend(backend);
+            for i in 0..64u64 {
+                source.push(SimTime::from_ticks(100 - i), i);
+                source.push_input(SimTime::from_ticks(i * 3), 100 + i);
+                source.push_input(SimTime::from_ticks(i), 200 + i);
+            }
+            // A target that already holds more than it is about to receive.
+            let mut target = EventQueue::with_backend(backend);
+            for i in 0..500u64 {
+                target.push(SimTime::from_ticks(i), i);
+                target.push_input(SimTime::from_ticks(i), i);
+            }
+            let run_buffer = target.inputs.run.capacity();
+            target.clone_from(&source);
+            assert_eq!(target.inputs.run.capacity(), run_buffer, "{backend:?}");
+            assert_eq!(target.len(), source.len());
+            // Same future, sequence counter included.
+            for q in [&mut source, &mut target] {
+                q.push(SimTime::from_ticks(7), 999);
+            }
+            while let Some(expected) = source.pop() {
+                assert_eq!(target.pop(), Some(expected), "{backend:?}");
+            }
+            assert!(target.is_empty());
+        }
+    }
+
+    #[test]
+    fn default_backend_is_heap() {
         let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.backend(), QueueBackend::Bucketed);
+        assert_eq!(q.backend(), QueueBackend::Heap);
+        assert_eq!(QueueBackend::default(), QueueBackend::Heap);
     }
 }

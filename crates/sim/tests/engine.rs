@@ -18,6 +18,10 @@ enum Op {
     Push(u64),
     /// `push_input` at this tick: same order, out of `retain`'s reach.
     PushInput(u64),
+    /// `count` calls of `push_input` at strictly increasing ticks, `start`
+    /// then `gap` apart: a schedule filed in time order, the shape the
+    /// input tier keeps in its sorted run.
+    InputBurst { start: u64, gap: u64, count: u64 },
     /// Pop once from both queues and compare with the model's minimum.
     Pop,
     /// Drop all generated payloads divisible by the modulus (like a crash
@@ -37,15 +41,61 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..40).prop_map(Op::PushInput),
         (0u64..40).prop_map(Op::Push),
         (1_000_000u64..100_000_000).prop_map(Op::PushInput),
-        // Twice, so pops keep pace with the six kinds of push.
+        // Monotone bursts: each extends the sorted run if it starts above
+        // the run's end and lands among the latecomers if not.
+        (0u64..20_000, 1u64..60, 2u64..24).prop_map(|(start, gap, count)| Op::InputBurst {
+            start,
+            gap,
+            count
+        }),
+        // Twice, so pops keep pace with the six kinds of single push.
         Just(Op::Pop),
         Just(Op::Pop),
         (2u8..7).prop_map(Op::Retain),
     ]
 }
 
+/// Beyond every tick `op_strategy` draws: an input here, filed first, is
+/// the end of the sorted run for the rest of the script, so every later
+/// input is a latecomer.
+const FAR_FIRST: u64 = 1 << 40;
+
+/// A script of `op_strategy` operations; every other one opens by filing
+/// one far-future input (the input tier's worst case: all heap, no run).
+fn script_strategy() -> impl Strategy<Value = Vec<Op>> {
+    (0u8..2, proptest::collection::vec(op_strategy(), 0..400)).prop_map(|(far_first, mut ops)| {
+        if far_first == 1 {
+            ops.insert(0, Op::PushInput(FAR_FIRST));
+        }
+        ops
+    })
+}
+
 /// The model's entry: payload, and whether it sits in the input tier.
 type Model = BTreeMap<(u64, u64), (usize, bool)>;
+
+/// Files `payload` at each of `ticks`, in order, into both queues and the
+/// model: through `push_input` if `input`, through `push` if not.
+fn file(
+    queues: &mut [EventQueue<usize>; 2],
+    model: &mut Model,
+    next_seq: &mut u64,
+    payload: usize,
+    input: bool,
+    ticks: impl IntoIterator<Item = u64>,
+) {
+    for t in ticks {
+        for q in queues.iter_mut() {
+            if input {
+                q.push_input(SimTime::from_ticks(t), payload);
+            } else {
+                q.push(SimTime::from_ticks(t), payload);
+            }
+        }
+        model.insert((t, *next_seq), (payload, input));
+        *next_seq += 1;
+    }
+}
 
 fn run_script(script: &[Op]) {
     let mut queues = [QueueBackend::Heap, QueueBackend::Bucketed].map(EventQueue::with_backend);
@@ -54,17 +104,11 @@ fn run_script(script: &[Op]) {
 
     for (i, op) in script.iter().enumerate() {
         match op {
-            Op::Push(t) | Op::PushInput(t) => {
-                let input = matches!(op, Op::PushInput(_));
-                for q in &mut queues {
-                    if input {
-                        q.push_input(SimTime::from_ticks(*t), i);
-                    } else {
-                        q.push(SimTime::from_ticks(*t), i);
-                    }
-                }
-                model.insert((*t, next_seq), (i, input));
-                next_seq += 1;
+            Op::Push(t) => file(&mut queues, &mut model, &mut next_seq, i, false, [*t]),
+            Op::PushInput(t) => file(&mut queues, &mut model, &mut next_seq, i, true, [*t]),
+            Op::InputBurst { start, gap, count } => {
+                let ticks = (0..*count).map(|k| start + k * gap);
+                file(&mut queues, &mut model, &mut next_seq, i, true, ticks);
             }
             Op::Pop => {
                 // Exact (time, seq) order across both tiers: the pop is
@@ -110,7 +154,7 @@ proptest! {
     /// Arbitrary interleavings: the calendar queue is indistinguishable
     /// from the heap, and both pop in exact `(time, seq)` order.
     #[test]
-    fn bucketed_queue_matches_heap(script in proptest::collection::vec(op_strategy(), 0..400)) {
+    fn bucketed_queue_matches_heap(script in script_strategy()) {
         run_script(&script);
     }
 }
@@ -207,11 +251,67 @@ fn ties_at_the_end_of_time_keep_push_order() {
     ]);
 }
 
-/// More inputs than one refill burst moves: the in-order run and the heap
-/// behind it hand over without reordering, while late inputs land on
-/// either side of the run's end.
+/// The shape of a faulty run, start to end: an ascending arrival schedule
+/// (all of it the sorted run), then a crash/recover plan across the same
+/// span (all of it latecomers), generated events tied with both — then,
+/// mid-drain, inputs filed at, below and above both input heads and past
+/// the run's end, with equal-tick ties across all three stores.
 #[test]
-fn inputs_beyond_one_refill_burst_keep_order() {
+fn schedule_then_plan_then_mid_drain_inputs_keep_order() {
+    let mut script: Vec<Op> = vec![Op::InputBurst { start: 0, gap: 10, count: 400 }];
+    for k in 0..40u64 {
+        script.push(Op::PushInput(k * 100)); // crash: ties with an arrival
+        script.push(Op::PushInput(k * 100 + 55)); // recover: between two
+    }
+    for k in 0..40u64 {
+        script.push(Op::Push(k * 100)); // three-way tie, sequence decides
+    }
+    // Thirteen entries per hundred ticks: eight hundreds popped leave all
+    // three stores with their head at tick 800.
+    script.extend(std::iter::repeat_n(Op::Pop, 104));
+    script.extend([
+        Op::PushInput(800),   // at both input heads: behind them by sequence
+        Op::Push(800),        // and a generated event behind that
+        Op::PushInput(795),   // below both heads: the next pop
+        Op::PushInput(805),   // above both heads, below the run's end
+        Op::PushInput(5_000), // past the run's end: extends the run
+        Op::PushInput(4_500), // and now below it again: a latecomer
+        Op::InputBurst { start: 4_990, gap: 10, count: 5 }, // straddles the end
+        Op::Retain(2),
+    ]);
+    for i in 0..600u64 {
+        script.push(Op::Pop);
+        match i % 7 {
+            0 => script.push(Op::PushInput(800 + i * 6)),
+            3 => script.push(Op::Push(800 + i * 6)),
+            5 => script.push(Op::PushInput(6_000 + i)),
+            _ => {}
+        }
+        if i % 150 == 0 {
+            script.push(Op::Retain(3));
+        }
+    }
+    run_script(&script);
+}
+
+/// The worst case end to end: one far-future input filed first, so the
+/// whole schedule behind it is latecomers, then a descending tail.
+#[test]
+fn far_future_first_and_descending_inputs_keep_order() {
+    let mut script =
+        vec![Op::PushInput(FAR_FIRST), Op::InputBurst { start: 0, gap: 3, count: 300 }];
+    script.extend((0..300u64).rev().map(|t| Op::PushInput(t * 3 + 1)));
+    script.extend((0..50u64).map(|t| Op::Push(t * 18)));
+    script.extend(std::iter::repeat_n(Op::Pop, 400));
+    script.extend([Op::PushInput(FAR_FIRST), Op::PushInput(FAR_FIRST + 1), Op::Retain(2)]);
+    run_script(&script);
+}
+
+/// Thousands of inputs in no order at all, with more filed on either side
+/// of the run's end while the queue drains: run and latecomers hand over
+/// without reordering.
+#[test]
+fn unordered_inputs_by_the_thousand_keep_order() {
     let mut script: Vec<Op> = (0..2_500u64).map(|i| Op::PushInput(i * 37 % 5_000)).collect();
     for i in 0..3_000u64 {
         script.push(Op::Pop);

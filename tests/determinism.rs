@@ -82,6 +82,13 @@ fn golden_trace_hash() {
         (GOLDEN_HASH, GOLDEN_EVENTS, GOLDEN_SENT),
         "trace fingerprint moved — scheduling behaviour changed"
     );
+    // The default backend moved from the calendar to the heap; the bytes
+    // of a world that does not name one must not.
+    assert_eq!(
+        traced_run(42, SimConfig::default().queue),
+        (GOLDEN_HASH, GOLDEN_EVENTS, GOLDEN_SENT),
+        "a world on the default backend left the golden"
+    );
 }
 
 // Captured from the first green run of this scenario (seed 42); both
