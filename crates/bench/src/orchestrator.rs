@@ -185,11 +185,22 @@ pub fn sibling_node_binary() -> PathBuf {
 
 static DEPLOY_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn fresh_workdir(seed: u64) -> io::Result<PathBuf> {
+/// A deployment's work directory (sockets, event logs), removed when the
+/// guard drops — on every way out, including an error before the
+/// [`Deployment`] that owns it exists.
+struct WorkDir(PathBuf);
+
+impl Drop for WorkDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn fresh_workdir(seed: u64) -> io::Result<WorkDir> {
     let seq = DEPLOY_SEQ.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("oc-net-{}-{seed}-{seq}", std::process::id()));
     std::fs::create_dir_all(&dir)?;
-    Ok(dir)
+    Ok(WorkDir(dir))
 }
 
 /// Finds a base port with `n` consecutive free loopback ports.
@@ -238,13 +249,14 @@ enum Step {
 
 /// The live deployment the orchestrator manages. Dropping it — on the
 /// way out of a finished run or of any error after the first spawn —
-/// kills and reaps every process still running and removes the work
-/// directory (`std::process::Child` does neither on its own).
+/// kills and reaps every process still running (`std::process::Child`
+/// does not on its own); the work directory goes after, with the field
+/// that owns it.
 struct Deployment<'a> {
     scenario: &'a Scenario,
     cluster: Cluster,
     node_bin: PathBuf,
-    workdir: PathBuf,
+    workdir: WorkDir,
     children: Vec<Option<Child>>,
     conns: Vec<Option<Stream>>,
     rx: Receiver<(usize, Frame)>,
@@ -265,13 +277,12 @@ impl Drop for Deployment<'_> {
             let _ = child.kill();
             let _ = child.wait();
         }
-        let _ = std::fs::remove_dir_all(&self.workdir);
     }
 }
 
 impl Deployment<'_> {
     fn log_path(&self, id: u32) -> PathBuf {
-        self.workdir.join(format!("node-{id}.log"))
+        self.workdir.0.join(format!("node-{id}.log"))
     }
 
     fn spawn_node(&self, id: u32, recover: bool) -> io::Result<Child> {
@@ -516,9 +527,9 @@ pub fn run_scenario_sockets(
         ));
     }
     let workdir = fresh_workdir(s.seed)?;
-    let cluster = make_cluster(transport, &workdir, s.n, s.seed)?;
+    let cluster = make_cluster(transport, &workdir.0, s.n, s.seed)?;
     let (tx, rx) = channel();
-    let orch_log_path = workdir.join("orchestrator.log");
+    let orch_log_path = workdir.0.join("orchestrator.log");
     let mut deploy = Deployment {
         cluster,
         node_bin: node_bin.to_path_buf(),
@@ -774,6 +785,22 @@ mod tests {
                 assert!(k.recover_ticks > k.at_ticks);
             }
         }
+    }
+
+    #[test]
+    fn a_work_directory_does_not_outlive_an_early_error() {
+        // `run_scenario_sockets`' shape before a `Deployment` exists: the
+        // guard is made, something is written, then a `?` returns.
+        let mut path = None;
+        let mut boot = || -> io::Result<()> {
+            let workdir = fresh_workdir(7)?;
+            path = Some(workdir.0.clone());
+            std::fs::write(workdir.0.join("orchestrator.log"), b"header")?;
+            Err(io::Error::other("make_cluster failed"))
+        };
+        assert!(boot().is_err());
+        let path = path.expect("the guard was made");
+        assert!(!path.exists(), "{} left behind", path.display());
     }
 
     #[test]

@@ -21,6 +21,16 @@
 //! Which tier an event belongs to is the caller's knowledge, stated by the
 //! method it calls; the queue puts no bound on `E`.
 //!
+//! # Inputs are their own type
+//!
+//! `EventQueue<E, I = E>` stores inputs as `I`, converted into an `E` only
+//! as one reaches the head of the queue (`I: Into<E>`, asked by
+//! [`EventQueue::pop`] alone). An input is a few words — the simulator's is
+//! a node id and a kind, 24 bytes with its key — while `E` must be large
+//! enough for any protocol message; a horizon of millions of scheduled
+//! arrivals is stored at the input's size, not the message's. `I` defaults
+//! to `E`, so a queue with one event type is written as before.
+//!
 //! # The input tier: a sorted run and the latecomers
 //!
 //! Inputs are filed the way they are made: an arrival schedule in time
@@ -92,19 +102,19 @@ enum Store<E> {
 /// The input tier: a sorted run of what was filed in time order, and a
 /// heap of what was not. See the module docs.
 #[derive(Debug, Clone)]
-struct Inputs<E> {
+struct Inputs<I> {
     /// Ascending; an input above the last key is appended here.
-    run: VecDeque<Entry<E>>,
+    run: VecDeque<Entry<I>>,
     /// Every input filed below `run`'s last key at the time.
-    late: BinaryHeap<Reverse<Entry<E>>>,
+    late: BinaryHeap<Reverse<Entry<I>>>,
 }
 
-impl<E> Inputs<E> {
+impl<I> Inputs<I> {
     fn len(&self) -> usize {
         self.run.len() + self.late.len()
     }
 
-    fn push(&mut self, entry: Entry<E>) {
+    fn push(&mut self, entry: Entry<I>) {
         if self.run.back().is_none_or(|last| *last < entry) {
             self.run.push_back(entry);
         } else {
@@ -117,7 +127,7 @@ impl<E> Inputs<E> {
         self.late.peek().is_some_and(|Reverse(late)| self.run.front().is_none_or(|run| late < run))
     }
 
-    fn head(&self) -> Option<&Entry<E>> {
+    fn head(&self) -> Option<&Entry<I>> {
         if self.late_is_next() {
             self.late.peek().map(|Reverse(e)| e)
         } else {
@@ -125,7 +135,7 @@ impl<E> Inputs<E> {
         }
     }
 
-    fn pop(&mut self) -> Option<Entry<E>> {
+    fn pop(&mut self) -> Option<Entry<I>> {
         if self.late_is_next() {
             self.late.pop().map(|Reverse(e)| e)
         } else {
@@ -134,18 +144,19 @@ impl<E> Inputs<E> {
     }
 }
 
-/// A deterministic min-priority queue of simulation events.
+/// A deterministic min-priority queue of simulation events: generated
+/// events are `E`s, inputs are `I`s (see the module docs).
 #[derive(Debug)]
-pub struct EventQueue<E> {
+pub struct EventQueue<E, I = E> {
     /// The generated tier, on the chosen backend.
     store: Store<E>,
     /// The input tier: never purged, so never scanned by `retain`.
-    inputs: Inputs<E>,
+    inputs: Inputs<I>,
     /// Shared by both tiers: `(at, seq)` keys are unique across the queue.
     next_seq: u64,
 }
 
-impl<E: Clone> Clone for EventQueue<E> {
+impl<E: Clone, I: Clone> Clone for EventQueue<E, I> {
     fn clone(&self) -> Self {
         EventQueue {
             store: self.store.clone(),
@@ -170,13 +181,13 @@ impl<E: Clone> Clone for EventQueue<E> {
     }
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E, I> Default for EventQueue<E, I> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E, I> EventQueue<E, I> {
     /// Creates an empty queue on the default (heap) backend.
     #[must_use]
     pub fn new() -> Self {
@@ -236,13 +247,13 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules an externally injected `event` at virtual time `at`. It
-    /// pops in the same `(time, seq)` order as everything else, but
-    /// [`EventQueue::retain`] never sees it: use this only for events no
-    /// purge may drop.
-    pub fn push_input(&mut self, at: SimTime, event: E) {
+    /// Schedules an externally injected `input` at virtual time `at`. It
+    /// pops, as an `E`, in the same `(time, seq)` order as everything
+    /// else, but [`EventQueue::retain`] never sees it: use this only for
+    /// events no purge may drop.
+    pub fn push_input(&mut self, at: SimTime, input: I) {
         let seq = self.take_seq();
-        self.inputs.push(Entry { at, seq, event });
+        self.inputs.push(Entry { at, seq, event: input });
     }
 
     /// The `(time, seq)` key of the generated tier's earliest event.
@@ -261,12 +272,17 @@ impl<E> EventQueue<E> {
     }
 
     /// Moves the earliest input, which precedes every generated event,
-    /// to the head of the generated store under its own `(at, seq)`.
-    /// Out of line: one pop in fourteen takes it on the densest workload.
+    /// to the head of the generated store as an `E`, under its own
+    /// `(at, seq)`. Out of line: one pop in fourteen takes it on the
+    /// densest workload.
     #[cold]
     #[inline(never)]
-    fn stage_input(&mut self) {
-        let Some(Entry { at, seq, event }) = self.inputs.pop() else { return };
+    fn stage_input(&mut self)
+    where
+        I: Into<E>,
+    {
+        let Some(Entry { at, seq, event: input }) = self.inputs.pop() else { return };
+        let event = input.into();
         match &mut self.store {
             Store::Heap(heap) => heap.push(Reverse(Entry { at, seq, event })),
             Store::Bucketed(calendar) => calendar.push_head(at, seq, event),
@@ -284,7 +300,10 @@ impl<E> EventQueue<E> {
     /// 12 % of its throughput with the input tier empty; this shape, forced
     /// inline, measures level with a queue that has no second tier.
     #[inline(always)]
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub fn pop(&mut self) -> Option<(SimTime, E)>
+    where
+        I: Into<E>,
+    {
         if self.input_is_next() {
             self.stage_input();
         }
@@ -347,7 +366,7 @@ mod tests {
     #[test]
     fn orders_by_time() {
         for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
+            let mut q: EventQueue<_> = EventQueue::with_backend(backend);
             q.push(SimTime::from_ticks(5), "b");
             q.push(SimTime::from_ticks(1), "a");
             q.push(SimTime::from_ticks(9), "c");
@@ -361,7 +380,7 @@ mod tests {
     #[test]
     fn fifo_among_ties() {
         for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
+            let mut q: EventQueue<_> = EventQueue::with_backend(backend);
             let t = SimTime::from_ticks(3);
             for i in 0..100 {
                 q.push(t, i);
@@ -375,7 +394,7 @@ mod tests {
     #[test]
     fn retain_drops_matching() {
         for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
+            let mut q: EventQueue<_> = EventQueue::with_backend(backend);
             for i in 0..10 {
                 q.push(SimTime::from_ticks(i), i);
             }
@@ -391,7 +410,7 @@ mod tests {
     #[test]
     fn peek_time() {
         for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
+            let mut q: EventQueue<_> = EventQueue::with_backend(backend);
             assert_eq!(q.peek_time(), None);
             q.push(SimTime::from_ticks(4), ());
             assert_eq!(q.peek_time(), Some(SimTime::from_ticks(4)));
@@ -400,7 +419,7 @@ mod tests {
 
     #[test]
     fn a_time_ordered_schedule_never_touches_a_heap() {
-        let mut q = EventQueue::new();
+        let mut q: EventQueue<_> = EventQueue::new();
         for i in 0..10_000u64 {
             // Ties included: equal ticks are still in `(time, seq)` order.
             q.push_input(SimTime::from_ticks(i / 2), i);
@@ -421,7 +440,7 @@ mod tests {
         // `sim-faults`' shape: arrivals in time order, then crash/recover
         // pairs in time order across the same span.
         for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
+            let mut q: EventQueue<_> = EventQueue::with_backend(backend);
             for i in 0..1_000u64 {
                 q.push_input(SimTime::from_ticks(i * 10), i);
             }
@@ -438,6 +457,48 @@ mod tests {
             }
             assert_eq!(popped.len(), 1_101);
             assert!(popped.is_sorted());
+        }
+    }
+
+    /// A generated event, or the event an input becomes.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Event {
+        Generated(u64),
+        Input(u64),
+    }
+
+    /// A narrower input type: what the input tier stores.
+    struct Arrival(u64);
+
+    impl From<Arrival> for Event {
+        fn from(Arrival(k): Arrival) -> Self {
+            Event::Input(k)
+        }
+    }
+
+    #[test]
+    fn typed_inputs_pop_as_their_events_in_key_order() {
+        for backend in backends() {
+            let mut q: EventQueue<Event, Arrival> = EventQueue::with_backend(backend);
+            // Five ticks, revisited out of order, so inputs land in both
+            // `run` and `late` and every tick holds both kinds.
+            let mut expected = Vec::new();
+            for k in 0..60u64 {
+                let at = SimTime::from_ticks(k * 7 % 5);
+                if k % 3 == 0 {
+                    q.push_input(at, Arrival(k));
+                    expected.push((at, Event::Input(k)));
+                } else {
+                    q.push(at, Event::Generated(k));
+                    expected.push((at, Event::Generated(k)));
+                }
+            }
+            assert!(!q.inputs.late.is_empty(), "{backend:?}");
+            // Pushes were numbered in this order: a stable sort by time
+            // is the `(time, seq)` order.
+            expected.sort_by_key(|(at, _)| *at);
+            let popped: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            assert_eq!(popped, expected, "{backend:?}");
         }
     }
 

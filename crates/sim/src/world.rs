@@ -80,6 +80,29 @@ pub(crate) enum SimEvent<M> {
     Recover { node: NodeId },
 }
 
+/// What the queue's input tier stores: an event injected from outside,
+/// which names a node and a kind and carries no message. It becomes its
+/// [`SimEvent`] only on reaching the head of the queue, so a horizon of
+/// scheduled arrivals costs 24 bytes an entry, not the size of a delivery.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Input {
+    RequestCs(NodeId),
+    Crash(NodeId),
+    Recover(NodeId),
+}
+
+const _: () = assert!(size_of::<crate::engine::calendar::Entry<Input>>() == 24);
+
+impl<M> From<Input> for SimEvent<M> {
+    fn from(input: Input) -> Self {
+        match input {
+            Input::RequestCs(node) => SimEvent::RequestCs { node },
+            Input::Crash(node) => SimEvent::Crash { node },
+            Input::Recover(node) => SimEvent::Recover { node },
+        }
+    }
+}
+
 /// Everything of the simulator except the protocol instances themselves:
 /// the event queue, per-node substrate state, metrics, oracle and trace.
 ///
@@ -101,7 +124,7 @@ pub(crate) struct Core<M> {
     pub(crate) timers: TimerTable,
     pub(crate) pending_request_times: Vec<VecDeque<SimTime>>,
     pub(crate) now: SimTime,
-    pub(crate) queue: EventQueue<SimEvent<M>>,
+    pub(crate) queue: EventQueue<SimEvent<M>, Input>,
     pub(crate) rng: StdRng,
     pub(crate) metrics: Metrics,
     pub(crate) oracle: Oracle,
@@ -111,7 +134,8 @@ pub(crate) struct Core<M> {
     /// token). Maintained incrementally for the census.
     pub(crate) tokens_in_flight: usize,
     /// Live nodes currently holding the token, maintained incrementally so
-    /// the per-event census is O(1) instead of O(n).
+    /// the per-event census is O(1) instead of O(n): each event folds in
+    /// the difference it made to the one node it touched.
     pub(crate) live_holders: usize,
     /// Highest token epoch the substrate has witnessed (held or in
     /// flight). Stays 0 under non-hardened protocols.
@@ -254,7 +278,7 @@ impl<M: Clone + core::fmt::Debug + MessageKind> ActionSink<M> for Core<M> {
         if carries_token {
             self.tokens_in_flight += 1;
             // A token minted and immediately forwarded within one event can
-            // reach the wire before the holder cache sees the new epoch.
+            // reach the wire before the census reads the minting node.
             let epoch = msg.token_epoch();
             if epoch > self.max_epoch {
                 self.bump_epoch(epoch);
@@ -290,6 +314,17 @@ impl<M: Clone + core::fmt::Debug + MessageKind> ActionSink<M> for Core<M> {
     }
 }
 
+/// One node as the token census sees it: whether it is a live holder, the
+/// epoch of what it holds (0 when it holds nothing), and its
+/// [`Protocol::epoch_discards`]. Taken before an event and again after it;
+/// the difference is all the census has to fold in.
+#[derive(Debug, Clone, Copy)]
+struct TokenView {
+    held: bool,
+    epoch: u64,
+    discards: u64,
+}
+
 /// The discrete-event simulator.
 ///
 /// Owns `n` protocol instances (nodes `1..=n`), an event queue, the crash
@@ -297,17 +332,6 @@ impl<M: Clone + core::fmt::Debug + MessageKind> ActionSink<M> for Core<M> {
 #[derive(Debug)]
 pub struct World<P: Protocol> {
     pub(crate) nodes: Vec<P>,
-    /// Cached `alive && holds_token` per node, kept in sync after every
-    /// event a node processes; backs the O(1) token census.
-    pub(crate) holds_token: Vec<bool>,
-    /// Cached token epoch per holding node (0 where `holds_token` is
-    /// false), so the max-epoch census can retire a holder's contribution
-    /// without re-asking the protocol.
-    pub(crate) holder_epochs: Vec<u64>,
-    /// Cached [`Protocol::epoch_discards`] per node; the delta after each
-    /// event flows into [`Metrics::epoch_discards`] (the discard happens
-    /// inside the protocol, invisible to the substrate).
-    epoch_discard_cache: Vec<u64>,
     /// Reusable action buffer — drained in place each event, so the hot
     /// path allocates nothing.
     pub(crate) outbox: Outbox<P::Msg>,
@@ -332,27 +356,17 @@ impl<P: Protocol> World<P> {
             );
         }
         let n = nodes.len();
-        let holds_token: Vec<bool> = nodes.iter().map(Protocol::holds_token).collect();
-        let holder_epochs: Vec<u64> = nodes
-            .iter()
-            .map(|node| if node.holds_token() { node.token_epoch() } else { 0 })
-            .collect();
-        let live_holders = holds_token.iter().filter(|held| **held).count();
-        let max_epoch = holder_epochs.iter().copied().max().unwrap_or(0);
-        let holders_at_max = holds_token
-            .iter()
-            .zip(&holder_epochs)
-            .filter(|(held, epoch)| **held && **epoch == max_epoch)
-            .count();
+        // Every node starts alive, so a holder is a node that says so.
+        let held_epochs = || nodes.iter().filter(|node| node.holds_token()).map(P::token_epoch);
+        let live_holders = held_epochs().count();
+        let max_epoch = held_epochs().max().unwrap_or(0);
+        let holders_at_max = held_epochs().filter(|epoch| *epoch == max_epoch).count();
         let seed = config.seed;
         let record_trace = config.record_trace;
         let queue = EventQueue::with_backend(config.queue);
         let compiled = config.script.compile(n);
         World {
             nodes,
-            holds_token,
-            holder_epochs,
-            epoch_discard_cache: vec![0; n],
             outbox: Outbox::new(),
             core: Core {
                 config,
@@ -447,10 +461,12 @@ impl<P: Protocol> World<P> {
     #[must_use]
     pub fn partition_isolation(&self, drained: bool) -> (Vec<bool>, u64) {
         let n = self.nodes.len();
+        let holds_token: Vec<bool> =
+            (0..n).map(|idx| self.core.alive[idx] && self.nodes[idx].holds_token()).collect();
         let isolated = crate::liveness::isolation_from_components(
             self.core.compiled.components_at_horizon(self.core.now, n, drained),
             &self.core.alive,
-            &self.holds_token,
+            &holds_token,
             self.live_token_census(),
         );
         let unreachable = isolated
@@ -465,8 +481,9 @@ impl<P: Protocol> World<P> {
     /// Estimated resident bytes of per-node state, averaged over the
     /// population: each protocol node (inline size plus its reported
     /// [`Protocol::heap_bytes`]) and every node-indexed container of the
-    /// substrate (token and epoch caches, liveness flags, timer rows,
-    /// pending-request queues). Event-queue and trace storage are
+    /// substrate (liveness and CS flags, timer rows, pending-request
+    /// queues). The token census keeps no per-node copy: it reads the
+    /// node it counts. Event-queue and trace storage are
     /// excluded — they scale with in-flight load, not population — and so
     /// is the compiled fault script, which scales with its phases.
     /// Reported in the E7 artifact to keep the memory diet honest at
@@ -475,8 +492,7 @@ impl<P: Protocol> World<P> {
     pub fn mem_bytes_per_node(&self) -> u64 {
         // Both structs are destructured without `..`: a new field does not
         // compile until it is counted here or named as not per-node.
-        let World { nodes, holds_token, holder_epochs, epoch_discard_cache, outbox: _, core } =
-            self;
+        let World { nodes, outbox: _, core } = self;
         let Core {
             alive,
             in_cs,
@@ -500,9 +516,7 @@ impl<P: Protocol> World<P> {
         } = core;
         let protocol = nodes.capacity() * size_of::<P>()
             + nodes.iter().map(Protocol::heap_bytes).sum::<usize>();
-        let substrate = holds_token.capacity()
-            + (holder_epochs.capacity() + epoch_discard_cache.capacity()) * size_of::<u64>()
-            + alive.capacity()
+        let substrate = alive.capacity()
             + in_cs.capacity()
             + recovered.capacity()
             + timers.heap_bytes()
@@ -543,7 +557,7 @@ impl<P: Protocol> World<P> {
     pub fn schedule_request(&mut self, at: SimTime, node: NodeId) {
         assert!(at >= self.core.now, "cannot schedule in the past");
         self.core.requests_injected += 1;
-        self.core.queue.push_input(at, SimEvent::RequestCs { node });
+        self.core.queue.push_input(at, Input::RequestCs(node));
     }
 
     /// Schedules every arrival of `schedule`.
@@ -566,13 +580,13 @@ impl<P: Protocol> World<P> {
     /// Schedules a single fail-stop crash of `node` at `at`.
     pub fn schedule_failure(&mut self, at: SimTime, node: NodeId) {
         assert!(at >= self.core.now, "cannot schedule in the past");
-        self.core.queue.push_input(at, SimEvent::Crash { node });
+        self.core.queue.push_input(at, Input::Crash(node));
     }
 
     /// Schedules a recovery of `node` at `at` (no-op if alive then).
     pub fn schedule_recovery(&mut self, at: SimTime, node: NodeId) {
         assert!(at >= self.core.now, "cannot schedule in the past");
-        self.core.queue.push_input(at, SimEvent::Recover { node });
+        self.core.queue.push_input(at, Input::Recover(node));
     }
 
     /// Runs until no events remain. Returns `true` if the queue drained,
@@ -702,6 +716,7 @@ impl<P: Protocol> World<P> {
         if !self.core.alive[idx] {
             return;
         }
+        let before = self.token_view(idx);
         self.core.alive[idx] = false;
         self.core.metrics.crashes += 1;
         if self.core.in_cs[idx] {
@@ -742,7 +757,7 @@ impl<P: Protocol> World<P> {
         self.core.in_flight_at_max -= lost_tokens_at_max;
         self.core.metrics.lost_to_crashes += lost;
         self.core.trace.push(self.core.now, TraceRecord::Crash(node));
-        self.sync_token_cache(idx);
+        self.sync_token_census(idx, before);
     }
 
     fn handle_recover(&mut self, node: NodeId) {
@@ -750,60 +765,66 @@ impl<P: Protocol> World<P> {
         if self.core.alive[idx] {
             return;
         }
+        let before = self.token_view(idx);
         self.core.alive[idx] = true;
         self.core.recovered[idx] = true;
         self.core.metrics.recoveries += 1;
         self.core.trace.push(self.core.now, TraceRecord::Recover(node));
         engine::drive_recovery(&mut self.nodes[idx], &mut self.outbox, &mut self.core);
-        self.sync_token_cache(idx);
+        self.sync_token_census(idx, before);
     }
 
     /// Feeds one event to a node and executes the resulting actions
     /// through the shared engine driver.
     fn dispatch(&mut self, node: NodeId, event: NodeEvent<P::Msg>) {
         let idx = node.zero_based() as usize;
+        let before = self.token_view(idx);
         engine::drive(&mut self.nodes[idx], event, &mut self.outbox, &mut self.core);
-        self.sync_token_cache(idx);
+        self.sync_token_census(idx, before);
     }
 
-    /// Re-reads `holds_token` (and the held token's epoch) for the one
-    /// node whose state just changed, keeping the census counters exact at
-    /// O(1) per event.
-    fn sync_token_cache(&mut self, idx: usize) {
-        let held = self.core.alive[idx] && self.nodes[idx].holds_token();
-        let epoch = if held { self.nodes[idx].token_epoch() } else { 0 };
-        let discards = self.nodes[idx].epoch_discards();
-        if held && epoch > self.core.max_epoch {
-            // A mint just happened here: older holders left the at-max
-            // count wholesale (bump zeroes it), without touching their
-            // cached epochs — their eventual release checks against the
-            // *new* max and correctly decrements nothing.
-            self.core.bump_epoch(epoch);
+    /// What the token census counts of node `idx`, read off the node.
+    fn token_view(&self, idx: usize) -> TokenView {
+        let node = &self.nodes[idx];
+        let held = self.core.alive[idx] && node.holds_token();
+        TokenView {
+            held,
+            epoch: if held { node.token_epoch() } else { 0 },
+            discards: node.epoch_discards(),
         }
-        let was_held = self.holds_token[idx];
-        let was_epoch = self.holder_epochs[idx];
-        if was_held != held || was_epoch != epoch {
-            if was_held {
+    }
+
+    /// Folds what one event changed on node `idx` — its view `before` the
+    /// event against its view now — into the census counters, keeping them
+    /// exact at O(1) per event. Only `dispatch`, `handle_crash` and
+    /// `handle_recover` change a node or its `alive` flag, and each calls
+    /// this once, so the counters always equal a recount of the nodes.
+    fn sync_token_census(&mut self, idx: usize, before: TokenView) {
+        let after = self.token_view(idx);
+        if after.held && after.epoch > self.core.max_epoch {
+            // A mint just happened here: older holders left the at-max
+            // count wholesale (bump zeroes it); their eventual release
+            // checks against the *new* max and correctly decrements
+            // nothing.
+            self.core.bump_epoch(after.epoch);
+        }
+        if before.held != after.held || before.epoch != after.epoch {
+            if before.held {
                 self.core.live_holders -= 1;
-                if was_epoch == self.core.max_epoch {
+                if before.epoch == self.core.max_epoch {
                     self.core.holders_at_max -= 1;
                 }
             }
-            if held {
+            if after.held {
                 self.core.live_holders += 1;
-                if epoch == self.core.max_epoch {
+                if after.epoch == self.core.max_epoch {
                     self.core.holders_at_max += 1;
                 }
             }
-            self.holds_token[idx] = held;
-            self.holder_epochs[idx] = epoch;
         }
         // Epoch-fencing discards happen inside the protocol; fold the
-        // node-side counter's delta into the run metrics as it grows.
-        if discards != self.epoch_discard_cache[idx] {
-            self.core.metrics.epoch_discards += discards - self.epoch_discard_cache[idx];
-            self.epoch_discard_cache[idx] = discards;
-        }
+        // node-side counter's growth into the run metrics.
+        self.core.metrics.epoch_discards += after.discards - before.discards;
     }
 
     /// Bounded schedule perturbation: deterministically re-jitters every
@@ -845,13 +866,12 @@ impl<P: Protocol> World<P> {
             };
             // Each event goes back into the tier `schedule_*` or the run
             // filed it in: inputs must stay out of reach of a crash purge.
-            if matches!(
-                event,
-                SimEvent::RequestCs { .. } | SimEvent::Crash { .. } | SimEvent::Recover { .. }
-            ) {
-                self.core.queue.push_input(at, event);
-            } else {
-                self.core.queue.push(at, event);
+            let queue = &mut self.core.queue;
+            match event {
+                SimEvent::RequestCs { node } => queue.push_input(at, Input::RequestCs(node)),
+                SimEvent::Crash { node } => queue.push_input(at, Input::Crash(node)),
+                SimEvent::Recover { node } => queue.push_input(at, Input::Recover(node)),
+                event => queue.push(at, event),
             }
         }
     }
@@ -867,6 +887,10 @@ impl<P: Protocol> World<P> {
 /// checkpoint equivalence suite pins `checkpoint → restore → drive ==
 /// drive` on both queue backends, with fault scripts active.
 ///
+/// There is nothing per node beside the nodes themselves: the token
+/// census's counters live in the core, and what they count is read off
+/// the nodes, so a snapshot is the nodes plus the core.
+///
 /// The shared outbox is deliberately *not* captured: the engine drains
 /// it after every event (debug-asserted in `engine::drive`), so between
 /// events — the only place a checkpoint can be taken — it is empty by
@@ -874,9 +898,6 @@ impl<P: Protocol> World<P> {
 #[derive(Debug, Clone)]
 pub struct Checkpoint<P: Protocol> {
     nodes: Vec<P>,
-    holds_token: Vec<bool>,
-    holder_epochs: Vec<u64>,
-    epoch_discard_cache: Vec<u64>,
     core: Core<P::Msg>,
 }
 
@@ -891,14 +912,7 @@ impl<P: Protocol + Clone> Checkpoint<P> {
     /// fork primitive: one deep scenario prefix, many futures.
     #[must_use]
     pub fn to_world(&self) -> World<P> {
-        World {
-            nodes: self.nodes.clone(),
-            holds_token: self.holds_token.clone(),
-            holder_epochs: self.holder_epochs.clone(),
-            epoch_discard_cache: self.epoch_discard_cache.clone(),
-            outbox: Outbox::new(),
-            core: self.core.clone(),
-        }
+        World { nodes: self.nodes.clone(), outbox: Outbox::new(), core: self.core.clone() }
     }
 }
 
@@ -913,13 +927,7 @@ impl<P: Protocol + Clone> World<P> {
     #[must_use]
     pub fn checkpoint(&self) -> Checkpoint<P> {
         debug_assert!(self.outbox.is_empty(), "checkpoints are taken between events");
-        Checkpoint {
-            nodes: self.nodes.clone(),
-            holds_token: self.holds_token.clone(),
-            holder_epochs: self.holder_epochs.clone(),
-            epoch_discard_cache: self.epoch_discard_cache.clone(),
-            core: self.core.clone(),
-        }
+        Checkpoint { nodes: self.nodes.clone(), core: self.core.clone() }
     }
 
     /// Rewinds this world to `checkpoint`, discarding everything that
@@ -928,9 +936,6 @@ impl<P: Protocol + Clone> World<P> {
     /// produces identical runs.
     pub fn restore(&mut self, checkpoint: &Checkpoint<P>) {
         self.nodes.clone_from(&checkpoint.nodes);
-        self.holds_token.clone_from(&checkpoint.holds_token);
-        self.holder_epochs.clone_from(&checkpoint.holder_epochs);
-        self.epoch_discard_cache.clone_from(&checkpoint.epoch_discard_cache);
         self.outbox = Outbox::new();
         self.core.clone_from(&checkpoint.core);
     }
@@ -1428,15 +1433,12 @@ mod tests {
     fn mem_bytes_per_node_counts_every_node_indexed_vector() {
         let n = 1_000;
         let world = central_world(n, 1);
-        // Every `Vec` with one element per node, by hand: four in `World`,
+        // Every `Vec` with one element per node, by hand: one in `World`,
         // five in `Core` (the timer table's two through its own count).
         // `mem_bytes_per_node` destructures both structs exhaustively, so
         // a new one cannot be added without being seen there.
         let core = &world.core;
         let bytes = world.nodes.capacity() * size_of::<CentralNode>()
-            + world.holds_token.capacity() * size_of::<bool>()
-            + world.holder_epochs.capacity() * size_of::<u64>()
-            + world.epoch_discard_cache.capacity() * size_of::<u64>()
             + core.alive.capacity() * size_of::<bool>()
             + core.in_cs.capacity() * size_of::<bool>()
             + core.recovered.capacity() * size_of::<bool>()
@@ -1446,6 +1448,130 @@ mod tests {
         // Trivial nodes own no heap, so the figure is that sum and nothing
         // else.
         assert_eq!(world.mem_bytes_per_node(), bytes.div_ceil(n) as u64);
+    }
+
+    #[test]
+    fn token_census_equals_a_recount_after_every_event() {
+        /// A token carrying its mint epoch.
+        #[derive(Debug, Clone)]
+        struct Tok(u64);
+        impl MessageKind for Tok {
+            fn kind(&self) -> MsgKind {
+                MsgKind::Token
+            }
+            fn token_epoch(&self) -> u64 {
+                self.0
+            }
+        }
+        /// Takes, forwards, drops and re-mints the token: a request at a
+        /// holder forwards it, a request elsewhere mints one above every
+        /// epoch the node has seen (forwarding it at once on even nodes),
+        /// a stale arrival is discarded and counted, and a crash loses
+        /// what the node held.
+        #[derive(Debug)]
+        struct Relay {
+            id: NodeId,
+            n: u32,
+            token: Option<u64>,
+            seen: u64,
+            discards: u64,
+        }
+        impl Relay {
+            fn next(&self) -> NodeId {
+                NodeId::new(self.id.get() % self.n + 1)
+            }
+        }
+        impl Protocol for Relay {
+            type Msg = Tok;
+            fn id(&self) -> NodeId {
+                self.id
+            }
+            fn on_event(&mut self, event: NodeEvent<Tok>, out: &mut Outbox<Tok>) {
+                match event {
+                    NodeEvent::RequestCs => match self.token.take() {
+                        Some(epoch) => out.send(self.next(), Tok(epoch)),
+                        None => {
+                            self.seen += 1;
+                            if self.id.get().is_multiple_of(2) {
+                                out.send(self.next(), Tok(self.seen));
+                            } else {
+                                self.token = Some(self.seen);
+                            }
+                        }
+                    },
+                    NodeEvent::Deliver { msg: Tok(epoch), .. } if epoch < self.seen => {
+                        self.discards += 1;
+                    }
+                    NodeEvent::Deliver { msg: Tok(epoch), .. } => {
+                        self.seen = epoch;
+                        if epoch.is_multiple_of(3) {
+                            out.send(self.next(), Tok(epoch));
+                        } else {
+                            self.token = Some(epoch);
+                        }
+                    }
+                    NodeEvent::ExitCs | NodeEvent::Timer(_) => {}
+                }
+            }
+            fn on_crash(&mut self) {
+                self.token = None;
+            }
+            fn on_recover(&mut self, _out: &mut Outbox<Tok>) {}
+            fn in_cs(&self) -> bool {
+                false
+            }
+            fn holds_token(&self) -> bool {
+                self.token.is_some()
+            }
+            fn token_epoch(&self) -> u64 {
+                self.token.unwrap_or(0)
+            }
+            fn epoch_discards(&self) -> u64 {
+                self.discards
+            }
+        }
+
+        let n = 6u32;
+        let nodes = (1..=n)
+            .map(|i| Relay {
+                id: NodeId::new(i),
+                n,
+                token: (i == 1).then_some(0),
+                seen: 0,
+                discards: 0,
+            })
+            .collect();
+        let mut world = World::new(SimConfig { seed: 3, ..SimConfig::default() }, nodes);
+        // A small LCG picks the nodes: requests every 4 ticks, a crash and
+        // its recovery every 60.
+        let mut x = 7u64;
+        let mut pick = || {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            NodeId::new((x >> 33) as u32 % n + 1)
+        };
+        for k in 0..300u64 {
+            world.schedule_request(SimTime::from_ticks(4 * k), pick());
+        }
+        for k in 0..20u64 {
+            let node = pick();
+            world.schedule_failure(SimTime::from_ticks(60 * k + 13), node);
+            world.schedule_recovery(SimTime::from_ticks(60 * k + 41), node);
+        }
+        while world.step() {
+            let held_epochs: Vec<u64> = (0..n as usize)
+                .filter(|&idx| world.core.alive[idx] && world.nodes[idx].holds_token())
+                .map(|idx| world.nodes[idx].token_epoch())
+                .collect();
+            let at_max = held_epochs.iter().filter(|e| **e == world.core.max_epoch).count();
+            let discards: u64 = world.nodes.iter().map(Protocol::epoch_discards).sum();
+            let census = (world.core.live_holders, world.core.holders_at_max);
+            assert_eq!(census, (held_epochs.len(), at_max), "at {:?}", world.now());
+            assert_eq!(world.metrics().epoch_discards, discards, "at {:?}", world.now());
+        }
+        // The run exercised what the census folds in.
+        let m = world.metrics();
+        assert!(m.crashes > 0 && m.recoveries > 0 && m.epoch_discards > 0, "{m:?}");
+        assert!(world.core.max_epoch > 2);
     }
 
     #[test]
