@@ -69,7 +69,7 @@ use oc_topology::NodeId;
 #[must_use]
 pub fn aggregate_stats(world: &oc_sim::World<OpenCubeNode>) -> NodeStats {
     NodeId::all(world.len())
-        .map(|id| *world.node(id).stats())
+        .map(|id| world.node(id).stats())
         .fold(NodeStats::default(), NodeStats::merged)
 }
 

@@ -123,10 +123,10 @@ impl MintState {
         self.grant_count = 0;
     }
 
-    /// Heap bytes owned by this ballot (for `Protocol::heap_bytes`): the
-    /// boxed state itself plus the grant bitmask.
+    /// Heap bytes owned by this ballot beyond its own size (for
+    /// `Protocol::heap_bytes`): the grant bitmask.
     pub(crate) fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<MintState>() + self.grant_words.capacity() * 8
+        self.grant_words.capacity() * 8
     }
 }
 
@@ -136,7 +136,7 @@ impl OpenCubeNode {
     /// never wrap (at `u64::MAX` the node simply can no longer mint,
     /// which is safe; wrapping to 0 would resurrect every fenced token).
     fn next_ballot_epoch(&self, ceiling: u64) -> u64 {
-        self.epoch_seen.max(self.epoch_promised).max(ceiling).saturating_add(1)
+        self.epoch_seen.max(self.epoch_promised()).max(ceiling).saturating_add(1)
     }
 
     /// Starts a quorum-gated mint: proposes a fresh epoch to every other
@@ -144,17 +144,18 @@ impl OpenCubeNode {
     /// grant counts). The caller has already concluded the token is lost.
     pub(crate) fn begin_mint(&mut self, purpose: MintPurpose, out: &mut Outbox<Msg>) {
         debug_assert!(self.config_inner().hardened());
-        if self.mint.is_some() {
+        if self.mint().is_some() {
             return; // a ballot is already running
         }
         let epoch = self.next_ballot_epoch(0);
         let n = self.config_inner().n;
-        let mut state = Box::new(MintState::new(purpose, epoch, n));
+        let mut state = MintState::new(purpose, epoch, n);
         // Self-grant: promise our own ballot.
-        self.epoch_promised = epoch;
         state.grant(self.id_inner());
-        self.stats_mut().mint_ballots += 1;
-        self.mint = Some(state);
+        let fault = self.fault_mut();
+        fault.epoch_promised = epoch;
+        fault.stats.mint_ballots += 1;
+        fault.mint = Some(state);
         self.broadcast_ballot(out);
         // n = 1: the quorum is 1 and the self-grant already meets it.
         self.conclude_mint_if_quorum(out);
@@ -163,7 +164,7 @@ impl OpenCubeNode {
     /// Sends the current ballot to every other node and arms the ballot
     /// timer.
     fn broadcast_ballot(&mut self, out: &mut Outbox<Msg>) {
-        let epoch = self.mint.as_deref().expect("ballot running").epoch;
+        let epoch = self.mint().expect("ballot running").epoch;
         let n = self.config_inner().n;
         let me = self.id_inner();
         for id in NodeId::all(n) {
@@ -181,13 +182,13 @@ impl OpenCubeNode {
         if !self.config_inner().hardened() {
             return; // not speaking this dialect
         }
-        if epoch > self.epoch_promised {
-            self.epoch_promised = epoch;
+        if epoch > self.epoch_promised() {
+            self.fault_mut().epoch_promised = epoch;
             out.send(from, Msg::MintAck { epoch, granted: true });
         } else {
             // Refusal: echo our ceiling so the minter's next ballot
             // clears it in one step.
-            let ceiling = self.epoch_promised.max(self.epoch_seen);
+            let ceiling = self.epoch_promised().max(self.epoch_seen);
             out.send(from, Msg::MintAck { epoch: ceiling, granted: false });
         }
     }
@@ -200,7 +201,7 @@ impl OpenCubeNode {
         granted: bool,
         out: &mut Outbox<Msg>,
     ) {
-        let Some(mint) = self.mint.as_deref_mut() else {
+        let Some(mint) = self.mint_mut() else {
             return; // ballot already concluded or aborted: stale ack
         };
         if mint.parked {
@@ -220,17 +221,18 @@ impl OpenCubeNode {
     /// Mints the token if the current ballot has a strict majority.
     fn conclude_mint_if_quorum(&mut self, out: &mut Outbox<Msg>) {
         let quorum = self.config_inner().mint_quorum();
-        let Some(mint) = self.mint.as_deref() else { return };
+        let Some(mint) = self.mint() else { return };
         if mint.grants() < quorum {
             return;
         }
         let (purpose, epoch) = (mint.purpose, mint.epoch);
-        self.mint = None;
         out.cancel_timer(TIMER_MINT);
         // A strict majority granted exactly `epoch`, and every grant is
         // single-use: no other node can ever assemble a quorum for it.
         self.epoch_seen = epoch;
-        self.stats_mut().mints_completed += 1;
+        let fault = self.fault_mut();
+        fault.mint = None;
+        fault.stats.mints_completed += 1;
         match purpose {
             MintPurpose::Root => {
                 if !self.token_here_inner() {
@@ -256,7 +258,7 @@ impl OpenCubeNode {
     /// sweep (the cut may have healed under a live root); a Lender's open
     /// loan can only resolve through a mint, so it ballots again.
     pub(crate) fn on_mint_timer(&mut self, out: &mut Outbox<Msg>) {
-        let Some(mint) = self.mint.as_deref() else {
+        let Some(mint) = self.mint() else {
             return; // stale timer
         };
         let (purpose, attempts, ceiling, parked) =
@@ -264,7 +266,7 @@ impl OpenCubeNode {
         if parked {
             match purpose {
                 MintPurpose::Root => {
-                    self.mint = None;
+                    self.take_mint();
                     self.start_search(1, out);
                 }
                 MintPurpose::Lender => self.reballot(ceiling, out),
@@ -278,7 +280,7 @@ impl OpenCubeNode {
             // `Protocol::quorum_blocked`.
             self.stats_mut().mints_parked += 1;
             let backoff = self.config_inner().mint_backoff();
-            self.mint.as_deref_mut().expect("ballot running").parked = true;
+            self.mint_mut().expect("ballot running").parked = true;
             out.set_timer(TIMER_MINT, backoff);
         }
     }
@@ -286,10 +288,11 @@ impl OpenCubeNode {
     /// Sends a fresh, strictly higher ballot for the running mint.
     fn reballot(&mut self, ceiling: u64, out: &mut Outbox<Msg>) {
         let epoch = self.next_ballot_epoch(ceiling);
-        self.epoch_promised = epoch; // self-grant
-        self.stats_mut().mint_ballots += 1;
         let me = self.id_inner();
-        let mint = self.mint.as_deref_mut().expect("ballot running");
+        let fault = self.fault_mut();
+        fault.epoch_promised = epoch; // self-grant
+        fault.stats.mint_ballots += 1;
+        let mint = fault.mint.as_mut().expect("ballot running");
         mint.rearm(epoch);
         mint.grant(me);
         self.broadcast_ballot(out);
@@ -300,7 +303,7 @@ impl OpenCubeNode {
     /// promises it collected stay in force elsewhere; they only raise the
     /// floor of future ballots, never block the live token.
     pub(crate) fn abort_mint_for_token(&mut self, out: &mut Outbox<Msg>) {
-        if self.mint.take().is_some() {
+        if self.take_mint().is_some() {
             out.cancel_timer(TIMER_MINT);
         }
     }
@@ -346,7 +349,7 @@ mod tests {
         for _ in 0..4 {
             let _ = drain(&mut node, NodeEvent::Timer(crate::node::TIMER_SEARCH_PHASE));
         }
-        assert!(node.mint.is_some(), "exhausted hardened search must open a ballot");
+        assert!(node.mint().is_some(), "exhausted hardened search must open a ballot");
         assert!(!node.holds_token(), "no token before the quorum grants");
         node
     }
@@ -354,7 +357,7 @@ mod tests {
     #[test]
     fn exhausted_hardened_search_ballots_instead_of_minting() {
         let node = minting_root_10();
-        let mint = node.mint.as_deref().unwrap();
+        let mint = node.mint().unwrap();
         assert_eq!(mint.purpose, MintPurpose::Root);
         assert_eq!(mint.epoch, 1);
         assert_eq!(mint.grants(), 1, "self-grant only");
@@ -372,7 +375,7 @@ mod tests {
             assert!(actions.is_empty(), "below quorum nothing happens");
         }
         let actions = deliver(&mut node, 8, Msg::MintAck { epoch: 1, granted: true });
-        assert!(node.mint.is_none());
+        assert!(node.mint().is_none());
         assert!(node.holds_token());
         assert_eq!(node.token_epoch(), 1, "minted at the ballot epoch");
         assert_eq!(node.stats().mints_completed, 1);
@@ -386,7 +389,7 @@ mod tests {
         for _ in 0..20 {
             let _ = deliver(&mut node, 2, Msg::MintAck { epoch: 1, granted: true });
         }
-        let mint = node.mint.as_deref().expect("20 copies of one grant are one grant");
+        let mint = node.mint().expect("20 copies of one grant are one grant");
         assert_eq!(mint.grants(), 2);
     }
 
@@ -425,7 +428,7 @@ mod tests {
         let sent = ballots(&actions);
         assert_eq!(sent.len(), 15, "a retry re-broadcasts to all peers");
         assert!(sent.iter().all(|&(_, e)| e == 8), "next ballot clears the echoed ceiling");
-        assert_eq!(node.mint.as_deref().unwrap().attempts, 2);
+        assert_eq!(node.mint().unwrap().attempts, 2);
     }
 
     #[test]
@@ -436,7 +439,7 @@ mod tests {
         assert!(node.quorum_blocked(), "a timed-out ballot is quorum-blocked");
         let _ = drain(&mut node, NodeEvent::Timer(TIMER_MINT)); // attempt 3
         let actions = drain(&mut node, NodeEvent::Timer(TIMER_MINT)); // park
-        assert!(node.mint.as_deref().unwrap().parked);
+        assert!(node.mint().unwrap().parked);
         assert!(node.quorum_blocked(), "a parked minter is quorum-blocked");
         assert_eq!(node.stats().mints_parked, 1);
         assert!(ballots(&actions).is_empty(), "parking sends nothing");
@@ -447,7 +450,7 @@ mod tests {
         // Backoff over: a Root minter re-earns its conclusion by sweeping
         // again from ring 1 (the cut may have healed under a live root).
         let actions = drain(&mut node, NodeEvent::Timer(TIMER_MINT));
-        assert!(node.mint.is_none());
+        assert!(node.mint().is_none());
         assert!(node.search.is_some(), "post-park the Root minter searches again");
         assert!(actions.iter().any(|a| matches!(a, Action::Send { msg: Msg::Test { d: 1 }, .. })));
     }
@@ -456,7 +459,7 @@ mod tests {
     fn token_arrival_aborts_the_ballot() {
         let mut node = minting_root_10();
         let actions = deliver(&mut node, 9, Msg::Token { lender: None, epoch: 0 });
-        assert!(node.mint.is_none(), "the live token refutes the loss conclusion");
+        assert!(node.mint().is_none(), "the live token refutes the loss conclusion");
         assert!(node.holds_token());
         assert!(actions.iter().any(|a| matches!(a, Action::CancelTimer { id: TIMER_MINT })));
         // Late acks for the dead ballot are ignored.
@@ -481,7 +484,7 @@ mod tests {
     fn ballot_epochs_never_wrap() {
         let mut node = OpenCubeNode::new(NodeId::new(2), hardened_cfg(4));
         node.epoch_seen = u64::MAX;
-        node.epoch_promised = u64::MAX;
+        node.fault_mut().epoch_promised = u64::MAX;
         assert_eq!(node.next_ballot_epoch(0), u64::MAX, "saturates instead of wrapping to 0");
         // And witnessing at the ceiling keeps fencing coherent: a token at
         // epoch MAX is current, anything below stays stale.
@@ -496,6 +499,6 @@ mod tests {
         let mut node = OpenCubeNode::new(NodeId::new(2), cfg);
         let actions = deliver(&mut node, 3, Msg::MintRequest { epoch: 5 });
         assert!(actions.is_empty());
-        assert_eq!(node.epoch_promised, 0, "no promise state under Hardening::None");
+        assert_eq!(node.epoch_promised(), 0, "no promise state under Hardening::None");
     }
 }

@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 use oc_sim::{NodeEvent, Outbox, Protocol};
 use oc_topology::{canonical_father, dist, NodeId};
 
-use crate::{config::Config, message::Msg, search::SearchState, stats::NodeStats};
+use crate::{config::Config, message::Msg, mint::MintState, search::SearchState, stats::NodeStats};
 
 /// Timer identities (node-local).
 pub(crate) const TIMER_TOKEN_WAIT: u64 = 1;
@@ -55,6 +55,31 @@ pub(crate) struct Loan {
     pub enquiry_outstanding: bool,
 }
 
+/// What a node holds only once the Section 5 machinery has touched it:
+/// the fault path's counters, the promised mint epoch, the running mint
+/// ballot and the recycled state of its last search. One box behind one
+/// pointer, allocated on the first write, so a node that never searched,
+/// enquired, bounced an anomaly, minted or granted a ballot — every node
+/// of a fault-free run under `Hardening::None` — owns none of it. It
+/// survives `on_crash`: the promise is stable storage.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FaultState {
+    pub stats: NodeStats,
+    /// Highest mint ballot this node has granted (a Paxos-style promise).
+    /// Stable storage — promise amnesia across a crash would let two
+    /// quorums form for one epoch. Invariant: `epoch_promised >=
+    /// epoch_seen`.
+    pub epoch_promised: u64,
+    /// In-progress mint ballot (`Hardening::Quorum`; see `crate::mint`).
+    /// Volatile: a crash abandons it.
+    pub mint: Option<MintState>,
+    /// The state of the last finished search, kept so that the next one
+    /// reuses its ring buffers and allocates nothing. Capacity, not
+    /// protocol state: a crash keeps it too. Every search has already
+    /// allocated this box for its counters.
+    pub search_spare: Option<Box<SearchState>>,
+}
+
 /// One node of the open-cube mutual exclusion algorithm.
 ///
 /// Implements [`Protocol`], so it runs under the deterministic simulator
@@ -96,31 +121,24 @@ pub struct OpenCubeNode {
     // ---- Section 5 state ----
     pub(crate) loan: Option<Loan>,
     pub(crate) search: Option<Box<SearchState>>,
-    /// Recycled search state: keeps the ring bitmask buffers of finished
-    /// searches so starting the next one allocates nothing. Boxed (and
-    /// absent until first used) so idle nodes pay one pointer, not two
-    /// inline `RingSet`s — searches are rare, nodes are 2^24.
-    pub(crate) search_spare: Option<Box<SearchState>>,
     /// Set when the node recovered in a mode that cannot re-join (fault
     /// tolerance disabled): it ignores all input.
     inert: bool,
+    /// Everything else of Section 5; absent until first written.
+    fault: Option<Box<FaultState>>,
 
     // ---- hardened-mode state (Hardening::Quorum; see crate::mint) ----
     /// Highest minted token epoch this node has witnessed — on a token it
     /// received or a request that gossiped it. Stable storage: fencing
-    /// must survive crashes. Always 0 under `Hardening::None`.
+    /// must survive crashes. Always 0 under `Hardening::None`. Inline, not
+    /// in `fault`: every request and token the node sends carries it.
     pub(crate) epoch_seen: u64,
-    /// Highest mint ballot this node has granted (a Paxos-style promise).
-    /// Stable storage — promise amnesia across a crash would let two
-    /// quorums form for one epoch. Invariant: `epoch_promised >=
-    /// epoch_seen`.
-    pub(crate) epoch_promised: u64,
-    /// In-progress mint ballot. Boxed: minting is rare and idle nodes pay
-    /// one pointer.
-    pub(crate) mint: Option<Box<crate::mint::MintState>>,
-
-    stats: NodeStats,
 }
+
+// The Section 3 variables, the claim bookkeeping, the epoch every message
+// carries and one pointer per Section 5 structure: the rest waits in
+// `fault` or `search`.
+const _: () = assert!(size_of::<OpenCubeNode>() <= 120);
 
 impl OpenCubeNode {
     /// Creates the node in its canonical initial position: `father` per the
@@ -156,12 +174,9 @@ impl OpenCubeNode {
             local_claim: None,
             loan: None,
             search: None,
-            search_spare: None,
             inert: false,
+            fault: None,
             epoch_seen: 0,
-            epoch_promised: 0,
-            mint: None,
-            stats: NodeStats::default(),
         }
     }
 
@@ -213,10 +228,11 @@ impl OpenCubeNode {
         self.father.is_none() && self.search.is_none()
     }
 
-    /// Per-node instrumentation counters.
+    /// Per-node instrumentation counters (all zero until the node first
+    /// takes the Section 5 path).
     #[must_use]
-    pub fn stats(&self) -> &NodeStats {
-        &self.stats
+    pub fn stats(&self) -> NodeStats {
+        self.fault.as_deref().map_or_else(NodeStats::default, |fault| fault.stats)
     }
 
     /// The configuration this node runs with.
@@ -251,11 +267,36 @@ impl OpenCubeNode {
             || self.in_cs
             || self.loan.is_some()
             || self.search.is_some()
-            || self.mint.is_some()
+            || self.mint().is_some()
+    }
+
+    /// The fault-path state, allocated on first use.
+    pub(crate) fn fault_mut(&mut self) -> &mut FaultState {
+        self.fault.get_or_insert_default()
     }
 
     pub(crate) fn stats_mut(&mut self) -> &mut NodeStats {
-        &mut self.stats
+        &mut self.fault_mut().stats
+    }
+
+    /// Highest mint ballot granted; 0 until one is.
+    pub(crate) fn epoch_promised(&self) -> u64 {
+        self.fault.as_deref().map_or(0, |fault| fault.epoch_promised)
+    }
+
+    /// The running mint ballot, if any.
+    pub(crate) fn mint(&self) -> Option<&MintState> {
+        self.fault.as_deref()?.mint.as_ref()
+    }
+
+    pub(crate) fn mint_mut(&mut self) -> Option<&mut MintState> {
+        self.fault.as_deref_mut()?.mint.as_mut()
+    }
+
+    /// Ends the running ballot, if any, and returns it. Allocates nothing
+    /// on a node that never took the fault path.
+    pub(crate) fn take_mint(&mut self) -> Option<MintState> {
+        self.fault.as_deref_mut()?.mint.take()
     }
 
     pub(crate) fn fault_tolerant(&self) -> bool {
@@ -329,14 +370,13 @@ impl OpenCubeNode {
         if d > p {
             // Section 5: anomaly — we cannot be an ancestor of the
             // claimant (possible after our recovery as a leaf).
-            self.stats.anomalies_sent += 1;
+            self.stats_mut().anomalies_sent += 1;
             out.send(claimant, Msg::Anomaly);
             return;
         }
         if d == p {
             // Transit behavior: the request came over a boundary edge (the
             // claimant's branch passes through our last son).
-            self.stats.transits += 1;
             if self.token_here {
                 if self.cfg.mutation != crate::config::Mutation::KeepTokenOnTransit {
                     self.token_here = false;
@@ -353,7 +393,6 @@ impl OpenCubeNode {
             self.father = Some(claimant);
         } else {
             // Proxy behavior: request the token on the claimant's account.
-            self.stats.proxies += 1;
             self.asking = true;
             if self.token_here {
                 // Temporarily lend the token.
@@ -399,12 +438,11 @@ impl OpenCubeNode {
     pub(crate) fn witness_epoch(&mut self, epoch: u64) {
         if epoch > self.epoch_seen {
             self.epoch_seen = epoch;
-            if self.epoch_promised < epoch {
-                self.epoch_promised = epoch;
-            }
+            let fault = self.fault_mut();
+            fault.epoch_promised = fault.epoch_promised.max(epoch);
             if self.token_here {
                 self.token_here = false;
-                self.stats.epoch_discards += 1;
+                self.stats_mut().epoch_discards += 1;
             }
         }
     }
@@ -424,7 +462,7 @@ impl OpenCubeNode {
         // current-epoch token or a quorum-gated mint.
         self.witness_epoch(epoch);
         if epoch < self.epoch_seen {
-            self.stats.epoch_discards += 1;
+            self.stats_mut().epoch_discards += 1;
             return;
         }
         self.cancel_token_wait(out);
@@ -644,7 +682,7 @@ impl OpenCubeNode {
         debug_assert!(!self.token_here);
         self.token_here = true;
         self.lender = self.id;
-        self.stats.tokens_regenerated += 1;
+        self.stats_mut().tokens_regenerated += 1;
     }
 
     /// Ends a loan locally (after regeneration): the lending root stops
@@ -658,8 +696,8 @@ impl OpenCubeNode {
     /// Cancels an in-progress search because the token arrived — the
     /// suspicion was ill-founded or resolved elsewhere.
     pub(crate) fn abort_search_for_token(&mut self, out: &mut Outbox<Msg>) {
-        if let Some(state) = self.search.take() {
-            self.search_spare = Some(state);
+        if self.search.is_some() {
+            self.recycle_search();
             out.cancel_timer(TIMER_SEARCH_PHASE);
         }
     }
@@ -762,13 +800,15 @@ impl Protocol for OpenCubeNode {
         self.local_claim = None;
         self.queue.clear();
         self.loan = None;
-        self.search = None;
+        // The search's ring buffers are capacity, not protocol state: the
+        // recovery search reuses them.
+        self.recycle_search();
         // The running ballot is volatile; the epoch counters are NOT —
         // like pmax and dist they live on stable storage. Forgetting a
         // promise across a crash would let two quorums form for one epoch,
         // and forgetting the witnessed horizon would resurrect fenced
         // tokens.
-        self.mint = None;
+        self.take_mint();
     }
 
     fn on_recover(&mut self, out: &mut Outbox<Msg>) {
@@ -798,7 +838,7 @@ impl Protocol for OpenCubeNode {
             && self.search.is_none()
             && self.mandator.is_none()
             && self.loan.is_none()
-            && self.mint.is_none()
+            && self.mint().is_none()
     }
 
     fn heap_bytes(&self) -> usize {
@@ -809,8 +849,11 @@ impl Protocol for OpenCubeNode {
         };
         self.queue.capacity() * std::mem::size_of::<Work>()
             + search_bytes(&self.search)
-            + search_bytes(&self.search_spare)
-            + self.mint.as_deref().map_or(0, crate::mint::MintState::heap_bytes)
+            + self.fault.as_deref().map_or(0, |fault| {
+                std::mem::size_of::<FaultState>()
+                    + fault.mint.as_ref().map_or(0, MintState::heap_bytes)
+                    + search_bytes(&fault.search_spare)
+            })
     }
 
     fn token_epoch(&self) -> u64 {
@@ -828,11 +871,11 @@ impl Protocol for OpenCubeNode {
         // ballot still within its 2δ window is deliberately NOT counted:
         // excusing it would also excuse a wedged ballot that never
         // retries.
-        self.mint.as_deref().is_some_and(|m| m.parked || m.attempts > 1)
+        self.mint().is_some_and(|m| m.parked || m.attempts > 1)
     }
 
     fn epoch_discards(&self) -> u64 {
-        self.stats.epoch_discards
+        self.fault.as_deref().map_or(0, |fault| fault.stats.epoch_discards)
     }
 }
 
@@ -1274,6 +1317,38 @@ mod tests {
         let s = sends(&actions);
         assert_eq!(s, vec![(NodeId::new(3), Msg::Token { lender: None, epoch: 0 })]);
         assert!(root.holds_token(), "mutation: the token was sent AND kept");
+    }
+
+    #[test]
+    fn fault_state_is_allocated_on_first_use_counted_and_kept_across_crashes() {
+        // A fault-free claim, served, allocates no fault state.
+        let mut node = OpenCubeNode::new(NodeId::new(10), cfg(16));
+        let _ = request_cs(&mut node);
+        let _ = deliver(&mut node, 9, Msg::Token { lender: Some(NodeId::new(9)), epoch: 0 });
+        let _ = exit_cs(&mut node);
+        assert!(node.fault.is_none());
+        assert_eq!(node.heap_bytes(), 0);
+        assert_eq!(node.stats(), NodeStats::default());
+
+        // A suspicion timeout starts a search: its counters need the box.
+        let ft = Config::new(16, SimDuration::from_ticks(10), SimDuration::from_ticks(50));
+        let mut node = OpenCubeNode::new(NodeId::new(10), ft);
+        let _ = request_cs(&mut node);
+        assert!(node.fault.is_none(), "arming a timer is not the fault path");
+        let mut out = Outbox::new();
+        node.on_event(NodeEvent::Timer(TIMER_TOKEN_WAIT), &mut out);
+        assert_eq!(node.stats().searches_started, 1);
+        let search = size_of::<SearchState>();
+        assert!(node.heap_bytes() >= size_of::<FaultState>() + search);
+
+        // The promise is stable storage, so the box survives a crash; the
+        // search's buffers are kept for the recovery search to reuse.
+        node.on_crash();
+        let spare = |node: &OpenCubeNode| node.fault.as_deref().unwrap().search_spare.is_some();
+        assert!(node.search.is_none() && spare(&node));
+        assert_eq!(node.stats().searches_started, 1);
+        node.on_recover(&mut out);
+        assert!(node.search.is_some() && !spare(&node), "recovery reuses it");
     }
 
     #[test]

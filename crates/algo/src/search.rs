@@ -70,7 +70,7 @@ impl OpenCubeNode {
         let d = start_d.clamp(1, pmax);
         self.stats_mut().searches_started += 1;
         // Reuse the spare state's ring buffers instead of allocating.
-        let mut state = self.search_spare.take().unwrap_or_default();
+        let mut state = self.fault_mut().search_spare.take().unwrap_or_default();
         state.d = d;
         state.start = d;
         self.search = Some(state);
@@ -79,9 +79,9 @@ impl OpenCubeNode {
 
     /// Returns the finished search state to the spare slot so its ring
     /// buffers are reused by the next search.
-    fn recycle_search(&mut self) {
+    pub(crate) fn recycle_search(&mut self) {
         if let Some(state) = self.search.take() {
-            self.search_spare = Some(state);
+            self.fault_mut().search_spare = Some(state);
         }
     }
 
@@ -300,7 +300,7 @@ impl OpenCubeNode {
             }
             return;
         }
-        if self.mint.is_some() {
+        if self.mint().is_some() {
             // Mid-mint we believe we are the root (father = nil, so our
             // power reads pmax) but have not earned the position yet.
             // Promising fatherhood now could absorb the searcher into a

@@ -7,10 +7,6 @@
 /// reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeStats {
-    /// Requests processed with transit behavior.
-    pub transits: u32,
-    /// Requests processed with proxy behavior (mandates taken).
-    pub proxies: u32,
     /// `search_father` procedures started.
     pub searches_started: u32,
     /// Search phases run (including try-later re-probe rounds).
@@ -52,8 +48,6 @@ impl NodeStats {
     #[must_use]
     pub fn merged(self, other: NodeStats) -> NodeStats {
         NodeStats {
-            transits: self.transits + other.transits,
-            proxies: self.proxies + other.proxies,
             searches_started: self.searches_started + other.searches_started,
             search_phases: self.search_phases + other.search_phases,
             nodes_tested: self.nodes_tested + other.nodes_tested,
@@ -77,11 +71,11 @@ mod tests {
 
     #[test]
     fn merge_adds_componentwise() {
-        let a = NodeStats { transits: 1, nodes_tested: 5, ..NodeStats::default() };
-        let b = NodeStats { transits: 2, proxies: 3, ..NodeStats::default() };
+        let a = NodeStats { searches_started: 1, nodes_tested: 5, ..NodeStats::default() };
+        let b = NodeStats { searches_started: 2, enquiries_sent: 3, ..NodeStats::default() };
         let m = a.merged(b);
-        assert_eq!(m.transits, 3);
-        assert_eq!(m.proxies, 3);
+        assert_eq!(m.searches_started, 3);
+        assert_eq!(m.enquiries_sent, 3);
         assert_eq!(m.nodes_tested, 5);
     }
 }

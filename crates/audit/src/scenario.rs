@@ -3,10 +3,11 @@
 //! loop is claimed allocation-free once warm.
 //!
 //! Crash-free is deliberate: the protocol's recovery allocates by design
-//! (a fresh search state per re-join — `tests/steady_state.rs` pins that
-//! count; the queue purge itself is held to zero by
-//! `tests/retain_purge.rs`), and the zero-allocation claim is about the
-//! *steady state* between faults, where throughput is earned.
+//! (a node's first search builds its search state and fault-path
+//! counters — `tests/steady_state.rs` pins that count; the queue purge
+//! itself is held to zero by `tests/retain_purge.rs`), and the
+//! zero-allocation claim is about the *steady state* between faults,
+//! where throughput is earned.
 
 use oc_algo::{Config, OpenCubeNode};
 use oc_sim::{ArrivalSchedule, DelayModel, SimConfig, SimDuration, World};

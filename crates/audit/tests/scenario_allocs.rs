@@ -13,7 +13,10 @@
 //! 9 527 B; since the input tier stores 24-byte `Input`s and the world
 //! keeps no per-node token caches (three vectors fewer per world, one
 //! token mask built per `partition_isolation` call, which a scenario makes
-//! twice) it is 42.5 allocations and 7 738 B — the figures below.
+//! twice) it was 42.5 allocations and 7 738 B. Since armed timers and
+//! pending request times live in two sparse tables instead of a timer row
+//! and a deque per node, a dozen nodes no longer pay a first timer and a
+//! first request each: 32.6 allocations and 6 303 B — the figures below.
 //! The run is seeded and single-threaded, so the totals are exact on any
 //! host, and a per-world fixed cost that comes back — a table sized for a
 //! large run, a buffer allocated before it is needed — fails here the
@@ -28,7 +31,7 @@ use oc_check::{run_scenario, Scenario, Space};
 
 const SCENARIOS: u64 = 2_000;
 /// Heap allocations, then bytes requested, across the whole battery.
-const PINNED: (u64, u64) = (84_903, 15_475_394);
+const PINNED: (u64, u64) = (65_241, 12_606_670);
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();

@@ -1,7 +1,7 @@
 //! The zero-allocation regression gate: after a warmup phase establishes
-//! every capacity (the event heap, timer rows, node work queues, the
-//! shared outbox, per-node pending queues), a measured stretch of the
-//! same run must not allocate a single byte.
+//! every capacity (the event heap, the armed-timer table, node work
+//! queues, the shared outbox, the pending-request store), a measured
+//! stretch of the same run must not allocate a single byte.
 //!
 //! The run is seeded and single-threaded, so this is a deterministic
 //! property, not a flaky threshold: a heap touch introduced anywhere in
@@ -11,13 +11,15 @@
 //!
 //! A third stretch then runs crash/recover pairs. The simulator's share
 //! of a crash — the purge of the pending queue — allocates nothing (see
-//! `retain_purge.rs`), but the protocol's recovery does: a crash drops the
-//! node's boxed search state and its ring sets, and recovery builds fresh
-//! ones. So that stretch is not held to zero; its allocation count is
-//! pinned, and a change that makes a failure cost more heap traffic shows
-//! here. (It was 399 while the calendar was the default queue: the probe
-//! bursts of `search_father` kept lifting buckets to new peaks. The heap,
-//! reserved once by `reserve_events`, has no peaks to chase.)
+//! `retain_purge.rs`), but the protocol's recovery does: a node's first
+//! search allocates its search state and ring sets, and its fault-path
+//! counters, and a search's rings grow with the rings it probes. So that
+//! stretch is not held to zero; its allocation count is pinned, and a
+//! change that makes a failure cost more heap traffic shows here. (It was
+//! 399 while the calendar was the default queue: the probe bursts of
+//! `search_father` kept lifting buckets to new peaks. It was 303 while a
+//! crash dropped the search state the recovery search now reuses, and
+//! each node kept its own timer row and pending-request deque.)
 //!
 //! This is a `harness = false` test on purpose: libtest runs tests on
 //! spawned threads whose channel machinery allocates while the test body
@@ -29,7 +31,7 @@ use oc_topology::NodeId;
 
 /// Heap allocations across the eight crash/recover pairs of the third
 /// stretch: seeded and single-threaded, so exact.
-const RECOVERY_ALLOCATIONS: u64 = 303;
+const RECOVERY_ALLOCATIONS: u64 = 274;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();

@@ -185,7 +185,7 @@ pub fn run_scenario_hardened(
             // scenarios that exercise the search/regeneration machinery.
             let mut stats = NodeStats::default();
             for k in 0..world.len() {
-                stats = stats.merged(*world.node(NodeId::new(k as u32 + 1)).stats());
+                stats = stats.merged(world.node(NodeId::new(k as u32 + 1)).stats());
             }
             coverage.search_restarts = u64::from(stats.search_restarts);
             coverage.regenerations = u64::from(stats.tokens_regenerated);

@@ -942,7 +942,7 @@ struct Seat {
     lease: u64,
     /// Requests that reached the node and wait for its critical section,
     /// oldest first — grant order is per-node FIFO, like the simulator's
-    /// `pending_request_times` queues.
+    /// pending-request store.
     pending: VecDeque<Ticket>,
     /// The request inside the critical section, if any.
     current: Option<Ticket>,

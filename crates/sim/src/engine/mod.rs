@@ -8,18 +8,18 @@
 //!   selectable second backend: O(1) near-future scheduling with a heap
 //!   fallback for far-future events, preserving the exact `(time, seq)`
 //!   pop order of the default binary heap.
-//! * [`timers`] — dense `Vec`-indexed per-node timer state: generations
-//!   with lazy cancellation for the simulator's virtual clock, and the
-//!   live-armings-only wall-clock deadline set both real-time substrates
-//!   share.
+//! * [`timers`] — the simulator's table of armed timers, sized by what is
+//!   armed: generations with lazy cancellation for the virtual clock; and
+//!   the live-armings-only wall-clock deadline set both real-time
+//!   substrates share.
 //! * [`driver`] — the one place that turns a [`crate::Protocol`]'s emitted
 //!   [`crate::Action`]s into substrate effects. Both [`crate::World`] and
 //!   `oc-runtime` route through [`driver::drive`], so the sans-io contract
 //!   (every effect goes through the outbox, in order) is enforced once.
 //!
 //! Everything here is allocation-free per event once warmed up: the outbox
-//! buffer, the event heap (or the calendar's buckets) and timer rows all
-//! retain their capacity.
+//! buffer, the event heap (or the calendar's buckets) and the timer table
+//! all retain their capacity.
 
 pub mod calendar;
 pub mod driver;

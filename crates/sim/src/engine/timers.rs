@@ -1,14 +1,13 @@
-//! Per-node timer state for both kinds of clock.
+//! Timer state for both kinds of clock.
 //!
 //! **Virtual time** ([`TimerTable`], the simulator): arming a timer
-//! records a fresh *generation* for its id and schedules a timer event
-//! carrying that generation; cancelling (or re-arming) bumps the recorded
-//! generation so stale events are ignored when they surface — the event
-//! queue is never searched. The seed kept a `HashMap<id, generation>` per
-//! node — hashing on every timer touch, and one heap allocation per node
-//! per map. Protocols arm a handful of well-known timer ids (the
-//! open-cube algorithm uses four), so a small linear-scanned vec per node
-//! ([`TimerRow`]) is both faster and denser.
+//! records a fresh *generation* for it and schedules a timer event
+//! carrying that generation; cancelling (or re-arming) replaces or drops
+//! the record, so stale events are ignored when they surface — the event
+//! queue is never searched. The table holds the armed timers and nothing
+//! else: one entry per `(node, timer id)` that is armed right now, none
+//! for the nodes that have nothing armed, so a population of millions
+//! that arms few timers, or none, pays for few or none.
 //!
 //! **Wall-clock time** ([`DeadlineSet`], `oc-runtime`'s workers and
 //! `oc-transport`'s node process): the set holds *live* armings only.
@@ -18,152 +17,123 @@
 //! claim and cancelled when the token arrives, and a cancelled timer must
 //! cost nothing.
 
-use std::collections::BTreeSet;
+use std::collections::{hash_map::Entry, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::time::Instant;
 
-/// One node's armed timers: `(timer id, live generation)` pairs.
+/// Which timer: a node index and one of its timer ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TimerKey {
+    node: u32,
+    id: u64,
+}
+
+impl Hash for TimerKey {
+    /// One word: the id in the high half, the node in the low — distinct
+    /// for every key whose id fits 32 bits, as protocol timer ids do.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.id.rotate_left(32) ^ u64::from(self.node));
+    }
+}
+
+/// Multiply-rotate hashing of [`TimerKey`]s. A timer touch is on the
+/// per-event path, so a key costs one multiply, not a SipHash; the keys
+/// come from the simulator itself, never from outside it, so resistance to
+/// crafted collisions buys nothing; and a fixed hash makes the table grow
+/// and rehash at the same points on every run, so the allocation audit's
+/// pinned counts stay exact.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for byte in bytes {
+            self.write_u64(u64::from(*byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The simulator's armed timers: `(node index, timer id)` → the one
+/// generation that may fire.
 ///
-/// Linear scan: protocols use a handful of distinct ids, and rows retain
-/// their capacity across crashes, so steady state allocates nothing.
+/// Generations come from one counter for the whole table, so each arming
+/// anywhere gets a number no other arming ever had; they never leave the
+/// simulator, which is what lets the numbering be global.
 #[derive(Debug, Default)]
-pub struct TimerRow {
-    slots: Vec<(u64, u64)>,
-}
-
-impl Clone for TimerRow {
-    fn clone(&self) -> Self {
-        TimerRow { slots: self.slots.clone() }
-    }
-
-    /// Into the slots this row already owns: a restored table reallocates
-    /// no row.
-    fn clone_from(&mut self, source: &Self) {
-        let TimerRow { slots } = source;
-        self.slots.clone_from(slots);
-    }
-}
-
-impl TimerRow {
-    /// An empty row.
-    #[must_use]
-    pub fn new() -> Self {
-        TimerRow::default()
-    }
-
-    /// Records `generation` as the only one that may fire for `id`,
-    /// superseding any previous arming.
-    pub fn arm(&mut self, id: u64, generation: u64) {
-        for slot in &mut self.slots {
-            if slot.0 == id {
-                slot.1 = generation;
-                return;
-            }
-        }
-        self.slots.push((id, generation));
-    }
-
-    /// Disarms `id` (no-op if not armed).
-    pub fn cancel(&mut self, id: u64) {
-        self.slots.retain(|slot| slot.0 != id);
-    }
-
-    /// `true` if `(id, generation)` is the live arming. Does not disarm.
-    #[must_use]
-    pub fn is_live(&self, id: u64, generation: u64) -> bool {
-        self.slots.contains(&(id, generation))
-    }
-
-    /// Consumes a firing: returns `true` and disarms `id` exactly when
-    /// `(id, generation)` is the live arming; stale generations return
-    /// `false` and leave the row untouched.
-    pub fn fire(&mut self, id: u64, generation: u64) -> bool {
-        if let Some(k) = self.slots.iter().position(|slot| *slot == (id, generation)) {
-            self.slots.swap_remove(k);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Disarms everything (fail-stop: volatile state is lost). Capacity is
-    /// retained.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-    }
-
-    /// Number of armed timers.
-    #[must_use]
-    pub fn armed(&self) -> usize {
-        self.slots.len()
-    }
-}
-
-/// Node-indexed timer rows plus per-node generation counters, for the
-/// simulator.
-///
-/// Generations are per node, not global: a generation only ever guards
-/// firings on its own row.
-#[derive(Debug)]
 pub struct TimerTable {
-    rows: Vec<TimerRow>,
-    gens: Vec<u64>,
+    armed: HashMap<TimerKey, u64, BuildHasherDefault<KeyHasher>>,
+    last_generation: u64,
 }
 
 impl Clone for TimerTable {
     fn clone(&self) -> Self {
-        TimerTable { rows: self.rows.clone(), gens: self.gens.clone() }
+        TimerTable { armed: self.armed.clone(), last_generation: self.last_generation }
     }
 
-    /// Row by row ([`TimerRow::clone_from`]), keeping both vectors.
+    /// Into the table this one already owns: a restore reallocates
+    /// nothing unless the source holds more than this table ever did.
     fn clone_from(&mut self, source: &Self) {
-        let TimerTable { rows, gens } = source;
-        self.rows.clone_from(rows);
-        self.gens.clone_from(gens);
+        let TimerTable { armed, last_generation } = source;
+        self.armed.clear();
+        self.armed.extend(armed.iter().map(|(key, generation)| (*key, *generation)));
+        self.last_generation = *last_generation;
     }
 }
 
 impl TimerTable {
-    /// A table for `n` nodes (indexed `0..n`).
+    /// An empty table: nothing is stored until something is armed.
     #[must_use]
-    pub fn new(n: usize) -> Self {
-        TimerTable { rows: vec![TimerRow::new(); n], gens: vec![0; n] }
+    pub fn new() -> Self {
+        TimerTable::default()
     }
 
-    /// Heap bytes held by the table: the two node-indexed vectors plus
-    /// every row's slot capacity. For the memory-footprint report.
+    /// Heap bytes held by the table (slots and control bytes), for the
+    /// memory-footprint report.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.rows.capacity() * std::mem::size_of::<TimerRow>()
-            + self.gens.capacity() * std::mem::size_of::<u64>()
-            + self
-                .rows
-                .iter()
-                .map(|row| row.slots.capacity() * std::mem::size_of::<(u64, u64)>())
-                .sum::<usize>()
+        self.armed.capacity() * (std::mem::size_of::<(TimerKey, u64)>() + 1)
     }
 
-    /// Arms `id` on node `idx`, returning the generation the scheduled
-    /// timer event must carry to fire.
+    /// Arms `id` on node `idx`, superseding any previous arming of it, and
+    /// returns the generation the scheduled timer event must carry to
+    /// fire.
     pub fn arm(&mut self, idx: usize, id: u64) -> u64 {
-        self.gens[idx] += 1;
-        let generation = self.gens[idx];
-        self.rows[idx].arm(id, generation);
-        generation
+        self.last_generation += 1;
+        self.armed.insert(TimerKey { node: idx as u32, id }, self.last_generation);
+        self.last_generation
     }
 
-    /// Disarms `id` on node `idx`.
+    /// Disarms `id` on node `idx` (no-op if not armed).
     pub fn cancel(&mut self, idx: usize, id: u64) {
-        self.rows[idx].cancel(id);
+        self.armed.remove(&TimerKey { node: idx as u32, id });
     }
 
-    /// Consumes a firing on node `idx` — see [`TimerRow::fire`].
+    /// Consumes a firing: returns `true` and disarms `id` on node `idx`
+    /// exactly when `generation` is its live arming; a stale generation
+    /// returns `false` and changes nothing.
     pub fn fire(&mut self, idx: usize, id: u64, generation: u64) -> bool {
-        self.rows[idx].fire(id, generation)
+        match self.armed.entry(TimerKey { node: idx as u32, id }) {
+            Entry::Occupied(live) if *live.get() == generation => {
+                live.remove();
+                true
+            }
+            _ => false,
+        }
     }
 
-    /// Disarms everything on node `idx` (crash).
+    /// Disarms everything on node `idx` (fail-stop: volatile state is
+    /// lost). Capacity is retained.
     pub fn clear_node(&mut self, idx: usize) {
-        self.rows[idx].clear();
+        let node = idx as u32;
+        self.armed.retain(|key, _| key.node != node);
     }
 }
 
@@ -173,7 +143,7 @@ impl TimerTable {
 /// Two views of the same armings: `due` orders them for firing, and
 /// `rows[owner]` finds an owner's arming of an id so that cancel and
 /// re-arm can take the old entry out of `due` at once. Rows are scanned
-/// linearly and keep their capacity, like [`TimerRow`].
+/// linearly (a node arms a handful of ids) and keep their capacity.
 #[derive(Debug, Default)]
 pub struct DeadlineSet {
     due: BTreeSet<(Instant, u32, u64)>,
@@ -274,18 +244,20 @@ mod tests {
 
     #[test]
     fn rearm_supersedes() {
-        let mut table = TimerTable::new(2);
+        let mut table = TimerTable::new();
         let g1 = table.arm(0, 7);
         let g2 = table.arm(0, 7);
         assert_ne!(g1, g2);
+        assert_eq!(table.armed.len(), 1, "a re-arming replaces the entry");
         assert!(!table.fire(0, 7, g1), "stale generation must not fire");
         assert!(table.fire(0, 7, g2));
         assert!(!table.fire(0, 7, g2), "a firing consumes the arming");
+        assert_eq!(table.armed.len(), 0);
     }
 
     #[test]
     fn cancel_disarms() {
-        let mut table = TimerTable::new(1);
+        let mut table = TimerTable::new();
         let g = table.arm(0, 3);
         table.cancel(0, 3);
         assert!(!table.fire(0, 3, g));
@@ -293,7 +265,7 @@ mod tests {
 
     #[test]
     fn nodes_are_independent() {
-        let mut table = TimerTable::new(2);
+        let mut table = TimerTable::new();
         let g0 = table.arm(0, 1);
         let g1 = table.arm(1, 1);
         table.clear_node(0);
@@ -302,17 +274,82 @@ mod tests {
     }
 
     #[test]
-    fn row_tracks_distinct_ids() {
-        let mut row = TimerRow::new();
-        row.arm(1, 10);
-        row.arm(2, 11);
-        assert_eq!(row.armed(), 2);
-        assert!(row.is_live(1, 10));
-        assert!(!row.is_live(1, 11));
-        row.cancel(1);
-        assert_eq!(row.armed(), 1);
-        row.clear();
-        assert_eq!(row.armed(), 0);
+    fn an_idle_population_stores_nothing() {
+        let mut table = TimerTable::new();
+        assert_eq!(table.heap_bytes(), 0);
+        table.clear_node(1 << 20);
+        table.cancel(1 << 20, 1);
+        assert_eq!(table.heap_bytes(), 0, "disarming what was never armed allocates nothing");
+    }
+
+    #[test]
+    fn timer_table_agrees_with_per_node_rows() {
+        // Model test: random arm/cancel/fire/clear scripts over interleaved
+        // nodes against one `Vec<(id, generation)>` per node, searched
+        // linearly. Firings are offered every generation ever handed out,
+        // so stale ones are exercised.
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let nodes = 6usize;
+            let mut table = TimerTable::new();
+            let mut rows: Vec<Vec<(u64, u64)>> = vec![Vec::new(); nodes];
+            let mut issued: Vec<(usize, u64, u64)> = Vec::new();
+            let mut snapshot = None;
+            for step in 0..600 {
+                let idx = rng.random_range(0..nodes);
+                let id = rng.random_range(1..5u64);
+                match rng.random_range(0..12u32) {
+                    0..=3 => {
+                        let generation = table.arm(idx, id);
+                        assert!(issued.iter().all(|e| e.2 != generation), "fresh generation");
+                        rows[idx].retain(|slot| slot.0 != id);
+                        rows[idx].push((id, generation));
+                        issued.push((idx, id, generation));
+                    }
+                    4..=5 => {
+                        table.cancel(idx, id);
+                        rows[idx].retain(|slot| slot.0 != id);
+                    }
+                    6..=8 if !issued.is_empty() => {
+                        let (idx, id, generation) = issued[rng.random_range(0..issued.len())];
+                        let live = rows[idx].contains(&(id, generation));
+                        assert_eq!(
+                            table.fire(idx, id, generation),
+                            live,
+                            "seed {seed} step {step}"
+                        );
+                        rows[idx].retain(|slot| *slot != (id, generation));
+                    }
+                    9 => {
+                        table.clear_node(idx);
+                        rows[idx].clear();
+                    }
+                    10 => snapshot = Some((table.clone(), rows.clone(), issued.clone())),
+                    _ => {
+                        // A rewind: generations handed out since the
+                        // snapshot belong to an abandoned future.
+                        if let Some((saved, saved_rows, saved_issued)) = &snapshot {
+                            let capacity = table.armed.capacity();
+                            table.clone_from(saved);
+                            rows.clone_from(saved_rows);
+                            issued.clone_from(saved_issued);
+                            assert!(
+                                table.armed.capacity() >= capacity,
+                                "clone_from keeps the buffer it had"
+                            );
+                        }
+                    }
+                }
+                let armed: usize = rows.iter().map(Vec::len).sum();
+                assert_eq!(table.armed.len(), armed, "seed {seed} step {step}");
+                for (idx, row) in rows.iter().enumerate() {
+                    for &(id, generation) in row {
+                        let key = TimerKey { node: idx as u32, id };
+                        assert_eq!(table.armed.get(&key), Some(&generation));
+                    }
+                }
+            }
+        }
     }
 
     fn drain(set: &mut DeadlineSet, now: Instant) -> Vec<(u32, u64)> {

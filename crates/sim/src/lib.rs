@@ -24,6 +24,7 @@
 #![warn(missing_docs)]
 
 mod outbox;
+mod pending;
 mod time;
 
 pub mod channel;

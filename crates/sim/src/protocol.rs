@@ -145,9 +145,11 @@ pub trait Protocol {
         false
     }
 
-    /// Stale tokens this node has discarded through epoch fencing.
-    /// Aggregated into [`crate::Metrics::epoch_discards`] by the world at
-    /// snapshot time. Default: 0.
+    /// Stale tokens this node has discarded through epoch fencing: a
+    /// count that only grows. The world reads it before and after every
+    /// event it hands the node and folds the difference into
+    /// [`crate::Metrics::epoch_discards`], so the metric is current after
+    /// every step. Default: 0.
     fn epoch_discards(&self) -> u64 {
         0
     }

@@ -37,13 +37,18 @@
 //! order, then a failure plan in time order behind it. So the tier is two
 //! stores, and the earlier of their two heads is the tier's head:
 //!
-//! * `run` — a deque in ascending `(time, seq)` order. An input whose key
-//!   is above the run's last is appended; the run's head pops in O(1)
-//!   with no sift. A schedule filed in time order lives here entirely.
+//! * `run` — ascending `(time, seq)` order. An input whose key is above
+//!   the run's last is appended; the run's head pops in O(1) with no sift.
+//!   A time-ordered list filed whole ([`EventQueue::push_input_list`]) is
+//!   not copied into it: the run holds the shared list and a cursor, and
+//!   reads entry `i` as the key `(at_i, first_seq + i)` — exactly the key
+//!   filing the entries one by one would have given it. A schedule of
+//!   millions of arrivals costs the queue one cursor, not an entry each.
 //! * `late` — a binary heap of every input that arrived below the run's
 //!   last key: a failure plan filed after the schedule it interleaves
-//!   with, an arrival injected mid-run. It is as large as what was filed
-//!   out of order, not as the horizon.
+//!   with, an arrival injected mid-run, the front of a list that starts
+//!   before the run ends. It is as large as what was filed out of order,
+//!   not as the horizon.
 //!
 //! The tier used to be one heap of everything behind a 1 024-entry
 //! buffer, refilled by a burst of pops so that a multi-million-entry heap
@@ -72,6 +77,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 use crate::engine::calendar::{CalendarQueue, Entry};
 use crate::time::SimTime;
@@ -99,64 +105,154 @@ enum Store<E> {
     Bucketed(CalendarQueue<E>),
 }
 
+/// A time-ordered list of inputs, shared with whoever filed it.
+pub type InputList<L> = Arc<Vec<(SimTime, L)>>;
+
+/// One stretch of the sorted run.
+#[derive(Debug, Clone)]
+enum Stretch<I, L> {
+    /// An input filed on its own.
+    One(Entry<I>),
+    /// The unread part of a list filed by reference: `list[next..]`,
+    /// where entry `i` has the key `(list[i].0, first_seq + i)`.
+    Listed { list: InputList<L>, next: usize, first_seq: u64 },
+}
+
+impl<I, L> Stretch<I, L> {
+    fn head_key(&self) -> (SimTime, u64) {
+        match self {
+            Stretch::One(entry) => (entry.at, entry.seq),
+            Stretch::Listed { list, next, first_seq } => (list[*next].0, first_seq + *next as u64),
+        }
+    }
+
+    fn last_key(&self) -> (SimTime, u64) {
+        match self {
+            Stretch::One(entry) => (entry.at, entry.seq),
+            Stretch::Listed { list, first_seq, .. } => {
+                (list[list.len() - 1].0, first_seq + list.len() as u64 - 1)
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Stretch::One(_) => 1,
+            Stretch::Listed { list, next, .. } => list.len() - next,
+        }
+    }
+}
+
 /// The input tier: a sorted run of what was filed in time order, and a
 /// heap of what was not. See the module docs.
 #[derive(Debug, Clone)]
-struct Inputs<I> {
-    /// Ascending; an input above the last key is appended here.
-    run: VecDeque<Entry<I>>,
+struct Inputs<I, L> {
+    /// Ascending; an input above the last key is appended here. No
+    /// `Listed` stretch is ever empty.
+    run: VecDeque<Stretch<I, L>>,
     /// Every input filed below `run`'s last key at the time.
     late: BinaryHeap<Reverse<Entry<I>>>,
+    /// The earlier of the two stores' head keys, kept current by every
+    /// change to either: it is compared with the generated tier's head on
+    /// every pop of the queue, so it is one load, not a walk to two heads.
+    head: Option<(SimTime, u64)>,
 }
 
-impl<I> Inputs<I> {
+impl<I, L> Inputs<I, L> {
+    fn new() -> Self {
+        Inputs { run: VecDeque::new(), late: BinaryHeap::new(), head: None }
+    }
+
     fn len(&self) -> usize {
-        self.run.len() + self.late.len()
+        self.run.iter().map(Stretch::len).sum::<usize>() + self.late.len()
     }
 
     fn push(&mut self, entry: Entry<I>) {
-        if self.run.back().is_none_or(|last| *last < entry) {
-            self.run.push_back(entry);
+        let key = (entry.at, entry.seq);
+        if self.run.back().is_none_or(|last| last.last_key() < key) {
+            self.run.push_back(Stretch::One(entry));
         } else {
             self.late.push(Reverse(entry));
         }
+        self.head = Some(self.head.map_or(key, |head| head.min(key)));
     }
 
-    /// `true` when the tier's head is `late`'s, not `run`'s.
-    fn late_is_next(&self) -> bool {
-        self.late.peek().is_some_and(|Reverse(late)| self.run.front().is_none_or(|run| late < run))
+    /// Recomputes `head` from the two stores.
+    fn refresh_head(&mut self) {
+        let late = self.late.peek().map(|Reverse(e)| (e.at, e.seq));
+        let run = self.run.front().map(Stretch::head_key);
+        self.head = match (late, run) {
+            (Some(late), Some(run)) => Some(late.min(run)),
+            (late, run) => late.or(run),
+        };
     }
 
-    fn head(&self) -> Option<&Entry<I>> {
-        if self.late_is_next() {
-            self.late.peek().map(|Reverse(e)| e)
-        } else {
-            self.run.front()
+    /// Files the time-ordered `list` under the keys `first_seq..`: its
+    /// front below the run's last key goes to `late` entry by entry, the
+    /// rest joins the run by reference — where filing each entry with
+    /// [`Inputs::push`] would have put it.
+    fn push_list(&mut self, list: InputList<L>, first_seq: u64)
+    where
+        L: Clone + Into<I>,
+    {
+        // Every key in the list is newer than the run's last, so an entry
+        // extends the run exactly when it is not earlier in time.
+        let split = self.run.back().map_or(0, |last| {
+            let (last_at, _) = last.last_key();
+            list.partition_point(|(at, _)| *at < last_at)
+        });
+        for (k, (at, input)) in list[..split].iter().enumerate() {
+            let seq = first_seq + k as u64;
+            self.late.push(Reverse(Entry { at: *at, seq, event: input.clone().into() }));
         }
+        if split < list.len() {
+            self.run.push_back(Stretch::Listed { list, next: split, first_seq });
+        }
+        self.refresh_head();
     }
 
-    fn pop(&mut self) -> Option<Entry<I>> {
-        if self.late_is_next() {
+    fn pop(&mut self) -> Option<Entry<I>>
+    where
+        L: Clone + Into<I>,
+    {
+        let late_is_next =
+            self.late.peek().is_some_and(|Reverse(late)| Some((late.at, late.seq)) == self.head);
+        let entry = if late_is_next {
             self.late.pop().map(|Reverse(e)| e)
+        } else if let Some(Stretch::Listed { list, next, first_seq }) = self.run.front_mut() {
+            // Read in place: the cursor moves, the stretch stays until spent.
+            let (at, input) = list[*next].clone();
+            let seq = *first_seq + *next as u64;
+            *next += 1;
+            if *next == list.len() {
+                self.run.pop_front();
+            }
+            Some(Entry { at, seq, event: input.into() })
         } else {
-            self.run.pop_front()
-        }
+            self.run.pop_front().map(|stretch| match stretch {
+                Stretch::One(entry) => entry,
+                Stretch::Listed { .. } => unreachable!("a listed stretch is read in place"),
+            })
+        };
+        self.refresh_head();
+        entry
     }
 }
 
 /// A deterministic min-priority queue of simulation events: generated
-/// events are `E`s, inputs are `I`s (see the module docs).
+/// events are `E`s, inputs are `I`s, and a list filed by reference lists
+/// `L`s that become `I`s as they are read (see the module docs).
 #[derive(Debug)]
-pub struct EventQueue<E, I = E> {
+pub struct EventQueue<E, I = E, L = I> {
     /// The generated tier, on the chosen backend.
     store: Store<E>,
     /// The input tier: never purged, so never scanned by `retain`.
-    inputs: Inputs<I>,
+    inputs: Inputs<I, L>,
     /// Shared by both tiers: `(at, seq)` keys are unique across the queue.
     next_seq: u64,
 }
 
-impl<E: Clone, I: Clone> Clone for EventQueue<E, I> {
+impl<E: Clone, I: Clone, L: Clone> Clone for EventQueue<E, I, L> {
     fn clone(&self) -> Self {
         EventQueue {
             store: self.store.clone(),
@@ -166,28 +262,29 @@ impl<E: Clone, I: Clone> Clone for EventQueue<E, I> {
     }
 
     /// Overwrites in place, keeping every buffer this queue already owns
-    /// (a calendar is copied afresh): what [`crate::World::restore`] runs
-    /// once per rewind. `source` is destructured without `..`, so a new
+    /// (a calendar is copied afresh; a list filed by reference is shared,
+    /// not copied): what [`crate::World::restore`] runs once per rewind. `source` is destructured without `..`, so a new
     /// field does not compile until it is restored here.
     fn clone_from(&mut self, source: &Self) {
-        let EventQueue { store, inputs: Inputs { run, late }, next_seq } = source;
+        let EventQueue { store, inputs: Inputs { run, late, head }, next_seq } = source;
         match (&mut self.store, store) {
             (Store::Heap(heap), Store::Heap(from)) => heap.clone_from(from),
             (store, from) => *store = from.clone(),
         }
         self.inputs.run.clone_from(run);
         self.inputs.late.clone_from(late);
+        self.inputs.head = *head;
         self.next_seq = *next_seq;
     }
 }
 
-impl<E, I> Default for EventQueue<E, I> {
+impl<E, I, L> Default for EventQueue<E, I, L> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E, I> EventQueue<E, I> {
+impl<E, I, L> EventQueue<E, I, L> {
     /// Creates an empty queue on the default (heap) backend.
     #[must_use]
     pub fn new() -> Self {
@@ -201,11 +298,7 @@ impl<E, I> EventQueue<E, I> {
             QueueBackend::Heap => Store::Heap(BinaryHeap::new()),
             QueueBackend::Bucketed => Store::Bucketed(CalendarQueue::new(DEFAULT_BUCKET_WIDTH)),
         };
-        EventQueue {
-            store,
-            inputs: Inputs { run: VecDeque::new(), late: BinaryHeap::new() },
-            next_seq: 0,
-        }
+        EventQueue { store, inputs: Inputs::new(), next_seq: 0 }
     }
 
     /// The backend this queue runs on.
@@ -256,6 +349,25 @@ impl<E, I> EventQueue<E, I> {
         self.inputs.push(Entry { at, seq, event: input });
     }
 
+    /// Schedules every input of a time-ordered `list` by reference: the
+    /// queue keeps the shared list and reads it in place. Keys and pop
+    /// order are exactly those of [`EventQueue::push_input`] called on
+    /// each entry in turn; what is stored is one cursor, plus whatever
+    /// front of the list falls below inputs already filed.
+    ///
+    /// # Panics
+    ///
+    /// Debug-panics if `list` is not ordered by time.
+    pub fn push_input_list(&mut self, list: InputList<L>)
+    where
+        L: Clone + Into<I>,
+    {
+        debug_assert!(list.is_sorted_by_key(|(at, _)| *at), "an input list must be time-ordered");
+        let first_seq = self.next_seq;
+        self.next_seq += list.len() as u64;
+        self.inputs.push_list(list, first_seq);
+    }
+
     /// The `(time, seq)` key of the generated tier's earliest event.
     fn generated_key(&self) -> Option<(SimTime, u64)> {
         match &self.store {
@@ -266,9 +378,7 @@ impl<E, I> EventQueue<E, I> {
 
     /// `true` when the next event in `(time, seq)` order is an input.
     fn input_is_next(&self) -> bool {
-        self.inputs.head().is_some_and(|input| {
-            self.generated_key().is_none_or(|head| (input.at, input.seq) < head)
-        })
+        self.inputs.head.is_some_and(|input| self.generated_key().is_none_or(|head| input < head))
     }
 
     /// Moves the earliest input, which precedes every generated event,
@@ -280,6 +390,7 @@ impl<E, I> EventQueue<E, I> {
     fn stage_input(&mut self)
     where
         I: Into<E>,
+        L: Clone + Into<I>,
     {
         let Some(Entry { at, seq, event: input }) = self.inputs.pop() else { return };
         let event = input.into();
@@ -303,6 +414,7 @@ impl<E, I> EventQueue<E, I> {
     pub fn pop(&mut self) -> Option<(SimTime, E)>
     where
         I: Into<E>,
+        L: Clone + Into<I>,
     {
         if self.input_is_next() {
             self.stage_input();
@@ -317,7 +429,7 @@ impl<E, I> EventQueue<E, I> {
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
         let generated = self.generated_key().map(|(at, _)| at);
-        let input = self.inputs.head().map(|e| e.at);
+        let input = self.inputs.head.map(|(at, _)| at);
         generated.into_iter().chain(input).min()
     }
 
@@ -468,6 +580,7 @@ mod tests {
     }
 
     /// A narrower input type: what the input tier stores.
+    #[derive(Clone)]
     struct Arrival(u64);
 
     impl From<Arrival> for Event {
@@ -505,7 +618,7 @@ mod tests {
     #[test]
     fn clone_from_keeps_buffers_and_copies_everything() {
         for backend in backends() {
-            let mut source = EventQueue::with_backend(backend);
+            let mut source: EventQueue<u64> = EventQueue::with_backend(backend);
             for i in 0..64u64 {
                 source.push(SimTime::from_ticks(100 - i), i);
                 source.push_input(SimTime::from_ticks(i * 3), 100 + i);

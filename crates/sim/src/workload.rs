@@ -1,5 +1,7 @@
 //! Workload generators — the request patterns of the paper's experiments.
 
+use std::sync::Arc;
+
 use oc_topology::NodeId;
 use rand::{Rng, RngExt};
 
@@ -7,9 +9,19 @@ use crate::time::{SimDuration, SimTime};
 
 /// A concrete, time-stamped arrival schedule: which node calls `enter_cs`
 /// when.
+///
+/// The arrivals sit behind an `Arc`: a cloned schedule, and a world that
+/// [filed](crate::World::schedule_workload) it, share them instead of
+/// copying them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ArrivalSchedule {
-    arrivals: Vec<(SimTime, NodeId)>,
+    arrivals: Arc<Vec<(SimTime, NodeId)>>,
+}
+
+impl FromIterator<(SimTime, NodeId)> for ArrivalSchedule {
+    fn from_iter<T: IntoIterator<Item = (SimTime, NodeId)>>(arrivals: T) -> Self {
+        ArrivalSchedule { arrivals: Arc::new(arrivals.into_iter().collect()) }
+    }
 }
 
 impl ArrivalSchedule {
@@ -22,7 +34,7 @@ impl ArrivalSchedule {
     /// Adds one arrival.
     #[must_use]
     pub fn then(mut self, at: SimTime, node: NodeId) -> Self {
-        self.arrivals.push((at, node));
+        Arc::make_mut(&mut self.arrivals).push((at, node));
         self
     }
 
@@ -36,25 +48,12 @@ impl ArrivalSchedule {
             let j = rng.random_range(0..=i);
             order.swap(i, j);
         }
-        let mut schedule = ArrivalSchedule::new();
-        let mut at = SimTime::ZERO;
-        for node in order {
-            schedule = schedule.then(at, node);
-            at += gap;
-        }
-        schedule
+        spaced(gap, order)
     }
 
     /// `count` arrivals at uniformly random nodes, spaced `gap` apart.
     pub fn uniform<R: Rng + ?Sized>(rng: &mut R, n: usize, count: usize, gap: SimDuration) -> Self {
-        let mut schedule = ArrivalSchedule::new();
-        let mut at = SimTime::ZERO;
-        for _ in 0..count {
-            let node = NodeId::new(rng.random_range(1..=n as u32));
-            schedule = schedule.then(at, node);
-            at += gap;
-        }
-        schedule
+        spaced(gap, (0..count).map(|_| NodeId::new(rng.random_range(1..=n as u32))))
     }
 
     /// `count` arrivals where each comes from the `hot` set with probability
@@ -69,30 +68,20 @@ impl ArrivalSchedule {
     ) -> Self {
         assert!(!hot.is_empty(), "hotspot workload needs at least one hot node");
         assert!((0.0..=1.0).contains(&hot_fraction), "fraction must be in [0,1]");
-        let mut schedule = ArrivalSchedule::new();
-        let mut at = SimTime::ZERO;
-        for _ in 0..count {
-            let node = if rng.random_range(0.0..1.0) < hot_fraction {
+        let nodes = (0..count).map(|_| {
+            if rng.random_range(0.0..1.0) < hot_fraction {
                 hot[rng.random_range(0..hot.len())]
             } else {
                 NodeId::new(rng.random_range(1..=n as u32))
-            };
-            schedule = schedule.then(at, node);
-            at += gap;
-        }
-        schedule
+            }
+        });
+        spaced(gap, nodes)
     }
 
     /// `count` arrivals all from `node`, spaced `gap` apart.
     #[must_use]
     pub fn repeated(node: NodeId, count: usize, gap: SimDuration) -> Self {
-        let mut schedule = ArrivalSchedule::new();
-        let mut at = SimTime::ZERO;
-        for _ in 0..count {
-            schedule = schedule.then(at, node);
-            at += gap;
-        }
-        schedule
+        spaced(gap, std::iter::repeat_n(node, count))
     }
 
     /// The arrivals, in insertion order.
@@ -116,11 +105,30 @@ impl ArrivalSchedule {
     /// Shifts every arrival later by `offset`.
     #[must_use]
     pub fn delayed_by(mut self, offset: SimDuration) -> Self {
-        for (at, _) in &mut self.arrivals {
+        for (at, _) in Arc::make_mut(&mut self.arrivals) {
             *at += offset;
         }
         self
     }
+
+    /// The shared arrivals, for filing by reference.
+    pub(crate) fn shared(&self) -> &Arc<Vec<(SimTime, NodeId)>> {
+        &self.arrivals
+    }
+}
+
+/// `nodes` arriving one after another, the first at time zero, `gap`
+/// apart.
+fn spaced(gap: SimDuration, nodes: impl IntoIterator<Item = NodeId>) -> ArrivalSchedule {
+    let mut at = SimTime::ZERO;
+    nodes
+        .into_iter()
+        .map(|node| {
+            let arrival = (at, node);
+            at += gap;
+            arrival
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -2,13 +2,13 @@
 //! network with bounded delays, timers, and fail-stop crash injection.
 //!
 //! `World` is a thin policy layer over the engine ([`crate::engine`]): the
-//! two-tier [`EventQueue`] orders events, the dense [`TimerTable`] handles
+//! two-tier [`EventQueue`] orders events, the sparse [`TimerTable`] handles
 //! lazy timer cancellation, and the generic [`engine::drive`] loop turns
 //! protocol actions into substrate effects through [`Core`]'s
 //! [`ActionSink`] implementation — the same loop the threaded `oc-runtime`
 //! uses, so the sans-io contract is enforced in exactly one place.
 
-use std::collections::VecDeque;
+use std::sync::Arc;
 
 use oc_topology::NodeId;
 use rand::{rngs::StdRng, SeedableRng};
@@ -20,6 +20,7 @@ use crate::{
     metrics::Metrics,
     oracle::{Oracle, OracleReport},
     outbox::Outbox,
+    pending::PendingRequests,
     protocol::{MessageKind, NodeEvent, Protocol},
     queue::{EventQueue, QueueBackend},
     time::{SimDuration, SimTime},
@@ -82,8 +83,10 @@ pub(crate) enum SimEvent<M> {
 
 /// What the queue's input tier stores: an event injected from outside,
 /// which names a node and a kind and carries no message. It becomes its
-/// [`SimEvent`] only on reaching the head of the queue, so a horizon of
-/// scheduled arrivals costs 24 bytes an entry, not the size of a delivery.
+/// [`SimEvent`] only on reaching the head of the queue, so an input filed
+/// on its own costs 24 bytes, not the size of a delivery — and an
+/// [`ArrivalSchedule`] filed whole costs nothing per arrival: the queue
+/// reads its nodes in place and makes each a `RequestCs` as it is read.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Input {
     RequestCs(NodeId),
@@ -92,6 +95,13 @@ pub(crate) enum Input {
 }
 
 const _: () = assert!(size_of::<crate::engine::calendar::Entry<Input>>() == 24);
+
+impl From<NodeId> for Input {
+    /// An arrival of a schedule: the node asks for the critical section.
+    fn from(node: NodeId) -> Self {
+        Input::RequestCs(node)
+    }
+}
 
 impl<M> From<Input> for SimEvent<M> {
     fn from(input: Input) -> Self {
@@ -122,9 +132,10 @@ pub(crate) struct Core<M> {
     /// read by the liveness oracle's re-join check.
     pub(crate) recovered: Vec<bool>,
     pub(crate) timers: TimerTable,
-    pub(crate) pending_request_times: Vec<VecDeque<SimTime>>,
+    /// Arrival times of each node's unserved requests.
+    pub(crate) pending: PendingRequests,
     pub(crate) now: SimTime,
-    pub(crate) queue: EventQueue<SimEvent<M>, Input>,
+    pub(crate) queue: EventQueue<SimEvent<M>, Input, NodeId>,
     pub(crate) rng: StdRng,
     pub(crate) metrics: Metrics,
     pub(crate) oracle: Oracle,
@@ -157,7 +168,7 @@ impl<M: Clone> Clone for Core<M> {
             in_cs: self.in_cs.clone(),
             recovered: self.recovered.clone(),
             timers: self.timers.clone(),
-            pending_request_times: self.pending_request_times.clone(),
+            pending: self.pending.clone(),
             now: self.now,
             queue: self.queue.clone(),
             rng: self.rng.clone(),
@@ -174,7 +185,7 @@ impl<M: Clone> Clone for Core<M> {
     }
 
     /// Field by field, so that [`World::restore`] overwrites the vectors,
-    /// rows, deques and heaps it already owns instead of dropping them for
+    /// tables and heaps it already owns instead of dropping them for
     /// fresh copies. `source` is destructured without `..`: a new field
     /// does not compile until it is restored here.
     fn clone_from(&mut self, source: &Self) {
@@ -185,7 +196,7 @@ impl<M: Clone> Clone for Core<M> {
             in_cs,
             recovered,
             timers,
-            pending_request_times,
+            pending,
             now,
             queue,
             rng,
@@ -205,7 +216,7 @@ impl<M: Clone> Clone for Core<M> {
         self.in_cs.clone_from(in_cs);
         self.recovered.clone_from(recovered);
         self.timers.clone_from(timers);
-        self.pending_request_times.clone_from(pending_request_times);
+        self.pending.clone_from(pending);
         self.now = *now;
         self.queue.clone_from(queue);
         self.rng.clone_from(rng);
@@ -296,7 +307,7 @@ impl<M: Clone + core::fmt::Debug + MessageKind> ActionSink<M> for Core<M> {
         self.in_cs[idx] = true;
         self.oracle.enter_cs(self.now, node, token_epoch);
         self.metrics.cs_entries += 1;
-        if let Some(requested_at) = self.pending_request_times[idx].pop_front() {
+        if let Some(requested_at) = self.pending.pop(idx) {
             self.metrics.total_waiting_ticks += (self.now - requested_at).ticks();
         }
         self.trace.push(self.now, TraceRecord::EnterCs(node));
@@ -374,8 +385,8 @@ impl<P: Protocol> World<P> {
                 alive: vec![true; n],
                 in_cs: vec![false; n],
                 recovered: vec![false; n],
-                timers: TimerTable::new(n),
-                pending_request_times: vec![VecDeque::new(); n],
+                timers: TimerTable::new(),
+                pending: PendingRequests::new(n),
                 now: SimTime::ZERO,
                 queue,
                 rng: StdRng::seed_from_u64(seed),
@@ -447,7 +458,7 @@ impl<P: Protocol> World<P> {
     /// entry.
     #[must_use]
     pub fn pending_requests(&self, id: NodeId) -> usize {
-        self.core.pending_request_times[id.zero_based() as usize].len()
+        self.core.pending.len(id.zero_based() as usize)
     }
 
     /// Partition awareness at the liveness horizon: per-node "isolated"
@@ -473,17 +484,17 @@ impl<P: Protocol> World<P> {
             .iter()
             .enumerate()
             .filter(|(_, iso)| **iso)
-            .map(|(idx, _)| self.core.pending_request_times[idx].len() as u64)
+            .map(|(idx, _)| self.core.pending.len(idx) as u64)
             .sum();
         (isolated, unreachable)
     }
 
     /// Estimated resident bytes of per-node state, averaged over the
     /// population: each protocol node (inline size plus its reported
-    /// [`Protocol::heap_bytes`]) and every node-indexed container of the
-    /// substrate (liveness and CS flags, timer rows, pending-request
-    /// queues). The token census keeps no per-node copy: it reads the
-    /// node it counts. Event-queue and trace storage are
+    /// [`Protocol::heap_bytes`]) and every container of the substrate
+    /// that holds node state (liveness and CS flags, the armed timers,
+    /// the pending-request store). The token census keeps no per-node
+    /// copy: it reads the node it counts. Event-queue and trace storage are
     /// excluded — they scale with in-flight load, not population — and so
     /// is the compiled fault script, which scales with its phases.
     /// Reported in the E7 artifact to keep the memory diet honest at
@@ -498,7 +509,7 @@ impl<P: Protocol> World<P> {
             in_cs,
             recovered,
             timers,
-            pending_request_times,
+            pending,
             config: _,
             compiled: _,
             now: _,
@@ -520,11 +531,7 @@ impl<P: Protocol> World<P> {
             + in_cs.capacity()
             + recovered.capacity()
             + timers.heap_bytes()
-            + pending_request_times.capacity() * size_of::<VecDeque<SimTime>>()
-            + pending_request_times
-                .iter()
-                .map(|q| q.capacity() * size_of::<SimTime>())
-                .sum::<usize>();
+            + pending.heap_bytes();
         let n = nodes.len().max(1) as u64;
         ((protocol + substrate) as u64).div_ceil(n)
     }
@@ -560,11 +567,29 @@ impl<P: Protocol> World<P> {
         self.core.queue.push_input(at, Input::RequestCs(node));
     }
 
-    /// Schedules every arrival of `schedule`.
+    /// Schedules every arrival of `schedule`. A time-ordered schedule —
+    /// what every generator makes — is filed by reference: the queue
+    /// shares its arrivals and reads them in place, so filing costs
+    /// nothing per arrival. Any other is filed arrival by arrival, as
+    /// [`World::schedule_request`] would. Either way each arrival pops
+    /// under the same `(time, seq)` key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an arrival is earlier than the current time.
     pub fn schedule_workload(&mut self, schedule: &ArrivalSchedule) {
-        for (at, node) in schedule.arrivals() {
-            self.schedule_request(*at, *node);
+        let arrivals = schedule.arrivals();
+        if !arrivals.is_sorted_by_key(|(at, _)| *at) {
+            for (at, node) in arrivals {
+                self.schedule_request(*at, *node);
+            }
+            return;
         }
+        if let Some((first, _)) = arrivals.first() {
+            assert!(*first >= self.core.now, "cannot schedule in the past");
+        }
+        self.core.requests_injected += arrivals.len() as u64;
+        self.core.queue.push_input_list(Arc::clone(schedule.shared()));
     }
 
     /// Schedules the crash (and optional recovery) events of `plan`.
@@ -696,7 +721,7 @@ impl<P: Protocol> World<P> {
             self.core.metrics.requests_abandoned += 1;
             return;
         }
-        self.core.pending_request_times[idx].push_back(self.core.now);
+        self.core.pending.push(idx, self.core.now);
         self.dispatch(node, NodeEvent::RequestCs);
     }
 
@@ -727,8 +752,7 @@ impl<P: Protocol> World<P> {
         // not-yet-served requests, which are therefore abandoned.
         self.nodes[idx].on_crash();
         self.core.timers.clear_node(idx);
-        self.core.metrics.requests_abandoned += self.core.pending_request_times[idx].len() as u64;
-        self.core.pending_request_times[idx].clear();
+        self.core.metrics.requests_abandoned += self.core.pending.clear(idx) as u64;
         // All in-flight messages toward the node are destroyed — and so
         // is its scheduled CS exit, if any: the critical section it
         // belonged to died with the crash, and letting the stale event
@@ -1432,22 +1456,163 @@ mod tests {
     #[test]
     fn mem_bytes_per_node_counts_every_node_indexed_vector() {
         let n = 1_000;
-        let world = central_world(n, 1);
-        // Every `Vec` with one element per node, by hand: one in `World`,
-        // five in `Core` (the timer table's two through its own count).
-        // `mem_bytes_per_node` destructures both structs exhaustively, so
-        // a new one cannot be added without being seen there.
+        let mut world = central_world(n, 1);
+        // Something in both side tables: they are sized by what they hold.
+        for idx in 0..40 {
+            world.core.timers.arm(idx * 7, 1);
+            world.core.pending.push(idx * 3, SimTime::from_ticks(idx as u64));
+        }
+        // Every container of node state, by hand: the nodes in `World`;
+        // three flag vectors, the armed timers and the pending-request
+        // store in `Core`. `mem_bytes_per_node` destructures both structs
+        // exhaustively, so a new one cannot be added without being seen
+        // there.
         let core = &world.core;
         let bytes = world.nodes.capacity() * size_of::<CentralNode>()
             + core.alive.capacity() * size_of::<bool>()
             + core.in_cs.capacity() * size_of::<bool>()
             + core.recovered.capacity() * size_of::<bool>()
-            + core.pending_request_times.capacity() * size_of::<VecDeque<SimTime>>()
-            + core.timers.heap_bytes();
-        assert!(core.timers.heap_bytes() >= n * (size_of::<engine::timers::TimerRow>() + 8));
+            + core.timers.heap_bytes()
+            + core.pending.heap_bytes();
+        assert!(core.timers.heap_bytes() >= 40 * (size_of::<(u32, u64, u64)>() + 1));
+        assert!(core.pending.heap_bytes() >= n * 8 + 40 * (8 + 4));
         // Trivial nodes own no heap, so the figure is that sum and nothing
         // else.
         assert_eq!(world.mem_bytes_per_node(), bytes.div_ceil(n) as u64);
+    }
+
+    /// A protocol that makes traffic out of every input: a request sends
+    /// a ping to the next node and enters the CS on the way back; a crash
+    /// loses what the node was doing.
+    #[derive(Debug, Clone)]
+    struct Echo {
+        id: NodeId,
+        n: u32,
+        in_cs: bool,
+    }
+
+    impl Protocol for Echo {
+        type Msg = CentralMsg;
+        fn id(&self) -> NodeId {
+            self.id
+        }
+        fn on_event(&mut self, event: NodeEvent<CentralMsg>, out: &mut Outbox<CentralMsg>) {
+            match event {
+                NodeEvent::RequestCs => {
+                    out.send(NodeId::new(self.id.get() % self.n + 1), CentralMsg::Req);
+                }
+                NodeEvent::Deliver { from, msg: CentralMsg::Req } => {
+                    out.send(from, CentralMsg::Release);
+                }
+                NodeEvent::Deliver { .. } if !self.in_cs => {
+                    self.in_cs = true;
+                    out.enter_cs();
+                }
+                NodeEvent::ExitCs => self.in_cs = false,
+                NodeEvent::Deliver { .. } | NodeEvent::Timer(_) => {}
+            }
+        }
+        fn on_crash(&mut self) {
+            self.in_cs = false;
+        }
+        fn on_recover(&mut self, _out: &mut Outbox<CentralMsg>) {}
+        fn in_cs(&self) -> bool {
+            self.in_cs
+        }
+        fn holds_token(&self) -> bool {
+            false
+        }
+    }
+
+    /// Runs `schedule` and `plan` on an `Echo` world, the schedule filed
+    /// whole if `whole` and arrival by arrival if not, and returns the
+    /// trace and `[injected, events, served, abandoned, end tick]`.
+    fn echo_run(
+        schedule: &ArrivalSchedule,
+        plan: &FailurePlan,
+        whole: bool,
+    ) -> (Vec<(SimTime, TraceRecord)>, [u64; 5]) {
+        let n = 6;
+        let nodes = (1..=n).map(|i| Echo { id: NodeId::new(i), n, in_cs: false }).collect();
+        let config = SimConfig { seed: 5, record_trace: true, ..SimConfig::default() };
+        let mut world = World::new(config, nodes);
+        if whole {
+            world.schedule_workload(schedule);
+        } else {
+            for (at, node) in schedule.arrivals() {
+                world.schedule_request(*at, *node);
+            }
+        }
+        world.schedule_failures(plan);
+        assert!(world.run_to_quiescence());
+        let m = world.metrics();
+        let counts = [
+            world.requests_injected(),
+            m.events_processed,
+            m.cs_entries,
+            m.requests_abandoned,
+            world.now().ticks(),
+        ];
+        (world.trace().records().to_vec(), counts)
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// A time-ordered schedule filed by reference runs exactly as
+            /// the same arrivals filed one by one: the same events in the
+            /// same `(time, seq)` order, interleaved with the traffic they
+            /// generate and with a failure plan filed after them.
+            #[test]
+            fn a_schedule_filed_whole_runs_as_filed_one_by_one(
+                (gaps, nodes, crashes) in (
+                    proptest::collection::vec(0u64..30, 0..60),
+                    proptest::collection::vec(1u32..=6, 60..61),
+                    proptest::collection::vec((2u32..=6, 0u64..1_500, 1u64..200), 0..6),
+                )
+            ) {
+                let mut at = SimTime::ZERO;
+                let schedule: ArrivalSchedule = gaps
+                    .iter()
+                    .zip(&nodes)
+                    .map(|(gap, node)| {
+                        at += SimDuration::from_ticks(*gap);
+                        (at, NodeId::new(*node))
+                    })
+                    .collect();
+                let plan = crashes.iter().fold(FailurePlan::none(), |plan, (node, at, down)| {
+                    plan.crash_and_recover(
+                        NodeId::new(*node),
+                        SimTime::from_ticks(*at),
+                        SimTime::from_ticks(at + down),
+                    )
+                });
+                let whole = echo_run(&schedule, &plan, true);
+                prop_assert_eq!(&whole, &echo_run(&schedule, &plan, false));
+                prop_assert_eq!(whole.1[0], schedule.len() as u64);
+            }
+
+            /// A schedule out of time order is filed arrival by arrival and
+            /// still comes out in time order, every arrival accounted for.
+            #[test]
+            fn an_unordered_schedule_still_runs_in_time_order(
+                arrivals in proptest::collection::vec((0u64..2_000, 1u32..=6), 1..60)
+            ) {
+                let schedule: ArrivalSchedule = arrivals
+                    .iter()
+                    .map(|(at, node)| (SimTime::from_ticks(*at), NodeId::new(*node)))
+                    .collect();
+                let whole = echo_run(&schedule, &FailurePlan::none(), true);
+                prop_assert!(whole.0.windows(2).all(|w| w[0].0 <= w[1].0));
+                prop_assert!(whole.0.iter().any(|(_, record)| matches!(record, TraceRecord::EnterCs(_))));
+                prop_assert_eq!(whole.1[0], schedule.len() as u64);
+                prop_assert_eq!(&whole, &echo_run(&schedule, &FailurePlan::none(), false));
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Engine conformance tests: `EventQueue` on either backend must be
 //! observationally identical to a sorted map keyed by `(time, seq)` —
 //! same pops, same peeks, same lengths, same purge counts — under
-//! arbitrary interleavings of pushes into both tiers, pops and
-//! crash-style retains.
+//! arbitrary interleavings of pushes into both tiers, time-ordered lists
+//! filed by reference, pops and crash-style retains.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use oc_sim::queue::{EventQueue, QueueBackend};
 use oc_sim::SimTime;
@@ -22,6 +23,10 @@ enum Op {
     /// then `gap` apart: a schedule filed in time order, the shape the
     /// input tier keeps in its sorted run.
     InputBurst { start: u64, gap: u64, count: u64 },
+    /// The same shape filed whole with `push_input_list` (`gap` may be 0:
+    /// ties within the list). The model files it entry by entry, so the
+    /// list must pop exactly as that burst would.
+    InputList { start: u64, gap: u64, count: u64 },
     /// Pop once from both queues and compare with the model's minimum.
     Pop,
     /// Drop all generated payloads divisible by the modulus (like a crash
@@ -44,6 +49,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         // Monotone bursts: each extends the sorted run if it starts above
         // the run's end and lands among the latecomers if not.
         (0u64..20_000, 1u64..60, 2u64..24).prop_map(|(start, gap, count)| Op::InputBurst {
+            start,
+            gap,
+            count
+        }),
+        // Lists by reference, from one entry to dozens, some all one tick.
+        (0u64..20_000, 0u64..60, 1u64..48).prop_map(|(start, gap, count)| Op::InputList {
             start,
             gap,
             count
@@ -109,6 +120,18 @@ fn run_script(script: &[Op]) {
             Op::InputBurst { start, gap, count } => {
                 let ticks = (0..*count).map(|k| start + k * gap);
                 file(&mut queues, &mut model, &mut next_seq, i, true, ticks);
+            }
+            Op::InputList { start, gap, count } => {
+                let list: Arc<Vec<_>> = Arc::new(
+                    (0..*count).map(|k| (SimTime::from_ticks(start + k * gap), i)).collect(),
+                );
+                for q in &mut queues {
+                    q.push_input_list(Arc::clone(&list));
+                }
+                for k in 0..*count {
+                    model.insert((start + k * gap, next_seq), (i, true));
+                    next_seq += 1;
+                }
             }
             Op::Pop => {
                 // Exact (time, seq) order across both tiers: the pop is
@@ -323,6 +346,35 @@ fn unordered_inputs_by_the_thousand_keep_order() {
         }
         if i % 500 == 0 {
             script.push(Op::Retain(3));
+        }
+    }
+    run_script(&script);
+}
+
+/// `sim-faults`' shape with the schedule filed by reference: one list for
+/// the arrivals, then a plan filed input by input across its span, then
+/// lists that start below, at and past the run's end while it drains.
+#[test]
+fn a_list_then_plan_then_more_lists_keep_order() {
+    let mut script: Vec<Op> = vec![Op::InputList { start: 0, gap: 10, count: 400 }];
+    for k in 0..40u64 {
+        script.push(Op::PushInput(k * 100));
+        script.push(Op::PushInput(k * 100 + 55));
+        script.push(Op::Push(k * 100));
+    }
+    script.extend(std::iter::repeat_n(Op::Pop, 104));
+    script.extend([
+        Op::InputList { start: 700, gap: 5, count: 30 }, // front below the run's end
+        Op::InputList { start: 3_990, gap: 0, count: 4 }, // all at the run's last tick
+        Op::InputList { start: 9_000, gap: 1, count: 10 }, // past it: a second stretch
+        Op::PushInput(9_005),                            // below that stretch's end
+        Op::PushInput(9_500),                            // past it again
+        Op::Retain(2),
+    ]);
+    for i in 0..700u64 {
+        script.push(Op::Pop);
+        if i % 9 == 0 {
+            script.push(Op::Push(800 + i * 6));
         }
     }
     run_script(&script);
