@@ -339,4 +339,50 @@ mod tests {
             }]
         ));
     }
+
+    #[test]
+    fn enquiry_answers_follow_the_claim_record_for_current_and_stale_sequence_numbers() {
+        // The reference is the record the node's one-byte state replaced:
+        // `Some((seq, in_cs))` while a local claim is outstanding.
+        type Record = Option<(u32, bool)>;
+        fn expected(record: Record, asked: u32) -> EnquiryStatus {
+            match record {
+                Some((seq, true)) if seq == asked => EnquiryStatus::StillInCs,
+                Some((seq, false)) if seq == asked => EnquiryStatus::TokenLost,
+                _ => EnquiryStatus::TokenReturned,
+            }
+        }
+        let mut source = OpenCubeNode::new(NodeId::new(2), ft_cfg(4));
+        let loaned = || Msg::Token { lender: Some(NodeId::new(1)), epoch: 0 };
+        let steps: [(NodeEvent<Msg>, Record); 7] = [
+            (NodeEvent::RequestCs, Some((1, false))),
+            (NodeEvent::Deliver { from: NodeId::new(1), msg: loaned() }, Some((1, true))),
+            (NodeEvent::ExitCs, None),
+            (NodeEvent::RequestCs, Some((2, false))),
+            (NodeEvent::Deliver { from: NodeId::new(1), msg: loaned() }, Some((2, true))),
+            (NodeEvent::RequestCs, Some((2, true))), // queued behind the CS
+            (NodeEvent::ExitCs, Some((3, false))),   // served from the queue
+        ];
+        let ask_all = |source: &mut OpenCubeNode, record| {
+            for asked in 0..=4 {
+                let actions = deliver(source, 1, Msg::Enquiry { source_seq: asked });
+                let want = expected(record, asked);
+                assert!(
+                    matches!(
+                        actions[..],
+                        [Action::Send { msg: Msg::EnquiryReply { status, source_seq }, .. }]
+                            if status == want && source_seq == asked
+                    ),
+                    "seq {asked} under {record:?}: {actions:?}"
+                );
+            }
+        };
+        ask_all(&mut source, None);
+        for (event, record) in steps {
+            let _ = drain(&mut source, event);
+            ask_all(&mut source, record);
+        }
+        source.on_crash();
+        ask_all(&mut source, None);
+    }
 }

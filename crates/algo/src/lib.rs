@@ -50,6 +50,7 @@ pub mod codec;
 
 mod config;
 mod enquiry;
+mod fair_queue;
 mod message;
 mod mint;
 mod node;

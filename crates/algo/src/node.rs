@@ -2,12 +2,17 @@
 //! hooks into the fault-tolerance machinery of Section 5 (implemented in
 //! [`crate::search`] and [`crate::enquiry`]).
 
-use std::collections::VecDeque;
-
 use oc_sim::{NodeEvent, Outbox, Protocol};
 use oc_topology::{canonical_father, dist, NodeId};
 
-use crate::{config::Config, message::Msg, mint::MintState, search::SearchState, stats::NodeStats};
+use crate::{
+    config::Config,
+    fair_queue::{FairQueue, Work},
+    message::Msg,
+    mint::MintState,
+    search::SearchState,
+    stats::NodeStats,
+};
 
 /// Timer identities (node-local).
 pub(crate) const TIMER_TOKEN_WAIT: u64 = 1;
@@ -16,22 +21,17 @@ pub(crate) const TIMER_ENQUIRY: u64 = 3;
 pub(crate) const TIMER_SEARCH_PHASE: u64 = 4;
 pub(crate) const TIMER_MINT: u64 = 5;
 
-/// A unit of pending work in the node's waiting queue (the paper's
-/// fair-service queue guarded by `wait (not asking)`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Work {
-    /// The local application's `enter_cs` call.
-    Local,
-    /// A received `request` message.
-    Remote { claimant: NodeId, source: NodeId, source_seq: u32 },
-}
-
-/// The local application's outstanding claim, tracked so the node can
-/// answer the root's enquiry about it (Section 5).
+/// Where the local application's claim number `local_seq` stands — what
+/// the node answers the root's enquiry about it (Section 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LocalClaim {
-    pub seq: u32,
-    pub in_cs: bool,
+enum LocalState {
+    /// No local claim outstanding: the last one, if any, was served or
+    /// lost to a crash.
+    Idle,
+    /// Requested, the token not yet received.
+    Waiting,
+    /// In the critical section.
+    InCs,
 }
 
 /// An outstanding loan made by this node as root (Section 5, "Root").
@@ -99,8 +99,9 @@ pub struct OpenCubeNode {
     token_here: bool,
     /// `asking_i`
     asking: bool,
-    /// in critical section right now
-    in_cs: bool,
+    /// The local claim `local_seq`: waiting, in the critical section, or
+    /// none outstanding.
+    local: LocalState,
     /// `father_i`
     father: Option<NodeId>,
     /// `lender_i` — meaningful only while in the critical section
@@ -108,15 +109,13 @@ pub struct OpenCubeNode {
     /// `mandator_i`
     mandator: Option<NodeId>,
     /// the fair waiting queue
-    queue: VecDeque<Work>,
+    queue: FairQueue,
 
     // ---- claim bookkeeping (Section 5 prose, see message.rs docs) ----
     /// (source, seq) of the claim this node is currently asking for.
     current_claim: Option<(NodeId, u32)>,
     /// Sequence counter for this node's own CS requests.
     local_seq: u32,
-    /// This node's own outstanding claim.
-    local_claim: Option<LocalClaim>,
 
     // ---- Section 5 state ----
     pub(crate) loan: Option<Loan>,
@@ -138,7 +137,7 @@ pub struct OpenCubeNode {
 // The Section 3 variables, the claim bookkeeping, the epoch every message
 // carries and one pointer per Section 5 structure: the rest waits in
 // `fault` or `search`.
-const _: () = assert!(size_of::<OpenCubeNode>() <= 120);
+const _: () = assert!(size_of::<OpenCubeNode>() <= 112);
 
 impl OpenCubeNode {
     /// Creates the node in its canonical initial position: `father` per the
@@ -164,14 +163,13 @@ impl OpenCubeNode {
             cfg,
             token_here: is_root,
             asking: false,
-            in_cs: false,
+            local: LocalState::Idle,
             father,
             lender: id,
             mandator: None,
-            queue: VecDeque::new(),
+            queue: FairQueue::default(),
             current_claim: None,
             local_seq: 0,
-            local_claim: None,
             loan: None,
             search: None,
             inert: false,
@@ -242,15 +240,14 @@ impl OpenCubeNode {
     }
 
     /// Pre-sizes the fair waiting queue for `cap` queued claims — a pure
-    /// capacity hint. The queue holds at most one remote claim per peer,
-    /// so `cap = n` makes steady-state enqueues allocation-free; it is
-    /// opt-in (benches, the allocation audit) rather than the default
-    /// because at Corten scale an eager `n`-slot queue on all `n` nodes
-    /// would dwarf the per-node state the memory diet pays for.
+    /// capacity hint. The queue holds at most one remote claim per peer
+    /// and no slot for a local `enter_cs` call, so `cap = n` makes
+    /// steady-state enqueues allocation-free; it is opt-in (benches, the
+    /// allocation audit) rather than the default because at Corten scale
+    /// an eager `n`-slot queue on all `n` nodes would dwarf the per-node
+    /// state the memory diet pays for.
     pub fn reserve_queue(&mut self, cap: usize) {
-        if self.queue.capacity() < cap {
-            self.queue.reserve(cap - self.queue.len());
-        }
+        self.queue.reserve(cap);
     }
 
     pub(crate) fn id_inner(&self) -> NodeId {
@@ -264,7 +261,7 @@ impl OpenCubeNode {
     /// reachable when timing assumptions are violated.
     pub(crate) fn busy(&self) -> bool {
         self.asking
-            || self.in_cs
+            || self.in_cs()
             || self.loan.is_some()
             || self.search.is_some()
             || self.mint().is_some()
@@ -333,12 +330,11 @@ impl OpenCubeNode {
         let seq = self.local_seq;
         if self.token_here {
             // We are the root holding the token: enter directly.
-            self.local_claim = Some(LocalClaim { seq, in_cs: true });
+            self.local = LocalState::InCs;
             self.lender = self.id;
-            self.in_cs = true;
             out.enter_cs();
         } else {
-            self.local_claim = Some(LocalClaim { seq, in_cs: false });
+            self.local = LocalState::Waiting;
             self.mandator = Some(self.id);
             self.current_claim = Some((self.id, seq));
             let father = self.father.expect("a non-root node without the token has a father");
@@ -418,11 +414,7 @@ impl OpenCubeNode {
         if self.mandator == Some(claimant) {
             return;
         }
-        let already_queued = self
-            .queue
-            .iter()
-            .any(|w| matches!(w, Work::Remote { claimant: c, .. } if *c == claimant));
-        if !already_queued {
+        if !self.queue.has_claimant(claimant) {
             self.queue.push_back(Work::Remote { claimant, source, source_seq });
         }
     }
@@ -485,10 +477,7 @@ impl OpenCubeNode {
                 }
                 self.mandator = None;
                 self.current_claim = None;
-                if let Some(lc) = &mut self.local_claim {
-                    lc.in_cs = true;
-                }
-                self.in_cs = true;
+                self.local = LocalState::InCs;
                 out.enter_cs();
                 // asking remains true until exit_cs.
             }
@@ -548,9 +537,8 @@ impl OpenCubeNode {
     }
 
     fn exit_cs(&mut self, out: &mut Outbox<Msg>) {
-        debug_assert!(self.in_cs);
-        self.in_cs = false;
-        self.local_claim = None;
+        debug_assert!(self.in_cs());
+        self.local = LocalState::Idle;
         // `token_here` is true in every nominal execution; it can be false
         // only in the degraded regimes where a duplicate token was absorbed
         // while we sat in the critical section.
@@ -642,10 +630,7 @@ impl OpenCubeNode {
                 self.lender = self.id;
                 self.mandator = None;
                 self.current_claim = None;
-                if let Some(lc) = &mut self.local_claim {
-                    lc.in_cs = true;
-                }
-                self.in_cs = true;
+                self.local = LocalState::InCs;
                 out.enter_cs();
             }
             Some(m) => {
@@ -666,14 +651,9 @@ impl OpenCubeNode {
 
     pub(crate) fn local_claim_status(&self, seq: u32) -> crate::message::EnquiryStatus {
         use crate::message::EnquiryStatus;
-        match self.local_claim {
-            Some(lc) if lc.seq == seq => {
-                if lc.in_cs {
-                    EnquiryStatus::StillInCs
-                } else {
-                    EnquiryStatus::TokenLost
-                }
-            }
+        match self.local {
+            LocalState::InCs if seq == self.local_seq => EnquiryStatus::StillInCs,
+            LocalState::Waiting if seq == self.local_seq => EnquiryStatus::TokenLost,
             _ => EnquiryStatus::TokenReturned,
         }
     }
@@ -748,7 +728,7 @@ impl Protocol for OpenCubeNode {
                 }
             }
             NodeEvent::ExitCs => {
-                if self.in_cs {
+                if self.in_cs() {
                     self.exit_cs(out);
                 }
             }
@@ -792,12 +772,11 @@ impl Protocol for OpenCubeNode {
         // function live in `cfg` — the paper allows them on stable storage.
         self.token_here = false;
         self.asking = false;
-        self.in_cs = false;
+        self.local = LocalState::Idle;
         self.father = None;
         self.lender = self.id;
         self.mandator = None;
         self.current_claim = None;
-        self.local_claim = None;
         self.queue.clear();
         self.loan = None;
         // The search's ring buffers are capacity, not protocol state: the
@@ -824,7 +803,7 @@ impl Protocol for OpenCubeNode {
     }
 
     fn in_cs(&self) -> bool {
-        self.in_cs
+        self.local == LocalState::InCs
     }
 
     fn holds_token(&self) -> bool {
@@ -833,7 +812,7 @@ impl Protocol for OpenCubeNode {
 
     fn is_idle(&self) -> bool {
         !self.asking
-            && !self.in_cs
+            && !self.in_cs()
             && self.queue.is_empty()
             && self.search.is_none()
             && self.mandator.is_none()
@@ -847,7 +826,7 @@ impl Protocol for OpenCubeNode {
                 std::mem::size_of::<SearchState>() + s.pending.heap_bytes() + s.retry.heap_bytes()
             })
         };
-        self.queue.capacity() * std::mem::size_of::<Work>()
+        self.queue.heap_bytes()
             + search_bytes(&self.search)
             + self.fault.as_deref().map_or(0, |fault| {
                 std::mem::size_of::<FaultState>()
@@ -904,6 +883,12 @@ mod tests {
         let mut out = Outbox::new();
         node.on_event(NodeEvent::ExitCs, &mut out);
         out.drain()
+    }
+
+    /// The node's queued work, in service order.
+    fn queued(node: &OpenCubeNode) -> Vec<Work> {
+        let mut queue = node.queue.clone();
+        std::iter::from_fn(|| queue.pop_front()).collect()
     }
 
     fn sends(actions: &[Action<Msg>]) -> Vec<(NodeId, Msg)> {
@@ -1084,7 +1069,7 @@ mod tests {
             },
         );
         assert!(sends(&actions).is_empty());
-        assert_eq!(node9.queue.len(), 1);
+        assert_eq!(queued(&node9).len(), 1);
     }
 
     #[test]
@@ -1112,7 +1097,7 @@ mod tests {
                 },
             );
         }
-        assert_eq!(node9.queue.len(), 1, "duplicates of the same claimant collapse");
+        assert_eq!(queued(&node9).len(), 1, "duplicates of the same claimant collapse");
         // A duplicate of the current mandate is dropped entirely.
         let _ = deliver(
             &mut node9,
@@ -1124,7 +1109,7 @@ mod tests {
                 epoch: 0,
             },
         );
-        assert_eq!(node9.queue.len(), 1);
+        assert_eq!(queued(&node9).len(), 1);
     }
 
     #[test]
@@ -1258,7 +1243,7 @@ mod tests {
         );
         let actions = request_cs(&mut node9);
         assert!(actions.is_empty());
-        assert_eq!(node9.queue.front(), Some(&Work::Local));
+        assert_eq!(queued(&node9), vec![Work::Local]);
     }
 
     #[test]

@@ -244,10 +244,12 @@ fn e6(options: &Options) {
 fn e7(options: &Options) {
     println!("== E7: engine throughput scaling (events/sec, heap vs bucketed queue) ==\n");
     // (n, requests, independent seeds): the scaling ladder tops out at
-    // n = 2^24 — the Corten-scale target of the ROADMAP. The 2^22 and
-    // 2^24 rungs run one request per node at a single seed: at that size
-    // the workload is statistically self-averaging and a second
-    // repetition would only double a multi-minute run.
+    // n = 2^25, past the Corten-scale target of the ROADMAP (2^24); its
+    // cells peak near 5.5 GiB, and a 2^26 rung would peak near 11 GiB
+    // (EXPERIMENTS.md, E7). The rungs from 2^20 up run one request per
+    // node at a single seed: at that size the workload is statistically
+    // self-averaging and a second repetition would only double a
+    // multi-minute run.
     let plan: &[(usize, usize, usize)] = if options.quick {
         &[(4_096, 8_192, 2)]
     } else {
@@ -257,6 +259,7 @@ fn e7(options: &Options) {
             (1_048_576, 1_048_576, 1),
             (4_194_304, 4_194_304, 1),
             (16_777_216, 16_777_216, 1),
+            (33_554_432, 33_554_432, 1),
         ]
     };
     let cells = e7_cells(plan, options.master_seed, Hardening::None);

@@ -52,8 +52,8 @@ fn sim_config(seed: u64) -> SimConfig {
         cs_duration: SimDuration::from_ticks(CS_TICKS),
         seed,
         record_trace: false,
-        // Headroom for the full E7 ladder: n = 2^24 under uniform load
-        // processes ~2.4e8 events; the cap only guards against wedges.
+        // Headroom for the full E7 ladder: n = 2^25 under uniform load
+        // processes ~5.4e8 events; the cap only guards against wedges.
         max_events: 2_000_000_000,
         ..SimConfig::default()
     }

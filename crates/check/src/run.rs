@@ -2,8 +2,8 @@
 
 use oc_algo::{Hardening, Mutation, NodeStats, OpenCubeNode};
 use oc_sim::{
-    check_liveness, DelayModel, LivenessReport, MsgKind, OracleReport, Protocol, SimConfig,
-    SimDuration, SimTime, World,
+    check_liveness_isolated, DelayModel, LivenessReport, MsgKind, OracleReport, Protocol,
+    SimConfig, SimDuration, SimTime, World,
 };
 use oc_topology::NodeId;
 
@@ -247,8 +247,8 @@ where
     }
     world.schedule_failures(&scenario.failure_plan());
     let drained = world.run_to_quiescence();
-    let liveness = check_liveness(&world, drained);
     let (isolated, unreachable) = world.partition_isolation(drained);
+    let liveness = check_liveness_isolated(&world, drained, &isolated, unreachable);
     let mut coverage = CoverageStats {
         sent_by_kind: MsgKind::all().map(|kind| world.metrics().sent(kind)),
         isolated_nodes: isolated.iter().filter(|iso| **iso).count() as u64,

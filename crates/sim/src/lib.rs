@@ -45,8 +45,8 @@ pub use crash::FailurePlan;
 pub use engine::{drive, drive_recovery, ActionSink, DeadlineSet, TimerTable};
 pub use hash::Fnv64;
 pub use liveness::{
-    check_horizon, check_liveness, isolation_from_components, Horizon, LivenessReport,
-    LivenessViolation, NodeAtHorizon,
+    check_horizon, check_liveness, check_liveness_isolated, isolation_from_components, Horizon,
+    LivenessReport, LivenessViolation, NodeAtHorizon,
 };
 pub use metrics::{Metrics, MsgKind};
 pub use oracle::{Oracle, OracleReport, Violation};

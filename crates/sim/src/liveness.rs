@@ -178,7 +178,21 @@ impl Horizon {
 /// are still pending.
 #[must_use]
 pub fn check_liveness<P: Protocol>(world: &World<P>, drained: bool) -> LivenessReport {
-    let (isolated, mut unreachable) = world.partition_isolation(drained);
+    let (isolated, unreachable) = world.partition_isolation(drained);
+    check_liveness_isolated(world, drained, &isolated, unreachable)
+}
+
+/// [`check_liveness`] for a caller that already holds the horizon's
+/// [`World::partition_isolation`] (`isolated`, `unreachable`) — the
+/// scenario runner reads it for its coverage block too, so it is built
+/// once per run.
+#[must_use]
+pub fn check_liveness_isolated<P: Protocol>(
+    world: &World<P>,
+    drained: bool,
+    isolated: &[bool],
+    mut unreachable: u64,
+) -> LivenessReport {
     let nodes: Vec<NodeAtHorizon> = NodeId::all(world.len())
         .map(|id| NodeAtHorizon {
             node: id,
