@@ -15,4 +15,4 @@ pub use complexity::{
     alpha, average_messages_closed_form, average_messages_exact, expected_ring_probes, ring_size,
     worst_case_messages,
 };
-pub use stats::{ci95_half_width, mean, Histogram, Summary};
+pub use stats::{ci95_half_width, mean, Summary};

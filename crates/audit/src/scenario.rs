@@ -50,8 +50,7 @@ pub fn steady_state_world(n: usize, requests: usize, seed: u64) -> World<OpenCub
     world.schedule_workload(&schedule);
     // The event heap grows by doubling whenever in-flight load sets a new
     // peak, which warmup alone cannot promise to have reached; pre-size it
-    // so the measured stretch starts at capacity. (The first argument
-    // sizes calendar buckets and is ignored by the default heap backend.)
-    world.reserve_events(64, 8_192);
+    // so the measured stretch starts at capacity.
+    world.reserve_events(8_192);
     world
 }

@@ -72,7 +72,6 @@ fn start(n: usize, workers: usize) -> Runtime<OpenCubeNode> {
             max_network_delay: Duration::from_micros(200),
             cs_duration: Duration::from_micros(500),
             seed: 42,
-            ..RuntimeConfig::default()
         },
         OpenCubeNode::build_all(protocol),
     )

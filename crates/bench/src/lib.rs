@@ -28,9 +28,7 @@ pub mod sweep;
 
 use oc_algo::{Config, Hardening, OpenCubeNode};
 use oc_baselines::{CentralNode, NaimiTrehelNode, RaymondNode};
-use oc_sim::{
-    ArrivalSchedule, DelayModel, Protocol, QueueBackend, SimConfig, SimDuration, SimTime, World,
-};
+use oc_sim::{ArrivalSchedule, DelayModel, Protocol, SimConfig, SimDuration, SimTime, World};
 use oc_topology::NodeId;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
@@ -682,13 +680,12 @@ pub fn e6_cell(n: usize, slack: u64, seed: u64, hardening: Hardening) -> Value {
 }
 
 // --------------------------------------------------------------------
-// E7 — engine throughput at large N (events/sec, heap vs bucketed queue)
+// E7 — engine throughput at large N (events/sec)
 // --------------------------------------------------------------------
 
 /// The E7 table.
 pub const E7_COLS: &[Col] = &[
     col("N", "n", 9, 0),
-    col("backend", "backend", 10, 0),
     col("requests", "requests", 10, 0),
     col("events", "events", 12, 0),
     col("messages", "messages", 12, 0),
@@ -700,31 +697,22 @@ pub const E7_COLS: &[Col] = &[
 
 /// The E7 columns that are protocol observables — everything but the
 /// wall clock (and the seed, which names the cell).
-pub const E7_VIRTUAL_KEYS: &[&str] =
-    &["n", "backend", "requests", "events", "messages", "mem_bytes_per_node"];
+pub const E7_VIRTUAL_KEYS: &[&str] = &["n", "requests", "events", "messages", "mem_bytes_per_node"];
 
 /// E7: a large-N open-cube run under concurrent uniform load, timed in
 /// wall-clock terms. This is the scale experiment behind the engine
 /// refactor: the paper's O(log² n) story only matters when the simulator
-/// itself can push big systems, so the engine is measured on both queue
-/// backends. Virtual-time results are identical across backends (the
-/// determinism tests pin that); only the wall clock may differ. The row
-/// records the cell's `seed` so it can be replayed, and the resident
+/// itself can push big systems. Virtual-time results are a function of
+/// the seed (the determinism tests pin that); only the wall clock may
+/// differ between runs. The row records the cell's `seed` so it can be
+/// replayed, and the resident
 /// per-node state at end of run (`mem_bytes_per_node`: protocol node +
 /// substrate containers; see `World::mem_bytes_per_node`).
 #[must_use]
-pub fn e7_throughput(
-    n: usize,
-    requests: usize,
-    seed: u64,
-    backend: QueueBackend,
-    hardening: Hardening,
-) -> Value {
-    let mut config = sim_config(seed);
-    config.queue = backend;
+pub fn e7_throughput(n: usize, requests: usize, seed: u64, hardening: Hardening) -> Value {
     let mut rng = StdRng::seed_from_u64(seed);
     let schedule = ArrivalSchedule::uniform(&mut rng, n, requests, SimDuration::from_ticks(25));
-    let mut world = World::new(config, OpenCubeNode::build_all(plain_cfg(n, hardening)));
+    let mut world = World::new(sim_config(seed), OpenCubeNode::build_all(plain_cfg(n, hardening)));
     world.schedule_workload(&schedule);
     let start = std::time::Instant::now();
     assert!(world.run_to_quiescence(), "E7 run wedged");
@@ -736,7 +724,6 @@ pub fn e7_throughput(
     let per = |count: u64, of: f64| if of > 0.0 { count as f64 / of } else { 0.0 };
     Value::Obj(vec![
         ("n", Value::UInt(n as u64)),
-        ("backend", Value::str(format!("{backend:?}").to_lowercase())),
         ("seed", Value::UInt(seed)),
         ("requests", Value::UInt(requests)),
         ("events", Value::UInt(events)),
@@ -893,16 +880,13 @@ pub fn e6_sweep(
     })
 }
 
-/// One E7 sweep cell: a full timed run of one size on one backend with
-/// one derived seed.
+/// One E7 sweep cell: a full timed run of one size with one derived seed.
 #[derive(Debug, Clone, Copy)]
 pub struct E7Cell {
     /// System size.
     pub n: usize,
     /// Requests to inject.
     pub requests: usize,
-    /// Event-queue backend under test.
-    pub backend: QueueBackend,
     /// Derived RNG seed for this cell.
     pub seed: u64,
     /// Hardening the cell's nodes are built under.
@@ -910,21 +894,17 @@ pub struct E7Cell {
 }
 
 /// Expands an E7 scaling plan — `(n, requests, independent seeds)` — into
-/// cells over both queue backends. A heap/bucketed pair shares its seed,
-/// so the pair doubles as a cross-backend determinism check on real
-/// workloads.
+/// one cell per seed.
 #[must_use]
 pub fn e7_cells(plan: &[(usize, usize, usize)], master: u64, hardening: Hardening) -> Vec<E7Cell> {
-    let mut cells = Vec::new();
-    for &(n, requests, seeds) in plan {
-        for seed_index in 0..seeds {
-            let seed = derive_seed(master, stream_id(S_E7, n as u64, seed_index as u64));
-            for backend in [QueueBackend::Heap, QueueBackend::Bucketed] {
-                cells.push(E7Cell { n, requests, backend, seed, hardening });
-            }
-        }
-    }
-    cells
+    plan.iter()
+        .flat_map(|&(n, requests, seeds)| {
+            (0..seeds).map(move |seed_index| {
+                let seed = derive_seed(master, stream_id(S_E7, n as u64, seed_index as u64));
+                E7Cell { n, requests, seed, hardening }
+            })
+        })
+        .collect()
 }
 
 /// E7 as a sweep: the multi-size, multi-seed scaling table. Virtual-time
@@ -934,7 +914,7 @@ pub fn e7_cells(plan: &[(usize, usize, usize)], master: u64, hardening: Hardenin
 #[must_use]
 pub fn e7_sweep(cells: &[E7Cell], threads: usize) -> SweepOutcome<Value> {
     sweep::sweep(cells, threads, |_, cell| {
-        e7_throughput(cell.n, cell.requests, cell.seed, cell.backend, cell.hardening)
+        e7_throughput(cell.n, cell.requests, cell.seed, cell.hardening)
     })
 }
 
@@ -1042,18 +1022,6 @@ mod tests {
     }
 
     #[test]
-    fn e7_backends_agree_on_virtual_results() {
-        let heap = e7_throughput(64, 128, 1, QueueBackend::Heap, Hardening::None);
-        let bucketed = e7_throughput(64, 128, 1, QueueBackend::Bucketed, Hardening::None);
-        assert_eq!(uint(&heap, "requests"), 128);
-        assert_eq!(heap.get("events"), bucketed.get("events"));
-        assert_eq!(heap.get("messages"), bucketed.get("messages"));
-        assert!(bucketed.get("events_per_sec").num() > 0.0);
-        assert!(uint(&bucketed, "mem_bytes_per_node") > 0);
-        assert_eq!(heap.get("backend"), &Value::str("heap"));
-    }
-
-    #[test]
     fn figure_renderer_shows_structure() {
         let fig = render_figure_tree(8);
         assert!(fig.contains("1 (power 3)"));
@@ -1095,12 +1063,9 @@ mod tests {
     #[test]
     fn e7_cells_expand_the_scaling_plan() {
         let cells = e7_cells(&[(64, 128, 2), (128, 64, 1)], 42, Hardening::None);
-        // Per entry: seeds × 2 backends.
-        assert_eq!(cells.len(), 4 + 2);
-        // Heap/bucketed pairs share the seed, so their virtual results
-        // must agree.
-        assert_eq!(cells[0].seed, cells[1].seed);
+        // One cell per seed, each with a seed of its own.
+        assert_eq!(cells.len(), 2 + 1);
+        assert_ne!(cells[0].seed, cells[1].seed);
         assert_ne!(cells[0].seed, cells[2].seed);
-        assert_ne!(cells[0].seed, cells[4].seed);
     }
 }

@@ -318,7 +318,6 @@ pub fn run_cell(cell: &LoadCell) -> LoadRow {
         max_network_delay: MAX_NET_DELAY,
         cs_duration: TICK * CS_TICKS as u32,
         seed: cell.seed,
-        ..RuntimeConfig::default()
     };
     let cube = || OpenCubeNode::build_all(protocol(cell.n));
     let rt = match cell.mode {

@@ -239,7 +239,6 @@ where
         record_trace: false,
         max_events: scenario.max_events,
         script: scenario.fault_script(),
-        ..SimConfig::default()
     };
     let mut world = World::new(sim, build(scenario));
     for (at, node) in &scenario.arrivals {

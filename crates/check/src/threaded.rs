@@ -62,7 +62,6 @@ pub fn run_scenario_runtime(
             max_network_delay: ticks_to_wall(scenario.delay_max, profile.tick),
             cs_duration: ticks_to_wall(scenario.cs_ticks, profile.tick),
             seed: scenario.seed,
-            ..RuntimeConfig::default()
         },
         // The scenario's fault script, verbatim: phase windows are in
         // ticks and the runtime evaluates them against its tick clock.

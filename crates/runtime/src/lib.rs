@@ -30,11 +30,11 @@
 //! * crash/recovery injection ([`Runtime::schedule_failures`]) and the
 //!   simulator's own link-fault program, consumed verbatim
 //!   ([`Runtime::start_scripted`]);
-//! * a linearized event log ([`oc_sim::Trace`], stamped in ticks under
-//!   the monitor lock) and *the unmodified `oc_sim` oracles* judging the
-//!   execution: the safety [`oc_sim::Oracle`] is fed live from the
-//!   monitor, and shutdown builds an [`oc_sim::Horizon`] per namespace
-//!   for the shared liveness oracle ([`oc_sim::check_horizon`]).
+//! * *the unmodified `oc_sim` oracles* judging the execution: the safety
+//!   [`oc_sim::Oracle`] is fed live under a per-namespace monitor lock,
+//!   whose acquisition order linearizes CS entries, exits and crashes,
+//!   and shutdown builds an [`oc_sim::Horizon`] per namespace for the
+//!   shared liveness oracle ([`oc_sim::check_horizon`]).
 //!
 //! ## The batched hot path
 //!
@@ -44,7 +44,7 @@
 //!   goes straight into that worker's delay queue and touches no channel;
 //!   messages for other workers are collected per destination and sent
 //!   as one [`Mail::Many`] per batch, and workers drain their mailbox in
-//!   `try_recv` bursts (bounded by [`RuntimeConfig::batch`]) after each
+//!   `try_recv` bursts (of at most 128 commands) after each
 //!   blocking receive — one channel crossing per message at most, one
 //!   channel round-trip per *burst*.
 //! * **Worker-owned books** — what only a node's worker writes stays
@@ -111,7 +111,7 @@ use oc_sim::{
     check_horizon, drive, drive_recovery, isolation_from_components, ticks_to_wall, ActionSink,
     ArrivalSchedule, CompiledScript, DeadlineSet, FailurePlan, FaultScript, Horizon, LinkFate,
     LivenessReport, MessageKind, Metrics, NodeAtHorizon, NodeEvent, Oracle, OracleReport, Outbox,
-    Protocol, SimDuration, SimTime, Trace, TraceRecord,
+    Protocol, SimDuration, SimTime,
 };
 use oc_topology::NodeId;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -139,15 +139,11 @@ pub struct RuntimeConfig {
     /// Seed for the delay- and fault-injection RNGs (per-worker streams
     /// derive from it).
     pub seed: u64,
-    /// Record the full linearized event log (costs memory and a lock per
-    /// message; CS/crash/recovery events feed the safety oracle even
-    /// when this is off). Multi-tenant runs record namespace 0 only.
-    pub record_trace: bool,
-    /// Largest burst of commands a worker drains from its mailbox before
-    /// publishing effects (idle flags, statistics, in-flight claims).
-    /// `0` means 128. `1` degenerates to the unbatched one-command loop.
-    pub batch: usize,
 }
+
+/// Largest burst of commands a worker drains from its mailbox before
+/// publishing effects (idle flags, statistics, in-flight claims).
+const BATCH: usize = 128;
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
@@ -157,8 +153,6 @@ impl Default for RuntimeConfig {
             max_network_delay: Duration::from_millis(1),
             cs_duration: Duration::from_micros(500),
             seed: 0,
-            record_trace: false,
-            batch: 0,
         }
     }
 }
@@ -204,16 +198,12 @@ enum Mail<M> {
 }
 
 /// Monitor: the linearization point of one namespace. Every CS
-/// entry/exit, crash, recovery, and (when tracing) message event of the
-/// namespace takes this lock; the lock's acquisition order *is* the
-/// linear order in which the unmodified `oc_sim` safety oracle and the
-/// trace observe the namespace's run. Namespaces are independent lock
-/// instances, so each gets its own monitor — and its own lock, keeping
-/// tenants from contending on the linearization point.
-struct Monitor {
-    oracle: Oracle,
-    trace: Trace,
-}
+/// entry/exit and crash of the namespace takes this lock; the lock's
+/// acquisition order *is* the linear order in which the unmodified
+/// `oc_sim` safety oracle observes the namespace's run. Namespaces are
+/// independent lock instances, so each gets its own monitor — and its own
+/// lock, keeping tenants from contending on the linearization point.
+type Monitor = Mutex<Oracle>;
 
 /// One namespace's slice of the global node space: nodes
 /// `offset + 1 ..= offset + len` (global) are the namespace's
@@ -225,9 +215,8 @@ struct NsMeta {
 }
 
 struct Shared {
-    /// One linearization monitor per namespace (only namespace 0 records
-    /// a trace).
-    monitors: Vec<Mutex<Monitor>>,
+    /// One linearization monitor per namespace.
+    monitors: Vec<Monitor>,
     /// The request accounts and the latency histogram.
     sessions: Sessions,
     /// Completed critical sections per namespace. `Relaxed`: monotone
@@ -257,7 +246,6 @@ struct Shared {
     /// tick mapping doing ticks→wall. Empty by default: nothing injected,
     /// no RNG draws. Only single-namespace runtimes may script faults.
     script: CompiledScript,
-    trace_enabled: bool,
     epoch: Instant,
     tick_nanos: u64,
 }
@@ -268,12 +256,12 @@ impl Shared {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Elapsed wall time as protocol ticks — the trace/oracle timestamp.
+    /// Elapsed wall time as protocol ticks — the oracle's timestamp.
     fn sim_now(&self) -> SimTime {
         SimTime::from_ticks(self.now_nanos() / self.tick_nanos)
     }
 
-    fn lock_monitor(&self, ns: usize) -> std::sync::MutexGuard<'_, Monitor> {
+    fn lock_monitor(&self, ns: usize) -> std::sync::MutexGuard<'_, Oracle> {
         self.monitors[ns].lock().expect("monitor poisoned")
     }
 
@@ -408,27 +396,16 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
             w => w.min(n.max(1)),
         };
         config.workers = workers;
-        if config.batch == 0 {
-            config.batch = 128;
-        }
 
         let namespaces = populations.len();
         let shared = Arc::new(Shared {
-            monitors: (0..namespaces)
-                .map(|k| {
-                    Mutex::new(Monitor {
-                        oracle: Oracle::new(),
-                        trace: Trace::new(config.record_trace && k == 0),
-                    })
-                })
-                .collect(),
+            monitors: (0..namespaces).map(|_| Mutex::new(Oracle::new())).collect(),
             sessions: Sessions::new(namespaces),
             cs_entries: (0..namespaces).map(|_| AtomicU64::new(0)).collect(),
             inflight: AtomicU64::new(0),
             idle: (0..n).map(|_| AtomicBool::new(true)).collect(),
             ns,
             script: script.compile(n),
-            trace_enabled: config.record_trace,
             epoch: Instant::now(),
             tick_nanos: u64::try_from(config.tick.as_nanos()).unwrap_or(u64::MAX).max(1),
         });
@@ -783,7 +760,6 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         let events = metrics.events_processed;
         let mut safety = OracleReport::default();
         let mut liveness = LivenessReport::default();
-        let mut trace = Trace::new(false);
         let mut census_total = 0usize;
         let (mut cs_total, mut injected, mut completed, mut abandoned) = (0u64, 0u64, 0u64, 0u64);
         for (k, meta) in shared.ns.iter().enumerate() {
@@ -831,13 +807,9 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
                     .collect(),
             };
             liveness.absorb(check_horizon(&horizon));
-            let mut monitor = shared.lock_monitor(k);
-            let at = shared.sim_now();
-            monitor.oracle.token_census(at, holders_at_max + in_flight);
-            safety.absorb(monitor.oracle.report().clone());
-            if k == 0 {
-                trace = std::mem::replace(&mut monitor.trace, Trace::new(false));
-            }
+            let mut oracle = shared.lock_monitor(k);
+            oracle.token_census(shared.sim_now(), holders_at_max + in_flight);
+            safety.absorb(oracle.report().clone());
         }
 
         RuntimeReport {
@@ -859,7 +831,6 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
             safety,
             liveness,
             latency: shared.sessions.histogram().summary(),
-            trace,
             wall,
         }
     }
@@ -1174,22 +1145,12 @@ struct ThreadSink<'a, 'w, M> {
     seat: &'a mut Seat,
 }
 
-impl<M: MessageKind + core::fmt::Debug + Clone + Send + 'static> ActionSink<M>
-    for ThreadSink<'_, '_, M>
-{
+impl<M: MessageKind + Clone + Send + 'static> ActionSink<M> for ThreadSink<'_, '_, M> {
     fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
         let (ns, to_global) = (self.seat.ns, NodeId::new(to.get() + self.seat.ns_offset));
         let worker = &mut *self.worker;
         let shared = worker.shared;
         worker.metrics.record_send(msg.kind());
-        if shared.trace_enabled && ns == 0 {
-            let mut monitor = shared.lock_monitor(0);
-            let at = shared.sim_now();
-            monitor.trace.push(
-                at,
-                TraceRecord::Send { from, to, kind: msg.kind(), desc: format!("{msg:?}") },
-            );
-        }
         // Decide-before-act, identical to the simulator's `Core::send`:
         // the script decides the message's fate before any copy is
         // enqueued, so a drop destroys the logical send outright.
@@ -1218,12 +1179,7 @@ impl<M: MessageKind + core::fmt::Debug + Clone + Send + 'static> ActionSink<M>
         let (worker, seat) = (&mut *self.worker, &mut *self.seat);
         let shared = worker.shared;
         seat.lease += 1;
-        {
-            let mut monitor = shared.lock_monitor(seat.ns);
-            let at = shared.sim_now();
-            monitor.oracle.enter_cs(at, node, token_epoch);
-            monitor.trace.push(at, TraceRecord::EnterCs(node));
-        }
+        shared.lock_monitor(seat.ns).enter_cs(shared.sim_now(), node, token_epoch);
         shared.cs_entries[seat.ns].fetch_add(1, Ordering::Relaxed);
         // The node's oldest waiting request is the one being served (a
         // node may also enter with no request of ours waiting).
@@ -1314,7 +1270,7 @@ fn worker_main<P: Protocol + Send + 'static>(
         }
         // Opportunistic burst: top the batch up from whatever is already
         // in the mailbox, without blocking.
-        while worker.queue.len() < config.batch {
+        while worker.queue.len() < BATCH {
             match rx.try_recv() {
                 Ok(mail) => worker.accept(mail),
                 Err(_) => break,
@@ -1418,19 +1374,6 @@ fn process<P: Protocol + Send + 'static>(
                 worker.metrics.lost_to_crashes += 1;
                 return;
             }
-            if shared.trace_enabled && seat.ns == 0 {
-                let mut monitor = shared.lock_monitor(0);
-                let at = shared.sim_now();
-                monitor.trace.push(
-                    at,
-                    TraceRecord::Deliver {
-                        from,
-                        to: local,
-                        kind: msg.kind(),
-                        desc: format!("{msg:?}"),
-                    },
-                );
-            }
             drive_slot(slot, Some(NodeEvent::Deliver { from, msg }), out, worker);
         }
         NodeCmd::Acquire(ticket) => {
@@ -1463,12 +1406,7 @@ fn process<P: Protocol + Send + 'static>(
             }
             seat.crashed = true;
             worker.metrics.crashes += 1;
-            {
-                let mut monitor = shared.lock_monitor(seat.ns);
-                let at = shared.sim_now();
-                monitor.oracle.exit_cs(local);
-                monitor.trace.push(at, TraceRecord::Crash(local));
-            }
+            shared.lock_monitor(seat.ns).exit_cs(local);
             // All volatile node state is lost — including the
             // application's requests (a granted one's lease is
             // invalidated below) — and the node's timers leave the
@@ -1485,11 +1423,6 @@ fn process<P: Protocol + Send + 'static>(
             seat.crashed = false;
             seat.recovered_ever = true;
             worker.metrics.recoveries += 1;
-            {
-                let mut monitor = shared.lock_monitor(seat.ns);
-                let at = shared.sim_now();
-                monitor.trace.push(at, TraceRecord::Recover(local));
-            }
             drive_slot(slot, None, out, worker);
         }
     }
@@ -1529,12 +1462,7 @@ fn exit_cs<P: Protocol + Send + 'static>(
     let shared = worker.shared;
     let seat = &mut slot.seat;
     let local = seat.local();
-    {
-        let mut monitor = shared.lock_monitor(seat.ns);
-        let at = shared.sim_now();
-        monitor.oracle.exit_cs(local);
-        monitor.trace.push(at, TraceRecord::ExitCs(local));
-    }
+    shared.lock_monitor(seat.ns).exit_cs(local);
     if let Some(ticket) = seat.current.take() {
         shared.sessions.end(seat.ns, ticket, RequestStatus::Completed);
     }
@@ -1680,7 +1608,6 @@ mod tests {
         cfg.tick = Duration::from_micros(20);
         cfg.max_network_delay = Duration::from_micros(400);
         cfg.cs_duration = Duration::from_micros(200);
-        cfg.record_trace = true;
         let proto = Config::new(8, SimDuration::from_ticks(40), SimDuration::from_ticks(10))
             .with_contention_slack(SimDuration::from_ticks(20_000));
         let rt = Runtime::start(cfg, OpenCubeNode::build_all(proto));
@@ -1702,11 +1629,6 @@ mod tests {
         assert_eq!(report.crashes, 1);
         assert_eq!(report.recoveries, 1);
         assert!(report.is_clean(), "oracles: {report:?}");
-        // The trace was recorded and replaying its CS occupancy through
-        // the oracle agrees with the live verdict.
-        assert!(!report.trace.records().is_empty());
-        let replayed = Oracle::replay_cs(&report.trace);
-        assert_eq!(replayed.is_clean(), report.mutual_exclusion_held());
     }
 
     #[test]
@@ -1806,8 +1728,7 @@ mod tests {
 
     #[test]
     fn namespaces_are_independent_lock_instances() {
-        let mut cfg = config(2);
-        cfg.batch = 32;
+        let cfg = config(2);
         let populations: Vec<Vec<OpenCubeNode>> =
             (0..4).map(|_| OpenCubeNode::build_all(protocol(4))).collect();
         let rt = Runtime::start_multi(cfg, populations);

@@ -1,9 +1,9 @@
-//! The final report of a runtime session: counters, oracle verdicts,
-//! latency summary, and the linearized trace.
+//! The final report of a runtime session: counters, oracle verdicts and
+//! latency summary.
 
 use std::time::Duration;
 
-use oc_sim::{LivenessReport, OracleReport, Trace, Violation};
+use oc_sim::{LivenessReport, OracleReport, Violation};
 
 use crate::histogram::LatencySummary;
 
@@ -76,8 +76,6 @@ pub struct RuntimeReport {
     pub liveness: LivenessReport,
     /// Acquire-to-grant latency summary.
     pub latency: LatencySummary,
-    /// The linearized event log (empty unless `record_trace` was set).
-    pub trace: Trace,
     /// Wall-clock time from start to shutdown.
     pub wall: Duration,
 }

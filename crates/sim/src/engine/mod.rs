@@ -5,9 +5,10 @@
 //! ([`crate::world`] for virtual time, `oc-runtime` for real threads):
 //!
 //! * [`calendar`] — the bucketed calendar, [`crate::queue::EventQueue`]'s
-//!   selectable second backend: O(1) near-future scheduling with a heap
-//!   fallback for far-future events, preserving the exact `(time, seq)`
-//!   pop order of the default binary heap.
+//!   second backend: O(1) near-future scheduling with a heap fallback for
+//!   far-future events, preserving the exact `(time, seq)` pop order of
+//!   the binary heap. No [`crate::World`] runs on it; the queue-level
+//!   probes and tests that name it are all that keep it.
 //! * [`timers`] — the simulator's table of armed timers, sized by what is
 //!   armed: generations with lazy cancellation for the virtual clock; and
 //!   the live-armings-only wall-clock deadline set both real-time

@@ -132,30 +132,6 @@ impl Oracle {
     pub fn report(&self) -> &OracleReport {
         &self.report
     }
-
-    /// Replays the critical-section occupancy of a recorded [`Trace`]
-    /// through a fresh oracle: every `EnterCs`/`ExitCs` record is fed in
-    /// log order, and a `Crash` vacates the crashed node's occupancy
-    /// exactly as the simulator does when a node dies inside its CS.
-    ///
-    /// This judges *mutual exclusion only* — a trace does not carry token
-    /// custody, so token-uniqueness needs a live census feed (the
-    /// simulator's per-event census, or the runtime's terminal census).
-    /// Trace records carry no epoch either, so the replay judges at epoch
-    /// 0 — the strict (baseline) interpretation.
-    #[must_use]
-    pub fn replay_cs(trace: &crate::trace::Trace) -> OracleReport {
-        let mut oracle = Oracle::new();
-        for (at, record) in trace.records() {
-            match record {
-                crate::trace::TraceRecord::EnterCs(node) => oracle.enter_cs(*at, *node, 0),
-                crate::trace::TraceRecord::ExitCs(node)
-                | crate::trace::TraceRecord::Crash(node) => oracle.exit_cs(*node),
-                _ => {}
-            }
-        }
-        oracle.report
-    }
 }
 
 #[cfg(test)]
@@ -228,27 +204,6 @@ mod tests {
         // Node 1 is still inside: a new entry is a violation.
         o.enter_cs(SimTime::from_ticks(3), NodeId::new(3), 0);
         assert_eq!(o.report().violations().len(), 2);
-    }
-
-    #[test]
-    fn replay_cs_matches_live_feeding() {
-        use crate::trace::{Trace, TraceRecord};
-        let mut trace = Trace::new(true);
-        trace.push(SimTime::from_ticks(1), TraceRecord::EnterCs(NodeId::new(1)));
-        trace.push(SimTime::from_ticks(2), TraceRecord::EnterCs(NodeId::new(2)));
-        trace.push(SimTime::from_ticks(3), TraceRecord::Crash(NodeId::new(1)));
-        trace.push(SimTime::from_ticks(4), TraceRecord::ExitCs(NodeId::new(2)));
-        trace.push(SimTime::from_ticks(5), TraceRecord::EnterCs(NodeId::new(3)));
-        trace.push(SimTime::from_ticks(6), TraceRecord::ExitCs(NodeId::new(3)));
-        let report = Oracle::replay_cs(&trace);
-        // Exactly one violation: node 2 intruding on node 1. The crash
-        // vacates node 1, so node 3's entry after node 2's exit is clean.
-        assert_eq!(report.violations().len(), 1);
-        assert!(matches!(
-            report.violations()[0],
-            Violation::MutualExclusion { occupant, intruder, .. }
-                if occupant == NodeId::new(1) && intruder == NodeId::new(2)
-        ));
     }
 
     #[test]

@@ -62,18 +62,20 @@
 //!
 //! Two interchangeable backends store the generated tier:
 //!
-//! * [`QueueBackend::Heap`] — the default: a plain binary heap. A run
-//!   keeps a few events per busy node in flight, so the heap is shallow,
-//!   and an empty one costs nothing to build, clone or drop — which is
-//!   what the explorer's hundreds of thousands of tiny worlds pay for.
+//! * [`QueueBackend::Heap`] — the default, and the only one a
+//!   [`crate::World`] runs on: a plain binary heap. A run keeps a few
+//!   events per busy node in flight, so the heap is shallow, and an empty
+//!   one costs nothing to build, clone or drop — which is what the
+//!   explorer's hundreds of thousands of tiny worlds pay for.
 //! * [`QueueBackend::Bucketed`] — the engine's
 //!   [calendar queue](crate::engine::calendar): O(1) near-future
 //!   scheduling with a heap fallback for far-future events, at a fixed
 //!   cost of 1 024 buckets per queue. Alternated pairs found it no faster
-//!   than the heap on any workload (EXPERIMENTS.md, E7); it stays
-//!   selectable, and held to byte-identical traces by the cross-backend
-//!   determinism tests, only because the frozen benchmark's
-//!   `sim.queue_*` probes name it.
+//!   than the heap on any workload (EXPERIMENTS.md, E7), so no world can
+//!   select it. It is reachable through [`EventQueue::with_backend`] only
+//!   because the frozen benchmark's `sim.queue_*` probes name it, and
+//!   `tests/engine.rs` holds it to the same `(time, seq)` order as the
+//!   heap for as long as it exists.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};

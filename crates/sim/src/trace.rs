@@ -88,8 +88,7 @@ impl Trace {
     /// record — the determinism fingerprint of a run.
     ///
     /// Two runs with equal configuration and seed must produce equal
-    /// hashes, whatever event-queue backend they ran on; the engine's
-    /// golden tests pin this. The encoding is defined here (tag byte, then
+    /// hashes; the engine's golden tests pin this. The encoding is defined here (tag byte, then
     /// fields little-endian, strings length-prefixed), not derived from
     /// `Debug` formatting, so incidental formatting changes cannot shift
     /// the fingerprint.

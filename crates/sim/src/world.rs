@@ -22,7 +22,7 @@ use crate::{
     outbox::Outbox,
     pending::PendingRequests,
     protocol::{MessageKind, NodeEvent, Protocol},
-    queue::{EventQueue, QueueBackend},
+    queue::EventQueue,
     time::{SimDuration, SimTime},
     trace::{Trace, TraceRecord},
     workload::ArrivalSchedule,
@@ -43,11 +43,6 @@ pub struct SimConfig {
     pub record_trace: bool,
     /// Hard cap on processed events, as a runaway-loop backstop.
     pub max_events: u64,
-    /// Event-queue backend for what the run generates. Both backends
-    /// produce identical traces for identical seeds;
-    /// [`QueueBackend::Heap`] is the default, and the one every
-    /// measurement favours (see [`crate::queue`]).
-    pub queue: QueueBackend,
     /// Time-scripted fault program, the one way to inject link faults:
     /// partitions (with heal events), one-way degradation,
     /// loss/duplication phases. [`FaultScript::none`] by default: nothing
@@ -64,7 +59,6 @@ impl Default for SimConfig {
             seed: 0,
             record_trace: false,
             max_events: 100_000_000,
-            queue: QueueBackend::default(),
             script: FaultScript::none(),
         }
     }
@@ -374,7 +368,6 @@ impl<P: Protocol> World<P> {
         let holders_at_max = held_epochs().filter(|epoch| *epoch == max_epoch).count();
         let seed = config.seed;
         let record_trace = config.record_trace;
-        let queue = EventQueue::with_backend(config.queue);
         let compiled = config.script.compile(n);
         World {
             nodes,
@@ -388,7 +381,7 @@ impl<P: Protocol> World<P> {
                 timers: TimerTable::new(),
                 pending: PendingRequests::new(n),
                 now: SimTime::ZERO,
-                queue,
+                queue: EventQueue::new(),
                 rng: StdRng::seed_from_u64(seed),
                 metrics: Metrics::new(),
                 oracle: Oracle::new(),
@@ -642,12 +635,11 @@ impl<P: Protocol> World<P> {
         }
     }
 
-    /// Pre-sizes the event queue for sustained load — a pure capacity
-    /// hint (see [`EventQueue::reserve`]: `heap` entries on the default
-    /// backend, which ignores `per_bucket`) used by benches and the
-    /// allocation audit to establish steady-state capacity up front.
-    pub fn reserve_events(&mut self, per_bucket: usize, heap: usize) {
-        self.core.queue.reserve(per_bucket, heap);
+    /// Pre-sizes the event heap for `additional` more in-flight events —
+    /// a pure capacity hint used by benches and the allocation audit to
+    /// establish steady-state capacity up front.
+    pub fn reserve_events(&mut self, additional: usize) {
+        self.core.queue.reserve(0, additional);
     }
 
     /// Processes one event. Returns `false` if the queue was empty.
@@ -850,55 +842,6 @@ impl<P: Protocol> World<P> {
         // node-side counter's growth into the run metrics.
         self.core.metrics.epoch_discards += after.discards - before.discards;
     }
-
-    /// Bounded schedule perturbation: deterministically re-jitters every
-    /// pending `Deliver` event within ±`slack` ticks of its scheduled
-    /// time (clamped to the present), leaving timers, workload arrivals,
-    /// and the failure plan untouched. The jitter is a pure function of
-    /// `(salt, position in the queue)` — nothing is drawn from the
-    /// world's RNG stream, so a perturbed fork differs from its sibling
-    /// only by `salt`, and two forks with equal salts are identical.
-    /// Used by the guided explorer to search delivery interleavings
-    /// around a checkpointed near-miss without replaying the prefix.
-    pub fn perturb_deliveries(&mut self, slack: SimDuration, salt: u64) {
-        let slack = slack.ticks();
-        if slack == 0 {
-            return;
-        }
-        let mut pending = Vec::with_capacity(self.core.queue.len());
-        while let Some((at, event)) = self.core.queue.pop() {
-            pending.push((at, event));
-        }
-        let now = self.core.now.ticks();
-        for (index, (at, event)) in pending.into_iter().enumerate() {
-            // Re-pushing assigns fresh sequence numbers in pop order, so
-            // unmoved events keep their relative order among ties.
-            let at = if matches!(event, SimEvent::Deliver { .. }) {
-                // splitmix64 finalizer over (salt, index).
-                let mut x = salt ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                x ^= x >> 30;
-                x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                x ^= x >> 27;
-                x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-                x ^= x >> 31;
-                let offset = x % (2 * slack + 1);
-                SimTime::from_ticks(
-                    at.ticks().saturating_add(offset).saturating_sub(slack).max(now),
-                )
-            } else {
-                at
-            };
-            // Each event goes back into the tier `schedule_*` or the run
-            // filed it in: inputs must stay out of reach of a crash purge.
-            let queue = &mut self.core.queue;
-            match event {
-                SimEvent::RequestCs { node } => queue.push_input(at, Input::RequestCs(node)),
-                SimEvent::Crash { node } => queue.push_input(at, Input::Crash(node)),
-                SimEvent::Recover { node } => queue.push_input(at, Input::Recover(node)),
-                event => queue.push(at, event),
-            }
-        }
-    }
 }
 
 /// A complete, resumable snapshot of a running [`World`].
@@ -909,7 +852,7 @@ impl<P: Protocol> World<P> {
 /// the run's future depends on. Restoring (or forking) a checkpoint
 /// therefore continues byte-identically to a run that never paused; the
 /// checkpoint equivalence suite pins `checkpoint → restore → drive ==
-/// drive` on both queue backends, with fault scripts active.
+/// drive` with fault scripts active.
 ///
 /// There is nothing per node beside the nodes themselves: the token
 /// census's counters live in the core, and what they count is read off
@@ -1127,21 +1070,6 @@ mod tests {
             (world.metrics().total_sent(), world.now())
         };
         assert_eq!(run(5), run(5));
-    }
-
-    #[test]
-    fn backends_agree_on_metrics_and_time() {
-        let run = |backend| {
-            let nodes = (1..=8u32).map(|i| CentralNode::new(NodeId::new(i))).collect();
-            let mut world =
-                World::new(SimConfig { seed: 12, queue: backend, ..SimConfig::default() }, nodes);
-            for i in 1..=8u32 {
-                world.schedule_request(SimTime::from_ticks(i as u64 * 3), NodeId::new(i));
-            }
-            assert!(world.run_to_quiescence());
-            (world.metrics().total_sent(), world.metrics().events_processed, world.now())
-        };
-        assert_eq!(run(QueueBackend::Heap), run(QueueBackend::Bucketed));
     }
 
     #[test]

@@ -454,7 +454,10 @@ pub fn run(opts: NodeOptions) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns a usage message naming the offending flag.
+/// Returns a usage message naming the offending flag — a missing or
+/// unparsable value, and also one the node could not run with: an `--n`
+/// that is not a power of two, an `--id` outside `1..=n`, a zero
+/// `--tick-ns`.
 pub fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<NodeOptions, String> {
     let mut id = None;
     let mut n = None;
@@ -495,6 +498,15 @@ pub fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<NodeOptions
     }
     let id = id.ok_or("--id is required")?;
     let n = n.ok_or("--n is required")?;
+    if !oc_topology::is_valid_size(n) {
+        return Err(format!("--n must be a power of two, got {n}"));
+    }
+    if id == 0 || id as usize > n {
+        return Err(format!("--id must be in 1..={n}, got {id}"));
+    }
+    if tick_ns == 0 {
+        return Err("--tick-ns must be positive".into());
+    }
     let spec = transport.ok_or("--transport is required")?;
     let log_path = log.ok_or("--log is required")?;
     Ok(NodeOptions {
@@ -545,5 +557,23 @@ mod tests {
         assert!(parse_args(["--id"].iter().map(|s| (*s).to_owned())).is_err());
         assert!(parse_args(["--wat"].iter().map(|s| (*s).to_owned())).is_err());
         assert!(parse_args(std::iter::empty()).is_err());
+    }
+
+    #[test]
+    fn values_the_node_cannot_run_with_are_usage_errors() {
+        let parse = |extra: &[&str]| {
+            let base = ["--transport", "uds:/tmp/x", "--log", "/tmp/x/1.log"];
+            parse_args(base.iter().chain(extra).map(|s| (*s).to_owned()))
+        };
+        assert!(parse(&["--id", "8", "--n", "8"]).is_ok());
+        for (extra, flag) in [
+            (&["--id", "0", "--n", "8"][..], "--id"),
+            (&["--id", "9", "--n", "8"], "--id"),
+            (&["--id", "1", "--n", "12"], "--n"),
+            (&["--id", "1", "--n", "8", "--tick-ns", "0"], "--tick-ns"),
+        ] {
+            let err = parse(extra).expect_err("the node would panic on these");
+            assert!(err.starts_with(flag), "{extra:?}: {err}");
+        }
     }
 }

@@ -1,12 +1,11 @@
 //! The engine's determinism contract, pinned end-to-end on the real
-//! open-cube protocol: same config + seed ⇒ byte-identical traces,
-//! whichever event-queue backend runs the simulation. A golden hash
-//! guards the fingerprint across refactors.
+//! open-cube protocol: same config + seed ⇒ byte-identical traces. A
+//! golden hash guards the fingerprint across refactors.
 
 use opencube::algo::{Config, OpenCubeNode};
 use opencube::sim::{
-    ArrivalSchedule, DelayModel, FailurePlan, FaultPhase, FaultPhaseKind, FaultScript,
-    QueueBackend, SimConfig, SimDuration, SimTime, World,
+    ArrivalSchedule, DelayModel, FailurePlan, FaultPhase, FaultPhaseKind, FaultScript, SimConfig,
+    SimDuration, SimTime, World,
 };
 use opencube::topology::NodeId;
 use rand::{rngs::StdRng, SeedableRng};
@@ -17,7 +16,7 @@ const CS: u64 = 50;
 /// A non-trivial scenario: 32 nodes, concurrent uniform load, a crash of
 /// the initial root while it matters, and a recovery — exercising
 /// deliveries, timers, search_father, regeneration and the trace.
-fn traced_run(seed: u64, backend: QueueBackend) -> (u64, u64, u64) {
+fn traced_run(seed: u64) -> (u64, u64, u64) {
     let sim = SimConfig {
         delay: DelayModel::Uniform {
             min: SimDuration::from_ticks(1),
@@ -27,7 +26,6 @@ fn traced_run(seed: u64, backend: QueueBackend) -> (u64, u64, u64) {
         seed,
         record_trace: true,
         max_events: 30_000_000,
-        queue: backend,
         // Explicitly the reliable-channel default: the golden hash below
         // pins that the scripted fault program changes nothing when off.
         script: FaultScript::none(),
@@ -50,22 +48,9 @@ fn traced_run(seed: u64, backend: QueueBackend) -> (u64, u64, u64) {
 }
 
 #[test]
-fn identical_seeds_identical_traces_per_backend() {
-    for backend in [QueueBackend::Heap, QueueBackend::Bucketed] {
-        assert_eq!(
-            traced_run(42, backend),
-            traced_run(42, backend),
-            "same seed diverged on {backend:?}"
-        );
-    }
-}
-
-#[test]
-fn heap_and_bucketed_backends_produce_identical_traces() {
+fn identical_seeds_identical_traces() {
     for seed in [0u64, 1, 7, 42, 0xDEAD_BEEF] {
-        let heap = traced_run(seed, QueueBackend::Heap);
-        let bucketed = traced_run(seed, QueueBackend::Bucketed);
-        assert_eq!(heap, bucketed, "backends diverged at seed {seed}");
+        assert_eq!(traced_run(seed), traced_run(seed), "same seed diverged at seed {seed}");
     }
 }
 
@@ -74,25 +59,14 @@ fn heap_and_bucketed_backends_produce_identical_traces() {
 /// say so in the commit.
 #[test]
 fn golden_trace_hash() {
-    let (hash, events, sent) = traced_run(42, QueueBackend::Bucketed);
-    let (heap_hash, ..) = traced_run(42, QueueBackend::Heap);
-    assert_eq!(hash, heap_hash);
     assert_eq!(
-        (hash, events, sent),
+        traced_run(42),
         (GOLDEN_HASH, GOLDEN_EVENTS, GOLDEN_SENT),
         "trace fingerprint moved — scheduling behaviour changed"
     );
-    // The default backend moved from the calendar to the heap; the bytes
-    // of a world that does not name one must not.
-    assert_eq!(
-        traced_run(42, SimConfig::default().queue),
-        (GOLDEN_HASH, GOLDEN_EVENTS, GOLDEN_SENT),
-        "a world on the default backend left the golden"
-    );
 }
 
-// Captured from the first green run of this scenario (seed 42); both
-// backends agree on it.
+// Captured from the first green run of this scenario (seed 42).
 const GOLDEN_HASH: u64 = 17_956_546_835_187_287_862;
 const GOLDEN_EVENTS: u64 = 664;
 const GOLDEN_SENT: u64 = 380;
@@ -106,7 +80,7 @@ const FAULT_PAIRS: usize = 2_000;
 /// The `sim-faults` benchmark workload at a tenth of its size, built the
 /// way it builds it: n = 64, one crash/recover pair every 20 000 ticks,
 /// an arrival every 2 000, all scheduled before the first step.
-fn fault_world(backend: QueueBackend) -> World<OpenCubeNode> {
+fn fault_world() -> World<OpenCubeNode> {
     let sim = SimConfig {
         delay: DelayModel::Uniform {
             min: SimDuration::from_ticks(1),
@@ -116,7 +90,6 @@ fn fault_world(backend: QueueBackend) -> World<OpenCubeNode> {
         seed: 42,
         record_trace: true,
         max_events: 30_000_000,
-        queue: backend,
         ..SimConfig::default()
     };
     let cfg = Config::new(64, SimDuration::from_ticks(DELTA), SimDuration::from_ticks(CS))
@@ -165,48 +138,27 @@ const FAULT_GOLDEN: (u64, u64, u64, u64, u64) =
     (454_250, 312_318, 548, 81, 2_851_374_949_455_519_051);
 
 #[test]
-fn fault_path_observables_are_pinned_on_every_backend_and_driver() {
-    for backend in [QueueBackend::Heap, QueueBackend::Bucketed] {
-        let mut world = fault_world(backend);
-        assert!(world.run_to_quiescence(), "fault run wedged on {backend:?}");
-        assert_eq!(fault_observables(&world), FAULT_GOLDEN, "{backend:?}");
-    }
+fn fault_path_observables_are_pinned() {
+    let mut world = fault_world();
+    assert!(world.run_to_quiescence(), "fault run wedged");
+    assert_eq!(fault_observables(&world), FAULT_GOLDEN);
 }
 
 /// A checkpoint taken mid-run — arrivals and most of the failure plan
 /// still pending — resumes into the same future, crashes included.
 #[test]
 fn checkpoint_with_pending_inputs_resumes_identically() {
-    for backend in [QueueBackend::Heap, QueueBackend::Bucketed] {
-        let mut world = fault_world(backend);
-        assert!(!world.run_until(SimTime::from_ticks(500_000)), "drained before the checkpoint");
-        let checkpoint = world.checkpoint();
-        assert!(world.run_to_quiescence());
-        assert_eq!(fault_observables(&world), FAULT_GOLDEN, "{backend:?}");
-        let mut fork = checkpoint.to_world();
-        assert!(fork.run_to_quiescence());
-        assert_eq!(fault_observables(&fork), FAULT_GOLDEN, "fork on {backend:?}");
-        world.restore(&checkpoint);
-        assert!(world.run_to_quiescence());
-        assert_eq!(fault_observables(&world), FAULT_GOLDEN, "restore on {backend:?}");
-    }
-}
-
-/// Same, pinned for a perturbed fork: re-filing the whole queue must hand
-/// every arrival, crash and recovery back in its old relative order and
-/// out of reach of the purges that follow.
-const PERTURBED_GOLDEN: (u64, u64, u64, u64, u64) =
-    (454_250, 312_318, 548, 81, 6_859_375_647_461_086_388);
-
-#[test]
-fn perturbed_deliveries_then_crashes_keep_every_input() {
-    for backend in [QueueBackend::Heap, QueueBackend::Bucketed] {
-        let mut world = fault_world(backend);
-        assert!(!world.run_until(SimTime::from_ticks(500_000)));
-        world.perturb_deliveries(SimDuration::from_ticks(8), 0xC0FFEE);
-        assert!(world.run_to_quiescence());
-        assert_eq!(fault_observables(&world), PERTURBED_GOLDEN, "{backend:?}");
-    }
+    let mut world = fault_world();
+    assert!(!world.run_until(SimTime::from_ticks(500_000)), "drained before the checkpoint");
+    let checkpoint = world.checkpoint();
+    assert!(world.run_to_quiescence());
+    assert_eq!(fault_observables(&world), FAULT_GOLDEN);
+    let mut fork = checkpoint.to_world();
+    assert!(fork.run_to_quiescence());
+    assert_eq!(fault_observables(&fork), FAULT_GOLDEN, "fork");
+    world.restore(&checkpoint);
+    assert!(world.run_to_quiescence());
+    assert_eq!(fault_observables(&world), FAULT_GOLDEN, "restore");
 }
 
 // ---------------------------------------------------------------------
@@ -251,41 +203,37 @@ fn leading_loss_dup_phase_reproduces_the_separate_fault_window() {
             3_000,
             FaultPhaseKind::LossDup { loss_per_mille: 10, duplicate_per_mille: 300 },
         ));
-    for backend in [QueueBackend::Heap, QueueBackend::Bucketed] {
-        let sim = SimConfig {
-            delay: DelayModel::Uniform {
-                min: SimDuration::from_ticks(1),
-                max: SimDuration::from_ticks(DELTA),
-            },
-            cs_duration: SimDuration::from_ticks(CS),
-            seed: 3,
-            record_trace: true,
-            max_events: 30_000_000,
-            queue: backend,
-            script: script.clone(),
-        };
-        let cfg = Config::new(16, SimDuration::from_ticks(DELTA), SimDuration::from_ticks(CS))
-            .with_contention_slack(SimDuration::from_ticks(2_000));
-        let mut world = World::new(sim, OpenCubeNode::build_all(cfg));
-        let mut rng = StdRng::seed_from_u64(3);
-        world.schedule_workload(&ArrivalSchedule::uniform(
-            &mut rng,
-            16,
-            80,
-            SimDuration::from_ticks(30),
-        ));
-        assert!(world.run_to_quiescence(), "link-fault run wedged on {backend:?}");
-        let m = world.metrics();
-        assert_eq!(
-            (
-                m.events_processed,
-                m.total_sent(),
-                m.lost_to_faults,
-                m.duplicated_deliveries,
-                world.trace().hash64()
-            ),
-            LINK_FAULT_GOLDEN,
-            "{backend:?}"
-        );
-    }
+    let sim = SimConfig {
+        delay: DelayModel::Uniform {
+            min: SimDuration::from_ticks(1),
+            max: SimDuration::from_ticks(DELTA),
+        },
+        cs_duration: SimDuration::from_ticks(CS),
+        seed: 3,
+        record_trace: true,
+        max_events: 30_000_000,
+        script,
+    };
+    let cfg = Config::new(16, SimDuration::from_ticks(DELTA), SimDuration::from_ticks(CS))
+        .with_contention_slack(SimDuration::from_ticks(2_000));
+    let mut world = World::new(sim, OpenCubeNode::build_all(cfg));
+    let mut rng = StdRng::seed_from_u64(3);
+    world.schedule_workload(&ArrivalSchedule::uniform(
+        &mut rng,
+        16,
+        80,
+        SimDuration::from_ticks(30),
+    ));
+    assert!(world.run_to_quiescence(), "link-fault run wedged");
+    let m = world.metrics();
+    assert_eq!(
+        (
+            m.events_processed,
+            m.total_sent(),
+            m.lost_to_faults,
+            m.duplicated_deliveries,
+            world.trace().hash64()
+        ),
+        LINK_FAULT_GOLDEN
+    );
 }

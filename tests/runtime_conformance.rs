@@ -89,7 +89,7 @@ fn run_sim(
     SimOutcome { cs_entries: world.metrics().cs_entries, census: world.live_token_census() }
 }
 
-fn runtime_config(batch: usize, workers: usize) -> RuntimeConfig {
+fn runtime_config(workers: usize) -> RuntimeConfig {
     RuntimeConfig {
         workers,
         tick: TICK,
@@ -97,8 +97,6 @@ fn runtime_config(batch: usize, workers: usize) -> RuntimeConfig {
         max_network_delay: Duration::from_micros(100),
         cs_duration: TICK * CS as u32,
         seed: 7,
-        batch,
-        ..RuntimeConfig::default()
     }
 }
 
@@ -108,7 +106,7 @@ fn run_runtime(
     plan: &FailurePlan,
     hardening: Hardening,
 ) -> RuntimeReport {
-    run_runtime_cfg(n, schedule, plan, hardening, 0, 8)
+    run_runtime_cfg(n, schedule, plan, hardening, 8)
 }
 
 fn run_runtime_cfg(
@@ -116,11 +114,10 @@ fn run_runtime_cfg(
     schedule: &ArrivalSchedule,
     plan: &FailurePlan,
     hardening: Hardening,
-    batch: usize,
     workers: usize,
 ) -> RuntimeReport {
     let rt = Runtime::start(
-        runtime_config(batch, workers),
+        runtime_config(workers),
         OpenCubeNode::build_all(protocol_config(n, hardening)),
     );
     let ids = rt.schedule_workload(schedule);
@@ -219,35 +216,32 @@ fn hardened_conformance_n64() {
     conformance_under(64, true, Hardening::Quorum);
 }
 
-/// The batched hot path is a performance refactor, not a semantic one:
-/// the same scheduled workload must produce the same entry count, the
-/// same terminal census, and clean verdicts whether workers drain one
-/// command at a time (`batch: 1`) or in bursts — and wherever a message
-/// travels: with one worker every message goes from the sender's hands
-/// into the same worker's delay queue and no channel is ever touched,
-/// with two or eight most cross a mailbox inside a `Mail::Many` burst.
+/// Sharding is a performance choice, not a semantic one: the same
+/// scheduled workload must produce the same entry count, the same
+/// terminal census, and clean verdicts wherever a message travels: with
+/// one worker every message goes from the sender's hands into the same
+/// worker's delay queue and no channel is ever touched, with two or
+/// eight most cross a mailbox inside a `Mail::Many` burst.
 #[test]
-fn batched_and_unbatched_runtimes_agree() {
+fn runtimes_agree_at_any_worker_count() {
     let n = 16;
     let mut rng = StdRng::seed_from_u64(1601);
     let schedule = ArrivalSchedule::every_node_once(&mut rng, n, SimDuration::from_ticks(GAP));
     let plan = FailurePlan::none();
     let sim = run_sim(n, &schedule, &plan, 42, Hardening::None);
 
-    for batch in [1, 0, 256] {
-        for workers in [1, 2, 8] {
-            let report = run_runtime_cfg(n, &schedule, &plan, Hardening::None, batch, workers);
-            assert!(
-                report.is_clean(),
-                "batch={batch} workers={workers}: safety={:?} liveness={:?}",
-                report.safety.violations(),
-                report.liveness.violations()
-            );
-            assert!(report.drained, "batch={batch} workers={workers}");
-            assert_eq!(report.cs_entries, sim.cs_entries, "batch={batch} workers={workers}");
-            assert_eq!(report.requests_abandoned, 0, "batch={batch} workers={workers}");
-            assert_eq!(report.terminal_token_census, sim.census, "batch={batch} workers={workers}");
-        }
+    for workers in [1, 2, 8] {
+        let report = run_runtime_cfg(n, &schedule, &plan, Hardening::None, workers);
+        assert!(
+            report.is_clean(),
+            "workers={workers}: safety={:?} liveness={:?}",
+            report.safety.violations(),
+            report.liveness.violations()
+        );
+        assert!(report.drained, "workers={workers}");
+        assert_eq!(report.cs_entries, sim.cs_entries, "workers={workers}");
+        assert_eq!(report.requests_abandoned, 0, "workers={workers}");
+        assert_eq!(report.terminal_token_census, sim.census, "workers={workers}");
     }
 }
 
@@ -267,7 +261,7 @@ fn multi_namespace_runtime_matches_k_independent_sims() {
     assert_eq!(sim.census, 1);
 
     let rt = Runtime::start_multi(
-        runtime_config(0, 8),
+        runtime_config(8),
         (0..k).map(|_| OpenCubeNode::build_all(protocol_config(n, Hardening::None))).collect(),
     );
     assert_eq!(rt.namespaces(), k);
@@ -307,62 +301,57 @@ fn multi_namespace_runtime_matches_k_independent_sims() {
 
 /// Closed-loop saturation conformance: many small tenants driven flat
 /// out through the auto-release hot path must stay oracle-clean with
-/// fully conserved request accounting, batched or not.
+/// fully conserved request accounting.
 #[test]
-fn saturated_tenants_stay_clean_batched_and_unbatched() {
+fn saturated_tenants_stay_clean() {
     let n = 4;
     let k = 16;
-    for batch in [0, 1] {
-        let rt = Runtime::start_multi(
-            runtime_config(batch, 8),
-            (0..k).map(|_| OpenCubeNode::build_all(protocol_config(n, Hardening::None))).collect(),
-        );
-        let deadline = std::time::Instant::now() + Duration::from_millis(300);
-        std::thread::scope(|scope| {
-            for client in 0..2usize {
-                let rt = &rt;
-                scope.spawn(move || {
-                    let watcher = rt.watcher();
-                    let mut outstanding = 0usize;
-                    for ns in (client..k).step_by(2) {
+    let rt = Runtime::start_multi(
+        runtime_config(8),
+        (0..k).map(|_| OpenCubeNode::build_all(protocol_config(n, Hardening::None))).collect(),
+    );
+    let deadline = std::time::Instant::now() + Duration::from_millis(300);
+    std::thread::scope(|scope| {
+        for client in 0..2usize {
+            let rt = &rt;
+            scope.spawn(move || {
+                let watcher = rt.watcher();
+                let mut outstanding = 0usize;
+                for ns in (client..k).step_by(2) {
+                    let _ = rt.acquire_watched(ns, NodeId::new(1), &watcher, true);
+                    outstanding += 1;
+                }
+                while outstanding > 0 {
+                    let Some((id, _)) = watcher.recv_timeout(Duration::from_secs(30)) else {
+                        panic!("saturation client wedged");
+                    };
+                    outstanding -= 1;
+                    if std::time::Instant::now() < deadline {
+                        let ns = rt.namespace_of(id).expect("completion has a namespace");
                         let _ = rt.acquire_watched(ns, NodeId::new(1), &watcher, true);
                         outstanding += 1;
                     }
-                    while outstanding > 0 {
-                        let Some((id, _)) = watcher.recv_timeout(Duration::from_secs(30)) else {
-                            panic!("saturation client wedged (batch={batch})");
-                        };
-                        outstanding -= 1;
-                        if std::time::Instant::now() < deadline {
-                            let ns = rt.namespace_of(id).expect("completion has a namespace");
-                            let _ = rt.acquire_watched(ns, NodeId::new(1), &watcher, true);
-                            outstanding += 1;
-                        }
-                    }
-                });
-            }
-        });
-        assert!(rt.await_settled(Duration::from_secs(60)), "batch={batch}");
-        let report = rt.shutdown();
-        assert!(
-            report.is_clean(),
-            "batch={batch}: safety={:?} liveness={:?}",
-            report.safety.violations(),
-            report.liveness.violations()
-        );
-        assert!(report.drained, "batch={batch}");
-        assert_eq!(report.namespaces, k);
-        assert_eq!(
-            report.requests_injected,
-            report.requests_completed + report.requests_abandoned,
-            "batch={batch}: request accounting must conserve"
-        );
-        assert_eq!(report.requests_abandoned, 0, "batch={batch}: nothing crashes here");
-        assert_eq!(report.cs_entries, report.requests_completed, "batch={batch}");
-        assert!(
-            report.cs_entries >= k as u64,
-            "batch={batch}: every tenant serves at least its seed request"
-        );
-        assert_eq!(report.terminal_token_census, k, "batch={batch}: one token per tenant");
-    }
+                }
+            });
+        }
+    });
+    assert!(rt.await_settled(Duration::from_secs(60)));
+    let report = rt.shutdown();
+    assert!(
+        report.is_clean(),
+        "safety={:?} liveness={:?}",
+        report.safety.violations(),
+        report.liveness.violations()
+    );
+    assert!(report.drained);
+    assert_eq!(report.namespaces, k);
+    assert_eq!(
+        report.requests_injected,
+        report.requests_completed + report.requests_abandoned,
+        "request accounting must conserve"
+    );
+    assert_eq!(report.requests_abandoned, 0, "nothing crashes here");
+    assert_eq!(report.cs_entries, report.requests_completed);
+    assert!(report.cs_entries >= k as u64, "every tenant serves at least its seed request");
+    assert_eq!(report.terminal_token_census, k, "one token per tenant");
 }
