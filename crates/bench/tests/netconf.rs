@@ -17,8 +17,9 @@ use oc_algo::Mutation;
 use oc_bench::orchestrator::{run_scenario_sockets, TransportKind, NET_TICK};
 use oc_check::{
     conforms, run_scenario, run_scenario_runtime, GateKill, GateScenario, RuntimeProfile, Scenario,
-    ScenarioCrash, ScenarioPhase, ScenarioPhaseKind,
+    ScenarioCrash,
 };
+use oc_sim::{FaultPhase, FaultPhaseKind, SimTime};
 
 const SETTLE: Duration = Duration::from_secs(60);
 
@@ -129,15 +130,12 @@ fn a_fault_script_is_refused_before_anything_is_spawned() {
     // spawn would fail with `NotFound` instead), and the seed names the
     // work directory that must not have been left behind.
     let seed = 0x5eed_fa17;
-    let cut =
-        ScenarioPhase { from: 100, until: 200, kind: ScenarioPhaseKind::GroupPartition { p: 1 } };
+    let phase =
+        |kind| FaultPhase { from: SimTime::from_ticks(100), until: SimTime::from_ticks(200), kind };
+    let cut = phase(FaultPhaseKind::GroupPartition { p: 1 });
+    let window = phase(FaultPhaseKind::LossDup { loss_per_mille: 0, duplicate_per_mille: 50 });
     let by_phase = Scenario { phases: vec![cut], ..shape(8, 10, seed, None) };
-    let by_window = Scenario {
-        lossy_from: 100,
-        lossy_until: 200,
-        duplicate_per_mille: 50,
-        ..shape(8, 10, seed, None)
-    };
+    let by_window = Scenario { phases: vec![window], ..shape(8, 10, seed, None) };
     let nowhere = Path::new("/nonexistent/oc-node");
     for scenario in [by_phase, by_window] {
         let err = run_scenario_sockets(nowhere, TransportKind::Uds, &scenario, SETTLE)

@@ -7,7 +7,7 @@
 //!
 //! 1. **Generate** — [`Scenario::generate`] derives a complete, concrete
 //!    scenario (system size, delay envelope, workload arrivals,
-//!    crash/recovery plan, link faults) from a `(space, master seed,
+//!    crash/recovery plan, fault phases) from a `(space, master seed,
 //!    index)` triple. Everything is materialized: a scenario is plain
 //!    data, independent of the generator that produced it.
 //! 2. **Run** — [`run_scenario`] plays the scenario through
@@ -82,7 +82,7 @@ pub use run::{
     run_scenario, run_scenario_hardened, run_scenario_observed, run_scenario_with, CoverageStats,
     Outcome,
 };
-pub use scenario::{Scenario, ScenarioCrash, ScenarioPhase, ScenarioPhaseKind, Space};
+pub use scenario::{Scenario, ScenarioCrash, Space};
 pub use shrink::{shrink, ShrinkResult};
 pub use threaded::{run_scenario_runtime, RuntimeProfile};
 

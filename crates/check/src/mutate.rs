@@ -14,9 +14,10 @@
 //! contention, fault windows, and — via corpus splicing — partition
 //! phases.
 
+use oc_sim::{FaultPhase, FaultPhaseKind, SimTime};
 use rand::{rngs::StdRng, Rng, RngExt};
 
-use crate::scenario::{Scenario, ScenarioCrash};
+use crate::scenario::{Scenario, ScenarioCrash, MAX_DECODED_TICKS};
 
 /// Hard cap on mutated workload length, so stacked `add_arrival` calls
 /// cannot grow scenarios without bound.
@@ -178,32 +179,48 @@ fn apply_one(s: &mut Scenario, donor: Option<&Scenario>, rng: &mut StdRng) -> bo
             }
             true
         }
-        // Scale the contention slack (suspicion patience) up or down.
+        // Scale the contention slack (suspicion patience) up or down —
+        // never past the tick ceiling `Scenario::from_id` accepts.
         10 => {
             let slack = s.contention_slack.max(1);
-            s.contention_slack =
-                if rng.random_range(0..2u32) == 0 { slack / 2 } else { slack.saturating_mul(2) };
+            s.contention_slack = if rng.random_range(0..2u32) == 0 {
+                slack / 2
+            } else {
+                slack.saturating_mul(2).min(MAX_DECODED_TICKS)
+            };
             true
         }
         // Fault windows and phase splicing.
         _ => {
-            if let Some(donor) = donor.filter(|d| d.n == s.n && !d.phases.is_empty()) {
-                // Borrow the donor's scripted phases wholesale; same n, so
-                // every member set and group level stays valid.
-                s.phases = donor.phases.clone();
+            if let Some(donor) = donor.filter(|d| d.n == s.n && !d.split_window().1.is_empty()) {
+                // Keep the parent's window and borrow the donor's scripted
+                // phases wholesale; same n, so every member set and group
+                // level stays valid.
+                s.phases.truncate(usize::from(s.split_window().0.is_some()));
+                s.phases.extend_from_slice(donor.split_window().1);
                 return true;
             }
-            if s.duplicate_per_mille > 0 || s.loss_per_mille > 0 {
-                // Widen/narrow/slide the existing window.
-                let from = rng.random_range(0..=span);
-                s.lossy_from = from;
-                s.lossy_until = from + rng.random_range(1..=span.max(2));
-            } else {
-                // Open a duplication window (sound for non-token traffic;
-                // loss stays off — it is a different probe space).
-                s.lossy_from = rng.random_range(0..=span);
-                s.lossy_until = s.lossy_from + rng.random_range(1..=span.max(2));
-                s.duplicate_per_mille = [50u16, 150, 400][rng.random_range(0..3usize)];
+            let from = rng.random_range(0..=span);
+            let until = from + rng.random_range(1..=span.max(2));
+            let (from, until) = (SimTime::from_ticks(from), SimTime::from_ticks(until));
+            let idle = FaultPhaseKind::LossDup { loss_per_mille: 0, duplicate_per_mille: 0 };
+            let window =
+                s.phases.first_mut().filter(|ph| matches!(ph.kind, FaultPhaseKind::LossDup { .. }));
+            match window {
+                // Widen/narrow/slide a window that injects.
+                Some(window) if window.kind != idle => (window.from, window.until) = (from, until),
+                // Open a duplication window, over an inert one if there is
+                // one (sound for non-token traffic; loss stays off — it is
+                // a different probe space).
+                window => {
+                    let duplicate_per_mille = [50u16, 150, 400][rng.random_range(0..3usize)];
+                    let kind = FaultPhaseKind::LossDup { loss_per_mille: 0, duplicate_per_mille };
+                    let opened = FaultPhase { from, until, kind };
+                    match window {
+                        Some(inert) => *inert = opened,
+                        None => s.phases.insert(0, opened),
+                    }
+                }
             }
             true
         }

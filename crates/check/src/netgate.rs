@@ -95,10 +95,6 @@ impl GateScenario {
             // the benchmark's 60 000-arrival cells replay in the
             // simulator too.
             max_events: 2_000_000 + 64 * self.requests as u64,
-            lossy_from: 0,
-            lossy_until: 0,
-            loss_per_mille: 0,
-            duplicate_per_mille: 0,
             arrivals,
             crashes: self
                 .kill

@@ -1,4 +1,10 @@
 //! Scenario encoding, generation, and the portable `oc1-…` scenario ID.
+//!
+//! A scenario's faults are one fault program: [`Scenario::phases`], the
+//! very [`oc_sim::FaultPhase`]s the substrates run. Its link-fault
+//! window is simply a leading `LossDup` phase, which the `oc1-` header's
+//! four link-fault slots encode; the optional phase section after the
+//! crash list encodes the rest.
 
 use oc_algo::{Config, Hardening, Mutation};
 use oc_sim::{
@@ -19,52 +25,6 @@ pub struct ScenarioCrash {
     /// Recovery time, in ticks (strictly after `at`), or `None` for a
     /// permanent failure.
     pub recover_at: Option<u64>,
-}
-
-/// One kind of scripted fault phase of a scenario — the scenario-level
-/// mirror of [`oc_sim::FaultPhaseKind`], in plain integers so it encodes
-/// into the `oc1-` ID.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScenarioPhaseKind {
-    /// Partition into the cube's aligned `2^p`-node groups.
-    GroupPartition {
-        /// Group level.
-        p: u32,
-    },
-    /// Split `members` (1-based identities) away from the rest.
-    Split {
-        /// The seceding block.
-        members: Vec<u32>,
-    },
-    /// One-way degradation: `from`-members' sends to `to`-members drop
-    /// with probability `loss_per_mille`/1000.
-    Degrade {
-        /// Source side.
-        from: Vec<u32>,
-        /// Destination side.
-        to: Vec<u32>,
-        /// Drop probability, 1/1000 units.
-        loss_per_mille: u16,
-    },
-    /// Uniform loss/duplication as a script phase.
-    LossDup {
-        /// Loss probability, 1/1000 units.
-        loss_per_mille: u16,
-        /// Duplication probability, 1/1000 units (tokens exempt).
-        duplicate_per_mille: u16,
-    },
-}
-
-/// One timed fault phase: active during `[from, until)` ticks, healed at
-/// `until`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScenarioPhase {
-    /// Phase start (ticks, inclusive).
-    pub from: u64,
-    /// Phase end — the heal instant (ticks, exclusive).
-    pub until: u64,
-    /// What the phase does.
-    pub kind: ScenarioPhaseKind,
 }
 
 /// A complete, concrete adversarial scenario.
@@ -89,24 +49,18 @@ pub struct Scenario {
     pub contention_slack: u64,
     /// Event cap: the liveness horizon's backstop.
     pub max_events: u64,
-    /// Link-fault window start (ticks; loss/duplication active inside).
-    pub lossy_from: u64,
-    /// Link-fault window end (exclusive).
-    pub lossy_until: u64,
-    /// Loss probability inside the window, 1/1000 units.
-    pub loss_per_mille: u16,
-    /// Duplicate-delivery probability inside the window, 1/1000 units.
-    pub duplicate_per_mille: u16,
     /// The workload: `(tick, node)` CS requests.
     pub arrivals: Vec<(u64, u32)>,
     /// The failure plan.
     pub crashes: Vec<ScenarioCrash>,
-    /// The scripted fault phases (partitions with heal events, one-way
-    /// degradation, loss/duplication), applied in order. Empty for every
-    /// scenario of a space without [`Space::partitions`] — and an empty
-    /// list encodes to exactly the pre-extension `oc1-` byte stream, so
-    /// old IDs decode, re-encode, and replay unchanged.
-    pub phases: Vec<ScenarioPhase>,
+    /// The fault program, applied in order — script order is draw order.
+    /// A leading `LossDup` phase is the link-fault window (uniform loss
+    /// and duplication); the phases after it are scripted partitions,
+    /// splits and degradations, which only a space with
+    /// [`Space::partitions`] samples. A scenario without them encodes to
+    /// exactly the pre-extension `oc1-` byte stream, so old IDs decode,
+    /// re-encode, and replay unchanged.
+    pub phases: Vec<FaultPhase>,
 }
 
 /// Bounds of the scenario space [`Scenario::generate`] samples from.
@@ -118,15 +72,13 @@ pub struct Space {
     pub max_arrivals: usize,
     /// Largest crash plan.
     pub max_crashes: usize,
-    /// Sample message-loss windows. **Off by default**: loss between live
-    /// nodes violates the reliable-channel assumption the algorithm's
-    /// safety argument needs, so lossy scenarios are oracle-sensitivity
-    /// probes, not soundness checks (see DESIGN.md, "Fault model
-    /// soundness").
+    /// Sample message loss in the link-fault windows. **Off by default**:
+    /// loss between live nodes violates the reliable-channel assumption
+    /// the algorithm's safety argument needs, so lossy scenarios are
+    /// oracle-sensitivity probes, not soundness checks (see DESIGN.md,
+    /// "Fault model soundness"). Duplicate delivery is always sampled:
+    /// it is sound for every non-token message.
     pub allow_loss: bool,
-    /// Sample duplicate-delivery windows (sound for every non-token
-    /// message; the explorer's default battery keeps them on).
-    pub allow_duplication: bool,
     /// Sample crash plans whose downtimes may *overlap* (several nodes
     /// dead at once, permanent failures in the middle of the plan).
     /// **Off by default**: the paper's fault model and evaluation (the
@@ -159,7 +111,6 @@ impl Default for Space {
             max_arrivals: 40,
             max_crashes: 5,
             allow_loss: false,
-            allow_duplication: true,
             overlapping_crashes: false,
             partitions: false,
             max_events: 2_000_000,
@@ -172,6 +123,15 @@ impl Default for Space {
 /// hand-edited ID beyond it is rejected instead of letting the replay
 /// tool build a world of unbounded size.
 pub const MAX_DECODED_N: usize = 1 << 20;
+
+/// Largest tick value [`Scenario::from_id`] accepts for the delay
+/// envelope, the CS length, the contention slack and every arrival,
+/// crash and recovery instant. The generator and the mutator stay in
+/// the millions; 2^40 keeps the engine's own arithmetic — timeouts of a
+/// few hundred δ plus the slack, added to instants like these — far
+/// inside `u64`, which a hostile ID would otherwise overflow. A phase's
+/// `until` is exempt: `u64::MAX` is a cut that never heals.
+pub const MAX_DECODED_TICKS: u64 = 1 << 40;
 
 impl Scenario {
     /// Derives the `index`-th scenario of `space` under `master` — a pure
@@ -293,34 +253,30 @@ impl Scenario {
             }
         }
 
-        let (lossy_from, lossy_until, loss_per_mille, duplicate_per_mille) = {
-            // In the default space, link faults exercise the crash-free
-            // quadrant only: duplicate frames arriving *during crash
-            // healing* feed the same concurrent-sweep race as the hot
-            // quadrant (a duplicated request re-routes a claim mid-search
-            // and the sweeps double-mint). `overlapping_crashes` mixes
-            // everything.
-            let wants_faults = (space.allow_loss || space.allow_duplication)
-                && (crash_count == 0 || space.overlapping_crashes)
-                && rng.random_range(0..2u32) == 0;
-            if wants_faults {
-                let from = rng.random_range(0..=span);
-                let until = from + rng.random_range(1..=span.max(2));
-                let loss = if space.allow_loss {
-                    [0u16, 50, 150, 300][rng.random_range(0..4usize)]
-                } else {
-                    0
-                };
-                let dup = if space.allow_duplication {
-                    [0u16, 50, 150, 400][rng.random_range(0..4usize)]
-                } else {
-                    0
-                };
-                (from, until, loss, dup)
+        // The link-fault window, the fault program's leading `LossDup`
+        // phase. In the default space, link faults exercise the
+        // crash-free quadrant only: duplicate frames arriving *during
+        // crash healing* feed the same concurrent-sweep race as the hot
+        // quadrant (a duplicated request re-routes a claim mid-search and
+        // the sweeps double-mint). `overlapping_crashes` mixes
+        // everything. A window may draw both rates zero; it is kept — its
+        // ticks are part of the ID — and `fault_script` leaves it out.
+        let mut phases = Vec::new();
+        if (crash_count == 0 || space.overlapping_crashes) && rng.random_range(0..2u32) == 0 {
+            let from = rng.random_range(0..=span);
+            let until = from + rng.random_range(1..=span.max(2));
+            let loss_per_mille = if space.allow_loss {
+                [0u16, 50, 150, 300][rng.random_range(0..4usize)]
             } else {
-                (0, 0, 0, 0)
-            }
-        };
+                0
+            };
+            let duplicate_per_mille = [0u16, 50, 150, 400][rng.random_range(0..4usize)];
+            phases.push(FaultPhase {
+                from: SimTime::from_ticks(from),
+                until: SimTime::from_ticks(until),
+                kind: FaultPhaseKind::LossDup { loss_per_mille, duplicate_per_mille },
+            });
+        }
 
         // Scripted partition/heal phases. Gated behind `space.partitions`
         // so a space without them draws nothing here and its scenarios
@@ -331,7 +287,6 @@ impl Scenario {
         // the serial crash regime above. `overlapping_crashes` unlocks
         // arbitrary durations — including permanent cuts, the scenarios
         // that exercise the liveness oracle's unreachability accounting.
-        let mut phases = Vec::new();
         if space.partitions && rng.random_range(0..2u32) == 0 {
             let count = rng.random_range(1..=2usize);
             let (max_dur, permanent_ok) = if space.overlapping_crashes {
@@ -347,13 +302,12 @@ impl Scenario {
                 // space, where violations are expected findings.
                 let kinds = if space.overlapping_crashes { 3 } else { 2 };
                 let kind = match rng.random_range(0..kinds as u32) {
-                    0 => ScenarioPhaseKind::GroupPartition { p: rng.random_range(0..pmax as u32) },
-                    1 => ScenarioPhaseKind::Split { members: random_subset(&mut rng, n) },
+                    0 => FaultPhaseKind::GroupPartition { p: rng.random_range(0..pmax as u32) },
+                    1 => FaultPhaseKind::Split { members: random_subset(&mut rng, n) },
                     _ => {
                         let members = random_subset(&mut rng, n);
-                        let rest: Vec<u32> =
-                            (1..=n as u32).filter(|i| !members.contains(i)).collect();
-                        ScenarioPhaseKind::Degrade {
+                        let rest = NodeId::all(n).filter(|node| !members.contains(node)).collect();
+                        FaultPhaseKind::Degrade {
                             from: members,
                             to: rest,
                             loss_per_mille: [250u16, 500, 1_000][rng.random_range(0..3usize)],
@@ -365,7 +319,11 @@ impl Scenario {
                 } else {
                     at + dur
                 };
-                phases.push(ScenarioPhase { from: at, until, kind });
+                phases.push(FaultPhase {
+                    from: SimTime::from_ticks(at),
+                    until: SimTime::from_ticks(until),
+                    kind,
+                });
                 at = at + dur + heal_gap + rng.random_range(0..=span);
             }
         }
@@ -378,10 +336,6 @@ impl Scenario {
             cs_ticks,
             contention_slack,
             max_events: space.max_events,
-            lossy_from,
-            lossy_until,
-            loss_per_mille,
-            duplicate_per_mille,
             arrivals,
             crashes,
             phases,
@@ -412,53 +366,22 @@ impl Scenario {
         })
     }
 
-    /// The scenario's fault script as the substrates consume it: the
-    /// link-fault window, when it can inject anything, as a leading
-    /// `LossDup` phase, then [`Scenario::phases`] in order. The window
-    /// goes **first** because script order is draw order — its loss and
-    /// duplication draws precede every scripted phase's, which is what
-    /// the committed fingerprints and every pinned `oc1-` ID replay.
+    /// The scenario's fault script as the substrates consume it:
+    /// [`Scenario::phases`] in order, less every `LossDup` phase whose two
+    /// rates are zero. Such a phase injects nothing and draws nothing;
+    /// leaving it out makes a scenario that carries one run — and pass
+    /// the socket runner's refusal — exactly like one without.
     #[must_use]
     pub fn fault_script(&self) -> FaultScript {
         let mut script = FaultScript::none();
-        if self.lossy_from < self.lossy_until
-            && (self.loss_per_mille > 0 || self.duplicate_per_mille > 0)
-        {
-            script.push(FaultPhase {
-                from: SimTime::from_ticks(self.lossy_from),
-                until: SimTime::from_ticks(self.lossy_until),
-                kind: FaultPhaseKind::LossDup {
-                    loss_per_mille: self.loss_per_mille,
-                    duplicate_per_mille: self.duplicate_per_mille,
-                },
-            });
-        }
-        let ids = |nodes: &[u32]| nodes.iter().map(|i| NodeId::new(*i)).collect::<Vec<_>>();
         for phase in &self.phases {
-            let kind = match &phase.kind {
-                ScenarioPhaseKind::GroupPartition { p } => FaultPhaseKind::GroupPartition { p: *p },
-                ScenarioPhaseKind::Split { members } => {
-                    FaultPhaseKind::Partition { blocks: vec![ids(members)] }
-                }
-                ScenarioPhaseKind::Degrade { from, to, loss_per_mille } => {
-                    FaultPhaseKind::Degrade {
-                        from: ids(from),
-                        to: ids(to),
-                        loss_per_mille: *loss_per_mille,
-                    }
-                }
-                ScenarioPhaseKind::LossDup { loss_per_mille, duplicate_per_mille } => {
-                    FaultPhaseKind::LossDup {
-                        loss_per_mille: *loss_per_mille,
-                        duplicate_per_mille: *duplicate_per_mille,
-                    }
-                }
-            };
-            script.push(FaultPhase {
-                from: SimTime::from_ticks(phase.from),
-                until: SimTime::from_ticks(phase.until),
-                kind,
-            });
+            let inert = matches!(
+                phase.kind,
+                FaultPhaseKind::LossDup { loss_per_mille: 0, duplicate_per_mille: 0 }
+            );
+            if !inert {
+                script.push(phase.clone());
+            }
         }
         script
     }
@@ -478,6 +401,17 @@ impl Scenario {
         plan
     }
 
+    /// [`Scenario::phases`] split into the link-fault window — a leading
+    /// `LossDup` phase — and the phases after it.
+    pub(crate) fn split_window(&self) -> (Option<&FaultPhase>, &[FaultPhase]) {
+        match self.phases.split_first() {
+            Some((first, rest)) if matches!(first.kind, FaultPhaseKind::LossDup { .. }) => {
+                (Some(first), rest)
+            }
+            _ => (None, &self.phases),
+        }
+    }
+
     // ---- the portable scenario ID ----
 
     /// Encodes the complete scenario as a portable ID: `oc1-` followed by
@@ -494,10 +428,23 @@ impl Scenario {
         put(self.cs_ticks);
         put(self.contention_slack);
         put(self.max_events);
-        put(self.lossy_from);
-        put(self.lossy_until);
-        put(u64::from(self.loss_per_mille));
-        put(u64::from(self.duplicate_per_mille));
+        // The header's four link-fault slots hold the window, zeros
+        // without one; the phase section holds the rest.
+        let (window, rest) = self.split_window();
+        let header = match window {
+            Some(FaultPhase {
+                from,
+                until,
+                kind: FaultPhaseKind::LossDup { loss_per_mille, duplicate_per_mille },
+            }) => [
+                from.ticks(),
+                until.ticks(),
+                u64::from(*loss_per_mille),
+                u64::from(*duplicate_per_mille),
+            ],
+            _ => [0; 4],
+        };
+        header.into_iter().for_each(&mut put);
         put(self.arrivals.len() as u64);
         for (at, node) in &self.arrivals {
             put(*at);
@@ -515,40 +462,35 @@ impl Scenario {
                 }
             }
         }
-        // The phase section exists only when phases do: a phase-free
-        // scenario encodes to exactly the pre-extension byte stream, so
-        // every `oc1-` ID recorded before the extension re-encodes
-        // byte-identically (pinned by `old_ids_reencode_byte_identically`).
-        if !self.phases.is_empty() {
-            put(self.phases.len() as u64);
-            for phase in &self.phases {
-                put(phase.from);
-                put(phase.until);
+        // The phase section exists only when phases past the window do:
+        // a scenario without them encodes to exactly the pre-extension
+        // byte stream, so every `oc1-` ID recorded before the extension
+        // re-encodes byte-identically (pinned by
+        // `old_ids_reencode_and_replay_byte_identically`).
+        if !rest.is_empty() {
+            put(rest.len() as u64);
+            for phase in rest {
+                put(phase.from.ticks());
+                put(phase.until.ticks());
                 match &phase.kind {
-                    ScenarioPhaseKind::GroupPartition { p } => {
+                    FaultPhaseKind::GroupPartition { p } => {
                         put(0);
                         put(u64::from(*p));
                     }
-                    ScenarioPhaseKind::Split { members } => {
+                    FaultPhaseKind::Split { members } => {
                         put(1);
                         put(members.len() as u64);
-                        for member in members {
-                            put(u64::from(*member));
-                        }
+                        members.iter().for_each(|node| put(u64::from(node.get())));
                     }
-                    ScenarioPhaseKind::Degrade { from, to, loss_per_mille } => {
+                    FaultPhaseKind::Degrade { from, to, loss_per_mille } => {
                         put(2);
                         put(from.len() as u64);
-                        for member in from {
-                            put(u64::from(*member));
-                        }
+                        from.iter().for_each(|node| put(u64::from(node.get())));
                         put(to.len() as u64);
-                        for member in to {
-                            put(u64::from(*member));
-                        }
+                        to.iter().for_each(|node| put(u64::from(node.get())));
                         put(u64::from(*loss_per_mille));
                     }
-                    ScenarioPhaseKind::LossDup { loss_per_mille, duplicate_per_mille } => {
+                    FaultPhaseKind::LossDup { loss_per_mille, duplicate_per_mille } => {
                         put(3);
                         put(u64::from(*loss_per_mille));
                         put(u64::from(*duplicate_per_mille));
@@ -588,19 +530,38 @@ impl Scenario {
                 read_varint(&bytes, &mut cursor)
             };
         }
+        let per_mille = |value: u64, what: &str| {
+            u16::try_from(value).map_err(|_| format!("{what} out of range"))
+        };
+        // `n` first: the phase section's node lists are checked against it.
         let n = take!()? as usize;
+        if !n.is_power_of_two() || n < 2 {
+            return Err(format!("n = {n} is not a power of two >= 2"));
+        }
+        if n > MAX_DECODED_N {
+            return Err(format!("n = {n} exceeds the replay ceiling {MAX_DECODED_N}"));
+        }
         let seed = take!()?;
         let delay_min = take!()?;
         let delay_max = take!()?;
         let cs_ticks = take!()?;
         let contention_slack = take!()?;
         let max_events = take!()?;
-        let lossy_from = take!()?;
-        let lossy_until = take!()?;
-        let loss_per_mille =
-            u16::try_from(take!()?).map_err(|_| "loss_per_mille out of range".to_string())?;
-        let duplicate_per_mille =
-            u16::try_from(take!()?).map_err(|_| "duplicate_per_mille out of range".to_string())?;
+        // A nonzero header is the window, whatever its values: the
+        // format has always carried them unchecked.
+        let header = [take!()?, take!()?, take!()?, take!()?];
+        let mut phases = Vec::new();
+        if header != [0; 4] {
+            let [from, until, loss, duplicate] = header;
+            phases.push(FaultPhase {
+                from: SimTime::from_ticks(from),
+                until: SimTime::from_ticks(until),
+                kind: FaultPhaseKind::LossDup {
+                    loss_per_mille: per_mille(loss, "loss_per_mille")?,
+                    duplicate_per_mille: per_mille(duplicate, "duplicate_per_mille")?,
+                },
+            });
+        }
         let arrival_count = take!()? as usize;
         let mut arrivals = Vec::with_capacity(arrival_count.min(1 << 20));
         for _ in 0..arrival_count {
@@ -621,52 +582,74 @@ impl Scenario {
             crashes.push(ScenarioCrash { node, at, recover_at });
         }
         // Pre-extension IDs end here; a phase section is optional.
-        let mut phases = Vec::new();
         if cursor != bytes.len() {
-            let phase_count = take!()? as usize;
+            let phase_count = take!()?;
+            if phase_count == 0 {
+                return Err("a phase section must contain at least one phase".into());
+            }
             for _ in 0..phase_count {
-                let from = take!()?;
-                let until = take!()?;
+                let (from, until) = (take!()?, take!()?);
+                if until <= from {
+                    return Err(format!("phase [{from}, {until}) heals before it starts"));
+                }
                 let kind = match take!()? {
-                    0 => ScenarioPhaseKind::GroupPartition {
-                        p: u32::try_from(take!()?)
-                            .map_err(|_| "group level out of range".to_string())?,
+                    0 => {
+                        let p = take!()?;
+                        if p > u64::from(oc_topology::dimension(n)) {
+                            return Err(format!("group level {p} exceeds the dimension of {n}"));
+                        }
+                        FaultPhaseKind::GroupPartition { p: p as u32 }
+                    }
+                    1 => FaultPhaseKind::Split {
+                        members: node_list(&bytes, &mut cursor, n, "split")?,
                     },
-                    1 => ScenarioPhaseKind::Split { members: node_list(&bytes, &mut cursor)? },
-                    2 => ScenarioPhaseKind::Degrade {
-                        from: node_list(&bytes, &mut cursor)?,
-                        to: node_list(&bytes, &mut cursor)?,
-                        loss_per_mille: u16::try_from(take!()?)
-                            .map_err(|_| "phase loss_per_mille out of range".to_string())?,
+                    2 => FaultPhaseKind::Degrade {
+                        from: node_list(&bytes, &mut cursor, n, "degrade source")?,
+                        to: node_list(&bytes, &mut cursor, n, "degrade destination")?,
+                        loss_per_mille: per_mille(take!()?, "phase loss_per_mille")?,
                     },
-                    3 => ScenarioPhaseKind::LossDup {
-                        loss_per_mille: u16::try_from(take!()?)
-                            .map_err(|_| "phase loss_per_mille out of range".to_string())?,
-                        duplicate_per_mille: u16::try_from(take!()?)
-                            .map_err(|_| "phase duplicate_per_mille out of range".to_string())?,
+                    3 => FaultPhaseKind::LossDup {
+                        loss_per_mille: per_mille(take!()?, "phase loss_per_mille")?,
+                        duplicate_per_mille: per_mille(take!()?, "phase duplicate_per_mille")?,
                     },
                     tag => return Err(format!("bad phase kind {tag}")),
                 };
-                phases.push(ScenarioPhase { from, until, kind });
-            }
-            if phases.is_empty() {
-                return Err("a phase section must contain at least one phase".into());
+                // A leading `LossDup` phase is the window, which lives in
+                // the header: a section opening with one would move its
+                // bytes there on re-encoding.
+                if phases.is_empty() && matches!(kind, FaultPhaseKind::LossDup { .. }) {
+                    return Err("a leading LossDup phase belongs in the header".into());
+                }
+                phases.push(FaultPhase {
+                    from: SimTime::from_ticks(from),
+                    until: SimTime::from_ticks(until),
+                    kind,
+                });
             }
         }
         if cursor != bytes.len() {
             return Err(format!("{} trailing byte(s) after the scenario", bytes.len() - cursor));
-        }
-        if !n.is_power_of_two() || n < 2 {
-            return Err(format!("n = {n} is not a power of two >= 2"));
-        }
-        if n > MAX_DECODED_N {
-            return Err(format!("n = {n} exceeds the replay ceiling {MAX_DECODED_N}"));
         }
         if arrivals.is_empty() {
             return Err("a scenario needs at least one arrival".into());
         }
         if delay_min == 0 || delay_min > delay_max {
             return Err(format!("bad delay envelope [{delay_min}, {delay_max}]"));
+        }
+        let durations = [
+            ("delay_max", delay_max),
+            ("cs_ticks", cs_ticks),
+            ("contention_slack", contention_slack),
+        ];
+        let instants = arrivals
+            .iter()
+            .map(|(at, _)| ("arrival", *at))
+            .chain(crashes.iter().map(|c| ("crash", c.at)))
+            .chain(crashes.iter().filter_map(|c| c.recover_at.map(|at| ("recovery", at))));
+        if let Some((what, ticks)) =
+            durations.into_iter().chain(instants).find(|(_, ticks)| *ticks > MAX_DECODED_TICKS)
+        {
+            return Err(format!("{what} {ticks} exceeds the tick ceiling {MAX_DECODED_TICKS}"));
         }
         if let Some((_, node)) = arrivals.iter().find(|(_, node)| !(1..=n as u32).contains(node)) {
             return Err(format!("arrival node {node} outside 1..={n}"));
@@ -677,36 +660,6 @@ impl Scenario {
         if let Some(crash) = crashes.iter().find(|c| c.recover_at.is_some_and(|r| r <= c.at)) {
             return Err(format!("crash of node {} recovers before it fails", crash.node));
         }
-        for phase in &phases {
-            if phase.until <= phase.from {
-                return Err(format!(
-                    "phase [{}, {}) heals before it starts",
-                    phase.from, phase.until
-                ));
-            }
-            let check_nodes = |nodes: &[u32], what: &str| {
-                if nodes.is_empty() {
-                    return Err(format!("{what} node set of a phase is empty"));
-                }
-                match nodes.iter().find(|node| !(1..=n as u32).contains(node)) {
-                    Some(node) => Err(format!("{what} node {node} outside 1..={n}")),
-                    None => Ok(()),
-                }
-            };
-            match &phase.kind {
-                ScenarioPhaseKind::GroupPartition { p } => {
-                    if *p > oc_topology::dimension(n) {
-                        return Err(format!("group level {p} exceeds the dimension of {n}"));
-                    }
-                }
-                ScenarioPhaseKind::Split { members } => check_nodes(members, "split")?,
-                ScenarioPhaseKind::Degrade { from, to, .. } => {
-                    check_nodes(from, "degrade source")?;
-                    check_nodes(to, "degrade destination")?;
-                }
-                ScenarioPhaseKind::LossDup { .. } => {}
-            }
-        }
         Ok(Scenario {
             n,
             seed,
@@ -715,10 +668,6 @@ impl Scenario {
             cs_ticks,
             contention_slack,
             max_events,
-            lossy_from,
-            lossy_until,
-            loss_per_mille,
-            duplicate_per_mille,
             arrivals,
             crashes,
             phases,
@@ -728,9 +677,9 @@ impl Scenario {
 
 /// A uniformly random nonempty proper subset of `1..=n`, sorted — the
 /// seceding block of a sampled `Split`/`Degrade` phase.
-fn random_subset(rng: &mut StdRng, n: usize) -> Vec<u32> {
+fn random_subset(rng: &mut StdRng, n: usize) -> Vec<NodeId> {
     let size = rng.random_range(1..=(n - 1).max(1));
-    let mut ids: Vec<u32> = (1..=n as u32).collect();
+    let mut ids: Vec<NodeId> = NodeId::all(n).collect();
     for k in 0..size {
         let j = rng.random_range(k..ids.len());
         ids.swap(k, j);
@@ -740,15 +689,26 @@ fn random_subset(rng: &mut StdRng, n: usize) -> Vec<u32> {
     members
 }
 
-/// Decodes one length-prefixed node list of a phase.
-fn node_list(bytes: &[u8], cursor: &mut usize) -> Result<Vec<u32>, String> {
-    let len = read_varint(bytes, cursor)? as usize;
-    let mut members = Vec::with_capacity(len.min(1 << 20));
+/// Decodes one length-prefixed node list of a phase: nonempty, and every
+/// member checked against `1..=n` before it becomes a [`NodeId`], which
+/// cannot hold 0.
+fn node_list(
+    bytes: &[u8],
+    cursor: &mut usize,
+    n: usize,
+    what: &str,
+) -> Result<Vec<NodeId>, String> {
+    let len = read_varint(bytes, cursor)?;
+    if len == 0 {
+        return Err(format!("{what} node set of a phase is empty"));
+    }
+    let mut members = Vec::with_capacity(len.min(n as u64) as usize);
     for _ in 0..len {
-        members.push(
-            u32::try_from(read_varint(bytes, cursor)?)
-                .map_err(|_| "phase node out of range".to_string())?,
-        );
+        let node = read_varint(bytes, cursor)?;
+        if !(1..=n as u64).contains(&node) {
+            return Err(format!("{what} node {node} outside 1..={n}"));
+        }
+        members.push(NodeId::new(node as u32));
     }
     Ok(members)
 }
@@ -785,6 +745,15 @@ fn read_varint(bytes: &[u8], cursor: &mut usize) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{mutate, run_scenario};
+
+    fn phase(from: u64, until: u64, kind: FaultPhaseKind) -> FaultPhase {
+        FaultPhase { from: SimTime::from_ticks(from), until: SimTime::from_ticks(until), kind }
+    }
+
+    fn nodes(ids: &[u32]) -> Vec<NodeId> {
+        ids.iter().map(|id| NodeId::new(*id)).collect()
+    }
 
     #[test]
     fn generation_is_a_pure_function() {
@@ -813,8 +782,13 @@ mod tests {
             assert!(s.arrivals.iter().all(|(_, node)| (1..=s.n as u32).contains(node)));
             assert!(s.crashes.iter().all(|c| (1..=s.n as u32).contains(&c.node)));
             assert!(s.crashes.iter().all(|c| c.recover_at.is_none_or(|r| r > c.at)));
-            assert_eq!(s.loss_per_mille, 0, "default space keeps loss off");
-            assert!(s.phases.is_empty(), "default space samples no partition phases");
+            assert!(s.split_window().1.is_empty(), "default space samples no partition phases");
+            assert!(
+                s.phases
+                    .iter()
+                    .all(|ph| matches!(ph.kind, FaultPhaseKind::LossDup { loss_per_mille: 0, .. })),
+                "default space keeps loss off"
+            );
         }
     }
 
@@ -824,7 +798,8 @@ mod tests {
         let mut seen_partitioned = 0usize;
         for index in 0..256 {
             let s = Scenario::generate(&space, 7, index);
-            if s.phases.is_empty() {
+            let cuts = s.split_window().1;
+            if cuts.is_empty() {
                 continue;
             }
             seen_partitioned += 1;
@@ -832,17 +807,17 @@ mod tests {
             // (roundtrip exercises the from_id checks) and stays in the
             // serial healed regime: finite, no longer than half the
             // suspicion slack.
-            for phase in &s.phases {
+            for phase in cuts {
                 assert!(phase.until > phase.from);
                 assert!(
-                    phase.until - phase.from <= (s.contention_slack / 2).max(2),
+                    (phase.until - phase.from).ticks() <= (s.contention_slack / 2).max(2),
                     "phase outlives the healed regime: {phase:?} slack {}",
                     s.contention_slack
                 );
             }
             // Consecutive phases are serial: the next begins after the
             // previous heals.
-            for pair in s.phases.windows(2) {
+            for pair in cuts.windows(2) {
                 assert!(pair[1].from >= pair[0].until, "phases overlap: {pair:?}");
             }
             let back = Scenario::from_id(&s.id()).expect("sampled phases must validate");
@@ -873,8 +848,10 @@ mod tests {
     fn loss_only_appears_when_allowed() {
         let space = Space { allow_loss: true, ..Space::default() };
         let any_lossy = (0..256).any(|index| {
-            let s = Scenario::generate(&space, 7, index);
-            s.loss_per_mille > 0 && s.lossy_until > s.lossy_from
+            Scenario::generate(&space, 7, index).phases.iter().any(|ph| {
+                ph.until > ph.from
+                    && matches!(ph.kind, FaultPhaseKind::LossDup { loss_per_mille, .. } if loss_per_mille > 0)
+            })
         });
         assert!(any_lossy, "an allow_loss space should sample lossy windows");
     }
@@ -910,86 +887,86 @@ mod tests {
         }
     }
 
+    /// The codec, the generator and the mutator pinned together: one FNV
+    /// fold over the IDs of the explorer spaces' first 256 scenarios at
+    /// seed 11 and of 16 mutants of each, a donor alongside to splice
+    /// from. A moved byte in the format, a moved draw in either
+    /// generator, or changed arithmetic in a mutator moves the fold.
     #[test]
-    fn fault_script_leads_with_the_link_fault_window() {
-        // The window becomes the script's FIRST phase exactly when it can
-        // inject something; the scenario's own phases follow unchanged.
-        let mut both = 0usize;
+    fn generated_and_mutated_ids_are_pinned() {
+        let mut fold = oc_sim::Fnv64::new();
         for space in explorer_spaces() {
+            let mut rng = StdRng::seed_from_u64(11);
             for index in 0..256 {
                 let s = Scenario::generate(&space, 11, index);
-                let script = s.fault_script();
-                let unfolded = Scenario { lossy_from: 0, lossy_until: 0, ..s.clone() };
-                let own = unfolded.fault_script();
-                assert_eq!(own.phases().len(), s.phases.len());
-                let injects = s.lossy_from < s.lossy_until
-                    && (s.loss_per_mille > 0 || s.duplicate_per_mille > 0);
-                if !injects {
-                    assert_eq!(script, own, "index {index}");
-                    continue;
+                let donor = Scenario::generate(&space, 11, index + 256);
+                fold.write(s.id().as_bytes());
+                for _ in 0..16 {
+                    fold.write(mutate(&s, Some(&donor), &mut rng).id().as_bytes());
                 }
-                let window = FaultPhase {
-                    from: SimTime::from_ticks(s.lossy_from),
-                    until: SimTime::from_ticks(s.lossy_until),
-                    kind: FaultPhaseKind::LossDup {
-                        loss_per_mille: s.loss_per_mille,
-                        duplicate_per_mille: s.duplicate_per_mille,
-                    },
-                };
-                assert_eq!(script.phases()[0], window, "index {index}");
-                assert_eq!(&script.phases()[1..], own.phases(), "index {index}");
-                both += usize::from(!s.phases.is_empty());
             }
         }
-        assert!(both > 10, "some scenarios must carry a window and phases together: {both}");
+        assert_eq!(fold.finish(), 0x7dc0_97e2_b5cd_51be, "generated or mutated scenario IDs moved");
+    }
+
+    #[test]
+    fn an_inert_window_replays_like_no_window() {
+        // A window that drew both rates zero stays in the scenario — its
+        // ticks are part of the ID — but injects nothing: the run is the
+        // one without it, outcome for outcome.
+        let idle = FaultPhaseKind::LossDup { loss_per_mille: 0, duplicate_per_mille: 0 };
+        let mut inert = 0usize;
+        for index in 0..256 {
+            let s = Scenario::generate(&Space::default(), 11, index);
+            let (Some(window), rest) = s.split_window() else { continue };
+            if window.kind != idle {
+                continue;
+            }
+            inert += 1;
+            let bare = Scenario { phases: rest.to_vec(), ..s.clone() };
+            assert_ne!(bare.id(), s.id(), "index {index}: the window keeps its bytes");
+            assert_eq!(s.fault_script(), bare.fault_script(), "index {index}");
+            assert_eq!(
+                run_scenario(&s, Mutation::None),
+                run_scenario(&bare, Mutation::None),
+                "index {index}"
+            );
+        }
+        assert!(inert > 0, "the default space must sample inert windows");
     }
 
     #[test]
     fn every_phase_kind_roundtrips() {
         let base = Scenario::generate(&Space::default(), 1, 0);
+        let loss_dup = |loss_per_mille, duplicate_per_mille| FaultPhaseKind::LossDup {
+            loss_per_mille,
+            duplicate_per_mille,
+        };
+        let degrade =
+            FaultPhaseKind::Degrade { from: nodes(&[1]), to: nodes(&[2]), loss_per_mille: 1_000 };
         let s = Scenario {
             phases: vec![
-                ScenarioPhase {
-                    from: 5,
-                    until: 80,
-                    kind: ScenarioPhaseKind::GroupPartition { p: 1 },
-                },
-                ScenarioPhase {
-                    from: 90,
-                    until: u64::MAX,
-                    kind: ScenarioPhaseKind::Split { members: vec![1, 2] },
-                },
-                ScenarioPhase {
-                    from: 100,
-                    until: 200,
-                    kind: ScenarioPhaseKind::Degrade {
-                        from: vec![1],
-                        to: vec![2],
-                        loss_per_mille: 1_000,
-                    },
-                },
-                ScenarioPhase {
-                    from: 300,
-                    until: 400,
-                    kind: ScenarioPhaseKind::LossDup {
-                        loss_per_mille: 50,
-                        duplicate_per_mille: 400,
-                    },
-                },
+                // The window: the header's four slots.
+                phase(3, 60, loss_dup(150, 0)),
+                phase(5, 80, FaultPhaseKind::GroupPartition { p: 1 }),
+                phase(90, u64::MAX, FaultPhaseKind::Split { members: nodes(&[1, 2]) }),
+                phase(100, 200, degrade),
+                phase(300, 400, loss_dup(50, 400)),
             ],
             ..base
         };
         let back = Scenario::from_id(&s.id()).expect("phase-rich id must decode");
         assert_eq!(back, s);
-        assert_eq!(back.fault_script().phases().len(), 4);
+        assert_eq!(back.fault_script().phases(), &s.phases[..]);
     }
 
     #[test]
     fn phase_free_scenarios_encode_the_pre_extension_stream() {
-        // The codec extension is strictly additive: without phases, the
-        // byte stream (and thus every recorded `oc1-` ID) is unchanged.
+        // The codec extension is strictly additive: without phases past
+        // the window, the byte stream (and thus every recorded `oc1-` ID)
+        // is unchanged.
         let with = Scenario::generate(&Space::default(), 11, 3);
-        assert!(with.phases.is_empty());
+        assert!(with.split_window().1.is_empty());
         let id = with.id();
         let reencoded = Scenario::from_id(&id).unwrap().id();
         assert_eq!(id, reencoded, "decode→encode must be the identity");
@@ -998,42 +975,29 @@ mod tests {
     #[test]
     fn malformed_phases_are_rejected() {
         let base = Scenario::generate(&Space::default(), 1, 0);
-        let bad_window = Scenario {
-            phases: vec![ScenarioPhase {
-                from: 10,
-                until: 10,
-                kind: ScenarioPhaseKind::GroupPartition { p: 1 },
-            }],
-            ..base.clone()
+        let id_of = |from, until, kind| {
+            Scenario { phases: vec![phase(from, until, kind)], ..base.clone() }.id()
         };
-        assert!(Scenario::from_id(&bad_window.id()).unwrap_err().contains("heals before"));
-        let bad_level = Scenario {
-            phases: vec![ScenarioPhase {
-                from: 0,
-                until: 10,
-                kind: ScenarioPhaseKind::GroupPartition { p: 30 },
-            }],
-            ..base.clone()
+        let rejects = |id: &str, why: &str| {
+            let err = Scenario::from_id(id).unwrap_err();
+            assert!(err.contains(why), "{id}: {err}");
         };
-        assert!(Scenario::from_id(&bad_level.id()).unwrap_err().contains("group level"));
-        let empty_split = Scenario {
-            phases: vec![ScenarioPhase {
-                from: 0,
-                until: 10,
-                kind: ScenarioPhaseKind::Split { members: vec![] },
-            }],
-            ..base.clone()
-        };
-        assert!(Scenario::from_id(&empty_split.id()).unwrap_err().contains("empty"));
-        let alien = Scenario {
-            phases: vec![ScenarioPhase {
-                from: 0,
-                until: 10,
-                kind: ScenarioPhaseKind::Split { members: vec![base.n as u32 + 1] },
-            }],
-            ..base
-        };
-        assert!(Scenario::from_id(&alien.id()).unwrap_err().contains("outside"));
+        rejects(&id_of(10, 10, FaultPhaseKind::GroupPartition { p: 1 }), "heals before");
+        rejects(&id_of(0, 10, FaultPhaseKind::GroupPartition { p: 30 }), "group level");
+        rejects(&id_of(0, 10, FaultPhaseKind::Split { members: vec![] }), "empty");
+        let alien = nodes(&[base.n as u32 + 1]);
+        rejects(&id_of(0, 10, FaultPhaseKind::Split { members: alien }), "outside");
+        // Member 0 has no `NodeId`: write it over the last member byte.
+        let split = id_of(0, 10, FaultPhaseKind::Split { members: nodes(&[1]) });
+        rejects(&format!("{}00", split.strip_suffix("01").unwrap()), "split node 0");
+        let degrade =
+            FaultPhaseKind::Degrade { from: nodes(&[1]), to: nodes(&[2]), loss_per_mille: 0 };
+        let degrade = id_of(0, 10, degrade);
+        rejects(&format!("{}0000", degrade.strip_suffix("0200").unwrap()), "destination node 0");
+        // The window is the header's: a phase section cannot open with a
+        // `LossDup` phase (one phase, [0, 10), kind 3, 50 ‰, 0 ‰).
+        let cut = id_of(0, 10, FaultPhaseKind::GroupPartition { p: 1 });
+        rejects(&format!("{}01000a033200", cut.strip_suffix("01000a0001").unwrap()), "header");
     }
 
     #[test]
@@ -1048,10 +1012,6 @@ mod tests {
             cs_ticks: 50,
             contention_slack: 100,
             max_events: 1_000,
-            lossy_from: 0,
-            lossy_until: 0,
-            loss_per_mille: 0,
-            duplicate_per_mille: 0,
             arrivals: vec![(5, 3)],
             crashes: vec![ScenarioCrash { node: 1, at: 9, recover_at: Some(200) }],
             phases: Vec::new(),
@@ -1059,6 +1019,14 @@ mod tests {
         let id = s.id();
         assert_eq!(id, "oc1-04ac02010a3264e8070000000001050301010901c801");
         assert_eq!(Scenario::from_id(&id).unwrap(), s);
+        // The header's link-fault slots are a leading `LossDup` phase:
+        // the seed-43 duplication witness carries a 400 ‰ window.
+        let witness =
+            "oc1-08a68eedf2ccf1f2b66107112e881190a10f2fbc030090030500061e033c025a07780100";
+        let s = Scenario::from_id(witness).unwrap();
+        let window = FaultPhaseKind::LossDup { loss_per_mille: 0, duplicate_per_mille: 400 };
+        assert_eq!(s.phases, vec![phase(47, 444, window)]);
+        assert_eq!(s.id(), witness);
     }
 
     #[test]
@@ -1066,6 +1034,8 @@ mod tests {
         // The golden ID of the phase section: changing the extension's
         // encoding silently would orphan every recorded partition
         // counterexample.
+        let degrade =
+            FaultPhaseKind::Degrade { from: nodes(&[1, 2]), to: nodes(&[3]), loss_per_mille: 500 };
         let s = Scenario {
             n: 4,
             seed: 300,
@@ -1074,27 +1044,11 @@ mod tests {
             cs_ticks: 50,
             contention_slack: 100,
             max_events: 1_000,
-            lossy_from: 0,
-            lossy_until: 0,
-            loss_per_mille: 0,
-            duplicate_per_mille: 0,
             arrivals: vec![(5, 3)],
             crashes: Vec::new(),
             phases: vec![
-                ScenarioPhase {
-                    from: 7,
-                    until: 40,
-                    kind: ScenarioPhaseKind::GroupPartition { p: 1 },
-                },
-                ScenarioPhase {
-                    from: 60,
-                    until: 90,
-                    kind: ScenarioPhaseKind::Degrade {
-                        from: vec![1, 2],
-                        to: vec![3],
-                        loss_per_mille: 500,
-                    },
-                },
+                phase(7, 40, FaultPhaseKind::GroupPartition { p: 1 }),
+                phase(60, 90, degrade),
             ],
         };
         let id = s.id();
@@ -1119,20 +1073,21 @@ mod tests {
         // Hand-edited or corrupted IDs must come back as Err, never as a
         // scenario that panics the replay tool.
         let base = Scenario::generate(&Space::default(), 1, 0);
-        let zero_node = Scenario { arrivals: vec![(5, 0)], ..base.clone() };
-        assert!(Scenario::from_id(&zero_node.id()).unwrap_err().contains("arrival node 0"));
-        let big_node = Scenario { arrivals: vec![(5, base.n as u32 + 1)], ..base.clone() };
-        assert!(Scenario::from_id(&big_node.id()).unwrap_err().contains("outside"));
-        let bad_crash = Scenario {
-            crashes: vec![ScenarioCrash { node: 0, at: 5, recover_at: None }],
-            ..base.clone()
+        let rejects = |s: Scenario, why: &str| {
+            let err = Scenario::from_id(&s.id()).unwrap_err();
+            assert!(err.contains(why), "{why}: {err}");
         };
-        assert!(Scenario::from_id(&bad_crash.id()).unwrap_err().contains("crash node 0"));
-        let bad_recovery = Scenario {
-            crashes: vec![ScenarioCrash { node: 1, at: 5, recover_at: Some(5) }],
-            ..base
-        };
-        assert!(Scenario::from_id(&bad_recovery.id()).unwrap_err().contains("recovers before"));
+        rejects(Scenario { arrivals: vec![(5, 0)], ..base.clone() }, "arrival node 0");
+        rejects(Scenario { arrivals: vec![(5, base.n as u32 + 1)], ..base.clone() }, "outside");
+        let crash = |node, at, recover_at| vec![ScenarioCrash { node, at, recover_at }];
+        rejects(Scenario { crashes: crash(0, 5, None), ..base.clone() }, "crash node 0");
+        rejects(Scenario { crashes: crash(1, 5, Some(5)), ..base.clone() }, "recovers before");
+        // Ticks the engine's arithmetic would overflow on: a δ whose
+        // timeouts do, a slack that does, an arrival at the end of time.
+        rejects(Scenario { delay_max: 1 << 62, ..base.clone() }, "delay_max");
+        rejects(Scenario { contention_slack: u64::MAX - 5, ..base.clone() }, "contention_slack");
+        rejects(Scenario { arrivals: vec![(u64::MAX - 1, 1)], ..base.clone() }, "arrival");
+        rejects(Scenario { crashes: crash(1, 5, Some(u64::MAX)), ..base }, "recovery");
     }
 
     #[test]

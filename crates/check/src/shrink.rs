@@ -3,10 +3,12 @@
 //! step.
 
 use oc_algo::Mutation;
+use oc_sim::{FaultPhase, FaultPhaseKind};
+use oc_topology::NodeId;
 
 use crate::{
     run::{run_scenario, Outcome},
-    scenario::{Scenario, ScenarioPhase},
+    scenario::Scenario,
 };
 
 /// The result of shrinking one failing scenario.
@@ -36,8 +38,9 @@ const MIN_SHRUNK_EVENT_CAP: u64 = 50_000;
 ///
 /// Candidates are tried in a fixed order — drop one crash, clear one
 /// recovery, drop a contiguous chunk of arrivals (halves, then quarters,
-/// … then single arrivals), halve the system size, strip the link
-/// faults — and the first candidate that still fails is accepted,
+/// … then single arrivals), halve the system size, drop one fault phase
+/// (the link-fault window is one), strip the whole fault program — and
+/// the first candidate that still fails is accepted,
 /// restarting the pass. The loop ends when a full pass accepts nothing,
 /// so the result is deterministic: equal inputs shrink to equal minima.
 ///
@@ -141,58 +144,48 @@ fn candidates(scenario: &Scenario) -> Vec<Scenario> {
             out.push(candidate);
         }
     }
-    // 5. Drop one scripted fault phase.
+    // 5. Drop one fault phase — the link-fault window is one.
     for index in 0..scenario.phases.len() {
         let mut candidate = scenario.clone();
         candidate.phases.remove(index);
         out.push(candidate);
     }
-    // 6. Strip the whole fault script at once.
+    // 6. Strip the whole fault program at once.
     if scenario.phases.len() > 1 {
         let mut candidate = scenario.clone();
         candidate.phases.clear();
         out.push(candidate);
     }
-    // 7. Strip the link faults.
-    if scenario.loss_per_mille > 0 || scenario.duplicate_per_mille > 0 {
-        let mut candidate = scenario.clone();
-        candidate.lossy_from = 0;
-        candidate.lossy_until = 0;
-        candidate.loss_per_mille = 0;
-        candidate.duplicate_per_mille = 0;
-        out.push(candidate);
-    }
     out
 }
 
-/// Remaps one scripted phase onto a halved system, or drops it when the
+/// Remaps one fault phase onto a halved system, or drops it when the
 /// remap would make it vacuous or malformed.
-fn shrink_phase_to(phase: &crate::scenario::ScenarioPhase, n: usize) -> Option<ScenarioPhase> {
-    use crate::scenario::ScenarioPhaseKind;
-    let keep = |nodes: &[u32]| -> Vec<u32> {
-        nodes.iter().copied().filter(|node| *node <= n as u32).collect()
+fn shrink_phase_to(phase: &FaultPhase, n: usize) -> Option<FaultPhase> {
+    let keep = |nodes: &[NodeId]| -> Vec<NodeId> {
+        nodes.iter().copied().filter(|node| node.get() <= n as u32).collect()
     };
     let kind = match &phase.kind {
-        ScenarioPhaseKind::GroupPartition { p } => {
-            ScenarioPhaseKind::GroupPartition { p: (*p).min(oc_topology::dimension(n)) }
+        FaultPhaseKind::GroupPartition { p } => {
+            FaultPhaseKind::GroupPartition { p: (*p).min(oc_topology::dimension(n)) }
         }
-        ScenarioPhaseKind::Split { members } => {
+        FaultPhaseKind::Split { members } => {
             let members = keep(members);
             if members.is_empty() {
                 return None;
             }
-            ScenarioPhaseKind::Split { members }
+            FaultPhaseKind::Split { members }
         }
-        ScenarioPhaseKind::Degrade { from, to, loss_per_mille } => {
+        FaultPhaseKind::Degrade { from, to, loss_per_mille } => {
             let (from, to) = (keep(from), keep(to));
             if from.is_empty() || to.is_empty() {
                 return None;
             }
-            ScenarioPhaseKind::Degrade { from, to, loss_per_mille: *loss_per_mille }
+            FaultPhaseKind::Degrade { from, to, loss_per_mille: *loss_per_mille }
         }
-        ScenarioPhaseKind::LossDup { .. } => phase.kind.clone(),
+        FaultPhaseKind::LossDup { .. } => phase.kind.clone(),
     };
-    Some(ScenarioPhase { from: phase.from, until: phase.until, kind })
+    Some(FaultPhase { from: phase.from, until: phase.until, kind })
 }
 
 #[cfg(test)]
@@ -213,10 +206,6 @@ mod tests {
             cs_ticks: 50,
             contention_slack: 5_000,
             max_events: 40_000,
-            lossy_from: 0,
-            lossy_until: 0,
-            loss_per_mille: 0,
-            duplicate_per_mille: 0,
             arrivals: (0..8u64).map(|i| (1 + i * 40, (i % 7) as u32 + 2)).collect(),
             crashes: vec![
                 ScenarioCrash { node: 2, at: 30, recover_at: None },

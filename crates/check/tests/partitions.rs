@@ -20,7 +20,8 @@
 //! other half of this contract.
 
 use oc_algo::{Hardening, Mutation};
-use oc_check::{run_scenario_hardened, Scenario, ScenarioPhaseKind, Space, HEALED_PARTITION_PINS};
+use oc_check::{run_scenario_hardened, Scenario, Space, HEALED_PARTITION_PINS};
+use oc_sim::FaultPhaseKind;
 
 /// Replays every pinned healed-partition finding under the given
 /// hardening and asserts the expected verdict: baseline must keep
@@ -102,10 +103,10 @@ fn hunt_partition_findings() {
             .phases
             .iter()
             .map(|ph| match ph.kind {
-                ScenarioPhaseKind::GroupPartition { .. } => "group",
-                ScenarioPhaseKind::Split { .. } => "split",
-                ScenarioPhaseKind::Degrade { .. } => "degrade",
-                ScenarioPhaseKind::LossDup { .. } => "lossdup",
+                FaultPhaseKind::GroupPartition { .. } => "group",
+                FaultPhaseKind::Split { .. } => "split",
+                FaultPhaseKind::Degrade { .. } => "degrade",
+                FaultPhaseKind::LossDup { .. } => "lossdup",
             })
             .collect();
         println!(

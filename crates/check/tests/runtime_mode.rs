@@ -20,10 +20,6 @@ fn tiny_scenario() -> Scenario {
         cs_ticks: 50,
         contention_slack: 2_000,
         max_events: 1_000_000,
-        lossy_from: 0,
-        lossy_until: 0,
-        loss_per_mille: 0,
-        duplicate_per_mille: 0,
         arrivals: vec![(1, 2), (3, 3), (5, 4)],
         crashes: Vec::new(),
         phases: Vec::new(),

@@ -20,6 +20,7 @@ use oc_check::{
     explore_guided, explore_serial, run_scenario, run_scenario_hardened, shrink, Scenario, Space,
     HEALED_PARTITION_PINS,
 };
+use oc_sim::{FaultPhase, FaultPhaseKind, SimTime};
 
 /// Budget within which each planted mutation must be caught. The
 /// liveness mutation (skipped regeneration) needs a scenario where a
@@ -258,6 +259,11 @@ fn loss_outside_the_model_is_detected_not_absorbed() {
     // nodes violates the paper's reliable-channel assumption, so this is
     // an oracle-sensitivity probe (`explore --loss`), not a soundness
     // regression.
+    let total_loss = |from, until| FaultPhase {
+        from: SimTime::from_ticks(from),
+        until: SimTime::from_ticks(until),
+        kind: FaultPhaseKind::LossDup { loss_per_mille: 1_000, duplicate_per_mille: 0 },
+    };
     let scenario = Scenario {
         n: 4,
         seed: 5,
@@ -266,13 +272,9 @@ fn loss_outside_the_model_is_detected_not_absorbed() {
         cs_ticks: 50,
         contention_slack: 0,
         max_events: 100_000,
-        lossy_from: 0,
-        lossy_until: 4,
-        loss_per_mille: 1_000,
-        duplicate_per_mille: 0,
         arrivals: vec![(1, 3)],
         crashes: Vec::new(),
-        phases: Vec::new(),
+        phases: vec![total_loss(0, 4)],
     };
     // The node's own request to its father is dropped in the window; the
     // claimant's suspicion machinery then heals by searching — so the
@@ -285,7 +287,7 @@ fn loss_outside_the_model_is_detected_not_absorbed() {
 
     // Losing the *token* on the wire to a live node is healed too: the
     // starved claimant's search exhausts and regenerates.
-    let token_loss = Scenario { lossy_from: 6, lossy_until: 12, ..scenario };
+    let token_loss = Scenario { phases: vec![total_loss(6, 12)], ..scenario };
     let outcome = run_scenario(&token_loss, Mutation::None);
     assert!(outcome.lost_to_faults >= 1, "the token must have been dropped: {outcome:?}");
     assert!(outcome.is_clean(), "regeneration must heal a lost token: {outcome:?}");

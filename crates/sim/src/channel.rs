@@ -69,12 +69,12 @@ pub enum FaultPhaseKind {
         /// Group level: block `k` holds identities `k·2^p + 1 ..= (k+1)·2^p`.
         p: u32,
     },
-    /// Split the system into the given blocks (nodes not listed in any
-    /// block form one implicit final block). Cross-block messages are
-    /// destroyed, deterministically.
-    Partition {
-        /// The explicit blocks; need not cover every node.
-        blocks: Vec<Vec<NodeId>>,
+    /// Split `members` away from the rest: two blocks, the members and
+    /// everyone else. Cross-block messages are destroyed,
+    /// deterministically.
+    Split {
+        /// The seceding block.
+        members: Vec<NodeId>,
     },
     /// Asymmetric, one-way link degradation: a message from a member of
     /// `from` to a member of `to` is dropped with probability
@@ -234,13 +234,11 @@ impl FaultScript {
                             block: (0..n as u32).map(|idx| idx >> p).collect(),
                         }
                     }
-                    FaultPhaseKind::Partition { blocks } => {
-                        // Unlisted nodes share the implicit final block.
-                        let mut block = vec![blocks.len() as u32; n];
-                        for (b, members) in blocks.iter().enumerate() {
-                            for node in members {
-                                block[index_of(*node, n)] = b as u32;
-                            }
+                    FaultPhaseKind::Split { members } => {
+                        // The members are block 0, everyone else block 1.
+                        let mut block = vec![1; n];
+                        for node in members {
+                            block[index_of(*node, n)] = 0;
                         }
                         CompiledAction::Partition { block }
                     }
@@ -643,19 +641,19 @@ mod tests {
 
     #[test]
     fn explicit_partition_has_an_implicit_remainder_block() {
-        // Block {1,2} listed; 3..8 form the implicit remainder together.
+        // {1,2} split away; 3..8 stay together as the remainder.
         let compiled = FaultScript::none()
             .with_phase(window(
                 0,
                 100,
-                FaultPhaseKind::Partition { blocks: vec![vec![NodeId::new(1), NodeId::new(2)]] },
+                FaultPhaseKind::Split { members: vec![NodeId::new(1), NodeId::new(2)] },
             ))
             .compile(8);
         let at = SimTime::ZERO;
         assert_eq!(
             compiled.fate(at, NodeId::new(3), NodeId::new(8), false, &mut NoDraw),
             LinkFate::Deliver,
-            "unlisted nodes share the remainder block"
+            "the nodes left behind share the remainder block"
         );
         assert_eq!(
             compiled.fate(at, NodeId::new(2), NodeId::new(3), false, &mut NoDraw),
@@ -764,14 +762,7 @@ mod tests {
             .with_phase(window(
                 50,
                 150,
-                FaultPhaseKind::Partition {
-                    blocks: vec![vec![
-                        NodeId::new(1),
-                        NodeId::new(2),
-                        NodeId::new(5),
-                        NodeId::new(6),
-                    ]],
-                },
+                FaultPhaseKind::Split { members: [1, 2, 5, 6].map(NodeId::new).to_vec() },
             ))
             .compile(8);
         // Only phase A active: two components.
@@ -793,11 +784,7 @@ mod tests {
     #[should_panic(expected = "outside")]
     fn compiling_out_of_range_nodes_is_rejected() {
         let _ = FaultScript::none()
-            .with_phase(window(
-                0,
-                10,
-                FaultPhaseKind::Partition { blocks: vec![vec![NodeId::new(9)]] },
-            ))
+            .with_phase(window(0, 10, FaultPhaseKind::Split { members: vec![NodeId::new(9)] }))
             .compile(8);
     }
 }

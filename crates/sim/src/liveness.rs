@@ -448,7 +448,7 @@ mod tests {
         FaultScript::none().with_phase(FaultPhase {
             from: SimTime::ZERO,
             until: SimTime::from_ticks(u64::MAX),
-            kind: FaultPhaseKind::Partition { blocks: vec![vec![NodeId::new(2)]] },
+            kind: FaultPhaseKind::Split { members: vec![NodeId::new(2)] },
         })
     }
 
@@ -553,7 +553,7 @@ mod tests {
                 script: FaultScript::none().with_phase(FaultPhase {
                     from: SimTime::ZERO,
                     until: SimTime::from_ticks(100),
-                    kind: FaultPhaseKind::Partition { blocks: vec![vec![NodeId::new(2)]] },
+                    kind: FaultPhaseKind::Split { members: vec![NodeId::new(2)] },
                 }),
                 ..SimConfig::default()
             },
@@ -590,14 +590,14 @@ mod tests {
 
     #[test]
     fn vacuous_partitions_do_not_excuse_anything() {
-        // A "partition" whose blocks all contain the same live nodes (the
-        // cut only separates a dead node) isolates nobody.
+        // A split that only separates a dead node leaves every live node
+        // in one component: it isolates nobody.
         let mut world = World::new(
             SimConfig {
                 script: FaultScript::none().with_phase(FaultPhase {
                     from: SimTime::ZERO,
                     until: SimTime::from_ticks(u64::MAX),
-                    kind: FaultPhaseKind::Partition { blocks: vec![vec![NodeId::new(2)]] },
+                    kind: FaultPhaseKind::Split { members: vec![NodeId::new(2)] },
                 }),
                 ..SimConfig::default()
             },
