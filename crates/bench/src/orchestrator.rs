@@ -16,6 +16,15 @@
 //! `BENCH_NET.json`; a [`NetCell`] names its scenario by an
 //! `oc_check::GateScenario` shape.
 //!
+//! Every wait of the control plane is a wait on the deployment's one
+//! event channel: each gateway link's reader thread sends the frames
+//! its node writes and then the link's end. The timeline waits for the
+//! next scheduled instant, a settle probe for the last live node's
+//! answer, the completion wait for the last terminal frame, a kill and
+//! a shutdown for the link's end. A deadline on each is only a safety
+//! bound; the one fixed pause left is the capped backoff while a fresh
+//! process binds its endpoint.
+//!
 //! Judgement pipeline, after the run: read every node's event log plus
 //! the orchestrator's own log of synthesized `Crash` records (sound to
 //! stamp with the orchestrator's HLC because every process shares one
@@ -30,7 +39,7 @@ use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 use oc_check::{GateKill, GateScenario, Outcome, Scenario};
@@ -60,6 +69,11 @@ pub const NET_COLS: &[Col] = &[
     col("cs/s", "cs_per_sec", 10, 1),
     col("p50 µs", "p50_us", 10, 1),
     col("p99 µs", "p99_us", 10, 1),
+    col("boot s", "boot_secs", 7, 3),
+    col("stall s", "stall_secs", 7, 3),
+    col("settle s", "settle_secs", 8, 3),
+    col("reap s", "reap_secs", 7, 3),
+    col("judge s", "judge_secs", 7, 3),
     col("clean", "clean", 6, 0),
 ];
 
@@ -103,8 +117,13 @@ pub struct NetCell {
 
 /// One row of the E13 table / `BENCH_NET.json`: the deployment's
 /// verdict, and beside it what only a timed run of real processes has —
-/// wall time, rate and grant latency. The counters repeated from
-/// [`NetRow::outcome`] are the columns of the table.
+/// wall time, rate, grant latency and the stage clocks. The counters
+/// repeated from [`NetRow::outcome`] are the columns of the table.
+///
+/// The stages are read off consecutive instants of one call, so
+/// `boot_secs + wall_secs + settle_secs + reap_secs + judge_secs` is the
+/// call's total; `stall_secs` is a part of `wall_secs`, not a further
+/// stage.
 #[derive(Debug, Clone)]
 pub struct NetRow {
     /// Transport label.
@@ -118,9 +137,23 @@ pub struct NetRow {
     pub served: u64,
     /// Requests abandoned (killed node, dead gateway link, shutdown).
     pub abandoned: u64,
-    /// Wall-clock seconds from the first arrival to the last terminal
-    /// completion.
+    /// Wall-clock seconds from the start of the timeline (tick 0) to
+    /// the last terminal completion.
     pub wall_secs: f64,
+    /// Seconds before the timeline: work directory, spawn of every
+    /// process, every gateway connected.
+    pub boot_secs: f64,
+    /// Seconds of `wall_secs` that kill and respawn steps held the
+    /// timeline: SIGKILL, reap, the victim's link drained to its end;
+    /// spawn and connect of its successor.
+    pub stall_secs: f64,
+    /// Seconds from the last completion to the settle verdict.
+    pub settle_secs: f64,
+    /// Seconds from the settle verdict to the last process reaped.
+    pub reap_secs: f64,
+    /// Seconds of post-hoc judgement: logs read, merged, replayed, the
+    /// horizon judged, the work directory removed.
+    pub judge_secs: f64,
     /// Served critical sections per wall second.
     pub cs_per_sec: f64,
     /// Scheduled-arrival-to-grant latency, p50, microseconds.
@@ -165,6 +198,11 @@ impl NetRow {
             ("p99_us", Value::Num(self.p99_us)),
             ("max_us", Value::Num(self.max_us)),
             ("latency_samples", Value::UInt(self.samples)),
+            ("boot_secs", Value::Num(self.boot_secs)),
+            ("stall_secs", Value::Num(self.stall_secs)),
+            ("settle_secs", Value::Num(self.settle_secs)),
+            ("reap_secs", Value::Num(self.reap_secs)),
+            ("judge_secs", Value::Num(self.judge_secs)),
             ("safety_violations", Value::UInt(self.safety_violations as u64)),
             ("liveness_violations", Value::UInt(self.liveness_violations as u64)),
             ("settled", Value::Bool(self.settled)),
@@ -247,6 +285,59 @@ enum Step {
     Respawn { node: u32 },
 }
 
+/// What a gateway link's reader thread reports on the deployment's one
+/// channel: each frame its node wrote, then the link's end (EOF, or a
+/// read error). A link is FIFO, so its end comes after every frame the
+/// node flushed.
+#[derive(Debug)]
+enum Event {
+    Frame(usize, Frame),
+    Closed(usize),
+}
+
+/// How long a process is given for its gateway link to close once it is
+/// killed or told to shut down: a safety bound, never waited out by a
+/// process that exits.
+const LINK_CLOSE_BOUND: Duration = Duration::from_secs(5);
+
+/// Each node's current status. A gateway link is FIFO and a node
+/// answers every query (`StatusQuery`, and `Shutdown`) with one `Status`
+/// frame, so a `Status` answers the oldest query still outstanding; it
+/// is current only when it answers the last query sent. An answer that
+/// missed its own probe's window and lands in the next one is stale.
+#[derive(Debug)]
+struct StatusBook {
+    outstanding: Vec<u32>,
+    current: Vec<Option<NodeStatus>>,
+}
+
+impl StatusBook {
+    fn new(n: usize) -> Self {
+        StatusBook { outstanding: vec![0; n], current: vec![None; n] }
+    }
+
+    /// A query went to node `idx`: what it said before is not current.
+    fn asked(&mut self, idx: usize) {
+        self.outstanding[idx] += 1;
+        self.current[idx] = None;
+    }
+
+    /// Node `idx` answered its oldest outstanding query.
+    fn answered(&mut self, idx: usize, status: NodeStatus) {
+        let Some(left) = self.outstanding[idx].checked_sub(1) else { return };
+        self.outstanding[idx] = left;
+        if left == 0 {
+            self.current[idx] = Some(status);
+        }
+    }
+
+    /// Node `idx`'s link ended: queries it had not answered never will
+    /// be, and a successor's link starts with none.
+    fn closed(&mut self, idx: usize) {
+        self.outstanding[idx] = 0;
+    }
+}
+
 /// The live deployment the orchestrator manages. Dropping it — on the
 /// way out of a finished run or of any error after the first spawn —
 /// kills and reaps every process still running (`std::process::Child`
@@ -259,10 +350,15 @@ struct Deployment<'a> {
     workdir: WorkDir,
     children: Vec<Option<Child>>,
     conns: Vec<Option<Stream>>,
-    rx: Receiver<(usize, Frame)>,
-    tx: Sender<(usize, Frame)>,
+    /// The node's gateway link has a reader that has not reported its
+    /// end.
+    open: Vec<bool>,
+    rx: Receiver<Event>,
+    tx: Sender<Event>,
     reqs: Vec<Req>,
-    statuses: Vec<Option<NodeStatus>>,
+    /// Requests not yet terminal.
+    unresolved: usize,
+    statuses: StatusBook,
     dead: Vec<bool>,
     recovered: Vec<bool>,
     orch_hlc: Hlc,
@@ -283,6 +379,10 @@ impl Drop for Deployment<'_> {
 impl Deployment<'_> {
     fn log_path(&self, id: u32) -> PathBuf {
         self.workdir.0.join(format!("node-{id}.log"))
+    }
+
+    fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.scenario.n).filter(|&idx| !self.dead[idx])
     }
 
     fn spawn_node(&self, id: u32, recover: bool) -> io::Result<Child> {
@@ -313,13 +413,14 @@ impl Deployment<'_> {
     }
 
     /// Connects this orchestrator's session-API link to node `id`,
-    /// retrying while the freshly spawned process binds its endpoint —
-    /// for as long as that process is alive, and 10 s at most — and
-    /// starts the reader thread that feeds `self.rx`.
+    /// retrying on a capped backoff while the freshly spawned process
+    /// binds its endpoint — for as long as that process is alive, and
+    /// 10 s at most — and starts the reader thread that feeds `self.rx`.
     fn connect_gateway(&mut self, id: u32) -> io::Result<()> {
         let idx = (id - 1) as usize;
         let endpoint = self.cluster.endpoint(id);
         let deadline = Instant::now() + Duration::from_secs(10);
+        let mut backoff = Duration::from_micros(50);
         let mut stream = loop {
             match endpoint.connect() {
                 Ok(s) => break s,
@@ -333,7 +434,8 @@ impl Deployment<'_> {
                     if Instant::now() >= deadline {
                         return Err(e);
                     }
-                    std::thread::sleep(Duration::from_millis(5));
+                    std::thread::sleep(backoff);
+                    backoff = (backoff * 2).min(Duration::from_millis(1));
                 }
             }
         };
@@ -343,13 +445,15 @@ impl Deployment<'_> {
         std::thread::spawn(move || {
             while let Ok(Some(payload)) = read_frame(&mut reader) {
                 if let Ok(frame) = wire::decode(&payload) {
-                    if tx.send((idx, frame)).is_err() {
+                    if tx.send(Event::Frame(idx, frame)).is_err() {
                         return;
                     }
                 }
             }
+            let _ = tx.send(Event::Closed(idx));
         });
         self.conns[idx] = Some(stream);
+        self.open[idx] = true;
         Ok(())
     }
 
@@ -362,39 +466,58 @@ impl Deployment<'_> {
         true
     }
 
-    fn apply(&mut self, idx: usize, frame: Frame) {
-        match frame {
-            Frame::Granted { req } => {
+    /// Sends a frame its node answers with a `Status`.
+    fn ask(&mut self, idx: usize, frame: &Frame) {
+        self.statuses.asked(idx);
+        self.send(idx, frame);
+    }
+
+    /// Marks request `req` terminal, once.
+    fn resolve(&mut self, req: usize, completed: bool) {
+        if let Some(r) = self.reqs.get_mut(req) {
+            if r.terminal.is_none() {
+                r.terminal = Some(completed);
+                self.unresolved -= 1;
+            }
+        }
+    }
+
+    fn apply(&mut self, event: Event) {
+        match event {
+            Event::Frame(_, Frame::Granted { req }) => {
                 if let Some(r) = self.reqs.get_mut(req as usize) {
                     r.granted_at.get_or_insert_with(Instant::now);
                 }
             }
-            Frame::Completion { req, status } => {
-                if let Some(r) = self.reqs.get_mut(req as usize) {
-                    r.terminal.get_or_insert(status == CompletionStatus::Completed);
-                }
+            Event::Frame(_, Frame::Completion { req, status }) => {
+                self.resolve(req as usize, status == CompletionStatus::Completed);
             }
-            Frame::Status(st) => self.statuses[idx] = Some(st),
-            _ => {}
+            Event::Frame(idx, Frame::Status(st)) => self.statuses.answered(idx, st),
+            Event::Frame(..) => {}
+            Event::Closed(idx) => {
+                self.open[idx] = false;
+                self.statuses.closed(idx);
+            }
         }
     }
 
-    /// Drains gateway events until `deadline`.
-    fn drain_until(&mut self, deadline: Instant) {
-        loop {
+    /// Applies gateway events until `done` holds — then `true` — or
+    /// `deadline` passes with it false. Past the deadline, events
+    /// already queued are still applied.
+    fn wait_for(&mut self, deadline: Instant, done: impl Fn(&Self) -> bool) -> bool {
+        while !done(self) {
             let now = Instant::now();
-            if now >= deadline {
-                while let Ok((idx, frame)) = self.rx.try_recv() {
-                    self.apply(idx, frame);
-                }
-                return;
-            }
-            match self.rx.recv_timeout(deadline - now) {
-                Ok((idx, frame)) => self.apply(idx, frame),
-                Err(RecvTimeoutError::Timeout) => return,
-                Err(RecvTimeoutError::Disconnected) => return,
+            let event = if now >= deadline {
+                self.rx.try_recv().ok()
+            } else {
+                self.rx.recv_timeout(deadline - now).ok()
+            };
+            match event {
+                Some(event) => self.apply(event),
+                None => return false,
             }
         }
+        true
     }
 
     /// A no-op on a node that is already down, as in the simulator.
@@ -403,28 +526,31 @@ impl Deployment<'_> {
         if self.dead[idx] {
             return Ok(());
         }
-        if let Some(child) = self.children[idx].as_mut() {
+        if let Some(mut child) = self.children[idx].take() {
             // SIGKILL on unix — the fail-stop crash model, no grace.
             let _ = child.kill();
             let _ = child.wait();
         }
-        self.children[idx] = None;
         self.dead[idx] = true;
         self.crashes += 1;
-        if let Some(conn) = self.conns[idx].take() {
-            conn.shutdown();
+        // The reader holds its own handle on the link; the victim's death
+        // ends it after every frame the victim flushed.
+        self.conns[idx] = None;
+        let closed = Instant::now() + LINK_CLOSE_BOUND;
+        if !self.wait_for(closed, |d| !d.open[idx]) {
+            return Err(io::Error::other(format!(
+                "node {node}'s gateway link stayed open {LINK_CLOSE_BOUND:?} after SIGKILL"
+            )));
         }
-        // Frames the victim flushed before dying are still in the pipe;
-        // give the reader a moment to deliver them before resolving.
-        self.drain_until(Instant::now() + Duration::from_millis(50));
         let stamp = self.orch_hlc.tick();
         self.orch_log.append(&LogRecord::Crash { stamp, node })?;
         // Outstanding requests at the victim die with it: granted means
         // the CS entry is on disk (completed), un-granted means it never
         // will be (abandoned) — mirroring the runtime's crash semantics.
-        for r in self.reqs.iter_mut().filter(|r| r.node == node) {
-            if r.terminal.is_none() {
-                r.terminal = Some(r.granted_at.is_some());
+        for req in 0..self.reqs.len() {
+            let r = self.reqs[req];
+            if r.node == node {
+                self.resolve(req, r.granted_at.is_some());
             }
         }
         Ok(())
@@ -444,39 +570,52 @@ impl Deployment<'_> {
         Ok(())
     }
 
-    /// One settle probe: queries every live node and waits briefly for
-    /// all answers. Returns the statuses' settle verdict.
+    /// One settle probe: queries every live node and waits for the last
+    /// answer, 300 ms at most. Returns the statuses' settle verdict.
     fn probe(&mut self) -> bool {
         for idx in 0..self.scenario.n {
             if !self.dead[idx] {
-                self.statuses[idx] = None;
-                self.send(idx, &Frame::StatusQuery);
+                self.ask(idx, &Frame::StatusQuery);
             }
         }
-        let deadline = Instant::now() + Duration::from_millis(300);
-        while Instant::now() < deadline {
-            let live_answered =
-                (0..self.scenario.n).all(|idx| self.dead[idx] || self.statuses[idx].is_some());
-            if live_answered {
-                break;
-            }
-            self.drain_until(Instant::now() + Duration::from_millis(20));
-        }
-        let all_terminal = self.reqs.iter().all(|r| r.terminal.is_some());
-        let live = (0..self.scenario.n).filter(|&idx| !self.dead[idx]);
-        let quiet = live.clone().all(|idx| {
-            self.statuses[idx].is_some_and(|st| st.idle && st.pending == 0 && !st.in_cs)
-        });
-        let holders = self.token_census();
-        all_terminal && quiet && holders <= 1
+        let answered = Instant::now() + Duration::from_millis(300);
+        self.wait_for(answered, |d| d.live().all(|idx| d.statuses.current[idx].is_some()));
+        let quiet = self.live().all(|idx| self.quiet(idx));
+        self.unresolved == 0 && quiet && self.token_census() <= 1
     }
 
-    /// Live token holders per the latest statuses.
+    /// Node `idx`'s current status says it is idle with nothing pending
+    /// and outside the CS.
+    fn quiet(&self, idx: usize) -> bool {
+        self.statuses.current[idx].is_some_and(|st| st.idle && st.pending == 0 && !st.in_cs)
+    }
+
+    /// Live token holders per the current statuses.
     fn token_census(&self) -> usize {
-        (0..self.scenario.n)
-            .filter(|&idx| !self.dead[idx])
-            .filter(|&idx| self.statuses[idx].is_some_and(|st| st.holds_token))
+        self.live()
+            .filter(|&idx| self.statuses.current[idx].is_some_and(|st| st.holds_token))
             .count()
+    }
+
+    /// Asks every live process to flush and exit, and reaps each once its
+    /// link has ended; one still linked after [`LINK_CLOSE_BOUND`] is
+    /// killed.
+    fn shut_down(&mut self) {
+        for idx in 0..self.scenario.n {
+            if !self.dead[idx] {
+                self.ask(idx, &Frame::Shutdown);
+            }
+        }
+        let closed = Instant::now() + LINK_CLOSE_BOUND;
+        self.wait_for(closed, |d| d.live().all(|idx| !d.open[idx]));
+        for (idx, slot) in self.children.iter_mut().enumerate() {
+            if let Some(mut child) = slot.take() {
+                if self.open[idx] {
+                    let _ = child.kill();
+                }
+                let _ = child.wait();
+            }
+        }
     }
 }
 
@@ -519,6 +658,7 @@ pub fn run_scenario_sockets(
     scenario: &Scenario,
     settle_timeout: Duration,
 ) -> io::Result<NetRow> {
+    let called = Instant::now();
     let s = scenario;
     if s.fault_script().enabled() {
         return Err(io::Error::new(
@@ -535,10 +675,12 @@ pub fn run_scenario_sockets(
         node_bin: node_bin.to_path_buf(),
         children: (0..s.n).map(|_| None).collect(),
         conns: (0..s.n).map(|_| None).collect(),
+        open: vec![false; s.n],
         rx,
         tx,
         reqs: Vec::with_capacity(s.arrivals.len()),
-        statuses: vec![None; s.n],
+        unresolved: 0,
+        statuses: StatusBook::new(s.n),
         dead: vec![false; s.n],
         recovered: vec![false; s.n],
         orch_hlc: Hlc::new(0),
@@ -570,9 +712,11 @@ pub fn run_scenario_sockets(
     steps.sort_by_key(|(at, _)| *at);
 
     let start = Instant::now();
+    let mut stall = Duration::ZERO;
     for (at, step) in steps {
         let deadline = start + ticks_to_wall(at, NET_TICK);
-        deploy.drain_until(deadline);
+        deploy.wait_for(deadline, |_| false);
+        let held = Instant::now();
         match step {
             Step::Arrive { node } => {
                 let req = deploy.reqs.len();
@@ -582,6 +726,7 @@ pub fn run_scenario_sockets(
                     granted_at: None,
                     terminal: None,
                 });
+                deploy.unresolved += 1;
                 let idx = (node - 1) as usize;
                 let sent = !deploy.dead[idx]
                     && deploy.send(idx, &Frame::Acquire { req: req as u64, auto_release: true });
@@ -589,56 +734,55 @@ pub fn run_scenario_sockets(
                     // The node is down (or its link is): the request is
                     // abandoned at injection, as the runtime abandons
                     // acquires on crashed nodes.
-                    deploy.reqs[req].terminal = Some(false);
+                    deploy.resolve(req, false);
                 }
             }
             Step::Kill { node } => deploy.kill(node)?,
             Step::Respawn { node } => deploy.respawn(node)?,
+        }
+        if !matches!(step, Step::Arrive { .. }) {
+            stall += held.elapsed();
         }
     }
 
     // Completion: every request terminal (served, or abandoned by a
     // kill), bounded by the settle timeout.
     let settle_deadline = Instant::now() + settle_timeout;
-    while deploy.reqs.iter().any(|r| r.terminal.is_none()) && Instant::now() < settle_deadline {
-        deploy.drain_until(Instant::now() + Duration::from_millis(20));
-    }
-    let work_wall = start.elapsed();
+    deploy.wait_for(settle_deadline, |d| d.unresolved == 0);
+    let completed = Instant::now();
 
     // Settle: all live nodes idle with nothing pending and at most one
-    // token holder.
+    // token holder. A probe that finds work still moving is repeated
+    // after a pause that grows to the 50 ms it always was.
     let mut settled = false;
+    let mut pause = Duration::from_millis(1);
     while Instant::now() < settle_deadline {
         if deploy.probe() {
             settled = true;
             break;
         }
-        std::thread::sleep(Duration::from_millis(50));
+        deploy.wait_for((Instant::now() + pause).min(settle_deadline), |_| false);
+        pause = (pause * 2).min(Duration::from_millis(50));
     }
+    // The horizon is what the last probe saw; the answers to `Shutdown`
+    // come after the pending requests are abandoned.
     let census = deploy.token_census();
+    let nodes: Vec<NodeAtHorizon> = (0..s.n)
+        .map(|idx| NodeAtHorizon {
+            node: NodeId::new(idx as u32 + 1),
+            alive: !deploy.dead[idx],
+            idle: deploy.quiet(idx),
+            recovered: deploy.recovered[idx],
+            isolated: false,
+            quorum_blocked: deploy.statuses.current[idx].is_some_and(|st| st.quorum_blocked),
+        })
+        .collect();
+    let settled_at = Instant::now();
 
-    // Graceful stop: flush-and-exit every live process, then reap.
-    for idx in 0..s.n {
-        if !deploy.dead[idx] {
-            deploy.send(idx, &Frame::Shutdown);
-        }
-    }
-    let reap_deadline = Instant::now() + Duration::from_secs(5);
-    for child in deploy.children.iter_mut().flatten() {
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) if Instant::now() < reap_deadline => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                _ => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    break;
-                }
-            }
-        }
-    }
+    // Graceful stop: flush-and-exit every live process, reap each on its
+    // link's end.
+    deploy.shut_down();
+    let reaped = Instant::now();
 
     // Post-hoc judgement: merge all logs, replay the safety oracle,
     // assemble the liveness horizon.
@@ -660,17 +804,7 @@ pub fn run_scenario_sockets(
         abandoned,
         unreachable: 0,
         live_token_census: census,
-        nodes: (0..s.n)
-            .map(|idx| NodeAtHorizon {
-                node: NodeId::new(idx as u32 + 1),
-                alive: !deploy.dead[idx],
-                idle: deploy.statuses[idx]
-                    .is_some_and(|st| st.idle && st.pending == 0 && !st.in_cs),
-                recovered: deploy.recovered[idx],
-                isolated: false,
-                quorum_blocked: deploy.statuses[idx].is_some_and(|st| st.quorum_blocked),
-            })
-            .collect(),
+        nodes,
     };
     // What the logs and the status answers cannot say stays zero (see
     // `Outcome`).
@@ -695,6 +829,8 @@ pub fn run_scenario_sockets(
             Some(granted.saturating_duration_since(r.scheduled).as_nanos() as u64)
         })
         .collect();
+    // The work directory goes with the deployment, inside judgement.
+    drop(deploy);
     lat.sort_unstable();
     let quantile = |q: f64| -> f64 {
         if lat.is_empty() {
@@ -704,7 +840,11 @@ pub fn run_scenario_sockets(
         lat[pos] as f64 / 1_000.0
     };
 
-    let wall_secs = work_wall.as_secs_f64();
+    let (p50_us, p99_us, max_us) = (quantile(0.50), quantile(0.99), quantile(1.0));
+    let judged = Instant::now();
+
+    let secs = |from: Instant, to: Instant| to.duration_since(from).as_secs_f64();
+    let wall_secs = secs(start, completed);
     Ok(NetRow {
         transport: transport.label(),
         n: s.n,
@@ -712,10 +852,15 @@ pub fn run_scenario_sockets(
         served: outcome.cs_entries,
         abandoned,
         wall_secs,
+        boot_secs: secs(called, start),
+        stall_secs: stall.as_secs_f64(),
+        settle_secs: secs(completed, settled_at),
+        reap_secs: secs(settled_at, reaped),
+        judge_secs: secs(reaped, judged),
         cs_per_sec: if wall_secs > 0.0 { outcome.cs_entries as f64 / wall_secs } else { 0.0 },
-        p50_us: quantile(0.50),
-        p99_us: quantile(0.99),
-        max_us: quantile(1.0),
+        p50_us,
+        p99_us,
+        max_us,
         samples: lat.len() as u64,
         safety_violations: outcome.safety.violations().len(),
         liveness_violations: outcome.liveness.violations().len(),
@@ -785,6 +930,35 @@ mod tests {
                 assert!(k.recover_ticks > k.at_ticks);
             }
         }
+    }
+
+    #[test]
+    fn only_the_answer_to_the_last_query_is_current() {
+        let busy = NodeStatus { pending: 3, ..NodeStatus::default() };
+        let quiet = NodeStatus { idle: true, ..NodeStatus::default() };
+        let mut book = StatusBook::new(2);
+        // Node 1 misses the first probe's window; its answer to that
+        // probe lands during the second.
+        book.asked(0);
+        book.asked(0);
+        book.answered(0, busy);
+        assert_eq!(book.current[0], None, "the first probe's answer is stale");
+        book.answered(0, quiet);
+        assert_eq!(book.current[0], Some(quiet));
+        // A further query makes that answer old news until it is answered.
+        book.asked(0);
+        assert_eq!(book.current[0], None);
+        book.answered(0, busy);
+        assert_eq!(book.current[0], Some(busy));
+        // A link that ends owes nothing: its successor's first answer is
+        // current, and nothing unasked for ever is.
+        book.asked(1);
+        book.closed(1);
+        book.answered(1, busy);
+        assert_eq!(book.current[1], None);
+        book.asked(1);
+        book.answered(1, quiet);
+        assert_eq!(book.current[1], Some(quiet));
     }
 
     #[test]

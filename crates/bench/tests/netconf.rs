@@ -101,6 +101,25 @@ fn tcp_clean_conforms_at_n16() {
 }
 
 #[test]
+fn the_stage_clocks_add_up_to_the_call() {
+    // Boot, arrivals, settle, reap and judgement follow one another, so
+    // their clocks add up to the call however long each takes; the kill
+    // and the restart hold the timeline for a part of its wall time.
+    let kill = GateKill { node: 2, at_ticks: 200, recover_ticks: 400 };
+    let scenario = shape(8, 20, 5003, Some(kill));
+    let started = std::time::Instant::now();
+    let row =
+        run_scenario_sockets(node_bin(), TransportKind::Uds, &scenario, SETTLE).expect("runs");
+    let outer = started.elapsed().as_secs_f64();
+    assert!(row.clean(), "{row:?}");
+    let stages = [row.boot_secs, row.wall_secs, row.settle_secs, row.reap_secs, row.judge_secs];
+    assert!(stages.iter().all(|&secs| secs > 0.0), "{stages:?}");
+    let total = stages.iter().sum::<f64>();
+    assert!(total <= outer && outer - total < 0.01, "stages {total} s of a {outer} s call");
+    assert!(0.0 < row.stall_secs && row.stall_secs < row.wall_secs, "{row:?}");
+}
+
+#[test]
 fn a_failed_boot_leaves_no_process_and_no_directory() {
     // A node binary that exits at once (`experiments` rejects `--id`,
     // exit 2): the boot fails as soon as the first gateway dial finds its

@@ -112,6 +112,11 @@ fn a_timed_battery_carries_its_verdict() {
         served,
         abandoned: 10 - served,
         wall_secs: 1.0,
+        boot_secs: 0.004,
+        stall_secs: 0.0,
+        settle_secs: 0.001,
+        reap_secs: 0.002,
+        judge_secs: 0.0125,
         cs_per_sec: served as f64,
         p50_us: 100.0,
         p99_us: 900.0,
@@ -128,13 +133,14 @@ fn a_timed_battery_carries_its_verdict() {
         clean.to_json().render(),
         "{\"transport\":\"uds\",\"n\":16,\"injected\":10,\"served\":10,\"abandoned\":0,\
          \"crashes\":1,\"recoveries\":0,\"wall_secs\":1,\"cs_per_sec\":10,\"p50_us\":100,\
-         \"p99_us\":900,\"max_us\":1000,\"latency_samples\":10,\"safety_violations\":0,\
-         \"liveness_violations\":0,\"settled\":true,\"clean\":true}\n"
+         \"p99_us\":900,\"max_us\":1000,\"latency_samples\":10,\"boot_secs\":0.004,\
+         \"stall_secs\":0,\"settle_secs\":0.001,\"reap_secs\":0.002,\"judge_secs\":0.0125,\
+         \"safety_violations\":0,\"liveness_violations\":0,\"settled\":true,\"clean\":true}\n"
     );
     assert_eq!(
         line(NET_COLS, &clean.to_json()),
         "  uds     16        10        10      0       1        0      1.00       10.0      \
-         100.0      900.0    yes"
+         100.0      900.0   0.004   0.000    0.001   0.002   0.013    yes"
     );
 
     let rows = vec![clean.to_json(), row(7, 2, false).to_json()];

@@ -5,7 +5,7 @@
 //! entries across processes, so judgement moves after the fact: every
 //! node process appends [`LogRecord`]s — stamped by its [`crate::Hlc`] —
 //! to a private append-only file, the orchestrator synthesizes `Crash`
-//! records at each SIGKILL, and [`merge`] sorts the union by stamp into
+//! records at each SIGKILL, and [`merge`] orders the union by stamp into
 //! one linearization consistent with causality. [`replay`] then feeds
 //! that sequence to the **unmodified** `oc_sim::Oracle`, exactly as the
 //! in-process runtime feeds its monitor records.
@@ -22,8 +22,10 @@
 //!   check and dropped — only the unflushed suffix of the dead process's
 //!   history is lost, which the crash semantics already declare lost.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 use oc_sim::{Oracle, OracleReport, SimTime};
@@ -150,48 +152,70 @@ impl LogWriter {
     }
 }
 
-/// Reads every complete record of a log file; a torn tail (the writer
-/// was SIGKILLed mid-record) or an unknown tag ends the read at the last
-/// intact record instead of failing the whole merge.
+/// Reads every complete record of a log file in one pass; a torn tail
+/// (the writer was SIGKILLed mid-record) or an unknown tag ends the read
+/// at the last intact record instead of failing the whole merge.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors (a missing file is an error — the
 /// orchestrator creates each log before spawning its node).
 pub fn read_log(path: &Path) -> io::Result<Vec<LogRecord>> {
-    let mut reader = BufReader::new(File::open(path)?);
-    let mut records = Vec::new();
-    let mut buf = [0u8; REC_LEN];
-    loop {
-        let mut filled = 0;
-        while filled < REC_LEN {
-            match reader.read(&mut buf[filled..]) {
-                Ok(0) => {
-                    // EOF: a partial record is a torn tail — drop it.
-                    return Ok(records);
-                }
-                Ok(k) => filled += k,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        match decode_record(&buf) {
-            Some(rec) => records.push(rec),
-            None => return Ok(records),
-        }
-    }
+    let bytes = std::fs::read(path)?;
+    let mut records = Vec::with_capacity(bytes.len() / REC_LEN);
+    // `chunks_exact` leaves a partial record, a torn tail, unread.
+    records.extend(
+        bytes
+            .chunks_exact(REC_LEN)
+            .map_while(|chunk| decode_record(chunk.try_into().expect("REC_LEN bytes"))),
+    );
+    Ok(records)
+}
+
+/// A record's stamp as one integer that orders as the stamp does:
+/// `(wall_ns, logical, node)` lexicographically.
+fn merge_key(rec: &LogRecord) -> u128 {
+    let stamp = rec.stamp();
+    u128::from(stamp.wall_ns) << 64 | u128::from(stamp.logical) << 32 | u128::from(stamp.node)
 }
 
 /// Merges per-process logs into one stamp-ordered linearization.
 ///
 /// The HLC guarantees causally ordered events carry increasing stamps,
 /// so this order is consistent with causality; concurrent events land in
-/// the deterministic `(wall, logical, node)` tie-break order.
+/// the deterministic `(wall, logical, node)` tie-break order, and records
+/// with equal stamps keep the order of `logs`, then of each log — the
+/// order a stable sort of the concatenation gives.
+///
+/// Each process appends in stamp order, so the logs are merged as sorted
+/// runs: a heap of one head per log, keyed by [`merge_key`] computed once
+/// per record. A log that is out of order is stably sorted first.
 #[must_use]
-pub fn merge(logs: Vec<Vec<LogRecord>>) -> Vec<LogRecord> {
-    let mut all: Vec<LogRecord> = logs.into_iter().flatten().collect();
-    all.sort_by_key(LogRecord::stamp);
-    all
+pub fn merge(mut logs: Vec<Vec<LogRecord>>) -> Vec<LogRecord> {
+    for log in &mut logs {
+        if !log.is_sorted_by_key(merge_key) {
+            log.sort_by_key(merge_key);
+        }
+    }
+    let mut merged = Vec::with_capacity(logs.iter().map(Vec::len).sum());
+    let mut next = vec![0usize; logs.len()];
+    let mut heads: BinaryHeap<Reverse<(u128, usize)>> = logs
+        .iter()
+        .enumerate()
+        .filter_map(|(k, log)| log.first().map(|rec| Reverse((merge_key(rec), k))))
+        .collect();
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((_, k)) = *head;
+        merged.push(logs[k][next[k]]);
+        next[k] += 1;
+        match logs[k].get(next[k]) {
+            Some(rec) => *head = Reverse((merge_key(rec), k)),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+    }
+    merged
 }
 
 /// The verdict of a post-hoc replay.
@@ -287,6 +311,101 @@ mod tests {
         let merged = merge(vec![b, a]);
         assert_eq!(merged.len(), 4);
         assert!(merged.windows(2).all(|w| w[0].stamp() <= w[1].stamp()));
+    }
+
+    #[test]
+    fn a_log_cut_at_any_byte_reads_as_its_whole_records() {
+        let dir = std::env::temp_dir().join(format!("oc-log-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let records = [
+            LogRecord::EnterCs { stamp: st(10, 1), node: 1, epoch: u64::MAX },
+            LogRecord::ExitCs { stamp: st(20, 1), node: 1 },
+            LogRecord::Recover { stamp: st(30, 1), node: 1 },
+            LogRecord::Crash { stamp: st(40, 0), node: 1 },
+        ];
+        let whole = dir.join("whole.log");
+        let _ = std::fs::remove_file(&whole);
+        {
+            let mut w = LogWriter::open(&whole).unwrap();
+            for rec in &records {
+                w.append(rec).unwrap();
+            }
+        }
+        let bytes = std::fs::read(&whole).unwrap();
+        assert_eq!(bytes.len(), records.len() * REC_LEN);
+        let cut = dir.join("cut.log");
+        for len in 0..=bytes.len() {
+            std::fs::write(&cut, &bytes[..len]).unwrap();
+            let read = read_log(&cut).unwrap_or_else(|e| panic!("cut at {len}: {e}"));
+            assert_eq!(read, records[..len / REC_LEN], "cut at byte {len}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The merge this module used to do: concatenate, then stable-sort
+    /// by stamp.
+    fn merge_by_sorting(logs: Vec<Vec<LogRecord>>) -> Vec<LogRecord> {
+        let mut all: Vec<LogRecord> = logs.into_iter().flatten().collect();
+        all.sort_by_key(LogRecord::stamp);
+        all
+    }
+
+    #[test]
+    fn merging_sorted_logs_equals_sorting_their_concatenation() {
+        // splitmix64: deterministic cases without a generator crate.
+        let mut state = 0x0c0f_fee5_u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        for case in 0..500 {
+            let processes = 1 + next(9) as usize;
+            let logs: Vec<Vec<LogRecord>> = (0..processes)
+                .map(|p| {
+                    // Few distinct walls, so stamps collide across
+                    // processes; a stamp's node is drawn from a small set
+                    // (the orchestrator's log stamps as node 0), so whole
+                    // stamps collide too and only stability orders them.
+                    let mut wall = 0;
+                    (0..next(40))
+                        .map(|k| {
+                            wall += next(3);
+                            let stamp = Stamp {
+                                wall_ns: wall,
+                                logical: next(2) as u32,
+                                node: next(3) as u32,
+                            };
+                            let node = (p * 100 + k as usize) as u32;
+                            match next(4) {
+                                0 => LogRecord::EnterCs { stamp, node, epoch: k },
+                                1 => LogRecord::ExitCs { stamp, node },
+                                2 => LogRecord::Recover { stamp, node },
+                                _ => LogRecord::Crash { stamp, node },
+                            }
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .map(|mut log| {
+                    log.sort_by_key(LogRecord::stamp);
+                    log
+                })
+                .collect();
+            assert_eq!(merge(logs.clone()), merge_by_sorting(logs), "case {case}");
+        }
+    }
+
+    #[test]
+    fn an_unsorted_log_merges_as_the_sort_would() {
+        let a = vec![
+            LogRecord::ExitCs { stamp: st(30, 1), node: 1 },
+            LogRecord::EnterCs { stamp: st(10, 1), node: 1, epoch: 0 },
+        ];
+        let b = vec![LogRecord::EnterCs { stamp: st(20, 2), node: 2, epoch: 0 }];
+        let logs = vec![a, b];
+        assert_eq!(merge(logs.clone()), merge_by_sorting(logs));
     }
 
     #[test]
