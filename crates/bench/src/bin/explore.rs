@@ -6,6 +6,7 @@
 //! cargo run --release -p oc-bench --bin explore -- --threads 2       # shard
 //! cargo run --release -p oc-bench --bin explore -- --json            # BENCH_CHECK.json
 //! cargo run --release -p oc-bench --bin explore -- --loss            # model-violating loss
+//! cargo run --release -p oc-bench --bin explore -- --replay oc1-…    # one scenario, traced
 //! ```
 //!
 //! Each scenario index is one `oc_bench::sweep` cell: a worker derives
@@ -15,8 +16,14 @@
 //! line and the JSON aggregates are **byte-identical at any
 //! `--threads`** — CI pins that. On a violation the first failing
 //! scenario (lowest index) is shrunk to a minimal counterexample and
-//! printed as a replayable scenario ID plus a paste-ready Rust repro;
-//! the process then exits 1.
+//! printed as a replayable scenario ID with the `--replay` command that
+//! traces it; the process then exits 1.
+//!
+//! `--replay <oc1-id>` runs that one scenario through the world setup
+//! of the battery with the simulator's trace on, and prints the
+//! scenario, its outcome, the trace and a verdict line; it exits 1 when
+//! the run is not clean. `--hardened` replays it under
+//! `Hardening::Quorum`.
 //!
 //! `--loss` opts into lossy-window scenarios. Message loss between live
 //! nodes violates the reliable-channel assumption the algorithm's safety
@@ -34,8 +41,8 @@ use oc_bench::{
     sweep,
 };
 use oc_check::{
-    explore_guided_with, repro_snippet, run_scenario, run_scenario_hardened, shrink, GuidedResult,
-    Outcome, Scenario, Space,
+    explore_guided_with, run_scenario, run_scenario_hardened, run_scenario_traced, shrink,
+    GuidedResult, Outcome, Scenario, Space,
 };
 
 const USAGE: &str = "\
@@ -60,6 +67,10 @@ safety and liveness oracle suite, sharded across worker threads.
   --hard        also sample overlapping crash waves (outside the paper's
                 repeated-single-failure model: violations become expected
                 findings and do not fail the exit code)
+  --replay ID   run the one scenario ID (oc1-…) with the trace on instead
+                of a battery: print the scenario, its outcome, the trace
+                and a verdict line, and exit 1 unless it is clean. With
+                --hardened the replay runs under Hardening::Quorum
   --hardened    re-run the same battery under Hardening::Quorum (fencing
                 epochs + quorum-gated regeneration) and report it as a
                 second summary (and a \"hardened\" JSON section). The
@@ -101,6 +112,8 @@ struct Options {
     partitions: bool,
     hardened: bool,
     guided: bool,
+    /// The scenario ID `--replay` traces, instead of a battery.
+    replay: Option<String>,
     /// Where the artifact goes, if anywhere: `--out PATH`, or
     /// `BENCH_CHECK.json` under a bare `--json`.
     out: Option<String>,
@@ -116,6 +129,7 @@ fn parse_options(args: &[String]) -> Options {
         partitions: false,
         hardened: false,
         guided: false,
+        replay: None,
         out: None,
     };
     let mut json = false;
@@ -126,6 +140,7 @@ fn parse_options(args: &[String]) -> Options {
             "--seed" => options.master_seed = parser.parsed(&flag, "an unsigned integer", |_| true),
             "--threads" => options.threads = parser.parsed(&flag, "a positive integer", |&t| t > 0),
             "--out" => options.out = Some(parser.value(&flag, "a file path")),
+            "--replay" => options.replay = Some(parser.value(&flag, "an oc1- scenario id")),
             "--loss" => options.loss = parser.switch(&flag),
             "--hard" => options.hard = parser.switch(&flag),
             "--partitions" => options.partitions = parser.switch(&flag),
@@ -276,9 +291,45 @@ fn key_values(object: &Value, shown: &[(&str, &str)]) -> String {
     shown.iter().map(|(label, key)| format!("{label}={}", value(key))).collect::<Vec<_>>().join(" ")
 }
 
+/// `--replay`: one scenario, traced; exits 1 unless it is clean.
+fn replay(id: &str, hardened: bool) -> ! {
+    let scenario = Scenario::from_id(id).unwrap_or_else(|err| {
+        eprintln!("error: --replay {id}: {err}");
+        std::process::exit(2);
+    });
+    let hardening = if hardened { Hardening::Quorum } else { Hardening::None };
+    let (outcome, trace) = run_scenario_traced(&scenario, Mutation::None, hardening);
+    println!("== replay {id} under Hardening::{hardening:?} ==\n");
+    let s = &scenario;
+    println!(
+        "scenario: n={} seed={} delay={}..={} cs_ticks={} contention_slack={} max_events={}",
+        s.n, s.seed, s.delay_min, s.delay_max, s.cs_ticks, s.contention_slack, s.max_events
+    );
+    println!("arrivals ({}): {:?}", s.arrivals.len(), s.arrivals);
+    println!("crashes ({}): {:?}", s.crashes.len(), s.crashes);
+    println!("phases ({}): {:?}\n", s.phases.len(), s.phases);
+    println!("{outcome:#?}\n");
+    println!("-- trace: {} record(s) --", trace.records().len());
+    print!("{trace}");
+    if outcome.is_clean() {
+        println!("\nverdict: clean");
+        std::process::exit(0);
+    }
+    println!(
+        "\nverdict: dirty violations={} safety={} liveness={}",
+        outcome.violation_count(),
+        outcome.safety.violations().len(),
+        outcome.liveness.violations().len(),
+    );
+    std::process::exit(1);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_options(&args);
+    if let Some(id) = &options.replay {
+        replay(id, options.hardened);
+    }
     let (seed, budget, threads) = (options.master_seed, options.budget, options.threads);
     let space = Space {
         allow_loss: options.loss,
@@ -474,7 +525,7 @@ fn main() {
         for violation in result.outcome.liveness.violations() {
             println!("   liveness violation: {violation:?}");
         }
-        println!("\n-- paste-ready repro --\n{}", repro_snippet(&result.scenario, Mutation::None));
+        println!("   trace it: explore --replay {}", result.scenario.id());
         vec![Value::Obj(vec![
             ("index", Value::UInt(index)),
             ("scenario_id", Value::str(result.scenario.id())),

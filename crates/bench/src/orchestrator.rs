@@ -3,8 +3,9 @@
 //! gateway connections, SIGKILLs and restarts processes on schedule,
 //! and judges the run post hoc with the unmodified `oc-sim` oracles.
 //!
-//! [`run_scenario_sockets`] is the third runner of `oc_check`'s one
-//! scenario language: it plays an `oc_check::Scenario` — the arrival
+//! [`run_scenario_sockets`] is the wall-clock runner of the socket node
+//! (`oc_check::run_scenario_nodeproc` runs the same node code in virtual
+//! time): it plays an `oc_check::Scenario` — the arrival
 //! list and **every** entry of the crash list, so multi-kill timelines
 //! are data — and answers with the same `oc_check::Outcome` the
 //! simulator and the threaded runtime give (which counters a socket
@@ -29,10 +30,11 @@
 //! the orchestrator's own log of synthesized `Crash` records (sound to
 //! stamp with the orchestrator's HLC because every process shares one
 //! machine clock, and the victim's last flushed record is strictly
-//! before the kill), merge by HLC stamp, replay through a fresh safety
-//! [`oc_sim::Oracle`], and feed the final per-node statuses into the
-//! shared liveness oracle via [`oc_sim::check_horizon`] — the same two
-//! entry points every other substrate answers to.
+//! before the kill), and hand them with the final per-node statuses to
+//! `oc_check::judge_logs` — merge by HLC stamp, replay through a fresh
+//! safety [`oc_sim::Oracle`], judge the horizon with
+//! [`oc_sim::check_horizon`]: the judgement the virtual-time runner
+//! gives its logs too.
 
 use std::io;
 use std::net::TcpListener;
@@ -42,12 +44,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
-use oc_check::{GateKill, GateScenario, Outcome, Scenario};
-use oc_sim::{check_horizon, ticks_to_wall, Horizon, NodeAtHorizon};
+use oc_check::{judge_logs, GateKill, GateScenario, Outcome, Scenario};
+use oc_sim::{ticks_to_wall, Horizon, NodeAtHorizon};
 use oc_topology::NodeId;
 use oc_transport::{
     frame::{read_frame, write_frame},
-    log::{merge, read_log, replay, LogRecord, LogWriter},
+    log::{read_log, LogRecord, LogWriter},
     net::{Cluster, Stream},
     wire::{self, CompletionStatus, Frame, NodeStatus},
     Hlc,
@@ -77,10 +79,12 @@ pub const NET_COLS: &[Col] = &[
     col("clean", "clean", 6, 0),
 ];
 
-/// Wall-clock length of one scenario tick on the socket substrate.
-/// Chosen so the default δ of 40 ticks (2ms) upper-bounds localhost
-/// socket delay with generous scheduling margin.
-pub const NET_TICK: Duration = Duration::from_micros(50);
+/// Wall-clock length of one scenario tick on the socket substrate: an
+/// `oc-node`'s default tick, which `oc_check::run_scenario_nodeproc`
+/// stamps virtual time by too. Chosen so the default δ of 40 ticks
+/// (2ms) upper-bounds localhost socket delay with generous scheduling
+/// margin.
+pub const NET_TICK: Duration = oc_transport::DEFAULT_TICK;
 
 /// Which transport the deployment speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -784,40 +788,30 @@ pub fn run_scenario_sockets(
     deploy.shut_down();
     let reaped = Instant::now();
 
-    // Post-hoc judgement: merge all logs, replay the safety oracle,
-    // assemble the liveness horizon.
+    // Post-hoc judgement: every log merged and replayed, the horizon
+    // judged. What the logs and the status answers cannot say stays zero
+    // (see `Outcome`).
     let mut logs = Vec::with_capacity(s.n + 1);
     for id in 1..=s.n as u32 {
         logs.push(read_log(&deploy.log_path(id))?);
     }
     logs.push(read_log(&orch_log_path)?);
-    let merged = merge(logs);
-    let verdict = replay(&merged, census);
-
     let injected = deploy.reqs.len() as u64;
     let abandoned = deploy.reqs.iter().filter(|r| r.terminal != Some(true)).count() as u64;
     let horizon = Horizon {
         drained: settled,
-        events: merged.len() as u64,
+        events: 0,
         injected,
-        served: verdict.served,
+        served: 0,
         abandoned,
         unreachable: 0,
         live_token_census: census,
         nodes,
     };
-    // What the logs and the status answers cannot say stays zero (see
-    // `Outcome`).
     let outcome = Outcome {
-        drained: settled,
-        events: horizon.events,
-        cs_entries: verdict.served,
         crashes: deploy.crashes,
         recoveries: deploy.recoveries,
-        abandoned,
-        safety: verdict.safety,
-        liveness: check_horizon(&horizon),
-        ..Outcome::default()
+        ..judge_logs(logs, horizon)
     };
 
     let mut lat: Vec<u64> = deploy

@@ -20,9 +20,10 @@
 //!    faults), re-running the pure `(scenario, mutation)` function at
 //!    every step, until no single reduction still fails.
 //! 4. **Replay** — [`Scenario::id`] encodes the whole scenario into a
-//!    portable `oc1-…` string; [`Scenario::from_id`] decodes it.
-//!    [`repro_snippet`] renders a minimal Rust test reproducing the
-//!    failure from the ID alone.
+//!    portable `oc1-…` string; [`Scenario::from_id`] decodes it, and
+//!    [`run_scenario_traced`] replays it with the simulator's trace on
+//!    (`explore --replay <oc1-id>` prints the scenario, the outcome and
+//!    the trace).
 //!
 //! The explorer must also *prove its own teeth*: [`oc_algo::Mutation`]
 //! plants single protocol bugs (skipped token regeneration, a kept token
@@ -42,25 +43,30 @@
 //! the `explore` binary of `oc-bench`, which drives this crate through
 //! `oc_bench::sweep`.
 //!
-//! **One scenario language, one verdict, three runners.** A [`Scenario`]
+//! **One scenario language, one verdict, four runners.** A [`Scenario`]
 //! is the only description of adversarial work in the tree and an
-//! [`Outcome`] the only answer, whatever carries the messages:
+//! [`Outcome`] the only answer, whatever carries the messages. Two
+//! runners play it in virtual time, two on the wall clock:
 //!
 //! * [`run_scenario`] — the deterministic simulator; fills every field
 //!   of the outcome, bit-identically per scenario;
+//! * [`run_scenario_nodeproc`] — the socket node's own code
+//!   (`oc_transport::Proc`: codec, clock, log, `--recover` path, gateway
+//!   queue) stepped by the simulator, one per node; judged twice, by the
+//!   world's oracles and post hoc from its logs ([`judge_logs`]);
 //! * [`run_scenario_runtime`] — the threaded lock service
 //!   (`oc_runtime::Runtime`), ticks mapped to wall time by a
 //!   [`RuntimeProfile`];
 //! * `oc_bench::orchestrator::run_scenario_sockets` — one `oc-node`
 //!   process per node over TCP or Unix sockets, crashes by SIGKILL (it
-//!   lives in `oc-bench` because it needs the node binary).
+//!   lives in `oc-bench` because it needs the node binary), judged by
+//!   [`judge_logs`] too.
 //!
-//! They are plain functions of one shape, not a trait: no caller is
-//! generic over substrates. The socket deployment's cells are
-//! [`GateScenario`] shapes that materialise into scenarios, and
-//! [`conforms`] is the contract the three outcomes are held to (see
-//! [`netgate`]). Which counters a runtime or socket outcome cannot know
-//! is written on [`Outcome`].
+//! They are plain functions, not a trait: no caller is generic over
+//! substrates. The socket deployment's cells are [`GateScenario`] shapes
+//! that materialise into scenarios, and [`conforms`] is the contract the
+//! outcomes are held to (see [`netgate`]). Which counters a runtime or
+//! socket outcome cannot know is written on [`Outcome`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,6 +75,7 @@ mod coverage;
 mod guided;
 mod mutate;
 pub mod netgate;
+mod nodeproc;
 mod run;
 mod scenario;
 mod shrink;
@@ -78,9 +85,10 @@ pub use coverage::{Corpus, CorpusEntry, Coverage};
 pub use guided::{explore_guided, explore_guided_with, GuidedEpoch, GuidedResult};
 pub use mutate::mutate;
 pub use netgate::{conforms, GateKill, GateScenario};
+pub use nodeproc::{judge_logs, run_scenario_nodeproc, NodeprocOutcome};
 pub use run::{
-    run_scenario, run_scenario_hardened, run_scenario_observed, run_scenario_with, CoverageStats,
-    Outcome,
+    run_scenario, run_scenario_hardened, run_scenario_observed, run_scenario_traced,
+    run_scenario_with, CoverageStats, Outcome,
 };
 pub use scenario::{Scenario, ScenarioCrash, Space};
 pub use shrink::{shrink, ShrinkResult};
@@ -176,30 +184,6 @@ pub fn explore_serial(
     None
 }
 
-/// Renders a minimal, self-contained Rust repro for a failing scenario:
-/// decode the ID, run, assert clean. Paste it into any test module with
-/// `oc-check` and `oc-algo` available.
-#[must_use]
-pub fn repro_snippet(scenario: &Scenario, mutation: Mutation) -> String {
-    format!(
-        "#[test]\n\
-         fn shrunk_counterexample_replays() {{\n\
-         \x20   // Scenario ID is the complete scenario: n={n}, {arrivals} arrival(s), \
-         {crashes} crash(es).\n\
-         \x20   let scenario = oc_check::Scenario::from_id(\n\
-         \x20       \"{id}\",\n\
-         \x20   )\n\
-         \x20   .expect(\"valid scenario id\");\n\
-         \x20   let outcome = oc_check::run_scenario(&scenario, oc_algo::Mutation::{mutation:?});\n\
-         \x20   assert!(outcome.is_clean(), \"violations: {{outcome:?}}\");\n\
-         }}\n",
-        n = scenario.n,
-        arrivals = scenario.arrivals.len(),
-        crashes = scenario.crashes.len(),
-        id = scenario.id(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,14 +197,5 @@ mod tests {
         for index in 0..4_096 {
             assert!(seen.insert(scenario_seed(42, index)), "collision at {index}");
         }
-    }
-
-    #[test]
-    fn repro_snippet_contains_the_id_and_mutation() {
-        let scenario = Scenario::generate(&Space::default(), 1, 0);
-        let text = repro_snippet(&scenario, Mutation::SkipTokenRegeneration);
-        assert!(text.contains(&scenario.id()));
-        assert!(text.contains("Mutation::SkipTokenRegeneration"));
-        assert!(text.contains("oc_check::run_scenario"));
     }
 }

@@ -3,7 +3,7 @@
 use oc_algo::{Hardening, Mutation, NodeStats, OpenCubeNode};
 use oc_sim::{
     check_liveness_isolated, DelayModel, LivenessReport, MsgKind, OracleReport, Protocol,
-    SimConfig, SimDuration, SimTime, World,
+    SimConfig, SimDuration, SimTime, Trace, World,
 };
 use oc_topology::NodeId;
 
@@ -47,12 +47,16 @@ pub struct CoverageStats {
 }
 
 /// The oracle verdict and headline counters of one scenario run — the
-/// one verdict type of all three substrates.
+/// one verdict type of every substrate.
 ///
 /// From the simulator ([`run_scenario`]) every field is filled and equal
 /// scenarios produce equal outcomes — `PartialEq` over the whole struct
 /// is the "replays byte-identically" check, and [`Outcome::fingerprint`]
-/// folds it into one `u64` for aggregate summaries.
+/// folds it into one `u64` for aggregate summaries. The virtual-time
+/// socket node ([`crate::run_scenario_nodeproc`]) is as deterministic:
+/// its world judgement fills every field but the node counters of
+/// `coverage`, and its log judgement ([`crate::judge_logs`]) the fields
+/// a socket outcome fills, `events` counting merged log records.
 ///
 /// From the threaded runtime ([`crate::run_scenario_runtime`]) and from
 /// real processes (`oc_bench::orchestrator::run_scenario_sockets`) an
@@ -179,23 +183,40 @@ pub fn run_scenario_hardened(
     run_scenario_observed(
         scenario,
         |s| OpenCubeNode::build_all(s.config(mutation, hardening)),
-        |world, coverage| {
-            // The open cube exposes per-node protocol counters; fold them
-            // into the coverage block so the guided explorer can reward
-            // scenarios that exercise the search/regeneration machinery.
-            let mut stats = NodeStats::default();
-            for k in 0..world.len() {
-                stats = stats.merged(world.node(NodeId::new(k as u32 + 1)).stats());
-            }
-            coverage.search_restarts = u64::from(stats.search_restarts);
-            coverage.regenerations = u64::from(stats.tokens_regenerated);
-            coverage.search_phases = u64::from(stats.search_phases);
-            coverage.searches_started = u64::from(stats.searches_started);
-            coverage.nodes_tested = u64::from(stats.nodes_tested);
-            coverage.anomalies = u64::from(stats.anomalies_sent);
-            coverage.mints_parked = u64::from(stats.mints_parked);
-        },
+        fold_node_stats,
     )
+}
+
+/// [`run_scenario_hardened`] with the simulator's trace on: the same
+/// outcome, and the run's [`Trace`] beside it — what `explore --replay`
+/// prints for an `oc1-` ID.
+#[must_use]
+pub fn run_scenario_traced(
+    scenario: &Scenario,
+    mutation: Mutation,
+    hardening: Hardening,
+) -> (Outcome, Trace) {
+    let nodes = OpenCubeNode::build_all(scenario.config(mutation, hardening));
+    let mut world = scenario_world(scenario, nodes, true);
+    let drained = world.run_to_quiescence();
+    (judge_world(&world, scenario, drained, fold_node_stats), world.trace().clone())
+}
+
+/// The open cube exposes per-node protocol counters; fold them into the
+/// coverage block so the guided explorer can reward scenarios that
+/// exercise the search/regeneration machinery.
+fn fold_node_stats(world: &World<OpenCubeNode>, coverage: &mut CoverageStats) {
+    let mut stats = NodeStats::default();
+    for k in 0..world.len() {
+        stats = stats.merged(world.node(NodeId::new(k as u32 + 1)).stats());
+    }
+    coverage.search_restarts = u64::from(stats.search_restarts);
+    coverage.regenerations = u64::from(stats.tokens_regenerated);
+    coverage.search_phases = u64::from(stats.search_phases);
+    coverage.searches_started = u64::from(stats.searches_started);
+    coverage.nodes_tested = u64::from(stats.nodes_tested);
+    coverage.anomalies = u64::from(stats.anomalies_sent);
+    coverage.mints_parked = u64::from(stats.mints_parked);
 }
 
 /// Runs one scenario against an arbitrary [`Protocol`] and returns its
@@ -217,11 +238,9 @@ where
 }
 
 /// [`run_scenario_with`] plus a post-run observer that reads the final
-/// [`World`] — the hook protocol-specific coverage signals flow through
-/// (the open-cube path folds its per-node [`NodeStats`] into the
-/// [`CoverageStats`] block here). The observer runs after the oracles,
-/// before the world is dropped; it must be deterministic for outcome
-/// replay identity to hold.
+/// [`World`] — the hook protocol-specific coverage signals flow through.
+/// The observer runs after the oracles, before the world is dropped; it
+/// must be deterministic for outcome replay identity to hold.
 #[must_use]
 pub fn run_scenario_observed<P, F, O>(scenario: &Scenario, build: F, observe: O) -> Outcome
 where
@@ -229,6 +248,18 @@ where
     F: FnOnce(&Scenario) -> Vec<P>,
     O: FnOnce(&World<P>, &mut CoverageStats),
 {
+    let mut world = scenario_world(scenario, build(scenario), false);
+    let drained = world.run_to_quiescence();
+    judge_world(&world, scenario, drained, observe)
+}
+
+/// The world `scenario` runs in, every arrival and crash scheduled: the
+/// one place a scenario becomes a [`SimConfig`].
+pub(crate) fn scenario_world<P: Protocol>(
+    scenario: &Scenario,
+    nodes: Vec<P>,
+    record_trace: bool,
+) -> World<P> {
     let sim = SimConfig {
         delay: DelayModel::Uniform {
             min: SimDuration::from_ticks(scenario.delay_min),
@@ -236,18 +267,33 @@ where
         },
         cs_duration: SimDuration::from_ticks(scenario.cs_ticks),
         seed: scenario.seed,
-        record_trace: false,
+        record_trace,
         max_events: scenario.max_events,
         script: scenario.fault_script(),
     };
-    let mut world = World::new(sim, build(scenario));
+    let mut world = World::new(sim, nodes);
     for (at, node) in &scenario.arrivals {
         world.schedule_request(SimTime::from_ticks(*at), NodeId::new(*node));
     }
     world.schedule_failures(&scenario.failure_plan());
-    let drained = world.run_to_quiescence();
+    world
+}
+
+/// Judges a scenario's world once it has run (`drained`: the queue
+/// emptied under the event cap) by the world's own oracles; `observe`
+/// adds protocol-specific coverage signals.
+pub(crate) fn judge_world<P, O>(
+    world: &World<P>,
+    scenario: &Scenario,
+    drained: bool,
+    observe: O,
+) -> Outcome
+where
+    P: Protocol,
+    O: FnOnce(&World<P>, &mut CoverageStats),
+{
     let (isolated, unreachable) = world.partition_isolation(drained);
-    let liveness = check_liveness_isolated(&world, drained, &isolated, unreachable);
+    let liveness = check_liveness_isolated(world, drained, &isolated, unreachable);
     let mut coverage = CoverageStats {
         sent_by_kind: MsgKind::all().map(|kind| world.metrics().sent(kind)),
         isolated_nodes: isolated.iter().filter(|iso| **iso).count() as u64,
@@ -258,7 +304,7 @@ where
         unreachable,
         ..CoverageStats::default()
     };
-    observe(&world, &mut coverage);
+    observe(world, &mut coverage);
     let metrics = world.metrics();
     Outcome {
         drained,
@@ -316,6 +362,23 @@ mod tests {
         let b = run_scenario(&scenario, Mutation::None);
         assert_eq!(a, b);
         assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn an_outcome_with_the_trace_on_equals_the_one_with_it_off() {
+        let witness = Scenario::from_id(
+            "oc1-08a68eedf2ccf1f2b66107112e881190a10f2fbc030090030500061e033c025a07780100",
+        )
+        .expect("the witness decodes");
+        let generated = (0..40).map(|index| Scenario::generate(&Space::default(), 7, index));
+        for scenario in generated.chain([witness]) {
+            for hardening in [Hardening::None, Hardening::Quorum] {
+                let (traced, trace) = run_scenario_traced(&scenario, Mutation::None, hardening);
+                let plain = run_scenario_hardened(&scenario, Mutation::None, hardening);
+                assert_eq!(traced, plain, "{}", scenario.id());
+                assert!(!trace.records().is_empty(), "{}", scenario.id());
+            }
+        }
     }
 
     #[test]

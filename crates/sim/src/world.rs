@@ -618,6 +618,14 @@ impl<P: Protocol> World<P> {
         false
     }
 
+    /// The virtual time of the next event [`World::step`] would process,
+    /// or `None` once the queue is empty — what a node whose clock is the
+    /// simulator's reads before the step hands it its event.
+    #[must_use]
+    pub fn next_event_at(&self) -> Option<SimTime> {
+        self.core.queue.peek_time()
+    }
+
     /// Runs until virtual time would exceed `deadline` (events at exactly
     /// `deadline` are processed). Returns `true` if the queue drained early.
     pub fn run_until(&mut self, deadline: SimTime) -> bool {

@@ -64,7 +64,9 @@ pub struct Hlc {
     logical: u32,
 }
 
-fn physical_now() -> u64 {
+/// The host's wall clock, in nanoseconds since the Unix epoch — the
+/// physical reading the node process's OS end hands its clock.
+pub(crate) fn physical_now() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
@@ -82,7 +84,12 @@ impl Hlc {
     /// maximum of physical now and the last issued stamp, logical
     /// incremented on a standstill.
     pub fn tick(&mut self) -> Stamp {
-        let now = physical_now();
+        self.tick_at(physical_now())
+    }
+
+    /// [`Hlc::tick`] with the physical reading `now` (nanoseconds) given
+    /// by the caller: the host's clock, or a simulator's virtual time.
+    pub fn tick_at(&mut self, now: u64) -> Stamp {
         if now > self.wall_ns {
             self.wall_ns = now;
             self.logical = 0;
@@ -96,7 +103,12 @@ impl Hlc {
     /// event, guaranteed greater than both the remote stamp and every
     /// stamp this clock issued before.
     pub fn observe(&mut self, remote: Stamp) -> Stamp {
-        let now = physical_now();
+        self.observe_at(remote, physical_now())
+    }
+
+    /// [`Hlc::observe`] with the physical reading `now` given by the
+    /// caller.
+    pub fn observe_at(&mut self, remote: Stamp, now: u64) -> Stamp {
         let local = (self.wall_ns, self.logical);
         let theirs = (remote.wall_ns, remote.logical);
         if now > local.0.max(theirs.0) {

@@ -17,9 +17,11 @@
 //! * [`hlc`] — hybrid logical clocks, the merge order of event logs;
 //! * [`log`] — per-process append-only event logs, their stamp-ordered
 //!   merge, and the replay into a fresh safety [`oc_sim::Oracle`];
-//! * [`nodeproc`] — the per-process node runtime behind the exact same
-//!   [`oc_sim::ActionSink`] seam the simulator and the threaded runtime
-//!   drive through.
+//! * [`proc`] — the socket node's protocol core without I/O: frames in as
+//!   bytes with a clock reading, log records and effects out, advanced
+//!   through the exact same [`oc_sim::ActionSink`] seam the simulator and
+//!   the threaded runtime drive through;
+//! * [`nodeproc`] — its OS end: sockets, the host clock, the log file.
 //!
 //! The orchestrator that spawns node processes, drives workloads, kills
 //! and heals on schedule, and merges the logs lives in `oc-bench`
@@ -33,10 +35,12 @@ pub mod hlc;
 pub mod log;
 pub mod net;
 pub mod nodeproc;
+pub mod proc;
 pub mod wire;
 
 pub use hlc::{Hlc, Stamp};
-pub use log::{merge, read_log, replay, LogRecord, LogWriter, Replay};
+pub use log::{decode_log, merge, read_log, replay, whole_len, LogRecord, LogWriter, Replay};
 pub use net::{Cluster, Endpoint, Listener, Stream};
-pub use nodeproc::{parse_args, run, NodeOptions};
+pub use nodeproc::{parse_args, run, NodeOptions, DEFAULT_TICK};
+pub use proc::{Effect, Input, Output, Proc};
 pub use wire::{CompletionStatus, Frame, NodeStatus, WireError};

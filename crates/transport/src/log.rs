@@ -20,7 +20,9 @@
 //!   synthetic record can never poison a replay;
 //! * a torn final record (killed mid-`write`) is detected by the length
 //!   check and dropped — only the unflushed suffix of the dead process's
-//!   history is lost, which the crash semantics already declare lost.
+//!   history is lost, which the crash semantics already declare lost —
+//!   and [`LogWriter::open`] cuts it off before the next incarnation
+//!   appends, so every record after it stays whole and aligned.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -91,9 +93,16 @@ const REC_CRASH: u8 = 4;
 /// Fixed record size on disk: tag + stamp + node + epoch (the epoch is
 /// written as 0 for variants that have none, keeping records
 /// fixed-width so a torn tail is detected by a simple length check).
-const REC_LEN: usize = 1 + Stamp::WIRE_LEN + 4 + 8;
+pub const REC_LEN: usize = 1 + Stamp::WIRE_LEN + 4 + 8;
 
-fn encode_record(rec: &LogRecord) -> [u8; REC_LEN] {
+/// The bytes of a `len`-byte log that hold whole records: what is left
+/// once a torn tail is cut off.
+#[must_use]
+pub fn whole_len(len: u64) -> u64 {
+    len - len % REC_LEN as u64
+}
+
+pub(crate) fn encode_record(rec: &LogRecord) -> [u8; REC_LEN] {
     let (tag, stamp, node, epoch) = match *rec {
         LogRecord::EnterCs { stamp, node, epoch } => (REC_ENTER, stamp, node, epoch),
         LogRecord::ExitCs { stamp, node } => (REC_EXIT, stamp, node, 0),
@@ -131,13 +140,19 @@ pub struct LogWriter {
 }
 
 impl LogWriter {
-    /// Opens (appending) or creates the log at `path`.
+    /// Opens (appending) or creates the log at `path`. A torn tail — the
+    /// part of a record a killed incarnation was writing — is cut off
+    /// first, so what this writer appends starts on a record boundary.
     ///
     /// # Errors
     ///
     /// Propagates the filesystem error.
     pub fn open(path: &Path) -> io::Result<Self> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
+        let len = file.metadata()?.len();
+        if whole_len(len) != len {
+            file.set_len(whole_len(len))?;
+        }
         Ok(LogWriter { file })
     }
 
@@ -147,7 +162,13 @@ impl LogWriter {
     ///
     /// Propagates the write error.
     pub fn append(&mut self, rec: &LogRecord) -> io::Result<()> {
-        self.file.write_all(&encode_record(rec))?;
+        self.append_encoded(&encode_record(rec))
+    }
+
+    /// Appends one record already encoded and flushes it to the OS.
+    pub(crate) fn append_encoded(&mut self, record: &[u8]) -> io::Result<()> {
+        debug_assert_eq!(record.len(), REC_LEN, "one whole record per append");
+        self.file.write_all(record)?;
         self.file.flush()
     }
 }
@@ -161,7 +182,12 @@ impl LogWriter {
 /// Propagates filesystem errors (a missing file is an error — the
 /// orchestrator creates each log before spawning its node).
 pub fn read_log(path: &Path) -> io::Result<Vec<LogRecord>> {
-    let bytes = std::fs::read(path)?;
+    Ok(decode_log(&std::fs::read(path)?))
+}
+
+/// [`read_log`] over a log's bytes already in memory.
+#[must_use]
+pub fn decode_log(bytes: &[u8]) -> Vec<LogRecord> {
     let mut records = Vec::with_capacity(bytes.len() / REC_LEN);
     // `chunks_exact` leaves a partial record, a torn tail, unread.
     records.extend(
@@ -169,7 +195,7 @@ pub fn read_log(path: &Path) -> io::Result<Vec<LogRecord>> {
             .chunks_exact(REC_LEN)
             .map_while(|chunk| decode_record(chunk.try_into().expect("REC_LEN bytes"))),
     );
-    Ok(records)
+    records
 }
 
 /// A record's stamp as one integer that orders as the stamp does:
@@ -334,10 +360,17 @@ mod tests {
         let bytes = std::fs::read(&whole).unwrap();
         assert_eq!(bytes.len(), records.len() * REC_LEN);
         let cut = dir.join("cut.log");
+        let next = LogRecord::Recover { stamp: st(50, 1), node: 1 };
         for len in 0..=bytes.len() {
             std::fs::write(&cut, &bytes[..len]).unwrap();
             let read = read_log(&cut).unwrap_or_else(|e| panic!("cut at {len}: {e}"));
             assert_eq!(read, records[..len / REC_LEN], "cut at byte {len}");
+            // The next incarnation appends after the cut: its record
+            // follows the whole ones, on a record boundary.
+            LogWriter::open(&cut).unwrap().append(&next).unwrap();
+            let mut expected = records[..len / REC_LEN].to_vec();
+            expected.push(next);
+            assert_eq!(read_log(&cut).unwrap(), expected, "append after a cut at byte {len}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
