@@ -76,9 +76,13 @@ pub(crate) struct FaultState {
     /// The state of the last finished search, kept so that the next one
     /// reuses its ring buffers and allocates nothing. Capacity, not
     /// protocol state: a crash keeps it too. Every search has already
-    /// allocated this box for its counters.
+    /// allocated this box for its counters. The one protocol bit it
+    /// carries, [`SearchState::claim_resent`], a crash clears.
     pub search_spare: Option<Box<SearchState>>,
 }
+
+// The counters, the promise, the ballot and the spare search.
+const _: () = assert!(size_of::<FaultState>() <= 128);
 
 /// One node of the open-cube mutual exclusion algorithm.
 ///
@@ -316,6 +320,25 @@ impl OpenCubeNode {
         self.father = father;
     }
 
+    /// `true` while the pending claim is the one the last search re-sent
+    /// to `father` (see [`SearchState::claim_resent`]).
+    pub(crate) fn claim_resent(&self) -> bool {
+        self.fault
+            .as_deref()
+            .and_then(|fault| fault.search_spare.as_deref())
+            .is_some_and(|spare| spare.claim_resent)
+    }
+
+    /// Forgets that the pending claim was re-sent, at a claim start or a
+    /// crash. Allocates nothing on a node that never searched.
+    fn clear_claim_resent(&mut self) {
+        if let Some(spare) =
+            self.fault.as_deref_mut().and_then(|fault| fault.search_spare.as_deref_mut())
+        {
+            spare.claim_resent = false;
+        }
+    }
+
     // ---- local request path ----
 
     /// Handles the application's `enter_cs` call once the precondition
@@ -337,6 +360,7 @@ impl OpenCubeNode {
             self.local = LocalState::Waiting;
             self.mandator = Some(self.id);
             self.current_claim = Some((self.id, seq));
+            self.clear_claim_resent();
             let father = self.father.expect("a non-root node without the token has a father");
             out.send(father, self.id_request(seq));
             self.arm_token_wait(out);
@@ -398,6 +422,7 @@ impl OpenCubeNode {
             } else {
                 self.mandator = Some(claimant);
                 self.current_claim = Some((source, source_seq));
+                self.clear_claim_resent();
                 let father = self.father.expect("a proxy node without the token has a father");
                 out.send(
                     father,
@@ -780,8 +805,9 @@ impl Protocol for OpenCubeNode {
         self.queue.clear();
         self.loan = None;
         // The search's ring buffers are capacity, not protocol state: the
-        // recovery search reuses them.
+        // recovery search reuses them. The claim they re-sent is gone.
         self.recycle_search();
+        self.clear_claim_resent();
         // The running ballot is volatile; the epoch counters are NOT —
         // like pmax and dist they live on stable storage. Forgetting a
         // promise across a crash would let two quorums form for one epoch,

@@ -46,7 +46,18 @@ pub(crate) struct SearchState {
     pub pending: RingSet,
     /// Ring members that answered "try later" — re-probed next round.
     pub retry: RingSet,
+    /// Set on the recycled state when the search ended by re-sending the
+    /// node's pending claim to the father it found
+    /// ([`OpenCubeNode::conclude_search_with_father`]); read by
+    /// [`OpenCubeNode::on_test`]. Recycling clears it, and so do the
+    /// node's next claim start and a crash. It sits in the padding after
+    /// the three phase counters, so neither the node nor its fault box
+    /// grows.
+    pub claim_resent: bool,
 }
+
+// Three phase counters, the flag in their padding, two ring sets.
+const _: () = assert!(size_of::<SearchState>() <= 96);
 
 impl OpenCubeNode {
     /// Begins `search_father` at phase `start_d` (clamped to `1..=pmax`).
@@ -80,7 +91,8 @@ impl OpenCubeNode {
     /// Returns the finished search state to the spare slot so its ring
     /// buffers are reused by the next search.
     pub(crate) fn recycle_search(&mut self) {
-        if let Some(state) = self.search.take() {
+        if let Some(mut state) = self.search.take() {
+            state.claim_resent = false;
             self.fault_mut().search_spare = Some(state);
         }
     }
@@ -187,6 +199,9 @@ impl OpenCubeNode {
             let epoch = self.epoch_seen;
             out.send(k, Msg::Request { claimant, source, source_seq: seq, epoch });
             self.arm_token_wait(out);
+            if let Some(spare) = self.fault_mut().search_spare.as_deref_mut() {
+                spare.claim_resent = true;
+            }
         } else {
             // Recovery / anomaly reattachment with no pending claim.
             self.process_queue(out);
@@ -313,6 +328,15 @@ impl OpenCubeNode {
             // We meet Cor. 2.1's requirements — even while asking, our
             // power cannot decrease upon receiving the token.
             out.send(from, Msg::Answer { kind: AnswerKind::Ok, d });
+        } else if self.waits_on(from) {
+            // Our claim, re-sent after our own search, sits in the
+            // prober's queue, and our power can only grow through the
+            // token that claim asks for. The prober serves its queue only
+            // once its search ends, so "try later" would keep it
+            // re-probing a son that is waiting for it — a wait-for cycle
+            // that nothing but its patience budget breaks. A son can never
+            // be its father's father: stay silent, as the paper prescribes
+            // for a node that cannot qualify.
         } else if self.is_asking() || self.token_here_inner() {
             // Busy: our power could still increase before this request
             // completes; tell the prober to try again. Token custody
@@ -324,6 +348,16 @@ impl OpenCubeNode {
             out.send(from, Msg::Answer { kind: AnswerKind::TryLater, d });
         }
         // Otherwise: stay silent; the prober discards us after 2δ.
+    }
+
+    /// `true` when this node waits on `prober`: it is waiting for the
+    /// token without holding it, `prober` is its father, and its pending
+    /// claim is the one its last search re-sent to that father.
+    fn waits_on(&self, prober: NodeId) -> bool {
+        self.mandator_inner().is_some()
+            && !self.token_here_inner()
+            && self.father() == Some(prober)
+            && self.claim_resent()
     }
 
     /// Handles an `answer` to one of our probes.
@@ -622,6 +656,82 @@ mod tests {
         node9.on_recover(&mut out);
         let actions = out.drain();
         assert_eq!(sent_tests(&actions), vec![(10, 1)]);
+    }
+
+    /// Node 10 (16-cube, father 9) asks, suspects, finds node 9 again in
+    /// phase 1 and re-sends its claim there: a son waiting on its father.
+    fn son_with_claim_resent_to_9() -> OpenCubeNode {
+        let mut node = searching_node_10();
+        let _ = deliver(&mut node, 9, Msg::Answer { kind: AnswerKind::Ok, d: 1 });
+        assert_eq!(node.father(), Some(NodeId::new(9)));
+        assert!(node.claim_resent());
+        node
+    }
+
+    fn answer_to_test(node: &mut OpenCubeNode, from: u32, d: u32) -> Option<AnswerKind> {
+        let actions = deliver(node, from, Msg::Test { d });
+        match actions[..] {
+            [] => None,
+            [Action::Send { to, msg: Msg::Answer { kind, d: echoed } }]
+                if to.get() == from && echoed == d =>
+            {
+                Some(kind)
+            }
+            _ => panic!("unexpected reply to test({d}): {actions:?}"),
+        }
+    }
+
+    #[test]
+    fn son_whose_claim_was_resent_to_the_prober_is_silent() {
+        let mut node = son_with_claim_resent_to_9();
+        // Its father probes it: the claim waits in the prober's queue, so
+        // try-later would only keep the prober re-probing. Silence.
+        assert_eq!(answer_to_test(&mut node, 9, 1), None);
+        // Any other prober still hears try-later: only the father is the
+        // other end of the cycle.
+        assert_eq!(answer_to_test(&mut node, 11, 2), Some(AnswerKind::TryLater));
+    }
+
+    #[test]
+    fn son_on_its_first_claim_answers_try_later() {
+        // The claim went to the father by the ordinary request path, not
+        // after a search: the father's probe is answered try-later.
+        let mut node = OpenCubeNode::new(NodeId::new(10), ft_cfg(16));
+        let _ = drain(&mut node, NodeEvent::RequestCs);
+        assert_eq!(node.father(), Some(NodeId::new(9)));
+        assert!(!node.claim_resent());
+        assert_eq!(answer_to_test(&mut node, 9, 1), Some(AnswerKind::TryLater));
+    }
+
+    #[test]
+    fn son_holding_the_token_in_cs_answers_try_later() {
+        let mut node = son_with_claim_resent_to_9();
+        let _ = deliver(&mut node, 9, Msg::Token { lender: Some(NodeId::new(9)), epoch: 0 });
+        assert!(node.in_cs() && node.holds_token());
+        assert_eq!(node.father(), Some(NodeId::new(9)));
+        assert_eq!(answer_to_test(&mut node, 9, 1), Some(AnswerKind::TryLater));
+    }
+
+    #[test]
+    fn the_resent_mark_clears_at_the_next_claim_start() {
+        let mut node = son_with_claim_resent_to_9();
+        let _ = deliver(&mut node, 9, Msg::Token { lender: Some(NodeId::new(9)), epoch: 0 });
+        let _ = drain(&mut node, NodeEvent::ExitCs);
+        // A fresh claim to the same father is a first claim again.
+        let _ = drain(&mut node, NodeEvent::RequestCs);
+        assert!(node.is_asking() && !node.in_cs());
+        assert!(!node.claim_resent());
+        assert_eq!(answer_to_test(&mut node, 9, 1), Some(AnswerKind::TryLater));
+    }
+
+    #[test]
+    fn the_resent_mark_clears_on_a_crash() {
+        let mut node = son_with_claim_resent_to_9();
+        node.on_crash();
+        assert!(!node.claim_resent());
+        let mut out = Outbox::new();
+        node.on_recover(&mut out);
+        assert!(!node.claim_resent(), "the recovery search starts unmarked");
     }
 
     #[test]

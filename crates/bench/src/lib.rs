@@ -28,7 +28,9 @@ pub mod sweep;
 
 use oc_algo::{Config, Hardening, OpenCubeNode};
 use oc_baselines::{CentralNode, NaimiTrehelNode, RaymondNode};
-use oc_sim::{ArrivalSchedule, DelayModel, Protocol, SimConfig, SimDuration, SimTime, World};
+use oc_sim::{
+    ArrivalSchedule, DelayModel, MsgKind, Protocol, SimConfig, SimDuration, SimTime, World,
+};
 use oc_topology::NodeId;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
@@ -201,6 +203,11 @@ pub const E3_COLS: &[Col] = &[
     col("rep", "rep", 6, 0),
     col("overhead/fail", "overhead_per_failure", 14, 2),
     col("extra/fail", "extra_per_failure", 12, 2),
+    col("test/f", "test_per_failure", 8, 2),
+    col("answer/f", "answer_per_failure", 9, 2),
+    col("anomaly/f", "anomaly_per_failure", 10, 2),
+    col("enq/f", "enquiry_per_failure", 7, 2),
+    col("search/f", "searches_per_failure", 9, 2),
     col("searches", "searches", 9, 0),
     col("regen", "regenerations", 7, 0),
     col("served", "served", 9, 0),
@@ -223,6 +230,11 @@ pub const E3_HORIZON_COLS: &[Col] = &[
     col("failures", "failures", 9, 0),
     col("events", "events", 10, 0),
     col("overhead/fail", "overhead_per_failure", 14, 2),
+    col("test/f", "test_per_failure", 8, 2),
+    col("answer/f", "answer_per_failure", 9, 2),
+    col("anomaly/f", "anomaly_per_failure", 10, 2),
+    col("enq/f", "enquiry_per_failure", 7, 2),
+    col("search/f", "searches_per_failure", 9, 2),
     col("wall s", "wall_secs", 8, 2),
     col("events/s", "events_per_sec", 12, 0),
     col("before ev/s", "before_events_per_sec", 14, 0),
@@ -276,6 +288,37 @@ fn e3_inputs(n: usize, failures: usize, seed: u64) -> (ArrivalSchedule, oc_sim::
     (schedule, failure_plan)
 }
 
+/// E3's failure run, scheduled and not yet stepped: [`e3_inputs`] on `n`
+/// nodes under `hardening`, contention slack 1 000. At `n = 64` this is
+/// the benchmark's `sim-faults` world for the same seed.
+#[must_use]
+pub fn e3_world(n: usize, failures: usize, seed: u64, hardening: Hardening) -> World<OpenCubeNode> {
+    let (schedule, failure_plan) = e3_inputs(n, failures, seed);
+    let mut world =
+        World::new(sim_config(seed), OpenCubeNode::build_all(ft_cfg(n, 1_000, hardening)));
+    world.schedule_workload(&schedule);
+    world.schedule_failures(&failure_plan);
+    world
+}
+
+/// Where a finished E3 run's failure overhead went, per failure, by
+/// message kind — `search_father`'s probes and answers, anomaly bounces,
+/// the root's enquiries with their replies — and the searches started.
+/// Under `Hardening::None` these kinds make up the whole of
+/// `overhead/fail`; a hardened run adds its mint traffic.
+fn overhead_by_kind(world: &World<OpenCubeNode>, failures: usize) -> [(&'static str, Value); 5] {
+    let m = world.metrics();
+    let per = |count: u64| Value::Num(count as f64 / failures as f64);
+    let searches = oc_algo::aggregate_stats(world).searches_started;
+    [
+        ("test_per_failure", per(m.sent(MsgKind::Test))),
+        ("answer_per_failure", per(m.sent(MsgKind::Answer))),
+        ("anomaly_per_failure", per(m.sent(MsgKind::Anomaly))),
+        ("enquiry_per_failure", per(m.sent(MsgKind::Enquiry) + m.sent(MsgKind::EnquiryReply))),
+        ("searches_per_failure", per(u64::from(searches))),
+    ]
+}
+
 /// E3: repeated random single failures (with recovery) under steady load,
 /// reproducing the shape of the paper's Estelle/iPSC-2 measurement
 /// (8 msg/failure at N=32 over 300 failures; 9.75 at N=64 over 200).
@@ -285,7 +328,7 @@ fn e3_inputs(n: usize, failures: usize, seed: u64) -> (ArrivalSchedule, oc_sim::
 #[must_use]
 pub fn e3_failures(cell: &E3Cell, seed: u64) -> Value {
     let E3Cell { n, failures, seed_index, hardening } = *cell;
-    let (schedule, failure_plan) = e3_inputs(n, failures, seed);
+    let (schedule, _) = e3_inputs(n, failures, seed);
 
     // Reference run: same seed and workload, no failures.
     let nodes = || OpenCubeNode::build_all(ft_cfg(n, 1_000, hardening));
@@ -294,25 +337,27 @@ pub fn e3_failures(cell: &E3Cell, seed: u64) -> Value {
     assert!(clean.run_to_quiescence(), "E3 clean run wedged");
     let clean_total = clean.metrics().total_sent();
 
-    let mut world = World::new(sim_config(seed), nodes());
-    world.schedule_workload(&schedule);
-    world.schedule_failures(&failure_plan);
+    let mut world = e3_world(n, failures, seed, hardening);
     assert!(world.run_to_quiescence(), "E3 failure run wedged");
 
     let stats = oc_algo::aggregate_stats(&world);
     let overhead = world.metrics().overhead_messages();
     let extra = world.metrics().total_sent() as i64 - clean_total as i64;
-    Value::Obj(vec![
+    let mut fields = vec![
         ("n", Value::UInt(n as u64)),
         ("failures", Value::UInt(failures as u64)),
         ("rep", Value::UInt(seed_index as u64)),
         ("overhead_per_failure", Value::Num(overhead as f64 / failures as f64)),
         ("extra_per_failure", Value::Num(extra as f64 / failures as f64)),
+    ];
+    fields.extend(overhead_by_kind(&world, failures));
+    fields.extend([
         ("searches", Value::UInt(u64::from(stats.searches_started))),
         ("regenerations", Value::UInt(u64::from(stats.tokens_regenerated))),
         ("served", Value::UInt(world.metrics().cs_entries)),
         ("injected", Value::UInt(world.requests_injected())),
-    ])
+    ]);
+    Value::Obj(fields)
 }
 
 /// Multi-seed summaries of E3 rows (in [`e3_cells`] order): mean ± 95% CI
@@ -358,17 +403,13 @@ pub const E3_HORIZON_BEFORE: (&str, [(usize, f64); 3]) =
 /// than what it destroys. `gain` is against `before_events_per_sec`.
 #[must_use]
 pub fn e3_long_horizon(n: usize, failures: usize, seed: u64, before_events_per_sec: f64) -> Value {
-    let (schedule, failure_plan) = e3_inputs(n, failures, seed);
-    let mut world =
-        World::new(sim_config(seed), OpenCubeNode::build_all(ft_cfg(n, 1_000, Hardening::None)));
-    world.schedule_workload(&schedule);
-    world.schedule_failures(&failure_plan);
+    let mut world = e3_world(n, failures, seed, Hardening::None);
     let start = std::time::Instant::now();
     assert!(world.run_to_quiescence(), "E3 long-horizon run wedged");
     let wall_secs = start.elapsed().as_secs_f64();
     let events = world.metrics().events_processed;
     let events_per_sec = if wall_secs > 0.0 { events as f64 / wall_secs } else { 0.0 };
-    Value::Obj(vec![
+    let mut fields = vec![
         ("n", Value::UInt(n as u64)),
         ("failures", Value::UInt(failures as u64)),
         ("events", Value::UInt(events)),
@@ -376,11 +417,15 @@ pub fn e3_long_horizon(n: usize, failures: usize, seed: u64, before_events_per_s
             "overhead_per_failure",
             Value::Num(world.metrics().overhead_messages() as f64 / failures as f64),
         ),
+    ];
+    fields.extend(overhead_by_kind(&world, failures));
+    fields.extend([
         ("wall_secs", Value::Num(wall_secs)),
         ("events_per_sec", Value::Num(events_per_sec)),
         ("before_events_per_sec", Value::Num(before_events_per_sec)),
         ("gain", Value::Num(events_per_sec / before_events_per_sec)),
-    ])
+    ]);
+    Value::Obj(fields)
 }
 
 // --------------------------------------------------------------------

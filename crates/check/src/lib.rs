@@ -98,7 +98,8 @@ use oc_algo::Mutation;
 
 /// The shrunk healed-partition findings of the seed-42 partition battery
 /// (`explore --partitions --budget 5000 --seed 42`), one `(name, oc1-id)`
-/// per failing index. Every one is a safety violation (token duplication
+/// per failing index; index 3811, failing since a son waiting on its
+/// prober answers silence, is not pinned. Every one is a safety violation (token duplication
 /// or mutual exclusion) born at or after a partition heal — the
 /// double-mint window: the isolated side's suspicion machinery concludes
 /// the silent nodes dead and regenerates, and the heal delivers two
@@ -111,10 +112,12 @@ use oc_algo::Mutation;
 /// under [`oc_algo::Hardening::Quorum`] (quorum-gated regeneration closes
 /// the window), and CI replays both directions on every push.
 pub const HEALED_PARTITION_PINS: &[(&str, &str)] = &[
-    // index 1021: n=16, 2 arrivals, 0 crashes — a cut alone suffices.
+    // index 1021, shrunk again once a son waiting on its prober answers
+    // silence: n=16, 5 arrivals, 0 crashes, two group cuts — the cuts
+    // alone suffice.
     (
-        "partition-1021",
-        "oc1-10d2dc91beb99ff1a7fe01090d37cc3f90a10f0000000002df0a0d960b0c0002af0882280003bfbf01e7c7010001",
+        "partition-1021b",
+        "oc1-10d2dc91beb99ff1a7fe01090d37cc3f90a10f0000000005840c0fbb0c03bc0f03f30f0daa100a0002af0882280003bfbf01e7c7010001",
     ),
     // index 1032: n=2, 1 arrival, 1 crash, one split cut.
     ("partition-1032", "oc1-02ebfcdeb99ae3a9cc1b02111d6190a10f000000000100010102000102010023010102"),
@@ -136,6 +139,21 @@ pub const HEALED_PARTITION_PINS: &[(&str, &str)] = &[
     ("partition-3037", "oc1-0285f5e0aea6e8cbc5460b192f930190a10f0000000001000201020001020100040000"),
     // index 4960: n=4, 1 arrival, 1 crash, one split cut.
     ("partition-4960", "oc1-04bef693d489c8fd90c001181842a20190a10f00000000010004010201010201024a010101"),
+];
+
+/// Former [`HEALED_PARTITION_PINS`] that replay **clean** under
+/// [`oc_algo::Hardening::None`] since a change to the protocol itself,
+/// each with the change that retired it. They stay pinned in their new
+/// verdict: clean under both hardenings.
+pub const RETIRED_PARTITION_PINS: &[(&str, &str)] = &[
+    // index 1021 as first shrunk: n=16, 2 arrivals, 0 crashes. Clean
+    // since a son whose re-sent claim waits at its prober answers
+    // silence, not try-later (`oc_algo`'s `search.rs`); the unshrunk
+    // scenario still fails and shrinks to `partition-1021b`.
+    (
+        "partition-1021",
+        "oc1-10d2dc91beb99ff1a7fe01090d37cc3f90a10f0000000002df0a0d960b0c0002af0882280003bfbf01e7c7010001",
+    ),
 ];
 
 /// Derives the i-th scenario seed from a master seed: a splitmix64

@@ -17,10 +17,14 @@
 //!
 //! Under [`Hardening::Quorum`] the same IDs replay **clean** — that
 //! flip lives in `self_check.rs`'s hardened fixed list, which is the
-//! other half of this contract.
+//! other half of this contract. A pin that a protocol change makes clean
+//! under the baseline too moves to
+//! [`oc_check::RETIRED_PARTITION_PINS`], pinned clean under both.
 
 use oc_algo::{Hardening, Mutation};
-use oc_check::{run_scenario_hardened, Scenario, Space, HEALED_PARTITION_PINS};
+use oc_check::{
+    run_scenario_hardened, Scenario, Space, HEALED_PARTITION_PINS, RETIRED_PARTITION_PINS,
+};
 use oc_sim::FaultPhaseKind;
 
 /// Replays every pinned healed-partition finding under the given
@@ -69,6 +73,21 @@ fn partition_findings_stay_detected() {
 #[test]
 fn partition_findings_flip_clean_under_quorum() {
     replay_pins(Hardening::Quorum, true);
+}
+
+#[test]
+fn retired_partition_pins_replay_clean() {
+    for (name, id) in RETIRED_PARTITION_PINS {
+        let scenario = Scenario::from_id(id)
+            .unwrap_or_else(|err| panic!("{name}: pinned id must decode: {err}"));
+        for hardening in [Hardening::None, Hardening::Quorum] {
+            let outcome = run_scenario_hardened(&scenario, Mutation::None, hardening);
+            assert!(
+                outcome.is_clean() && outcome.drained,
+                "{name}: the retired finding fails again under {hardening:?}: {outcome:?}"
+            );
+        }
+    }
 }
 
 #[test]

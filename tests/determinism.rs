@@ -131,11 +131,13 @@ fn fault_observables(world: &World<OpenCubeNode>) -> (u64, u64, u64, u64, u64) {
     )
 }
 
-/// Taken from the commit before the queue was split into tiers and the
-/// purge made in place; a purge that drops, keeps or reorders anything
-/// else moves them.
+/// First taken from the commit before the queue was split into tiers and
+/// the purge made in place; a purge that drops, keeps or reorders
+/// anything else moves them. Re-taken when a son whose re-sent claim
+/// waits at its prober began answering silence instead of try-later
+/// (was `(454_250, 312_318, 548, 81, 2_851_374_949_455_519_051)`).
 const FAULT_GOLDEN: (u64, u64, u64, u64, u64) =
-    (454_250, 312_318, 548, 81, 2_851_374_949_455_519_051);
+    (236_580, 134_735, 479, 79, 2_661_822_436_103_066_052);
 
 #[test]
 fn fault_path_observables_are_pinned() {
@@ -170,8 +172,11 @@ fn checkpoint_with_pending_inputs_resumes_identically() {
 /// `SimConfig::faults` window (ticks 100..2 000, 10 ‰ loss, 200 ‰
 /// duplication) beside the two scripted phases. That window drew before
 /// the script did; a leading `LossDup` phase draws in the same place.
+/// Re-taken when a son whose re-sent claim waits at its prober began
+/// answering silence (was `(3_820, 2_682, 25, 228,
+/// 5_318_256_125_972_993_502)`).
 const LINK_FAULT_GOLDEN: (u64, u64, u64, u64, u64) =
-    (3_820, 2_682, 25, 228, 5_318_256_125_972_993_502);
+    (2_149, 1_301, 26, 233, 4_780_478_008_976_611_560);
 
 /// n = 16 under three overlapping probabilistic phases. Every send inside
 /// the overlap draws for each of them in script order, so moving the
