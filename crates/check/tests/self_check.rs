@@ -145,7 +145,7 @@ fn kept_token_on_transit_is_detected_shrunk_and_replayed() {
 /// `oc-algo` (see `search.rs` and `enquiry.rs`). Each of these scenarios
 /// produced mutual-exclusion violations, duplicate tokens, or permanent
 /// livelocks when it was found; each must stay clean forever.
-const FIXED_COUNTEREXAMPLES: [(&str, &str); 7] = [
+const FIXED_COUNTEREXAMPLES: [(&str, &str); 6] = [
     // Token dies at rest with its crashed holder; nobody asks again.
     // Pinned the demand-gated token-conservation oracle (lazy
     // regeneration is the algorithm's rest state, not a violation).
@@ -188,16 +188,6 @@ const FIXED_COUNTEREXAMPLES: [(&str, &str); 7] = [
     (
         "merry-go-round",
         "oc1-10ffaacfa0cafebfacc3010f1446982a80897a00000000098c1f08d22e0d983e03de4d06b07c09f68b0105bc9b0107d4d9010f9ae9010201019f5300",
-    ),
-    // An `explore --hard` finding (hot workload, a permanent crash): the
-    // accumulated claimants' regeneration race, pinned as a live finding
-    // outside the repeated-single-failure model. Clean since a son whose
-    // re-sent claim waits at its prober answers silence, not try-later
-    // (`search.rs`): the prober stops re-probing it until patience runs
-    // out.
-    (
-        "hard-quadrant",
-        "oc1-0898baeccbdec6c68cc401131611d31c80897a000000000a1805240730063c0348086c0178028401049001069c01050104940100",
     ),
 ];
 
@@ -301,4 +291,21 @@ fn loss_outside_the_model_is_detected_not_absorbed() {
     let outcome = run_scenario(&token_loss, Mutation::None);
     assert!(outcome.lost_to_faults >= 1, "the token must have been dropped: {outcome:?}");
     assert!(outcome.is_clean(), "regeneration must heal a lost token: {outcome:?}");
+}
+
+#[test]
+fn hard_quadrant_finding_stays_fixed() {
+    // A pinned finding from `explore --hard` (hot workload × permanent
+    // crash): the accumulated claimants' regeneration race, once a live
+    // finding outside the paper's repeated-single-failure model. Clean
+    // since a son whose re-sent claim waits at its prober answers
+    // silence, not try-later (`search.rs`): the prober stops re-probing
+    // it until its patience runs out.
+    let scenario = Scenario::from_id(
+        "oc1-0898baeccbdec6c68cc401131611d31c80897a000000000a1805240730063c0348086c0178028401049001069c01050104940100",
+    )
+    .expect("pinned id must decode");
+    let outcome = run_scenario(&scenario, Mutation::None);
+    assert!(outcome.is_clean(), "the hard-quadrant race is back: {outcome:?}");
+    assert!(outcome.drained, "must reach quiescence");
 }
