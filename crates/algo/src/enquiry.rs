@@ -31,7 +31,6 @@ impl OpenCubeNode {
         };
         loan.enquiry_outstanding = true;
         let (source, source_seq) = (loan.source, loan.source_seq);
-        self.stats_mut().enquiries_sent += 1;
         out.send(source, Msg::Enquiry { source_seq });
         out.set_timer(TIMER_ENQUIRY, self.config_inner().enquiry_timeout());
     }
@@ -119,7 +118,7 @@ impl OpenCubeNode {
         }
         self.loan = None;
         self.cancel_loan_timers(out);
-        self.regenerate_token_here();
+        self.regenerate_token_here(out);
         self.finish_loan_locally(out);
     }
 }
@@ -128,8 +127,8 @@ impl OpenCubeNode {
 mod tests {
     use super::*;
     use crate::config::Config;
-    use crate::node::{TIMER_ENQUIRY, TIMER_ROOT_LOAN};
-    use oc_sim::{Action, NodeEvent, Protocol, SimDuration};
+    use crate::node::{counted, TIMER_ENQUIRY, TIMER_ROOT_LOAN};
+    use oc_sim::{Action, Counter, NodeEvent, Protocol, SimDuration};
 
     fn ft_cfg(n: usize) -> Config {
         Config::new(n, SimDuration::from_ticks(10), SimDuration::from_ticks(50))
@@ -177,31 +176,30 @@ mod tests {
                 Action::SetTimer { id: TIMER_ENQUIRY, .. }
             ] if to == NodeId::new(2)
         ));
-        assert_eq!(root.stats().enquiries_sent, 1);
     }
 
     #[test]
     fn silent_source_triggers_regeneration() {
         let mut root = lending_root();
         let _ = drain(&mut root, NodeEvent::Timer(TIMER_ROOT_LOAN));
-        let _ = drain(&mut root, NodeEvent::Timer(TIMER_ENQUIRY));
+        let actions = drain(&mut root, NodeEvent::Timer(TIMER_ENQUIRY));
         assert!(root.holds_token(), "token regenerated after the source stayed silent");
         assert!(!root.is_asking());
         assert!(root.loan.is_none());
-        assert_eq!(root.stats().tokens_regenerated, 1);
+        assert_eq!(counted(&actions, Counter::TokensRegenerated), 1);
     }
 
     #[test]
     fn token_lost_reply_triggers_regeneration() {
         let mut root = lending_root();
         let _ = drain(&mut root, NodeEvent::Timer(TIMER_ROOT_LOAN));
-        let _ = deliver(
+        let actions = deliver(
             &mut root,
             2,
             Msg::EnquiryReply { source_seq: 7, status: EnquiryStatus::TokenLost },
         );
         assert!(root.holds_token());
-        assert_eq!(root.stats().tokens_regenerated, 1);
+        assert_eq!(counted(&actions, Counter::TokensRegenerated), 1);
     }
 
     #[test]
@@ -248,10 +246,10 @@ mod tests {
         let _ = deliver(&mut root, 2, reply.clone());
         assert!(!root.holds_token(), "first 'returned': wait for the token");
         // The duplicated frame of the same reply arrives: ignored.
-        let _ = deliver(&mut root, 2, reply);
+        let actions = deliver(&mut root, 2, reply);
         assert!(!root.holds_token(), "a duplicate reply must not count as a second round");
         assert!(root.loan.is_some());
-        assert_eq!(root.stats().tokens_regenerated, 0);
+        assert_eq!(counted(&actions, Counter::TokensRegenerated), 0);
         // The genuine second round (new enquiry, new reply) still works.
         let _ = drain(&mut root, NodeEvent::Timer(TIMER_ROOT_LOAN));
         let _ = deliver(
@@ -279,11 +277,11 @@ mod tests {
             },
         );
         let _ = drain(&mut root, NodeEvent::Timer(TIMER_ROOT_LOAN));
-        let _ = drain(&mut root, NodeEvent::Timer(TIMER_ENQUIRY));
+        let actions = drain(&mut root, NodeEvent::Timer(TIMER_ENQUIRY));
         assert!(!root.holds_token(), "mutation: no token regenerated");
         assert!(root.loan.is_some(), "the open loan wedges the lender");
         assert!(!root.is_idle());
-        assert_eq!(root.stats().tokens_regenerated, 0);
+        assert_eq!(counted(&actions, Counter::TokensRegenerated), 0);
     }
 
     #[test]
@@ -309,7 +307,6 @@ mod tests {
         assert!(actions.is_empty());
         let actions = drain(&mut root, NodeEvent::Timer(TIMER_ENQUIRY));
         assert!(actions.is_empty());
-        assert_eq!(root.stats().tokens_regenerated, 0);
     }
 
     #[test]

@@ -56,23 +56,13 @@ mod mint;
 mod node;
 mod ringset;
 mod search;
-mod stats;
 
 pub use config::{Config, Hardening, Mutation};
 pub use message::{AnswerKind, EnquiryStatus, Msg};
 pub use node::OpenCubeNode;
 pub use ringset::{RingSet, RingSetIter};
-pub use stats::NodeStats;
 
 use oc_topology::NodeId;
-
-/// Aggregates the [`NodeStats`] of every node in a finished world.
-#[must_use]
-pub fn aggregate_stats(world: &oc_sim::World<OpenCubeNode>) -> NodeStats {
-    NodeId::all(world.len())
-        .map(|id| world.node(id).stats())
-        .fold(NodeStats::default(), NodeStats::merged)
-}
 
 /// Reconstructs the global father graph from the nodes' local pointers —
 /// the simulator-side view used by quiescence oracles. Entry `k` is the

@@ -40,7 +40,7 @@
 //! [`Hardening::Quorum`]: crate::Hardening::Quorum
 //! [`Hardening::None`]: crate::Hardening::None
 
-use oc_sim::Outbox;
+use oc_sim::{Counter, Outbox};
 use oc_topology::NodeId;
 
 use crate::{
@@ -154,8 +154,8 @@ impl OpenCubeNode {
         state.grant(self.id_inner());
         let fault = self.fault_mut();
         fault.epoch_promised = epoch;
-        fault.stats.mint_ballots += 1;
         fault.mint = Some(state);
+        out.count(Counter::MintBallots);
         self.broadcast_ballot(out);
         // n = 1: the quorum is 1 and the self-grant already meets it.
         self.conclude_mint_if_quorum(out);
@@ -230,13 +230,12 @@ impl OpenCubeNode {
         // A strict majority granted exactly `epoch`, and every grant is
         // single-use: no other node can ever assemble a quorum for it.
         self.epoch_seen = epoch;
-        let fault = self.fault_mut();
-        fault.mint = None;
-        fault.stats.mints_completed += 1;
+        self.fault_mut().mint = None;
+        out.count(Counter::MintsCompleted);
         match purpose {
             MintPurpose::Root => {
                 if !self.token_here_inner() {
-                    self.regenerate_token_here();
+                    self.regenerate_token_here(out);
                 }
                 self.honor_claim_as_root(out);
             }
@@ -244,7 +243,7 @@ impl OpenCubeNode {
                 self.loan = None;
                 self.cancel_loan_timers(out);
                 if !self.token_here_inner() {
-                    self.regenerate_token_here();
+                    self.regenerate_token_here(out);
                 }
                 self.finish_loan_locally(out);
             }
@@ -278,7 +277,7 @@ impl OpenCubeNode {
             // stays in this park/backoff loop forever — it must (safety
             // over availability); the liveness oracle excuses it via
             // `Protocol::quorum_blocked`.
-            self.stats_mut().mints_parked += 1;
+            out.count(Counter::MintsParked);
             let backoff = self.config_inner().mint_backoff();
             self.mint_mut().expect("ballot running").parked = true;
             out.set_timer(TIMER_MINT, backoff);
@@ -291,10 +290,10 @@ impl OpenCubeNode {
         let me = self.id_inner();
         let fault = self.fault_mut();
         fault.epoch_promised = epoch; // self-grant
-        fault.stats.mint_ballots += 1;
         let mint = fault.mint.as_mut().expect("ballot running");
         mint.rearm(epoch);
         mint.grant(me);
+        out.count(Counter::MintBallots);
         self.broadcast_ballot(out);
     }
 
@@ -313,6 +312,7 @@ impl OpenCubeNode {
 mod tests {
     use super::*;
     use crate::config::{Config, Hardening};
+    use crate::node::counted;
     use oc_sim::{Action, NodeEvent, Protocol, SimDuration};
 
     fn hardened_cfg(n: usize) -> Config {
@@ -342,27 +342,32 @@ mod tests {
 
     /// Drives node 10 of a hardened 16-cube into a Root-purpose mint:
     /// request, suspicion timeout, then every search phase times out.
-    fn minting_root_10() -> OpenCubeNode {
+    /// Returns the node and every action the drive emitted.
+    fn minting_root_10_actions() -> (OpenCubeNode, Vec<Action<Msg>>) {
         let mut node = OpenCubeNode::new(NodeId::new(10), hardened_cfg(16));
-        let _ = drain(&mut node, NodeEvent::RequestCs);
-        let _ = drain(&mut node, NodeEvent::Timer(crate::node::TIMER_TOKEN_WAIT));
+        let mut actions = drain(&mut node, NodeEvent::RequestCs);
+        actions.extend(drain(&mut node, NodeEvent::Timer(crate::node::TIMER_TOKEN_WAIT)));
         for _ in 0..4 {
-            let _ = drain(&mut node, NodeEvent::Timer(crate::node::TIMER_SEARCH_PHASE));
+            actions.extend(drain(&mut node, NodeEvent::Timer(crate::node::TIMER_SEARCH_PHASE)));
         }
         assert!(node.mint().is_some(), "exhausted hardened search must open a ballot");
         assert!(!node.holds_token(), "no token before the quorum grants");
-        node
+        (node, actions)
+    }
+
+    fn minting_root_10() -> OpenCubeNode {
+        minting_root_10_actions().0
     }
 
     #[test]
     fn exhausted_hardened_search_ballots_instead_of_minting() {
-        let node = minting_root_10();
+        let (node, actions) = minting_root_10_actions();
         let mint = node.mint().unwrap();
         assert_eq!(mint.purpose, MintPurpose::Root);
         assert_eq!(mint.epoch, 1);
         assert_eq!(mint.grants(), 1, "self-grant only");
-        assert_eq!(node.stats().tokens_regenerated, 0);
-        assert_eq!(node.stats().mint_ballots, 1);
+        assert_eq!(counted(&actions, Counter::TokensRegenerated), 0);
+        assert_eq!(counted(&actions, Counter::MintBallots), 1);
         assert!(!node.is_idle(), "a minting node is busy");
     }
 
@@ -378,7 +383,7 @@ mod tests {
         assert!(node.mint().is_none());
         assert!(node.holds_token());
         assert_eq!(node.token_epoch(), 1, "minted at the ballot epoch");
-        assert_eq!(node.stats().mints_completed, 1);
+        assert_eq!(counted(&actions, Counter::MintsCompleted), 1);
         assert!(node.in_cs(), "the pending claim is honored with the minted token");
         assert!(actions.iter().any(|a| matches!(a, Action::EnterCs)));
     }
@@ -441,7 +446,7 @@ mod tests {
         let actions = drain(&mut node, NodeEvent::Timer(TIMER_MINT)); // park
         assert!(node.mint().unwrap().parked);
         assert!(node.quorum_blocked(), "a parked minter is quorum-blocked");
-        assert_eq!(node.stats().mints_parked, 1);
+        assert_eq!(counted(&actions, Counter::MintsParked), 1);
         assert!(ballots(&actions).is_empty(), "parking sends nothing");
         assert!(
             actions.iter().any(|a| matches!(a, Action::SetTimer { id: TIMER_MINT, .. })),
@@ -463,8 +468,8 @@ mod tests {
         assert!(node.holds_token());
         assert!(actions.iter().any(|a| matches!(a, Action::CancelTimer { id: TIMER_MINT })));
         // Late acks for the dead ballot are ignored.
-        let _ = deliver(&mut node, 2, Msg::MintAck { epoch: 1, granted: true });
-        assert_eq!(node.stats().mints_completed, 0);
+        let actions = deliver(&mut node, 2, Msg::MintAck { epoch: 1, granted: true });
+        assert_eq!(counted(&actions, Counter::MintsCompleted), 0);
     }
 
     #[test]
@@ -488,9 +493,9 @@ mod tests {
         assert_eq!(node.next_ballot_epoch(0), u64::MAX, "saturates instead of wrapping to 0");
         // And witnessing at the ceiling keeps fencing coherent: a token at
         // epoch MAX is current, anything below stays stale.
-        let _ = deliver(&mut node, 3, Msg::Token { lender: None, epoch: 3 });
+        let actions = deliver(&mut node, 3, Msg::Token { lender: None, epoch: 3 });
         assert!(!node.holds_token(), "a trailing-epoch token is discarded");
-        assert_eq!(node.stats().epoch_discards, 1);
+        assert_eq!(counted(&actions, Counter::EpochDiscards), 1);
     }
 
     #[test]

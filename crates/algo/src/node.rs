@@ -2,7 +2,7 @@
 //! hooks into the fault-tolerance machinery of Section 5 (implemented in
 //! [`crate::search`] and [`crate::enquiry`]).
 
-use oc_sim::{NodeEvent, Outbox, Protocol};
+use oc_sim::{Counter, NodeEvent, Outbox, Protocol};
 use oc_topology::{canonical_father, dist, NodeId};
 
 use crate::{
@@ -11,7 +11,6 @@ use crate::{
     message::Msg,
     mint::MintState,
     search::SearchState,
-    stats::NodeStats,
 };
 
 /// Timer identities (node-local).
@@ -56,15 +55,16 @@ pub(crate) struct Loan {
 }
 
 /// What a node holds only once the Section 5 machinery has touched it:
-/// the fault path's counters, the promised mint epoch, the running mint
-/// ballot and the recycled state of its last search. One box behind one
-/// pointer, allocated on the first write, so a node that never searched,
-/// enquired, bounced an anomaly, minted or granted a ballot — every node
-/// of a fault-free run under `Hardening::None` — owns none of it. It
-/// survives `on_crash`: the promise is stable storage.
+/// the promised mint epoch, the running mint ballot and the recycled
+/// state of its last search. One box behind one pointer, allocated on the
+/// first write, so a node that never searched, minted or granted a ballot
+/// — every node of a fault-free run under `Hardening::None`, and one that
+/// only enquired or bounced an anomaly — owns none of it. The fault path's
+/// counts are not here: they leave through the outbox
+/// ([`oc_sim::Outbox::count`]). It survives `on_crash`: the promise is
+/// stable storage.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FaultState {
-    pub stats: NodeStats,
     /// Highest mint ballot this node has granted (a Paxos-style promise).
     /// Stable storage — promise amnesia across a crash would let two
     /// quorums form for one epoch. Invariant: `epoch_promised >=
@@ -75,14 +75,13 @@ pub(crate) struct FaultState {
     pub mint: Option<MintState>,
     /// The state of the last finished search, kept so that the next one
     /// reuses its ring buffers and allocates nothing. Capacity, not
-    /// protocol state: a crash keeps it too. Every search has already
-    /// allocated this box for its counters. The one protocol bit it
+    /// protocol state: a crash keeps it too. The one protocol bit it
     /// carries, [`SearchState::claim_resent`], a crash clears.
     pub search_spare: Option<Box<SearchState>>,
 }
 
-// The counters, the promise, the ballot and the spare search.
-const _: () = assert!(size_of::<FaultState>() <= 128);
+// The promise, the ballot and the spare search.
+const _: () = assert!(size_of::<FaultState>() <= 72);
 
 /// One node of the open-cube mutual exclusion algorithm.
 ///
@@ -230,13 +229,6 @@ impl OpenCubeNode {
         self.father.is_none() && self.search.is_none()
     }
 
-    /// Per-node instrumentation counters (all zero until the node first
-    /// takes the Section 5 path).
-    #[must_use]
-    pub fn stats(&self) -> NodeStats {
-        self.fault.as_deref().map_or_else(NodeStats::default, |fault| fault.stats)
-    }
-
     /// The configuration this node runs with.
     #[must_use]
     pub fn config(&self) -> &Config {
@@ -274,10 +266,6 @@ impl OpenCubeNode {
     /// The fault-path state, allocated on first use.
     pub(crate) fn fault_mut(&mut self) -> &mut FaultState {
         self.fault.get_or_insert_default()
-    }
-
-    pub(crate) fn stats_mut(&mut self) -> &mut NodeStats {
-        &mut self.fault_mut().stats
     }
 
     /// Highest mint ballot granted; 0 until one is.
@@ -390,7 +378,6 @@ impl OpenCubeNode {
         if d > p {
             // Section 5: anomaly — we cannot be an ancestor of the
             // claimant (possible after our recovery as a leaf).
-            self.stats_mut().anomalies_sent += 1;
             out.send(claimant, Msg::Anomaly);
             return;
         }
@@ -452,14 +439,14 @@ impl OpenCubeNode {
     /// voided in place — even mid-CS (`exit_cs` already guards the lender
     /// return on `token_here`). No-op under `Hardening::None`, where every
     /// epoch is 0.
-    pub(crate) fn witness_epoch(&mut self, epoch: u64) {
+    pub(crate) fn witness_epoch(&mut self, epoch: u64, out: &mut Outbox<Msg>) {
         if epoch > self.epoch_seen {
             self.epoch_seen = epoch;
             let fault = self.fault_mut();
             fault.epoch_promised = fault.epoch_promised.max(epoch);
             if self.token_here {
                 self.token_here = false;
-                self.stats_mut().epoch_discards += 1;
+                out.count(Counter::EpochDiscards);
             }
         }
     }
@@ -477,9 +464,9 @@ impl OpenCubeNode {
         // Whoever is waiting on it recovers through the ordinary suspicion
         // machinery (token-wait timer, search), which ends at the
         // current-epoch token or a quorum-gated mint.
-        self.witness_epoch(epoch);
+        self.witness_epoch(epoch, out);
         if epoch < self.epoch_seen {
-            self.stats_mut().epoch_discards += 1;
+            out.count(Counter::EpochDiscards);
             return;
         }
         self.cancel_token_wait(out);
@@ -683,11 +670,11 @@ impl OpenCubeNode {
         }
     }
 
-    pub(crate) fn regenerate_token_here(&mut self) {
+    pub(crate) fn regenerate_token_here(&mut self, out: &mut Outbox<Msg>) {
         debug_assert!(!self.token_here);
         self.token_here = true;
         self.lender = self.id;
-        self.stats_mut().tokens_regenerated += 1;
+        out.count(Counter::TokensRegenerated);
     }
 
     /// Ends a loan locally (after regeneration): the lending root stops
@@ -733,6 +720,12 @@ impl OpenCubeNode {
     }
 }
 
+/// How many `counter` counts `actions` carry.
+#[cfg(test)]
+pub(crate) fn counted(actions: &[oc_sim::Action<Msg>], counter: Counter) -> usize {
+    actions.iter().filter(|a| matches!(a, oc_sim::Action::Count(c) if *c == counter)).count()
+}
+
 impl Protocol for OpenCubeNode {
     type Msg = Msg;
 
@@ -761,7 +754,7 @@ impl Protocol for OpenCubeNode {
                 Msg::Request { claimant, source, source_seq, epoch } => {
                     // Epoch gossip is applied even to requests we ignore
                     // or queue: fencing must not wait behind the queue.
-                    self.witness_epoch(epoch);
+                    self.witness_epoch(epoch, out);
                     if claimant == self.id {
                         // A stale echo of our own regenerated claim.
                         return;
@@ -878,10 +871,6 @@ impl Protocol for OpenCubeNode {
         // retries.
         self.mint().is_some_and(|m| m.parked || m.attempts > 1)
     }
-
-    fn epoch_discards(&self) -> u64 {
-        self.fault.as_deref().map_or(0, |fault| fault.stats.epoch_discards)
-    }
 }
 
 #[cfg(test)]
@@ -891,6 +880,10 @@ mod tests {
 
     fn cfg(n: usize) -> Config {
         Config::without_fault_tolerance(n, SimDuration::from_ticks(10), SimDuration::from_ticks(50))
+    }
+
+    fn ft_cfg(n: usize) -> Config {
+        Config::new(n, SimDuration::from_ticks(10), SimDuration::from_ticks(50))
     }
 
     fn deliver(node: &mut OpenCubeNode, from: u32, msg: Msg) -> Vec<Action<Msg>> {
@@ -1339,16 +1332,15 @@ mod tests {
         let _ = exit_cs(&mut node);
         assert!(node.fault.is_none());
         assert_eq!(node.heap_bytes(), 0);
-        assert_eq!(node.stats(), NodeStats::default());
 
-        // A suspicion timeout starts a search: its counters need the box.
-        let ft = Config::new(16, SimDuration::from_ticks(10), SimDuration::from_ticks(50));
-        let mut node = OpenCubeNode::new(NodeId::new(10), ft);
+        // A suspicion timeout starts a search, counted through the outbox;
+        // its ring buffers come from the box's spare slot.
+        let mut node = OpenCubeNode::new(NodeId::new(10), ft_cfg(16));
         let _ = request_cs(&mut node);
         assert!(node.fault.is_none(), "arming a timer is not the fault path");
         let mut out = Outbox::new();
         node.on_event(NodeEvent::Timer(TIMER_TOKEN_WAIT), &mut out);
-        assert_eq!(node.stats().searches_started, 1);
+        assert_eq!(counted(&out.drain(), Counter::SearchesStarted), 1);
         let search = size_of::<SearchState>();
         assert!(node.heap_bytes() >= size_of::<FaultState>() + search);
 
@@ -1357,9 +1349,39 @@ mod tests {
         node.on_crash();
         let spare = |node: &OpenCubeNode| node.fault.as_deref().unwrap().search_spare.is_some();
         assert!(node.search.is_none() && spare(&node));
-        assert_eq!(node.stats().searches_started, 1);
         node.on_recover(&mut out);
         assert!(node.search.is_some() && !spare(&node), "recovery reuses it");
+    }
+
+    #[test]
+    fn counting_alone_allocates_no_fault_state() {
+        // Leaf 16 (power 0) cannot be an ancestor of claimant 15: it
+        // bounces the claim as an anomaly, which counts as an anomaly send.
+        let mut leaf = OpenCubeNode::new(NodeId::new(16), ft_cfg(16));
+        let claim = Msg::Request {
+            claimant: NodeId::new(15),
+            source: NodeId::new(15),
+            source_seq: 1,
+            epoch: 0,
+        };
+        let actions = deliver(&mut leaf, 15, claim);
+        assert_eq!(sends(&actions), vec![(NodeId::new(15), Msg::Anomaly)]);
+        assert!(leaf.fault.is_none(), "an anomaly bounce is counted by its send");
+
+        // The root lends the token, the loan times out, and it enquires.
+        let mut root = OpenCubeNode::new(NodeId::new(1), ft_cfg(4));
+        let claim = Msg::Request {
+            claimant: NodeId::new(2),
+            source: NodeId::new(2),
+            source_seq: 7,
+            epoch: 0,
+        };
+        let _ = deliver(&mut root, 2, claim);
+        let mut out = Outbox::new();
+        root.on_event(NodeEvent::Timer(TIMER_ROOT_LOAN), &mut out);
+        assert_eq!(sends(&out.drain()), vec![(NodeId::new(2), Msg::Enquiry { source_seq: 7 })]);
+        assert!(root.fault.is_none(), "an enquiry is counted by its send");
+        assert_eq!(root.heap_bytes() + leaf.heap_bytes(), 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Concurrent searches are resolved by the phase comparison and the
 //! identity tie-break of Section 5 ("Concurrent suspicions of failure").
 
-use oc_sim::Outbox;
+use oc_sim::{Counter, Outbox};
 use oc_topology::{ring_iter, NodeId};
 
 use crate::{
@@ -79,7 +79,7 @@ impl OpenCubeNode {
             return;
         }
         let d = start_d.clamp(1, pmax);
-        self.stats_mut().searches_started += 1;
+        out.count(Counter::SearchesStarted);
         // Reuse the spare state's ring buffers instead of allocating.
         let mut state = self.fault_mut().search_spare.take().unwrap_or_default();
         state.d = d;
@@ -110,9 +110,7 @@ impl OpenCubeNode {
         search.pending.assign_ring(n, id, d);
         search.pending.fill();
         search.retry.assign_ring(n, id, d);
-        let probes = search.pending.len();
-        self.stats_mut().search_phases += 1;
-        self.stats_mut().nodes_tested += probes;
+        out.count(Counter::SearchPhases);
         for member in ring_iter(n, id, d) {
             out.send(member, Msg::Test { d });
         }
@@ -140,12 +138,9 @@ impl OpenCubeNode {
             std::mem::swap(&mut search.pending, &mut search.retry);
             search.retry.clear();
             let d = search.d;
-            let probes = search.pending.len();
             // A re-probe round is a search phase too (it sends tests and
             // waits the same 2δ); count it so phases × probes reconcile.
-            self.stats_mut().search_phases += 1;
-            self.stats_mut().nodes_tested += probes;
-            let search = self.search.as_ref().expect("search still running");
+            out.count(Counter::SearchPhases);
             for member in search.pending.iter() {
                 out.send(member, Msg::Test { d });
             }
@@ -171,7 +166,7 @@ impl OpenCubeNode {
             // ring 1. The paper's partial-sweep conclusion (Figures
             // 13-14) is sound only while power claims are consistent,
             // which is precisely what degraded regimes violate.
-            self.stats_mut().search_restarts += 1;
+            out.count(Counter::SearchRestarts);
             let search = self.search.as_mut().expect("search still running");
             search.start = 1;
             search.d = 1;
@@ -195,7 +190,7 @@ impl OpenCubeNode {
             let (source, seq) =
                 self.current_claim_inner().expect("a mandate has claim bookkeeping");
             let claimant = self.id_inner();
-            self.stats_mut().requests_regenerated += 1;
+            out.count(Counter::RequestsRegenerated);
             let epoch = self.epoch_seen;
             out.send(k, Msg::Request { claimant, source, source_seq: seq, epoch });
             self.arm_token_wait(out);
@@ -225,7 +220,7 @@ impl OpenCubeNode {
             self.begin_mint(MintPurpose::Root, out);
             return;
         }
-        self.regenerate_token_here();
+        self.regenerate_token_here(out);
         self.honor_claim_as_root(out);
     }
 
@@ -263,7 +258,7 @@ impl OpenCubeNode {
             // duplicate (regeneration race) — nothing to repair.
             return;
         }
-        self.stats_mut().anomalies_received += 1;
+        out.count(Counter::AnomaliesReceived);
         out.cancel_timer(TIMER_TOKEN_WAIT);
         let start = self.power() + 1;
         self.start_search(start, out);
@@ -391,6 +386,7 @@ impl OpenCubeNode {
 mod tests {
     use super::*;
     use crate::config::Config;
+    use crate::node::counted;
     use oc_sim::{Action, NodeEvent, Protocol, SimDuration};
 
     fn ft_cfg(n: usize) -> Config {
@@ -452,7 +448,6 @@ mod tests {
         // Phase 3 times out: ring 4 is nodes 1..8.
         let actions = timer(&mut node, TIMER_SEARCH_PHASE);
         assert_eq!(sent_tests(&actions), (1..=8).map(|i| (i, 4)).collect::<Vec<_>>());
-        assert_eq!(node.stats().nodes_tested, 1 + 2 + 4 + 8);
     }
 
     #[test]
@@ -472,27 +467,28 @@ mod tests {
             })
             .collect();
         assert_eq!(resent, vec![(1, 10)]);
-        assert_eq!(node.stats().requests_regenerated, 1);
+        assert_eq!(counted(&actions, Counter::RequestsRegenerated), 1);
     }
 
     #[test]
     fn reprobe_rounds_count_as_search_phases() {
-        let mut node = searching_node_10();
-        assert_eq!(node.stats().search_phases, 1);
-        assert_eq!(node.stats().nodes_tested, 1);
+        let mut node = OpenCubeNode::new(NodeId::new(10), ft_cfg(16));
+        let _ = drain(&mut node, NodeEvent::RequestCs);
+        let actions = timer(&mut node, TIMER_TOKEN_WAIT);
+        assert_eq!(counted(&actions, Counter::SearchPhases), 1);
+        assert_eq!(sent_tests(&actions), vec![(9, 1)]);
         // Node 9 postpones us; recording the postponement is not a phase.
-        let _ = deliver(&mut node, 9, Msg::Answer { kind: AnswerKind::TryLater, d: 1 });
-        assert_eq!(node.stats().search_phases, 1);
+        let actions = deliver(&mut node, 9, Msg::Answer { kind: AnswerKind::TryLater, d: 1 });
+        assert_eq!(counted(&actions, Counter::SearchPhases), 0);
         // The timer fires and re-probes node 9 at the same distance: that
         // re-probe round sends tests and waits a fresh 2δ, so it counts as
         // a phase — phases and probes stay reconcilable.
         let actions = timer(&mut node, TIMER_SEARCH_PHASE);
         assert_eq!(sent_tests(&actions), vec![(9, 1)]);
-        assert_eq!(node.stats().search_phases, 2, "re-probe rounds are phases");
-        assert_eq!(node.stats().nodes_tested, 2);
+        assert_eq!(counted(&actions, Counter::SearchPhases), 1, "re-probe rounds are phases");
         // A silent round then advances to ring 2: one more phase.
-        let _ = timer(&mut node, TIMER_SEARCH_PHASE);
-        assert_eq!(node.stats().search_phases, 3);
+        let actions = timer(&mut node, TIMER_SEARCH_PHASE);
+        assert_eq!(counted(&actions, Counter::SearchPhases), 1);
         assert_eq!(node.search.as_ref().unwrap().d, 2);
     }
 
@@ -511,13 +507,13 @@ mod tests {
     fn exhausted_search_becomes_root_and_regenerates_token() {
         let mut node = searching_node_10();
         // Let every phase time out.
-        for _ in 0..4 {
-            let _ = timer(&mut node, TIMER_SEARCH_PHASE);
-        }
+        let regenerated: usize = (0..4)
+            .map(|_| counted(&timer(&mut node, TIMER_SEARCH_PHASE), Counter::TokensRegenerated))
+            .sum();
         assert!(node.search.is_none());
         assert!(node.believes_root());
         assert!(node.in_cs(), "the pending local claim is honored with the regenerated token");
-        assert_eq!(node.stats().tokens_regenerated, 1);
+        assert_eq!(regenerated, 1);
     }
 
     #[test]

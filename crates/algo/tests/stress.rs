@@ -3,7 +3,8 @@
 
 use oc_algo::{Config, OpenCubeNode};
 use oc_sim::{
-    ArrivalSchedule, DelayModel, FailurePlan, Protocol, SimConfig, SimDuration, SimTime, World,
+    ArrivalSchedule, Counter, DelayModel, FailurePlan, Protocol, SimConfig, SimDuration, SimTime,
+    World,
 };
 use oc_topology::{invariant, NodeId};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -155,9 +156,8 @@ fn fault_tolerance_machinery_is_harmless_without_failures() {
         assert!(world.run_to_quiescence(), "seed={seed} did not quiesce");
         assert_served_and_safe(&world);
         // No spurious suspicion fired at all.
-        let stats = oc_algo::aggregate_stats(&world);
-        assert_eq!(stats.searches_started, 0, "seed={seed}");
-        assert_eq!(stats.tokens_regenerated, 0, "seed={seed}");
+        assert_eq!(world.metrics().counted(Counter::SearchesStarted), 0, "seed={seed}");
+        assert_eq!(world.metrics().counted(Counter::TokensRegenerated), 0, "seed={seed}");
     }
 }
 

@@ -21,7 +21,12 @@
 //! the runner judges liveness from the one isolation mask it builds for
 //! its coverage block: 30.5 allocations and 6 165 B. Since a son whose
 //! re-sent claim waits at its prober answers silence, the battery makes
-//! 14 allocations and 1 464 B fewer: 30.5 allocations and 6 164 B — the
+//! 14 allocations and 1 464 B fewer: 30.5 allocations and 6 164 B. Since
+//! a node counts through its outbox instead of in its fault box, the
+//! battery makes 3 allocations and 237 464 B fewer: 15 fault boxes are
+//! no longer allocated just to count (−15, −1 920 B), the other 4 261
+//! shrink from 128 to 72 B (−238 616 B), and count actions grow the
+//! outbox 12 times (+12, +3 072 B): 30.5 allocations and 6 045 B — the
 //! figures below.
 //! The run is seeded and single-threaded, so the totals are exact on any
 //! host, and a per-world fixed cost that comes back — a table sized for a
@@ -37,7 +42,7 @@ use oc_check::{run_scenario, Scenario, Space};
 
 const SCENARIOS: u64 = 2_000;
 /// Heap allocations, then bytes requested, across the whole battery.
-const PINNED: (u64, u64) = (60_970, 12_328_010);
+const PINNED: (u64, u64) = (60_967, 12_090_546);
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();

@@ -1,13 +1,12 @@
 //! Microbenches for the zero-allocation topology/search fast path:
-//! ring enumeration (`ring_iter`, with `nodes_at_distance` — now an alias
-//! of it — kept as a regression sentinel against re-materialization) and
-//! search-set bookkeeping (`RingSet` vs the `BTreeSet` it replaced).
+//! ring enumeration (`ring_iter`) and search-set bookkeeping (`RingSet` vs
+//! the `BTreeSet` it replaced).
 
 use std::collections::BTreeSet;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use oc_algo::RingSet;
-use oc_topology::{nodes_at_distance, ring_iter, NodeId};
+use oc_topology::{ring_iter, NodeId};
 
 const N: usize = 65_536;
 const FROM: u32 = 12_345;
@@ -20,15 +19,6 @@ fn bench_ring_iteration(c: &mut Criterion) {
             b.iter(|| {
                 let mut acc = 0u64;
                 for id in ring_iter(N, NodeId::new(FROM), d) {
-                    acc = acc.wrapping_add(u64::from(id.get()));
-                }
-                black_box(acc)
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("nodes_at_distance", d), &d, |b, &d| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for id in nodes_at_distance(N, NodeId::new(FROM), d) {
                     acc = acc.wrapping_add(u64::from(id.get()));
                 }
                 black_box(acc)

@@ -29,7 +29,7 @@ pub mod sweep;
 use oc_algo::{Config, Hardening, OpenCubeNode};
 use oc_baselines::{CentralNode, NaimiTrehelNode, RaymondNode};
 use oc_sim::{
-    ArrivalSchedule, DelayModel, MsgKind, Protocol, SimConfig, SimDuration, SimTime, World,
+    ArrivalSchedule, Counter, DelayModel, MsgKind, Protocol, SimConfig, SimDuration, SimTime, World,
 };
 use oc_topology::NodeId;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -309,13 +309,13 @@ pub fn e3_world(n: usize, failures: usize, seed: u64, hardening: Hardening) -> W
 fn overhead_by_kind(world: &World<OpenCubeNode>, failures: usize) -> [(&'static str, Value); 5] {
     let m = world.metrics();
     let per = |count: u64| Value::Num(count as f64 / failures as f64);
-    let searches = oc_algo::aggregate_stats(world).searches_started;
+    let searches = m.counted(Counter::SearchesStarted);
     [
         ("test_per_failure", per(m.sent(MsgKind::Test))),
         ("answer_per_failure", per(m.sent(MsgKind::Answer))),
         ("anomaly_per_failure", per(m.sent(MsgKind::Anomaly))),
         ("enquiry_per_failure", per(m.sent(MsgKind::Enquiry) + m.sent(MsgKind::EnquiryReply))),
-        ("searches_per_failure", per(u64::from(searches))),
+        ("searches_per_failure", per(searches)),
     ]
 }
 
@@ -340,7 +340,6 @@ pub fn e3_failures(cell: &E3Cell, seed: u64) -> Value {
     let mut world = e3_world(n, failures, seed, hardening);
     assert!(world.run_to_quiescence(), "E3 failure run wedged");
 
-    let stats = oc_algo::aggregate_stats(&world);
     let overhead = world.metrics().overhead_messages();
     let extra = world.metrics().total_sent() as i64 - clean_total as i64;
     let mut fields = vec![
@@ -352,8 +351,8 @@ pub fn e3_failures(cell: &E3Cell, seed: u64) -> Value {
     ];
     fields.extend(overhead_by_kind(&world, failures));
     fields.extend([
-        ("searches", Value::UInt(u64::from(stats.searches_started))),
-        ("regenerations", Value::UInt(u64::from(stats.tokens_regenerated))),
+        ("searches", Value::UInt(world.metrics().counted(Counter::SearchesStarted))),
+        ("regenerations", Value::UInt(world.metrics().counted(Counter::TokensRegenerated))),
         ("served", Value::UInt(world.metrics().cs_entries)),
         ("injected", Value::UInt(world.requests_injected())),
     ]);
@@ -473,12 +472,11 @@ fn e4_search(
     world.schedule_failure(SimTime::from_ticks(1), victim);
     world.schedule_request(SimTime::from_ticks(10), searcher);
     assert!(world.run_to_quiescence(), "E4 run wedged");
-    let stats = oc_algo::aggregate_stats(&world);
     let end = if q == pmax { pmax } else { q + 1 };
     (
-        u64::from(stats.nodes_tested),
+        world.metrics().sent(MsgKind::Test),
         oc_analysis::expected_ring_probes(1, end),
-        u64::from(stats.tokens_regenerated),
+        world.metrics().counted(Counter::TokensRegenerated),
         world.oracle_report().is_clean(),
     )
 }
@@ -713,12 +711,11 @@ pub fn e6_cell(n: usize, slack: u64, seed: u64, hardening: Hardening) -> Value {
         World::new(sim_config(seed), OpenCubeNode::build_all(ft_cfg(n, slack, hardening)));
     world.schedule_workload(&schedule);
     assert!(world.run_to_quiescence(), "E6 run wedged at slack {slack}");
-    let stats = oc_algo::aggregate_stats(&world);
     Value::Obj(vec![
         ("n", Value::UInt(n as u64)),
         ("slack", Value::UInt(slack)),
-        ("spurious_searches", Value::UInt(u64::from(stats.searches_started))),
-        ("wasted_probes", Value::UInt(u64::from(stats.nodes_tested))),
+        ("spurious_searches", Value::UInt(world.metrics().counted(Counter::SearchesStarted))),
+        ("wasted_probes", Value::UInt(world.metrics().sent(MsgKind::Test))),
         ("msgs_per_cs", Value::Num(world.metrics().messages_per_cs())),
         ("all_served", Value::Bool(world.metrics().cs_entries == world.requests_injected())),
     ])

@@ -87,8 +87,8 @@ pub use mutate::mutate;
 pub use netgate::{conforms, GateKill, GateScenario};
 pub use nodeproc::{judge_logs, run_scenario_nodeproc, NodeprocOutcome};
 pub use run::{
-    run_scenario, run_scenario_hardened, run_scenario_observed, run_scenario_traced,
-    run_scenario_with, CoverageStats, Outcome,
+    run_scenario, run_scenario_hardened, run_scenario_traced, run_scenario_with, CoverageStats,
+    Outcome,
 };
 pub use scenario::{Scenario, ScenarioCrash, Space};
 pub use shrink::{shrink, ShrinkResult};
@@ -183,8 +183,8 @@ pub struct Failure {
 
 /// Explores `budget` scenarios serially and returns the first failure, if
 /// any. The sharded equivalent (same scenarios, any thread count) is the
-/// `explore` binary in `oc-bench`; this entry point exists for tests and
-/// for shrinking, which is inherently sequential.
+/// `explore` binary in `oc-bench`; only tests call this one, to find a
+/// failure they then hand to [`shrink`].
 #[must_use]
 pub fn explore_serial(
     space: &Space,

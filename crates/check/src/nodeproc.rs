@@ -235,18 +235,14 @@ impl Protocol for VirtualNode {
     fn quorum_blocked(&self) -> bool {
         self.proc().is_some_and(|p| p.node().quorum_blocked())
     }
-
-    fn epoch_discards(&self) -> u64 {
-        self.proc().map_or(0, |p| p.node().epoch_discards())
-    }
 }
 
 /// One virtual-time run of the socket node, judged twice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeprocOutcome {
     /// By the world's oracles: every field as [`crate::run_scenario`]
-    /// fills it, except the protocol signals of `coverage` (no node's
-    /// counters are read; a restarted process starts them at zero).
+    /// fills it, except the protocol counts (a `Proc` drops its node's
+    /// count actions, as a socket node does).
     pub world: Outcome,
     /// Post hoc, by [`judge_logs`] over the nodes' event logs, as a
     /// deployment of real processes is judged; `crashes` and
@@ -292,7 +288,7 @@ pub fn run_scenario_nodeproc(scenario: &Scenario, mutation: Mutation) -> Nodepro
         clock.set(at.ticks().saturating_mul(tick_ns).saturating_add(ordinal.min(tick_ns - 1)));
         world.step();
     };
-    let by_world = judge_world(&world, scenario, drained, |_, _| {});
+    let by_world = judge_world(&world, scenario, drained);
 
     // The deployment's view: each node's log and last status, the
     // orchestrator's crash records, and what the gateway injected.

@@ -1,8 +1,8 @@
 //! Playing one scenario through the deterministic engine and judging it.
 
-use oc_algo::{Hardening, Mutation, NodeStats, OpenCubeNode};
+use oc_algo::{Hardening, Mutation, OpenCubeNode};
 use oc_sim::{
-    check_liveness_isolated, DelayModel, LivenessReport, MsgKind, OracleReport, Protocol,
+    check_liveness_isolated, Counter, DelayModel, LivenessReport, MsgKind, OracleReport, Protocol,
     SimConfig, SimDuration, SimTime, Trace, World,
 };
 use oc_topology::NodeId;
@@ -10,7 +10,10 @@ use oc_topology::NodeId;
 use crate::scenario::Scenario;
 
 /// Raw protocol-state signals harvested from one run, feeding the guided
-/// explorer's coverage extraction ([`crate::Coverage`]).
+/// explorer's coverage extraction ([`crate::Coverage`]). Only a
+/// [`World`] fills them, from its [`oc_sim::Metrics`]: the protocol
+/// counts are what the nodes reported through their outboxes, so a
+/// protocol that reports none (the baselines) leaves them at zero.
 ///
 /// Additive: these counters are deliberately *excluded* from
 /// [`Outcome::fingerprint`] (the same contract the hardened counters
@@ -21,21 +24,23 @@ use crate::scenario::Scenario;
 pub struct CoverageStats {
     /// Messages sent per kind, in [`MsgKind::all`] order.
     pub sent_by_kind: [u64; 9],
-    /// `search_father` restarts summed over all nodes — each one is a
-    /// sweep that found the token missing or moved (a liveness near-miss).
+    /// `search_father` restarts ([`Counter::SearchRestarts`]) — each one
+    /// is a sweep that found the token missing or moved (a liveness
+    /// near-miss).
     pub search_restarts: u64,
-    /// Tokens regenerated, summed over all nodes.
+    /// Tokens regenerated ([`Counter::TokensRegenerated`]).
     pub regenerations: u64,
-    /// Ring sweep phases completed, summed over all nodes — try-later
+    /// Ring sweep phases run ([`Counter::SearchPhases`]) — try-later
     /// patience burned.
     pub search_phases: u64,
-    /// Searches started, summed over all nodes.
+    /// Searches started ([`Counter::SearchesStarted`]).
     pub searches_started: u64,
-    /// Ring probes fielded, summed over all nodes.
+    /// Ring probes sent: the [`MsgKind::Test`] sends.
     pub nodes_tested: u64,
-    /// Anomaly notifications sent, summed over all nodes.
+    /// Anomaly notifications sent: the [`MsgKind::Anomaly`] sends.
     pub anomalies: u64,
-    /// Mint ballots parked awaiting quorum (hardened mode only).
+    /// Mint ballots parked awaiting quorum ([`Counter::MintsParked`];
+    /// hardened mode only).
     pub mints_parked: u64,
     /// Live nodes isolated by a standing partition at the horizon — the
     /// oracle's partition-isolation excuse, counted instead of judged.
@@ -54,9 +59,11 @@ pub struct CoverageStats {
 /// is the "replays byte-identically" check, and [`Outcome::fingerprint`]
 /// folds it into one `u64` for aggregate summaries. The virtual-time
 /// socket node ([`crate::run_scenario_nodeproc`]) is as deterministic:
-/// its world judgement fills every field but the node counters of
-/// `coverage`, and its log judgement ([`crate::judge_logs`]) the fields
-/// a socket outcome fills, `events` counting merged log records.
+/// its world judgement fills every field but the protocol counts
+/// ([`Counter`]: `epoch_discards` and `coverage`'s search, regeneration
+/// and mint counters), because a `Proc` drops the count actions of its
+/// node; its log judgement ([`crate::judge_logs`]) fills the fields a
+/// socket outcome fills, `events` counting merged log records.
 ///
 /// From the threaded runtime ([`crate::run_scenario_runtime`]) and from
 /// real processes (`oc_bench::orchestrator::run_scenario_sockets`) an
@@ -66,9 +73,9 @@ pub struct CoverageStats {
 /// commands; merged log records), and what a substrate cannot know it
 /// leaves at zero:
 ///
-/// * both: `coverage` (per-kind sends, protocol signals) and the mint
-///   traffic `epoch_discards`, `mint_requests`, `mint_acks` — neither
-///   keeps per-kind accounting or reads node state after the run;
+/// * both: `coverage` (per-kind sends, protocol counts) and the mint
+///   traffic `epoch_discards`, `mint_requests`, `mint_acks` — only a
+///   [`World`] keeps per-kind sends and protocol counts;
 /// * sockets also: `messages` (no process counts its sends) and
 ///   `lost_to_faults`, `lost_to_partition`, `duplicated` (there is no
 ///   link shim yet; a scenario with an active fault script is refused).
@@ -180,11 +187,7 @@ pub fn run_scenario_hardened(
     mutation: Mutation,
     hardening: Hardening,
 ) -> Outcome {
-    run_scenario_observed(
-        scenario,
-        |s| OpenCubeNode::build_all(s.config(mutation, hardening)),
-        fold_node_stats,
-    )
+    run_scenario_with(scenario, |s| OpenCubeNode::build_all(s.config(mutation, hardening)))
 }
 
 /// [`run_scenario_hardened`] with the simulator's trace on: the same
@@ -199,24 +202,7 @@ pub fn run_scenario_traced(
     let nodes = OpenCubeNode::build_all(scenario.config(mutation, hardening));
     let mut world = scenario_world(scenario, nodes, true);
     let drained = world.run_to_quiescence();
-    (judge_world(&world, scenario, drained, fold_node_stats), world.trace().clone())
-}
-
-/// The open cube exposes per-node protocol counters; fold them into the
-/// coverage block so the guided explorer can reward scenarios that
-/// exercise the search/regeneration machinery.
-fn fold_node_stats(world: &World<OpenCubeNode>, coverage: &mut CoverageStats) {
-    let mut stats = NodeStats::default();
-    for k in 0..world.len() {
-        stats = stats.merged(world.node(NodeId::new(k as u32 + 1)).stats());
-    }
-    coverage.search_restarts = u64::from(stats.search_restarts);
-    coverage.regenerations = u64::from(stats.tokens_regenerated);
-    coverage.search_phases = u64::from(stats.search_phases);
-    coverage.searches_started = u64::from(stats.searches_started);
-    coverage.nodes_tested = u64::from(stats.nodes_tested);
-    coverage.anomalies = u64::from(stats.anomalies_sent);
-    coverage.mints_parked = u64::from(stats.mints_parked);
+    (judge_world(&world, scenario, drained), world.trace().clone())
 }
 
 /// Runs one scenario against an arbitrary [`Protocol`] and returns its
@@ -234,23 +220,9 @@ where
     P: Protocol,
     F: FnOnce(&Scenario) -> Vec<P>,
 {
-    run_scenario_observed(scenario, build, |_, _| {})
-}
-
-/// [`run_scenario_with`] plus a post-run observer that reads the final
-/// [`World`] — the hook protocol-specific coverage signals flow through.
-/// The observer runs after the oracles, before the world is dropped; it
-/// must be deterministic for outcome replay identity to hold.
-#[must_use]
-pub fn run_scenario_observed<P, F, O>(scenario: &Scenario, build: F, observe: O) -> Outcome
-where
-    P: Protocol,
-    F: FnOnce(&Scenario) -> Vec<P>,
-    O: FnOnce(&World<P>, &mut CoverageStats),
-{
     let mut world = scenario_world(scenario, build(scenario), false);
     let drained = world.run_to_quiescence();
-    judge_world(&world, scenario, drained, observe)
+    judge_world(&world, scenario, drained)
 }
 
 /// The world `scenario` runs in, every arrival and crash scheduled: the
@@ -280,32 +252,31 @@ pub(crate) fn scenario_world<P: Protocol>(
 }
 
 /// Judges a scenario's world once it has run (`drained`: the queue
-/// emptied under the event cap) by the world's own oracles; `observe`
-/// adds protocol-specific coverage signals.
-pub(crate) fn judge_world<P, O>(
+/// emptied under the event cap) by the world's own oracles and metrics.
+pub(crate) fn judge_world<P: Protocol>(
     world: &World<P>,
     scenario: &Scenario,
     drained: bool,
-    observe: O,
-) -> Outcome
-where
-    P: Protocol,
-    O: FnOnce(&World<P>, &mut CoverageStats),
-{
+) -> Outcome {
     let (isolated, unreachable) = world.partition_isolation(drained);
     let liveness = check_liveness_isolated(world, drained, &isolated, unreachable);
-    let mut coverage = CoverageStats {
-        sent_by_kind: MsgKind::all().map(|kind| world.metrics().sent(kind)),
+    let metrics = world.metrics();
+    let coverage = CoverageStats {
+        sent_by_kind: MsgKind::all().map(|kind| metrics.sent(kind)),
+        search_restarts: metrics.counted(Counter::SearchRestarts),
+        regenerations: metrics.counted(Counter::TokensRegenerated),
+        search_phases: metrics.counted(Counter::SearchPhases),
+        searches_started: metrics.counted(Counter::SearchesStarted),
+        nodes_tested: metrics.sent(MsgKind::Test),
+        anomalies: metrics.sent(MsgKind::Anomaly),
+        mints_parked: metrics.counted(Counter::MintsParked),
         isolated_nodes: isolated.iter().filter(|iso| **iso).count() as u64,
         quorum_blocked_nodes: (1..=scenario.n as u32)
             .map(NodeId::new)
             .filter(|id| world.is_alive(*id) && world.node(*id).quorum_blocked())
             .count() as u64,
         unreachable,
-        ..CoverageStats::default()
     };
-    observe(world, &mut coverage);
-    let metrics = world.metrics();
     Outcome {
         drained,
         events: metrics.events_processed,
@@ -317,9 +288,9 @@ where
         lost_to_faults: metrics.lost_to_faults,
         lost_to_partition: metrics.lost_to_partition,
         duplicated: metrics.duplicated_deliveries,
-        epoch_discards: metrics.epoch_discards,
-        mint_requests: metrics.sent(oc_sim::MsgKind::MintRequest),
-        mint_acks: metrics.sent(oc_sim::MsgKind::MintAck),
+        epoch_discards: metrics.counted(Counter::EpochDiscards),
+        mint_requests: metrics.sent(MsgKind::MintRequest),
+        mint_acks: metrics.sent(MsgKind::MintAck),
         safety: world.oracle_report().clone(),
         liveness,
         coverage,

@@ -24,7 +24,7 @@ const DUPLICATION_WITNESS: &str =
 
 /// Panics unless the virtual-time socket node agrees with the simulator
 /// on `scenario`. The world's judgement is the simulator's, field for
-/// field, but for the node counters of `coverage` (no socket node reports
+/// field, but for the protocol counts of `coverage` (a `Proc` drops
 /// them); the logs serve, abandon and judge as the simulator does. Both
 /// runners schedule every arrival, so they inject the same requests.
 fn assert_agrees(scenario: &Scenario, sim: &Outcome, run: &NodeprocOutcome) {

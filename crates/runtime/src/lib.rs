@@ -1689,7 +1689,7 @@ mod tests {
     }
 
     #[test]
-    fn scripted_drop_destroys_the_legacy_duplicate_too() {
+    fn scripted_drop_destroys_a_leading_phase_duplicate_too() {
         use oc_sim::{FaultPhase, FaultPhaseKind};
         // The fault-ordering pin, runtime side: a phase that duplicates
         // EVERY message is listed before one that drops EVERY message.

@@ -12,6 +12,7 @@
 use oc_topology::NodeId;
 
 use crate::{
+    metrics::Counter,
     outbox::Outbox,
     protocol::{Action, NodeEvent, Protocol},
     time::SimDuration,
@@ -40,6 +41,10 @@ pub trait ActionSink<M> {
 
     /// `node` disarms its local timer `id`.
     fn cancel_timer(&mut self, node: NodeId, id: u64);
+
+    /// `node` counts one protocol act. Only the simulator keeps these
+    /// (in its [`crate::Metrics`]); by default a substrate ignores them.
+    fn count(&mut self, _node: NodeId, _counter: Counter) {}
 }
 
 /// Feeds one event to `node` and executes every resulting action through
@@ -80,6 +85,7 @@ fn execute<M, S: ActionSink<M>>(node: NodeId, token_epoch: u64, out: &mut Outbox
             Action::EnterCs => sink.enter_cs(node, token_epoch),
             Action::SetTimer { id, delay } => sink.set_timer(node, id, delay),
             Action::CancelTimer { id } => sink.cancel_timer(node, id),
+            Action::Count(counter) => sink.count(node, counter),
         }
     }
 }
@@ -111,6 +117,7 @@ mod tests {
             out.enter_cs();
             out.set_timer(4, SimDuration::from_ticks(9));
             out.cancel_timer(4);
+            out.count(Counter::SearchPhases);
         }
         fn on_crash(&mut self) {}
         fn on_recover(&mut self, out: &mut Outbox<Ping>) {
@@ -139,6 +146,9 @@ mod tests {
         fn cancel_timer(&mut self, node: NodeId, id: u64) {
             self.0.push(format!("cancel {node} {id}"));
         }
+        fn count(&mut self, node: NodeId, counter: Counter) {
+            self.0.push(format!("count {node} {counter:?}"));
+        }
     }
 
     #[test]
@@ -147,7 +157,10 @@ mod tests {
         let mut out = Outbox::new();
         let mut sink = Log::default();
         drive(&mut node, NodeEvent::RequestCs, &mut out, &mut sink);
-        assert_eq!(sink.0, vec!["send 1->2", "cs 1 e0", "set 1 4 9", "cancel 1 4"]);
+        assert_eq!(
+            sink.0,
+            vec!["send 1->2", "cs 1 e0", "set 1 4 9", "cancel 1 4", "count 1 SearchPhases"]
+        );
         assert!(out.is_empty());
 
         let mut sink = Log::default();

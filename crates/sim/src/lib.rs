@@ -48,7 +48,7 @@ pub use liveness::{
     check_horizon, check_liveness, check_liveness_isolated, isolation_from_components, Horizon,
     LivenessReport, LivenessViolation, NodeAtHorizon,
 };
-pub use metrics::{Metrics, MsgKind};
+pub use metrics::{Counter, Metrics, MsgKind};
 pub use oracle::{Oracle, OracleReport, Violation};
 pub use outbox::Outbox;
 pub use protocol::{Action, MessageKind, NodeEvent, Protocol};

@@ -62,6 +62,52 @@ impl MsgKind {
     }
 }
 
+/// Protocol acts the substrate counts that no message kind already gives:
+/// a protocol reports one with [`crate::Outbox::count`], and the
+/// simulator adds it to [`Metrics`]. These are the paper's Section 5
+/// counts (probes per `search_father` are [`MsgKind::Test`] sends;
+/// enquiries and anomaly bounces are their kinds' sends too).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Counter {
+    /// `search_father` procedures started.
+    SearchesStarted,
+    /// Search phases run, try-later re-probe rounds included.
+    SearchPhases,
+    /// Searches restarted from ring 1 after a sweep that began above
+    /// ring 1 exhausted ring `pmax` without finding a father.
+    SearchRestarts,
+    /// Tokens regenerated (as root, as lender, or by a quorum mint).
+    TokensRegenerated,
+    /// Pending claims re-sent after a search concluded with a new father.
+    RequestsRegenerated,
+    /// Anomaly bounces received while a claim was pending (each starts a
+    /// search).
+    AnomaliesReceived,
+    /// Hardened-mode mint ballots: initial ballots, timeout retries and
+    /// post-park re-ballots.
+    MintBallots,
+    /// Hardened-mode mints completed with a quorum of grants.
+    MintsCompleted,
+    /// Hardened-mode ballots that ran out of attempts and parked.
+    MintsParked,
+    /// Stale tokens discarded by hardened-mode epoch fencing: a held
+    /// token voided by higher-epoch evidence, or a token whose epoch
+    /// trailed the receiver's on arrival. Always 0 under
+    /// `Hardening::None`.
+    EpochDiscards,
+}
+
+impl Counter {
+    /// How many counters there are: the last one's index plus one.
+    const COUNT: usize = Counter::EpochDiscards as usize + 1;
+
+    /// Dense index of this counter into a `[_; Counter::COUNT]` array.
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Aggregated counters collected by a simulation run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
@@ -69,6 +115,8 @@ pub struct Metrics {
     /// instead of a map: `record_send` sits on the per-send hot path, and
     /// an indexed add is both branch-free and allocation-free.
     sends_by_kind: [u64; 9],
+    /// Protocol counts, indexed by [`Counter`] discriminant.
+    counts: [u64; Counter::COUNT],
     /// Messages destroyed because the destination had crashed.
     pub lost_to_crashes: u64,
     /// Messages dropped on links to *live* nodes by scripted
@@ -99,13 +147,6 @@ pub struct Metrics {
     pub total_waiting_ticks: u64,
     /// Events processed by the simulator.
     pub events_processed: u64,
-    /// Stale tokens discarded by hardened-mode epoch fencing: a token
-    /// whose epoch trailed the receiver's highest witnessed epoch, or a
-    /// held token fenced out by higher-epoch evidence. Always 0 under
-    /// `Hardening::None`. Filled from the nodes' own counters by
-    /// `World::metrics` (the discard happens inside the protocol, not in
-    /// the substrate).
-    pub epoch_discards: u64,
 }
 
 impl Metrics {
@@ -125,6 +166,18 @@ impl Metrics {
     #[must_use]
     pub fn sent(&self, kind: MsgKind) -> u64 {
         self.sends_by_kind[kind.index()]
+    }
+
+    /// Records one protocol count.
+    #[inline]
+    pub fn record_count(&mut self, counter: Counter) {
+        self.counts[counter.index()] += 1;
+    }
+
+    /// How often the protocol reported `counter`.
+    #[must_use]
+    pub fn counted(&self, counter: Counter) -> u64 {
+        self.counts[counter.index()]
     }
 
     /// Total messages sent, all kinds.
@@ -178,6 +231,9 @@ impl Metrics {
         for (mine, theirs) in self.sends_by_kind.iter_mut().zip(&other.sends_by_kind) {
             *mine += theirs;
         }
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
         self.lost_to_crashes += other.lost_to_crashes;
         self.lost_to_faults += other.lost_to_faults;
         self.lost_to_partition += other.lost_to_partition;
@@ -188,7 +244,6 @@ impl Metrics {
         self.recoveries += other.recoveries;
         self.total_waiting_ticks += other.total_waiting_ticks;
         self.events_processed += other.events_processed;
-        self.epoch_discards += other.epoch_discards;
     }
 }
 
@@ -263,7 +318,10 @@ mod tests {
         m.recoveries = salt % 2;
         m.total_waiting_ticks = 10 * salt;
         m.events_processed = 100 + salt;
-        m.epoch_discards = salt + 5;
+        for _ in 0..salt + 5 {
+            m.record_count(Counter::EpochDiscards);
+        }
+        m.record_count(Counter::SearchPhases);
         m
     }
 
@@ -281,7 +339,8 @@ mod tests {
         assert_eq!(a.cs_entries, 16);
         assert_eq!(a.total_waiting_ticks, 80);
         assert_eq!(a.events_processed, 208);
-        assert_eq!(a.epoch_discards, 18);
+        assert_eq!(a.counted(Counter::EpochDiscards), 18);
+        assert_eq!(a.counted(Counter::SearchPhases), 2);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use oc_topology::NodeId;
 
-use crate::{protocol::Action, time::SimDuration};
+use crate::{metrics::Counter, protocol::Action, time::SimDuration};
 
 /// Collects the actions a protocol emits while handling one event.
 ///
@@ -43,6 +43,11 @@ impl<M> Outbox<M> {
     /// Records disarming of the node-local timer `id`.
     pub fn cancel_timer(&mut self, id: u64) {
         self.actions.push(Action::CancelTimer { id });
+    }
+
+    /// Records one protocol count.
+    pub fn count(&mut self, counter: Counter) {
+        self.actions.push(Action::Count(counter));
     }
 
     /// Removes and returns all recorded actions, leaving the outbox empty.

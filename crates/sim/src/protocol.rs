@@ -5,7 +5,11 @@ use core::fmt;
 
 use oc_topology::NodeId;
 
-use crate::{metrics::MsgKind, outbox::Outbox, time::SimDuration};
+use crate::{
+    metrics::{Counter, MsgKind},
+    outbox::Outbox,
+    time::SimDuration,
+};
 
 /// An input consumed by a protocol state machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,6 +57,9 @@ pub enum Action<M> {
         /// Node-local timer identity.
         id: u64,
     },
+    /// Count one protocol act the substrate's metrics keep (see
+    /// [`Counter`]); no effect on the run.
+    Count(Counter),
 }
 
 /// Classification of protocol messages, used by metrics and oracles.
@@ -143,15 +150,6 @@ pub trait Protocol {
     /// `false`.
     fn quorum_blocked(&self) -> bool {
         false
-    }
-
-    /// Stale tokens this node has discarded through epoch fencing: a
-    /// count that only grows. The world reads it before and after every
-    /// event it hands the node and folds the difference into
-    /// [`crate::Metrics::epoch_discards`], so the metric is current after
-    /// every step. Default: 0.
-    fn epoch_discards(&self) -> u64 {
-        0
     }
 }
 

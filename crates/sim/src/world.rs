@@ -17,7 +17,7 @@ use crate::{
     channel::{CompiledScript, DelayModel, FaultScript, LinkFate},
     crash::FailurePlan,
     engine::{self, ActionSink, TimerTable},
-    metrics::Metrics,
+    metrics::{Counter, Metrics},
     oracle::{Oracle, OracleReport},
     outbox::Outbox,
     pending::PendingRequests,
@@ -317,17 +317,20 @@ impl<M: Clone + core::fmt::Debug + MessageKind> ActionSink<M> for Core<M> {
     fn cancel_timer(&mut self, node: NodeId, id: u64) {
         self.timers.cancel(node.zero_based() as usize, id);
     }
+
+    fn count(&mut self, _node: NodeId, counter: Counter) {
+        self.metrics.record_count(counter);
+    }
 }
 
-/// One node as the token census sees it: whether it is a live holder, the
-/// epoch of what it holds (0 when it holds nothing), and its
-/// [`Protocol::epoch_discards`]. Taken before an event and again after it;
-/// the difference is all the census has to fold in.
+/// One node as the token census sees it: whether it is a live holder, and
+/// the epoch of what it holds (0 when it holds nothing). Taken before an
+/// event and again after it; the difference is all the census has to fold
+/// in.
 #[derive(Debug, Clone, Copy)]
 struct TokenView {
     held: bool,
     epoch: u64,
-    discards: u64,
 }
 
 /// The discrete-event simulator.
@@ -811,11 +814,7 @@ impl<P: Protocol> World<P> {
     fn token_view(&self, idx: usize) -> TokenView {
         let node = &self.nodes[idx];
         let held = self.core.alive[idx] && node.holds_token();
-        TokenView {
-            held,
-            epoch: if held { node.token_epoch() } else { 0 },
-            discards: node.epoch_discards(),
-        }
+        TokenView { held, epoch: if held { node.token_epoch() } else { 0 } }
     }
 
     /// Folds what one event changed on node `idx` — its view `before` the
@@ -846,9 +845,6 @@ impl<P: Protocol> World<P> {
                 }
             }
         }
-        // Epoch-fencing discards happen inside the protocol; fold the
-        // node-side counter's growth into the run metrics.
-        self.core.metrics.epoch_discards += after.discards - before.discards;
     }
 }
 
@@ -1189,7 +1185,7 @@ mod tests {
     }
 
     #[test]
-    fn partition_outranks_the_legacy_duplication_window() {
+    fn partition_outranks_a_leading_duplication_phase() {
         // Total duplication listed first AND a full cut, both active: the
         // cut must destroy the cross-cut send before the duplication
         // phase can flag a copy — nothing may cross, not even a duplicate.
@@ -1215,7 +1211,7 @@ mod tests {
     }
 
     #[test]
-    fn scripted_drop_destroys_the_legacy_duplicate_too() {
+    fn scripted_drop_destroys_a_leading_phase_duplicate_too() {
         // The fault-ordering pin: the first phase flags every non-token
         // message for duplication, the second destroys every message. The
         // drop must win over the *whole* logical send — an act-as-you-go
@@ -1602,6 +1598,7 @@ mod tests {
                     },
                     NodeEvent::Deliver { msg: Tok(epoch), .. } if epoch < self.seen => {
                         self.discards += 1;
+                        out.count(Counter::EpochDiscards);
                     }
                     NodeEvent::Deliver { msg: Tok(epoch), .. } => {
                         self.seen = epoch;
@@ -1626,9 +1623,6 @@ mod tests {
             }
             fn token_epoch(&self) -> u64 {
                 self.token.unwrap_or(0)
-            }
-            fn epoch_discards(&self) -> u64 {
-                self.discards
             }
         }
 
@@ -1664,14 +1658,22 @@ mod tests {
                 .map(|idx| world.nodes[idx].token_epoch())
                 .collect();
             let at_max = held_epochs.iter().filter(|e| **e == world.core.max_epoch).count();
-            let discards: u64 = world.nodes.iter().map(Protocol::epoch_discards).sum();
+            let discards: u64 = world.nodes.iter().map(|relay| relay.discards).sum();
             let census = (world.core.live_holders, world.core.holders_at_max);
             assert_eq!(census, (held_epochs.len(), at_max), "at {:?}", world.now());
-            assert_eq!(world.metrics().epoch_discards, discards, "at {:?}", world.now());
+            assert_eq!(
+                world.metrics().counted(Counter::EpochDiscards),
+                discards,
+                "at {:?}",
+                world.now()
+            );
         }
         // The run exercised what the census folds in.
         let m = world.metrics();
-        assert!(m.crashes > 0 && m.recoveries > 0 && m.epoch_discards > 0, "{m:?}");
+        assert!(
+            m.crashes > 0 && m.recoveries > 0 && m.counted(Counter::EpochDiscards) > 0,
+            "{m:?}"
+        );
         assert!(world.core.max_epoch > 2);
     }
 

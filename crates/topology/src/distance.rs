@@ -39,37 +39,15 @@ pub fn dist(i: NodeId, j: NodeId) -> u32 {
 ///
 /// There are exactly `2^(d-1)` such nodes for `1 ≤ d ≤ log2 n`
 /// (paper, Section 5): the other half of `from`'s d-group. This is the
-/// *ring* probed by phase `d` of the `search_father` procedure. An alias
-/// of [`ring_iter`]: the function used to materialize a `Vec`, which put
-/// one heap allocation per probe phase on the search hot path; collect
+/// *ring* probed by phase `d` of the `search_father` procedure, computed
+/// lazily from three integers: every probe phase walks one ring, and at
+/// production sizes the outer rings hold up to `n/2` members. Collect
 /// explicitly if a materialized ring is wanted.
 ///
 /// # Panics
 ///
-/// Panics if `n` is not a power of two, `from > n`, or `d` exceeds `log2 n`.
-///
-/// ```
-/// use oc_topology::{nodes_at_distance, NodeId};
-/// let ring: Vec<u32> = nodes_at_distance(16, NodeId::new(10), 2)
-///     .map(NodeId::get).collect();
-/// assert_eq!(ring, vec![11, 12]);
-/// ```
-#[must_use]
-pub fn nodes_at_distance(n: usize, from: NodeId, d: u32) -> RingIter {
-    ring_iter(n, from, d)
-}
-
-/// Allocation-free iterator over the distance-`d` ring of `from` — the
-/// same `2^(d-1)` nodes as [`nodes_at_distance`], in the same increasing
-/// identity order, but computed lazily from three integers instead of a
-/// materialized `Vec`. This is the hot path of `search_father`: every
-/// probe phase walks one ring, and at production sizes the outer rings
-/// hold up to `n/2` members.
-///
-/// # Panics
-///
 /// Panics if `n` is not a power of two, `from > n`, or `d` is outside
-/// `1..=log2 n` — the same contract as [`nodes_at_distance`].
+/// `1..=log2 n`.
 ///
 /// ```
 /// use oc_topology::{ring_iter, NodeId};
@@ -194,7 +172,7 @@ mod tests {
         let n = 64;
         for from in NodeId::all(n) {
             for d in 1..=6 {
-                let ring = nodes_at_distance(n, from, d);
+                let ring = ring_iter(n, from, d);
                 assert_eq!(ring.len(), ring_size(d), "ring({from}, {d})");
                 for member in ring {
                     assert_eq!(dist(from, member), d);
@@ -209,7 +187,7 @@ mod tests {
         let from = NodeId::new(13);
         let mut seen = vec![from];
         for d in 1..=5 {
-            seen.extend(nodes_at_distance(n, from, d));
+            seen.extend(ring_iter(n, from, d));
         }
         seen.sort();
         let all: Vec<NodeId> = NodeId::all(n).collect();
@@ -231,7 +209,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside")]
     fn ring_rejects_excessive_distance() {
-        let _ = nodes_at_distance(8, NodeId::new(1), 4);
+        let _ = ring_iter(16, NodeId::new(10), 5);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod tree;
 
 pub use branch::{branch_to_root, longest_branch_len};
 pub use canonical::{canonical_father, canonical_power, canonical_sons};
-pub use distance::{dist, nodes_at_distance, ring_iter, ring_size, RingIter};
+pub use distance::{dist, ring_iter, ring_size, RingIter};
 pub use error::{StructureError, TopologyError};
 pub use groups::{group_of, group_root, p_group};
 pub use node_id::NodeId;

@@ -4,7 +4,7 @@
 //! Each node process stamps its log records and outgoing messages with a
 //! [`Stamp`]: physical wall time (nanoseconds since the Unix epoch)
 //! paired with a logical counter. Receipt of a peer's stamp advances the
-//! local clock past it ([`Hlc::observe`]), so causally ordered events
+//! local clock past it ([`Hlc::observe_at`]), so causally ordered events
 //! always carry increasing stamps even when the processes' wall clocks
 //! disagree by more than a message flight time. Sorting the union of all
 //! logs by `(wall, logical, node)` therefore yields a linearization
@@ -101,13 +101,8 @@ impl Hlc {
 
     /// Merges a received stamp and issues the stamp for the receipt
     /// event, guaranteed greater than both the remote stamp and every
-    /// stamp this clock issued before.
-    pub fn observe(&mut self, remote: Stamp) -> Stamp {
-        self.observe_at(remote, physical_now())
-    }
-
-    /// [`Hlc::observe`] with the physical reading `now` given by the
-    /// caller.
+    /// stamp this clock issued before. `now` is the physical reading
+    /// (nanoseconds) given by the caller, as for [`Hlc::tick_at`].
     pub fn observe_at(&mut self, remote: Stamp, now: u64) -> Stamp {
         let local = (self.wall_ns, self.logical);
         let theirs = (remote.wall_ns, remote.logical);
@@ -142,8 +137,9 @@ mod tests {
     #[test]
     fn observe_dominates_a_future_remote_clock() {
         let mut clock = Hlc::new(1);
-        let ahead = Stamp { wall_ns: physical_now() + 5_000_000_000, logical: 7, node: 2 };
-        let receipt = clock.observe(ahead);
+        let now = physical_now();
+        let ahead = Stamp { wall_ns: now + 5_000_000_000, logical: 7, node: 2 };
+        let receipt = clock.observe_at(ahead, now);
         assert!(receipt > ahead, "receipt must be ordered after the send");
         assert_eq!(receipt.node, 1);
         // And subsequent local stamps stay ahead of the inherited wall.

@@ -7,8 +7,8 @@
 //! cargo run --example failover
 //! ```
 
-use opencube::algo::{aggregate_stats, Config, OpenCubeNode};
-use opencube::sim::{Protocol, SimConfig, SimDuration, SimTime, World};
+use opencube::algo::{Config, OpenCubeNode};
+use opencube::sim::{Counter, MsgKind, Protocol, SimConfig, SimDuration, SimTime, World};
 use opencube::topology::NodeId;
 
 fn main() {
@@ -35,13 +35,13 @@ fn main() {
     assert!(world.run_to_quiescence());
 
     println!("\n--- outcome ---");
-    let stats = aggregate_stats(&world);
-    println!("critical sections completed : {}", world.metrics().cs_entries);
-    println!("searches run                : {}", stats.searches_started);
-    println!("nodes probed (test msgs)    : {}", stats.nodes_tested);
-    println!("tokens regenerated          : {}", stats.tokens_regenerated);
-    println!("anomaly repairs             : {}", stats.anomalies_received);
-    println!("overhead messages           : {}", world.metrics().overhead_messages());
+    let m = world.metrics();
+    println!("critical sections completed : {}", m.cs_entries);
+    println!("searches run                : {}", m.counted(Counter::SearchesStarted));
+    println!("nodes probed (test msgs)    : {}", m.sent(MsgKind::Test));
+    println!("tokens regenerated          : {}", m.counted(Counter::TokensRegenerated));
+    println!("anomaly repairs             : {}", m.counted(Counter::AnomaliesReceived));
+    println!("overhead messages           : {}", m.overhead_messages());
     println!(
         "safety                      : {}",
         if world.oracle_report().is_clean() { "clean" } else { "VIOLATED" }

@@ -1,10 +1,10 @@
 //! Workspace-level integration tests: the algorithm, simulator, topology
 //! verifier, baselines and threaded runtime working together.
 
-use opencube::algo::{aggregate_stats, father_table, Config, OpenCubeNode};
+use opencube::algo::{father_table, Config, OpenCubeNode};
 use opencube::baselines::{CentralNode, NaimiTrehelNode, RaymondNode};
 use opencube::sim::{
-    ArrivalSchedule, FailurePlan, Protocol, SimConfig, SimDuration, SimTime, World,
+    ArrivalSchedule, Counter, FailurePlan, Protocol, SimConfig, SimDuration, SimTime, World,
 };
 use opencube::topology::{invariant, NodeId};
 use rand::{rngs::StdRng, SeedableRng};
@@ -128,8 +128,8 @@ fn failure_storm_with_full_recovery_restores_an_open_cube() {
     assert_eq!(holders, 1);
     // And everyone is consistently attached: requests from every node were
     // served in the final sweep.
-    let stats = aggregate_stats(&world);
-    assert!(stats.searches_started > 0, "failures must have triggered searches");
+    let searches = world.metrics().counted(Counter::SearchesStarted);
+    assert!(searches > 0, "failures must have triggered searches");
 }
 
 #[test]
@@ -239,7 +239,8 @@ fn simultaneous_failures_are_all_repaired() {
             .count();
         assert_eq!(holders, 1, "seed={seed}");
         // The token-holding root lost with node 1 was regenerated exactly once.
-        assert_eq!(aggregate_stats(&world).tokens_regenerated, 1, "seed={seed}");
+        let regenerated = world.metrics().counted(Counter::TokensRegenerated);
+        assert_eq!(regenerated, 1, "seed={seed}");
     }
 }
 
