@@ -38,15 +38,31 @@
 //!
 //! ## The batched hot path
 //!
-//! Three mechanisms keep the per-acquisition cost flat under load:
+//! Five mechanisms keep the per-acquisition cost flat under load:
 //!
 //! * **Mailbox batching** — a message for a node of the same worker
 //!   goes straight into that worker's delay queue and touches no channel;
 //!   messages for other workers are collected per destination and sent
 //!   as one [`Mail::Many`] per batch, and workers drain their mailbox in
 //!   `try_recv` bursts (of at most 128 commands) after each
-//!   blocking receive — one channel crossing per message at most, one
-//!   channel round-trip per *burst*.
+//!   blocking receive — a message crosses at most one channel, and a
+//!   batch sends at most one channel message per other worker, however
+//!   many messages it carries.
+//! * **Notices at settle time** — a request a worker ends (CS exit, a
+//!   crash, an arrival at a dead node, a `Stop`) leaves its completion
+//!   notice in a worker-owned buffer that keeps its capacity; the worker
+//!   sends the batch's notices in the order they ended when it settles
+//!   the batch, after the idle flags and before it releases its claims,
+//!   and lets go of each request's live count only after its notice is
+//!   sent. A client's notices reach its [`Watcher`] in one burst per
+//!   batch rather than one at a time as requests end, and
+//!   [`Runtime::settled`] never holds while a notice is unsent. Each
+//!   notice is still one channel message.
+//! * **One clock reading per command** — a worker reads the clock once
+//!   per command and once per timer firing; every message deadline, timer
+//!   deadline, lease expiry, monitor stamp and grant-latency sample the
+//!   command produces derives from that reading. A runtime started
+//!   without a fault script never evaluates one on a send.
 //! * **Worker-owned books** — what only a node's worker writes stays
 //!   with that worker: the node's grant queue, one plain
 //!   [`oc_sim::Metrics`] of messages, events and losses, and a signed
@@ -116,7 +132,7 @@ use oc_sim::{
 use oc_topology::NodeId;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
-use session::{Completion, Sessions, Ticket};
+use session::{Completion, Notice, Sessions, Ticket};
 
 /// Configuration of the threaded runtime.
 #[derive(Debug, Clone, Copy)]
@@ -242,23 +258,53 @@ struct Shared {
     ns: Vec<NsMeta>,
     /// The time-scripted fault program, compiled against the system size.
     /// Phase windows are in protocol ticks, evaluated against
-    /// [`Shared::sim_now`] — the same script the simulator consumes, the
+    /// [`Shared::ticks_at`] — the same script the simulator consumes, the
     /// tick mapping doing ticks→wall. Empty by default: nothing injected,
     /// no RNG draws. Only single-namespace runtimes may script faults.
     script: CompiledScript,
+    /// `false` when the script has no phase that can ever be active (the
+    /// runtime was started without one): sends skip the script check.
+    scripted: bool,
     epoch: Instant,
     tick_nanos: u64,
 }
 
 impl Shared {
-    /// Elapsed wall time in nanoseconds — the clock tickets are stamped by.
-    fn now_nanos(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    /// Wall time from the epoch to `at` in nanoseconds — the clock
+    /// tickets are stamped by.
+    fn nanos_at(&self, at: Instant) -> u64 {
+        u64::try_from(at.saturating_duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Elapsed wall time as protocol ticks — the oracle's timestamp.
+    /// `at` as protocol ticks since the epoch — the oracle's timestamp.
+    fn ticks_at(&self, at: Instant) -> SimTime {
+        SimTime::from_ticks(self.nanos_at(at) / self.tick_nanos)
+    }
+
+    /// Elapsed wall time as protocol ticks.
     fn sim_now(&self) -> SimTime {
-        SimTime::from_ticks(self.now_nanos() / self.tick_nanos)
+        self.ticks_at(Instant::now())
+    }
+
+    /// The fate the fault script gives a `from → to` send at `at`
+    /// (namespace-local ids): `Deliver`, without a look at the script,
+    /// when the runtime was started without one.
+    fn fate(
+        &self,
+        at: Instant,
+        from: NodeId,
+        to: NodeId,
+        carries_token: bool,
+        rng: &mut StdRng,
+    ) -> LinkFate {
+        if !self.scripted {
+            return LinkFate::Deliver;
+        }
+        let now = self.ticks_at(at);
+        if !self.script.active_at(now) {
+            return LinkFate::Deliver;
+        }
+        self.script.fate(now, from, to, carries_token, rng)
     }
 
     fn lock_monitor(&self, ns: usize) -> std::sync::MutexGuard<'_, Oracle> {
@@ -271,11 +317,15 @@ impl Shared {
     }
 
     /// A command that will never be processed: if it carried a request,
-    /// the request is abandoned. (Its in-flight claim, and the token
-    /// tally of a message, are the caller's to settle.)
-    fn abandon<M>(&self, item: Targeted<M>) {
-        if let NodeCmd::Acquire(ticket) = item.cmd {
-            self.sessions.end(self.ns_of(item.to), ticket, RequestStatus::Abandoned);
+    /// the request is abandoned, and its notice returned to be sent. (Its
+    /// in-flight claim, and the token tally of a message, are the
+    /// caller's to settle.)
+    fn abandon<M>(&self, item: Targeted<M>) -> Option<Notice> {
+        match item.cmd {
+            NodeCmd::Acquire(ticket) => {
+                Some(self.sessions.close(self.ns_of(item.to), ticket, RequestStatus::Abandoned))
+            }
+            _ => None,
         }
     }
 }
@@ -284,7 +334,10 @@ impl Shared {
 /// [`Runtime::acquire_watched`] with this watcher sends exactly one
 /// `(id, how it ended)` pair here when it completes or is abandoned —
 /// the only way to learn how a request ended, and what closed-loop
-/// clients block on. Each ticket carries a clone of the sending half.
+/// clients block on. Each ticket carries a clone of the sending half. A
+/// request that a worker ends is announced when that worker settles the
+/// batch that ended it, with the batch's other notices, in the order
+/// they ended.
 pub struct Watcher {
     tx: Sender<Completion>,
     rx: Receiver<Completion>,
@@ -405,6 +458,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
             inflight: AtomicU64::new(0),
             idle: (0..n).map(|_| AtomicBool::new(true)).collect(),
             ns,
+            scripted: script.enabled(),
             script: script.compile(n),
             epoch: Instant::now(),
             tick_nanos: u64::try_from(config.tick.as_nanos()).unwrap_or(u64::MAX).max(1),
@@ -516,7 +570,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
             self.worker_txs[w].send(Mail::One(Targeted { to, cmd }))
         {
             self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
-            self.shared.abandon(lost);
+            self.shared.sessions.notify(self.shared.abandon(lost));
         }
     }
 
@@ -538,7 +592,8 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
             self.shared.inflight.fetch_add(claims, Ordering::SeqCst);
             if let Err(SendError(Mail::Many(lost))) = tx.send(Mail::Many(burst)) {
                 self.shared.inflight.fetch_sub(claims, Ordering::SeqCst);
-                lost.into_iter().for_each(|(_, item)| self.shared.abandon(item));
+                let lost = lost.into_iter().filter_map(|(_, item)| self.shared.abandon(item));
+                self.shared.sessions.notify(lost);
             }
         }
     }
@@ -589,7 +644,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         watcher: Option<Sender<Completion>>,
     ) -> RequestId {
         let global = self.global_of(ns, node);
-        let now = self.shared.now_nanos();
+        let now = self.shared.nanos_at(Instant::now());
         let ticket = self.shared.sessions.open(ns, global, now, auto_release, watcher);
         let id = ticket.id;
         self.send_direct(global, NodeCmd::Acquire(ticket));
@@ -748,7 +803,9 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         slots.sort_by_key(|slot| slot.seat.idx);
         // The requests the cut found at their nodes. (Those still on
         // their way were ended by their worker's Stop.)
-        slots.iter_mut().for_each(|slot| slot.seat.vacate(&shared.sessions));
+        for slot in &mut slots {
+            slot.seat.vacate(|ns, ticket, status| shared.sessions.end(ns, ticket, status));
+        }
 
         // Judge each namespace with its own oracles, then fold. The
         // terminal token census counts live holders plus tokens still in
@@ -931,15 +988,16 @@ impl Seat {
         NodeId::new(self.global().get() - self.ns_offset)
     }
 
-    /// Ends every request at the node, at its crash or at shutdown: the
-    /// waiting ones will never be served; the granted one's critical
-    /// section was, however abruptly it ended.
-    fn vacate(&mut self, sessions: &Sessions) {
+    /// Ends every request at the node through `end(ns, ticket, status)`,
+    /// at its crash or at shutdown: the waiting ones will never be
+    /// served; the granted one's critical section was, however abruptly
+    /// it ended.
+    fn vacate(&mut self, mut end: impl FnMut(usize, Ticket, RequestStatus)) {
         for ticket in self.pending.drain(..) {
-            sessions.end(self.ns, ticket, RequestStatus::Abandoned);
+            end(self.ns, ticket, RequestStatus::Abandoned);
         }
         if let Some(ticket) = self.current.take() {
-            sessions.end(self.ns, ticket, RequestStatus::Completed);
+            end(self.ns, ticket, RequestStatus::Completed);
         }
     }
 
@@ -1019,6 +1077,12 @@ struct Worker<'a, M> {
     /// In-flight claims the batch is done with: commands processed or
     /// discarded, timers fired, cancelled or lost to a crash.
     claims_released: u64,
+    /// Notices of the requests the batch ended, in the order they ended;
+    /// sent when the batch is settled. The buffer keeps its capacity.
+    notices: Vec<Notice>,
+    /// The one clock reading of the command or timer firing being run:
+    /// every deadline and stamp it produces derives from it.
+    now: Instant,
 }
 
 impl<M: MessageKind> Worker<'_, M> {
@@ -1065,12 +1129,18 @@ impl<M: MessageKind> Worker<'_, M> {
     }
 
     /// Puts one copy of a message of namespace `ns` on the wire, under
-    /// its own random delay.
+    /// its own random delay from the current command's clock reading.
     fn transmit(&mut self, ns: usize, to: NodeId, from: NodeId, msg: M) {
         let max = u64::try_from(self.config.max_network_delay.as_nanos()).unwrap_or(u64::MAX);
         let delay = Duration::from_nanos(self.rng.random_range(0..=max));
         self.tokens_afloat[ns] += i64::from(msg.carries_token());
-        self.post(Instant::now() + delay, to, NodeCmd::Deliver { from, msg });
+        self.post(self.now + delay, to, NodeCmd::Deliver { from, msg });
+    }
+
+    /// Ends a request of namespace `ns`. Its notice waits in the batch's
+    /// buffer until [`Worker::settle`] sends it.
+    fn end(&mut self, ns: usize, ticket: Ticket, status: RequestStatus) {
+        self.notices.push(self.shared.sessions.close(ns, ticket, status));
     }
 
     /// A command that will never be processed gives up its in-flight
@@ -1083,7 +1153,7 @@ impl<M: MessageKind> Worker<'_, M> {
                 self.tokens_afloat[self.shared.ns_of(item.to)] -= 1;
             }
         }
-        self.shared.abandon(item);
+        self.notices.extend(self.shared.abandon(item));
     }
 
     /// Stop: nothing this worker still holds will ever be processed —
@@ -1103,10 +1173,12 @@ impl<M: MessageKind> Worker<'_, M> {
 
     /// Settles a batch. In order: the claims of everything the batch
     /// created are taken, *then* the other workers get their bursts; the
-    /// idle flags of the nodes the batch touched are published, *then*
-    /// the claims the batch is done with are released — so
-    /// [`Runtime::settled`] never observes a zero in-flight count while
-    /// a command, a live timer or an unpublished flag exists.
+    /// idle flags of the nodes the batch touched are published; the
+    /// batch's completion notices are sent, each request's live count let
+    /// go only after its notice; *then* the claims the batch is done with
+    /// are released — so [`Runtime::settled`] never observes a zero
+    /// in-flight count while a command, a live timer, an unpublished flag
+    /// or an unsent notice exists.
     fn settle(&mut self, idle: impl Iterator<Item = (usize, bool)>) {
         let shared = self.shared;
         if self.claims_taken != 0 {
@@ -1127,6 +1199,7 @@ impl<M: MessageKind> Worker<'_, M> {
         for (idx, flag) in idle {
             shared.idle[idx].store(flag, Ordering::SeqCst);
         }
+        shared.sessions.notify(self.notices.drain(..));
         if self.claims_released != 0 {
             shared.inflight.fetch_sub(self.claims_released, Ordering::SeqCst);
             self.claims_released = 0;
@@ -1153,23 +1226,21 @@ impl<M: MessageKind + Clone + Send + 'static> ActionSink<M> for ThreadSink<'_, '
         worker.metrics.record_send(msg.kind());
         // Decide-before-act, identical to the simulator's `Core::send`:
         // the script decides the message's fate before any copy is
-        // enqueued, so a drop destroys the logical send outright.
-        let now_ticks = shared.sim_now();
-        if shared.script.active_at(now_ticks) {
-            match shared.script.fate(now_ticks, from, to, msg.carries_token(), &mut worker.rng) {
-                LinkFate::Deliver => {}
-                LinkFate::DropPartition => {
-                    worker.metrics.lost_to_partition += 1;
-                    return;
-                }
-                LinkFate::DropLoss => {
-                    worker.metrics.lost_to_faults += 1;
-                    return;
-                }
-                LinkFate::DeliverAndDuplicate => {
-                    worker.metrics.duplicated_deliveries += 1;
-                    worker.transmit(ns, to_global, from, msg.clone());
-                }
+        // enqueued, so a drop destroys the logical send outright. A
+        // runtime started without a script skips the check entirely.
+        match shared.fate(worker.now, from, to, msg.carries_token(), &mut worker.rng) {
+            LinkFate::Deliver => {}
+            LinkFate::DropPartition => {
+                worker.metrics.lost_to_partition += 1;
+                return;
+            }
+            LinkFate::DropLoss => {
+                worker.metrics.lost_to_faults += 1;
+                return;
+            }
+            LinkFate::DeliverAndDuplicate => {
+                worker.metrics.duplicated_deliveries += 1;
+                worker.transmit(ns, to_global, from, msg.clone());
             }
         }
         worker.transmit(ns, to_global, from, msg);
@@ -1177,28 +1248,28 @@ impl<M: MessageKind + Clone + Send + 'static> ActionSink<M> for ThreadSink<'_, '
 
     fn enter_cs(&mut self, node: NodeId, token_epoch: u64) {
         let (worker, seat) = (&mut *self.worker, &mut *self.seat);
-        let shared = worker.shared;
+        let (shared, now) = (worker.shared, worker.now);
         seat.lease += 1;
-        shared.lock_monitor(seat.ns).enter_cs(shared.sim_now(), node, token_epoch);
+        shared.lock_monitor(seat.ns).enter_cs(shared.ticks_at(now), node, token_epoch);
         shared.cs_entries[seat.ns].fetch_add(1, Ordering::Relaxed);
         // The node's oldest waiting request is the one being served (a
         // node may also enter with no request of ours waiting).
         seat.current = seat.pending.pop_front();
         if let Some(ticket) = &seat.current {
-            shared.sessions.histogram().record(shared.now_nanos().saturating_sub(ticket.t0));
+            shared.sessions.histogram().record(shared.nanos_at(now).saturating_sub(ticket.t0));
         }
         // Auto-release requests skip the wall-clock lease: the worker
         // exits the CS immediately after this command (`drain_auto`),
         // so no ExitLease is ever filed for them.
         if !seat.serving_auto() {
-            let expiry = Instant::now() + worker.config.cs_duration;
+            let expiry = now + worker.config.cs_duration;
             worker.post(expiry, seat.global(), NodeCmd::ExitLease { lease: seat.lease });
         }
     }
 
     fn set_timer(&mut self, _node: NodeId, timer_id: u64, delay: SimDuration) {
         let worker = &mut *self.worker;
-        let deadline = Instant::now() + ticks_to_wall(delay.ticks(), worker.config.tick);
+        let deadline = worker.now + ticks_to_wall(delay.ticks(), worker.config.tick);
         // A re-arm inherits the claim of the arming it supersedes.
         if !worker.timers.arm(self.seat.pos, timer_id, deadline) {
             worker.claims_taken += 1;
@@ -1246,6 +1317,8 @@ fn worker_main<P: Protocol + Send + 'static>(
         outgoing: (0..workers).map(|_| Vec::new()).collect(),
         claims_taken: 0,
         claims_released: 0,
+        notices: Vec::new(),
+        now: Instant::now(),
     };
     let mut out: Outbox<P::Msg> = Outbox::new();
     let mut touched: Vec<usize> = Vec::new();
@@ -1277,7 +1350,8 @@ fn worker_main<P: Protocol + Send + 'static>(
             }
         }
         // Delayed commands that have fallen due join the batch. A worker
-        // with nothing delayed and nothing armed never reads the clock.
+        // with nothing delayed and nothing armed reads the clock only for
+        // the commands it runs, once each.
         let now = (!worker.delayed.is_empty() || !worker.timers.is_empty()).then(Instant::now);
         if let Some(now) = now {
             while worker.delayed.peek().is_some_and(|Reverse(d)| d.deliver_at <= now) {
@@ -1294,6 +1368,7 @@ fn worker_main<P: Protocol + Send + 'static>(
                 break;
             }
             worker.metrics.events_processed += 1;
+            worker.now = Instant::now();
             let pos = (to.zero_based() as usize) / workers;
             let slot = &mut slots[pos];
             debug_assert_eq!(slot.seat.global(), to, "misrouted command");
@@ -1307,6 +1382,7 @@ fn worker_main<P: Protocol + Send + 'static>(
         while let Some((pos, timer_id)) = now.and_then(|now| worker.timers.pop_due(now)) {
             worker.claims_released += 1;
             worker.metrics.events_processed += 1;
+            worker.now = Instant::now();
             let slot = &mut slots[pos as usize];
             debug_assert!(!slot.seat.crashed, "a crash clears the node's timers");
             drive_slot(slot, Some(NodeEvent::Timer(timer_id)), &mut out, &mut worker);
@@ -1380,7 +1456,7 @@ fn process<P: Protocol + Send + 'static>(
             if seat.crashed {
                 // The application on a crashed node cannot request; the
                 // injection is abandoned, never served.
-                shared.sessions.end(seat.ns, ticket, RequestStatus::Abandoned);
+                worker.end(seat.ns, ticket, RequestStatus::Abandoned);
                 return;
             }
             seat.pending.push_back(ticket);
@@ -1411,7 +1487,7 @@ fn process<P: Protocol + Send + 'static>(
             // application's requests (a granted one's lease is
             // invalidated below) — and the node's timers leave the
             // worker's deadline set, claims and all.
-            seat.vacate(&shared.sessions);
+            seat.vacate(|ns, ticket, status| worker.end(ns, ticket, status));
             slot.node.on_crash();
             worker.claims_released += worker.timers.clear_owner(seat.pos) as u64;
             seat.lease += 1;
@@ -1464,7 +1540,7 @@ fn exit_cs<P: Protocol + Send + 'static>(
     let local = seat.local();
     shared.lock_monitor(seat.ns).exit_cs(local);
     if let Some(ticket) = seat.current.take() {
-        shared.sessions.end(seat.ns, ticket, RequestStatus::Completed);
+        worker.end(seat.ns, ticket, RequestStatus::Completed);
     }
     drive_slot(slot, Some(NodeEvent::ExitCs), out, worker);
 }

@@ -4,15 +4,15 @@
 //! travels *with* its command: it rides inside the `Acquire` to its
 //! node's worker, waits in that node's own FIFO grant queue, becomes the
 //! node's current ticket when the node enters the critical section, and
-//! is consumed by [`Sessions::end`] — exactly once, by whoever ends the
-//! request. A request ends `Completed` when its critical section is over
-//! (lease expiry, early release, auto-release, a crash of the node
-//! inside it, shutdown) and `Abandoned` when it can never be served (its
-//! node crashed while it waited, it was issued to a crashed node, or the
-//! runtime shut down first) — the same accounting the simulator's
-//! `World` keeps, so the liveness oracle's
-//! `served + abandoned == injected` equation judges both substrates
-//! identically.
+//! is consumed by [`Sessions::close`] — exactly once, by whoever ends the
+//! request — into the [`Notice`] its watcher is sent. A request ends
+//! `Completed` when its critical section is over (lease expiry, early
+//! release, auto-release, a crash of the node inside it, shutdown) and
+//! `Abandoned` when it can never be served (its node crashed while it
+//! waited, it was issued to a crashed node, or the runtime shut down
+//! first) — the same accounting the simulator's `World` keeps, so the
+//! liveness oracle's `served + abandoned == injected` equation judges
+//! both substrates identically.
 //!
 //! Nothing is kept per request once it has ended: what outlives a ticket
 //! is a handful of counters and the latency histogram.
@@ -66,6 +66,13 @@ pub enum RequestStatus {
 
 /// A completion notice: `(request, how it ended)`.
 pub(crate) type Completion = (RequestId, RequestStatus);
+
+/// A request that has ended and whose watcher has not been told yet. It
+/// holds its request's live count until [`Sessions::notify`] sends it.
+pub(crate) struct Notice {
+    watcher: Option<Sender<Completion>>,
+    completion: Completion,
+}
 
 /// One live request — all the memory it ever costs.
 #[derive(Debug)]
@@ -129,20 +136,40 @@ impl Sessions {
         Ticket { id: RequestId { index, node }, t0, auto_release, watcher }
     }
 
-    /// Ends a request of namespace `ns`: books it, then notifies its
-    /// watcher (a client that hung up is simply not told), and only then
-    /// lets go of the live count — once [`Sessions::all_ended`] holds,
-    /// every notice has been sent.
-    pub(crate) fn end(&self, ns: usize, ticket: Ticket, status: RequestStatus) {
+    /// Ends a request of namespace `ns`: books it and returns its notice,
+    /// which still holds the request's live count until
+    /// [`Sessions::notify`] sends it. A worker collects the notices of a
+    /// batch and sends them when it settles the batch.
+    pub(crate) fn close(&self, ns: usize, ticket: Ticket, status: RequestStatus) -> Notice {
         let account = &self.accounts[ns];
         match status {
             RequestStatus::Completed => account.completed.fetch_add(1, Ordering::Relaxed),
             RequestStatus::Abandoned => account.abandoned.fetch_add(1, Ordering::Relaxed),
         };
-        if let Some(watcher) = ticket.watcher {
-            let _ = watcher.send((ticket.id, status));
+        Notice { watcher: ticket.watcher, completion: (ticket.id, status) }
+    }
+
+    /// Sends each notice to its watcher, in order (a client that hung up
+    /// is simply not told), and only then lets go of their live counts —
+    /// once [`Sessions::all_ended`] holds, every notice has been sent.
+    pub(crate) fn notify(&self, notices: impl IntoIterator<Item = Notice>) {
+        let mut sent = 0;
+        for Notice { watcher, completion } in notices {
+            if let Some(watcher) = watcher {
+                let _ = watcher.send(completion);
+            }
+            sent += 1;
         }
-        self.live.fetch_sub(1, Ordering::SeqCst);
+        if sent != 0 {
+            self.live.fetch_sub(sent, Ordering::SeqCst);
+        }
+    }
+
+    /// Ends a request and sends its notice at once: [`Sessions::close`]
+    /// then [`Sessions::notify`], for requests ended outside a worker's
+    /// batch.
+    pub(crate) fn end(&self, ns: usize, ticket: Ticket, status: RequestStatus) {
+        self.notify([self.close(ns, ticket, status)]);
     }
 
     /// `true` if no request is waiting or inside its critical section.
