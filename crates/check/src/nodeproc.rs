@@ -35,7 +35,7 @@ use std::rc::Rc;
 use oc_algo::{Config, Hardening, Mutation};
 use oc_sim::{
     check_horizon, Horizon, MessageKind, MsgKind, NodeAtHorizon, NodeEvent, Outbox, Protocol,
-    SimDuration,
+    SimDuration, World,
 };
 use oc_topology::NodeId;
 use oc_transport::log::REC_LEN;
@@ -44,7 +44,7 @@ use oc_transport::{
     DEFAULT_TICK,
 };
 
-use crate::run::{judge_world, scenario_world, Outcome};
+use crate::run::{in_scenario_world, judge_world, Outcome};
 use crate::{scenario_seed, Scenario};
 
 /// The post-hoc judgement of a socket deployment: its event logs (one
@@ -272,10 +272,17 @@ pub fn run_scenario_nodeproc(scenario: &Scenario, mutation: Mutation) -> Nodepro
             requests: 0,
         })
         .collect();
-    let mut world = scenario_world(scenario, nodes, false);
+    in_scenario_world(scenario, nodes, false, |world| judge_both(world, scenario, &clock))
+}
 
-    // `World::run_to_quiescence`, with the nodes' clock set before each
-    // step.
+/// Steps `world` as `World::run_to_quiescence` would, with the nodes'
+/// clock set before each step, and judges it by its oracles and by its
+/// nodes' logs.
+fn judge_both(
+    world: &mut World<VirtualNode>,
+    scenario: &Scenario,
+    clock: &Cell<u64>,
+) -> NodeprocOutcome {
     let tick_ns = u64::try_from(DEFAULT_TICK.as_nanos()).expect("fits");
     let (mut tick, mut ordinal) = (None, 0);
     let drained = loop {
@@ -288,11 +295,12 @@ pub fn run_scenario_nodeproc(scenario: &Scenario, mutation: Mutation) -> Nodepro
         clock.set(at.ticks().saturating_mul(tick_ns).saturating_add(ordinal.min(tick_ns - 1)));
         world.step();
     };
-    let by_world = judge_world(&world, scenario, drained);
+    let by_world = judge_world(world, drained);
 
     // The deployment's view: each node's log and last status, the
     // orchestrator's crash records, and what the gateway injected.
-    let (isolated, unreachable) = world.partition_isolation(drained);
+    let (horizon, unreachable) = world.horizon(drained);
+    let isolated: Vec<bool> = horizon.nodes.iter().map(|state| state.isolated).collect();
     let mut logs = Vec::with_capacity(scenario.n + 1);
     let mut killed = Vec::new();
     let mut census = 0;

@@ -1,9 +1,12 @@
 //! Playing one scenario through the deterministic engine and judging it.
 
+use std::any::Any;
+use std::cell::Cell;
+
 use oc_algo::{Hardening, Mutation, OpenCubeNode};
 use oc_sim::{
-    check_liveness_isolated, Counter, DelayModel, LivenessReport, MsgKind, OracleReport, Protocol,
-    SimConfig, SimDuration, SimTime, Trace, World,
+    check_horizon, Counter, DelayModel, LivenessReport, MsgKind, OracleReport, Protocol, SimConfig,
+    SimDuration, SimTime, Trace, World,
 };
 use oc_topology::NodeId;
 
@@ -170,6 +173,15 @@ impl Outcome {
 
 /// Runs one scenario to quiescence and returns its oracle verdict — a
 /// pure function of `(scenario, mutation)` over the open-cube protocol.
+///
+/// Every simulator runner of this crate (this one, its hardened, traced
+/// and `_with` forms, and [`crate::run_scenario_nodeproc`]) plays its
+/// scenario in the calling thread's one [`World`], reset in place
+/// ([`World::reset`]) rather than built and dropped per scenario: a
+/// thread keeps one world of the largest shape it has run, and a
+/// battery's scenarios cost the heap only what a world it already holds
+/// cannot take. A reset world is a new world, so the verdict does not
+/// depend on what the thread ran before.
 #[must_use]
 pub fn run_scenario(scenario: &Scenario, mutation: Mutation) -> Outcome {
     run_scenario_hardened(scenario, mutation, Hardening::None)
@@ -200,9 +212,10 @@ pub fn run_scenario_traced(
     hardening: Hardening,
 ) -> (Outcome, Trace) {
     let nodes = OpenCubeNode::build_all(scenario.config(mutation, hardening));
-    let mut world = scenario_world(scenario, nodes, true);
-    let drained = world.run_to_quiescence();
-    (judge_world(&world, scenario, drained), world.trace().clone())
+    in_scenario_world(scenario, nodes, true, |world| {
+        let drained = world.run_to_quiescence();
+        (judge_world(world, drained), world.trace().clone())
+    })
 }
 
 /// Runs one scenario against an arbitrary [`Protocol`] and returns its
@@ -217,21 +230,33 @@ pub fn run_scenario_traced(
 #[must_use]
 pub fn run_scenario_with<P, F>(scenario: &Scenario, build: F) -> Outcome
 where
-    P: Protocol,
+    P: Protocol + 'static,
     F: FnOnce(&Scenario) -> Vec<P>,
 {
-    let mut world = scenario_world(scenario, build(scenario), false);
-    let drained = world.run_to_quiescence();
-    judge_world(&world, scenario, drained)
+    in_scenario_world(scenario, build(scenario), false, |world| {
+        let drained = world.run_to_quiescence();
+        judge_world(world, drained)
+    })
 }
 
-/// The world `scenario` runs in, every arrival and crash scheduled: the
-/// one place a scenario becomes a [`SimConfig`].
-pub(crate) fn scenario_world<P: Protocol>(
+thread_local! {
+    /// The calling thread's world, of the protocol type it last ran: the
+    /// one slot every runner of this crate resets its world in.
+    static WORLD: Cell<Option<Box<dyn Any>>> = const { Cell::new(None) };
+}
+
+/// Hands `play` this thread's world, reset for `scenario` over `nodes`
+/// with every arrival and crash filed — the one place a scenario becomes
+/// a [`SimConfig`]. The world is out of its slot while `play` runs, so a
+/// runner called inside `play` gets a world of its own, and a world left
+/// mid-event by a panic is never reused. A world of another protocol type
+/// is dropped for a new one.
+pub(crate) fn in_scenario_world<P: Protocol + 'static, R>(
     scenario: &Scenario,
     nodes: Vec<P>,
     record_trace: bool,
-) -> World<P> {
+    play: impl FnOnce(&mut World<P>) -> R,
+) -> R {
     let sim = SimConfig {
         delay: DelayModel::Uniform {
             min: SimDuration::from_ticks(scenario.delay_min),
@@ -243,23 +268,39 @@ pub(crate) fn scenario_world<P: Protocol>(
         max_events: scenario.max_events,
         script: scenario.fault_script(),
     };
-    let mut world = World::new(sim, nodes);
+    let kept = WORLD.take().and_then(|world| world.downcast::<World<P>>().ok());
+    let mut world = match kept {
+        Some(mut world) => {
+            world.reset(sim, nodes);
+            world
+        }
+        None => Box::new(World::new(sim, nodes)),
+    };
     for (at, node) in &scenario.arrivals {
         world.schedule_request(SimTime::from_ticks(*at), NodeId::new(*node));
     }
-    world.schedule_failures(&scenario.failure_plan());
-    world
+    // `Scenario::failure_plan`, filed without building the plan.
+    for crash in &scenario.crashes {
+        let node = NodeId::new(crash.node);
+        world.schedule_failure(SimTime::from_ticks(crash.at), node);
+        if let Some(recover_at) = crash.recover_at {
+            assert!(recover_at > crash.at, "recovery must come after the crash");
+            world.schedule_recovery(SimTime::from_ticks(recover_at), node);
+        }
+    }
+    let result = play(&mut world);
+    WORLD.set(Some(world));
+    result
 }
 
 /// Judges a scenario's world once it has run (`drained`: the queue
 /// emptied under the event cap) by the world's own oracles and metrics.
-pub(crate) fn judge_world<P: Protocol>(
-    world: &World<P>,
-    scenario: &Scenario,
-    drained: bool,
-) -> Outcome {
-    let (isolated, unreachable) = world.partition_isolation(drained);
-    let liveness = check_liveness_isolated(world, drained, &isolated, unreachable);
+pub(crate) fn judge_world<P: Protocol>(world: &mut World<P>, drained: bool) -> Outcome {
+    let (horizon, unreachable) = world.horizon(drained);
+    let liveness = check_horizon(horizon);
+    let isolated_nodes = horizon.nodes.iter().filter(|state| state.isolated).count() as u64;
+    let quorum_blocked_nodes =
+        horizon.nodes.iter().filter(|state| state.quorum_blocked).count() as u64;
     let metrics = world.metrics();
     let coverage = CoverageStats {
         sent_by_kind: MsgKind::all().map(|kind| metrics.sent(kind)),
@@ -270,11 +311,8 @@ pub(crate) fn judge_world<P: Protocol>(
         nodes_tested: metrics.sent(MsgKind::Test),
         anomalies: metrics.sent(MsgKind::Anomaly),
         mints_parked: metrics.counted(Counter::MintsParked),
-        isolated_nodes: isolated.iter().filter(|iso| **iso).count() as u64,
-        quorum_blocked_nodes: (1..=scenario.n as u32)
-            .map(NodeId::new)
-            .filter(|id| world.is_alive(*id) && world.node(*id).quorum_blocked())
-            .count() as u64,
+        isolated_nodes,
+        quorum_blocked_nodes,
         unreachable,
     };
     Outcome {

@@ -32,7 +32,7 @@ fn baseline_scenario(seed: u64, index: u64) -> Scenario {
 
 fn battery<F, P>(name: &str, build: F)
 where
-    P: oc_sim::Protocol,
+    P: oc_sim::Protocol + 'static,
     F: Fn(&Scenario) -> Vec<P>,
 {
     for index in 0..200 {

@@ -837,7 +837,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
             completed += ns_completed;
             abandoned += ns_abandoned;
             // Partition awareness at the shutdown horizon, mirroring the
-            // simulator's `World::partition_isolation` (scripts exist
+            // simulator's `World::horizon` (scripts exist
             // only in single-namespace runs; elsewhere this is one
             // healed component). Waiting requests were just ended as
             // `abandoned`, so `unreachable` stays 0.
@@ -1505,7 +1505,7 @@ fn process<P: Protocol + Send + 'static>(
 }
 
 /// Partition awareness for one namespace's shutdown horizon — the same
-/// policy as the simulator's `World::partition_isolation`, through the
+/// policy as the simulator's `World::horizon`, through the
 /// shared [`oc_sim::isolation_from_components`]. `span` is the
 /// namespace's contiguous slice of the (index-sorted) final states; the
 /// result is positional over that slice. `census` is the namespace's

@@ -95,6 +95,16 @@ impl TimerTable {
         TimerTable::default()
     }
 
+    /// Empties the table and restarts its generations, as
+    /// [`TimerTable::new`] would, keeping the map's capacity. The map is
+    /// only probed and `retain`ed, never iterated into behaviour, so the
+    /// slots a larger earlier run left behind change nothing a run does.
+    pub(crate) fn reset(&mut self) {
+        let TimerTable { armed, last_generation } = self;
+        armed.clear();
+        *last_generation = 0;
+    }
+
     /// Heap bytes held by the table (slots and control bytes), for the
     /// memory-footprint report.
     #[must_use]

@@ -32,6 +32,8 @@
 //! observers (`is_idle`, `holds_token`) and the substrate's counters, so
 //! the same oracle pins the open-cube algorithm and all baselines.
 
+use std::collections::BTreeSet;
+
 use oc_topology::NodeId;
 
 use crate::{protocol::Protocol, world::World};
@@ -118,7 +120,7 @@ pub struct NodeAtHorizon {
     pub recovered: bool,
     /// `true` if a partition phase still active at the horizon separates
     /// this node from every live token holder
-    /// ([`crate::world::World::partition_isolation`]). An isolated node's
+    /// ([`isolation_from_components`]). An isolated node's
     /// pending obligations are the environment's fault, not the
     /// algorithm's, so the per-node stuck judgement skips it.
     pub isolated: bool,
@@ -136,7 +138,7 @@ pub struct NodeAtHorizon {
 /// (`oc-runtime`) builds one from its final state at shutdown. Both are
 /// then judged by [`check_horizon`] — the same oracle code, whatever
 /// substrate executed the protocol.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Horizon {
     /// `true` if the run converged (event queue drained / runtime settled)
     /// rather than being cut off by an event cap or a forced shutdown.
@@ -178,69 +180,118 @@ impl Horizon {
 /// are still pending.
 #[must_use]
 pub fn check_liveness<P: Protocol>(world: &World<P>, drained: bool) -> LivenessReport {
-    let (isolated, unreachable) = world.partition_isolation(drained);
-    check_liveness_isolated(world, drained, &isolated, unreachable)
+    let mut horizon = Horizon::default();
+    fill_horizon(world, drained, &mut horizon);
+    check_horizon(&horizon)
 }
 
-/// [`check_liveness`] for a caller that already holds the horizon's
-/// [`World::partition_isolation`] (`isolated`, `unreachable`) — the
-/// scenario runner reads it for its coverage block too, so it is built
-/// once per run.
-#[must_use]
-pub fn check_liveness_isolated<P: Protocol>(
+/// Writes `world`'s state at its horizon into `horizon`, reusing its node
+/// buffer ([`World::horizon`]), and returns how many of its `unreachable`
+/// requests are stranded on partition-isolated nodes. The rest wait on
+/// quorum-blocked nodes: requests stranded behind a quorum that cannot
+/// assemble are withheld by the same environment that cut the majority
+/// away, so they are excused like the cut-isolated ones (without
+/// double-counting overlap).
+pub(crate) fn fill_horizon<P: Protocol>(
     world: &World<P>,
     drained: bool,
-    isolated: &[bool],
-    mut unreachable: u64,
-) -> LivenessReport {
-    let nodes: Vec<NodeAtHorizon> = NodeId::all(world.len())
-        .map(|id| NodeAtHorizon {
+    horizon: &mut Horizon,
+) -> u64 {
+    let (core, n) = (&world.core, world.len());
+    let cut = Cut::new(
+        core.compiled.components_at_horizon(core.now, n, drained),
+        n,
+        |idx| core.alive[idx],
+        |idx| core.alive[idx] && world.nodes[idx].holds_token(),
+        world.live_token_census(),
+    );
+    let mut nodes = std::mem::take(&mut horizon.nodes);
+    nodes.clear();
+    nodes.extend(NodeId::all(n).map(|id| {
+        let alive = world.is_alive(id);
+        NodeAtHorizon {
             node: id,
-            alive: world.is_alive(id),
+            alive,
             idle: world.node(id).is_idle(),
             recovered: world.has_recovered(id),
-            isolated: isolated[id.zero_based() as usize],
-            quorum_blocked: world.is_alive(id) && world.node(id).quorum_blocked(),
-        })
-        .collect();
-    // Requests stranded behind a quorum that cannot assemble are withheld
-    // by the same environment that cut the majority away — excuse them
-    // like the cut-isolated ones (without double-counting overlap).
-    unreachable += nodes
-        .iter()
-        .filter(|state| state.quorum_blocked && !state.isolated)
-        .map(|state| world.pending_requests(state.node) as u64)
-        .sum::<u64>();
-    check_horizon(&Horizon {
+            isolated: alive
+                && cut.as_ref().is_some_and(|cut| cut.isolates(id.zero_based() as usize)),
+            quorum_blocked: alive && world.node(id).quorum_blocked(),
+        }
+    }));
+    let pending = |state: &NodeAtHorizon| world.pending_requests(state.node) as u64;
+    let stranded: u64 = nodes.iter().filter(|state| state.isolated).map(pending).sum();
+    let blocked: u64 =
+        nodes.iter().filter(|state| state.quorum_blocked && !state.isolated).map(pending).sum();
+    *horizon = Horizon {
         drained,
         events: world.metrics().events_processed,
         injected: world.requests_injected(),
         served: world.metrics().cs_entries,
         abandoned: world.metrics().requests_abandoned,
-        unreachable,
+        unreachable: stranded + blocked,
         live_token_census: world.live_token_census(),
         nodes,
-    })
+    };
+    stranded
 }
 
-/// Per-node partition isolation from component ids — the one policy
-/// shared by the simulator (`World::partition_isolation`) and the
-/// runtime's shutdown horizon:
-///
-/// * `components` is `CompiledScript::components_at_horizon` (`None` =
-///   no partition counts at this horizon → nobody is isolated);
-/// * a cut that leaves every live node in one component is vacuous;
-/// * a live node is isolated iff no live token holder shares its
-///   component — or, when the token is *provably gone everywhere*
-///   (`live_tokens == 0`) while the cut stands, unconditionally:
-///   regeneration would need cross-cut agreement. A token merely in
-///   flight (`live_tokens > 0` with no at-rest holder) has an unknown
-///   location, so nobody can be proven isolated from it and nothing is
-///   excused — the oracle stays sharp.
-///
-/// `holds_token` must already be masked by liveness (a dead node's
-/// token is not a live holder); `live_tokens` is the live token census
-/// (at-rest holders plus in-flight).
+/// A partition standing at a horizon that splits the live nodes: each
+/// node's component, and the components of the live token holders.
+struct Cut {
+    components: Vec<u32>,
+    token_components: BTreeSet<u32>,
+}
+
+impl Cut {
+    /// The cut `components` makes among `n` nodes, or `None` when it
+    /// isolates nobody — the one policy shared by the simulator
+    /// ([`World::horizon`]) and the runtime's shutdown horizon:
+    ///
+    /// * `components` is `CompiledScript::components_at_horizon` (`None` =
+    ///   no partition counts at this horizon → nobody is isolated);
+    /// * a cut that leaves every live node in one component is vacuous;
+    /// * a live node is isolated iff no live token holder shares its
+    ///   component — or, when the token is *provably gone everywhere*
+    ///   (`live_tokens == 0`) while the cut stands, unconditionally:
+    ///   regeneration would need cross-cut agreement. A token merely in
+    ///   flight (`live_tokens > 0` with no at-rest holder) has an unknown
+    ///   location, so nobody can be proven isolated from it and nothing is
+    ///   excused — the oracle stays sharp.
+    ///
+    /// `holds_token` must already be masked by liveness (a dead node's
+    /// token is not a live holder); `live_tokens` is the live token census
+    /// (at-rest holders plus in-flight).
+    fn new(
+        components: Option<Vec<u32>>,
+        n: usize,
+        alive: impl Fn(usize) -> bool,
+        holds_token: impl Fn(usize) -> bool,
+        live_tokens: usize,
+    ) -> Option<Cut> {
+        let components = components?;
+        let mut live = (0..n).filter(|idx| alive(*idx)).map(|idx| components[idx]);
+        let first = live.next();
+        if live.all(|c| Some(c) == first) {
+            return None;
+        }
+        let token_components: BTreeSet<u32> =
+            (0..n).filter(|idx| holds_token(*idx)).map(|idx| components[idx]).collect();
+        if token_components.is_empty() && live_tokens > 0 {
+            return None;
+        }
+        Some(Cut { components, token_components })
+    }
+
+    /// `true` if node `idx`, when alive, is isolated by this cut.
+    fn isolates(&self, idx: usize) -> bool {
+        self.token_components.is_empty() || !self.token_components.contains(&self.components[idx])
+    }
+}
+
+/// Per-node partition isolation from component ids: the policy of
+/// `Cut::new`, as one flag per node of `alive` (a dead node is never
+/// isolated). What the runtime's shutdown horizon reads.
 #[must_use]
 pub fn isolation_from_components(
     components: Option<Vec<u32>>,
@@ -249,25 +300,8 @@ pub fn isolation_from_components(
     live_tokens: usize,
 ) -> Vec<bool> {
     let n = alive.len();
-    let Some(components) = components else {
-        return vec![false; n];
-    };
-    let mut live = (0..n).filter(|idx| alive[*idx]).map(|idx| components[idx]);
-    let first = live.next();
-    if live.all(|c| Some(c) == first) {
-        return vec![false; n];
-    }
-    let token_components: std::collections::BTreeSet<u32> =
-        (0..n).filter(|idx| holds_token[*idx]).map(|idx| components[idx]).collect();
-    if token_components.is_empty() && live_tokens > 0 {
-        return vec![false; n];
-    }
-    (0..n)
-        .map(|idx| {
-            alive[idx]
-                && (token_components.is_empty() || !token_components.contains(&components[idx]))
-        })
-        .collect()
+    let cut = Cut::new(components, n, |idx| alive[idx], |idx| holds_token[idx], live_tokens);
+    (0..n).map(|idx| alive[idx] && cut.as_ref().is_some_and(|cut| cut.isolates(idx))).collect()
 }
 
 /// Judges a [`Horizon`] snapshot — the liveness oracle proper, shared by
@@ -466,7 +500,8 @@ mod tests {
         world.schedule_request(SimTime::from_ticks(1), NodeId::new(2));
         let drained = world.run_to_quiescence();
         assert!(drained);
-        let (isolated, unreachable) = world.partition_isolation(drained);
+        let (horizon, unreachable) = world.horizon(drained);
+        let isolated: Vec<bool> = horizon.nodes.iter().map(|state| state.isolated).collect();
         assert_eq!(isolated, vec![false, true]);
         assert_eq!(unreachable, 1);
         let report = check_liveness(&world, drained);
@@ -606,7 +641,8 @@ mod tests {
         world.schedule_failure(SimTime::from_ticks(1), NodeId::new(2));
         world.schedule_request(SimTime::from_ticks(5), NodeId::new(1));
         let drained = world.run_to_quiescence();
-        let (isolated, unreachable) = world.partition_isolation(drained);
+        let (horizon, unreachable) = world.horizon(drained);
+        let isolated: Vec<bool> = horizon.nodes.iter().map(|state| state.isolated).collect();
         assert_eq!(isolated, vec![false, false], "a one-sided cut isolates nobody");
         assert_eq!(unreachable, 0);
         let report = check_liveness(&world, drained);

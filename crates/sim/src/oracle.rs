@@ -96,6 +96,14 @@ impl Oracle {
         Oracle { occupants: Vec::new(), report: OracleReport::default() }
     }
 
+    /// Forgets every observation, as [`Oracle::new`] would, keeping the
+    /// vectors' capacity.
+    pub(crate) fn reset(&mut self) {
+        let Oracle { occupants, report: OracleReport { violations } } = self;
+        occupants.clear();
+        violations.clear();
+    }
+
     /// A node enters the critical section under token epoch `epoch`
     /// (always 0 outside the hardened mode).
     pub fn enter_cs(&mut self, at: SimTime, node: NodeId, epoch: u64) {

@@ -64,6 +64,11 @@ impl<M> Outbox<M> {
         self.actions.drain(..)
     }
 
+    /// Drops every recorded action, keeping the buffer's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.actions.clear();
+    }
+
     /// The actions recorded so far.
     #[must_use]
     pub fn actions(&self) -> &[Action<M>] {

@@ -61,6 +61,17 @@ impl PendingRequests {
         PendingRequests { ends: vec![EMPTY; n], times: Vec::new(), next: Vec::new(), free: NONE }
     }
 
+    /// Makes this the store [`PendingRequests::new`] would give for `n`
+    /// nodes, keeping every vector it owns. `self` is destructured without
+    /// `..`: a new field does not compile until it is reset here.
+    pub(crate) fn reset(&mut self, n: usize) {
+        let PendingRequests { ends, times, next, free } = self;
+        crate::world::refill(ends, n, EMPTY);
+        times.clear();
+        next.clear();
+        *free = NONE;
+    }
+
     /// Appends `at` to node `idx`'s requests.
     pub(crate) fn push(&mut self, idx: usize, at: SimTime) {
         let slot = if self.free == NONE {

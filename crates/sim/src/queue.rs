@@ -326,6 +326,22 @@ impl<E, I, L> EventQueue<E, I, L> {
         }
     }
 
+    /// Drops every pending event and restarts the sequence numbers at 0,
+    /// as [`EventQueue::new`] would, keeping the heaps' and the run's
+    /// buffers: what [`crate::World::reset`] runs once per scenario. A
+    /// calendar becomes the default heap.
+    pub(crate) fn clear(&mut self) {
+        let EventQueue { store, inputs: Inputs { run, late, head }, next_seq } = self;
+        match store {
+            Store::Heap(heap) => heap.clear(),
+            Store::Bucketed(_) => *store = Store::Heap(BinaryHeap::new()),
+        }
+        run.clear();
+        late.clear();
+        *head = None;
+        *next_seq = 0;
+    }
+
     fn take_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;

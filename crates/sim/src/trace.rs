@@ -56,6 +56,13 @@ impl Trace {
         Trace { records: Vec::new(), enabled }
     }
 
+    /// Empties the trace and turns it on or off, as [`Trace::new`] would,
+    /// keeping the record buffer's capacity.
+    pub(crate) fn reset(&mut self, enabled: bool) {
+        self.records.clear();
+        self.enabled = enabled;
+    }
+
     /// Appends a record (no-op when disabled).
     pub fn push(&mut self, at: SimTime, record: TraceRecord) {
         if self.enabled {

@@ -17,6 +17,7 @@ use crate::{
     channel::{CompiledScript, DelayModel, FaultScript, LinkFate},
     crash::FailurePlan,
     engine::{self, ActionSink, TimerTable},
+    liveness::Horizon,
     metrics::{Counter, Metrics},
     oracle::{Oracle, OracleReport},
     outbox::Outbox,
@@ -333,6 +334,18 @@ struct TokenView {
     epoch: u64,
 }
 
+/// Makes `vec` `n` copies of `value`, in the buffer it has when that is
+/// large enough, else in one fresh allocation of exactly `n` — so a world
+/// built at n = 2^20 still allocates each of its vectors once.
+pub(crate) fn refill<T: Clone>(vec: &mut Vec<T>, n: usize, value: T) {
+    if vec.capacity() < n {
+        *vec = vec![value; n];
+    } else {
+        vec.clear();
+        vec.resize(n, value);
+    }
+}
+
 /// The discrete-event simulator.
 ///
 /// Owns `n` protocol instances (nodes `1..=n`), an event queue, the crash
@@ -344,17 +357,63 @@ pub struct World<P: Protocol> {
     /// path allocates nothing.
     pub(crate) outbox: Outbox<P::Msg>,
     pub(crate) core: Core<P::Msg>,
+    /// Reusable liveness horizon — rebuilt whole by every
+    /// [`World::horizon`], so judging a run allocates nothing the world
+    /// did not already hold.
+    horizon: Horizon,
 }
 
 impl<P: Protocol> World<P> {
     /// Creates a world over the given nodes. `nodes[k]` must have identity
-    /// `k + 1`.
+    /// `k + 1`. This is [`World::reset`] of a world that holds nothing.
     ///
     /// # Panics
     ///
     /// Panics if any node's `id()` disagrees with its position.
     #[must_use]
     pub fn new(config: SimConfig, nodes: Vec<P>) -> Self {
+        let mut world = World {
+            nodes: Vec::new(),
+            outbox: Outbox::new(),
+            core: Core {
+                config: SimConfig::default(),
+                compiled: CompiledScript::default(),
+                alive: Vec::new(),
+                in_cs: Vec::new(),
+                recovered: Vec::new(),
+                timers: TimerTable::new(),
+                pending: PendingRequests::new(0),
+                now: SimTime::ZERO,
+                queue: EventQueue::new(),
+                rng: StdRng::seed_from_u64(0),
+                metrics: Metrics::new(),
+                oracle: Oracle::new(),
+                trace: Trace::new(false),
+                requests_injected: 0,
+                tokens_in_flight: 0,
+                live_holders: 0,
+                max_epoch: 0,
+                holders_at_max: 0,
+                in_flight_at_max: 0,
+            },
+            horizon: Horizon::default(),
+        };
+        world.reset(config, nodes);
+        world
+    }
+
+    /// Makes this world the one `World::new(config, nodes)` builds, in
+    /// place: every vector, table, heap and buffer it owns is emptied and
+    /// refilled, keeping its capacity, so a world reset for a run no
+    /// larger than one it has already held allocates nothing. Both
+    /// structs are destructured without `..`: a new field does not compile
+    /// until it is reset here. The explorer's runners keep one world per
+    /// thread this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any node's `id()` disagrees with its position.
+    pub fn reset(&mut self, config: SimConfig, nodes: Vec<P>) {
         for (k, node) in nodes.iter().enumerate() {
             assert_eq!(
                 node.id(),
@@ -364,39 +423,52 @@ impl<P: Protocol> World<P> {
             );
         }
         let n = nodes.len();
+        // Rebuilt whole by every judgement: nothing of it survives a reset.
+        let World { nodes: own_nodes, outbox, core, horizon: _ } = self;
+        let Core {
+            config: own_config,
+            compiled,
+            alive,
+            in_cs,
+            recovered,
+            timers,
+            pending,
+            now,
+            queue,
+            rng,
+            metrics,
+            oracle,
+            trace,
+            requests_injected,
+            tokens_in_flight,
+            live_holders,
+            max_epoch,
+            holders_at_max,
+            in_flight_at_max,
+        } = core;
+        *own_nodes = nodes;
+        outbox.clear();
+        *compiled = config.script.compile(n);
+        refill(alive, n, true);
+        refill(in_cs, n, false);
+        refill(recovered, n, false);
+        timers.reset();
+        pending.reset(n);
+        *now = SimTime::ZERO;
+        queue.clear();
+        *rng = StdRng::seed_from_u64(config.seed);
+        *metrics = Metrics::new();
+        oracle.reset();
+        trace.reset(config.record_trace);
+        *own_config = config;
+        *requests_injected = 0;
+        *tokens_in_flight = 0;
         // Every node starts alive, so a holder is a node that says so.
-        let held_epochs = || nodes.iter().filter(|node| node.holds_token()).map(P::token_epoch);
-        let live_holders = held_epochs().count();
-        let max_epoch = held_epochs().max().unwrap_or(0);
-        let holders_at_max = held_epochs().filter(|epoch| *epoch == max_epoch).count();
-        let seed = config.seed;
-        let record_trace = config.record_trace;
-        let compiled = config.script.compile(n);
-        World {
-            nodes,
-            outbox: Outbox::new(),
-            core: Core {
-                config,
-                compiled,
-                alive: vec![true; n],
-                in_cs: vec![false; n],
-                recovered: vec![false; n],
-                timers: TimerTable::new(),
-                pending: PendingRequests::new(n),
-                now: SimTime::ZERO,
-                queue: EventQueue::new(),
-                rng: StdRng::seed_from_u64(seed),
-                metrics: Metrics::new(),
-                oracle: Oracle::new(),
-                trace: Trace::new(record_trace),
-                requests_injected: 0,
-                tokens_in_flight: 0,
-                live_holders,
-                max_epoch,
-                holders_at_max,
-                in_flight_at_max: 0,
-            },
-        }
+        let held_epochs = || own_nodes.iter().filter(|node| node.holds_token()).map(P::token_epoch);
+        *live_holders = held_epochs().count();
+        *max_epoch = held_epochs().max().unwrap_or(0);
+        *holders_at_max = held_epochs().filter(|epoch| *epoch == *max_epoch).count();
+        *in_flight_at_max = 0;
     }
 
     /// Number of nodes.
@@ -457,32 +529,22 @@ impl<P: Protocol> World<P> {
         self.core.pending.len(id.zero_based() as usize)
     }
 
-    /// Partition awareness at the liveness horizon: per-node "isolated"
-    /// flags ([`crate::liveness::isolation_from_components`] under the
-    /// phases the horizon is judged by — on a drained horizon only
-    /// never-healing cuts count, see
-    /// [`crate::channel::CompiledScript::components_at_horizon`]) plus
-    /// the number of pending requests stranded on isolated nodes.
-    /// All-false/0 when no qualifying partition is active, or when the
-    /// active partitions do not actually split the live nodes.
-    #[must_use]
-    pub fn partition_isolation(&self, drained: bool) -> (Vec<bool>, u64) {
-        let n = self.nodes.len();
-        let holds_token: Vec<bool> =
-            (0..n).map(|idx| self.core.alive[idx] && self.nodes[idx].holds_token()).collect();
-        let isolated = crate::liveness::isolation_from_components(
-            self.core.compiled.components_at_horizon(self.core.now, n, drained),
-            &self.core.alive,
-            &holds_token,
-            self.live_token_census(),
-        );
-        let unreachable = isolated
-            .iter()
-            .enumerate()
-            .filter(|(_, iso)| **iso)
-            .map(|(idx, _)| self.core.pending.len(idx) as u64)
-            .sum();
-        (isolated, unreachable)
+    /// The run at its liveness horizon, as [`crate::check_horizon`]
+    /// judges it (`drained`: the value [`World::run_to_quiescence`]
+    /// returned), built into a buffer this world keeps, and how many of
+    /// its `unreachable` requests are stranded on partition-isolated
+    /// nodes. A live node is isolated when a partition the horizon is
+    /// judged by ([`crate::channel::CompiledScript::components_at_horizon`]:
+    /// on a drained horizon only never-healing cuts count) separates it
+    /// from every live token holder ([`crate::isolation_from_components`]);
+    /// nobody is, when no such partition is active or it does not actually
+    /// split the live nodes. The rest of `unreachable` waits on
+    /// quorum-blocked nodes.
+    pub fn horizon(&mut self, drained: bool) -> (&Horizon, u64) {
+        let mut horizon = std::mem::take(&mut self.horizon);
+        let stranded = crate::liveness::fill_horizon(self, drained, &mut horizon);
+        self.horizon = horizon;
+        (&self.horizon, stranded)
     }
 
     /// Estimated resident bytes of per-node state, averaged over the
@@ -492,14 +554,15 @@ impl<P: Protocol> World<P> {
     /// the pending-request store). The token census keeps no per-node
     /// copy: it reads the node it counts. Event-queue and trace storage are
     /// excluded — they scale with in-flight load, not population — and so
-    /// is the compiled fault script, which scales with its phases.
+    /// are the compiled fault script, which scales with its phases, and
+    /// the horizon buffer, which only a judgement fills.
     /// Reported in the E7 artifact to keep the memory diet honest at
     /// n = 2^24.
     #[must_use]
     pub fn mem_bytes_per_node(&self) -> u64 {
         // Both structs are destructured without `..`: a new field does not
         // compile until it is counted here or named as not per-node.
-        let World { nodes, outbox: _, core } = self;
+        let World { nodes, outbox: _, core, horizon: _ } = self;
         let Core {
             alive,
             in_cs,
@@ -883,7 +946,12 @@ impl<P: Protocol + Clone> Checkpoint<P> {
     /// fork primitive: one deep scenario prefix, many futures.
     #[must_use]
     pub fn to_world(&self) -> World<P> {
-        World { nodes: self.nodes.clone(), outbox: Outbox::new(), core: self.core.clone() }
+        World {
+            nodes: self.nodes.clone(),
+            outbox: Outbox::new(),
+            core: self.core.clone(),
+            horizon: Horizon::default(),
+        }
     }
 }
 
