@@ -43,9 +43,9 @@
 //! the `explore` binary of `oc-bench`, which drives this crate through
 //! `oc_bench::sweep`.
 //!
-//! **One scenario language, one verdict, four runners.** A [`Scenario`]
+//! **One scenario language, one verdict, five runners.** A [`Scenario`]
 //! is the only description of adversarial work in the tree and an
-//! [`Outcome`] the only answer, whatever carries the messages. Two
+//! [`Outcome`] the only answer, whatever carries the messages. Three
 //! runners play it in virtual time, two on the wall clock:
 //!
 //! * [`run_scenario`] — the deterministic simulator; fills every field
@@ -54,9 +54,14 @@
 //!   (`oc_transport::Proc`: codec, clock, log, `--recover` path, gateway
 //!   queue) stepped by the simulator, one per node; judged twice, by the
 //!   world's oracles and post hoc from its logs ([`judge_logs`]);
+//! * [`run_scenario_runtime_virtual`] — the threaded lock service's own
+//!   worker cores (`oc_runtime::run_virtual`) stepped on one thread in
+//!   virtual time, interleaved by a seeded scheduler; deterministic, and
+//!   the runner that holds the runtime to the explorer's battery;
 //! * [`run_scenario_runtime`] — the threaded lock service
-//!   (`oc_runtime::Runtime`), ticks mapped to wall time by a
-//!   [`RuntimeProfile`];
+//!   (`oc_runtime::Runtime`) on real threads, ticks mapped to wall time
+//!   by a [`RuntimeProfile`]; a scenario whose schedule outlasts the
+//!   profile's settle timeout is cut there;
 //! * `oc_bench::orchestrator::run_scenario_sockets` — one `oc-node`
 //!   process per node over TCP or Unix sockets, crashes by SIGKILL (it
 //!   lives in `oc-bench` because it needs the node binary), judged by
@@ -92,7 +97,7 @@ pub use run::{
 };
 pub use scenario::{Scenario, ScenarioCrash, Space};
 pub use shrink::{shrink, ShrinkResult};
-pub use threaded::{run_scenario_runtime, RuntimeProfile};
+pub use threaded::{run_scenario_runtime, run_scenario_runtime_virtual, RuntimeProfile};
 
 use oc_algo::Mutation;
 

@@ -72,11 +72,20 @@ pub struct CoverageStats {
 /// real processes (`oc_bench::orchestrator::run_scenario_sockets`) an
 /// outcome is verdict evidence, not a fingerprint: real clocks, so equal
 /// scenarios give equal *verdicts* on healthy runs, not equal counters.
-/// `events` counts what the substrate calls an event (worker-processed
-/// commands; merged log records), and what a substrate cannot know it
-/// leaves at zero:
+/// Both wait for the run to settle up to a wall-clock timeout and report
+/// a run that has not settled by then as horizon exhaustion, like a sim
+/// run that hit its event cap — and a scenario whose schedule runs past
+/// that timeout is cut there, whatever the protocol did (a crash plan
+/// can span millions of ticks: 8 of the first 40 scenarios of the
+/// seed-42 default battery run 1.16–2.49 M ticks, 23–50 s at 20 µs a
+/// tick). To hold the runtime's code to a battery, play it in virtual
+/// time with [`crate::run_scenario_runtime_virtual`]: deterministic,
+/// horizon `max_events` as in the simulator, and filled like a threaded
+/// outcome. `events` counts what the substrate calls an event
+/// (worker-processed commands; merged log records), and what a
+/// substrate cannot know it leaves at zero:
 ///
-/// * both: `coverage` (per-kind sends, protocol counts) and the mint
+/// * all three: `coverage` (per-kind sends, protocol counts) and the mint
 ///   traffic `epoch_discards`, `mint_requests`, `mint_acks` — only a
 ///   [`World`] keeps per-kind sends and protocol counts;
 /// * sockets also: `messages` (no process counts its sends) and

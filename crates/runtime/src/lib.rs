@@ -14,6 +14,28 @@
 //! point of the sans-io design: both substrates execute actions through
 //! the same [`oc_sim::drive`] engine loop.
 //!
+//! ## One core, two ends
+//!
+//! A worker is itself sans-io. Its core (the crate's `worker` module)
+//! runs one batch at a time, handed its mail and a clock — `u64`
+//! nanoseconds since the runtime's epoch, the one clock type of every
+//! deadline, stamp and delay queue — and hands back the bursts it posts
+//! to other workers and the instant its next work falls due. Two ends
+//! run that one core:
+//!
+//! * **threads** — [`Runtime`]: each worker's thread blocks on its
+//!   mailbox channel, tops its batch up from what is already there,
+//!   reads the wall clock for the core and sends its bursts; the only
+//!   worker code that touches a clock or a channel;
+//! * **virtual time** — [`run_virtual`]: every core on the calling
+//!   thread, mailboxes as FIFOs, the clock jumping to the earliest due
+//!   work and a seeded scheduler choosing which ready worker runs and
+//!   where its batch is cut. Deterministic, and fast enough to play the
+//!   explorer's battery (`oc_check::run_scenario_runtime_virtual`).
+//!
+//! Both end in the same judge, over the workers' exits, one clock
+//! reading at the cut and whether the run had settled.
+//!
 //! On top of the substrate sit the pieces a lock *service* needs:
 //!
 //! * a client session API — [`Runtime::acquire`] / [`Runtime::release`]
@@ -58,10 +80,10 @@
 //!   batch rather than one at a time as requests end, and
 //!   [`Runtime::settled`] never holds while a notice is unsent. Each
 //!   notice is still one channel message.
-//! * **One clock reading per command** — a worker reads the clock once
-//!   per command and once per timer firing; every message deadline, timer
-//!   deadline, lease expiry, monitor stamp and grant-latency sample the
-//!   command produces derives from that reading. A runtime started
+//! * **One clock reading per command** — a worker's core reads its clock
+//!   once per command and once per timer firing; every message deadline,
+//!   timer deadline, lease expiry, monitor stamp and grant-latency sample
+//!   the command produces derives from that reading. A runtime started
 //!   without a fault script never evaluates one on a send.
 //! * **Worker-owned books** — what only a node's worker writes stays
 //!   with that worker: the node's grant queue, one plain
@@ -72,7 +94,7 @@
 //!   count and the idle flags that [`Runtime::settled`] reasons about
 //!   (`SeqCst`), the request accounts, and the latency histogram.
 //! * **Live timers only** — arming a timer puts its deadline in the
-//!   owning worker's [`DeadlineSet`]; cancelling, re-arming or crashing
+//!   owning worker's [`oc_sim::DeadlineSet`]; cancelling, re-arming or crashing
 //!   takes it out again. The protocol arms its Section 5 timeouts per
 //!   claim and cancels them when the token arrives, so in a healthy run
 //!   no timer ever becomes an event, and none outlives its cancellation
@@ -110,29 +132,28 @@
 mod histogram;
 mod report;
 mod session;
+mod virtual_time;
+mod worker;
 
 pub use histogram::{LatencyHistogram, LatencySummary};
 pub use report::RuntimeReport;
 pub use session::{RequestId, RequestStatus};
+pub use virtual_time::run_virtual;
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, SendError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use oc_sim::{
-    check_horizon, drive, drive_recovery, isolation_from_components, ticks_to_wall, ActionSink,
-    ArrivalSchedule, CompiledScript, DeadlineSet, FailurePlan, FaultScript, Horizon, LinkFate,
-    LivenessReport, MessageKind, Metrics, NodeAtHorizon, NodeEvent, Oracle, OracleReport, Outbox,
-    Protocol, SimDuration, SimTime,
+    check_horizon, isolation_from_components, ArrivalSchedule, CompiledScript, FailurePlan,
+    FaultScript, Horizon, LivenessReport, Metrics, NodeAtHorizon, OracleReport, Protocol, SimTime,
 };
 use oc_topology::NodeId;
-use rand::{rngs::StdRng, RngExt, SeedableRng};
 
-use session::{Completion, Notice, Sessions, Ticket};
+use session::Completion;
+use worker::{assemble, bursts, Core, Mail, Next, NodeCmd, Shared, Slot, Targeted, WorkerExit};
 
 /// Configuration of the threaded runtime.
 #[derive(Debug, Clone, Copy)]
@@ -157,10 +178,6 @@ pub struct RuntimeConfig {
     pub seed: u64,
 }
 
-/// Largest burst of commands a worker drains from its mailbox before
-/// publishing effects (idle flags, statistics, in-flight claims).
-const BATCH: usize = 128;
-
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
@@ -169,163 +186,6 @@ impl Default for RuntimeConfig {
             max_network_delay: Duration::from_millis(1),
             cs_duration: Duration::from_micros(500),
             seed: 0,
-        }
-    }
-}
-
-/// One command addressed to a node, executed by its owning worker.
-/// (Timers are not commands: they never leave the worker that owns the
-/// node — see [`DeadlineSet`].)
-enum NodeCmd<M> {
-    /// A network message arrives (`from` in the namespace's local ids).
-    Deliver { from: NodeId, msg: M },
-    /// A client request reaches its node (`RequestCs`), ticket and all.
-    Acquire(Ticket),
-    /// A client releases a granted request early.
-    Release(RequestId),
-    /// The CS lease of generation `lease` expires.
-    ExitLease { lease: u64 },
-    /// Fail-stop.
-    Crash,
-    /// Recovery.
-    Recover,
-    /// Worker shutdown.
-    Stop,
-}
-
-/// A command plus its destination, addressed by *global* node id (the
-/// namespace-offset id that picks the worker; the namespace-local id is
-/// recovered from the slot on receipt).
-struct Targeted<M> {
-    to: NodeId,
-    cmd: NodeCmd<M>,
-}
-
-/// What worker mailboxes carry: one command that is due now (client
-/// acquires and releases, immediate crash/recover, Stop) — queued by the
-/// receiver without a look at the clock — or a burst of commands with
-/// the instant each is due, which the receiver files in its delay queue:
-/// another worker's messages for this worker's nodes, one channel
-/// round-trip for the whole burst, or a schedule's arrivals and
-/// failures.
-enum Mail<M> {
-    One(Targeted<M>),
-    Many(Vec<(Instant, Targeted<M>)>),
-}
-
-/// Monitor: the linearization point of one namespace. Every CS
-/// entry/exit and crash of the namespace takes this lock; the lock's
-/// acquisition order *is* the linear order in which the unmodified
-/// `oc_sim` safety oracle observes the namespace's run. Namespaces are
-/// independent lock instances, so each gets its own monitor — and its own
-/// lock, keeping tenants from contending on the linearization point.
-type Monitor = Mutex<Oracle>;
-
-/// One namespace's slice of the global node space: nodes
-/// `offset + 1 ..= offset + len` (global) are the namespace's
-/// `1 ..= len` (local).
-#[derive(Debug, Clone, Copy)]
-struct NsMeta {
-    offset: u32,
-    len: u32,
-}
-
-struct Shared {
-    /// One linearization monitor per namespace.
-    monitors: Vec<Monitor>,
-    /// The request accounts and the latency histogram.
-    sessions: Sessions,
-    /// Completed critical sections per namespace. `Relaxed`: monotone
-    /// statistics, polled by `await_cs_entries` and summed after join.
-    cs_entries: Vec<AtomicU64>,
-    /// Claims on the system's attention: one per command sitting in a
-    /// mailbox, a worker's batch queue or its delay queue, and one per
-    /// live timer arming (from arm to fire, cancel or crash — a
-    /// superseding re-arm inherits it). A claim is taken before its
-    /// command enters a mailbox; whatever a worker files with itself in
-    /// mid-batch is covered by the claims of the batch being processed
-    /// until its own are added. Workers settle a batch's claims in one
-    /// step, *after* publishing the batch's idle flags — the count stays
-    /// elevated while effects are pending, which is what keeps
-    /// [`Runtime::settled`] sound. Zero means nothing is queued, nothing
-    /// is armed and nothing is mid-processing.
-    inflight: AtomicU64,
-    /// Per-node "has nothing pending" flags, refreshed by the owning
-    /// worker after every batch (crashed nodes read as idle — the
-    /// liveness oracle only judges live nodes).
-    idle: Vec<AtomicBool>,
-    /// Namespace geometry, ordered by offset.
-    ns: Vec<NsMeta>,
-    /// The time-scripted fault program, compiled against the system size.
-    /// Phase windows are in protocol ticks, evaluated against
-    /// [`Shared::ticks_at`] — the same script the simulator consumes, the
-    /// tick mapping doing ticks→wall. Empty by default: nothing injected,
-    /// no RNG draws. Only single-namespace runtimes may script faults.
-    script: CompiledScript,
-    /// `false` when the script has no phase that can ever be active (the
-    /// runtime was started without one): sends skip the script check.
-    scripted: bool,
-    epoch: Instant,
-    tick_nanos: u64,
-}
-
-impl Shared {
-    /// Wall time from the epoch to `at` in nanoseconds — the clock
-    /// tickets are stamped by.
-    fn nanos_at(&self, at: Instant) -> u64 {
-        u64::try_from(at.saturating_duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// `at` as protocol ticks since the epoch — the oracle's timestamp.
-    fn ticks_at(&self, at: Instant) -> SimTime {
-        SimTime::from_ticks(self.nanos_at(at) / self.tick_nanos)
-    }
-
-    /// Elapsed wall time as protocol ticks.
-    fn sim_now(&self) -> SimTime {
-        self.ticks_at(Instant::now())
-    }
-
-    /// The fate the fault script gives a `from → to` send at `at`
-    /// (namespace-local ids): `Deliver`, without a look at the script,
-    /// when the runtime was started without one.
-    fn fate(
-        &self,
-        at: Instant,
-        from: NodeId,
-        to: NodeId,
-        carries_token: bool,
-        rng: &mut StdRng,
-    ) -> LinkFate {
-        if !self.scripted {
-            return LinkFate::Deliver;
-        }
-        let now = self.ticks_at(at);
-        if !self.script.active_at(now) {
-            return LinkFate::Deliver;
-        }
-        self.script.fate(now, from, to, carries_token, rng)
-    }
-
-    fn lock_monitor(&self, ns: usize) -> std::sync::MutexGuard<'_, Oracle> {
-        self.monitors[ns].lock().expect("monitor poisoned")
-    }
-
-    /// The namespace a (global) node belongs to.
-    fn ns_of(&self, node: NodeId) -> usize {
-        self.ns.partition_point(|meta| meta.offset <= node.zero_based()).saturating_sub(1)
-    }
-
-    /// A command that will never be processed: if it carried a request,
-    /// the request is abandoned, and its notice returned to be sent. (Its
-    /// in-flight claim, and the token tally of a message, are the
-    /// caller's to settle.)
-    fn abandon<M>(&self, item: Targeted<M>) -> Option<Notice> {
-        match item.cmd {
-            NodeCmd::Acquire(ticket) => {
-                Some(self.sessions.close(self.ns_of(item.to), ticket, RequestStatus::Abandoned))
-            }
-            _ => None,
         }
     }
 }
@@ -360,10 +220,17 @@ impl Watcher {
 /// The threaded runtime handle.
 pub struct Runtime<P: Protocol> {
     shared: Arc<Shared>,
+    /// The origin of the runtime's clock: every worker and every stamp
+    /// reads nanoseconds since this instant.
+    epoch: Instant,
     worker_txs: Vec<Sender<Mail<P::Msg>>>,
     worker_handles: Vec<JoinHandle<WorkerExit<P>>>,
     config: RuntimeConfig,
-    n: usize,
+}
+
+/// Nanoseconds from `epoch` to now — the runtime's one clock on threads.
+fn nanos_since(epoch: Instant) -> u64 {
+    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 impl<P: Protocol + Send + 'static> Runtime<P> {
@@ -415,109 +282,41 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         Runtime::start_inner(config, FaultScript::none(), populations)
     }
 
-    fn start_inner(
-        mut config: RuntimeConfig,
-        script: FaultScript,
-        populations: Vec<Vec<P>>,
-    ) -> Self {
-        assert!(config.tick > Duration::ZERO, "tick must be positive");
-        assert!(!populations.is_empty(), "at least one namespace is required");
-        // A fault script is compiled against one node population; its
-        // partitions/cuts are meaningless across independent instances.
-        assert!(
-            populations.len() == 1 || !script.enabled(),
-            "fault scripts require a single namespace"
-        );
-        let mut ns = Vec::with_capacity(populations.len());
-        let mut offset = 0u32;
-        for (k, nodes) in populations.iter().enumerate() {
-            assert!(!nodes.is_empty(), "namespace {k} is empty");
-            for (j, node) in nodes.iter().enumerate() {
-                assert_eq!(
-                    node.id(),
-                    NodeId::new(j as u32 + 1),
-                    "node order mismatch in namespace {k}"
-                );
-            }
-            let len = u32::try_from(nodes.len()).expect("namespace too large");
-            ns.push(NsMeta { offset, len });
-            offset = offset.checked_add(len).expect("total node count overflows u32");
-        }
-        let n = offset as usize;
-        let workers = match config.workers {
-            0 => n.clamp(1, 8),
-            w => w.min(n.max(1)),
-        };
-        config.workers = workers;
+    fn start_inner(config: RuntimeConfig, script: FaultScript, populations: Vec<Vec<P>>) -> Self {
+        let (shared, config, shards) = assemble(config, script, populations);
+        let shared = Arc::new(shared);
+        let epoch = Instant::now();
 
-        let namespaces = populations.len();
-        let shared = Arc::new(Shared {
-            monitors: (0..namespaces).map(|_| Mutex::new(Oracle::new())).collect(),
-            sessions: Sessions::new(namespaces),
-            cs_entries: (0..namespaces).map(|_| AtomicU64::new(0)).collect(),
-            inflight: AtomicU64::new(0),
-            idle: (0..n).map(|_| AtomicBool::new(true)).collect(),
-            ns,
-            scripted: script.enabled(),
-            script: script.compile(n),
-            epoch: Instant::now(),
-            tick_nanos: u64::try_from(config.tick.as_nanos()).unwrap_or(u64::MAX).max(1),
-        });
-
-        let mut worker_txs = Vec::with_capacity(workers);
-        let mut worker_rxs = Vec::with_capacity(workers);
-        for _ in 0..workers {
+        let mut worker_txs = Vec::with_capacity(config.workers);
+        let mut worker_rxs = Vec::with_capacity(config.workers);
+        for _ in 0..config.workers {
             let (tx, rx) = channel::<Mail<P::Msg>>();
             worker_txs.push(tx);
             worker_rxs.push(rx);
         }
-
-        // Shard the nodes: worker w owns global indices w, w+W, w+2W, …
-        // (ascending within each worker, so slot_pos = idx / W).
-        let mut sharded: Vec<Vec<Slot<P>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (k, nodes) in populations.into_iter().enumerate() {
-            let meta = shared.ns[k];
-            for (j, node) in nodes.into_iter().enumerate() {
-                let idx = meta.offset as usize + j;
-                sharded[idx % workers].push(Slot {
-                    node,
-                    seat: Seat {
-                        idx,
-                        pos: (idx / workers) as u32,
-                        ns: k,
-                        ns_offset: meta.offset,
-                        crashed: false,
-                        recovered_ever: false,
-                        lease: 0,
-                        pending: VecDeque::new(),
-                        current: None,
-                    },
-                });
-            }
-        }
-
-        let mut worker_handles = Vec::with_capacity(workers);
-        for (me, (slots, rx)) in sharded.into_iter().zip(worker_rxs).enumerate() {
+        let mut worker_handles = Vec::with_capacity(config.workers);
+        for (me, (slots, rx)) in shards.into_iter().zip(worker_rxs).enumerate() {
             let shared = Arc::clone(&shared);
             let mailboxes = worker_txs.clone();
             worker_handles.push(std::thread::spawn(move || {
-                worker_main::<P>(me, slots, rx, mailboxes, shared, config)
+                let core = Core::new(me, slots, &shared, &config);
+                worker_main::<P>(core, &rx, &mailboxes, epoch)
             }));
         }
 
-        Runtime { shared, worker_txs, worker_handles, config, n }
+        Runtime { shared, epoch, worker_txs, worker_handles, config }
     }
 
     /// Total number of nodes across all namespaces.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.n
+        self.shared.len()
     }
 
     /// `true` if the runtime has no nodes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.len() == 0
     }
 
     /// Worker threads in the pool.
@@ -536,11 +335,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// runtime cannot have issued).
     #[must_use]
     pub fn namespace_of(&self, id: RequestId) -> Option<usize> {
-        (id.node().get() as usize <= self.n).then(|| self.shared.ns_of(id.node()))
-    }
-
-    fn assert_node(&self, node: NodeId) {
-        assert!((1..=self.n as u32).contains(&node.get()), "node {node} outside 1..={}", self.n);
+        (id.node().get() as usize <= self.len()).then(|| self.shared.ns_of(id.node()))
     }
 
     /// Maps a namespace-local node id to the global id that addresses
@@ -579,12 +374,8 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// worker's delay queue in the order given. What was meant for a
     /// worker that is gone is dropped like a failed
     /// [`Runtime::send_direct`].
-    fn send_later(&self, items: Vec<(Instant, Targeted<P::Msg>)>) {
-        let mut bursts: Vec<Vec<_>> = self.worker_txs.iter().map(|_| Vec::new()).collect();
-        for item in items {
-            bursts[(item.1.to.zero_based() as usize) % self.config.workers].push(item);
-        }
-        for (tx, burst) in self.worker_txs.iter().zip(bursts) {
+    fn send_later(&self, items: Vec<(u64, Targeted<P::Msg>)>) {
+        for (tx, burst) in self.worker_txs.iter().zip(bursts(items, self.config.workers)) {
             let claims = burst.len() as u64;
             if claims == 0 {
                 continue;
@@ -644,7 +435,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         watcher: Option<Sender<Completion>>,
     ) -> RequestId {
         let global = self.global_of(ns, node);
-        let now = self.shared.nanos_at(Instant::now());
+        let now = nanos_since(self.epoch);
         let ticket = self.shared.sessions.open(ns, global, now, auto_release, watcher);
         let id = ticket.id;
         self.send_direct(global, NodeCmd::Acquire(ticket));
@@ -668,19 +459,14 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
 
     /// Fail-stops `node` (global id) now.
     pub fn crash(&self, node: NodeId) {
-        self.assert_node(node);
+        self.shared.assert_node(node);
         self.send_direct(node, NodeCmd::Crash);
     }
 
     /// Recovers `node` (global id) now.
     pub fn recover(&self, node: NodeId) {
-        self.assert_node(node);
+        self.shared.assert_node(node);
         self.send_direct(node, NodeCmd::Recover);
-    }
-
-    /// Converts a tick timestamp into the wall-clock instant it maps to.
-    fn instant_of(&self, at: SimTime) -> Instant {
-        self.shared.epoch + ticks_to_wall(at.ticks(), self.config.tick)
     }
 
     /// Schedules every arrival of `schedule` (tick timestamps mapped
@@ -688,18 +474,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// returning the request ids in schedule order — the same generators
     /// (`oc_sim::workload`) drive both the simulator and the runtime.
     pub fn schedule_workload(&self, schedule: &ArrivalSchedule) -> Vec<RequestId> {
-        let mut ids = Vec::with_capacity(schedule.len());
-        let mut later = Vec::with_capacity(schedule.len());
-        for (at, node) in schedule.arrivals() {
-            self.assert_node(*node);
-            let due = ticks_to_wall(at.ticks(), self.config.tick);
-            let t0 = u64::try_from(due.as_nanos()).unwrap_or(u64::MAX);
-            let ticket =
-                self.shared.sessions.open(self.shared.ns_of(*node), *node, t0, false, None);
-            ids.push(ticket.id);
-            let cmd = NodeCmd::Acquire(ticket);
-            later.push((self.shared.epoch + due, Targeted { to: *node, cmd }));
-        }
+        let (ids, later) = self.shared.arrivals(schedule);
         self.send_later(later);
         ids
     }
@@ -709,15 +484,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// addressed by global id — the same `FailurePlan` the simulator
     /// consumes.
     pub fn schedule_failures(&self, plan: &FailurePlan) {
-        let mut later = Vec::new();
-        for ev in plan.events() {
-            later.push((self.instant_of(ev.at), Targeted { to: ev.node, cmd: NodeCmd::Crash }));
-            if let Some(recover_at) = ev.recover_at {
-                let cmd = NodeCmd::Recover;
-                later.push((self.instant_of(recover_at), Targeted { to: ev.node, cmd }));
-            }
-        }
-        self.send_later(later);
+        self.send_later(self.shared.failures(plan));
     }
 
     /// Critical sections completed so far, summed over all namespaces.
@@ -754,13 +521,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// (the analogue of the simulator's drained event queue).
     #[must_use]
     pub fn settled(&self) -> bool {
-        self.shared.inflight.load(Ordering::SeqCst) == 0
-            && self.shared.sessions.all_ended()
-            && self.shared.idle.iter().all(|flag| flag.load(Ordering::SeqCst))
-            // Re-check: a command processed between the first check and
-            // the idle scan would have been visible as in-flight (workers
-            // publish idle flags before releasing in-flight claims).
-            && self.shared.inflight.load(Ordering::SeqCst) == 0
+        self.shared.settled()
     }
 
     /// Polls [`Runtime::settled`] until it holds or `timeout` elapses.
@@ -779,117 +540,10 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// converged.
     #[must_use]
     pub fn shutdown(mut self) -> RuntimeReport {
-        let wall = self.shared.epoch.elapsed();
-        let horizon_ticks = self.shared.sim_now();
+        let horizon = nanos_since(self.epoch);
         let drained = self.settled();
         let exits = self.stop_threads();
-        let shared = &self.shared;
-
-        // Fold what the workers hand back: their nodes in global order,
-        // one sum of their statistics, and per namespace the token
-        // messages sent and never received — the ones still in flight
-        // (nonzero only on a forced shutdown).
-        let mut slots: Vec<Slot<P>> = Vec::with_capacity(self.n);
-        let mut metrics = Metrics::default();
-        let mut tokens_afloat = vec![0i64; shared.ns.len()];
-        for exit in exits {
-            slots.extend(exit.slots);
-            metrics.merge(&exit.metrics);
-            for (sum, tally) in tokens_afloat.iter_mut().zip(exit.tokens_afloat) {
-                *sum += tally;
-            }
-        }
-        assert_eq!(slots.len(), self.n, "a worker panicked; its shard's final state is lost");
-        slots.sort_by_key(|slot| slot.seat.idx);
-        // The requests the cut found at their nodes. (Those still on
-        // their way were ended by their worker's Stop.)
-        for slot in &mut slots {
-            slot.seat.vacate(|ns, ticket, status| shared.sessions.end(ns, ticket, status));
-        }
-
-        // Judge each namespace with its own oracles, then fold. The
-        // terminal token census counts live holders plus tokens still in
-        // flight; the *safety* census counts only holders at the
-        // namespace's highest witnessed epoch — a fenced-out stale token
-        // awaiting discard is the current token's predecessor, not a
-        // duplicate (identical to the total under `Hardening::None`,
-        // where every epoch is 0).
-        let events = metrics.events_processed;
-        let mut safety = OracleReport::default();
-        let mut liveness = LivenessReport::default();
-        let mut census_total = 0usize;
-        let (mut cs_total, mut injected, mut completed, mut abandoned) = (0u64, 0u64, 0u64, 0u64);
-        for (k, meta) in shared.ns.iter().enumerate() {
-            let lo = meta.offset as usize;
-            let span = &slots[lo..lo + meta.len as usize];
-            let live_held = || span.iter().filter(|s| !s.seat.crashed && s.node.holds_token());
-            let holders = live_held().count();
-            let max_epoch = live_held().map(|s| s.node.token_epoch()).max().unwrap_or(0);
-            let holders_at_max = live_held().filter(|s| s.node.token_epoch() == max_epoch).count();
-            let in_flight = usize::try_from(tokens_afloat[k])
-                .expect("a token message was received more often than it was sent");
-            let census = holders + in_flight;
-            census_total += census;
-            let served = shared.cs_entries[k].load(Ordering::Relaxed);
-            cs_total += served;
-            let (ns_injected, ns_completed, ns_abandoned) = shared.sessions.counts(k);
-            injected += ns_injected;
-            completed += ns_completed;
-            abandoned += ns_abandoned;
-            // Partition awareness at the shutdown horizon, mirroring the
-            // simulator's `World::horizon` (scripts exist
-            // only in single-namespace runs; elsewhere this is one
-            // healed component). Waiting requests were just ended as
-            // `abandoned`, so `unreachable` stays 0.
-            let isolated = isolation_at(&shared.script, horizon_ticks, drained, span, census);
-            let horizon = Horizon {
-                drained,
-                events,
-                injected: ns_injected,
-                served,
-                abandoned: ns_abandoned,
-                unreachable: 0,
-                live_token_census: census,
-                nodes: span
-                    .iter()
-                    .enumerate()
-                    .map(|(j, Slot { node, seat })| NodeAtHorizon {
-                        node: NodeId::new(j as u32 + 1),
-                        alive: !seat.crashed,
-                        idle: node.is_idle(),
-                        recovered: seat.recovered_ever,
-                        isolated: isolated[j],
-                        quorum_blocked: !seat.crashed && node.quorum_blocked(),
-                    })
-                    .collect(),
-            };
-            liveness.absorb(check_horizon(&horizon));
-            let mut oracle = shared.lock_monitor(k);
-            oracle.token_census(shared.sim_now(), holders_at_max + in_flight);
-            safety.absorb(oracle.report().clone());
-        }
-
-        RuntimeReport {
-            cs_entries: cs_total,
-            messages_sent: metrics.total_sent(),
-            events_processed: events,
-            requests_injected: injected,
-            requests_completed: completed,
-            requests_abandoned: abandoned,
-            crashes: metrics.crashes,
-            recoveries: metrics.recoveries,
-            lost_to_crashes: metrics.lost_to_crashes,
-            lost_to_faults: metrics.lost_to_faults,
-            lost_to_partition: metrics.lost_to_partition,
-            duplicated_deliveries: metrics.duplicated_deliveries,
-            terminal_token_census: census_total,
-            namespaces: shared.ns.len(),
-            drained,
-            safety,
-            liveness,
-            latency: shared.sessions.histogram().summary(),
-            wall,
-        }
+        judge(&self.shared, exits, horizon, drained)
     }
 }
 
@@ -924,9 +578,9 @@ impl<P: Protocol> Runtime<P> {
                 self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
             }
         }
-        // A panicked worker yields nothing; shutdown() notices the
-        // missing nodes and panics loudly there — panicking here would
-        // abort the process when stop runs during unwinding.
+        // A panicked worker yields nothing; the judge notices the missing
+        // nodes and panics loudly there — panicking here would abort the
+        // process when stop runs during unwinding.
         self.worker_handles.drain(..).filter_map(|handle| handle.join().ok()).collect()
     }
 }
@@ -942,399 +596,35 @@ impl<P: Protocol> Drop for Runtime<P> {
     }
 }
 
-// --------------------------------------------------------------------
-// Workers
-// --------------------------------------------------------------------
-
-/// One node within its worker's shard: the protocol state machine and,
-/// apart from it (the engine borrows the two separately), its seat in
-/// the substrate.
-struct Slot<P> {
-    node: P,
-    seat: Seat,
-}
-
-/// One node's substrate state, written only by the worker that owns it.
-struct Seat {
-    /// Global zero-based index (namespace offset + local index).
-    idx: usize,
-    /// Position in the owning worker's shard (`idx / workers`) — also the
-    /// node's owner id in that worker's [`DeadlineSet`].
-    pos: u32,
-    /// Namespace this node belongs to.
-    ns: usize,
-    /// The namespace's global offset: local id = global id − offset.
-    ns_offset: u32,
-    crashed: bool,
-    recovered_ever: bool,
-    lease: u64,
-    /// Requests that reached the node and wait for its critical section,
-    /// oldest first — grant order is per-node FIFO, like the simulator's
-    /// pending-request store.
-    pending: VecDeque<Ticket>,
-    /// The request inside the critical section, if any.
-    current: Option<Ticket>,
-}
-
-impl Seat {
-    /// The node's global id — what commands are addressed by.
-    fn global(&self) -> NodeId {
-        NodeId::new(self.idx as u32 + 1)
-    }
-
-    /// The node's namespace-local id — what the protocol state machine
-    /// and the namespace's oracle speak.
-    fn local(&self) -> NodeId {
-        NodeId::new(self.global().get() - self.ns_offset)
-    }
-
-    /// Ends every request at the node through `end(ns, ticket, status)`,
-    /// at its crash or at shutdown: the waiting ones will never be
-    /// served; the granted one's critical section was, however abruptly
-    /// it ended.
-    fn vacate(&mut self, mut end: impl FnMut(usize, Ticket, RequestStatus)) {
-        for ticket in self.pending.drain(..) {
-            end(self.ns, ticket, RequestStatus::Abandoned);
-        }
-        if let Some(ticket) = self.current.take() {
-            end(self.ns, ticket, RequestStatus::Completed);
-        }
-    }
-
-    /// `true` while the node sits in the critical section on behalf of a
-    /// request that does not wait out a lease.
-    fn serving_auto(&self) -> bool {
-        self.current.as_ref().is_some_and(|ticket| ticket.auto_release)
-    }
-}
-
-/// What a worker hands back when it is joined: everything only it wrote.
-struct WorkerExit<P> {
-    slots: Vec<Slot<P>>,
-    metrics: Metrics,
-    tokens_afloat: Vec<i64>,
-}
-
-/// A command in a worker's delay queue. The sequence number keeps
-/// commands due at the same instant in the order they were filed.
-struct Delayed<M> {
-    deliver_at: Instant,
-    seq: u64,
-    item: Targeted<M>,
-}
-
-impl<M> PartialEq for Delayed<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl<M> Eq for Delayed<M> {}
-impl<M> PartialOrd for Delayed<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Delayed<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deliver_at, self.seq).cmp(&(other.deliver_at, other.seq))
-    }
-}
-
-/// Everything a worker owns besides its nodes: the network, timer
-/// service and lease clock of exactly those nodes, and the books it
-/// settles once per batch.
-struct Worker<'a, M> {
-    /// This worker's index: it owns the nodes with `idx % workers == me`.
-    me: usize,
-    shared: &'a Shared,
-    config: &'a RuntimeConfig,
-    /// Every worker's mailbox, this one's included.
-    mailboxes: &'a [Sender<Mail<M>>],
-    rng: StdRng,
-    /// Messages, events, losses, crashes and recoveries of this worker's
-    /// nodes; summed over the workers at shutdown.
-    metrics: Metrics,
-    /// Per namespace, token-carrying messages this worker sent minus
-    /// those it received (or discarded): summed over the workers, the
-    /// tokens in flight — the runtime's share of each namespace's
-    /// live-token census.
-    tokens_afloat: Vec<i64>,
-    /// The batch: commands that are due, in processing order.
-    queue: VecDeque<Targeted<M>>,
-    /// The delay queue: commands for this worker's nodes that are not
-    /// due yet, earliest first.
-    delayed: BinaryHeap<Reverse<Delayed<M>>>,
-    next_seq: u64,
-    /// Deadlines of the live timers of this worker's nodes (owner =
-    /// [`Slot::pos`]).
-    timers: DeadlineSet,
-    /// Commands for the other workers' nodes, per destination worker,
-    /// sent as one [`Mail::Many`] each when the batch is settled.
-    outgoing: Vec<Vec<(Instant, Targeted<M>)>>,
-    /// In-flight claims the batch owes for what it created: commands
-    /// filed or buffered, timers newly armed.
-    claims_taken: u64,
-    /// In-flight claims the batch is done with: commands processed or
-    /// discarded, timers fired, cancelled or lost to a crash.
-    claims_released: u64,
-    /// Notices of the requests the batch ended, in the order they ended;
-    /// sent when the batch is settled. The buffer keeps its capacity.
-    notices: Vec<Notice>,
-    /// The one clock reading of the command or timer firing being run:
-    /// every deadline and stamp it produces derives from it.
-    now: Instant,
-}
-
-impl<M: MessageKind> Worker<'_, M> {
-    /// The instant the earliest delayed command or live timer is due.
-    fn next_due(&self) -> Option<Instant> {
-        let delayed = self.delayed.peek().map(|Reverse(d)| d.deliver_at);
-        match (delayed, self.timers.next_deadline()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    fn delay(&mut self, deliver_at: Instant, item: Targeted<M>) {
-        self.next_seq += 1;
-        self.delayed.push(Reverse(Delayed { deliver_at, seq: self.next_seq, item }));
-    }
-
-    /// Takes in one piece of mail: what is due now joins the batch, what
-    /// carries a delivery instant goes to the delay queue.
-    fn accept(&mut self, mail: Mail<M>) {
-        match mail {
-            Mail::One(item) => self.queue.push_back(item),
-            Mail::Many(items) => {
-                for (deliver_at, item) in items {
-                    self.delay(deliver_at, item);
-                }
-            }
-        }
-    }
-
-    /// Sends `cmd` on its way to node `to` (global id), due at
-    /// `deliver_at`: into this worker's own delay queue if the node is
-    /// one of its own — no channel at all — and otherwise into the
-    /// destination worker's outgoing burst.
-    fn post(&mut self, deliver_at: Instant, to: NodeId, cmd: NodeCmd<M>) {
-        self.claims_taken += 1;
-        let w = (to.zero_based() as usize) % self.config.workers;
-        let item = Targeted { to, cmd };
-        if w == self.me {
-            self.delay(deliver_at, item);
-        } else {
-            self.outgoing[w].push((deliver_at, item));
-        }
-    }
-
-    /// Puts one copy of a message of namespace `ns` on the wire, under
-    /// its own random delay from the current command's clock reading.
-    fn transmit(&mut self, ns: usize, to: NodeId, from: NodeId, msg: M) {
-        let max = u64::try_from(self.config.max_network_delay.as_nanos()).unwrap_or(u64::MAX);
-        let delay = Duration::from_nanos(self.rng.random_range(0..=max));
-        self.tokens_afloat[ns] += i64::from(msg.carries_token());
-        self.post(self.now + delay, to, NodeCmd::Deliver { from, msg });
-    }
-
-    /// Ends a request of namespace `ns`. Its notice waits in the batch's
-    /// buffer until [`Worker::settle`] sends it.
-    fn end(&mut self, ns: usize, ticket: Ticket, status: RequestStatus) {
-        self.notices.push(self.shared.sessions.close(ns, ticket, status));
-    }
-
-    /// A command that will never be processed gives up its in-flight
-    /// claim, leaves its namespace's token census if it carried the
-    /// token, and abandons the request it carried, if any.
-    fn discard(&mut self, item: Targeted<M>) {
-        self.claims_released += 1;
-        if let NodeCmd::Deliver { msg, .. } = &item.cmd {
-            if msg.carries_token() {
-                self.tokens_afloat[self.shared.ns_of(item.to)] -= 1;
-            }
-        }
-        self.notices.extend(self.shared.abandon(item));
-    }
-
-    /// Stop: nothing this worker still holds will ever be processed —
-    /// its batch, its delay queue, its live timers, and whatever is
-    /// still in its mailbox.
-    fn discard_all(&mut self, rx: &Receiver<Mail<M>>) {
-        while let Ok(mail) = rx.try_recv() {
-            self.accept(mail);
-        }
-        let delayed = std::mem::take(&mut self.delayed).into_iter().map(|Reverse(d)| d.item);
-        for item in std::mem::take(&mut self.queue).into_iter().chain(delayed) {
-            self.discard(item);
-        }
-        self.claims_released += self.timers.len() as u64;
-        self.timers = DeadlineSet::new();
-    }
-
-    /// Settles a batch. In order: the claims of everything the batch
-    /// created are taken, *then* the other workers get their bursts; the
-    /// idle flags of the nodes the batch touched are published; the
-    /// batch's completion notices are sent, each request's live count let
-    /// go only after its notice; *then* the claims the batch is done with
-    /// are released — so [`Runtime::settled`] never observes a zero
-    /// in-flight count while a command, a live timer, an unpublished flag
-    /// or an unsent notice exists.
-    fn settle(&mut self, idle: impl Iterator<Item = (usize, bool)>) {
-        let shared = self.shared;
-        if self.claims_taken != 0 {
-            shared.inflight.fetch_add(self.claims_taken, Ordering::SeqCst);
-            self.claims_taken = 0;
-        }
-        let mailboxes = self.mailboxes;
-        for (w, mailbox) in mailboxes.iter().enumerate() {
-            if self.outgoing[w].is_empty() {
-                continue;
-            }
-            let burst = std::mem::take(&mut self.outgoing[w]);
-            if let Err(SendError(Mail::Many(lost))) = mailbox.send(Mail::Many(burst)) {
-                // That worker has exited (shutdown): the burst dies here.
-                lost.into_iter().for_each(|(_, item)| self.discard(item));
-            }
-        }
-        for (idx, flag) in idle {
-            shared.idle[idx].store(flag, Ordering::SeqCst);
-        }
-        shared.sessions.notify(self.notices.drain(..));
-        if self.claims_released != 0 {
-            shared.inflight.fetch_sub(self.claims_released, Ordering::SeqCst);
-            self.claims_released = 0;
-        }
-    }
-}
-
-/// One node's substrate effects: the runtime's [`ActionSink`], filing
-/// the engine's actions with the node's [`Worker`] under real-time
-/// deadlines. The deliver→step→collect-actions loop itself lives in
-/// [`oc_sim::drive`] — the same code path the simulator runs. Node ids
-/// crossing this sink are namespace-local (the protocol's view);
-/// posting converts to global ids.
-struct ThreadSink<'a, 'w, M> {
-    worker: &'a mut Worker<'w, M>,
-    seat: &'a mut Seat,
-}
-
-impl<M: MessageKind + Clone + Send + 'static> ActionSink<M> for ThreadSink<'_, '_, M> {
-    fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
-        let (ns, to_global) = (self.seat.ns, NodeId::new(to.get() + self.seat.ns_offset));
-        let worker = &mut *self.worker;
-        let shared = worker.shared;
-        worker.metrics.record_send(msg.kind());
-        // Decide-before-act, identical to the simulator's `Core::send`:
-        // the script decides the message's fate before any copy is
-        // enqueued, so a drop destroys the logical send outright. A
-        // runtime started without a script skips the check entirely.
-        match shared.fate(worker.now, from, to, msg.carries_token(), &mut worker.rng) {
-            LinkFate::Deliver => {}
-            LinkFate::DropPartition => {
-                worker.metrics.lost_to_partition += 1;
-                return;
-            }
-            LinkFate::DropLoss => {
-                worker.metrics.lost_to_faults += 1;
-                return;
-            }
-            LinkFate::DeliverAndDuplicate => {
-                worker.metrics.duplicated_deliveries += 1;
-                worker.transmit(ns, to_global, from, msg.clone());
-            }
-        }
-        worker.transmit(ns, to_global, from, msg);
-    }
-
-    fn enter_cs(&mut self, node: NodeId, token_epoch: u64) {
-        let (worker, seat) = (&mut *self.worker, &mut *self.seat);
-        let (shared, now) = (worker.shared, worker.now);
-        seat.lease += 1;
-        shared.lock_monitor(seat.ns).enter_cs(shared.ticks_at(now), node, token_epoch);
-        shared.cs_entries[seat.ns].fetch_add(1, Ordering::Relaxed);
-        // The node's oldest waiting request is the one being served (a
-        // node may also enter with no request of ours waiting).
-        seat.current = seat.pending.pop_front();
-        if let Some(ticket) = &seat.current {
-            shared.sessions.histogram().record(shared.nanos_at(now).saturating_sub(ticket.t0));
-        }
-        // Auto-release requests skip the wall-clock lease: the worker
-        // exits the CS immediately after this command (`drain_auto`),
-        // so no ExitLease is ever filed for them.
-        if !seat.serving_auto() {
-            let expiry = now + worker.config.cs_duration;
-            worker.post(expiry, seat.global(), NodeCmd::ExitLease { lease: seat.lease });
-        }
-    }
-
-    fn set_timer(&mut self, _node: NodeId, timer_id: u64, delay: SimDuration) {
-        let worker = &mut *self.worker;
-        let deadline = worker.now + ticks_to_wall(delay.ticks(), worker.config.tick);
-        // A re-arm inherits the claim of the arming it supersedes.
-        if !worker.timers.arm(self.seat.pos, timer_id, deadline) {
-            worker.claims_taken += 1;
-        }
-    }
-
-    fn cancel_timer(&mut self, _node: NodeId, timer_id: u64) {
-        if self.worker.timers.cancel(self.seat.pos, timer_id) {
-            self.worker.claims_released += 1;
-        }
-    }
-}
-
-/// One worker's thread. Sleeps until mail arrives or the earliest thing
-/// it holds itself — a delayed command, a live timer — falls due; then
-/// runs everything that is due through the shared engine driver as one
-/// batch and settles the batch's books ([`Worker::settle`]). Returns the
-/// shard and the worker's own books for the shutdown fold.
+/// One worker's thread: the OS end of its [`Core`]. It blocks on the
+/// mailbox until mail arrives or the core's next work falls due, tops
+/// the batch up from what is already in the mailbox, reads the wall
+/// clock for the core, and posts the core's bursts to the other
+/// workers' mailboxes. Returns the shard and the worker's own books for
+/// the shutdown judge.
 fn worker_main<P: Protocol + Send + 'static>(
-    me: usize,
-    mut slots: Vec<Slot<P>>,
-    rx: Receiver<Mail<P::Msg>>,
-    mailboxes: Vec<Sender<Mail<P::Msg>>>,
-    shared: Arc<Shared>,
-    config: RuntimeConfig,
+    mut core: Core<'_, P>,
+    rx: &Receiver<Mail<P::Msg>>,
+    mailboxes: &[Sender<Mail<P::Msg>>],
+    epoch: Instant,
 ) -> WorkerExit<P> {
-    let workers = config.workers;
-    let mut worker = Worker {
-        me,
-        shared: &shared,
-        config: &config,
-        mailboxes: &mailboxes,
-        rng: StdRng::seed_from_u64(
-            config.seed
-                ^ slots
-                    .first()
-                    .map_or(0, |s| (s.seat.idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        ),
-        metrics: Metrics::default(),
-        tokens_afloat: vec![0; shared.ns.len()],
-        queue: VecDeque::new(),
-        delayed: BinaryHeap::new(),
-        next_seq: 0,
-        timers: DeadlineSet::new(),
-        outgoing: (0..workers).map(|_| Vec::new()).collect(),
-        claims_taken: 0,
-        claims_released: 0,
-        notices: Vec::new(),
-        now: Instant::now(),
-    };
-    let mut out: Outbox<P::Msg> = Outbox::new();
-    let mut touched: Vec<usize> = Vec::new();
-    let mut stopping = false;
-
-    while !stopping {
-        match worker.next_due() {
-            None => match rx.recv() {
-                Ok(mail) => worker.accept(mail),
+    let clock = || nanos_since(epoch);
+    let mut next = Next::Wait(None);
+    loop {
+        match next {
+            Next::Stop => {
+                core.stop(rx.try_iter());
+                break;
+            }
+            Next::Wait(None) => match rx.recv() {
+                Ok(mail) => core.accept(mail),
                 Err(_) => break,
             },
-            Some(due) => {
-                let wait = due.saturating_duration_since(Instant::now());
-                if !wait.is_zero() {
-                    match rx.recv_timeout(wait) {
-                        Ok(mail) => worker.accept(mail),
+            Next::Wait(Some(due)) => {
+                let now = clock();
+                if due > now {
+                    match rx.recv_timeout(Duration::from_nanos(due - now)) {
+                        Ok(mail) => core.accept(mail),
                         Err(RecvTimeoutError::Timeout) => {}
                         Err(RecvTimeoutError::Disconnected) => break,
                     }
@@ -1343,174 +633,145 @@ fn worker_main<P: Protocol + Send + 'static>(
         }
         // Opportunistic burst: top the batch up from whatever is already
         // in the mailbox, without blocking.
-        while worker.queue.len() < BATCH {
+        while core.wants_mail() {
             match rx.try_recv() {
-                Ok(mail) => worker.accept(mail),
+                Ok(mail) => core.accept(mail),
                 Err(_) => break,
             }
         }
-        // Delayed commands that have fallen due join the batch. A worker
-        // with nothing delayed and nothing armed reads the clock only for
-        // the commands it runs, once each.
-        let now = (!worker.delayed.is_empty() || !worker.timers.is_empty()).then(Instant::now);
-        if let Some(now) = now {
-            while worker.delayed.peek().is_some_and(|Reverse(d)| d.deliver_at <= now) {
-                let Reverse(due) = worker.delayed.pop().expect("peeked");
-                worker.queue.push_back(due.item);
-            }
-        }
-        touched.clear();
-        while let Some(Targeted { to, cmd }) = worker.queue.pop_front() {
-            worker.claims_released += 1;
-            if matches!(cmd, NodeCmd::Stop) {
-                stopping = true;
-                worker.discard_all(&rx);
-                break;
-            }
-            worker.metrics.events_processed += 1;
-            worker.now = Instant::now();
-            let pos = (to.zero_based() as usize) / workers;
-            let slot = &mut slots[pos];
-            debug_assert_eq!(slot.seat.global(), to, "misrouted command");
-            process(slot, cmd, &mut out, &mut worker);
-            drain_auto(slot, &mut out, &mut worker);
-            touched.push(pos);
-        }
-        // Due timers fire after the batch's commands, one at a time and
-        // each taken from the live set at the moment it fires: one that
-        // an earlier command or timer of this batch cancelled is gone.
-        while let Some((pos, timer_id)) = now.and_then(|now| worker.timers.pop_due(now)) {
-            worker.claims_released += 1;
-            worker.metrics.events_processed += 1;
-            worker.now = Instant::now();
-            let slot = &mut slots[pos as usize];
-            debug_assert!(!slot.seat.crashed, "a crash clears the node's timers");
-            drive_slot(slot, Some(NodeEvent::Timer(timer_id)), &mut out, &mut worker);
-            drain_auto(slot, &mut out, &mut worker);
-            touched.push(pos as usize);
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        worker.settle(touched.iter().map(|&pos| {
-            let Slot { node, seat } = &slots[pos];
-            (seat.idx, seat.crashed || node.is_idle())
-        }));
+        next = core
+            .run_batch(clock, |w, mail| mailboxes[w].send(mail).map_err(|SendError(mail)| mail));
     }
-    let Worker { metrics, tokens_afloat, .. } = worker;
-    WorkerExit { slots, metrics, tokens_afloat }
+    core.into_exit()
 }
 
-/// Feeds one event through the shared engine driver (`None` runs the
-/// recovery hook instead), the node's seat and worker as its sink.
-fn drive_slot<P: Protocol + Send + 'static>(
-    slot: &mut Slot<P>,
-    event: Option<NodeEvent<P::Msg>>,
-    out: &mut Outbox<P::Msg>,
-    worker: &mut Worker<'_, P::Msg>,
-) {
-    let mut sink = ThreadSink { worker, seat: &mut slot.seat };
-    match event {
-        Some(event) => drive(&mut slot.node, event, out, &mut sink),
-        None => drive_recovery(&mut slot.node, out, &mut sink),
+/// The one judge of a finished run, on either end: folds what the
+/// workers hand back — their nodes in global order, one sum of their
+/// statistics, and per namespace the token messages sent and never
+/// received — ends the requests the cut found at their nodes, and judges
+/// each namespace with its own oracles. `horizon` is the run's one clock
+/// reading at the cut (nanoseconds since the epoch): the report's `wall`
+/// time, the liveness horizon's instant and the token census's stamp.
+/// `drained` is whether the run had settled when it was cut.
+///
+/// # Panics
+///
+/// Panics if a worker's shard is missing (the worker panicked).
+fn judge<P: Protocol>(
+    shared: &Shared,
+    exits: Vec<WorkerExit<P>>,
+    horizon: u64,
+    drained: bool,
+) -> RuntimeReport {
+    let at = shared.ticks_at(horizon);
+    let mut slots: Vec<Slot<P>> = Vec::with_capacity(shared.len());
+    let mut metrics = Metrics::default();
+    let mut tokens_afloat = vec![0i64; shared.ns.len()];
+    for exit in exits {
+        slots.extend(exit.slots);
+        metrics.merge(&exit.metrics);
+        for (sum, tally) in tokens_afloat.iter_mut().zip(exit.tokens_afloat) {
+            *sum += tally;
+        }
     }
-}
-
-/// Exits the CS for as long as the node sits inside it on behalf of an
-/// auto-release request — the closed-loop fast path: grant and exit
-/// happen within one worker dispatch, no ExitLease is ever filed. Loops
-/// because an exit can immediately re-grant the next queued request,
-/// which may itself be auto-release.
-fn drain_auto<P: Protocol + Send + 'static>(
-    slot: &mut Slot<P>,
-    out: &mut Outbox<P::Msg>,
-    worker: &mut Worker<'_, P::Msg>,
-) {
-    while !slot.seat.crashed && slot.node.in_cs() && slot.seat.serving_auto() {
-        exit_cs(slot, out, worker);
+    assert_eq!(slots.len(), shared.len(), "a worker panicked; its shard's final state is lost");
+    slots.sort_by_key(|slot| slot.seat.idx);
+    // The requests the cut found at their nodes. (Those still on their
+    // way were ended by their worker's stop.)
+    for slot in &mut slots {
+        slot.seat.vacate(|ns, ticket, status| shared.sessions.end(ns, ticket, status));
     }
-}
 
-/// Executes one command against its node. The protocol and the
-/// namespace's monitor speak the node's namespace-local id.
-fn process<P: Protocol + Send + 'static>(
-    slot: &mut Slot<P>,
-    cmd: NodeCmd<P::Msg>,
-    out: &mut Outbox<P::Msg>,
-    worker: &mut Worker<'_, P::Msg>,
-) {
-    let shared = worker.shared;
-    let seat = &mut slot.seat;
-    let local = seat.local();
-    match cmd {
-        NodeCmd::Stop => unreachable!("handled by the worker loop"),
-        NodeCmd::Deliver { from, msg } => {
-            worker.tokens_afloat[seat.ns] -= i64::from(msg.carries_token());
-            if seat.crashed {
-                // Fail-stop: everything delivered while down is lost.
-                worker.metrics.lost_to_crashes += 1;
-                return;
-            }
-            drive_slot(slot, Some(NodeEvent::Deliver { from, msg }), out, worker);
-        }
-        NodeCmd::Acquire(ticket) => {
-            if seat.crashed {
-                // The application on a crashed node cannot request; the
-                // injection is abandoned, never served.
-                worker.end(seat.ns, ticket, RequestStatus::Abandoned);
-                return;
-            }
-            seat.pending.push_back(ticket);
-            drive_slot(slot, Some(NodeEvent::RequestCs), out, worker);
-        }
-        NodeCmd::Release(id) => {
-            let holds = seat.current.as_ref().is_some_and(|ticket| ticket.id == id);
-            if holds && !seat.crashed && slot.node.in_cs() {
-                exit_cs(slot, out, worker);
-            }
-        }
-        NodeCmd::ExitLease { lease } => {
-            // Stale leases (superseded by a later CS entry, or by a
-            // crash) are dropped — the runtime's analogue of the
-            // simulator purging a dead CS's scheduled exit.
-            if !seat.crashed && lease == seat.lease && slot.node.in_cs() {
-                exit_cs(slot, out, worker);
-            }
-        }
-        NodeCmd::Crash => {
-            if seat.crashed {
-                return;
-            }
-            seat.crashed = true;
-            worker.metrics.crashes += 1;
-            shared.lock_monitor(seat.ns).exit_cs(local);
-            // All volatile node state is lost — including the
-            // application's requests (a granted one's lease is
-            // invalidated below) — and the node's timers leave the
-            // worker's deadline set, claims and all.
-            seat.vacate(|ns, ticket, status| worker.end(ns, ticket, status));
-            slot.node.on_crash();
-            worker.claims_released += worker.timers.clear_owner(seat.pos) as u64;
-            seat.lease += 1;
-        }
-        NodeCmd::Recover => {
-            if !seat.crashed {
-                return;
-            }
-            seat.crashed = false;
-            seat.recovered_ever = true;
-            worker.metrics.recoveries += 1;
-            drive_slot(slot, None, out, worker);
-        }
+    // Judge each namespace with its own oracles, then fold. The terminal
+    // token census counts live holders plus tokens still in flight; the
+    // *safety* census counts only holders at the namespace's highest
+    // witnessed epoch — a fenced-out stale token awaiting discard is the
+    // current token's predecessor, not a duplicate (identical to the
+    // total under `Hardening::None`, where every epoch is 0).
+    let events = metrics.events_processed;
+    let mut safety = OracleReport::default();
+    let mut liveness = LivenessReport::default();
+    let mut census_total = 0usize;
+    let (mut cs_total, mut injected, mut completed, mut abandoned) = (0u64, 0u64, 0u64, 0u64);
+    for (k, meta) in shared.ns.iter().enumerate() {
+        let lo = meta.offset as usize;
+        let span = &slots[lo..lo + meta.len as usize];
+        let live_held = || span.iter().filter(|s| !s.seat.crashed && s.node.holds_token());
+        let holders = live_held().count();
+        let max_epoch = live_held().map(|s| s.node.token_epoch()).max().unwrap_or(0);
+        let holders_at_max = live_held().filter(|s| s.node.token_epoch() == max_epoch).count();
+        let in_flight = usize::try_from(tokens_afloat[k])
+            .expect("a token message was received more often than it was sent");
+        let census = holders + in_flight;
+        census_total += census;
+        let served = shared.cs_entries[k].load(Ordering::Relaxed);
+        cs_total += served;
+        let (ns_injected, ns_completed, ns_abandoned) = shared.sessions.counts(k);
+        injected += ns_injected;
+        completed += ns_completed;
+        abandoned += ns_abandoned;
+        // Partition awareness at the horizon, mirroring the simulator's
+        // `World::horizon` (scripts exist only in single-namespace runs;
+        // elsewhere this is one healed component). Waiting requests were
+        // just ended as `abandoned`, so `unreachable` stays 0.
+        let isolated = isolation_at(&shared.script, at, drained, span, census);
+        let horizon = Horizon {
+            drained,
+            events,
+            injected: ns_injected,
+            served,
+            abandoned: ns_abandoned,
+            unreachable: 0,
+            live_token_census: census,
+            nodes: span
+                .iter()
+                .enumerate()
+                .map(|(j, Slot { node, seat })| NodeAtHorizon {
+                    node: NodeId::new(j as u32 + 1),
+                    alive: !seat.crashed,
+                    idle: node.is_idle(),
+                    recovered: seat.recovered_ever,
+                    isolated: isolated[j],
+                    quorum_blocked: !seat.crashed && node.quorum_blocked(),
+                })
+                .collect(),
+        };
+        liveness.absorb(check_horizon(&horizon));
+        let mut oracle = shared.lock_monitor(k);
+        oracle.token_census(at, holders_at_max + in_flight);
+        safety.absorb(oracle.report().clone());
+    }
+
+    RuntimeReport {
+        cs_entries: cs_total,
+        messages_sent: metrics.total_sent(),
+        events_processed: events,
+        requests_injected: injected,
+        requests_completed: completed,
+        requests_abandoned: abandoned,
+        crashes: metrics.crashes,
+        recoveries: metrics.recoveries,
+        lost_to_crashes: metrics.lost_to_crashes,
+        lost_to_faults: metrics.lost_to_faults,
+        lost_to_partition: metrics.lost_to_partition,
+        duplicated_deliveries: metrics.duplicated_deliveries,
+        terminal_token_census: census_total,
+        namespaces: shared.ns.len(),
+        drained,
+        safety,
+        liveness,
+        latency: shared.sessions.histogram().summary(),
+        wall: Duration::from_nanos(horizon),
     }
 }
 
-/// Partition awareness for one namespace's shutdown horizon — the same
-/// policy as the simulator's `World::horizon`, through the
-/// shared [`oc_sim::isolation_from_components`]. `span` is the
-/// namespace's contiguous slice of the (index-sorted) final states; the
-/// result is positional over that slice. `census` is the namespace's
-/// terminal live-token census. Fault scripts exist only in
-/// single-namespace runs, so other namespaces see one healed component.
+/// Partition awareness for one namespace's horizon — the same policy as
+/// the simulator's `World::horizon`, through the shared
+/// [`oc_sim::isolation_from_components`]. `span` is the namespace's
+/// contiguous slice of the (index-sorted) final states; the result is
+/// positional over that slice. `census` is the namespace's terminal
+/// live-token census. Fault scripts exist only in single-namespace runs,
+/// so other namespaces see one healed component.
 fn isolation_at<P: Protocol>(
     script: &CompiledScript,
     at: SimTime,
@@ -1529,27 +790,12 @@ fn isolation_at<P: Protocol>(
     )
 }
 
-/// The shared CS-exit path (lease expiry, early release, auto-release).
-fn exit_cs<P: Protocol + Send + 'static>(
-    slot: &mut Slot<P>,
-    out: &mut Outbox<P::Msg>,
-    worker: &mut Worker<'_, P::Msg>,
-) {
-    let shared = worker.shared;
-    let seat = &mut slot.seat;
-    let local = seat.local();
-    shared.lock_monitor(seat.ns).exit_cs(local);
-    if let Some(ticket) = seat.current.take() {
-        worker.end(seat.ns, ticket, RequestStatus::Completed);
-    }
-    drive_slot(slot, Some(NodeEvent::ExitCs), out, worker);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use oc_algo::{Config, OpenCubeNode};
     use oc_sim::SimDuration;
+    use rand::{rngs::StdRng, RngExt, SeedableRng};
 
     fn config(workers: usize) -> RuntimeConfig {
         RuntimeConfig { workers, ..RuntimeConfig::default() }
@@ -1749,16 +995,15 @@ mod tests {
 
     #[test]
     fn large_tick_schedules_map_beyond_the_u32_clamp() {
-        // The live mapping a scheduled workload uses goes through
-        // `oc_sim::ticks_to_wall` (whose own test holds the arithmetic):
-        // a tick count clamped to u32::MAX would collapse every schedule
-        // entry beyond ≈ 2.4 days (at a 50µs tick) onto the same instant.
+        // A scheduled workload's tick timestamps map to the runtime's
+        // nanosecond clock through `Shared::nanos_of`: a tick count
+        // clamped to u32::MAX would collapse every schedule entry beyond
+        // ≈ 2.4 days (at a 50µs tick) onto the same instant.
         let huge_ticks = 1u64 << 40;
         let rt = rt(2, 1);
-        let mapped = rt.instant_of(SimTime::from_ticks(huge_ticks));
-        let expected = rt.shared.epoch + Duration::from_nanos(huge_ticks * 50_000);
-        assert_eq!(mapped, expected);
-        let clamped = rt.shared.epoch + Duration::from_micros(50).saturating_mul(u32::MAX);
+        let mapped = rt.shared.nanos_of(huge_ticks);
+        assert_eq!(mapped, huge_ticks * 50_000);
+        let clamped = u64::from(u32::MAX) * 50_000;
         assert!(mapped > clamped, "a 2^40-tick arrival must land beyond the old u32 clamp");
         let report = rt.shutdown();
         assert!(report.is_clean(), "oracles: {report:?}");

@@ -11,13 +11,19 @@
 //! notice off its watcher or issue its next request in between: what the
 //! check finds on the watchers is what had been sent when `settled()`
 //! answered.
+//!
+//! The tests after it hold the same predicate in virtual time, where a
+//! run's whole state can be read between batches: `settled()` reads it
+//! exactly, the planted bugs still show, and the width of the worker
+//! pool changes no verdict.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-use oc_algo::{Config, OpenCubeNode};
+use oc_algo::{Config, Mutation, OpenCubeNode};
+use oc_check::{explore_serial, run_scenario_runtime_virtual, shrink, Scenario, Space};
 use oc_runtime::{RequestId, RequestStatus, Runtime, RuntimeConfig, Watcher};
 use oc_sim::SimDuration;
 use oc_topology::NodeId;
@@ -152,5 +158,73 @@ proptest! {
         let report = rt.shutdown();
         prop_assert!(report.is_clean(), "oracles: {:?}", report);
         prop_assert_eq!(report.requests_completed, 2 * per_client as u64);
+    }
+}
+
+// --------------------------------------------------------------------
+// Virtual time
+// --------------------------------------------------------------------
+
+/// Runs `scenario` in virtual time at one, two and `n` workers.
+fn at_every_width(scenario: &Scenario, mutation: Mutation) -> [oc_check::Outcome; 3] {
+    [1, 2, scenario.n].map(|workers| run_scenario_runtime_virtual(scenario, mutation, workers))
+}
+
+/// `settled()` is exact in virtual time: after every batch of a virtual
+/// run, the driver asserts that it reads what the run's state says —
+/// every mailbox, batch queue and delay queue empty, no timer live, no
+/// request live, every live node idle — and panics otherwise. These runs
+/// cover the default space, and the probe spaces whose runs end dirty,
+/// are cut at their event horizon or run out of work unsettled: the
+/// books must balance on every path.
+#[test]
+fn settled_is_exact_after_every_virtual_batch() {
+    let probe = Space {
+        allow_loss: true,
+        overlapping_crashes: true,
+        partitions: true,
+        max_events: 5_000,
+        ..Space::default()
+    };
+    let mut cut = 0;
+    for (space, seed) in [(Space::default(), 42), (probe, 7)] {
+        for index in 0..150 {
+            let scenario = Scenario::generate(&space, seed, index);
+            for run in at_every_width(&scenario, Mutation::None) {
+                cut += usize::from(!run.drained);
+            }
+        }
+    }
+    assert!(cut > 0, "no run ended unsettled, so the cut paths went unchecked");
+}
+
+/// Both planted bugs come back dirty in virtual time, at every width:
+/// the simulator finds each within the self-check's budget, and its
+/// shrunk witness fails on the runtime's workers too.
+#[test]
+fn planted_mutations_come_back_dirty_in_virtual_time() {
+    for mutation in [Mutation::KeepTokenOnTransit, Mutation::SkipTokenRegeneration] {
+        let found = explore_serial(&Space::default(), 42, 700, mutation).expect("detected");
+        let witness = shrink(&found.scenario, mutation).scenario;
+        for run in at_every_width(&witness, mutation) {
+            assert!(!run.is_clean(), "{mutation:?} is clean on {}: {run:?}", witness.id());
+        }
+        for run in at_every_width(&witness, Mutation::None) {
+            assert!(run.is_clean(), "{} is dirty without {mutation:?}: {run:?}", witness.id());
+        }
+    }
+}
+
+/// One worker (every message stays in its sender's delay queue), two,
+/// and one per node (every message crosses a mailbox) agree on what the
+/// default battery's first 200 scenarios serve, abandon and judge.
+#[test]
+fn worker_counts_agree_in_virtual_time() {
+    for index in 0..200 {
+        let scenario = Scenario::generate(&Space::default(), 42, index);
+        let [one, two, every] = at_every_width(&scenario, Mutation::None)
+            .map(|run| (run.drained, run.cs_entries, run.abandoned, run.is_clean()));
+        assert_eq!(one, two, "W = 1 and W = 2 differ on {}", scenario.id());
+        assert_eq!(one, every, "W = 1 and W = n differ on {}", scenario.id());
     }
 }

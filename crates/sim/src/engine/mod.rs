@@ -11,8 +11,8 @@
 //!   probes and tests that name it are all that keep it.
 //! * [`timers`] — the simulator's table of armed timers, sized by what is
 //!   armed: generations with lazy cancellation for the virtual clock; and
-//!   the live-armings-only wall-clock deadline set both real-time
-//!   substrates share.
+//!   the live-armings-only deadline set, in `u64` nanoseconds on its
+//!   owner's clock, that both real-time substrates share.
 //! * [`driver`] — the one place that turns a [`crate::Protocol`]'s emitted
 //!   [`crate::Action`]s into substrate effects. Both [`crate::World`] and
 //!   `oc-runtime` route through [`driver::drive`], so the sans-io contract

@@ -9,8 +9,11 @@
 //! for the nodes that have nothing armed, so a population of millions
 //! that arms few timers, or none, pays for few or none.
 //!
-//! **Wall-clock time** ([`DeadlineSet`], `oc-runtime`'s workers and
-//! `oc-transport`'s node process): the set holds *live* armings only.
+//! **Real time** ([`DeadlineSet`], `oc-runtime`'s workers and
+//! `oc-transport`'s node process): deadlines are `u64` nanoseconds on
+//! the owner's clock — the wall clock on threads and in processes, a
+//! virtual one when `oc-runtime` plays a run on one thread. The set
+//! holds *live* armings only.
 //! Cancel, re-arm and crash remove the entry on the spot, so the set is
 //! bounded by owners × timer ids however fast timers are armed and
 //! however long their timeouts run — the Section 5 timeouts are armed per
@@ -19,7 +22,6 @@
 
 use std::collections::{hash_map::Entry, BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::time::Instant;
 
 /// Which timer: a node index and one of its timer ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,8 +149,9 @@ impl TimerTable {
     }
 }
 
-/// The wall-clock deadlines of every *live* timer arming of a group of
-/// owners (one worker's nodes; the one node of a process).
+/// The deadlines of every *live* timer arming of a group of owners (one
+/// worker's nodes; the one node of a process), in nanoseconds on the
+/// owners' clock.
 ///
 /// Two views of the same armings: `due` orders them for firing, and
 /// `rows[owner]` finds an owner's arming of an id so that cancel and
@@ -156,8 +159,8 @@ impl TimerTable {
 /// linearly (a node arms a handful of ids) and keep their capacity.
 #[derive(Debug, Default)]
 pub struct DeadlineSet {
-    due: BTreeSet<(Instant, u32, u64)>,
-    rows: Vec<Vec<(u64, Instant)>>,
+    due: BTreeSet<(u64, u32, u64)>,
+    rows: Vec<Vec<(u64, u64)>>,
 }
 
 impl DeadlineSet {
@@ -170,7 +173,7 @@ impl DeadlineSet {
     /// Arms timer `id` of `owner` to fire at `deadline`. Returns `true`
     /// if this superseded a live arming of the same timer (whose entry
     /// is gone), `false` if the timer was not armed.
-    pub fn arm(&mut self, owner: u32, id: u64, deadline: Instant) -> bool {
+    pub fn arm(&mut self, owner: u32, id: u64, deadline: u64) -> bool {
         if self.rows.len() <= owner as usize {
             self.rows.resize_with(owner as usize + 1, Vec::new);
         }
@@ -214,7 +217,7 @@ impl DeadlineSet {
 
     /// The earliest deadline of any live arming.
     #[must_use]
-    pub fn next_deadline(&self) -> Option<Instant> {
+    pub fn next_deadline(&self) -> Option<u64> {
         self.due.first().map(|entry| entry.0)
     }
 
@@ -222,7 +225,7 @@ impl DeadlineSet {
     /// yielding its `(owner, id)`. Call again for the next one: a timer
     /// popped later is checked against what the handlers of the earlier
     /// ones cancelled or re-armed in between.
-    pub fn pop_due(&mut self, now: Instant) -> Option<(u32, u64)> {
+    pub fn pop_due(&mut self, now: u64) -> Option<(u32, u64)> {
         if self.due.first()?.0 > now {
             return None;
         }
@@ -250,7 +253,6 @@ impl DeadlineSet {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, RngExt, SeedableRng};
-    use std::time::Duration;
 
     #[test]
     fn rearm_supersedes() {
@@ -362,15 +364,15 @@ mod tests {
         }
     }
 
-    fn drain(set: &mut DeadlineSet, now: Instant) -> Vec<(u32, u64)> {
+    fn drain(set: &mut DeadlineSet, now: u64) -> Vec<(u32, u64)> {
         std::iter::from_fn(|| set.pop_due(now)).collect()
     }
 
     #[test]
     fn deadline_rearm_supersedes() {
-        let t0 = Instant::now();
+        let t0 = 1_000_000u64;
         let mut set = DeadlineSet::new();
-        assert!(!set.arm(0, 7, t0 + Duration::from_secs(60)));
+        assert!(!set.arm(0, 7, t0 + 60_000_000_000));
         assert!(set.arm(0, 7, t0), "the second arming replaces the first");
         assert_eq!(set.len(), 1, "a superseded arming leaves nothing behind");
         assert_eq!(drain(&mut set, t0), vec![(0, 7)]);
@@ -386,15 +388,15 @@ mod tests {
         set.arm(0, 7, t0);
         set.arm(0, 8, t0);
         set.cancel(0, 8);
-        set.arm(0, 9, t0 + Duration::from_secs(60));
+        set.arm(0, 9, t0 + 60_000_000_000);
         set.arm(0, 7, t0);
         assert_eq!(drain(&mut set, t0), vec![(0, 7)]);
-        assert_eq!(set.next_deadline(), Some(t0 + Duration::from_secs(60)));
+        assert_eq!(set.next_deadline(), Some(t0 + 60_000_000_000));
     }
 
     #[test]
     fn deadline_cancel_removes() {
-        let t0 = Instant::now();
+        let t0 = 1_000_000u64;
         let mut set = DeadlineSet::new();
         set.arm(0, 3, t0);
         set.arm(0, 4, t0);
@@ -407,8 +409,8 @@ mod tests {
 
     #[test]
     fn deadline_pop_due_is_ordered_and_skips_the_cancelled() {
-        let t0 = Instant::now();
-        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        let t0 = 1_000_000u64;
+        let at = |ms: u64| t0 + ms * 1_000_000;
         let mut set = DeadlineSet::new();
         set.arm(2, 1, at(30));
         set.arm(0, 1, at(10));
@@ -427,7 +429,7 @@ mod tests {
 
     #[test]
     fn deadline_clear_owner_leaves_the_others() {
-        let t0 = Instant::now();
+        let t0 = 1_000_000u64;
         let mut set = DeadlineSet::new();
         set.arm(0, 1, t0);
         set.arm(0, 2, t0);
@@ -444,11 +446,11 @@ mod tests {
     fn deadline_set_agrees_with_a_naive_vec() {
         // Model test: random arm/cancel/clear/pop scripts against a flat
         // list of `(deadline, owner, id)` searched linearly.
-        let t0 = Instant::now();
+        let t0 = 1_000_000u64;
         for seed in 0..50u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut set = DeadlineSet::new();
-            let mut model: Vec<(Instant, u32, u64)> = Vec::new();
+            let mut model: Vec<(u64, u32, u64)> = Vec::new();
             let mut now = t0;
             for step in 0..400 {
                 let owner = rng.random_range(0..4u32);
@@ -456,7 +458,7 @@ mod tests {
                 let live = model.iter().position(|e| (e.1, e.2) == (owner, id));
                 match rng.random_range(0..10u32) {
                     0..=4 => {
-                        let deadline = now + Duration::from_micros(rng.random_range(0..500));
+                        let deadline = now + rng.random_range(0..500u64) * 1_000;
                         assert_eq!(set.arm(owner, id, deadline), live.is_some(), "step {step}");
                         if let Some(k) = live {
                             model.swap_remove(k);
@@ -475,7 +477,7 @@ mod tests {
                         assert_eq!(set.clear_owner(owner), before - model.len(), "step {step}");
                     }
                     _ => {
-                        now += Duration::from_micros(rng.random_range(0..300));
+                        now += rng.random_range(0..300u64) * 1_000;
                         model.sort_unstable();
                         let due = model.iter().take_while(|e| e.0 <= now).count();
                         let expected: Vec<(u32, u64)> =

@@ -16,9 +16,9 @@
 //!   lazily, redialing once on a broken pipe, dropping on failure —
 //!   fail-stop loss the Section 5 machinery already tolerates), each
 //!   client frame to the connection it answers;
-//! * timer arms go to the wall-clock [`DeadlineSet`] the threaded
-//!   runtime's workers use (live armings only), ticks mapped by the
-//!   configured tick duration.
+//! * timer arms go to the [`DeadlineSet`] the threaded runtime's
+//!   workers use (live armings only), deadlines in nanoseconds since the
+//!   process started, ticks mapped by the configured tick duration.
 //!
 //! One thread owns the [`Proc`]; the acceptor and per-connection reader
 //! threads only pass inbound frames to it on a channel. The first frame
@@ -163,6 +163,8 @@ const ME: u32 = 0;
 
 /// The OS end's I/O: where a [`Proc`]'s output goes.
 struct Os {
+    /// The origin of the timers' nanosecond clock.
+    epoch: Instant,
     tick: Duration,
     log: LogWriter,
     peers: PeerLinks,
@@ -171,6 +173,11 @@ struct Os {
 }
 
 impl Os {
+    /// Nanoseconds since [`Os::epoch`] — the clock timer deadlines are on.
+    fn now(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
     /// Carries out everything `proc` has asked for: every log record
     /// written and flushed, then every frame written and timer armed, in
     /// the protocol's order.
@@ -185,7 +192,10 @@ impl Os {
                 Effect::Peer { to, frame } => self.peers.send(to, &frame),
                 Effect::Client { client, frame } => send_to_client(&self.clients, client, &frame),
                 Effect::Arm { id, ticks } => {
-                    self.timers.arm(ME, id, Instant::now() + ticks_to_wall(ticks, self.tick));
+                    let delay = ticks_to_wall(ticks, self.tick).as_nanos();
+                    let deadline =
+                        self.now().saturating_add(u64::try_from(delay).unwrap_or(u64::MAX));
+                    self.timers.arm(ME, id, deadline);
                 }
                 Effect::Cancel { id } => {
                     self.timers.cancel(ME, id);
@@ -250,6 +260,7 @@ pub fn run(opts: NodeOptions) -> io::Result<()> {
 
     let mut proc = Proc::new(opts.id, opts.config());
     let mut os = Os {
+        epoch: Instant::now(),
         tick: opts.tick,
         log: LogWriter::open(&opts.log_path)?,
         peers: PeerLinks::new(opts.cluster.clone(), opts.id),
@@ -265,7 +276,7 @@ pub fn run(opts: NodeOptions) -> io::Result<()> {
     loop {
         let cmd = match os.timers.next_deadline() {
             Some(deadline) => {
-                let now = Instant::now();
+                let now = os.now();
                 if deadline <= now {
                     while let Some((_, id)) = os.timers.pop_due(now) {
                         proc.handle(Input::Timer(id), physical_now());
@@ -273,7 +284,7 @@ pub fn run(opts: NodeOptions) -> io::Result<()> {
                     }
                     continue;
                 }
-                match rx.recv_timeout(deadline - now) {
+                match rx.recv_timeout(Duration::from_nanos(deadline - now)) {
                     Ok(cmd) => cmd,
                     Err(RecvTimeoutError::Timeout) => continue,
                     Err(RecvTimeoutError::Disconnected) => return Ok(()),
