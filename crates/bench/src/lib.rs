@@ -387,13 +387,16 @@ pub fn e3_summaries(rows: &[Value]) -> Vec<Value> {
 }
 
 /// E3's long-horizon cells as measured at the parent of the change that
-/// split the event queue into tiers and made the crash purge in place
-/// (this host, master seed 42, one thread, median of three runs
-/// alternated with this change's): `(rev, [(failures, events per wall
-/// second)])`. The "before" half of `BENCH_E3.json`'s before/after rows;
-/// the event counts are the same on both sides.
+/// gave the generated tier of the event queue a sorted front over its
+/// heap (2-CPU x86_64 host, master seed 42, one thread, median of
+/// fourteen `experiments --e3` runs alternated with the change's):
+/// `(rev, [(failures, events per wall second)])`. The "before" half of
+/// `BENCH_E3.json`'s before/after rows; the event counts are the same on
+/// both sides. (At `f2b9131`, before the queue was split into tiers and
+/// the crash purge made in place, the same cells read 8 189 556,
+/// 2 150 170 and 337 262.)
 pub const E3_HORIZON_BEFORE: (&str, [(usize, f64); 3]) =
-    ("f2b9131", [(200, 8_189_556.0), (2_000, 2_150_170.0), (20_000, 337_262.0)]);
+    ("e629413", [(200, 7_643_184.0), (2_000, 8_268_446.0), (20_000, 8_569_037.0)]);
 
 /// E3's failure run alone at a long horizon, every failure pre-scheduled
 /// before the first step, timed — what a failure costs the *simulator*.

@@ -2,7 +2,7 @@
 //! observationally identical to a sorted map keyed by `(time, seq)` —
 //! same pops, same peeks, same lengths, same purge counts — under
 //! arbitrary interleavings of pushes into both tiers, time-ordered lists
-//! filed by reference, pops and crash-style retains.
+//! filed by reference, pops, crash-style retains and `clone_from`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -32,6 +32,10 @@ enum Op {
     /// Drop all generated payloads divisible by the modulus (like a crash
     /// destroying in-flight messages), comparing drop counts.
     Retain(u8),
+    /// Replace each queue by a `clone_from` of it into a queue of the same
+    /// backend that held something else (see [`reshaped`]), as
+    /// `World::restore` overwrites a world's queue in place.
+    CloneFrom,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -63,8 +67,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Pop),
         Just(Op::Pop),
         (2u8..7).prop_map(Op::Retain),
+        Just(Op::CloneFrom),
     ]
 }
+
+/// The most entries the heap backend keeps sorted in front of its heap
+/// (`FRONT` in `queue.rs`): a generated tier longer than this spills.
+const FRONT: u64 = 16;
 
 /// Beyond every tick `op_strategy` draws: an input here, filed first, is
 /// the end of the sorted run for the rest of the script, so every later
@@ -108,6 +117,20 @@ fn file(
     }
 }
 
+/// A queue on `backend` that holds more than a run's queue usually does —
+/// a generated tier beyond the heap backend's sorted front, inputs in
+/// both stores — overwritten with `clone_from(source)`.
+fn reshaped(source: &EventQueue<usize>) -> EventQueue<usize> {
+    let mut target = EventQueue::with_backend(source.backend());
+    for k in (0..5 * FRONT).rev() {
+        target.push(SimTime::from_ticks(k * 3), usize::MAX);
+        target.push_input(SimTime::from_ticks(k * 5), usize::MAX);
+    }
+    target.pop();
+    target.clone_from(source);
+    target
+}
+
 fn run_script(script: &[Op]) {
     let mut queues = [QueueBackend::Heap, QueueBackend::Bucketed].map(EventQueue::with_backend);
     let mut model = Model::new();
@@ -149,6 +172,11 @@ fn run_script(script: &[Op]) {
                 for q in &mut queues {
                     let dropped = q.retain(|e| e % m != 0);
                     assert_eq!(dropped, before - model.len(), "{:?} at op {i}", q.backend());
+                }
+            }
+            Op::CloneFrom => {
+                for q in &mut queues {
+                    *q = reshaped(q);
                 }
             }
         }
@@ -378,4 +406,35 @@ fn a_list_then_plan_then_more_lists_keep_order() {
         }
     }
     run_script(&script);
+}
+
+/// A generated tier several times the heap backend's sorted front, filed
+/// in descending order so that every push past the sixteenth evicts the
+/// front's largest entry to the heap, with equal-time ties in and across
+/// tiers, a crash-style purge and a `clone_from` while the tier overflows.
+/// Far-future events filed once the front has drained land in its free
+/// room above the heap's head: a pop must then take the heap's.
+#[test]
+fn a_generated_tier_beyond_the_front_keeps_order() {
+    let mut script = Vec::new();
+    for round in 1..=4u64 {
+        let base = round * 10_000;
+        for k in (0..5 * FRONT).rev() {
+            script.push(Op::Push(base + k * 10));
+            if k % 9 == 0 {
+                script.push(Op::Push(base + k * 10)); // a tie behind it
+            }
+            if k % 13 == 0 {
+                script.push(Op::PushInput(base + k * 10)); // a tie across tiers
+            }
+        }
+        script.push(Op::Retain(3));
+        script.push(Op::CloneFrom);
+        script.extend(std::iter::repeat_n(Op::Pop, 3 * FRONT as usize));
+        script.extend((0..FRONT / 2).map(|k| Op::Push(1_000_000 * round + k)));
+        script.extend(std::iter::repeat_n(Op::Pop, FRONT as usize));
+        script.push(Op::Push(base + 5)); // below everything left
+        script.push(Op::CloneFrom);
+    }
+    run_script(&script); // and drains whatever is left
 }
