@@ -15,8 +15,10 @@
 //! the per-process event logs and judges them with the unmodified
 //! simulator oracles. Any violation — or a run that fails to settle —
 //! exits 1. With `--differential`, every cell's scenario also runs
-//! through the threaded runtime (`oc_check::run_scenario_runtime`, same
-//! tick) and the two outcomes must conform.
+//! through the threaded runtime's workers in virtual time
+//! (`oc_check::run_scenario_runtime_virtual`, four workers) and the two
+//! outcomes must conform. `--transport`, `--requests` and `--kill` shape
+//! the custom cell, so they are a usage error without `--n`.
 
 use oc_algo::Mutation;
 use oc_bench::cli::FlagParser;
@@ -26,7 +28,7 @@ use oc_bench::orchestrator::{
     NET_COLS, NET_TICK,
 };
 use oc_bench::report::{header, line, Artifact, Verdict};
-use oc_check::{conforms, run_scenario_runtime, RuntimeProfile};
+use oc_check::{conforms, run_scenario_runtime_virtual};
 
 const USAGE: &str = "\
 Usage: netbench [FLAGS]
@@ -37,7 +39,8 @@ judges the merged event logs with the unmodified oracles.
 
   --quick          small battery (CI smoke)
   --json           write BENCH_NET.json
-  --differential   also run each scenario in-process and require conformance
+  --differential   also run each scenario through the threaded runtime's
+                   workers in virtual time and require conformance
   --seed S         master seed (default: 42)
   --transport T    custom cell: tcp or uds
   --n N            custom cell: system size (power of two)
@@ -46,7 +49,8 @@ judges the merged event logs with the unmodified oracles.
   --help           this message
 
 Without --n the standard battery runs (TCP and UDS clean cells plus a
-UDS kill/heal cell); --quick shrinks it.
+UDS kill/heal cell); --quick shrinks it. --transport, --requests and
+--kill need --n.
 ";
 
 struct Options {
@@ -71,8 +75,12 @@ fn parse_options(args: &[String]) -> Options {
         requests: 200,
         kill: None,
     };
+    let mut cell_flag = None;
     let mut parser = FlagParser::new(USAGE, args);
     while let Some(flag) = parser.next_flag() {
+        if matches!(flag.name.as_str(), "--transport" | "--requests" | "--kill") {
+            cell_flag = Some(flag.name.clone());
+        }
         match flag.name.as_str() {
             "--seed" => options.seed = parser.parsed(&flag, "an unsigned integer", |_| true),
             "--n" => {
@@ -96,6 +104,9 @@ fn parse_options(args: &[String]) -> Options {
             "--help" | "-h" => parser.help(),
             _ => parser.unknown(&flag),
         }
+    }
+    if let (None, Some(name)) = (options.n, cell_flag) {
+        parser.usage_error(&format!("{name} shapes a custom cell: it needs --n"));
     }
     if let (Some(n), Some(kill)) = (options.n, options.kill) {
         if kill as usize > n {
@@ -147,9 +158,7 @@ fn main() {
         println!("{}", line(NET_COLS, &shown));
         rows.push(shown);
         if options.differential {
-            let profile =
-                RuntimeProfile { tick: NET_TICK, workers: 4, settle_timeout: cell.settle_timeout };
-            let inprocess = run_scenario_runtime(&scenario, Mutation::None, &profile);
+            let inprocess = run_scenario_runtime_virtual(&scenario, Mutation::None, 4);
             let both = [("in-process", &inprocess), ("socket", &row.outcome)];
             match conforms(scenario.arrivals.len(), &both) {
                 Ok(()) => println!(

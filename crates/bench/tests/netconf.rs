@@ -1,12 +1,13 @@
 //! The wall-clock smoke of the socket deployment: one
 //! `oc_check::Scenario` runs through the deterministic simulator, the
-//! threaded runtime and real `oc-node` processes over sockets, and the
-//! three `Outcome`s must conform — clean oracles, settled, every arrival
-//! served, none abandoned, on every substrate. One cell per transport:
-//! TCP clean, and Unix sockets with a SIGKILL and a `--recover` restart
-//! mid-run. Beside them, the orchestrator's own contracts: stage clocks
-//! that add up to the call, a failed boot that leaves nothing behind,
-//! and a fault script refused before anything is spawned.
+//! threaded runtime's workers in virtual time and real `oc-node`
+//! processes over sockets, and the three `Outcome`s must conform — clean
+//! oracles, settled, every arrival served, none abandoned, on every
+//! substrate. One cell per transport: TCP clean, and Unix sockets with
+//! a SIGKILL and a `--recover` restart mid-run. Beside them, the
+//! orchestrator's own contracts: stage clocks that add up to the call, a
+//! failed boot that leaves nothing behind, and a fault script refused
+//! before anything is spawned.
 //!
 //! The socket side judges itself post hoc: per-process event logs are
 //! merged by hybrid logical clock and replayed through the unmodified
@@ -19,9 +20,9 @@ use std::path::Path;
 use std::time::Duration;
 
 use oc_algo::Mutation;
-use oc_bench::orchestrator::{run_scenario_sockets, TransportKind, NET_TICK};
+use oc_bench::orchestrator::{run_scenario_sockets, TransportKind};
 use oc_check::{
-    conforms, run_scenario, run_scenario_runtime, GateKill, GateScenario, RuntimeProfile, Scenario,
+    conforms, run_scenario, run_scenario_runtime_virtual, GateKill, GateScenario, Scenario,
 };
 use oc_sim::{FaultPhase, FaultPhaseKind, SimTime};
 
@@ -47,8 +48,7 @@ fn shape(n: usize, requests: usize, seed: u64, kill: Option<GateKill>) -> Scenar
 
 fn gate(transport: TransportKind, scenario: &Scenario) {
     let sim = run_scenario(scenario, Mutation::None);
-    let profile = RuntimeProfile { tick: NET_TICK, workers: 4, settle_timeout: SETTLE };
-    let runtime = run_scenario_runtime(scenario, Mutation::None, &profile);
+    let runtime = run_scenario_runtime_virtual(scenario, Mutation::None, 4);
     let socket =
         run_scenario_sockets(node_bin(), transport, scenario, SETTLE).expect("deployment runs");
     let all = [("sim", &sim), ("runtime", &runtime), ("socket", &socket.outcome)];
@@ -140,4 +140,18 @@ fn a_fault_script_is_refused_before_anything_is_spawned() {
         .filter_map(Result::ok)
         .any(|entry| entry.file_name().to_string_lossy().contains(&format!("-{seed}-")));
     assert!(!left_behind, "a refused scenario left a work directory behind");
+}
+
+#[test]
+fn custom_cell_flags_without_n_are_a_usage_error() {
+    // They shape the custom cell, which only `--n` selects: without it
+    // they must fail loudly, not run the standard battery unshaped.
+    for args in [["--transport", "tcp"], ["--requests", "5"], ["--kill", "3"]] {
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_netbench"))
+            .args(args)
+            .output()
+            .expect("netbench runs")
+            .status;
+        assert_eq!(status.code(), Some(2), "{args:?}");
+    }
 }

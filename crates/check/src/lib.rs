@@ -43,10 +43,10 @@
 //! the `explore` binary of `oc-bench`, which drives this crate through
 //! `oc_bench::sweep`.
 //!
-//! **One scenario language, one verdict, five runners.** A [`Scenario`]
+//! **One scenario language, one verdict, four runners.** A [`Scenario`]
 //! is the only description of adversarial work in the tree and an
 //! [`Outcome`] the only answer, whatever carries the messages. Three
-//! runners play it in virtual time, two on the wall clock:
+//! runners play it in virtual time, one on the wall clock:
 //!
 //! * [`run_scenario`] — the deterministic simulator; fills every field
 //!   of the outcome, bit-identically per scenario;
@@ -57,11 +57,8 @@
 //! * [`run_scenario_runtime_virtual`] — the threaded lock service's own
 //!   worker cores (`oc_runtime::run_virtual`) stepped on one thread in
 //!   virtual time, interleaved by a seeded scheduler; deterministic, and
-//!   the runner that holds the runtime to the explorer's battery;
-//! * [`run_scenario_runtime`] — the threaded lock service
-//!   (`oc_runtime::Runtime`) on real threads, ticks mapped to wall time
-//!   by a [`RuntimeProfile`]; a scenario whose schedule outlasts the
-//!   profile's settle timeout is cut there;
+//!   the runner that holds the runtime to the explorer's battery and
+//!   the socket deployment's differential twin;
 //! * `oc_bench::orchestrator::run_scenario_sockets` — one `oc-node`
 //!   process per node over TCP or Unix sockets, crashes by SIGKILL (it
 //!   lives in `oc-bench` because it needs the node binary), judged by
@@ -71,7 +68,10 @@
 //! substrates. The socket deployment's cells are [`GateScenario`] shapes
 //! that materialise into scenarios, and [`conforms`] is the contract the
 //! outcomes are held to (see [`netgate`]). Which counters a runtime or
-//! socket outcome cannot know is written on [`Outcome`].
+//! socket outcome cannot know is written on [`Outcome`]. The threaded
+//! runtime's OS end — worker threads, channels, the wall clock — is not
+//! a runner: `oc_runtime`'s own tests and `oc-bench`'s load harness
+//! drive it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -97,7 +97,7 @@ pub use run::{
 };
 pub use scenario::{Scenario, ScenarioCrash, Space};
 pub use shrink::{shrink, ShrinkResult};
-pub use threaded::{run_scenario_runtime, run_scenario_runtime_virtual, RuntimeProfile};
+pub use threaded::run_scenario_runtime_virtual;
 
 use oc_algo::Mutation;
 

@@ -11,14 +11,24 @@
 //! same crashes and recoveries, the same drained verdict, clean or not —
 //! must not. A scenario on which they disagree is a finding: shrink it
 //! and pin its `oc1-` id here with the reason.
+//!
+//! Beside the batteries, four hand-made inputs at one, two and four
+//! workers: a clean run, a crash and recovery, the planted
+//! `KeepTokenOnTransit` bug, and the socket deployment's kill cell.
 
 use std::time::{Duration, Instant};
 
 use oc_algo::Mutation;
-use oc_check::{run_scenario, run_scenario_runtime_virtual, Outcome, Scenario, Space};
+use oc_check::{
+    conforms, run_scenario, run_scenario_runtime_virtual, GateKill, GateScenario, Outcome,
+    Scenario, ScenarioCrash, Space,
+};
 
 /// The runtime's workers per virtual run of the battery.
 const WORKERS: usize = 2;
+
+/// The worker counts each hand-made input runs at.
+const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// What a scenario asks of every substrate.
 fn verdict(outcome: &Outcome) -> (bool, u64, u64, u64, u64, bool) {
@@ -83,4 +93,88 @@ fn the_seed_42_default_battery_agrees_with_the_simulator_twice_over() {
 #[test]
 fn the_seed_43_default_battery_agrees_with_the_simulator() {
     battery(43);
+}
+
+/// Three requests at four nodes, no faults.
+fn tiny_scenario() -> Scenario {
+    Scenario {
+        n: 4,
+        seed: 1,
+        delay_min: 1,
+        delay_max: 10,
+        cs_ticks: 50,
+        contention_slack: 2_000,
+        max_events: 1_000_000,
+        arrivals: vec![(1, 2), (3, 3), (5, 4)],
+        crashes: Vec::new(),
+        phases: Vec::new(),
+    }
+}
+
+#[test]
+fn clean_scenario_is_clean_on_the_runtime_and_agrees_with_the_sim() {
+    let scenario = tiny_scenario();
+    let sim = run_scenario(&scenario, Mutation::None);
+    for workers in WORKER_COUNTS {
+        let run = run_scenario_runtime_virtual(&scenario, Mutation::None, workers);
+        assert!(run.drained && run.is_clean(), "workers={workers}: {run:?}");
+        // Both substrates serve exactly the same requests and abandon
+        // nothing.
+        assert_eq!((run.cs_entries, run.abandoned), (sim.cs_entries, sim.abandoned));
+    }
+}
+
+#[test]
+fn crash_scenario_conforms() {
+    // Node 4 crashes long after its request is served and recovers: the
+    // runtime heals like the simulator, everything served, one recovery.
+    let scenario = Scenario {
+        crashes: vec![ScenarioCrash { node: 4, at: 3_000, recover_at: Some(3_500) }],
+        ..tiny_scenario()
+    };
+    let sim = run_scenario(&scenario, Mutation::None);
+    assert!(sim.is_clean(), "sim baseline: {sim:?}");
+    for workers in WORKER_COUNTS {
+        let run = run_scenario_runtime_virtual(&scenario, Mutation::None, workers);
+        assert!(run.is_clean(), "workers={workers}: {run:?}");
+        assert_eq!(run.cs_entries, sim.cs_entries, "workers={workers}");
+        assert_eq!((run.crashes, run.recoveries), (1, 1), "workers={workers}");
+    }
+}
+
+#[test]
+fn planted_safety_bug_is_caught_in_virtual_time() {
+    // `KeepTokenOnTransit` forges a second token on the first transit
+    // grant; the runtime's terminal census and live mutual-exclusion
+    // monitor must flag it, as the simulator's per-event census does.
+    for workers in WORKER_COUNTS {
+        let run =
+            run_scenario_runtime_virtual(&tiny_scenario(), Mutation::KeepTokenOnTransit, workers);
+        assert!(!run.safety.is_clean(), "workers={workers}: expected a violation, got {run:?}");
+    }
+}
+
+#[test]
+fn gate_kill_cell_conforms_on_the_runtime() {
+    // A socket cell's scenario (n = 16, 60 arrivals 20 ticks apart,
+    // node 3 down from tick 600 to tick 4 600): what `netbench
+    // --differential` holds every socket row against.
+    let scenario = GateScenario {
+        n: 16,
+        requests: 60,
+        gap_ticks: 20,
+        delta_ticks: 40,
+        cs_ticks: 20,
+        slack_ticks: 20_000,
+        seed: 1009,
+        kill: Some(GateKill { node: 3, at_ticks: 600, recover_ticks: 4_600 }),
+    }
+    .scenario();
+    let sim = run_scenario(&scenario, Mutation::None);
+    for workers in WORKER_COUNTS {
+        let run = run_scenario_runtime_virtual(&scenario, Mutation::None, workers);
+        conforms(60, &[("sim", &sim), ("runtime", &run)])
+            .unwrap_or_else(|why| panic!("workers={workers}: {why}"));
+        assert_eq!((run.crashes, run.recoveries), (1, 1), "workers={workers}");
+    }
 }

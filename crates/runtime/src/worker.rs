@@ -807,20 +807,11 @@ impl<M: MessageKind + Clone + Send + 'static> ActionSink<M> for SeatSink<'_, '_,
         // the script decides the message's fate before any copy is
         // enqueued, so a drop destroys the logical send outright. A
         // runtime started without a script skips the check entirely.
-        match shared.fate(worker.now, from, to, msg.carries_token(), &mut worker.rng) {
-            LinkFate::Deliver => {}
-            LinkFate::DropPartition => {
-                worker.metrics.lost_to_partition += 1;
-                return;
-            }
-            LinkFate::DropLoss => {
-                worker.metrics.lost_to_faults += 1;
-                return;
-            }
-            LinkFate::DeliverAndDuplicate => {
-                worker.metrics.duplicated_deliveries += 1;
-                worker.transmit(ns, to_global, from, msg.clone());
-            }
+        let fate = shared.fate(worker.now, from, to, msg.carries_token(), &mut worker.rng);
+        match worker.metrics.record_fate(fate) {
+            0 => return,
+            1 => {}
+            _ => worker.transmit(ns, to_global, from, msg.clone()),
         }
         worker.transmit(ns, to_global, from, msg);
     }

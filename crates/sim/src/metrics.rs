@@ -1,5 +1,7 @@
 //! Message accounting — the raw material of every experiment in the paper.
 
+use crate::channel::LinkFate;
+
 /// Classification of protocol traffic.
 ///
 /// `Request` and `Token` are the base algorithm of Section 3; the remaining
@@ -172,6 +174,29 @@ impl Metrics {
     #[inline]
     pub fn record_count(&mut self, counter: Counter) {
         self.counts[counter.index()] += 1;
+    }
+
+    /// Counts one send's [`LinkFate`] and returns how many copies of the
+    /// send to deliver: 0 when a partition or a loss drops it, 2 when the
+    /// link duplicates it, else 1. The one mapping from a fate to its
+    /// counters, shared by every substrate's send path.
+    #[inline]
+    pub fn record_fate(&mut self, fate: LinkFate) -> usize {
+        match fate {
+            LinkFate::Deliver => 1,
+            LinkFate::DropPartition => {
+                self.lost_to_partition += 1;
+                0
+            }
+            LinkFate::DropLoss => {
+                self.lost_to_faults += 1;
+                0
+            }
+            LinkFate::DeliverAndDuplicate => {
+                self.duplicated_deliveries += 1;
+                2
+            }
+        }
     }
 
     /// How often the protocol reported `counter`.

@@ -14,7 +14,7 @@ use oc_topology::NodeId;
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::{
-    channel::{CompiledScript, DelayModel, FaultScript, LinkFate},
+    channel::{CompiledScript, DelayModel, FaultScript},
     crash::FailurePlan,
     engine::{self, ActionSink, TimerTable},
     liveness::Horizon,
@@ -261,20 +261,13 @@ impl<M: Clone + core::fmt::Debug + MessageKind> ActionSink<M> for Core<M> {
         // draws nothing.
         let carries_token = msg.carries_token();
         if self.compiled.active_at(self.now) {
-            match self.compiled.fate(self.now, from, to, carries_token, &mut self.rng) {
-                LinkFate::Deliver => {}
-                LinkFate::DropPartition => {
-                    self.metrics.lost_to_partition += 1;
-                    return;
-                }
-                LinkFate::DropLoss => {
-                    self.metrics.lost_to_faults += 1;
-                    return;
-                }
-                LinkFate::DeliverAndDuplicate => {
+            let fate = self.compiled.fate(self.now, from, to, carries_token, &mut self.rng);
+            match self.metrics.record_fate(fate) {
+                0 => return,
+                1 => {}
+                _ => {
                     // A second, independently delayed delivery of the
                     // same logical send.
-                    self.metrics.duplicated_deliveries += 1;
                     let delay = self.config.delay.sample(&mut self.rng);
                     self.queue
                         .push(self.now + delay, SimEvent::Deliver { to, from, msg: msg.clone() });
