@@ -118,8 +118,7 @@ impl OpenCubeNode {
         }
         self.loan = None;
         self.cancel_loan_timers(out);
-        self.regenerate_token_here(out);
-        self.finish_loan_locally(out);
+        self.serve_as_root(out);
     }
 }
 

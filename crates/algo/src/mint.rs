@@ -232,22 +232,11 @@ impl OpenCubeNode {
         self.epoch_seen = epoch;
         self.fault_mut().mint = None;
         out.count(Counter::MintsCompleted);
-        match purpose {
-            MintPurpose::Root => {
-                if !self.token_here_inner() {
-                    self.regenerate_token_here(out);
-                }
-                self.honor_claim_as_root(out);
-            }
-            MintPurpose::Lender => {
-                self.loan = None;
-                self.cancel_loan_timers(out);
-                if !self.token_here_inner() {
-                    self.regenerate_token_here(out);
-                }
-                self.finish_loan_locally(out);
-            }
+        if purpose == MintPurpose::Lender {
+            self.loan = None;
+            self.cancel_loan_timers(out);
         }
+        self.serve_as_root(out);
     }
 
     /// The ballot timer fired. Running ballot: retry with a strictly

@@ -473,66 +473,39 @@ impl OpenCubeNode {
         self.abort_search_for_token(out);
         self.abort_mint_for_token(out);
         self.token_here = true;
-        match self.mandator {
-            None => self.on_token_without_mandate(lender, out),
-            Some(m) if m == self.id => {
-                // Our own claim is satisfied: enter the critical section.
-                match lender {
-                    None => {
-                        self.lender = self.id;
-                        self.father = None;
-                    }
-                    Some(j) => {
-                        self.lender = j;
-                        self.father = Some(from);
-                    }
-                }
+        match (self.mandator, lender) {
+            (None, _) => self.on_token_without_mandate(lender, out),
+            // `token(nil)`: we become the root and serve the claim.
+            (Some(_), None) => self.serve_as_root(out),
+            (Some(m), Some(j)) if m == self.id => {
+                // Our own claim is satisfied with a loaned token: enter
+                // the critical section.
+                self.lender = j;
+                self.father = Some(from);
                 self.mandator = None;
                 self.current_claim = None;
                 self.local = LocalState::InCs;
                 out.enter_cs();
                 // asking remains true until exit_cs.
             }
-            Some(m) => {
-                // Honor the mandate.
-                match lender {
-                    None => {
-                        // The token has no lender: we become the root and
-                        // lend it to our mandator.
-                        self.father = None;
-                        self.token_here = false;
-                        out.send(m, Msg::Token { lender: Some(self.id), epoch: self.epoch_seen });
-                        let (source, seq) =
-                            self.current_claim.take().expect("a mandate has claim bookkeeping");
-                        self.mandator = None;
-                        self.start_loan(m, source, seq, out);
-                        // asking remains true until the token returns.
-                    }
-                    Some(j) => {
-                        // Pass the loaned token along to the mandator.
-                        self.father = Some(from);
-                        self.token_here = false;
-                        out.send(m, Msg::Token { lender: Some(j), epoch: self.epoch_seen });
-                        self.mandator = None;
-                        self.current_claim = None;
-                        self.asking = false;
-                        self.process_queue(out);
-                    }
-                }
+            (Some(m), Some(j)) => {
+                // Pass the loaned token along to the mandator.
+                self.father = Some(from);
+                self.token_here = false;
+                out.send(m, Msg::Token { lender: Some(j), epoch: self.epoch_seen });
+                self.mandator = None;
+                self.current_claim = None;
+                self.asking = false;
+                self.process_queue(out);
             }
         }
     }
 
     fn on_token_without_mandate(&mut self, lender: Option<NodeId>, out: &mut Outbox<Msg>) {
         if self.loan.take().is_some() {
-            // Return of the token after a loan we made. (Nominally our
-            // father is already nil; assigning it is a no-op except in
-            // degraded regimes.)
+            // Return of the token after a loan we made.
             self.cancel_loan_timers(out);
-            self.asking = false;
-            self.father = None;
-            self.lender = self.id;
-            self.process_queue(out);
+            self.serve_as_root(out);
         } else if let Some(j) = lender {
             // Unsolicited loaned token (regeneration race): hand it back so
             // the lender's accounting settles.
@@ -541,10 +514,7 @@ impl OpenCubeNode {
         } else {
             // Unsolicited ownership transfer (regeneration race): accept it
             // — we are now the root.
-            self.asking = false;
-            self.father = None;
-            self.lender = self.id;
-            self.process_queue(out);
+            self.serve_as_root(out);
         }
     }
 
@@ -627,11 +597,19 @@ impl OpenCubeNode {
         }
     }
 
-    /// Resolution of a satisfied claim synthesized locally (used when a
-    /// search ends with this node becoming the root and regenerating the
-    /// token): behaves exactly like receiving `token(nil)`.
-    pub(crate) fn honor_claim_as_root(&mut self, out: &mut Outbox<Msg>) {
-        debug_assert!(self.token_here && self.father.is_none());
+    /// The root step: the rule of Section 3 for a node that receives
+    /// `token(nil)`, which Section 5's regenerations end in too. The node
+    /// becomes the root (`father := nil`), regenerates the token if none is
+    /// here (`lender := self`), then serves: its own claim by entering the
+    /// critical section, its mandator's claim by lending the token (the
+    /// loan keeps it asking until the token returns), or else its queue.
+    pub(crate) fn serve_as_root(&mut self, out: &mut Outbox<Msg>) {
+        self.father = None;
+        if !self.token_here {
+            self.token_here = true;
+            self.lender = self.id;
+            out.count(Counter::TokensRegenerated);
+        }
         match self.mandator {
             None => {
                 self.asking = false;
@@ -644,6 +622,7 @@ impl OpenCubeNode {
                 self.current_claim = None;
                 self.local = LocalState::InCs;
                 out.enter_cs();
+                // asking remains true until exit_cs.
             }
             Some(m) => {
                 self.token_here = false;
@@ -652,6 +631,7 @@ impl OpenCubeNode {
                     self.current_claim.take().expect("a mandate has claim bookkeeping");
                 self.mandator = None;
                 self.start_loan(m, source, seq, out);
+                // asking remains true until the token returns.
             }
         }
     }
@@ -668,21 +648,6 @@ impl OpenCubeNode {
             LocalState::Waiting if seq == self.local_seq => EnquiryStatus::TokenLost,
             _ => EnquiryStatus::TokenReturned,
         }
-    }
-
-    pub(crate) fn regenerate_token_here(&mut self, out: &mut Outbox<Msg>) {
-        debug_assert!(!self.token_here);
-        self.token_here = true;
-        self.lender = self.id;
-        out.count(Counter::TokensRegenerated);
-    }
-
-    /// Ends a loan locally (after regeneration): the lending root stops
-    /// being busy and resumes serving its queue.
-    pub(crate) fn finish_loan_locally(&mut self, out: &mut Outbox<Msg>) {
-        self.asking = false;
-        self.father = None;
-        self.process_queue(out);
     }
 
     /// Cancels an in-progress search because the token arrived — the

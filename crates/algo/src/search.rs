@@ -211,17 +211,12 @@ impl OpenCubeNode {
     fn conclude_search_as_root(&mut self, out: &mut Outbox<Msg>) {
         out.cancel_timer(TIMER_SEARCH_PHASE);
         out.cancel_timer(TIMER_TOKEN_WAIT);
-        self.set_father(None);
-        if self.token_here_inner() {
-            self.honor_claim_as_root(out);
-            return;
-        }
-        if self.config_inner().hardened() {
+        if !self.token_here_inner() && self.config_inner().hardened() {
+            self.set_father(None);
             self.begin_mint(MintPurpose::Root, out);
             return;
         }
-        self.regenerate_token_here(out);
-        self.honor_claim_as_root(out);
+        self.serve_as_root(out);
     }
 
     /// The asking-node suspicion timer (`2·pmax·δ` plus slack) fired

@@ -23,7 +23,8 @@
 //! of the battery with the simulator's trace on, and prints the
 //! scenario, its outcome, the trace and a verdict line; it exits 1 when
 //! the run is not clean. `--hardened` replays it under
-//! `Hardening::Quorum`.
+//! `Hardening::Quorum`; a battery flag beside `--replay` is a usage
+//! error.
 //!
 //! `--loss` opts into lossy-window scenarios. Message loss between live
 //! nodes violates the reliable-channel assumption the algorithm's safety
@@ -70,7 +71,8 @@ safety and liveness oracle suite, sharded across worker threads.
   --replay ID   run the one scenario ID (oc1-…) with the trace on instead
                 of a battery: print the scenario, its outcome, the trace
                 and a verdict line, and exit 1 unless it is clean. With
-                --hardened the replay runs under Hardening::Quorum
+                --hardened the replay runs under Hardening::Quorum; no
+                other flag goes with --replay
   --hardened    re-run the same battery under Hardening::Quorum (fencing
                 epochs + quorum-gated regeneration) and report it as a
                 second summary (and a \"hardened\" JSON section). The
@@ -133,8 +135,14 @@ fn parse_options(args: &[String]) -> Options {
         out: None,
     };
     let mut json = false;
+    let mut battery_flag = None;
     let mut parser = FlagParser::new(USAGE, args);
     while let Some(flag) = parser.next_flag() {
+        // Every flag but these two shapes a battery (`--help` exits and
+        // an unknown flag is refused below).
+        if !matches!(flag.name.as_str(), "--replay" | "--hardened") {
+            battery_flag = Some(flag.name.clone());
+        }
         match flag.name.as_str() {
             "--budget" => options.budget = parser.parsed(&flag, "a positive integer", |&b| b > 0),
             "--seed" => options.master_seed = parser.parsed(&flag, "an unsigned integer", |_| true),
@@ -150,6 +158,9 @@ fn parse_options(args: &[String]) -> Options {
             "--help" | "-h" => parser.help(),
             _ => parser.unknown(&flag),
         }
+    }
+    if let (Some(_), Some(name)) = (&options.replay, battery_flag) {
+        parser.usage_error(&format!("{name} shapes a battery: --replay takes only --hardened"));
     }
     if json && options.out.is_none() {
         options.out = Some("BENCH_CHECK.json".to_string());

@@ -46,13 +46,13 @@ runtime, reporting latency quantiles, throughput, and oracle verdicts.
   --partitions K  custom cell: partition/heal cycles across the window
   --help          this message
 
-Without --n/--rate/--clients the standard battery runs (open loop at
-two scales, closed-loop saturation, multi-tenant saturation at the
-dispatch ceiling and spread over random nodes, open loop under crash
-churn, open loop under partition churn); --quick shrinks it. A custom
-cell needs --n plus exactly one of --rate or --clients; --clients with
---namespaces drives the batched multi-tenant hot path (fault-free:
---churn/--partitions must stay 0).
+Without --n the standard battery runs (open loop at two scales,
+closed-loop saturation, multi-tenant saturation at the dispatch ceiling
+and spread over random nodes, open loop under crash churn, open loop
+under partition churn); --quick shrinks it. Every custom-cell flag
+needs --n, and a custom cell needs exactly one of --rate or --clients;
+--clients with --namespaces drives the batched multi-tenant hot path
+(fault-free: --churn/--partitions must stay 0).
 ";
 
 struct Options {
@@ -85,9 +85,16 @@ fn parse_options(args: &[String]) -> Options {
         churn: 0,
         partitions: 0,
     };
+    let mut cell_flag = None;
     let mut parser = FlagParser::new(USAGE, args);
     let positive = "a positive integer";
     while let Some(flag) = parser.next_flag() {
+        if matches!(
+            flag.name.as_str(),
+            "--workers" | "--duration" | "--rate" | "--clients" | "--churn" | "--partitions"
+        ) {
+            cell_flag = Some(flag.name.clone());
+        }
         match flag.name.as_str() {
             "--seed" => options.seed = parser.parsed(&flag, "an unsigned integer", |_| true),
             "--n" => options.n = Some(parser.parsed(&flag, "an integer ≥ 2", |&n| n >= 2)),
@@ -107,8 +114,8 @@ fn parse_options(args: &[String]) -> Options {
             _ => parser.unknown(&flag),
         }
     }
-    if (options.rate.is_some() || options.clients.is_some()) && options.n.is_none() {
-        parser.usage_error("--rate/--clients need --n");
+    if let (None, Some(name)) = (options.n, cell_flag) {
+        parser.usage_error(&format!("{name} shapes a custom cell: it needs --n"));
     }
     if options.rate.is_some() && options.clients.is_some() {
         parser.usage_error("choose one of --rate or --clients");

@@ -146,12 +146,19 @@ fn a_fault_script_is_refused_before_anything_is_spawned() {
 fn custom_cell_flags_without_n_are_a_usage_error() {
     // They shape the custom cell, which only `--n` selects: without it
     // they must fail loudly, not run the standard battery unshaped.
-    for args in [["--transport", "tcp"], ["--requests", "5"], ["--kill", "3"]] {
-        let status = std::process::Command::new(env!("CARGO_BIN_EXE_netbench"))
-            .args(args)
-            .output()
-            .expect("netbench runs")
-            .status;
-        assert_eq!(status.code(), Some(2), "{args:?}");
+    let (netbench, loadgen) = (env!("CARGO_BIN_EXE_netbench"), env!("CARGO_BIN_EXE_loadgen"));
+    let cases: [(&str, &[&str]); 7] = [
+        (netbench, &["--transport", "tcp"]),
+        (netbench, &["--requests", "5"]),
+        (netbench, &["--kill", "3"]),
+        (loadgen, &["--workers", "3", "--quick"]),
+        (loadgen, &["--duration", "1", "--quick"]),
+        (loadgen, &["--churn", "4", "--quick"]),
+        (loadgen, &["--partitions", "2", "--quick"]),
+    ];
+    for (binary, args) in cases {
+        let status =
+            std::process::Command::new(binary).args(args).output().expect("binary runs").status;
+        assert_eq!(status.code(), Some(2), "{binary} {args:?}");
     }
 }

@@ -4,9 +4,22 @@
 use std::process::Command;
 
 /// Duplicates alone mint a second token under `Hardening::None`: n = 8,
-/// five arrivals, no crash, no loss, a 400 ‰ duplication window.
-const DUPLICATION_WITNESS: &str =
-    "oc1-08a68eedf2ccf1f2b66107112e881190a10f2fbc030090030500061e033c025a07780100";
+/// five arrivals, no crash, no loss. Both witnesses are known-dirty
+/// until ROADMAP item 1(b) is fixed; each is paired with the last line
+/// of its replay.
+const DUPLICATION_WITNESSES: [(&str, &str); 2] = [
+    // A 400 ‰ duplication window.
+    (
+        "oc1-08a68eedf2ccf1f2b66107112e881190a10f2fbc030090030500061e033c025a07780100",
+        "verdict: dirty violations=11 safety=11 liveness=0",
+    ),
+    // Seed-43 battery index 540940, shrunk: a fixed 24-tick delay and a
+    // 150 ‰ duplication window over t = 52–220.
+    (
+        "oc1-0884b8e6f2d2e79bc6b10118182af81590a10f34dc01009601055e088d0103bc0106eb0104c9020500",
+        "verdict: dirty violations=10 safety=10 liveness=0",
+    ),
+];
 
 fn explore(args: &[&str]) -> (Option<i32>, String) {
     let out =
@@ -16,22 +29,42 @@ fn explore(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn the_duplication_witness_replays_identically_and_reports_its_second_token() {
-    let (code, first) = explore(&["--replay", DUPLICATION_WITNESS]);
-    let (_, second) = explore(&["--replay", DUPLICATION_WITNESS]);
-    assert_eq!(first, second, "two replays of one id differ");
-    assert_eq!(code, Some(1), "a dirty replay exits 1:\n{first}");
-    assert!(first.contains("scenario: n=8 "), "{first}");
-    assert!(first.contains("TokenDuplication"), "{first}");
-    assert!(first.contains("ENTERS CS"), "the trace is printed:\n{first}");
-    assert_eq!(first.lines().last(), Some("verdict: dirty violations=11 safety=11 liveness=0"));
+    for (witness, last_line) in DUPLICATION_WITNESSES {
+        let (code, first) = explore(&["--replay", witness]);
+        let (_, second) = explore(&["--replay", witness]);
+        assert_eq!(first, second, "two replays of one id differ");
+        assert_eq!(code, Some(1), "a dirty replay exits 1:\n{first}");
+        assert!(first.contains("scenario: n=8 "), "{first}");
+        assert!(first.contains("TokenDuplication"), "{first}");
+        assert!(first.contains("ENTERS CS"), "the trace is printed:\n{first}");
+        assert_eq!(first.lines().last(), Some(last_line), "{witness}");
 
-    // Quorum-gated regeneration closes the window on the same id.
-    let (code, hardened) = explore(&["--replay", DUPLICATION_WITNESS, "--hardened"]);
-    assert_eq!((code, hardened.lines().last()), (Some(0), Some("verdict: clean")), "{hardened}");
+        // Quorum-gated regeneration closes the window on the same id.
+        let (code, hardened) = explore(&["--replay", witness, "--hardened"]);
+        let verdict = (code, hardened.lines().last());
+        assert_eq!(verdict, (Some(0), Some("verdict: clean")), "{hardened}");
+    }
 }
 
 #[test]
 fn an_id_that_does_not_decode_is_a_usage_error() {
-    let (code, _) = explore(&["--replay", "oc1-zz"]);
-    assert_eq!(code, Some(2));
+    // So is a battery flag beside `--replay`: a replay runs one
+    // scenario and writes no artifact.
+    let (witness, _) = DUPLICATION_WITNESSES[0];
+    let with_battery_flags = [
+        "--replay",
+        witness,
+        "--out",
+        "x.json",
+        "--budget",
+        "5",
+        "--loss",
+        "--guided",
+        "--threads",
+        "1",
+    ];
+    for args in [&["--replay", "oc1-zz"][..], &with_battery_flags] {
+        let (code, _) = explore(args);
+        assert_eq!(code, Some(2), "{args:?}");
+    }
 }
