@@ -70,6 +70,7 @@ pub const LOAD_COLS: &[Col] = &[
     col("injected", "injected", 9, 0),
     col("served", "served", 9, 0),
     col("aband", "abandoned", 5, 0),
+    col("crossed", "messages_crossed", 9, 0),
     col("events/s", "events_per_sec", 10, 0),
     col("cs/s", "cs_per_sec", 10, 1),
     col("acq/s", "acq_per_sec", 10, 1),
@@ -206,6 +207,7 @@ impl LoadRow {
             ("crashes", Value::UInt(report.crashes)),
             ("recoveries", Value::UInt(report.recoveries)),
             ("messages", Value::UInt(report.messages_sent)),
+            ("messages_crossed", Value::UInt(report.messages_crossed)),
             ("events", Value::UInt(report.events_processed)),
             ("wall_secs", Value::Num(wall_secs)),
             ("events_per_sec", Value::Num(per_sec(report.events_processed))),
@@ -412,12 +414,12 @@ pub fn run_cell(cell: &LoadCell) -> LoadRow {
 }
 
 /// The spread tenants cell as measured at the parent of the change that
-/// sends completion notices when a worker settles its batch and reads the
-/// clock once per command (this host, the full battery — master seed 42
-/// — run whole, median of three runs alternated with this change's):
+/// places a runtime's nodes by namespace or subcube (node `idx` ran on
+/// worker `idx % W` there; a 2-CPU host, the full battery — master seed
+/// 42 — run whole, median of three runs alternated with the change's):
 /// `(rev, mode label, acquisitions/s, events per acquisition)`. The
 /// "before" half of `BENCH_RT.json`'s before/after row.
-pub const SPREAD_BEFORE: (&str, &str, f64, f64) = ("e6f9e80", "spread x2ns128", 208_878.0, 4.94);
+pub const SPREAD_BEFORE: (&str, &str, f64, f64) = ("5a83a53", "spread x2ns128", 123_289.0, 4.94);
 
 /// [`SPREAD_BEFORE`] as `BENCH_RT.json`'s `spread_before` section.
 #[must_use]
@@ -605,6 +607,8 @@ mod tests {
             row.report.messages_sent > row.report.requests_completed,
             "requests away from the holder cost messages"
         );
+        // Eight namespaces over two workers: each lives whole on one.
+        assert_eq!(row.to_json().get("messages_crossed"), &Value::UInt(0));
     }
 
     /// The wall-clock half. The accounting and the cut count cannot

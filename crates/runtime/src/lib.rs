@@ -60,8 +60,14 @@
 //!
 //! ## The batched hot path
 //!
-//! Five mechanisms keep the per-acquisition cost flat under load:
+//! Six mechanisms keep the per-acquisition cost flat under load:
 //!
+//! * **Placement by namespace or subcube** — a worker runs whole
+//!   namespaces, or, when there are fewer namespaces than workers,
+//!   contiguous blocks of one (aligned subcubes of the open cube, whose
+//!   p-groups a request climbs), so most of a claim's hops stay on one
+//!   thread: with whole namespaces, no message crosses a mailbox at all
+//!   ([`RuntimeReport::messages_crossed`]).
 //! * **Mailbox batching** — a message for a node of the same worker
 //!   goes straight into that worker's delay queue and touches no channel;
 //!   messages for other workers are collected per destination and sent
@@ -92,7 +98,12 @@
 //!   handed back when the worker is joined and folded at shutdown. What
 //!   two threads touch is shared: the in-flight claims, the live-request
 //!   count and the idle flags that [`Runtime::settled`] reasons about
-//!   (`SeqCst`), the request accounts, and the latency histogram.
+//!   (`SeqCst`), the request accounts, and the latency histograms. What
+//!   a worker writes there as it grants sits on cache lines no other
+//!   writer shares: one latency histogram and one array of idle flags
+//!   per worker, and per namespace one 128-byte-aligned record of its
+//!   monitor and counts, with the client-written `injected` count on a
+//!   line of its own. Readers merge the histograms.
 //! * **Live timers only** — arming a timer puts its deadline in the
 //!   owning worker's [`oc_sim::DeadlineSet`]; cancelling, re-arming or crashing
 //!   takes it out again. The protocol arms its Section 5 timeouts per
@@ -153,13 +164,16 @@ use oc_sim::{
 use oc_topology::NodeId;
 
 use session::Completion;
-use worker::{assemble, bursts, Core, Mail, Next, NodeCmd, Shared, Slot, Targeted, WorkerExit};
+use worker::{assemble, Core, Mail, Next, NodeCmd, Shared, Slot, Targeted, WorkerExit};
 
 /// Configuration of the threaded runtime.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
-    /// Worker threads the nodes are sharded over (global node index
-    /// `idx` belongs to worker `idx % workers`). `0` means `min(n, 8)`.
+    /// Worker threads the nodes are sharded over, clamped to the node
+    /// count; `0` means `min(n, 8)`. With at least this many namespaces,
+    /// namespace `k` lives whole on worker `k mod workers`; with fewer,
+    /// each namespace is cut into contiguous blocks of `⌈len / workers⌉`
+    /// nodes dealt round-robin (aligned subcubes at power-of-two sizes).
     pub workers: usize,
     /// Real-time length of one protocol tick (converts the protocol's
     /// `SimDuration` timer delays into wall-clock time). Choose it so
@@ -360,7 +374,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// the command carried is abandoned.
     fn send_direct(&self, to: NodeId, cmd: NodeCmd<P::Msg>) {
         self.shared.inflight.fetch_add(1, Ordering::SeqCst);
-        let w = (to.zero_based() as usize) % self.config.workers;
+        let w = self.shared.placement.worker(to);
         if let Err(SendError(Mail::One(lost))) =
             self.worker_txs[w].send(Mail::One(Targeted { to, cmd }))
         {
@@ -375,7 +389,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// worker that is gone is dropped like a failed
     /// [`Runtime::send_direct`].
     fn send_later(&self, items: Vec<(u64, Targeted<P::Msg>)>) {
-        for (tx, burst) in self.worker_txs.iter().zip(bursts(items, self.config.workers)) {
+        for (tx, burst) in self.worker_txs.iter().zip(self.shared.placement.bursts(items)) {
             let claims = burst.len() as u64;
             if claims == 0 {
                 continue;
@@ -490,7 +504,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// Critical sections completed so far, summed over all namespaces.
     #[must_use]
     pub fn cs_entries(&self) -> u64 {
-        self.shared.cs_entries.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        (0..self.namespaces()).map(|ns| self.shared.cs_entries(ns)).sum()
     }
 
     /// Critical sections completed by namespace `ns` so far.
@@ -500,13 +514,13 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// Panics if `ns` is out of range.
     #[must_use]
     pub fn cs_entries_in(&self, ns: usize) -> u64 {
-        self.shared.cs_entries[ns].load(Ordering::Relaxed)
+        self.shared.cs_entries(ns)
     }
 
-    /// Clones the full latency histogram.
+    /// The full latency histogram: every worker's, merged.
     #[must_use]
     pub fn latency_histogram(&self) -> LatencyHistogram {
-        self.shared.sessions.histogram().clone()
+        self.shared.sessions.latency()
     }
 
     /// Blocks until at least `count` critical sections completed or the
@@ -667,9 +681,11 @@ fn judge<P: Protocol>(
     let mut slots: Vec<Slot<P>> = Vec::with_capacity(shared.len());
     let mut metrics = Metrics::default();
     let mut tokens_afloat = vec![0i64; shared.ns.len()];
+    let mut crossed = 0;
     for exit in exits {
         slots.extend(exit.slots);
         metrics.merge(&exit.metrics);
+        crossed += exit.crossed;
         for (sum, tally) in tokens_afloat.iter_mut().zip(exit.tokens_afloat) {
             *sum += tally;
         }
@@ -704,7 +720,7 @@ fn judge<P: Protocol>(
             .expect("a token message was received more often than it was sent");
         let census = holders + in_flight;
         census_total += census;
-        let served = shared.cs_entries[k].load(Ordering::Relaxed);
+        let served = shared.cs_entries(k);
         cs_total += served;
         let (ns_injected, ns_completed, ns_abandoned) = shared.sessions.counts(k);
         injected += ns_injected;
@@ -745,6 +761,7 @@ fn judge<P: Protocol>(
     RuntimeReport {
         cs_entries: cs_total,
         messages_sent: metrics.total_sent(),
+        messages_crossed: crossed,
         events_processed: events,
         requests_injected: injected,
         requests_completed: completed,
@@ -760,7 +777,7 @@ fn judge<P: Protocol>(
         drained,
         safety,
         liveness,
-        latency: shared.sessions.histogram().summary(),
+        latency: shared.sessions.latency().summary(),
         wall: Duration::from_nanos(horizon),
     }
 }
@@ -1071,6 +1088,34 @@ mod tests {
         assert_eq!(report.requests_completed, 16);
         assert_eq!(report.terminal_token_census, 4, "one token per namespace");
         assert!(report.is_clean(), "oracles: {report:?}");
+    }
+
+    #[test]
+    fn whole_namespaces_cross_no_mailbox() {
+        // Four 16-node namespaces over two workers: each lives whole on
+        // one, so however the threads interleave, no message crosses.
+        let multi = Runtime::start_multi(
+            config(2),
+            (0..4).map(|_| OpenCubeNode::build_all(protocol(16))).collect(),
+        );
+        for ns in 0..4 {
+            for node in [16, 9, 5, 2] {
+                let _ = multi.acquire_in(ns, NodeId::new(node));
+            }
+        }
+        assert!(multi.await_settled(Duration::from_secs(30)));
+        let report = multi.shutdown();
+        assert!(report.is_clean(), "oracles: {report:?}");
+        assert!(report.messages_sent > 0, "the token has to move: {report:?}");
+        assert_eq!(report.messages_crossed, 0, "{report:?}");
+        // One namespace over the same two workers: two half-cubes, and a
+        // request in one half for the token in the other crosses.
+        let single = rt(16, 2);
+        let _ = single.acquire(NodeId::new(16));
+        assert!(single.await_settled(Duration::from_secs(30)));
+        let report = single.shutdown();
+        assert!(report.messages_crossed > 0, "{report:?}");
+        assert!(report.messages_crossed < report.messages_sent, "{report:?}");
     }
 
     #[test]

@@ -28,6 +28,10 @@ pub struct RuntimeReport {
     /// Protocol messages sent (each delayed by its sender, then filed
     /// with the destination's worker).
     pub messages_sent: u64,
+    /// Of those, the ones sent from a node of one worker to a node of
+    /// another: each crossed a mailbox. Placement alone decides which
+    /// do — none when every namespace lives whole on one worker.
+    pub messages_crossed: u64,
     /// Commands processed across all workers (deliveries, acquisitions,
     /// leases, crashes) plus timers that fired — a cancelled or
     /// superseded timer is never an event. The runtime's events/s

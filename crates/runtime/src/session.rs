@@ -15,7 +15,14 @@
 //! both substrates identically.
 //!
 //! Nothing is kept per request once it has ended: what outlives a ticket
-//! is a handful of counters and the latency histogram.
+//! is a handful of counters and the latency histograms.
+//!
+//! What a worker writes as it grants is laid out so that no other thread
+//! writes the same cache line: each namespace's [`Books`] — its monitor,
+//! its served count and its ended counts, all written by the one worker
+//! that runs the namespace's nodes (or the few that run its blocks) — sit
+//! on lines of their own, as does each namespace's client-written
+//! `injected` count and each worker's latency histogram.
 //!
 //! Two extras ride on each ticket:
 //!
@@ -29,6 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use oc_sim::Oracle;
 use oc_topology::NodeId;
 
 use crate::histogram::LatencyHistogram;
@@ -88,14 +96,35 @@ pub(crate) struct Ticket {
     watcher: Option<Sender<Completion>>,
 }
 
-/// `(injected, completed, abandoned)` of one namespace — the liveness
-/// horizon's starvation equation. `Relaxed`: pure statistics, summed
-/// after the workers are joined.
+/// A value on cache lines of its own: aligned to 128 bytes (a pair of
+/// 64-byte lines, which some CPUs fetch together), so what one thread
+/// writes to it never shares a line with what another thread writes.
+#[repr(align(128))]
 #[derive(Default)]
-struct Account {
-    injected: AtomicU64,
+pub(crate) struct Padded<T>(pub(crate) T);
+
+/// Everything the workers write about one namespace as they serve it, in
+/// one record on lines of its own. `Relaxed` counts: pure statistics,
+/// summed after the workers are joined (or polled, for `cs_entries`).
+pub(crate) struct Books {
+    /// The namespace's linearization point: every CS entry/exit and crash
+    /// of the namespace takes this lock, and the lock's acquisition order
+    /// *is* the linear order in which the unmodified `oc_sim` safety
+    /// oracle observes the namespace's run. Each namespace has its own,
+    /// so tenants never contend on it.
+    monitor: Mutex<Oracle>,
+    /// Completed critical sections.
+    pub(crate) cs_entries: AtomicU64,
+    /// Requests ended `Completed` and `Abandoned` — with the client-written
+    /// `injected`, the liveness horizon's starvation equation.
     completed: AtomicU64,
     abandoned: AtomicU64,
+}
+
+impl Books {
+    pub(crate) fn lock_monitor(&self) -> MutexGuard<'_, Oracle> {
+        self.monitor.lock().expect("monitor poisoned")
+    }
 }
 
 /// What the runtime keeps about requests across threads.
@@ -104,20 +133,36 @@ pub(crate) struct Sessions {
     /// Requests issued and not yet ended. `SeqCst`: part of the
     /// `Runtime::settled` predicate.
     live: AtomicU64,
-    accounts: Vec<Account>,
-    /// Acquire-to-grant latencies, recorded by the granting worker and
-    /// read by clients while the service runs.
-    histogram: Mutex<LatencyHistogram>,
+    /// Per namespace, requests issued: written by the clients.
+    injected: Vec<Padded<AtomicU64>>,
+    /// Per namespace, what its workers write.
+    books: Vec<Padded<Books>>,
+    /// Per worker, the acquire-to-grant latencies of the grants it made:
+    /// locked by that worker as it grants and by readers, which merge
+    /// them.
+    histograms: Vec<Padded<Mutex<LatencyHistogram>>>,
 }
 
 impl Sessions {
-    pub(crate) fn new(namespaces: usize) -> Self {
+    pub(crate) fn new(namespaces: usize, workers: usize) -> Self {
+        let books = || Books {
+            monitor: Mutex::new(Oracle::new()),
+            cs_entries: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            abandoned: AtomicU64::new(0),
+        };
         Sessions {
             next_index: AtomicU64::new(0),
             live: AtomicU64::new(0),
-            accounts: (0..namespaces).map(|_| Account::default()).collect(),
-            histogram: Mutex::new(LatencyHistogram::new()),
+            injected: (0..namespaces).map(|_| Padded::default()).collect(),
+            books: (0..namespaces).map(|_| Padded(books())).collect(),
+            histograms: (0..workers).map(|_| Padded::default()).collect(),
         }
+    }
+
+    /// Namespace `ns`'s books.
+    pub(crate) fn books(&self, ns: usize) -> &Books {
+        &self.books[ns].0
     }
 
     /// Issues the ticket of a new request at (global) `node` of
@@ -132,7 +177,7 @@ impl Sessions {
     ) -> Ticket {
         let index = self.next_index.fetch_add(1, Ordering::Relaxed);
         self.live.fetch_add(1, Ordering::SeqCst);
-        self.accounts[ns].injected.fetch_add(1, Ordering::Relaxed);
+        self.injected[ns].0.fetch_add(1, Ordering::Relaxed);
         Ticket { id: RequestId { index, node }, t0, auto_release, watcher }
     }
 
@@ -141,10 +186,10 @@ impl Sessions {
     /// [`Sessions::notify`] sends it. A worker collects the notices of a
     /// batch and sends them when it settles the batch.
     pub(crate) fn close(&self, ns: usize, ticket: Ticket, status: RequestStatus) -> Notice {
-        let account = &self.accounts[ns];
+        let books = self.books(ns);
         match status {
-            RequestStatus::Completed => account.completed.fetch_add(1, Ordering::Relaxed),
-            RequestStatus::Abandoned => account.abandoned.fetch_add(1, Ordering::Relaxed),
+            RequestStatus::Completed => books.completed.fetch_add(1, Ordering::Relaxed),
+            RequestStatus::Abandoned => books.abandoned.fetch_add(1, Ordering::Relaxed),
         };
         Notice { watcher: ticket.watcher, completion: (ticket.id, status) }
     }
@@ -179,20 +224,29 @@ impl Sessions {
 
     /// `(injected, completed, abandoned)` of namespace `ns`.
     pub(crate) fn counts(&self, ns: usize) -> (u64, u64, u64) {
-        let account = &self.accounts[ns];
+        let books = self.books(ns);
         (
-            account.injected.load(Ordering::Relaxed),
-            account.completed.load(Ordering::Relaxed),
-            account.abandoned.load(Ordering::Relaxed),
+            self.injected[ns].0.load(Ordering::Relaxed),
+            books.completed.load(Ordering::Relaxed),
+            books.abandoned.load(Ordering::Relaxed),
         )
     }
 
-    /// Locks the histogram, recovering from poison: it is a bag of
-    /// counters, so whatever a panicking writer left is as good as what a
-    /// concurrent reader could have seen, and one dead worker must not
-    /// cascade into panics in every client thread.
-    pub(crate) fn histogram(&self) -> MutexGuard<'_, LatencyHistogram> {
-        self.histogram.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Locks worker `worker`'s histogram, recovering from poison: it is a
+    /// bag of counters, so whatever a panicking writer left is as good as
+    /// what a concurrent reader could have seen, and one dead worker must
+    /// not cascade into panics in every client thread.
+    pub(crate) fn histogram(&self, worker: usize) -> MutexGuard<'_, LatencyHistogram> {
+        self.histograms[worker].0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Every worker's histogram merged into one.
+    pub(crate) fn latency(&self) -> LatencyHistogram {
+        let mut merged = LatencyHistogram::new();
+        for worker in 0..self.histograms.len() {
+            merged.merge(&self.histogram(worker));
+        }
+        merged
     }
 }
 
@@ -339,7 +393,7 @@ mod tests {
 
     #[test]
     fn watcher_sees_every_terminal_transition_once() {
-        let sessions = Sessions::new(1);
+        let sessions = Sessions::new(1, 1);
         let (tx, rx) = std::sync::mpsc::channel();
         let node = NodeId::new(1);
         let completed = sessions.open(0, node, 0, false, Some(tx.clone()));
@@ -367,7 +421,7 @@ mod tests {
 
     #[test]
     fn counts_by_bucket_partitions_the_node_space() {
-        let sessions = Sessions::new(2);
+        let sessions = Sessions::new(2, 1);
         let a = sessions.open(0, NodeId::new(1), 0, false, None);
         let b = sessions.open(1, NodeId::new(3), 0, false, None);
         let c = sessions.open(1, NodeId::new(4), 0, false, None);

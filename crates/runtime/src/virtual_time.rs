@@ -25,7 +25,7 @@ use std::sync::atomic::Ordering;
 use oc_sim::{ArrivalSchedule, FailurePlan, FaultScript, Protocol};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
-use crate::worker::{assemble, bursts, Core, Mail, Next, Shared, Targeted};
+use crate::worker::{assemble, Core, Mail, Next, Shared, Targeted};
 use crate::{judge, RuntimeConfig, RuntimeReport};
 
 /// Plays a scripted run of the threaded runtime's workers in virtual
@@ -105,7 +105,7 @@ impl<P: Protocol + Send + 'static> VirtualRun<'_, P> {
     /// Files commands that are due later with their workers, claims
     /// first — what [`crate::Runtime`]'s `send_later` does over channels.
     fn file(&mut self, items: Vec<(u64, Targeted<P::Msg>)>) {
-        for (inbox, burst) in self.inboxes.iter_mut().zip(bursts(items, self.cores.len())) {
+        for (inbox, burst) in self.inboxes.iter_mut().zip(self.shared.placement.bursts(items)) {
             if !burst.is_empty() {
                 self.shared.inflight.fetch_add(burst.len() as u64, Ordering::SeqCst);
                 inbox.push_back(Mail::Many(burst));

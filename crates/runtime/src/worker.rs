@@ -15,7 +15,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::MutexGuard;
 
 use oc_sim::{
     drive, drive_recovery, ActionSink, ArrivalSchedule, CompiledScript, DeadlineSet, FailurePlan,
@@ -25,7 +25,7 @@ use oc_sim::{
 use oc_topology::NodeId;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
-use crate::session::{Notice, Sessions, Ticket};
+use crate::session::{Notice, Padded, Sessions, Ticket};
 use crate::{RequestId, RequestStatus, RuntimeConfig};
 
 /// Largest burst of commands a worker drains from its mailbox before
@@ -72,14 +72,6 @@ pub(crate) enum Mail<M> {
     Many(Vec<(u64, Targeted<M>)>),
 }
 
-/// Monitor: the linearization point of one namespace. Every CS
-/// entry/exit and crash of the namespace takes this lock; the lock's
-/// acquisition order *is* the linear order in which the unmodified
-/// `oc_sim` safety oracle observes the namespace's run. Namespaces are
-/// independent lock instances, so each gets its own monitor — and its own
-/// lock, keeping tenants from contending on the linearization point.
-type Monitor = Mutex<Oracle>;
-
 /// One namespace's slice of the global node space: nodes
 /// `offset + 1 ..= offset + len` (global) are the namespace's
 /// `1 ..= len` (local).
@@ -89,15 +81,81 @@ pub(crate) struct NsMeta {
     pub(crate) len: u32,
 }
 
+/// Where a node runs: its worker, and its position in that worker's
+/// shard — also its owner id in the worker's [`DeadlineSet`] and the
+/// index of its idle flag.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Place {
+    pub(crate) worker: u32,
+    pub(crate) pos: u32,
+}
+
+/// Which worker runs each node, and at which position of its shard.
+///
+/// Open-cube p-groups are aligned, contiguous id ranges, and a request
+/// climbs inside nested ones, so a worker that owns whole ranges keeps
+/// a claim's hops on its own thread. With at least as many namespaces
+/// as workers, namespace `k` lives whole on worker `k mod W`. With fewer,
+/// each namespace is cut into contiguous blocks of `⌈len / W⌉` ids and
+/// the blocks are dealt round-robin — at power-of-two sizes those are
+/// aligned subcubes (at n = 256 over two workers, the two half-cubes:
+/// only the traffic between the halves crosses a mailbox). A worker's
+/// positions are dense, in global order.
+pub(crate) struct Placement {
+    /// Indexed by zero-based global id.
+    places: Vec<Place>,
+    workers: usize,
+}
+
+impl Placement {
+    pub(crate) fn new(ns: &[NsMeta], workers: usize) -> Self {
+        let whole = ns.len() >= workers;
+        let mut sizes = vec![0u32; workers];
+        let mut places = Vec::with_capacity(ns.iter().map(|meta| meta.len as usize).sum());
+        let mut blocks = 0;
+        for meta in ns {
+            let block = if whole { meta.len } else { meta.len.div_ceil(workers as u32) };
+            for j in 0..meta.len {
+                let worker = (blocks + (j / block) as usize) % workers;
+                places.push(Place { worker: worker as u32, pos: sizes[worker] });
+                sizes[worker] += 1;
+            }
+            blocks += meta.len.div_ceil(block) as usize;
+        }
+        Placement { places, workers }
+    }
+
+    /// Where (global) `node` runs.
+    pub(crate) fn of(&self, node: NodeId) -> Place {
+        self.places[node.zero_based() as usize]
+    }
+
+    /// The worker that runs (global) `node`.
+    pub(crate) fn worker(&self, node: NodeId) -> usize {
+        self.of(node).worker as usize
+    }
+
+    /// Splits commands that are due later into one burst per destination
+    /// worker, each in the order given.
+    pub(crate) fn bursts<M>(&self, items: Vec<(u64, Targeted<M>)>) -> Vec<Vec<(u64, Targeted<M>)>> {
+        let mut bursts: Vec<Vec<_>> = (0..self.workers).map(|_| Vec::new()).collect();
+        for item in items {
+            bursts[self.worker(item.1.to)].push(item);
+        }
+        bursts
+    }
+}
+
+/// Idle flags per cache-line pair.
+const IDLE_LINE: usize = 128;
+
 /// What the workers and the runtime's handle share.
 pub(crate) struct Shared {
-    /// One linearization monitor per namespace.
-    monitors: Vec<Monitor>,
-    /// The request accounts and the latency histogram.
+    /// The request accounts, each namespace's books (monitor, counts) and
+    /// the workers' latency histograms.
     pub(crate) sessions: Sessions,
-    /// Completed critical sections per namespace. `Relaxed`: monotone
-    /// statistics, polled by `await_cs_entries` and summed after join.
-    pub(crate) cs_entries: Vec<AtomicU64>,
+    /// Which worker runs each node, and where in its shard.
+    pub(crate) placement: Placement,
     /// Claims on the system's attention: one per command sitting in a
     /// mailbox, a worker's batch queue or its delay queue, and one per
     /// live timer arming (from arm to fire, cancel or crash — a
@@ -110,10 +168,12 @@ pub(crate) struct Shared {
     /// [`Shared::settled`] sound. Zero means nothing is queued, nothing
     /// is armed and nothing is mid-processing.
     pub(crate) inflight: AtomicU64,
-    /// Per-node "has nothing pending" flags, refreshed by the owning
-    /// worker after every batch (crashed nodes read as idle — the
-    /// liveness oracle only judges live nodes).
-    idle: Vec<AtomicBool>,
+    /// Per worker, per shard position, "has nothing pending" flags,
+    /// refreshed by the worker after every batch (crashed nodes read as
+    /// idle — the liveness oracle only judges live nodes). Each worker's
+    /// flags sit on lines of their own; positions past the shard's end
+    /// stay idle.
+    idle: Vec<Vec<Padded<[AtomicBool; IDLE_LINE]>>>,
     /// Namespace geometry, ordered by offset.
     pub(crate) ns: Vec<NsMeta>,
     /// The time-scripted fault program, compiled against the system size.
@@ -164,7 +224,12 @@ impl Shared {
     }
 
     pub(crate) fn lock_monitor(&self, ns: usize) -> MutexGuard<'_, Oracle> {
-        self.monitors[ns].lock().expect("monitor poisoned")
+        self.sessions.books(ns).lock_monitor()
+    }
+
+    /// Critical sections completed by namespace `ns` so far.
+    pub(crate) fn cs_entries(&self, ns: usize) -> u64 {
+        self.sessions.books(ns).cs_entries.load(Ordering::Relaxed)
     }
 
     /// The namespace a (global) node belongs to.
@@ -174,7 +239,7 @@ impl Shared {
 
     /// Total number of nodes across all namespaces.
     pub(crate) fn len(&self) -> usize {
-        self.idle.len()
+        self.placement.places.len()
     }
 
     /// Panics unless `node` is a global id of this runtime.
@@ -201,7 +266,7 @@ impl Shared {
     pub(crate) fn settled(&self) -> bool {
         self.inflight.load(Ordering::SeqCst) == 0
             && self.sessions.all_ended()
-            && self.idle.iter().all(|flag| flag.load(Ordering::SeqCst))
+            && self.idle.iter().flatten().all(|line| line.0.iter().all(|f| f.load(Ordering::SeqCst)))
             // Re-check: a command processed between the first check and
             // the idle scan would have been visible as in-flight (workers
             // publish idle flags before releasing in-flight claims).
@@ -245,23 +310,11 @@ impl Shared {
     }
 }
 
-/// Splits commands that are due later into one burst per destination
-/// worker, each in the order given.
-pub(crate) fn bursts<M>(
-    items: Vec<(u64, Targeted<M>)>,
-    workers: usize,
-) -> Vec<Vec<(u64, Targeted<M>)>> {
-    let mut bursts: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
-    for item in items {
-        bursts[(item.1.to.zero_based() as usize) % workers].push(item);
-    }
-    bursts
-}
-
 /// Builds what both ends start from: the shared state, the config with
-/// its worker count resolved, and the nodes sharded over the workers
-/// (worker w owns global indices w, w+W, w+2W, …, ascending, so a node's
-/// position in its shard is `idx / W`).
+/// its worker count resolved, and the nodes sharded over the workers as
+/// the [`Placement`] table built here says — whole namespaces per worker,
+/// or aligned blocks of one when there are fewer namespaces than workers
+/// — each shard in global order.
 ///
 /// # Panics
 ///
@@ -303,29 +356,21 @@ pub(crate) fn assemble<P: Protocol>(
     };
     config.workers = workers;
 
-    let namespaces = populations.len();
-    let shared = Shared {
-        monitors: (0..namespaces).map(|_| Mutex::new(Oracle::new())).collect(),
-        sessions: Sessions::new(namespaces),
-        cs_entries: (0..namespaces).map(|_| AtomicU64::new(0)).collect(),
-        inflight: AtomicU64::new(0),
-        idle: (0..n).map(|_| AtomicBool::new(true)).collect(),
-        ns,
-        scripted: script.enabled(),
-        script: script.compile(n),
-        tick_nanos: u64::try_from(config.tick.as_nanos()).unwrap_or(u64::MAX).max(1),
-    };
-
+    let placement = Placement::new(&ns, workers);
     let mut shards: Vec<Vec<Slot<P>>> = (0..workers).map(|_| Vec::new()).collect();
+    let namespaces = populations.len();
     for (k, nodes) in populations.into_iter().enumerate() {
-        let meta = shared.ns[k];
+        let meta = ns[k];
         for (j, node) in nodes.into_iter().enumerate() {
             let idx = meta.offset as usize + j;
-            shards[idx % workers].push(Slot {
+            let Place { worker, pos } = placement.places[idx];
+            let shard = &mut shards[worker as usize];
+            debug_assert_eq!(shard.len(), pos as usize, "positions are dense, in global order");
+            shard.push(Slot {
                 node,
                 seat: Seat {
                     idx,
-                    pos: (idx / workers) as u32,
+                    pos,
                     ns: k,
                     ns_offset: meta.offset,
                     crashed: false,
@@ -337,6 +382,20 @@ pub(crate) fn assemble<P: Protocol>(
             });
         }
     }
+    let idle_line = || Padded(std::array::from_fn(|_| AtomicBool::new(true)));
+    let shared = Shared {
+        sessions: Sessions::new(namespaces, workers),
+        placement,
+        inflight: AtomicU64::new(0),
+        idle: shards
+            .iter()
+            .map(|shard| (0..shard.len().div_ceil(IDLE_LINE)).map(|_| idle_line()).collect())
+            .collect(),
+        ns,
+        scripted: script.enabled(),
+        script: script.compile(n),
+        tick_nanos: u64::try_from(config.tick.as_nanos()).unwrap_or(u64::MAX).max(1),
+    };
     (shared, config, shards)
 }
 
@@ -352,8 +411,9 @@ pub(crate) struct Slot<P> {
 pub(crate) struct Seat {
     /// Global zero-based index (namespace offset + local index).
     pub(crate) idx: usize,
-    /// Position in the owning worker's shard (`idx / workers`) — also the
-    /// node's owner id in that worker's [`DeadlineSet`].
+    /// Position in the owning worker's shard, as the [`Placement`] table
+    /// says — also the node's owner id in that worker's [`DeadlineSet`]
+    /// and the index of its idle flag.
     pos: u32,
     /// Namespace this node belongs to.
     ns: usize,
@@ -407,6 +467,7 @@ pub(crate) struct WorkerExit<P> {
     pub(crate) slots: Vec<Slot<P>>,
     pub(crate) metrics: Metrics,
     pub(crate) tokens_afloat: Vec<i64>,
+    pub(crate) crossed: u64,
 }
 
 /// A command in a worker's delay queue. The sequence number keeps
@@ -448,9 +509,9 @@ pub(crate) enum Next {
 /// service and lease clock of exactly those nodes, and the books it
 /// settles once per batch.
 struct Worker<'a, M> {
-    /// This worker's index: it owns the nodes with `idx % workers == me`.
+    /// This worker's index: it runs the nodes the [`Placement`] table puts
+    /// on worker `me`.
     me: usize,
-    workers: usize,
     shared: &'a Shared,
     /// `RuntimeConfig::max_network_delay` in nanoseconds.
     max_delay: u64,
@@ -465,6 +526,9 @@ struct Worker<'a, M> {
     /// tokens in flight — the runtime's share of each namespace's
     /// live-token census.
     tokens_afloat: Vec<i64>,
+    /// Messages this worker's nodes sent to another worker's nodes: each
+    /// crossed a mailbox.
+    crossed: u64,
     /// The batch: commands that are due, in processing order.
     queue: VecDeque<Targeted<M>>,
     /// The delay queue: commands for this worker's nodes that are not
@@ -525,11 +589,12 @@ impl<M: MessageKind> Worker<'_, M> {
     /// destination worker's outgoing burst.
     fn post(&mut self, deliver_at: u64, to: NodeId, cmd: NodeCmd<M>) {
         self.claims_taken += 1;
-        let w = (to.zero_based() as usize) % self.workers;
+        let w = self.shared.placement.worker(to);
         let item = Targeted { to, cmd };
         if w == self.me {
             self.delay(deliver_at, item);
         } else {
+            self.crossed += 1;
             self.outgoing[w].push((deliver_at, item));
         }
     }
@@ -564,7 +629,8 @@ impl<M: MessageKind> Worker<'_, M> {
     /// Settles a batch. In order: the claims of everything the batch
     /// created are taken, *then* the other workers' bursts are handed to
     /// `post` (which gives back the mail of a worker that is gone); the
-    /// idle flags of the nodes the batch touched are published; *then*
+    /// idle flags of the nodes the batch touched (by shard position) are
+    /// published; *then*
     /// [`Worker::release`] — so [`Shared::settled`] never observes a zero
     /// in-flight count while a command, a live timer, an unpublished flag
     /// or an unsent notice exists.
@@ -588,8 +654,9 @@ impl<M: MessageKind> Worker<'_, M> {
                 lost.into_iter().for_each(|(_, item)| self.discard(item));
             }
         }
-        for (idx, flag) in idle {
-            shared.idle[idx].store(flag, Ordering::SeqCst);
+        let flags = &shared.idle[self.me];
+        for (pos, flag) in idle {
+            flags[pos / IDLE_LINE].0[pos % IDLE_LINE].store(flag, Ordering::SeqCst);
         }
         self.release();
     }
@@ -633,13 +700,13 @@ impl<'a, P: Protocol + Send + 'static> Core<'a, P> {
             slots,
             worker: Worker {
                 me,
-                workers: config.workers,
                 shared,
                 max_delay: nanos(config.max_network_delay),
                 lease_length: nanos(config.cs_duration),
                 rng: StdRng::seed_from_u64(seed),
                 metrics: Metrics::default(),
                 tokens_afloat: vec![0; shared.ns.len()],
+                crossed: 0,
                 queue: VecDeque::new(),
                 delayed: BinaryHeap::new(),
                 next_seq: 0,
@@ -704,7 +771,7 @@ impl<'a, P: Protocol + Send + 'static> Core<'a, P> {
         post: impl FnMut(usize, Mail<P::Msg>) -> Result<(), Mail<P::Msg>>,
     ) -> Next {
         let Core { slots, worker, out, touched } = self;
-        let workers = worker.workers;
+        let placement = &worker.shared.placement;
         // A worker with nothing delayed and nothing armed reads the clock
         // only for the commands it runs, once each.
         let now = (!worker.delayed.is_empty() || !worker.timers.is_empty()).then(&mut clock);
@@ -724,7 +791,7 @@ impl<'a, P: Protocol + Send + 'static> Core<'a, P> {
             }
             worker.metrics.events_processed += 1;
             worker.now = clock();
-            let pos = (to.zero_based() as usize) / workers;
+            let pos = placement.of(to).pos as usize;
             let slot = &mut slots[pos];
             debug_assert_eq!(slot.seat.global(), to, "misrouted command");
             process(slot, cmd, out, worker);
@@ -751,7 +818,7 @@ impl<'a, P: Protocol + Send + 'static> Core<'a, P> {
         touched.dedup();
         let idle = touched.iter().map(|&pos| {
             let Slot { node, seat } = &slots[pos];
-            (seat.idx, seat.crashed || node.is_idle())
+            (pos, seat.crashed || node.is_idle())
         });
         worker.settle(idle, post);
         if stop {
@@ -781,8 +848,8 @@ impl<'a, P: Protocol + Send + 'static> Core<'a, P> {
 
     /// The shard and the worker's own books, for the shutdown judge.
     pub(crate) fn into_exit(self) -> WorkerExit<P> {
-        let Core { slots, worker: Worker { metrics, tokens_afloat, .. }, .. } = self;
-        WorkerExit { slots, metrics, tokens_afloat }
+        let Core { slots, worker: Worker { metrics, tokens_afloat, crossed, .. }, .. } = self;
+        WorkerExit { slots, metrics, tokens_afloat, crossed }
     }
 }
 
@@ -820,13 +887,14 @@ impl<M: MessageKind + Clone + Send + 'static> ActionSink<M> for SeatSink<'_, '_,
         let (worker, seat) = (&mut *self.worker, &mut *self.seat);
         let (shared, now) = (worker.shared, worker.now);
         seat.lease += 1;
-        shared.lock_monitor(seat.ns).enter_cs(shared.ticks_at(now), node, token_epoch);
-        shared.cs_entries[seat.ns].fetch_add(1, Ordering::Relaxed);
+        let books = shared.sessions.books(seat.ns);
+        books.lock_monitor().enter_cs(shared.ticks_at(now), node, token_epoch);
+        books.cs_entries.fetch_add(1, Ordering::Relaxed);
         // The node's oldest waiting request is the one being served (a
         // node may also enter with no request of ours waiting).
         seat.current = seat.pending.pop_front();
         if let Some(ticket) = &seat.current {
-            shared.sessions.histogram().record(now.saturating_sub(ticket.t0));
+            shared.sessions.histogram(worker.me).record(now.saturating_sub(ticket.t0));
         }
         // Auto-release requests skip the lease: the worker exits the CS
         // immediately after this command (`drain_auto`), so no ExitLease
@@ -971,4 +1039,83 @@ fn exit_cs<P: Protocol + Send + 'static>(
         worker.end(seat.ns, ticket, RequestStatus::Completed);
     }
     drive_slot(slot, Some(NodeEvent::ExitCs), out, worker);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use oc_algo::{Config, OpenCubeNode};
+    use oc_sim::SimDuration;
+
+    /// `count` namespaces of `len` nodes each, stacked as `assemble`
+    /// stacks them.
+    fn namespaces(count: u32, len: u32) -> Vec<NsMeta> {
+        (0..count).map(|k| NsMeta { offset: k * len, len }).collect()
+    }
+
+    #[test]
+    fn placement_keeps_namespaces_whole_or_cuts_them_into_blocks() {
+        // Power-of-two cubes, and populations of other sizes (the
+        // baselines' systems need not be cubes).
+        for (count, len) in [(1, 1), (1, 6), (1, 16), (1, 256), (2, 5), (3, 8), (4, 4), (32, 4)] {
+            for workers in [1, 2, 3, 4, 8] {
+                let ns = namespaces(count, len);
+                let placement = Placement::new(&ns, workers);
+                let places = &placement.places;
+                assert_eq!(places.len(), (count * len) as usize);
+                // Every index placed once; each worker's positions dense
+                // and in global order.
+                let mut sizes = vec![0u32; workers];
+                for place in places {
+                    let worker = place.worker as usize;
+                    assert!(worker < workers);
+                    assert_eq!(place.pos, sizes[worker], "{count}x{len} over {workers}");
+                    sizes[worker] += 1;
+                }
+                let block = len.div_ceil(workers as u32);
+                for (k, meta) in ns.iter().enumerate() {
+                    for j in 0..meta.len {
+                        let node = NodeId::new(meta.offset + j + 1);
+                        let worker = placement.worker(node);
+                        if ns.len() >= workers {
+                            assert_eq!(worker, k % workers, "namespace {k} is whole on one worker");
+                        } else if ns.len() == 1 {
+                            assert_eq!(worker, (j / block) as usize, "blocks of {block}");
+                        }
+                    }
+                }
+            }
+        }
+        // Fewer namespaces than workers: the blocks go round-robin on
+        // from one namespace to the next.
+        let placement = Placement::new(&namespaces(2, 8), 4);
+        let workers: Vec<usize> = (1..=16).map(|id| placement.worker(NodeId::new(id))).collect();
+        assert_eq!(workers, [0, 0, 1, 1, 2, 2, 3, 3, 0, 0, 1, 1, 2, 2, 3, 3]);
+        // n = 256 over two workers: the two half-cubes.
+        let halves = Placement::new(&namespaces(1, 256), 2);
+        assert!((1..=128).all(|id| halves.worker(NodeId::new(id)) == 0));
+        assert!((129..=256).all(|id| halves.worker(NodeId::new(id)) == 1));
+    }
+
+    #[test]
+    fn workers_clamp_to_the_node_count() {
+        let protocol = Config::new(4, SimDuration::from_ticks(40), SimDuration::from_ticks(20));
+        let cube = || OpenCubeNode::build_all(protocol);
+        for (asked, namespaces, resolved) in
+            [(8, 1, 4), (3, 1, 3), (0, 1, 4), (0, 4, 8), (64, 4, 16)]
+        {
+            let config = RuntimeConfig { workers: asked, ..RuntimeConfig::default() };
+            let populations = (0..namespaces).map(|_| cube()).collect();
+            let (shared, config, shards) = assemble(config, FaultScript::none(), populations);
+            assert_eq!(config.workers, resolved, "{asked} asked, {namespaces} namespaces");
+            assert_eq!(shards.len(), resolved);
+            assert_eq!(shards.iter().map(Vec::len).sum::<usize>(), shared.len());
+            for (w, shard) in shards.iter().enumerate() {
+                for (pos, slot) in shard.iter().enumerate() {
+                    let place = shared.placement.of(slot.seat.global());
+                    assert_eq!((place.worker as usize, place.pos as usize), (w, pos));
+                }
+            }
+        }
+    }
 }
