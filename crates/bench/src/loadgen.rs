@@ -12,7 +12,7 @@
 //!   scheduled arrival instant, so it includes queueing behind the lock.
 //! * **Closed loop** — `clients` threads each looping acquire → wait for
 //!   a terminal state → next request; classic saturation load. Clients
-//!   block on watcher completion channels — no sleep-polling quantum
+//!   block on their watchers' inboxes — no sleep-polling quantum
 //!   between a grant and the next request.
 //! * **Tenants** — the batched multi-tenant hot path: `namespaces`
 //!   independent lock instances share one worker pool

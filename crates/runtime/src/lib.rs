@@ -42,7 +42,7 @@
 //!   with [`RequestId`]s and an acquire-to-grant [`LatencyHistogram`];
 //!   a client that wants to know how its requests end registers a
 //!   [`Runtime::watcher`] and issues them with
-//!   [`Runtime::acquire_watched`]: each one sends exactly one
+//!   [`Runtime::acquire_watched`]: each one delivers exactly one
 //!   `(id, Completed | Abandoned)` notice. A request is a ticket that
 //!   travels with its command and waits at its node; nothing is kept
 //!   about it once it has ended;
@@ -76,16 +76,17 @@
 //!   blocking receive — a message crosses at most one channel, and a
 //!   batch sends at most one channel message per other worker, however
 //!   many messages it carries.
-//! * **Notices at settle time** — a request a worker ends (CS exit, a
-//!   crash, an arrival at a dead node, a `Stop`) leaves its completion
-//!   notice in a worker-owned buffer that keeps its capacity; the worker
-//!   sends the batch's notices in the order they ended when it settles
-//!   the batch, after the idle flags and before it releases its claims,
-//!   and lets go of each request's live count only after its notice is
-//!   sent. A client's notices reach its [`Watcher`] in one burst per
-//!   batch rather than one at a time as requests end, and
-//!   [`Runtime::settled`] never holds while a notice is unsent. Each
-//!   notice is still one channel message.
+//! * **Notices at settle time, one lock per watcher** — a request a
+//!   worker ends (CS exit, a crash, an arrival at a dead node, a `Stop`)
+//!   leaves its completion notice in a worker-owned buffer that keeps its
+//!   capacity. When the worker settles the batch — after the idle flags,
+//!   before it releases its claims — it locks each watcher's inbox once,
+//!   appends all of the batch's notices for that watcher in the order
+//!   they ended, and wakes the client only if it sleeps on the inbox; it
+//!   lets go of each request's live count only after its notice is
+//!   delivered, so [`Runtime::settled`] never holds while one is not.
+//!   The client takes the inbox's whole list in one swap: no allocation
+//!   either side, and no syscall while the client is busy.
 //! * **One clock reading per command** — a worker's core reads its clock
 //!   once per command and once per timer firing; every message deadline,
 //!   timer deadline, lease expiry, monitor stamp and grant-latency sample
@@ -151,6 +152,7 @@ pub use report::RuntimeReport;
 pub use session::{RequestId, RequestStatus};
 pub use virtual_time::run_virtual;
 
+use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, SendError, Sender};
 use std::sync::Arc;
@@ -163,17 +165,20 @@ use oc_sim::{
 };
 use oc_topology::NodeId;
 
-use session::Completion;
+use session::{Completion, Inbox};
 use worker::{assemble, Core, Mail, Next, NodeCmd, Shared, Slot, Targeted, WorkerExit};
 
 /// Configuration of the threaded runtime.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
-    /// Worker threads the nodes are sharded over, clamped to the node
-    /// count; `0` means `min(n, 8)`. With at least this many namespaces,
-    /// namespace `k` lives whole on worker `k mod workers`; with fewer,
-    /// each namespace is cut into contiguous blocks of `⌈len / workers⌉`
-    /// nodes dealt round-robin (aligned subcubes at power-of-two sizes).
+    /// Worker threads the nodes are sharded over; `0` means `min(n, 8)`.
+    /// With at least this many namespaces, namespace `k` lives whole on
+    /// worker `k mod workers`; with fewer, each namespace is cut into
+    /// contiguous blocks of `⌈len / workers⌉` nodes dealt round-robin
+    /// (aligned subcubes at power-of-two sizes). The count is clamped to
+    /// the workers those blocks fill, so no worker runs without a node:
+    /// one 4-node namespace asked onto three workers runs on two (blocks
+    /// of two), and [`Runtime::workers`] reports what was started.
     pub workers: usize,
     /// Real-time length of one protocol tick (converts the protocol's
     /// `SimDuration` timer delays into wall-clock time). Choose it so
@@ -205,29 +210,49 @@ impl Default for RuntimeConfig {
 }
 
 /// A completion stream: every request issued through
-/// [`Runtime::acquire_watched`] with this watcher sends exactly one
+/// [`Runtime::acquire_watched`] with this watcher delivers exactly one
 /// `(id, how it ended)` pair here when it completes or is abandoned —
 /// the only way to learn how a request ended, and what closed-loop
-/// clients block on. Each ticket carries a clone of the sending half. A
-/// request that a worker ends is announced when that worker settles the
-/// batch that ended it, with the batch's other notices, in the order
-/// they ended.
+/// clients block on. Each ticket carries a handle on the watcher's inbox.
+/// A request that a worker ends is announced when that worker settles the
+/// batch that ended it, with the batch's other notices for this watcher,
+/// in the order they ended, under one lock of the inbox. The watcher
+/// takes the inbox's whole list at once and hands it out one completion
+/// at a time.
 pub struct Watcher {
-    tx: Sender<Completion>,
-    rx: Receiver<Completion>,
+    inbox: Arc<Inbox>,
+    /// Completions taken from the inbox, and how many of them have been
+    /// handed out.
+    local: RefCell<(Vec<Completion>, usize)>,
 }
 
 impl Watcher {
     /// Blocks up to `timeout` for the next completion.
     #[must_use]
     pub fn recv_timeout(&self, timeout: Duration) -> Option<(RequestId, RequestStatus)> {
-        self.rx.recv_timeout(timeout).ok()
+        self.next(Some(timeout))
     }
 
     /// Takes one completion if one is already queued.
     #[must_use]
     pub fn try_recv(&self) -> Option<(RequestId, RequestStatus)> {
-        self.rx.try_recv().ok()
+        self.next(None)
+    }
+
+    /// The next completion taken, or, once all are handed out, the first
+    /// of the inbox's list, swapped in whole ([`Inbox::take`]).
+    fn next(&self, timeout: Option<Duration>) -> Option<Completion> {
+        let mut local = self.local.borrow_mut();
+        let (taken, read) = &mut *local;
+        if *read == taken.len() {
+            taken.clear();
+            *read = 0;
+            if !self.inbox.take(taken, timeout) {
+                return None;
+            }
+        }
+        *read += 1;
+        Some(taken[*read - 1])
     }
 }
 
@@ -379,7 +404,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
             self.worker_txs[w].send(Mail::One(Targeted { to, cmd }))
         {
             self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
-            self.shared.sessions.notify(self.shared.abandon(lost));
+            self.shared.sessions.notify(self.shared.abandon(lost).as_mut_slice());
         }
     }
 
@@ -397,8 +422,9 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
             self.shared.inflight.fetch_add(claims, Ordering::SeqCst);
             if let Err(SendError(Mail::Many(lost))) = tx.send(Mail::Many(burst)) {
                 self.shared.inflight.fetch_sub(claims, Ordering::SeqCst);
-                let lost = lost.into_iter().filter_map(|(_, item)| self.shared.abandon(item));
-                self.shared.sessions.notify(lost);
+                let mut lost: Vec<_> =
+                    lost.into_iter().filter_map(|(_, item)| self.shared.abandon(item)).collect();
+                self.shared.sessions.notify(&mut lost);
             }
         }
     }
@@ -436,7 +462,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         watcher: &Watcher,
         auto_release: bool,
     ) -> RequestId {
-        self.submit(ns, node, auto_release, Some(watcher.tx.clone()))
+        self.submit(ns, node, auto_release, Some(Arc::clone(&watcher.inbox)))
     }
 
     /// The one body of every immediate acquire: issue the ticket, send it
@@ -446,11 +472,11 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         ns: usize,
         node: NodeId,
         auto_release: bool,
-        watcher: Option<Sender<Completion>>,
+        inbox: Option<Arc<Inbox>>,
     ) -> RequestId {
         let global = self.global_of(ns, node);
         let now = nanos_since(self.epoch);
-        let ticket = self.shared.sessions.open(ns, global, now, auto_release, watcher);
+        let ticket = self.shared.sessions.open(ns, global, now, auto_release, inbox);
         let id = ticket.id;
         self.send_direct(global, NodeCmd::Acquire(ticket));
         id
@@ -459,8 +485,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     /// Opens a completion stream for [`Runtime::acquire_watched`].
     #[must_use]
     pub fn watcher(&self) -> Watcher {
-        let (tx, rx) = channel();
-        Watcher { tx, rx }
+        Watcher { inbox: Arc::default(), local: RefCell::default() }
     }
 
     /// Releases a granted request early (before its lease expires).

@@ -5,7 +5,8 @@
 //! node's worker, waits in that node's own FIFO grant queue, becomes the
 //! node's current ticket when the node enters the critical section, and
 //! is consumed by [`Sessions::close`] — exactly once, by whoever ends the
-//! request — into the [`Notice`] its watcher is sent. A request ends
+//! request — into the [`Notice`] that [`Sessions::notify`] appends to its
+//! watcher's [`Inbox`]. A request ends
 //! `Completed` when its critical section is over (lease expiry, early
 //! release, auto-release, a crash of the node inside it, shutdown) and
 //! `Abandoned` when it can never be served (its node crashed while it
@@ -29,12 +30,17 @@
 //! * **auto-release** — the request exits the CS immediately after entry
 //!   instead of waiting out a wall-clock lease, so a closed-loop client
 //!   measures acquisition throughput rather than lease pacing;
-//! * **a watcher** — the sending half of a [`crate::Watcher`]'s channel,
-//!   which receives the request's one completion notice.
+//! * **a watcher** — a handle on a [`crate::Watcher`]'s [`Inbox`], which
+//!   receives the request's one completion notice.
+//!
+//! A worker hands a client the notices of one batch in one step: it locks
+//! each inbox the batch's notices go to once, appends all of them, and
+//! wakes the client only if it was asleep on the inbox — no allocation,
+//! and no syscall while the client is busy.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use oc_sim::Oracle;
 use oc_topology::NodeId;
@@ -75,10 +81,63 @@ pub enum RequestStatus {
 /// A completion notice: `(request, how it ended)`.
 pub(crate) type Completion = (RequestId, RequestStatus);
 
+/// Where a watcher's completions wait for it: appended by the workers,
+/// a batch at a time, and taken by the watcher's client, the whole list
+/// at once.
+#[derive(Debug, Default)]
+pub(crate) struct Inbox {
+    state: Mutex<InboxState>,
+    /// Signalled when completions arrive for a client that waits.
+    ready: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct InboxState {
+    /// Completions not yet taken, in the order they ended.
+    items: Vec<Completion>,
+    /// `true` while the client is blocked on [`Inbox::ready`].
+    waiting: bool,
+}
+
+impl Inbox {
+    /// Locks the inbox, recovering from poison: each update is one push
+    /// or one flag, so the state is valid whatever step a panicking
+    /// holder had reached.
+    fn lock(&self) -> MutexGuard<'_, InboxState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Swaps the completions waiting here into `taken`, which must be
+    /// empty — both lists keep their capacity. If none waits, sleeps up
+    /// to `timeout` for some (`None`: returns at once). `false` if none
+    /// came.
+    pub(crate) fn take(&self, taken: &mut Vec<Completion>, timeout: Option<Duration>) -> bool {
+        debug_assert!(taken.is_empty(), "a watcher takes only when it has handed out all");
+        let mut state = self.lock();
+        if state.items.is_empty() {
+            let Some(timeout) = timeout else { return false };
+            let deadline = Instant::now().checked_add(timeout);
+            while state.items.is_empty() {
+                let left =
+                    deadline.map_or(timeout, |d| d.saturating_duration_since(Instant::now()));
+                if left.is_zero() {
+                    return false;
+                }
+                state.waiting = true;
+                state =
+                    self.ready.wait_timeout(state, left).unwrap_or_else(PoisonError::into_inner).0;
+                state.waiting = false;
+            }
+        }
+        std::mem::swap(taken, &mut state.items);
+        true
+    }
+}
+
 /// A request that has ended and whose watcher has not been told yet. It
-/// holds its request's live count until [`Sessions::notify`] sends it.
+/// holds its request's live count until [`Sessions::notify`] delivers it.
 pub(crate) struct Notice {
-    watcher: Option<Sender<Completion>>,
+    inbox: Option<Arc<Inbox>>,
     completion: Completion,
 }
 
@@ -93,7 +152,7 @@ pub(crate) struct Ticket {
     pub(crate) t0: u64,
     /// Exit the CS immediately after entry, no wall-clock lease.
     pub(crate) auto_release: bool,
-    watcher: Option<Sender<Completion>>,
+    inbox: Option<Arc<Inbox>>,
 }
 
 /// A value on cache lines of its own: aligned to 128 bytes (a pair of
@@ -173,48 +232,63 @@ impl Sessions {
         node: NodeId,
         t0: u64,
         auto_release: bool,
-        watcher: Option<Sender<Completion>>,
+        inbox: Option<Arc<Inbox>>,
     ) -> Ticket {
         let index = self.next_index.fetch_add(1, Ordering::Relaxed);
         self.live.fetch_add(1, Ordering::SeqCst);
         self.injected[ns].0.fetch_add(1, Ordering::Relaxed);
-        Ticket { id: RequestId { index, node }, t0, auto_release, watcher }
+        Ticket { id: RequestId { index, node }, t0, auto_release, inbox }
     }
 
     /// Ends a request of namespace `ns`: books it and returns its notice,
     /// which still holds the request's live count until
-    /// [`Sessions::notify`] sends it. A worker collects the notices of a
-    /// batch and sends them when it settles the batch.
+    /// [`Sessions::notify`] delivers it. A worker collects the notices of
+    /// a batch and delivers them when it settles the batch.
     pub(crate) fn close(&self, ns: usize, ticket: Ticket, status: RequestStatus) -> Notice {
         let books = self.books(ns);
         match status {
             RequestStatus::Completed => books.completed.fetch_add(1, Ordering::Relaxed),
             RequestStatus::Abandoned => books.abandoned.fetch_add(1, Ordering::Relaxed),
         };
-        Notice { watcher: ticket.watcher, completion: (ticket.id, status) }
+        Notice { inbox: ticket.inbox, completion: (ticket.id, status) }
     }
 
-    /// Sends each notice to its watcher, in order (a client that hung up
-    /// is simply not told), and only then lets go of their live counts —
-    /// once [`Sessions::all_ended`] holds, every notice has been sent.
-    pub(crate) fn notify(&self, notices: impl IntoIterator<Item = Notice>) {
-        let mut sent = 0;
-        for Notice { watcher, completion } in notices {
-            if let Some(watcher) = watcher {
-                let _ = watcher.send(completion);
+    /// Delivers each notice to its watcher's inbox, and only then lets go
+    /// of their live counts — once [`Sessions::all_ended`] holds, every
+    /// notice has been delivered. Each inbox is locked once: at its first
+    /// notice, which is appended with every later one for the same inbox,
+    /// in the order they ended; its client is woken after the unlock, and
+    /// only if it was waiting. A client that hung up is not read; its
+    /// inbox goes with its last ticket. The notices are left spent, for
+    /// the caller to clear.
+    pub(crate) fn notify(&self, notices: &mut [Notice]) {
+        for first in 0..notices.len() {
+            let Some(inbox) = notices[first].inbox.take() else { continue };
+            let waiting = {
+                let mut state = inbox.lock();
+                state.items.push(notices[first].completion);
+                for later in &mut notices[first + 1..] {
+                    if later.inbox.as_ref().is_some_and(|other| Arc::ptr_eq(other, &inbox)) {
+                        later.inbox = None;
+                        state.items.push(later.completion);
+                    }
+                }
+                state.waiting
+            };
+            if waiting {
+                inbox.ready.notify_one();
             }
-            sent += 1;
         }
-        if sent != 0 {
-            self.live.fetch_sub(sent, Ordering::SeqCst);
+        if !notices.is_empty() {
+            self.live.fetch_sub(notices.len() as u64, Ordering::SeqCst);
         }
     }
 
-    /// Ends a request and sends its notice at once: [`Sessions::close`]
+    /// Ends a request and delivers its notice at once: [`Sessions::close`]
     /// then [`Sessions::notify`], for requests ended outside a worker's
     /// batch.
     pub(crate) fn end(&self, ns: usize, ticket: Ticket, status: RequestStatus) {
-        self.notify([self.close(ns, ticket, status)]);
+        self.notify(&mut [self.close(ns, ticket, status)]);
     }
 
     /// `true` if no request is waiting or inside its critical section.
@@ -252,8 +326,6 @@ impl Sessions {
 
 #[cfg(test)]
 mod tests {
-    use std::time::Duration;
-
     use oc_algo::{Config, OpenCubeNode};
     use oc_sim::SimDuration;
 
@@ -392,29 +464,82 @@ mod tests {
     }
 
     #[test]
+    fn one_batch_reaches_each_watcher_whole_and_in_end_order() {
+        // Node 1 holds the token: `a`'s first request is granted, and
+        // four more of two watchers queue behind it. The crash ends all
+        // five in one batch — the queued ones abandoned in FIFO order,
+        // then the granted one — and each watcher's inbox takes its
+        // own share under one lock.
+        let rt = leased();
+        let (a, b, node) = (rt.watcher(), rt.watcher(), NodeId::new(1));
+        let a1 = rt.acquire_watched(0, node, &a, false);
+        let b1 = rt.acquire_watched(0, node, &b, false);
+        let a2 = rt.acquire_watched(0, node, &a, false);
+        let b2 = rt.acquire_watched(0, node, &b, false);
+        let a3 = rt.acquire_watched(0, node, &a, false);
+        assert!(rt.await_cs_entries(1, SOON));
+        rt.crash(node);
+        // `b`'s inbox is filled first (its notice ended first), so once
+        // `a` has its first, both lists are whole; `try_recv` hands out
+        // the rest of each from what the first take swapped in.
+        assert_eq!(a.recv_timeout(SOON), Some((a2, RequestStatus::Abandoned)));
+        assert_eq!(b.try_recv(), Some((b1, RequestStatus::Abandoned)));
+        assert_eq!(a.try_recv(), Some((a3, RequestStatus::Abandoned)));
+        assert_eq!(b.try_recv(), Some((b2, RequestStatus::Abandoned)));
+        assert_eq!(b.try_recv(), None);
+        assert_eq!(a.try_recv(), Some((a1, RequestStatus::Completed)));
+        assert_eq!(a.try_recv(), None);
+        let report = rt.shutdown();
+        assert_eq!(
+            (report.requests_injected, report.requests_completed, report.requests_abandoned),
+            (5, 1, 4)
+        );
+        assert_eq!((a.try_recv(), b.try_recv()), (None, None), "each request ends once");
+    }
+
+    #[test]
+    fn an_empty_watcher_times_out() {
+        let rt = leased();
+        let w = rt.watcher();
+        let wait = Duration::from_millis(30);
+        let asked = Instant::now();
+        assert_eq!(w.recv_timeout(wait), None);
+        assert!(asked.elapsed() >= wait, "returned after {:?}", asked.elapsed());
+        assert_eq!(w.recv_timeout(Duration::ZERO), None);
+        assert_eq!(w.try_recv(), None);
+        assert!(rt.shutdown().is_clean());
+    }
+
+    #[test]
     fn watcher_sees_every_terminal_transition_once() {
         let sessions = Sessions::new(1, 1);
-        let (tx, rx) = std::sync::mpsc::channel();
+        let inbox = Arc::new(Inbox::default());
         let node = NodeId::new(1);
-        let completed = sessions.open(0, node, 0, false, Some(tx.clone()));
-        let abandoned = sessions.open(0, node, 0, true, Some(tx.clone()));
+        let completed = sessions.open(0, node, 0, false, Some(Arc::clone(&inbox)));
+        let abandoned = sessions.open(0, node, 0, true, Some(Arc::clone(&inbox)));
         let unwatched = sessions.open(0, node, 0, false, None);
         let (first, second) = (completed.id, abandoned.id);
         assert!(first < second, "ids are dense, in issue order");
         sessions.end(0, completed, RequestStatus::Completed);
         sessions.end(0, abandoned, RequestStatus::Abandoned);
         sessions.end(0, unwatched, RequestStatus::Completed);
-        assert_eq!(rx.try_recv().ok(), Some((first, RequestStatus::Completed)));
-        assert_eq!(rx.try_recv().ok(), Some((second, RequestStatus::Abandoned)));
-        // A ticket holds the only other sender: with the tickets gone
-        // and ours dropped, the channel is closed, not merely empty.
-        drop(tx);
-        assert_eq!(rx.try_recv(), Err(std::sync::mpsc::TryRecvError::Disconnected));
-        // A client that hung up is not told, and is still accounted.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let orphan = sessions.open(0, node, 0, false, Some(tx));
-        drop(rx);
+        let mut taken = Vec::new();
+        assert!(inbox.take(&mut taken, None));
+        assert_eq!(taken, [(first, RequestStatus::Completed), (second, RequestStatus::Abandoned)]);
+        taken.clear();
+        assert!(!inbox.take(&mut taken, None), "a request is announced once");
+        // A ticket holds the only other handle: with the tickets gone and
+        // ours dropped, the inbox is freed, not merely empty.
+        let freed = Arc::downgrade(&inbox);
+        drop(inbox);
+        assert!(freed.upgrade().is_none());
+        // A client that hung up is not read, and is still accounted; its
+        // inbox goes with its last ticket.
+        let inbox = Arc::new(Inbox::default());
+        let freed = Arc::downgrade(&inbox);
+        let orphan = sessions.open(0, node, 0, false, Some(inbox));
         sessions.end(0, orphan, RequestStatus::Abandoned);
+        assert!(freed.upgrade().is_none());
         assert_eq!(sessions.counts(0), (4, 2, 2));
         assert!(sessions.all_ended());
     }

@@ -101,13 +101,19 @@ pub(crate) struct Place {
 /// aligned subcubes (at n = 256 over two workers, the two half-cubes:
 /// only the traffic between the halves crosses a mailbox). A worker's
 /// positions are dense, in global order.
+///
+/// Fewer blocks than workers leave the last workers without a node (one
+/// 6-node namespace over four workers: blocks of two on workers 0–2):
+/// the table keeps only the workers it fills.
 pub(crate) struct Placement {
     /// Indexed by zero-based global id.
     places: Vec<Place>,
+    /// The workers that run at least one node: `0..workers`.
     workers: usize,
 }
 
 impl Placement {
+    /// Places the namespaces `ns` over at most `workers` workers.
     pub(crate) fn new(ns: &[NsMeta], workers: usize) -> Self {
         let whole = ns.len() >= workers;
         let mut sizes = vec![0u32; workers];
@@ -122,7 +128,13 @@ impl Placement {
             }
             blocks += meta.len.div_ceil(block) as usize;
         }
-        Placement { places, workers }
+        // Blocks fill workers 0, 1, … in turn: the empty shards are last.
+        Placement { places, workers: workers.min(blocks) }
+    }
+
+    /// Workers that run at least one node.
+    pub(crate) fn workers(&self) -> usize {
+        self.workers
     }
 
     /// Where (global) `node` runs.
@@ -249,7 +261,7 @@ impl Shared {
     }
 
     /// A command that will never be processed: if it carried a request,
-    /// the request is abandoned, and its notice returned to be sent. (Its
+    /// the request is abandoned, and its notice returned to be delivered. (Its
     /// in-flight claim, and the token tally of a message, are the
     /// caller's to settle.)
     pub(crate) fn abandon<M>(&self, item: Targeted<M>) -> Option<Notice> {
@@ -311,10 +323,11 @@ impl Shared {
 }
 
 /// Builds what both ends start from: the shared state, the config with
-/// its worker count resolved, and the nodes sharded over the workers as
-/// the [`Placement`] table built here says — whole namespaces per worker,
-/// or aligned blocks of one when there are fewer namespaces than workers
-/// — each shard in global order.
+/// its worker count resolved — clamped to the workers the placement
+/// fills — and the nodes sharded over the workers as the [`Placement`]
+/// table built here says — whole namespaces per worker, or aligned blocks
+/// of one when there are fewer namespaces than workers — each shard in
+/// global order.
 ///
 /// # Panics
 ///
@@ -350,13 +363,13 @@ pub(crate) fn assemble<P: Protocol>(
         offset = offset.checked_add(len).expect("total node count overflows u32");
     }
     let n = offset as usize;
-    let workers = match config.workers {
+    let asked = match config.workers {
         0 => n.clamp(1, 8),
         w => w.min(n.max(1)),
     };
+    let placement = Placement::new(&ns, asked);
+    let workers = placement.workers();
     config.workers = workers;
-
-    let placement = Placement::new(&ns, workers);
     let mut shards: Vec<Vec<Slot<P>>> = (0..workers).map(|_| Vec::new()).collect();
     let namespaces = populations.len();
     for (k, nodes) in populations.into_iter().enumerate() {
@@ -548,7 +561,7 @@ struct Worker<'a, M> {
     /// discarded, timers fired, cancelled or lost to a crash.
     claims_released: u64,
     /// Notices of the requests the batch ended, in the order they ended;
-    /// sent when the batch is settled. The buffer keeps its capacity.
+    /// delivered when the batch is settled. The buffer keeps its capacity.
     notices: Vec<Notice>,
     /// The one clock reading of the command or timer firing being run:
     /// every deadline and stamp it produces derives from it.
@@ -608,7 +621,7 @@ impl<M: MessageKind> Worker<'_, M> {
     }
 
     /// Ends a request of namespace `ns`. Its notice waits in the batch's
-    /// buffer until [`Worker::settle`] sends it.
+    /// buffer until [`Worker::settle`] delivers it.
     fn end(&mut self, ns: usize, ticket: Ticket, status: RequestStatus) {
         self.notices.push(self.shared.sessions.close(ns, ticket, status));
     }
@@ -633,7 +646,7 @@ impl<M: MessageKind> Worker<'_, M> {
     /// published; *then*
     /// [`Worker::release`] — so [`Shared::settled`] never observes a zero
     /// in-flight count while a command, a live timer, an unpublished flag
-    /// or an unsent notice exists.
+    /// or an undelivered notice exists.
     fn settle(
         &mut self,
         idle: impl Iterator<Item = (usize, bool)>,
@@ -661,12 +674,13 @@ impl<M: MessageKind> Worker<'_, M> {
         self.release();
     }
 
-    /// Sends the batch's completion notices, each request's live count
-    /// let go only after its notice, *then* releases the claims the batch
-    /// is done with.
+    /// Delivers the batch's completion notices, each watcher's under one
+    /// lock of its inbox and each request's live count let go only after
+    /// its notice, *then* releases the claims the batch is done with.
     fn release(&mut self) {
         let shared = self.shared;
-        shared.sessions.notify(self.notices.drain(..));
+        shared.sessions.notify(&mut self.notices);
+        self.notices.clear();
         if self.claims_released != 0 {
             shared.inflight.fetch_sub(self.claims_released, Ordering::SeqCst);
             self.claims_released = 0;
@@ -1064,14 +1078,19 @@ mod tests {
                 let places = &placement.places;
                 assert_eq!(places.len(), (count * len) as usize);
                 // Every index placed once; each worker's positions dense
-                // and in global order.
-                let mut sizes = vec![0u32; workers];
+                // and in global order; no worker kept without a node.
+                let mut sizes = vec![0u32; placement.workers()];
                 for place in places {
                     let worker = place.worker as usize;
-                    assert!(worker < workers);
+                    assert!(worker < placement.workers());
                     assert_eq!(place.pos, sizes[worker], "{count}x{len} over {workers}");
                     sizes[worker] += 1;
                 }
+                assert!(placement.workers() <= workers);
+                assert!(
+                    sizes.iter().all(|&size| size > 0),
+                    "{count}x{len} over {workers}: {sizes:?}"
+                );
                 let block = len.div_ceil(workers as u32);
                 for (k, meta) in ns.iter().enumerate() {
                     for j in 0..meta.len {
@@ -1101,8 +1120,10 @@ mod tests {
     fn workers_clamp_to_the_node_count() {
         let protocol = Config::new(4, SimDuration::from_ticks(40), SimDuration::from_ticks(20));
         let cube = || OpenCubeNode::build_all(protocol);
+        // Three workers asked for one 4-node cube: blocks of ⌈4/3⌉ = 2
+        // fill two of them, and the third is not started.
         for (asked, namespaces, resolved) in
-            [(8, 1, 4), (3, 1, 3), (0, 1, 4), (0, 4, 8), (64, 4, 16)]
+            [(8, 1, 4), (3, 1, 2), (0, 1, 4), (0, 4, 8), (64, 4, 16)]
         {
             let config = RuntimeConfig { workers: asked, ..RuntimeConfig::default() };
             let populations = (0..namespaces).map(|_| cube()).collect();
@@ -1115,7 +1136,15 @@ mod tests {
                     let place = shared.placement.of(slot.seat.global());
                     assert_eq!((place.worker as usize, place.pos as usize), (w, pos));
                 }
+                assert!(!shard.is_empty(), "worker {w} of {resolved} runs no node");
             }
         }
+        // A namespace that is not a cube: six nodes over four workers are
+        // three blocks of two, on three workers.
+        let six = Placement::new(&namespaces(1, 6), 4);
+        assert_eq!(six.workers(), 3);
+        let workers: Vec<usize> = (1..=6).map(|id| six.worker(NodeId::new(id))).collect();
+        assert_eq!(workers, [0, 0, 1, 1, 2, 2]);
+        assert_eq!(six.bursts::<()>(Vec::new()).len(), 3, "one burst per worker that runs");
     }
 }
