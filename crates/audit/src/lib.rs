@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// Cleared before capturing, so the capture's own allocations pass.
 static TRAP_ARMED: AtomicBool = AtomicBool::new(false);
 
-/// Arms [`TRAP_ARMED`]: the next allocation anywhere in the process
+/// Arms `TRAP_ARMED`: the next allocation anywhere in the process
 /// aborts with a backtrace pointing at the exact allocation site — far
 /// more useful than a count mismatch when the gate fails.
 pub fn trap_next_allocation() {

@@ -7,24 +7,25 @@
 //! cargo run --release -p oc-bench --bin explore -- --json            # BENCH_CHECK.json
 //! cargo run --release -p oc-bench --bin explore -- --loss            # model-violating loss
 //! cargo run --release -p oc-bench --bin explore -- --replay oc1-…    # one scenario, traced
+//! cargo run --release -p oc-bench --bin explore -- --substrate runtime:2  # another end
 //! ```
 //!
 //! Each scenario index is one `oc_bench::sweep` cell: a worker derives
-//! the scenario from `(space, master seed, index)`, runs it through the
-//! deterministic engine, and judges it with the full oracle suite
-//! (safety + liveness). Results return in cell order, so the `summary`
-//! line and the JSON aggregates are **byte-identical at any
-//! `--threads`** — CI pins that. On a violation the first failing
+//! the scenario from `(space, master seed, index)`, plays it through
+//! `oc_check::run` on the `--substrate` end (the simulator by default),
+//! and judges it with the full oracle suite (safety + liveness). Results
+//! return in cell order, so the `summary` line and the JSON aggregates
+//! are **byte-identical at any `--threads`** — CI pins that. On a violation the first failing
 //! scenario (lowest index) is shrunk to a minimal counterexample and
 //! printed as a replayable scenario ID with the `--replay` command that
 //! traces it; the process then exits 1.
 //!
-//! `--replay <oc1-id>` runs that one scenario through the world setup
-//! of the battery with the simulator's trace on, and prints the
-//! scenario, its outcome, the trace and a verdict line; it exits 1 when
-//! the run is not clean. `--hardened` replays it under
-//! `Hardening::Quorum`; a battery flag beside `--replay` is a usage
-//! error.
+//! `--replay <oc1-id>` runs that one scenario as the battery would, with
+//! the trace on, and prints the scenario, its outcome, the trace and a
+//! verdict line; it exits 1 when the run is not clean. `--hardened` and
+//! `--substrate` apply to it; a battery flag beside `--replay` is a usage
+//! error. `--guided` steers by coverage only the simulator fills, so it
+//! is a usage error on any other `--substrate`.
 //!
 //! `--loss` opts into lossy-window scenarios. Message loss between live
 //! nodes violates the reliable-channel assumption the algorithm's safety
@@ -42,9 +43,10 @@ use oc_bench::{
     sweep,
 };
 use oc_check::{
-    explore_guided_with, run_scenario, run_scenario_hardened, run_scenario_traced, shrink,
-    GuidedResult, Outcome, Scenario, Space,
+    explore_guided_with, run, run_scenario, shrink, GuidedResult, Outcome, Run, Scenario, Space,
+    Substrate,
 };
+use oc_sim::Trace;
 
 const USAGE: &str = "\
 Usage: explore [FLAGS]
@@ -68,10 +70,16 @@ safety and liveness oracle suite, sharded across worker threads.
   --hard        also sample overlapping crash waves (outside the paper's
                 repeated-single-failure model: violations become expected
                 findings and do not fail the exit code)
+  --substrate S what plays each scenario (default: sim): sim (the
+                simulator), nodeproc (the socket node's code, judged by
+                the world's oracles), nodeproc-logs (the same run, judged
+                from its event logs) or runtime:W (the threaded runtime's
+                worker cores, W >= 1 of them); all run in virtual time
   --replay ID   run the one scenario ID (oc1-…) with the trace on instead
                 of a battery: print the scenario, its outcome, the trace
                 and a verdict line, and exit 1 unless it is clean. With
-                --hardened the replay runs under Hardening::Quorum; no
+                --hardened the replay runs under Hardening::Quorum, with
+                --substrate on that end (runtime:W records no trace); no
                 other flag goes with --replay
   --hardened    re-run the same battery under Hardening::Quorum (fencing
                 epochs + quorum-gated regeneration) and report it as a
@@ -88,7 +96,8 @@ safety and liveness oracle suite, sharded across worker threads.
                 scenarios). Prints a thread-invariant \"guided summary\"
                 line, adds a \"guided\" section to the JSON artifact,
                 and exits 1 unless both planted mutations are detected
-                within budget
+                within budget. Runs on --substrate sim only: only a
+                simulator world fills the coverage signals it steers by
   --json        write BENCH_CHECK.json
   --out PATH    write the --json artifact to PATH instead (implies
                 --json; the partition battery commits BENCH_PART.json,
@@ -114,6 +123,8 @@ struct Options {
     partitions: bool,
     hardened: bool,
     guided: bool,
+    /// What plays each scenario.
+    substrate: Substrate,
     /// The scenario ID `--replay` traces, instead of a battery.
     replay: Option<String>,
     /// Where the artifact goes, if anywhere: `--out PATH`, or
@@ -131,6 +142,7 @@ fn parse_options(args: &[String]) -> Options {
         partitions: false,
         hardened: false,
         guided: false,
+        substrate: Substrate::Sim,
         replay: None,
         out: None,
     };
@@ -138,9 +150,9 @@ fn parse_options(args: &[String]) -> Options {
     let mut battery_flag = None;
     let mut parser = FlagParser::new(USAGE, args);
     while let Some(flag) = parser.next_flag() {
-        // Every flag but these two shapes a battery (`--help` exits and
-        // an unknown flag is refused below).
-        if !matches!(flag.name.as_str(), "--replay" | "--hardened") {
+        // Every flag but these three shapes a battery (`--help` exits
+        // and an unknown flag is refused below).
+        if !matches!(flag.name.as_str(), "--replay" | "--hardened" | "--substrate") {
             battery_flag = Some(flag.name.clone());
         }
         match flag.name.as_str() {
@@ -149,6 +161,11 @@ fn parse_options(args: &[String]) -> Options {
             "--threads" => options.threads = parser.parsed(&flag, "a positive integer", |&t| t > 0),
             "--out" => options.out = Some(parser.value(&flag, "a file path")),
             "--replay" => options.replay = Some(parser.value(&flag, "an oc1- scenario id")),
+            "--substrate" => {
+                let what = "sim, nodeproc, nodeproc-logs or runtime:W with W >= 1";
+                let named = |s: &Substrate| *s != Substrate::Runtime { workers: 0 };
+                options.substrate = parser.parsed(&flag, what, named);
+            }
             "--loss" => options.loss = parser.switch(&flag),
             "--hard" => options.hard = parser.switch(&flag),
             "--partitions" => options.partitions = parser.switch(&flag),
@@ -160,7 +177,10 @@ fn parse_options(args: &[String]) -> Options {
         }
     }
     if let (Some(_), Some(name)) = (&options.replay, battery_flag) {
-        parser.usage_error(&format!("{name} shapes a battery: --replay takes only --hardened"));
+        parser.usage_error(&format!("{name} shapes a battery: --replay takes no battery flag"));
+    }
+    if options.guided && options.substrate != Substrate::Sim {
+        parser.usage_error("--guided steers by coverage only --substrate sim fills");
     }
     if json && options.out.is_none() {
         options.out = Some("BENCH_CHECK.json".to_string());
@@ -302,15 +322,28 @@ fn key_values(object: &Value, shown: &[(&str, &str)]) -> String {
     shown.iter().map(|(label, key)| format!("{label}={}", value(key))).collect::<Vec<_>>().join(" ")
 }
 
+/// `lead` and the substrate's name, or nothing on the simulator, whose
+/// lines read as they did before there were other ends.
+fn unless_sim(substrate: Substrate, lead: &str) -> String {
+    match substrate {
+        Substrate::Sim => String::new(),
+        other => format!("{lead}{other}"),
+    }
+}
+
 /// `--replay`: one scenario, traced; exits 1 unless it is clean.
-fn replay(id: &str, hardened: bool) -> ! {
+fn replay(id: &str, how: Run) -> ! {
     let scenario = Scenario::from_id(id).unwrap_or_else(|err| {
         eprintln!("error: --replay {id}: {err}");
         std::process::exit(2);
     });
-    let hardening = if hardened { Hardening::Quorum } else { Hardening::None };
-    let (outcome, trace) = run_scenario_traced(&scenario, Mutation::None, hardening);
-    println!("== replay {id} under Hardening::{hardening:?} ==\n");
+    let mut trace = Trace::default();
+    let outcome = run(&scenario, how, Some(&mut trace));
+    println!(
+        "== replay {id} under Hardening::{:?}{} ==\n",
+        how.hardening,
+        unless_sim(how.substrate, " on ")
+    );
     let s = &scenario;
     println!(
         "scenario: n={} seed={} delay={}..={} cs_ticks={} contention_slack={} max_events={}",
@@ -320,8 +353,12 @@ fn replay(id: &str, hardened: bool) -> ! {
     println!("crashes ({}): {:?}", s.crashes.len(), s.crashes);
     println!("phases ({}): {:?}\n", s.phases.len(), s.phases);
     println!("{outcome:#?}\n");
-    println!("-- trace: {} record(s) --", trace.records().len());
-    print!("{trace}");
+    if let Substrate::Runtime { .. } = how.substrate {
+        println!("-- trace: none, {} records no trace --", how.substrate);
+    } else {
+        println!("-- trace: {} record(s) --", trace.records().len());
+        print!("{trace}");
+    }
     if outcome.is_clean() {
         println!("\nverdict: clean");
         std::process::exit(0);
@@ -338,8 +375,10 @@ fn replay(id: &str, hardened: bool) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_options(&args);
+    let base = Run { substrate: options.substrate, ..Run::SIM };
     if let Some(id) = &options.replay {
-        replay(id, options.hardened);
+        let hardening = if options.hardened { Hardening::Quorum } else { Hardening::None };
+        replay(id, Run { hardening, ..base });
     }
     let (seed, budget, threads) = (options.master_seed, options.budget, options.threads);
     let space = Space {
@@ -351,26 +390,30 @@ fn main() {
 
     let on = |flag| if flag { "on" } else { "off" };
     println!(
-        "== explore: {budget} scenario(s), master seed {seed}, loss {}, hard {}, partitions {} ==\n",
+        "== explore: {budget} scenario(s), master seed {seed}, loss {}, hard {}, partitions {}{} \
+         ==\n",
         on(options.loss),
         on(options.hard),
         on(options.partitions),
+        unless_sim(options.substrate, ", substrate "),
     );
     let indices: Vec<u64> = (0..budget).collect();
     let battery = |hardening| {
         sweep::sweep(&indices, threads, |_, &index| {
             let scenario = Scenario::generate(&space, seed, index);
-            (scenario.n, run_scenario_hardened(&scenario, Mutation::None, hardening))
+            (scenario.n, run(&scenario, Run { hardening, ..base }, None))
         })
     };
     let outcome = battery(Hardening::None);
+    let substrate_term = unless_sim(options.substrate, " substrate=");
     let baseline = fold(&outcome.results);
     print_table(SIZE_COLS, &baseline.sizes);
     println!(
-        "\nsummary budget={budget} seed={seed} loss={} hard={} partitions={} {}",
+        "\nsummary budget={budget} seed={seed} loss={} hard={} partitions={}{} {}",
         u8::from(options.loss),
         u8::from(options.hard),
         u8::from(options.partitions),
+        substrate_term,
         key_values(
             &baseline.total,
             &[
@@ -399,7 +442,7 @@ fn main() {
     let hardened = options.hardened.then(|| {
         let hardened = fold(&battery(Hardening::Quorum).results);
         println!(
-            "\nhardened summary budget={budget} seed={seed} {}",
+            "\nhardened summary budget={budget} seed={seed}{substrate_term} {}",
             key_values(
                 &hardened.total,
                 &[
@@ -520,7 +563,7 @@ fn main() {
     let shrunk: Vec<Value> = baseline.failing.first().map_or_else(Vec::new, |&index| {
         let scenario = Scenario::generate(&space, seed, index);
         println!("\n!! scenario #{index} fails — shrinking…");
-        let result = shrink(&scenario, Mutation::None);
+        let result = shrink(&scenario, base);
         println!(
             "   minimal after {} step(s) / {} run(s): n={}, {} arrival(s), {} crash(es)",
             result.steps,
@@ -536,7 +579,8 @@ fn main() {
         for violation in result.outcome.liveness.violations() {
             println!("   liveness violation: {violation:?}");
         }
-        println!("   trace it: explore --replay {}", result.scenario.id());
+        let on = unless_sim(options.substrate, " --substrate ");
+        println!("   trace it: explore --replay {}{on}", result.scenario.id());
         vec![Value::Obj(vec![
             ("index", Value::UInt(index)),
             ("scenario_id", Value::str(result.scenario.id())),
@@ -557,6 +601,9 @@ fn main() {
         ("fingerprint", baseline.total.get("fingerprint").clone()),
         ("shrunk_failures", Value::Arr(shrunk)),
     ];
+    if options.substrate != Substrate::Sim {
+        extra.push(("substrate", Value::str(options.substrate.to_string())));
+    }
     extra.extend(hardened.iter().map(|total| ("hardened", total.pick(HARDENED_KEYS))));
     extra.extend(guided.iter().map(|(.., section)| ("guided", section.clone())));
     Artifact {

@@ -15,12 +15,10 @@
 //! the per-process event logs and judges them with the unmodified
 //! simulator oracles. Any violation — or a run that fails to settle —
 //! exits 1. With `--differential`, every cell's scenario also runs
-//! through the threaded runtime's workers in virtual time
-//! (`oc_check::run_scenario_runtime_virtual`, four workers) and the two
-//! outcomes must conform. `--transport`, `--requests` and `--kill` shape
+//! through the threaded runtime's workers in virtual time (`oc_check::run`
+//! on `DIFFERENTIAL`, four workers) and the two outcomes must conform. `--transport`, `--requests` and `--kill` shape
 //! the custom cell, so they are a usage error without `--n`.
 
-use oc_algo::Mutation;
 use oc_bench::cli::FlagParser;
 use oc_bench::json::Value;
 use oc_bench::orchestrator::{
@@ -28,7 +26,11 @@ use oc_bench::orchestrator::{
     NET_COLS, NET_TICK,
 };
 use oc_bench::report::{header, line, Artifact, Verdict};
-use oc_check::{conforms, run_scenario_runtime_virtual};
+use oc_check::{conforms, run, Run, Substrate};
+
+/// What `--differential` holds each socket row against: the faithful
+/// protocol on four of the runtime's workers in virtual time.
+const DIFFERENTIAL: Run = Run { substrate: Substrate::Runtime { workers: 4 }, ..Run::SIM };
 
 const USAGE: &str = "\
 Usage: netbench [FLAGS]
@@ -158,7 +160,7 @@ fn main() {
         println!("{}", line(NET_COLS, &shown));
         rows.push(shown);
         if options.differential {
-            let inprocess = run_scenario_runtime_virtual(&scenario, Mutation::None, 4);
+            let inprocess = run(&scenario, DIFFERENTIAL, None);
             let both = [("in-process", &inprocess), ("socket", &row.outcome)];
             match conforms(scenario.arrivals.len(), &both) {
                 Ok(()) => println!(

@@ -288,7 +288,7 @@ fn e3_inputs(n: usize, failures: usize, seed: u64) -> (ArrivalSchedule, oc_sim::
     (schedule, failure_plan)
 }
 
-/// E3's failure run, scheduled and not yet stepped: [`e3_inputs`] on `n`
+/// E3's failure run, scheduled and not yet stepped: `e3_inputs` on `n`
 /// nodes under `hardening`, contention slack 1 000. At `n = 64` this is
 /// the benchmark's `sim-faults` world for the same seed.
 #[must_use]

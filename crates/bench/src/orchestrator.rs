@@ -4,7 +4,7 @@
 //! and judges the run post hoc with the unmodified `oc-sim` oracles.
 //!
 //! [`run_scenario_sockets`] is the wall-clock runner of the socket node
-//! (`oc_check::run_scenario_nodeproc` runs the same node code in virtual
+//! (`oc_check::Substrate::Nodeproc` runs the same node code in virtual
 //! time): it plays an `oc_check::Scenario` — the arrival
 //! list and **every** entry of the crash list, so multi-kill timelines
 //! are data — and answers with the same `oc_check::Outcome` the
@@ -80,7 +80,7 @@ pub const NET_COLS: &[Col] = &[
 ];
 
 /// Wall-clock length of one scenario tick on the socket substrate: an
-/// `oc-node`'s default tick, which `oc_check::run_scenario_nodeproc`
+/// `oc-node`'s default tick, which `oc_check::Substrate::Nodeproc`
 /// stamps virtual time by too. Chosen so the default δ of 40 ticks
 /// (2ms) upper-bounds localhost socket delay with generous scheduling
 /// margin.

@@ -2,7 +2,7 @@
 //! `BENCH_*.json` it writes goes through here.
 //!
 //! A row is a [`Value::Obj`]. A table is a list of [`Col`]s — header,
-//! row key, width, decimals — rendered by [`line`]; an artifact is an
+//! row key, width, decimals — rendered by [`line()`]; an artifact is an
 //! [`Artifact`] — the rows inside the one envelope — ended by
 //! [`Artifact::finish`], the only code that writes a file. What a table
 //! shows is therefore what its artifact holds, by construction.

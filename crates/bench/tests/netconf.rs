@@ -19,11 +19,8 @@
 use std::path::Path;
 use std::time::Duration;
 
-use oc_algo::Mutation;
 use oc_bench::orchestrator::{run_scenario_sockets, TransportKind};
-use oc_check::{
-    conforms, run_scenario, run_scenario_runtime_virtual, GateKill, GateScenario, Scenario,
-};
+use oc_check::{conforms, run, GateKill, GateScenario, Run, Scenario, Substrate};
 use oc_sim::{FaultPhase, FaultPhaseKind, SimTime};
 
 const SETTLE: Duration = Duration::from_secs(60);
@@ -47,8 +44,9 @@ fn shape(n: usize, requests: usize, seed: u64, kill: Option<GateKill>) -> Scenar
 }
 
 fn gate(transport: TransportKind, scenario: &Scenario) {
-    let sim = run_scenario(scenario, Mutation::None);
-    let runtime = run_scenario_runtime_virtual(scenario, Mutation::None, 4);
+    let sim = run(scenario, Run::SIM, None);
+    let on_runtime = Run { substrate: Substrate::Runtime { workers: 4 }, ..Run::SIM };
+    let runtime = run(scenario, on_runtime, None);
     let socket =
         run_scenario_sockets(node_bin(), transport, scenario, SETTLE).expect("deployment runs");
     let all = [("sim", &sim), ("runtime", &runtime), ("socket", &socket.outcome)];

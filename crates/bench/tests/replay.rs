@@ -49,7 +49,9 @@ fn the_duplication_witness_replays_identically_and_reports_its_second_token() {
 #[test]
 fn an_id_that_does_not_decode_is_a_usage_error() {
     // So is a battery flag beside `--replay`: a replay runs one
-    // scenario and writes no artifact.
+    // scenario and writes no artifact. So are a substrate without its
+    // width, with none, or unknown, and the guided explorer off the
+    // simulator, whose coverage it steers by.
     let (witness, _) = DUPLICATION_WITNESSES[0];
     let with_battery_flags = [
         "--replay",
@@ -63,7 +65,15 @@ fn an_id_that_does_not_decode_is_a_usage_error() {
         "--threads",
         "1",
     ];
-    for args in [&["--replay", "oc1-zz"][..], &with_battery_flags] {
+    let refused: [&[&str]; 6] = [
+        &["--replay", "oc1-zz"],
+        &with_battery_flags,
+        &["--substrate", "runtime"],
+        &["--substrate", "runtime:0"],
+        &["--substrate", "gpu"],
+        &["--guided", "--substrate", "nodeproc"],
+    ];
+    for args in refused {
         let (code, _) = explore(args);
         assert_eq!(code, Some(2), "{args:?}");
     }

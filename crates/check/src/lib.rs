@@ -10,20 +10,19 @@
 //!    crash/recovery plan, fault phases) from a `(space, master seed,
 //!    index)` triple. Everything is materialized: a scenario is plain
 //!    data, independent of the generator that produced it.
-//! 2. **Run** — [`run_scenario`] plays the scenario through
-//!    [`oc_sim::World`] and returns an [`Outcome`]: the safety oracle's
-//!    report, the liveness oracle's report
-//!    ([`oc_sim::check_liveness`]), and the run's headline counters. Equal
-//!    scenarios produce equal outcomes, bit for bit.
+//! 2. **Run** — [`run`] plays the scenario on a [`Substrate`] under a
+//!    [`Run`] (substrate, planted mutation, hardening) and returns an
+//!    [`Outcome`]: the safety oracle's report, the liveness oracle's
+//!    report ([`oc_sim::check_liveness`]), and the run's headline
+//!    counters. Equal inputs produce equal outcomes, bit for bit.
 //! 3. **Shrink** — on failure, [`shrink`] greedily minimizes the scenario
 //!    (drop crash events, truncate the workload, halve the system, strip
-//!    faults), re-running the pure `(scenario, mutation)` function at
-//!    every step, until no single reduction still fails.
+//!    faults), re-running the pure `(scenario, run)` function at every
+//!    step, until no single reduction still fails.
 //! 4. **Replay** — [`Scenario::id`] encodes the whole scenario into a
 //!    portable `oc1-…` string; [`Scenario::from_id`] decodes it, and
-//!    [`run_scenario_traced`] replays it with the simulator's trace on
-//!    (`explore --replay <oc1-id>` prints the scenario, the outcome and
-//!    the trace).
+//!    `explore --replay <oc1-id>` prints the scenario, the outcome and the
+//!    trace [`run`] records.
 //!
 //! The explorer must also *prove its own teeth*: [`oc_algo::Mutation`]
 //! plants single protocol bugs (skipped token regeneration, a kept token
@@ -43,35 +42,21 @@
 //! the `explore` binary of `oc-bench`, which drives this crate through
 //! `oc_bench::sweep`.
 //!
-//! **One scenario language, one verdict, four runners.** A [`Scenario`]
-//! is the only description of adversarial work in the tree and an
-//! [`Outcome`] the only answer, whatever carries the messages. Three
-//! runners play it in virtual time, one on the wall clock:
-//!
-//! * [`run_scenario`] — the deterministic simulator; fills every field
-//!   of the outcome, bit-identically per scenario;
-//! * [`run_scenario_nodeproc`] — the socket node's own code
-//!   (`oc_transport::Proc`: codec, clock, log, `--recover` path, gateway
-//!   queue) stepped by the simulator, one per node; judged twice, by the
-//!   world's oracles and post hoc from its logs ([`judge_logs`]);
-//! * [`run_scenario_runtime_virtual`] — the threaded lock service's own
-//!   worker cores (`oc_runtime::run_virtual`) stepped on one thread in
-//!   virtual time, interleaved by a seeded scheduler; deterministic, and
-//!   the runner that holds the runtime to the explorer's battery and
-//!   the socket deployment's differential twin;
-//! * `oc_bench::orchestrator::run_scenario_sockets` — one `oc-node`
-//!   process per node over TCP or Unix sockets, crashes by SIGKILL (it
-//!   lives in `oc-bench` because it needs the node binary), judged by
-//!   [`judge_logs`] too.
-//!
-//! They are plain functions, not a trait: no caller is generic over
-//! substrates. The socket deployment's cells are [`GateScenario`] shapes
-//! that materialise into scenarios, and [`conforms`] is the contract the
-//! outcomes are held to (see [`netgate`]). Which counters a runtime or
-//! socket outcome cannot know is written on [`Outcome`]. The threaded
-//! runtime's OS end — worker threads, channels, the wall clock — is not
-//! a runner: `oc_runtime`'s own tests and `oc-bench`'s load harness
-//! drive it.
+//! **One scenario language, one verdict, one entry point.** A
+//! [`Scenario`] is the only description of adversarial work in the tree
+//! and an [`Outcome`] the only answer, whatever carries the messages:
+//! [`run`] plays it on any [`Substrate`] — the simulator, the socket
+//! node's code judged by the world or by its logs ([`judge_logs`]), or
+//! the threaded runtime's worker cores — all in virtual time. The
+//! substrate is a value, not a trait: the one caller that picks it at run
+//! time (`explore --substrate`) matches on it. [`run_scenario`] is `run`
+//! on the simulator, and [`run_scenario_with`] plays a scenario against
+//! any other [`oc_sim::Protocol`] (the baselines). The wall-clock end,
+//! `oc_bench::orchestrator::run_scenario_sockets` (one `oc-node` process
+//! per node), needs the node binary, so it lives in `oc-bench`; its
+//! cells are [`GateScenario`] shapes, held to [`conforms`] (see
+//! [`netgate`]). Which counters an end cannot know is written on
+//! [`Outcome`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,22 +69,15 @@ mod nodeproc;
 mod run;
 mod scenario;
 mod shrink;
-mod threaded;
 
 pub use coverage::{Corpus, CorpusEntry, Coverage};
 pub use guided::{explore_guided, explore_guided_with, GuidedEpoch, GuidedResult};
 pub use mutate::mutate;
 pub use netgate::{conforms, GateKill, GateScenario};
-pub use nodeproc::{judge_logs, run_scenario_nodeproc, NodeprocOutcome};
-pub use run::{
-    run_scenario, run_scenario_hardened, run_scenario_traced, run_scenario_with, CoverageStats,
-    Outcome,
-};
+pub use nodeproc::judge_logs;
+pub use run::{run, run_scenario, run_scenario_with, CoverageStats, Outcome, Run, Substrate};
 pub use scenario::{Scenario, ScenarioCrash, Space};
 pub use shrink::{shrink, ShrinkResult};
-pub use threaded::run_scenario_runtime_virtual;
-
-use oc_algo::Mutation;
 
 /// The shrunk healed-partition findings of the seed-42 partition battery
 /// (`explore --partitions --budget 5000 --seed 42`), one `(name, oc1-id)`
@@ -186,20 +164,15 @@ pub struct Failure {
     pub outcome: Outcome,
 }
 
-/// Explores `budget` scenarios serially and returns the first failure, if
-/// any. The sharded equivalent (same scenarios, any thread count) is the
+/// Explores `budget` scenarios serially, each played as `how` says, and
+/// returns the first failure, if any. The sharded equivalent (same scenarios, any thread count) is the
 /// `explore` binary in `oc-bench`; only tests call this one, to find a
 /// failure they then hand to [`shrink`].
 #[must_use]
-pub fn explore_serial(
-    space: &Space,
-    master_seed: u64,
-    budget: u64,
-    mutation: Mutation,
-) -> Option<Failure> {
+pub fn explore_serial(space: &Space, master_seed: u64, budget: u64, how: Run) -> Option<Failure> {
     for index in 0..budget {
         let scenario = Scenario::generate(space, master_seed, index);
-        let outcome = run_scenario(&scenario, mutation);
+        let outcome = run(&scenario, how, None);
         if !outcome.is_clean() {
             return Some(Failure { index, scenario, outcome });
         }

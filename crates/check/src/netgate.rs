@@ -7,7 +7,7 @@
 //! [`GateScenario::scenario`] materialises it, and from there on the
 //! deployment's work is an ordinary `oc1-` scenario that the simulator
 //! ([`crate::run_scenario`]), the threaded runtime's workers in virtual
-//! time ([`crate::run_scenario_runtime_virtual`]) and `oc-bench`'s
+//! time ([`crate::Substrate::Runtime`]) and `oc-bench`'s
 //! orchestrator (real node processes over sockets, crashes via SIGKILL)
 //! all play. Each answers with an [`Outcome`], and [`conforms`] pins the
 //! contract:
@@ -149,7 +149,7 @@ pub fn conforms(arrivals: usize, outcomes: &[(&str, &Outcome)]) -> Result<(), St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_scenario, run_scenario_runtime_virtual};
+    use crate::{run, run_scenario, Run, Substrate};
 
     fn gate(requests: usize, gap_ticks: u64, kill: Option<GateKill>) -> GateScenario {
         GateScenario {
@@ -221,7 +221,8 @@ mod tests {
     #[test]
     fn inprocess_gate_run_is_clean_and_serves_everything() {
         let s = gate(20, 100, None).scenario();
-        let outcome = run_scenario_runtime_virtual(&s, Mutation::None, 2);
+        let on_runtime = Run { substrate: Substrate::Runtime { workers: 2 }, ..Run::SIM };
+        let outcome = run(&s, on_runtime, None);
         assert!(outcome.drained && outcome.is_clean(), "{outcome:?}");
         assert_eq!(outcome.cs_entries, 20);
         conforms(20, &[("runtime", &outcome)]).expect("a clean full run conforms");

@@ -1,11 +1,11 @@
 //! The socket node in virtual time: `oc_transport`'s sans-io [`Proc`]
 //! stepped by the simulator.
 //!
-//! [`run_scenario_nodeproc`] plays a [`Scenario`] through n `Proc`s on
-//! one thread, each wrapped as an [`oc_sim::Protocol`] whose message is
+//! [`crate::Substrate::Nodeproc`] plays a [`Scenario`] through n `Proc`s
+//! on one thread, each wrapped as an [`oc_sim::Protocol`] whose message is
 //! the encoded `Peer` frame the socket node would write. The frames
 //! cross `World`'s channel, so every fault phase, delay draw and crash
-//! applies exactly as it does to [`crate::run_scenario`]'s bare nodes;
+//! applies exactly as it does to the simulator's bare nodes;
 //! the world's `RequestCs`/`ExitCs` reach the `Proc` as the gateway's
 //! `Acquire`/`Release` frames, and its `Granted` answer is the world's
 //! CS entry. A crash drops the `Proc` and keeps only its log bytes,
@@ -24,18 +24,19 @@
 //! sections one after the other, and the log verdict would come back
 //! falsely clean.
 //!
-//! Each run is judged twice ([`NodeprocOutcome`]): by the world's
-//! oracles, and post hoc from the nodes' event logs by [`judge_logs`] —
-//! the judgement `oc_bench::orchestrator::run_scenario_sockets` gives a
-//! deployment of real processes.
+//! A run is judged by the world's oracles (`Nodeproc`) or post hoc from
+//! the nodes' event logs by [`judge_logs`] (`NodeprocLogs`), as
+//! `oc_bench::orchestrator::run_scenario_sockets` judges real processes.
+//! Under `Hardening::Quorum` a restarted `Proc` starts its epoch
+//! promises at zero, as a socket node restarted with `--recover` would.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
-use oc_algo::{Config, Hardening, Mutation};
+use oc_algo::Config;
 use oc_sim::{
     check_horizon, Horizon, MessageKind, MsgKind, NodeAtHorizon, NodeEvent, Outbox, Protocol,
-    SimDuration, World,
+    SimDuration, Trace, World,
 };
 use oc_topology::NodeId;
 use oc_transport::log::REC_LEN;
@@ -54,9 +55,9 @@ use crate::{scenario_seed, Scenario};
 /// and `served` are read off the merged logs. `horizon.live_token_census`
 /// is the terminal census the replay judges too.
 ///
-/// The one judgement of both socket-node runners: real processes
+/// The one judgement of both socket-node ends: real processes
 /// (`oc_bench::orchestrator::run_scenario_sockets`) and
-/// [`run_scenario_nodeproc`]. The caller adds what the logs cannot say —
+/// [`crate::Substrate::NodeprocLogs`]. The caller adds what the logs cannot say —
 /// crash and recovery counts — to the outcome.
 #[must_use]
 pub fn judge_logs(logs: Vec<Vec<LogRecord>>, mut horizon: Horizon) -> Outcome {
@@ -237,28 +238,17 @@ impl Protocol for VirtualNode {
     }
 }
 
-/// One virtual-time run of the socket node, judged twice.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeprocOutcome {
-    /// By the world's oracles: every field as [`crate::run_scenario`]
-    /// fills it, except the protocol counts (a `Proc` drops its node's
-    /// count actions, as a socket node does).
-    pub world: Outcome,
-    /// Post hoc, by [`judge_logs`] over the nodes' event logs, as a
-    /// deployment of real processes is judged; `crashes` and
-    /// `recoveries` are the world's.
-    pub logs: Outcome,
-}
-
 /// Plays `scenario` through one virtual-time socket node per node (see
-/// the module docs), the protocol under `mutation` and
-/// [`Hardening::None`] — the one mode the socket node runs — and judges
-/// the run by the world's oracles and by its logs. A pure function of
-/// `(scenario, mutation)`.
-#[must_use]
-pub fn run_scenario_nodeproc(scenario: &Scenario, mutation: Mutation) -> NodeprocOutcome {
+/// the module docs), each running `config`, and judges the run by the
+/// world's oracles or, `by_logs`, by its nodes' logs: the two socket-node
+/// arms of [`crate::run`].
+pub(crate) fn play(
+    scenario: &Scenario,
+    config: Config,
+    trace: Option<&mut Trace>,
+    by_logs: bool,
+) -> Outcome {
     let clock = Rc::new(Cell::new(0));
-    let config = scenario.config(mutation, Hardening::None);
     let nodes = (1..=scenario.n as u32)
         .map(|id| VirtualNode {
             id: NodeId::new(id),
@@ -272,33 +262,42 @@ pub fn run_scenario_nodeproc(scenario: &Scenario, mutation: Mutation) -> Nodepro
             requests: 0,
         })
         .collect();
-    in_scenario_world(scenario, nodes, false, |world| judge_both(world, scenario, &clock))
+    in_scenario_world(scenario, nodes, trace, |world| {
+        let drained = step_to_quiescence(world, scenario, &clock);
+        if by_logs {
+            judge_by_logs(world, scenario, drained)
+        } else {
+            judge_world(world, drained)
+        }
+    })
 }
 
 /// Steps `world` as `World::run_to_quiescence` would, with the nodes'
-/// clock set before each step, and judges it by its oracles and by its
-/// nodes' logs.
-fn judge_both(
+/// clock set before each step; `true` if the queue emptied under the
+/// event cap.
+fn step_to_quiescence(
     world: &mut World<VirtualNode>,
     scenario: &Scenario,
     clock: &Cell<u64>,
-) -> NodeprocOutcome {
+) -> bool {
     let tick_ns = u64::try_from(DEFAULT_TICK.as_nanos()).expect("fits");
     let (mut tick, mut ordinal) = (None, 0);
-    let drained = loop {
+    loop {
         if world.metrics().events_processed >= scenario.max_events {
-            break false;
+            return false;
         }
-        let Some(at) = world.next_event_at() else { break true };
+        let Some(at) = world.next_event_at() else { return true };
         ordinal = if tick == Some(at) { ordinal + 1 } else { 0 };
         tick = Some(at);
         clock.set(at.ticks().saturating_mul(tick_ns).saturating_add(ordinal.min(tick_ns - 1)));
         world.step();
-    };
-    let by_world = judge_world(world, drained);
+    }
+}
 
-    // The deployment's view: each node's log and last status, the
-    // orchestrator's crash records, and what the gateway injected.
+/// The deployment's view of a run: each node's log and last status, the
+/// orchestrator's crash records, and what the gateway injected, judged
+/// by [`judge_logs`]; `crashes` and `recoveries` are the world's.
+fn judge_by_logs(world: &mut World<VirtualNode>, scenario: &Scenario, drained: bool) -> Outcome {
     let (horizon, unreachable) = world.horizon(drained);
     let isolated: Vec<bool> = horizon.nodes.iter().map(|state| state.isolated).collect();
     let mut logs = Vec::with_capacity(scenario.n + 1);
@@ -332,10 +331,9 @@ fn judge_both(
         live_token_census: census,
         nodes,
     };
-    let by_logs = Outcome {
+    Outcome {
         crashes: metrics.crashes,
         recoveries: metrics.recoveries,
         ..judge_logs(logs, horizon)
-    };
-    NodeprocOutcome { world: by_world, logs: by_logs }
+    }
 }

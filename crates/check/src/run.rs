@@ -1,15 +1,20 @@
-//! Playing one scenario through the deterministic engine and judging it.
+//! Playing one scenario on one virtual-time substrate and judging it.
 
 use std::any::Any;
 use std::cell::Cell;
+use std::fmt;
+use std::str::FromStr;
+use std::time::Duration;
 
-use oc_algo::{Hardening, Mutation, OpenCubeNode};
+use oc_algo::{Config, Hardening, Mutation, OpenCubeNode};
+use oc_runtime::{run_virtual, RuntimeConfig};
 use oc_sim::{
-    check_horizon, Counter, DelayModel, LivenessReport, MsgKind, OracleReport, Protocol, SimConfig,
-    SimDuration, SimTime, Trace, World,
+    check_horizon, ticks_to_wall, Counter, DelayModel, LivenessReport, MsgKind, OracleReport,
+    Protocol, SimConfig, SimDuration, SimTime, Trace, World,
 };
 use oc_topology::NodeId;
 
+use crate::nodeproc;
 use crate::scenario::Scenario;
 
 /// Raw protocol-state signals harvested from one run, feeding the guided
@@ -57,33 +62,29 @@ pub struct CoverageStats {
 /// The oracle verdict and headline counters of one scenario run — the
 /// one verdict type of every substrate.
 ///
-/// From the simulator ([`run_scenario`]) every field is filled and equal
-/// scenarios produce equal outcomes — `PartialEq` over the whole struct
-/// is the "replays byte-identically" check, and [`Outcome::fingerprint`]
-/// folds it into one `u64` for aggregate summaries. The virtual-time
-/// socket node ([`crate::run_scenario_nodeproc`]) is as deterministic:
-/// its world judgement fills every field but the protocol counts
-/// ([`Counter`]: `epoch_discards` and `coverage`'s search, regeneration
-/// and mint counters), because a `Proc` drops the count actions of its
-/// node; its log judgement ([`crate::judge_logs`]) fills the fields a
-/// socket outcome fills, `events` counting merged log records.
-///
-/// From the threaded runtime's worker cores in virtual time
-/// ([`crate::run_scenario_runtime_virtual`]) an outcome is as
-/// deterministic, horizon `max_events` as in the simulator, but its
-/// message delays are the runtime's own draws, so equal scenarios give
-/// equal *verdicts* with the simulator, not equal counters. From real
-/// processes (`oc_bench::orchestrator::run_scenario_sockets`) an outcome
-/// is verdict evidence, not a fingerprint: real clocks. It is the one
-/// runner that waits for the run to settle up to a wall-clock timeout,
-/// and it reports a run that has not settled by then as horizon
+/// From [`Substrate::Sim`] every field is filled and equal scenarios
+/// produce equal outcomes — `PartialEq` over the whole struct is the
+/// "replays byte-identically" check, and [`Outcome::fingerprint`] folds
+/// it into one `u64` for aggregate summaries. The other virtual-time
+/// ends are as deterministic. [`Substrate::Nodeproc`] fills every field
+/// but the protocol counts ([`Counter`]: `epoch_discards` and
+/// `coverage`'s search, regeneration and mint counters), because a
+/// `Proc` drops the count actions of its node; [`Substrate::NodeprocLogs`]
+/// fills the fields a socket outcome fills, `events` counting merged log
+/// records. [`Substrate::Runtime`] draws its own message delays, so
+/// equal scenarios give equal *verdicts* with the simulator, not equal
+/// counters. From real processes (`oc_bench::orchestrator::run_scenario_sockets`)
+/// an outcome is verdict evidence, not a fingerprint: real clocks. It is
+/// the one runner that waits for the run to settle up to a wall-clock
+/// timeout, and it reports a run that has not settled by then as horizon
 /// exhaustion, like a sim run that hit its event cap. `events` counts
 /// what the substrate calls an event (worker-processed commands; merged
 /// log records), and what a substrate cannot know it leaves at zero:
 ///
-/// * both: `coverage` (per-kind sends, protocol counts) and the mint
-///   traffic `epoch_discards`, `mint_requests`, `mint_acks` — only a
-///   [`World`] keeps per-kind sends and protocol counts;
+/// * runtime and sockets: `coverage` (per-kind sends, protocol counts)
+///   and the mint traffic `epoch_discards`, `mint_requests`,
+///   `mint_acks` — only a [`World`] keeps per-kind sends and protocol
+///   counts;
 /// * sockets also: `messages` (no process counts its sends) and
 ///   `lost_to_faults`, `lost_to_partition`, `duplicated` (there is no
 ///   link shim yet; a scenario with an active fault script is refused).
@@ -176,51 +177,101 @@ impl Outcome {
     }
 }
 
-/// Runs one scenario to quiescence and returns its oracle verdict — a
-/// pure function of `(scenario, mutation)` over the open-cube protocol.
+/// What carries a scenario's messages: one of the three ends that play
+/// it in virtual time. A plain enum, not a trait: the one caller that
+/// picks an end at run time (`explore --substrate`) matches on a value.
+/// `FromStr` and `Display` use the names `sim`, `nodeproc`,
+/// `nodeproc-logs` and `runtime:W`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Substrate {
+    /// The simulator over bare open-cube nodes; fills every field of the
+    /// [`Outcome`].
+    Sim,
+    /// The socket node's own code (`oc_transport::Proc`) stepped by the
+    /// simulator, judged by the world's oracles.
+    Nodeproc,
+    /// The same run as `Nodeproc`, judged from the nodes' event logs by
+    /// [`crate::judge_logs`], as a real deployment is.
+    NodeprocLogs,
+    /// The threaded runtime's worker cores (`oc_runtime::run_virtual`)
+    /// on one thread; `0` workers means `min(n, 8)`.
+    Runtime {
+        /// Worker cores.
+        workers: usize,
+    },
+}
+
+impl fmt::Display for Substrate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Substrate::Sim => f.write_str("sim"),
+            Substrate::Nodeproc => f.write_str("nodeproc"),
+            Substrate::NodeprocLogs => f.write_str("nodeproc-logs"),
+            Substrate::Runtime { workers } => write!(f, "runtime:{workers}"),
+        }
+    }
+}
+
+impl FromStr for Substrate {
+    type Err = ();
+
+    fn from_str(text: &str) -> Result<Substrate, ()> {
+        Ok(match text {
+            "sim" => Substrate::Sim,
+            "nodeproc" => Substrate::Nodeproc,
+            "nodeproc-logs" => Substrate::NodeprocLogs,
+            _ => {
+                let workers = text.strip_prefix("runtime:").ok_or(())?;
+                Substrate::Runtime { workers: workers.parse().map_err(|_| ())? }
+            }
+        })
+    }
+}
+
+/// How one scenario is played. None of it is part of the scenario, so
+/// one `oc1-` ID replays under every `Run`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// What carries the messages.
+    pub substrate: Substrate,
+    /// The planted bug, if any.
+    pub mutation: Mutation,
+    /// The open-cube nodes' hardening mode.
+    pub hardening: Hardening,
+}
+
+impl Run {
+    /// The faithful, unhardened protocol on the simulator: the default
+    /// battery, and the base other runs update (`..Run::SIM`).
+    pub const SIM: Run =
+        Run { substrate: Substrate::Sim, mutation: Mutation::None, hardening: Hardening::None };
+}
+
+/// Plays one scenario as `how` says and returns its oracle verdict — a
+/// pure function of `(scenario, how)` on every substrate. With `trace`,
+/// the world ends record the run there (`explore --replay` prints it);
+/// the runtime's cores record none and leave it as given.
 ///
-/// Every simulator runner of this crate (this one, its hardened, traced
-/// and `_with` forms, and [`crate::run_scenario_nodeproc`]) plays its
-/// scenario in the calling thread's one [`World`], reset in place
-/// ([`World::reset`]) rather than built and dropped per scenario: a
-/// thread keeps one world of the largest shape it has run, and a
-/// battery's scenarios cost the heap only what a world it already holds
-/// cannot take. A reset world is a new world, so the verdict does not
-/// depend on what the thread ran before.
+/// The world ends play in the calling thread's one [`World`], reset in
+/// place ([`World::reset`]) rather than built per scenario, so a battery
+/// costs the heap only what a world the thread holds cannot take. A
+/// reset world is a new world: the verdict does not depend on what the
+/// thread ran before.
+#[must_use]
+pub fn run(scenario: &Scenario, how: Run, trace: Option<&mut Trace>) -> Outcome {
+    let config = scenario.config(how.mutation, how.hardening);
+    match how.substrate {
+        Substrate::Sim => on_world(scenario, OpenCubeNode::build_all(config), trace),
+        Substrate::Nodeproc => nodeproc::play(scenario, config, trace, false),
+        Substrate::NodeprocLogs => nodeproc::play(scenario, config, trace, true),
+        Substrate::Runtime { workers } => on_runtime(scenario, config, workers),
+    }
+}
+
+/// [`run`] on the simulator, unhardened, without a trace.
 #[must_use]
 pub fn run_scenario(scenario: &Scenario, mutation: Mutation) -> Outcome {
-    run_scenario_hardened(scenario, mutation, Hardening::None)
-}
-
-/// Runs one scenario with an explicit hardening mode — the same pure
-/// function as [`run_scenario`], with the open-cube nodes built under
-/// the given [`Hardening`]. Hardening is a run-time parameter, not part
-/// of the scenario: the same `oc1-` ID replays under either mode, which
-/// is how the partition batteries compare baseline and quorum verdicts
-/// on identical fault scripts.
-#[must_use]
-pub fn run_scenario_hardened(
-    scenario: &Scenario,
-    mutation: Mutation,
-    hardening: Hardening,
-) -> Outcome {
-    run_scenario_with(scenario, |s| OpenCubeNode::build_all(s.config(mutation, hardening)))
-}
-
-/// [`run_scenario_hardened`] with the simulator's trace on: the same
-/// outcome, and the run's [`Trace`] beside it — what `explore --replay`
-/// prints for an `oc1-` ID.
-#[must_use]
-pub fn run_scenario_traced(
-    scenario: &Scenario,
-    mutation: Mutation,
-    hardening: Hardening,
-) -> (Outcome, Trace) {
-    let nodes = OpenCubeNode::build_all(scenario.config(mutation, hardening));
-    in_scenario_world(scenario, nodes, true, |world| {
-        let drained = world.run_to_quiescence();
-        (judge_world(world, drained), world.trace().clone())
-    })
+    run(scenario, Run { mutation, ..Run::SIM }, None)
 }
 
 /// Runs one scenario against an arbitrary [`Protocol`] and returns its
@@ -238,10 +289,60 @@ where
     P: Protocol + 'static,
     F: FnOnce(&Scenario) -> Vec<P>,
 {
-    in_scenario_world(scenario, build(scenario), false, |world| {
+    on_world(scenario, build(scenario), None)
+}
+
+/// `nodes` in this thread's world, run to quiescence and judged.
+fn on_world<P: Protocol + 'static>(
+    scenario: &Scenario,
+    nodes: Vec<P>,
+    trace: Option<&mut Trace>,
+) -> Outcome {
+    in_scenario_world(scenario, nodes, trace, |world| {
         let drained = world.run_to_quiescence();
         judge_world(world, drained)
     })
+}
+
+/// The length of one scenario tick on the runtime's nanosecond clock.
+const RUNTIME_TICK: Duration = Duration::from_micros(20);
+
+/// [`Substrate::Runtime`]: ticks mapped to nanoseconds, the horizon
+/// `max_events`. The runtime's links draw their delays in `0..=δ`, not
+/// from the scenario's envelope, so its counters are its own.
+fn on_runtime(scenario: &Scenario, protocol: Config, workers: usize) -> Outcome {
+    let config = RuntimeConfig {
+        workers,
+        tick: RUNTIME_TICK,
+        // The protocol's δ is `delay_max` ticks; the runtime's delay
+        // bound maps it exactly.
+        max_network_delay: ticks_to_wall(scenario.delay_max, RUNTIME_TICK),
+        cs_duration: ticks_to_wall(scenario.cs_ticks, RUNTIME_TICK),
+        seed: scenario.seed,
+    };
+    let report = run_virtual(
+        config,
+        scenario.fault_script(),
+        OpenCubeNode::build_all(protocol),
+        &scenario.schedule(),
+        &scenario.failure_plan(),
+        scenario.max_events,
+    );
+    Outcome {
+        drained: report.drained,
+        events: report.events_processed,
+        messages: report.messages_sent,
+        cs_entries: report.cs_entries,
+        crashes: report.crashes,
+        recoveries: report.recoveries,
+        abandoned: report.requests_abandoned,
+        lost_to_faults: report.lost_to_faults,
+        lost_to_partition: report.lost_to_partition,
+        duplicated: report.duplicated_deliveries,
+        safety: report.safety,
+        liveness: report.liveness,
+        ..Outcome::default()
+    }
 }
 
 thread_local! {
@@ -252,14 +353,15 @@ thread_local! {
 
 /// Hands `play` this thread's world, reset for `scenario` over `nodes`
 /// with every arrival and crash filed — the one place a scenario becomes
-/// a [`SimConfig`]. The world is out of its slot while `play` runs, so a
+/// a [`SimConfig`] — and, with `trace`, records the run and copies its
+/// trace there. The world is out of its slot while `play` runs, so a
 /// runner called inside `play` gets a world of its own, and a world left
 /// mid-event by a panic is never reused. A world of another protocol type
 /// is dropped for a new one.
 pub(crate) fn in_scenario_world<P: Protocol + 'static, R>(
     scenario: &Scenario,
     nodes: Vec<P>,
-    record_trace: bool,
+    trace: Option<&mut Trace>,
     play: impl FnOnce(&mut World<P>) -> R,
 ) -> R {
     let sim = SimConfig {
@@ -269,7 +371,7 @@ pub(crate) fn in_scenario_world<P: Protocol + 'static, R>(
         },
         cs_duration: SimDuration::from_ticks(scenario.cs_ticks),
         seed: scenario.seed,
-        record_trace,
+        record_trace: trace.is_some(),
         max_events: scenario.max_events,
         script: scenario.fault_script(),
     };
@@ -294,6 +396,9 @@ pub(crate) fn in_scenario_world<P: Protocol + 'static, R>(
         }
     }
     let result = play(&mut world);
+    if let Some(trace) = trace {
+        trace.clone_from(world.trace());
+    }
     WORLD.set(Some(world));
     result
 }
@@ -387,9 +492,10 @@ mod tests {
         let generated = (0..40).map(|index| Scenario::generate(&Space::default(), 7, index));
         for scenario in generated.chain([witness]) {
             for hardening in [Hardening::None, Hardening::Quorum] {
-                let (traced, trace) = run_scenario_traced(&scenario, Mutation::None, hardening);
-                let plain = run_scenario_hardened(&scenario, Mutation::None, hardening);
-                assert_eq!(traced, plain, "{}", scenario.id());
+                let how = Run { hardening, ..Run::SIM };
+                let mut trace = Trace::default();
+                let traced = run(&scenario, how, Some(&mut trace));
+                assert_eq!(traced, run(&scenario, how, None), "{}", scenario.id());
                 assert!(!trace.records().is_empty(), "{}", scenario.id());
             }
         }

@@ -1,13 +1,12 @@
 //! Deterministic shrink-to-minimal: greedy reduction of a failing
-//! scenario, re-running the pure `(scenario, mutation)` function at every
+//! scenario, re-running the pure `(scenario, run)` function at every
 //! step.
 
-use oc_algo::Mutation;
 use oc_sim::{FaultPhase, FaultPhaseKind};
 use oc_topology::NodeId;
 
 use crate::{
-    run::{run_scenario, Outcome},
+    run::{run, Outcome, Run},
     scenario::Scenario,
 };
 
@@ -43,20 +42,22 @@ const MIN_SHRUNK_EVENT_CAP: u64 = 50_000;
 /// the first candidate that still fails is accepted,
 /// restarting the pass. The loop ends when a full pass accepts nothing,
 /// so the result is deterministic: equal inputs shrink to equal minima.
+/// Every candidate is played as `how` says, so a scenario shrinks on the
+/// substrate, mutation and hardening it failed under.
 ///
 /// # Panics
 ///
-/// Panics if `scenario` does not fail under `mutation` — shrinking a
-/// passing scenario is a caller bug.
+/// Panics if `scenario` does not fail under `how` — shrinking a passing
+/// scenario is a caller bug.
 #[must_use]
-pub fn shrink(scenario: &Scenario, mutation: Mutation) -> ShrinkResult {
-    fn fails(candidate: &Scenario, mutation: Mutation, runs: &mut u32) -> Option<Outcome> {
+pub fn shrink(scenario: &Scenario, how: Run) -> ShrinkResult {
+    fn fails(candidate: &Scenario, how: Run, runs: &mut u32) -> Option<Outcome> {
         *runs += 1;
-        let outcome = run_scenario(candidate, mutation);
+        let outcome = run(candidate, how, None);
         (!outcome.is_clean()).then_some(outcome)
     }
     let mut runs = 0u32;
-    let mut outcome = fails(scenario, mutation, &mut runs)
+    let mut outcome = fails(scenario, how, &mut runs)
         .expect("shrink requires a failing scenario (the caller checks)");
     let mut current = scenario.clone();
     let mut steps = 0u32;
@@ -68,7 +69,7 @@ pub fn shrink(scenario: &Scenario, mutation: Mutation) -> ShrinkResult {
             if runs >= MAX_RUNS {
                 break 'outer;
             }
-            if let Some(failing) = fails(&candidate, mutation, &mut runs) {
+            if let Some(failing) = fails(&candidate, how, &mut runs) {
                 current = candidate;
                 outcome = failing;
                 steps += 1;
@@ -192,6 +193,10 @@ fn shrink_phase_to(phase: &FaultPhase, n: usize) -> Option<FaultPhase> {
 mod tests {
     use super::*;
     use crate::scenario::{ScenarioCrash, Space};
+    use oc_algo::Mutation;
+
+    /// The skip-regeneration planted bug on the simulator.
+    const SKIP: Run = Run { mutation: Mutation::SkipTokenRegeneration, ..Run::SIM };
 
     /// A deliberately bloated failing scenario under the skip-regeneration
     /// mutation: the crash of borrower 2 matters, the rest is noise. The
@@ -218,8 +223,7 @@ mod tests {
 
     #[test]
     fn shrink_reaches_a_failing_local_minimum() {
-        let mutation = Mutation::SkipTokenRegeneration;
-        let result = shrink(&bloated(), mutation);
+        let result = shrink(&bloated(), SKIP);
         assert!(!result.outcome.is_clean(), "the minimum must still fail");
         assert!(result.steps > 0, "the bloated scenario must shrink at all");
         assert!(
@@ -231,7 +235,7 @@ mod tests {
         // Minimality: every single further reduction passes.
         for candidate in super::candidates(&result.scenario) {
             assert!(
-                run_scenario(&candidate, mutation).is_clean(),
+                run(&candidate, SKIP, None).is_clean(),
                 "a further reduction still fails — not a local minimum"
             );
         }
@@ -239,9 +243,8 @@ mod tests {
 
     #[test]
     fn shrink_is_deterministic() {
-        let mutation = Mutation::SkipTokenRegeneration;
-        let a = shrink(&bloated(), mutation);
-        let b = shrink(&bloated(), mutation);
+        let a = shrink(&bloated(), SKIP);
+        let b = shrink(&bloated(), SKIP);
         assert_eq!(a.scenario, b.scenario);
         assert_eq!(a.outcome, b.outcome);
         assert_eq!((a.steps, a.runs), (b.steps, b.runs));
@@ -249,11 +252,10 @@ mod tests {
 
     #[test]
     fn shrunk_scenario_replays_from_its_id_alone() {
-        let mutation = Mutation::SkipTokenRegeneration;
-        let result = shrink(&bloated(), mutation);
+        let result = shrink(&bloated(), SKIP);
         let replayed = Scenario::from_id(&result.scenario.id()).expect("id decodes");
         assert_eq!(replayed, result.scenario);
-        let outcome = run_scenario(&replayed, mutation);
+        let outcome = run(&replayed, SKIP, None);
         assert_eq!(outcome, result.outcome, "replay must be byte-identical");
         assert_eq!(outcome.fingerprint(), result.outcome.fingerprint());
     }
@@ -264,7 +266,7 @@ mod tests {
         let clean = Scenario::generate(&Space::default(), 1, 0);
         // Index 0 of the default space happens to be clean; if that ever
         // changes, pick another — the panic is what matters.
-        assert!(run_scenario(&clean, Mutation::None).is_clean());
-        let _ = shrink(&clean, Mutation::None);
+        assert!(run(&clean, Run::SIM, None).is_clean());
+        let _ = shrink(&clean, Run::SIM);
     }
 }

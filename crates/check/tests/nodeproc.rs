@@ -1,18 +1,23 @@
 //! The socket node's own code in virtual time: `oc_transport::Proc` —
 //! the wire codec, the hybrid logical clock, the event log, the
 //! `--recover` path and the gateway's session queue — stepped by the
-//! simulator through `run_scenario_nodeproc` and held to
-//! `run_scenario`'s verdict.
+//! simulator through `oc_check::run` and held to the simulator's verdict.
 //!
-//! Every run is judged twice, by the world's oracles and post hoc from
-//! the nodes' event logs, and both judgements answer to the simulator's.
-//! The last two cells are socket-deployment shapes: a two-kill timeline
-//! and a 64-node cell that once ran only as real processes.
+//! Every scenario here runs twice, judged by the world's oracles
+//! (`Substrate::Nodeproc`) and post hoc from the nodes' event logs
+//! (`Substrate::NodeprocLogs`), and both judgements answer to the
+//! simulator's. The last two cells are socket-deployment shapes: a
+//! two-kill timeline and a 64-node cell that once ran only as real
+//! processes. The explorer's default battery runs on both judgements
+//! through the shared loop of `battery/mod.rs`.
 
+mod battery;
+
+use battery::{assert_agrees, battery, failures, sum};
 use oc_algo::Mutation;
 use oc_check::{
-    conforms, explore_serial, run_scenario, run_scenario_nodeproc, shrink, GateKill, GateScenario,
-    NodeprocOutcome, Outcome, Scenario, ScenarioCrash, Space, HEALED_PARTITION_PINS,
+    conforms, explore_serial, run, run_scenario, shrink, GateKill, GateScenario, Outcome, Run,
+    Scenario, ScenarioCrash, Space, Substrate, HEALED_PARTITION_PINS,
 };
 use oc_sim::Violation;
 
@@ -22,62 +27,45 @@ use oc_sim::Violation;
 const DUPLICATION_WITNESS: &str =
     "oc1-08a68eedf2ccf1f2b66107112e881190a10f2fbc030090030500061e033c025a07780100";
 
-/// Panics unless the virtual-time socket node agrees with the simulator
-/// on `scenario`. The world's judgement is the simulator's, field for
-/// field, but for the protocol counts of `coverage` (a `Proc` drops
-/// them); the logs serve, abandon and judge as the simulator does. Both
-/// runners schedule every arrival, so they inject the same requests.
-fn assert_agrees(scenario: &Scenario, sim: &Outcome, run: &NodeprocOutcome) {
-    let id = scenario.id();
-    let world = Outcome { coverage: sim.coverage.clone(), ..run.world.clone() };
-    assert_eq!(&world, sim, "the world's judgement diverged on {id}");
-    let logs = &run.logs;
-    assert_eq!(
-        (logs.cs_entries, logs.abandoned, logs.is_clean()),
-        (sim.cs_entries, sim.abandoned, sim.is_clean()),
-        "the log judgement diverged on {id}: {logs:?}"
-    );
+/// One virtual-time run of the socket node under `mutation`, judged
+/// twice: `(by the world's oracles, by the nodes' logs)`.
+fn judged(scenario: &Scenario, mutation: Mutation) -> (Outcome, Outcome) {
+    let on = |substrate| run(scenario, Run { substrate, mutation, ..Run::SIM }, None);
+    (on(Substrate::Nodeproc), on(Substrate::NodeprocLogs))
 }
 
-/// The 2 000-scenario default battery at `seed` through both runners.
-fn battery(seed: u64) -> Vec<NodeprocOutcome> {
-    let runs: Vec<NodeprocOutcome> = (0..2_000)
-        .map(|index| {
-            let scenario = Scenario::generate(&Space::default(), seed, index);
-            let sim = run_scenario(&scenario, Mutation::None);
-            let run = run_scenario_nodeproc(&scenario, Mutation::None);
-            assert_agrees(&scenario, &sim, &run);
-            run
-        })
-        .collect();
-    let sum = |read: fn(&NodeprocOutcome) -> u64| runs.iter().map(read).sum::<u64>();
+/// The 2 000-scenario default battery at `seed` on both judgements,
+/// `(by the world's oracles, by the nodes' logs)`.
+fn both_judgements(seed: u64) -> (Vec<Outcome>, Vec<Outcome>) {
+    let [world, logs] = battery(seed, [Substrate::Nodeproc, Substrate::NodeprocLogs]);
+    let (world, logs) = (world.outcomes, logs.outcomes);
     eprintln!(
         "nodeproc battery seed={seed} scenarios={} failures={} log_failures={} cs={} \
          abandoned={} messages={} events={} log_records={} crashes={} recoveries={}",
-        runs.len(),
-        runs.iter().filter(|run| !run.world.is_clean()).count(),
-        runs.iter().filter(|run| !run.logs.is_clean()).count(),
-        sum(|run| run.logs.cs_entries),
-        sum(|run| run.logs.abandoned),
-        sum(|run| run.world.messages),
-        sum(|run| run.world.events),
-        sum(|run| run.logs.events),
-        sum(|run| run.logs.crashes),
-        sum(|run| run.logs.recoveries),
+        world.len(),
+        failures(&world),
+        failures(&logs),
+        sum(&logs, |run| run.cs_entries),
+        sum(&logs, |run| run.abandoned),
+        sum(&world, |run| run.messages),
+        sum(&world, |run| run.events),
+        sum(&logs, |run| run.events),
+        sum(&logs, |run| run.crashes),
+        sum(&logs, |run| run.recoveries),
     );
-    runs
+    (world, logs)
 }
 
 #[test]
 fn the_seed_42_default_battery_agrees_with_the_simulator_twice_over() {
-    let first = battery(42);
-    assert!(first.iter().any(|run| run.logs.crashes > 0), "the battery kills nodes");
-    assert_eq!(first, battery(42), "two runs of the battery differ");
+    let first = both_judgements(42);
+    assert!(first.1.iter().any(|run| run.crashes > 0), "the battery kills nodes");
+    assert_eq!(first, both_judgements(42), "two runs of the battery differ");
 }
 
 #[test]
 fn the_seed_43_default_battery_agrees_with_the_simulator() {
-    battery(43);
+    both_judgements(43);
 }
 
 #[test]
@@ -88,8 +76,9 @@ fn the_pinned_findings_keep_the_simulators_verdict() {
         let scenario = Scenario::from_id(id).expect("pinned ids decode");
         let sim = run_scenario(&scenario, Mutation::None);
         assert!(!sim.is_clean(), "{name} no longer fails in the simulator");
-        let run = run_scenario_nodeproc(&scenario, Mutation::None);
-        assert_agrees(&scenario, &sim, &run);
+        let (world, logs) = judged(&scenario, Mutation::None);
+        assert_agrees(Substrate::Nodeproc, &scenario, &sim, &world);
+        assert_agrees(Substrate::NodeprocLogs, &scenario, &sim, &logs);
         let duplicated = |outcome: &Outcome| {
             outcome
                 .safety
@@ -97,19 +86,20 @@ fn the_pinned_findings_keep_the_simulators_verdict() {
                 .iter()
                 .any(|v| matches!(v, Violation::TokenDuplication { .. }))
         };
-        assert!(duplicated(&run.logs), "{name}: the logs miss the second token: {:?}", run.logs);
+        assert!(duplicated(&logs), "{name}: the logs miss the second token: {logs:?}");
     }
 }
 
 #[test]
 fn the_log_judgement_catches_the_planted_safety_bug() {
     let mutation = Mutation::KeepTokenOnTransit;
-    let found = explore_serial(&Space::default(), 42, 700, mutation).expect("detected");
-    let minimal = shrink(&found.scenario, mutation);
+    let on_sim = Run { mutation, ..Run::SIM };
+    let found = explore_serial(&Space::default(), 42, 700, on_sim).expect("detected");
+    let minimal = shrink(&found.scenario, on_sim);
     assert!(!minimal.outcome.safety.is_clean());
-    let run = run_scenario_nodeproc(&minimal.scenario, mutation);
-    assert!(!run.world.safety.is_clean(), "{run:?}");
-    assert!(!run.logs.safety.is_clean(), "the logs judge the kept token clean: {run:?}");
+    let (world, logs) = judged(&minimal.scenario, mutation);
+    assert!(!world.safety.is_clean(), "{world:?}");
+    assert!(!logs.safety.is_clean(), "the logs judge the kept token clean: {logs:?}");
 }
 
 #[test]
@@ -120,25 +110,24 @@ fn the_logs_never_miss_an_overlap_or_a_starvation() {
     // section or a request starved in is never judged clean by its logs.
     // (A second token that never overlaps a critical section and dies
     // before the horizon is invisible to a log of entries and exits.)
-    let mut judged = 0;
+    let mut dirty = 0;
     for mutation in [Mutation::KeepTokenOnTransit, Mutation::SkipTokenRegeneration] {
         for index in 0..500 {
             let scenario = Scenario::generate(&Space::default(), 42, index);
-            let run = run_scenario_nodeproc(&scenario, mutation);
-            let overlap = run
-                .world
+            let (world, logs) = judged(&scenario, mutation);
+            let overlap = world
                 .safety
                 .violations()
                 .iter()
                 .any(|v| matches!(v, Violation::MutualExclusion { .. }));
-            if overlap || !run.world.liveness.is_clean() {
-                judged += 1;
-                assert!(!run.logs.is_clean(), "{mutation:?} {}: {run:?}", scenario.id());
+            if overlap || !world.liveness.is_clean() {
+                dirty += 1;
+                assert!(!logs.is_clean(), "{mutation:?} {}: {world:?} {logs:?}", scenario.id());
             }
-            assert!(!run.world.is_clean() || run.logs.is_clean(), "falsely dirty: {run:?}");
+            assert!(!world.is_clean() || logs.is_clean(), "falsely dirty: {world:?} {logs:?}");
         }
     }
-    assert!(judged > 10, "only {judged} runs overlapped or starved");
+    assert!(dirty > 10, "only {dirty} runs overlapped or starved");
 }
 
 fn cell(n: usize, requests: usize, seed: u64, kill: Option<GateKill>) -> Scenario {
@@ -157,12 +146,12 @@ fn cell(n: usize, requests: usize, seed: u64, kill: Option<GateKill>) -> Scenari
 
 fn assert_conforms(scenario: &Scenario) {
     let sim = run_scenario(scenario, Mutation::None);
-    let run = run_scenario_nodeproc(scenario, Mutation::None);
-    let all = [("sim", &sim), ("nodeproc", &run.world), ("nodeproc logs", &run.logs)];
+    let (world, logs) = judged(scenario, Mutation::None);
+    let all = [("sim", &sim), ("nodeproc", &world), ("nodeproc logs", &logs)];
     conforms(scenario.arrivals.len(), &all)
         .unwrap_or_else(|why| panic!("runners diverged on {}: {why}", scenario.id()));
-    assert_eq!(run.logs.crashes, scenario.crashes.len() as u64);
-    assert_eq!(run.logs.recoveries, run.logs.crashes, "every kill here restarts");
+    assert_eq!(logs.crashes, scenario.crashes.len() as u64);
+    assert_eq!(logs.recoveries, logs.crashes, "every kill here restarts");
 }
 
 #[test]

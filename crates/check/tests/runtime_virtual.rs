@@ -1,27 +1,19 @@
 //! The threaded runtime's own worker code in virtual time: the cores of
 //! `oc_runtime`'s workers — delay queues, live timers, batch books,
 //! fault script and oracle monitors — stepped on one thread through
-//! `run_scenario_runtime_virtual` and held to `run_scenario`'s verdict
-//! on the explorer's default battery.
-//!
-//! The two substrates draw different message delays (the runtime
-//! uniformly below δ, the simulator from the scenario's delay envelope),
-//! so their counters of messages and events differ; what a scenario
-//! asks of any substrate — the same requests served or abandoned, the
-//! same crashes and recoveries, the same drained verdict, clean or not —
-//! must not. A scenario on which they disagree is a finding: shrink it
-//! and pin its `oc1-` id here with the reason.
-//!
-//! Beside the batteries, four hand-made inputs at one, two and four
-//! workers: a clean run, a crash and recovery, the planted
-//! `KeepTokenOnTransit` bug, and the socket deployment's kill cell.
+//! `oc_check::run` on `Substrate::Runtime`, on four hand-made inputs at
+//! one, two and four workers: a clean run, a crash and recovery, the
+//! planted `KeepTokenOnTransit` bug, and the socket deployment's kill
+//! cell, and on the explorer's default battery at two workers through
+//! the shared loop of `battery/mod.rs`, held to the simulator's verdict.
 
-use std::time::{Duration, Instant};
+mod battery;
 
+use battery::{battery, failures, sum};
 use oc_algo::Mutation;
 use oc_check::{
-    conforms, run_scenario, run_scenario_runtime_virtual, GateKill, GateScenario, Outcome,
-    Scenario, ScenarioCrash, Space,
+    conforms, run, run_scenario, GateKill, GateScenario, Outcome, Run, Scenario, ScenarioCrash,
+    Substrate,
 };
 
 /// The runtime's workers per virtual run of the battery.
@@ -30,69 +22,45 @@ const WORKERS: usize = 2;
 /// The worker counts each hand-made input runs at.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// What a scenario asks of every substrate.
-fn verdict(outcome: &Outcome) -> (bool, u64, u64, u64, u64, bool) {
-    (
-        outcome.drained,
-        outcome.cs_entries,
-        outcome.abandoned,
-        outcome.crashes,
-        outcome.recoveries,
-        outcome.is_clean(),
-    )
+/// `scenario` under `mutation` on `workers` runtime workers.
+fn on_runtime(scenario: &Scenario, mutation: Mutation, workers: usize) -> Outcome {
+    run(scenario, Run { substrate: Substrate::Runtime { workers }, mutation, ..Run::SIM }, None)
 }
 
-/// The 2 000-scenario default battery at `seed` through both runners;
-/// panics on the first scenario they disagree on.
-fn battery(seed: u64) -> Vec<Outcome> {
-    let mut virtual_time = Duration::ZERO;
-    let runs: Vec<Outcome> = (0..2_000)
-        .map(|index| {
-            let scenario = Scenario::generate(&Space::default(), seed, index);
-            let sim = run_scenario(&scenario, Mutation::None);
-            let start = Instant::now();
-            let run = run_scenario_runtime_virtual(&scenario, Mutation::None, WORKERS);
-            virtual_time += start.elapsed();
-            assert_eq!(
-                verdict(&run),
-                verdict(&sim),
-                "the runtime's workers diverged from the simulator on index {index}, {}: {run:?}",
-                scenario.id()
-            );
-            run
-        })
-        .collect();
-    let sum = |read: fn(&Outcome) -> u64| runs.iter().map(read).sum::<u64>();
+/// The 2 000-scenario default battery at `seed` on `WORKERS` workers.
+fn runtime_battery(seed: u64) -> Vec<Outcome> {
+    let [end] = battery(seed, [Substrate::Runtime { workers: WORKERS }]);
+    let runs = end.outcomes;
     eprintln!(
         "runtime virtual battery seed={seed} workers={WORKERS} scenarios={} failures={} \
          drained={} cs={} abandoned={} messages={} events={} crashes={} recoveries={} \
          duplicated={} runtime_wall={:.3}s",
         runs.len(),
-        runs.iter().filter(|run| !run.is_clean()).count(),
+        failures(&runs),
         runs.iter().filter(|run| run.drained).count(),
-        sum(|run| run.cs_entries),
-        sum(|run| run.abandoned),
-        sum(|run| run.messages),
-        sum(|run| run.events),
-        sum(|run| run.crashes),
-        sum(|run| run.recoveries),
-        sum(|run| run.duplicated),
-        virtual_time.as_secs_f64(),
+        sum(&runs, |run| run.cs_entries),
+        sum(&runs, |run| run.abandoned),
+        sum(&runs, |run| run.messages),
+        sum(&runs, |run| run.events),
+        sum(&runs, |run| run.crashes),
+        sum(&runs, |run| run.recoveries),
+        sum(&runs, |run| run.duplicated),
+        end.wall.as_secs_f64(),
     );
     runs
 }
 
 #[test]
 fn the_seed_42_default_battery_agrees_with_the_simulator_twice_over() {
-    let first = battery(42);
+    let first = runtime_battery(42);
     assert!(first.iter().any(|run| run.crashes > 0), "the battery crashes nodes");
     assert!(first.iter().any(|run| run.duplicated > 0), "the battery duplicates messages");
-    assert_eq!(first, battery(42), "two runs of the battery differ");
+    assert_eq!(first, runtime_battery(42), "two runs of the battery differ");
 }
 
 #[test]
 fn the_seed_43_default_battery_agrees_with_the_simulator() {
-    battery(43);
+    runtime_battery(43);
 }
 
 /// Three requests at four nodes, no faults.
@@ -116,7 +84,7 @@ fn clean_scenario_is_clean_on_the_runtime_and_agrees_with_the_sim() {
     let scenario = tiny_scenario();
     let sim = run_scenario(&scenario, Mutation::None);
     for workers in WORKER_COUNTS {
-        let run = run_scenario_runtime_virtual(&scenario, Mutation::None, workers);
+        let run = on_runtime(&scenario, Mutation::None, workers);
         assert!(run.drained && run.is_clean(), "workers={workers}: {run:?}");
         // Both substrates serve exactly the same requests and abandon
         // nothing.
@@ -135,7 +103,7 @@ fn crash_scenario_conforms() {
     let sim = run_scenario(&scenario, Mutation::None);
     assert!(sim.is_clean(), "sim baseline: {sim:?}");
     for workers in WORKER_COUNTS {
-        let run = run_scenario_runtime_virtual(&scenario, Mutation::None, workers);
+        let run = on_runtime(&scenario, Mutation::None, workers);
         assert!(run.is_clean(), "workers={workers}: {run:?}");
         assert_eq!(run.cs_entries, sim.cs_entries, "workers={workers}");
         assert_eq!((run.crashes, run.recoveries), (1, 1), "workers={workers}");
@@ -148,8 +116,7 @@ fn planted_safety_bug_is_caught_in_virtual_time() {
     // grant; the runtime's terminal census and live mutual-exclusion
     // monitor must flag it, as the simulator's per-event census does.
     for workers in WORKER_COUNTS {
-        let run =
-            run_scenario_runtime_virtual(&tiny_scenario(), Mutation::KeepTokenOnTransit, workers);
+        let run = on_runtime(&tiny_scenario(), Mutation::KeepTokenOnTransit, workers);
         assert!(!run.safety.is_clean(), "workers={workers}: expected a violation, got {run:?}");
     }
 }
@@ -172,7 +139,7 @@ fn gate_kill_cell_conforms_on_the_runtime() {
     .scenario();
     let sim = run_scenario(&scenario, Mutation::None);
     for workers in WORKER_COUNTS {
-        let run = run_scenario_runtime_virtual(&scenario, Mutation::None, workers);
+        let run = on_runtime(&scenario, Mutation::None, workers);
         conforms(60, &[("sim", &sim), ("runtime", &run)])
             .unwrap_or_else(|why| panic!("workers={workers}: {why}"));
         assert_eq!((run.crashes, run.recoveries), (1, 1), "workers={workers}");

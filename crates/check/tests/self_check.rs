@@ -17,7 +17,7 @@
 
 use oc_algo::{Hardening, Mutation};
 use oc_check::{
-    explore_guided, explore_serial, run_scenario, run_scenario_hardened, shrink, Scenario, Space,
+    explore_guided, explore_serial, run, run_scenario, shrink, Run, Scenario, Space,
     HEALED_PARTITION_PINS,
 };
 use oc_sim::{FaultPhase, FaultPhaseKind, SimTime};
@@ -31,14 +31,14 @@ const MUTATION_BUDGET: u64 = 700;
 
 fn detect_shrink_and_replay(mutation: Mutation) -> (Scenario, oc_check::Outcome) {
     let space = Space::default();
-    let failure = explore_serial(&space, 42, MUTATION_BUDGET, mutation)
+    let failure = explore_serial(&space, 42, MUTATION_BUDGET, Run { mutation, ..Run::SIM })
         .unwrap_or_else(|| panic!("{mutation:?} must be detected within {MUTATION_BUDGET}"));
     assert!(!failure.outcome.is_clean());
 
     // Shrink deterministically...
-    let result = shrink(&failure.scenario, mutation);
+    let result = shrink(&failure.scenario, Run { mutation, ..Run::SIM });
     assert!(!result.outcome.is_clean(), "the minimum must still fail");
-    let again = shrink(&failure.scenario, mutation);
+    let again = shrink(&failure.scenario, Run { mutation, ..Run::SIM });
     assert_eq!(result.scenario, again.scenario, "shrinking must be deterministic");
 
     // ...and replay byte-identically from the scenario ID alone.
@@ -79,9 +79,9 @@ fn detect_guided_shrink_and_replay(mutation: Mutation) -> (Scenario, oc_check::O
 
     // Same contract as the blind path: shrink deterministically and
     // replay the minimum byte-identically from its ID alone.
-    let shrunk = shrink(&failure.scenario, mutation);
+    let shrunk = shrink(&failure.scenario, Run { mutation, ..Run::SIM });
     assert!(!shrunk.outcome.is_clean(), "the minimum must still fail");
-    let again = shrink(&failure.scenario, mutation);
+    let again = shrink(&failure.scenario, Run { mutation, ..Run::SIM });
     assert_eq!(shrunk.scenario, again.scenario, "shrinking must be deterministic");
     let id = shrunk.scenario.id();
     let replayed = Scenario::from_id(&id).expect("shrunk scenario id must decode");
@@ -243,7 +243,7 @@ fn hardened_partition_counterexamples_stay_fixed() {
     for (name, id) in HEALED_PARTITION_PINS {
         let scenario = Scenario::from_id(id)
             .unwrap_or_else(|err| panic!("{name}: pinned id must decode: {err}"));
-        let outcome = run_scenario_hardened(&scenario, Mutation::None, Hardening::Quorum);
+        let outcome = run(&scenario, Run { hardening: Hardening::Quorum, ..Run::SIM }, None);
         assert!(
             outcome.is_clean(),
             "{name}: regression — the quorum-hardened replay fails again: {outcome:?}"

@@ -5,7 +5,7 @@
 //! byte-identically from the portable `oc1-` ID alone.
 
 use oc_algo::Mutation;
-use oc_check::{run_scenario, shrink, Outcome, Scenario, Space};
+use oc_check::{run_scenario, shrink, Outcome, Run, Scenario, Space};
 use proptest::prelude::*;
 
 /// The size metric the monotonicity property is judged under: every
@@ -47,8 +47,8 @@ proptest! {
 
         // Deterministic: equal inputs shrink to equal minima, spending
         // the same run budget.
-        let result = shrink(&scenario, mutation);
-        let again = shrink(&scenario, mutation);
+        let result = shrink(&scenario, Run { mutation, ..Run::SIM });
+        let again = shrink(&scenario, Run { mutation, ..Run::SIM });
         prop_assert_eq!(&result.scenario, &again.scenario);
         prop_assert_eq!(&result.outcome, &again.outcome);
         prop_assert_eq!((result.steps, result.runs), (again.steps, again.runs));

@@ -17,24 +17,21 @@ use std::thread;
 
 use oc_algo::{Hardening, Mutation};
 use oc_baselines::RaymondNode;
-use oc_check::{
-    run_scenario_hardened, run_scenario_traced, run_scenario_with, Outcome, Scenario,
-    ScenarioCrash, Space,
-};
-use oc_sim::{FaultPhase, FaultPhaseKind, SimTime};
+use oc_check::{run, run_scenario_with, Outcome, Run, Scenario, ScenarioCrash, Space};
+use oc_sim::{FaultPhase, FaultPhaseKind, SimTime, Trace};
 
 /// One call of a runner.
 #[derive(Debug, Clone)]
-enum Run {
+enum Call {
     Plain(Scenario, Mutation, Hardening),
     Traced(Scenario, Mutation, Hardening),
     Raymond(Scenario),
 }
 
-impl Run {
+impl Call {
     fn scenario(&self) -> &Scenario {
         match self {
-            Run::Plain(scenario, ..) | Run::Traced(scenario, ..) | Run::Raymond(scenario) => {
+            Call::Plain(scenario, ..) | Call::Traced(scenario, ..) | Call::Raymond(scenario) => {
                 scenario
             }
         }
@@ -43,16 +40,18 @@ impl Run {
 
 /// The run's outcome, and its trace's length and hash when it recorded
 /// one.
-fn play(run: &Run) -> (Outcome, Option<(usize, u64)>) {
-    match run {
-        Run::Plain(scenario, mutation, hardening) => {
-            (run_scenario_hardened(scenario, *mutation, *hardening), None)
+fn play(call: &Call) -> (Outcome, Option<(usize, u64)>) {
+    let on_sim = |mutation, hardening| Run { mutation, hardening, ..Run::SIM };
+    match call {
+        Call::Plain(scenario, mutation, hardening) => {
+            (run(scenario, on_sim(*mutation, *hardening), None), None)
         }
-        Run::Traced(scenario, mutation, hardening) => {
-            let (outcome, trace) = run_scenario_traced(scenario, *mutation, *hardening);
+        Call::Traced(scenario, mutation, hardening) => {
+            let mut trace = Trace::default();
+            let outcome = run(scenario, on_sim(*mutation, *hardening), Some(&mut trace));
             (outcome, Some((trace.records().len(), trace.hash64())))
         }
-        Run::Raymond(scenario) => {
+        Call::Raymond(scenario) => {
             (run_scenario_with(scenario, |s| RaymondNode::build_all(s.n)), None)
         }
     }
@@ -83,7 +82,7 @@ fn crash(node: u32, at: u64, recover_at: Option<u64>) -> ScenarioCrash {
 }
 
 /// The hand-made part of the mix, in the order one thread runs it.
-fn hand_made() -> Vec<Run> {
+fn hand_made() -> Vec<Call> {
     let none = (Mutation::None, Hardening::None);
     let crash_and_recover =
         Scenario { crashes: vec![crash(2, 40, Some(400))], ..scenario(2, 1, 12) };
@@ -114,38 +113,38 @@ fn hand_made() -> Vec<Run> {
     // wrong.
     let wedge = Scenario { crashes: vec![crash(2, 30, None)], ..scenario(4, 11, 1) };
     let mut runs = vec![
-        Run::Plain(crash_and_recover.clone(), none.0, none.1),
-        Run::Plain(partition_then_duplication.clone(), none.0, none.1),
+        Call::Plain(crash_and_recover.clone(), none.0, none.1),
+        Call::Plain(partition_then_duplication.clone(), none.0, none.1),
         // Traffic inside both phases' windows, with no script of its own.
-        Run::Plain(scenario(64, 10, 90), none.0, none.1),
-        Run::Plain(quorum.clone(), Mutation::None, Hardening::Quorum),
-        Run::Plain(scenario(8, 4, 16), Mutation::KeepTokenOnTransit, Hardening::None),
-        Run::Plain(permanent, none.0, none.1),
-        Run::Plain(scenario(4, 8, 12), none.0, none.1),
-        Run::Plain(undrained.clone(), none.0, none.1),
-        Run::Plain(small.clone(), none.0, none.1),
-        Run::Traced(partition_then_duplication.clone(), none.0, Hardening::Quorum),
-        Run::Plain(partition_then_duplication, none.0, Hardening::Quorum),
-        Run::Raymond(scenario(8, 9, 16)),
-        Run::Traced(undrained, Mutation::SkipTokenRegeneration, Hardening::None),
-        Run::Plain(crash_and_recover, Mutation::SkipTokenRegeneration, Hardening::None),
-        Run::Raymond(small),
-        Run::Plain(quorum, none.0, none.1),
+        Call::Plain(scenario(64, 10, 90), none.0, none.1),
+        Call::Plain(quorum.clone(), Mutation::None, Hardening::Quorum),
+        Call::Plain(scenario(8, 4, 16), Mutation::KeepTokenOnTransit, Hardening::None),
+        Call::Plain(permanent, none.0, none.1),
+        Call::Plain(scenario(4, 8, 12), none.0, none.1),
+        Call::Plain(undrained.clone(), none.0, none.1),
+        Call::Plain(small.clone(), none.0, none.1),
+        Call::Traced(partition_then_duplication.clone(), none.0, Hardening::Quorum),
+        Call::Plain(partition_then_duplication, none.0, Hardening::Quorum),
+        Call::Raymond(scenario(8, 9, 16)),
+        Call::Traced(undrained, Mutation::SkipTokenRegeneration, Hardening::None),
+        Call::Plain(crash_and_recover, Mutation::SkipTokenRegeneration, Hardening::None),
+        Call::Raymond(small),
+        Call::Plain(quorum, none.0, none.1),
     ];
     for max_events in [150, 175, 225, 250] {
         let cut_off = Scenario { max_events, ..scenario(32, 6, 60) };
-        runs.push(Run::Plain(cut_off, none.0, none.1));
-        runs.push(Run::Plain(wedge.clone(), Mutation::SkipTokenRegeneration, Hardening::None));
+        runs.push(Call::Plain(cut_off, none.0, none.1));
+        runs.push(Call::Plain(wedge.clone(), Mutation::SkipTokenRegeneration, Hardening::None));
     }
-    runs.push(Run::Plain(scenario(8, 12, 8), none.0, none.1));
-    runs.push(Run::Plain(wedge, Mutation::SkipTokenRegeneration, Hardening::None));
+    runs.push(Call::Plain(scenario(8, 12, 8), none.0, none.1));
+    runs.push(Call::Plain(wedge, Mutation::SkipTokenRegeneration, Hardening::None));
     runs
 }
 
 /// Generated scenarios from the widest space the explorer samples
 /// (overlapping crashes, loss, partitions), modes rotating. A tight event
 /// cap keeps the test quick and cuts more runs off mid-flight.
-fn generated() -> Vec<Run> {
+fn generated() -> Vec<Call> {
     let space = Space {
         allow_loss: true,
         overlapping_crashes: true,
@@ -157,10 +156,10 @@ fn generated() -> Vec<Run> {
         .map(|index| {
             let scenario = Scenario::generate(&space, 42, index);
             match index % 4 {
-                0 => Run::Plain(scenario, Mutation::None, Hardening::None),
-                1 => Run::Plain(scenario, Mutation::None, Hardening::Quorum),
-                2 => Run::Traced(scenario, Mutation::None, Hardening::None),
-                _ => Run::Plain(scenario, Mutation::KeepTokenOnTransit, Hardening::None),
+                0 => Call::Plain(scenario, Mutation::None, Hardening::None),
+                1 => Call::Plain(scenario, Mutation::None, Hardening::Quorum),
+                2 => Call::Traced(scenario, Mutation::None, Hardening::None),
+                _ => Call::Plain(scenario, Mutation::KeepTokenOnTransit, Hardening::None),
             }
         })
         .collect()
@@ -168,7 +167,7 @@ fn generated() -> Vec<Run> {
 
 #[test]
 fn a_reset_world_judges_like_a_new_one() {
-    let runs: Vec<Run> = hand_made().into_iter().chain(generated()).collect();
+    let runs: Vec<Call> = hand_made().into_iter().chain(generated()).collect();
     // One thread, one kept world, every run in order.
     let reused = thread::scope(|s| s.spawn(|| runs.iter().map(play).collect::<Vec<_>>()).join())
         .expect("the reusing thread finished");

@@ -31,7 +31,7 @@
 //!   thread, mailboxes as FIFOs, the clock jumping to the earliest due
 //!   work and a seeded scheduler choosing which ready worker runs and
 //!   where its batch is cut. Deterministic, and fast enough to play the
-//!   explorer's battery (`oc_check::run_scenario_runtime_virtual`).
+//!   explorer's battery (`oc_check::Substrate::Runtime`).
 //!
 //! Both end in the same judge, over the workers' exits, one clock
 //! reading at the cut and whether the run had settled.
@@ -71,7 +71,7 @@
 //! * **Mailbox batching** — a message for a node of the same worker
 //!   goes straight into that worker's delay queue and touches no channel;
 //!   messages for other workers are collected per destination and sent
-//!   as one [`Mail::Many`] per batch, and workers drain their mailbox in
+//!   as one `Mail::Many` per batch, and workers drain their mailbox in
 //!   `try_recv` bursts (of at most 128 commands) after each
 //!   blocking receive — a message crosses at most one channel, and a
 //!   batch sends at most one channel message per other worker, however

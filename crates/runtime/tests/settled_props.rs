@@ -23,7 +23,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use oc_algo::{Config, Mutation, OpenCubeNode};
-use oc_check::{explore_serial, run_scenario_runtime_virtual, shrink, Scenario, Space};
+use oc_check::{explore_serial, run, shrink, Run, Scenario, Space, Substrate};
 use oc_runtime::{RequestId, RequestStatus, Runtime, RuntimeConfig, Watcher};
 use oc_sim::SimDuration;
 use oc_topology::NodeId;
@@ -167,7 +167,9 @@ proptest! {
 
 /// Runs `scenario` in virtual time at one, two and `n` workers.
 fn at_every_width(scenario: &Scenario, mutation: Mutation) -> [oc_check::Outcome; 3] {
-    [1, 2, scenario.n].map(|workers| run_scenario_runtime_virtual(scenario, mutation, workers))
+    [1, 2, scenario.n].map(|workers| {
+        run(scenario, Run { substrate: Substrate::Runtime { workers }, mutation, ..Run::SIM }, None)
+    })
 }
 
 /// `settled()` is exact in virtual time: after every batch of a virtual
@@ -204,8 +206,9 @@ fn settled_is_exact_after_every_virtual_batch() {
 #[test]
 fn planted_mutations_come_back_dirty_in_virtual_time() {
     for mutation in [Mutation::KeepTokenOnTransit, Mutation::SkipTokenRegeneration] {
-        let found = explore_serial(&Space::default(), 42, 700, mutation).expect("detected");
-        let witness = shrink(&found.scenario, mutation).scenario;
+        let on_sim = Run { mutation, ..Run::SIM };
+        let found = explore_serial(&Space::default(), 42, 700, on_sim).expect("detected");
+        let witness = shrink(&found.scenario, on_sim).scenario;
         for run in at_every_width(&witness, mutation) {
             assert!(!run.is_clean(), "{mutation:?} is clean on {}: {run:?}", witness.id());
         }

@@ -1,6 +1,6 @@
 //! The one deliver→step→collect-actions loop shared by every substrate.
 //!
-//! A [`Protocol`](crate::Protocol) only ever talks to the outside world
+//! A [`Protocol`] only ever talks to the outside world
 //! through its outbox; the substrate then executes the recorded actions in
 //! order. The seed duplicated that execution loop in `World` and in
 //! `oc-runtime`'s node threads, which let the two substrates drift (and

@@ -4,7 +4,7 @@
 //! `World` is a thin policy layer over the engine ([`crate::engine`]): the
 //! two-tier [`EventQueue`] orders events, the sparse [`TimerTable`] handles
 //! lazy timer cancellation, and the generic [`engine::drive`] loop turns
-//! protocol actions into substrate effects through [`Core`]'s
+//! protocol actions into substrate effects through `Core`'s
 //! [`ActionSink`] implementation — the same loop the threaded `oc-runtime`
 //! uses, so the sans-io contract is enforced in exactly one place.
 

@@ -214,7 +214,7 @@ fn merge_key(rec: &LogRecord) -> u128 {
 /// order a stable sort of the concatenation gives.
 ///
 /// Each process appends in stamp order, so the logs are merged as sorted
-/// runs: a heap of one head per log, keyed by [`merge_key`] computed once
+/// runs: a heap of one head per log, keyed by `merge_key` computed once
 /// per record. A log that is out of order is stably sorted first.
 #[must_use]
 pub fn merge(mut logs: Vec<Vec<LogRecord>>) -> Vec<LogRecord> {

@@ -14,7 +14,7 @@
 //!   flushed first, then every frame written, then the timers armed on a
 //!   wall-clock deadline set. So an `EnterCs` record is on disk before
 //!   its grant leaves, and an `ExitCs` record before the token can move;
-//! * the virtual-time end, `oc_check::run_scenario_nodeproc`, hands in
+//! * the virtual-time end, `oc_check::Substrate::Nodeproc`, hands in
 //!   the simulator's time and carries frames over `oc_sim::World`'s
 //!   channel, its log an in-memory byte vector that outlives a crash.
 //!
