@@ -8,8 +8,11 @@
 //! Unlike the simulator's gate this is a *bound*, not zero: a
 //! `std::sync::mpsc` channel heap-allocates as it sends (one block per
 //! 31 messages), and one acquisition crosses one channel (client →
-//! worker mailbox); its completion is appended to the watcher's inbox, a
-//! `Vec` that a worker and the client swap and both reuse. On the
+//! worker mailbox); its ticket names the watcher by slot and generation
+//! (no reference count), and its completion is appended to the watcher's
+//! inbox, a `Vec` that a worker and the client swap and both reuse. The
+//! registry's slots and each worker's copy of them grow only when a
+//! watcher is opened, never per acquisition. On the
 //! contended stretches every message for another worker's node rides a
 //! `Mail::Many` burst whose `Vec` is allocated by the sender and freed
 //! by the receiver. The budget asserts the batched dispatch path adds

@@ -83,10 +83,14 @@
 //!   before it releases its claims — it locks each watcher's inbox once,
 //!   appends all of the batch's notices for that watcher in the order
 //!   they ended, and wakes the client only if it sleeps on the inbox; it
-//!   lets go of each request's live count only after its notice is
-//!   delivered, so [`Runtime::settled`] never holds while one is not.
+//!   counts each request delivered only after its notice is in the
+//!   inbox, so [`Runtime::settled`] never holds while one is not.
 //!   The client takes the inbox's whole list in one swap: no allocation
-//!   either side, and no syscall while the client is busy.
+//!   either side, and no syscall while the client is busy. A ticket
+//!   names its [`Watcher`] by a key (the slot of its inbox in the
+//!   runtime's registry and the watcher's generation), and each worker
+//!   keeps its own copy of the registry's inboxes, so issuing and
+//!   delivering a watched request write no reference count.
 //! * **One clock reading per command** — a worker's core reads its clock
 //!   once per command and once per timer firing; every message deadline,
 //!   timer deadline, lease expiry, monitor stamp and grant-latency sample
@@ -97,14 +101,20 @@
 //!   [`oc_sim::Metrics`] of messages, events and losses, and a signed
 //!   per-namespace tally of token messages sent minus received. They are
 //!   handed back when the worker is joined and folded at shutdown. What
-//!   two threads touch is shared: the in-flight claims, the live-request
-//!   count and the idle flags that [`Runtime::settled`] reasons about
-//!   (`SeqCst`), the request accounts, and the latency histograms. What
-//!   a worker writes there as it grants sits on cache lines no other
-//!   writer shares: one latency histogram and one array of idle flags
-//!   per worker, and per namespace one 128-byte-aligned record of its
-//!   monitor and counts, with the client-written `injected` count on a
-//!   line of its own. Readers merge the histograms.
+//!   two threads touch is shared: the in-flight claims, the request
+//!   counts and the idle flags that [`Runtime::settled`] reasons about
+//!   (`SeqCst`), the request accounts, and the latency histograms. No
+//!   count is global, and each sits on 128-byte-aligned lines that only
+//!   its owner writes: per worker, its latency histogram, its idle flags
+//!   and the in-flight claims it takes and releases; per namespace, the
+//!   workers' record of its monitor and its served, ended and delivered
+//!   counts, and the clients' record of the requests issued (whose
+//!   count is the next request's index) and the claims they take. A
+//!   schedule's, a `Stop`'s and a failed send's claims go on one line of
+//!   their own. Readers sum the counts — every release before any take,
+//!   and a namespace's delivered count before its issued count, so equal
+//!   sums mean nothing was outstanding at one instant — and merge the
+//!   histograms.
 //! * **Live timers only** — arming a timer puts its deadline in the
 //!   owning worker's [`oc_sim::DeadlineSet`]; cancelling, re-arming or crashing
 //!   takes it out again. The protocol arms its Section 5 timeouts per
@@ -149,11 +159,9 @@ mod worker;
 
 pub use histogram::{LatencyHistogram, LatencySummary};
 pub use report::RuntimeReport;
-pub use session::{RequestId, RequestStatus};
+pub use session::{RequestId, RequestStatus, Watcher};
 pub use virtual_time::run_virtual;
 
-use std::cell::RefCell;
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, SendError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -165,7 +173,7 @@ use oc_sim::{
 };
 use oc_topology::NodeId;
 
-use session::{Completion, Inbox};
+use session::{InboxCache, WatcherKey};
 use worker::{assemble, Core, Mail, Next, NodeCmd, Shared, Slot, Targeted, WorkerExit};
 
 /// Configuration of the threaded runtime.
@@ -206,53 +214,6 @@ impl Default for RuntimeConfig {
             cs_duration: Duration::from_micros(500),
             seed: 0,
         }
-    }
-}
-
-/// A completion stream: every request issued through
-/// [`Runtime::acquire_watched`] with this watcher delivers exactly one
-/// `(id, how it ended)` pair here when it completes or is abandoned —
-/// the only way to learn how a request ended, and what closed-loop
-/// clients block on. Each ticket carries a handle on the watcher's inbox.
-/// A request that a worker ends is announced when that worker settles the
-/// batch that ended it, with the batch's other notices for this watcher,
-/// in the order they ended, under one lock of the inbox. The watcher
-/// takes the inbox's whole list at once and hands it out one completion
-/// at a time.
-pub struct Watcher {
-    inbox: Arc<Inbox>,
-    /// Completions taken from the inbox, and how many of them have been
-    /// handed out.
-    local: RefCell<(Vec<Completion>, usize)>,
-}
-
-impl Watcher {
-    /// Blocks up to `timeout` for the next completion.
-    #[must_use]
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<(RequestId, RequestStatus)> {
-        self.next(Some(timeout))
-    }
-
-    /// Takes one completion if one is already queued.
-    #[must_use]
-    pub fn try_recv(&self) -> Option<(RequestId, RequestStatus)> {
-        self.next(None)
-    }
-
-    /// The next completion taken, or, once all are handed out, the first
-    /// of the inbox's list, swapped in whole ([`Inbox::take`]).
-    fn next(&self, timeout: Option<Duration>) -> Option<Completion> {
-        let mut local = self.local.borrow_mut();
-        let (taken, read) = &mut *local;
-        if *read == taken.len() {
-            taken.clear();
-            *read = 0;
-            if !self.inbox.take(taken, timeout) {
-                return None;
-            }
-        }
-        *read += 1;
-        Some(taken[*read - 1])
     }
 }
 
@@ -393,18 +354,20 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         NodeId::new(meta.offset + node.get())
     }
 
-    /// Hands one command that is due *now* to the destination's worker
-    /// mailbox (client acquires and releases, immediate crash/recover).
-    /// If the worker is gone the in-flight claim is undone and a request
-    /// the command carried is abandoned.
-    fn send_direct(&self, to: NodeId, cmd: NodeCmd<P::Msg>) {
-        self.shared.inflight.fetch_add(1, Ordering::SeqCst);
+    /// Hands one command that is due *now* to the mailbox of the worker
+    /// of `to`, a node of namespace `ns` (client acquires and releases,
+    /// immediate crash/recover), its in-flight claim taken on the
+    /// namespace's client line. If the worker is gone the claim is
+    /// released and a request the command carried is abandoned.
+    fn send_direct(&self, ns: usize, to: NodeId, cmd: NodeCmd<P::Msg>) {
+        self.shared.sessions.claim(ns);
         let w = self.shared.placement.worker(to);
         if let Err(SendError(Mail::One(lost))) =
             self.worker_txs[w].send(Mail::One(Targeted { to, cmd }))
         {
-            self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
-            self.shared.sessions.notify(self.shared.abandon(lost).as_mut_slice());
+            self.shared.rare_claims.0.release(1);
+            let mut lost = self.shared.abandon(lost);
+            self.shared.sessions.notify(lost.as_mut_slice(), &mut InboxCache::default());
         }
     }
 
@@ -419,12 +382,12 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
             if claims == 0 {
                 continue;
             }
-            self.shared.inflight.fetch_add(claims, Ordering::SeqCst);
+            self.shared.rare_claims.0.take(claims);
             if let Err(SendError(Mail::Many(lost))) = tx.send(Mail::Many(burst)) {
-                self.shared.inflight.fetch_sub(claims, Ordering::SeqCst);
+                self.shared.rare_claims.0.release(claims);
                 let mut lost: Vec<_> =
                     lost.into_iter().filter_map(|(_, item)| self.shared.abandon(item)).collect();
-                self.shared.sessions.notify(&mut lost);
+                self.shared.sessions.notify(&mut lost, &mut InboxCache::default());
             }
         }
     }
@@ -454,7 +417,8 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `ns` or `node` is out of range.
+    /// Panics if `ns` or `node` is out of range, or if `watcher` was
+    /// opened by another runtime.
     pub fn acquire_watched(
         &self,
         ns: usize,
@@ -462,7 +426,8 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         watcher: &Watcher,
         auto_release: bool,
     ) -> RequestId {
-        self.submit(ns, node, auto_release, Some(Arc::clone(&watcher.inbox)))
+        assert!(self.shared.sessions.watchers.owns(watcher), "a watcher of another runtime");
+        self.submit(ns, node, auto_release, Some(watcher.key()))
     }
 
     /// The one body of every immediate acquire: issue the ticket, send it
@@ -472,40 +437,40 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
         ns: usize,
         node: NodeId,
         auto_release: bool,
-        inbox: Option<Arc<Inbox>>,
+        watcher: Option<WatcherKey>,
     ) -> RequestId {
         let global = self.global_of(ns, node);
         let now = nanos_since(self.epoch);
-        let ticket = self.shared.sessions.open(ns, global, now, auto_release, inbox);
+        let ticket = self.shared.sessions.open(ns, global, now, auto_release, watcher);
         let id = ticket.id;
-        self.send_direct(global, NodeCmd::Acquire(ticket));
+        self.send_direct(ns, global, NodeCmd::Acquire(ticket));
         id
     }
 
     /// Opens a completion stream for [`Runtime::acquire_watched`].
     #[must_use]
     pub fn watcher(&self) -> Watcher {
-        Watcher { inbox: Arc::default(), local: RefCell::default() }
+        self.shared.sessions.watchers.register()
     }
 
     /// Releases a granted request early (before its lease expires).
     /// Ignored unless `id` currently holds its node's critical section.
     pub fn release(&self, id: RequestId) {
-        if self.namespace_of(id).is_some() {
-            self.send_direct(id.node(), NodeCmd::Release(id));
+        if let Some(ns) = self.namespace_of(id) {
+            self.send_direct(ns, id.node(), NodeCmd::Release(id));
         }
     }
 
     /// Fail-stops `node` (global id) now.
     pub fn crash(&self, node: NodeId) {
         self.shared.assert_node(node);
-        self.send_direct(node, NodeCmd::Crash);
+        self.send_direct(self.shared.ns_of(node), node, NodeCmd::Crash);
     }
 
     /// Recovers `node` (global id) now.
     pub fn recover(&self, node: NodeId) {
         self.shared.assert_node(node);
-        self.send_direct(node, NodeCmd::Recover);
+        self.send_direct(self.shared.ns_of(node), node, NodeCmd::Recover);
     }
 
     /// Schedules every arrival of `schedule` (tick timestamps mapped
@@ -612,9 +577,9 @@ impl<P: Protocol> Runtime<P> {
             return Vec::new();
         }
         for tx in &self.worker_txs {
-            self.shared.inflight.fetch_add(1, Ordering::SeqCst);
+            self.shared.rare_claims.0.take(1);
             if tx.send(Mail::One(Targeted { to: NodeId::new(1), cmd: NodeCmd::Stop })).is_err() {
-                self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
+                self.shared.rare_claims.0.release(1);
             }
         }
         // A panicked worker yields nothing; the judge notices the missing
@@ -719,9 +684,12 @@ fn judge<P: Protocol>(
     slots.sort_by_key(|slot| slot.seat.idx);
     // The requests the cut found at their nodes. (Those still on their
     // way were ended by their worker's stop.)
+    let mut notices = Vec::new();
     for slot in &mut slots {
-        slot.seat.vacate(|ns, ticket, status| shared.sessions.end(ns, ticket, status));
+        slot.seat
+            .vacate(|ns, ticket, status| notices.push(shared.sessions.close(ns, ticket, status)));
     }
+    shared.sessions.notify(&mut notices, &mut InboxCache::default());
 
     // Judge each namespace with its own oracles, then fold. The terminal
     // token census counts live holders plus tokens still in flight; the

@@ -20,7 +20,6 @@
 //! the run panics on it.
 
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 
 use oc_sim::{ArrivalSchedule, FailurePlan, FaultScript, Protocol};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -107,7 +106,7 @@ impl<P: Protocol + Send + 'static> VirtualRun<'_, P> {
     fn file(&mut self, items: Vec<(u64, Targeted<P::Msg>)>) {
         for (inbox, burst) in self.inboxes.iter_mut().zip(self.shared.placement.bursts(items)) {
             if !burst.is_empty() {
-                self.shared.inflight.fetch_add(burst.len() as u64, Ordering::SeqCst);
+                self.shared.rare_claims.0.take(burst.len() as u64);
                 inbox.push_back(Mail::Many(burst));
             }
         }

@@ -25,7 +25,7 @@ use oc_sim::{
 use oc_topology::NodeId;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
-use crate::session::{Notice, Padded, Sessions, Ticket};
+use crate::session::{InboxCache, Notice, Padded, Sessions, Ticket};
 use crate::{RequestId, RequestStatus, RuntimeConfig};
 
 /// Largest burst of commands a worker drains from its mailbox before
@@ -161,6 +161,24 @@ impl Placement {
 /// Idle flags per cache-line pair.
 const IDLE_LINE: usize = 128;
 
+/// The in-flight claims one owner has taken and released. Both counts
+/// only grow; `SeqCst`, as parts of the [`Shared::settled`] predicate.
+#[derive(Default)]
+pub(crate) struct Claims {
+    taken: AtomicU64,
+    released: AtomicU64,
+}
+
+impl Claims {
+    pub(crate) fn take(&self, count: u64) {
+        self.taken.fetch_add(count, Ordering::SeqCst);
+    }
+
+    pub(crate) fn release(&self, count: u64) {
+        self.released.fetch_add(count, Ordering::SeqCst);
+    }
+}
+
 /// What the workers and the runtime's handle share.
 pub(crate) struct Shared {
     /// The request accounts, each namespace's books (monitor, counts) and
@@ -168,18 +186,22 @@ pub(crate) struct Shared {
     pub(crate) sessions: Sessions,
     /// Which worker runs each node, and where in its shard.
     pub(crate) placement: Placement,
-    /// Claims on the system's attention: one per command sitting in a
-    /// mailbox, a worker's batch queue or its delay queue, and one per
-    /// live timer arming (from arm to fire, cancel or crash — a
-    /// superseding re-arm inherits it). A claim is taken before its
-    /// command enters a mailbox; whatever a worker files with itself in
-    /// mid-batch is covered by the claims of the batch being processed
-    /// until its own are added. Workers settle a batch's claims in one
-    /// step, *after* publishing the batch's idle flags — the count stays
-    /// elevated while effects are pending, which is what keeps
-    /// [`Shared::settled`] sound. Zero means nothing is queued, nothing
-    /// is armed and nothing is mid-processing.
-    pub(crate) inflight: AtomicU64,
+    /// Per worker, the in-flight claims it takes and releases, on lines
+    /// of its own. A claim is a command sitting in a mailbox, a worker's
+    /// batch queue or its delay queue, or a live timer arming (from arm
+    /// to fire, cancel or crash — a superseding re-arm inherits it). A
+    /// claim is taken before its command enters a mailbox; whatever a
+    /// worker files with itself in mid-batch is covered by the claims of
+    /// the batch being processed until its own are added. Workers take a
+    /// batch's claims before posting its bursts and release the claims it
+    /// is done with in one step, *after* publishing the batch's idle
+    /// flags and delivering its notices, which is what keeps
+    /// [`Shared::settled`] sound. Clients take theirs on their
+    /// namespace's line ([`Sessions::claim`]).
+    worker_claims: Vec<Padded<Claims>>,
+    /// The claims of the rare paths: schedules, `Stop`, a virtual run's
+    /// filing, and the release of whatever a send failed to hand over.
+    pub(crate) rare_claims: Padded<Claims>,
     /// Per worker, per shard position, "has nothing pending" flags,
     /// refreshed by the worker after every batch (crashed nodes read as
     /// idle — the liveness oracle only judges live nodes). Each worker's
@@ -276,13 +298,24 @@ impl Shared {
     /// `true` if nothing is in flight, every request has ended, and
     /// every live node is idle — the runtime's quiescence predicate.
     pub(crate) fn settled(&self) -> bool {
-        self.inflight.load(Ordering::SeqCst) == 0
+        self.claims_balance()
             && self.sessions.all_ended()
             && self.idle.iter().flatten().all(|line| line.0.iter().all(|f| f.load(Ordering::SeqCst)))
             // Re-check: a command processed between the first check and
             // the idle scan would have been visible as in-flight (workers
             // publish idle flags before releasing in-flight claims).
-            && self.inflight.load(Ordering::SeqCst) == 0
+            && self.claims_balance()
+    }
+
+    /// `true` if every in-flight claim taken has been released. Every
+    /// release is read before any take; each count only grows, and a
+    /// claim is released only after it was taken, so equal sums mean no
+    /// claim was outstanding at the instant between the two reads.
+    fn claims_balance(&self) -> bool {
+        let owners = || self.worker_claims.iter().chain([&self.rare_claims]).map(|c| &c.0);
+        let released: u64 = owners().map(|c| c.released.load(Ordering::SeqCst)).sum();
+        let taken: u64 = owners().map(|c| c.taken.load(Ordering::SeqCst)).sum();
+        released == taken + self.sessions.claims_taken()
     }
 
     /// The commands of `schedule`'s arrivals (nodes addressed by global
@@ -399,7 +432,8 @@ pub(crate) fn assemble<P: Protocol>(
     let shared = Shared {
         sessions: Sessions::new(namespaces, workers),
         placement,
-        inflight: AtomicU64::new(0),
+        worker_claims: (0..workers).map(|_| Padded::default()).collect(),
+        rare_claims: Padded::default(),
         idle: shards
             .iter()
             .map(|shard| (0..shard.len().div_ceil(IDLE_LINE)).map(|_| idle_line()).collect())
@@ -563,6 +597,8 @@ struct Worker<'a, M> {
     /// Notices of the requests the batch ended, in the order they ended;
     /// delivered when the batch is settled. The buffer keeps its capacity.
     notices: Vec<Notice>,
+    /// This worker's copy of the watchers' inboxes.
+    inboxes: InboxCache,
     /// The one clock reading of the command or timer firing being run:
     /// every deadline and stamp it produces derives from it.
     now: u64,
@@ -644,9 +680,9 @@ impl<M: MessageKind> Worker<'_, M> {
     /// `post` (which gives back the mail of a worker that is gone); the
     /// idle flags of the nodes the batch touched (by shard position) are
     /// published; *then*
-    /// [`Worker::release`] — so [`Shared::settled`] never observes a zero
-    /// in-flight count while a command, a live timer, an unpublished flag
-    /// or an undelivered notice exists.
+    /// [`Worker::release`] — so [`Shared::settled`] never finds the claims
+    /// balanced while a command, a live timer, an unpublished flag or an
+    /// undelivered notice exists.
     fn settle(
         &mut self,
         idle: impl Iterator<Item = (usize, bool)>,
@@ -654,7 +690,7 @@ impl<M: MessageKind> Worker<'_, M> {
     ) {
         let shared = self.shared;
         if self.claims_taken != 0 {
-            shared.inflight.fetch_add(self.claims_taken, Ordering::SeqCst);
+            shared.worker_claims[self.me].0.take(self.claims_taken);
             self.claims_taken = 0;
         }
         for w in 0..self.outgoing.len() {
@@ -675,14 +711,14 @@ impl<M: MessageKind> Worker<'_, M> {
     }
 
     /// Delivers the batch's completion notices, each watcher's under one
-    /// lock of its inbox and each request's live count let go only after
+    /// lock of its inbox and each request counted delivered only after
     /// its notice, *then* releases the claims the batch is done with.
     fn release(&mut self) {
         let shared = self.shared;
-        shared.sessions.notify(&mut self.notices);
+        shared.sessions.notify(&mut self.notices, &mut self.inboxes);
         self.notices.clear();
         if self.claims_released != 0 {
-            shared.inflight.fetch_sub(self.claims_released, Ordering::SeqCst);
+            shared.worker_claims[self.me].0.release(self.claims_released);
             self.claims_released = 0;
         }
     }
@@ -729,6 +765,7 @@ impl<'a, P: Protocol + Send + 'static> Core<'a, P> {
                 claims_taken: 0,
                 claims_released: 0,
                 notices: Vec::new(),
+                inboxes: InboxCache::default(),
                 now: 0,
             },
             out: Outbox::new(),

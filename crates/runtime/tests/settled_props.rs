@@ -12,6 +12,14 @@
 //! check finds on the watchers is what had been sent when `settled()`
 //! answered.
 //!
+//! A second case runs the same check over three namespaces, with one
+//! client dropping its watcher mid-run while requests it issued are
+//! still out: `settled()` then sums claims its clients took on their
+//! namespaces' lines and claims each worker took and released on its
+//! own, and reads each namespace's delivered count against its issued
+//! count — and a dropped watcher's requests must still be delivered
+//! (dropped on arrival) for the service to settle.
+//!
 //! The tests after it hold the same predicate in virtual time, where a
 //! run's whole state can be read between batches: `settled()` reads it
 //! exactly, the planted bugs still show, and the width of the worker
@@ -40,6 +48,8 @@ struct Client {
     received: HashSet<RequestId>,
     /// The request whose notice has not been taken off the watcher yet.
     outstanding: Option<RequestId>,
+    /// Requests issued on a watcher since dropped: never to be told.
+    orphaned: HashSet<RequestId>,
 }
 
 impl Client {
@@ -53,9 +63,41 @@ impl Client {
         }
     }
 
-    /// Every issued request has been received.
+    /// Every issued request has been received, but those orphaned.
     fn all_received(&self) -> bool {
-        self.outstanding.is_none() && self.received.len() == self.issued.len()
+        self.outstanding.is_none() && self.received.len() + self.orphaned.len() == self.issued.len()
+    }
+
+    fn new(rt: &Runtime<OpenCubeNode>) -> Mutex<Self> {
+        Mutex::new(Client {
+            watcher: rt.watcher(),
+            issued: Vec::new(),
+            received: HashSet::new(),
+            outstanding: None,
+            orphaned: HashSet::new(),
+        })
+    }
+
+    /// Issues `count` watched requests at random places and drops the
+    /// watcher with them out; the next watcher takes its slot.
+    fn orphan_a_burst(
+        &mut self,
+        rt: &Runtime<OpenCubeNode>,
+        count: usize,
+        mut place: impl FnMut() -> (usize, NodeId),
+    ) {
+        for _ in 0..count {
+            let (ns, node) = place();
+            let id = rt.acquire_watched(ns, node, &self.watcher, true);
+            self.issued.push(id);
+            self.orphaned.insert(id);
+        }
+        self.orphaned.extend(self.outstanding.take());
+        // A stand-in holds a fresh slot while the old watcher is dropped,
+        // so the next watcher opened takes the old one's.
+        let stand_in = rt.watcher();
+        drop(std::mem::replace(&mut self.watcher, stand_in));
+        self.watcher = rt.watcher();
     }
 }
 
@@ -83,14 +125,7 @@ proptest! {
             },
             OpenCubeNode::build_all(protocol),
         );
-        let clients: [Mutex<Client>; 2] = std::array::from_fn(|_| {
-            Mutex::new(Client {
-                watcher: rt.watcher(),
-                issued: Vec::new(),
-                received: HashSet::new(),
-                outstanding: None,
-            })
-        });
+        let clients: [Mutex<Client>; 2] = std::array::from_fn(|_| Client::new(&rt));
         let (done, holds) = (AtomicBool::new(false), AtomicU64::new(0));
 
         std::thread::scope(|scope| {
@@ -158,6 +193,108 @@ proptest! {
         let report = rt.shutdown();
         prop_assert!(report.is_clean(), "oracles: {:?}", report);
         prop_assert_eq!(report.requests_completed, 2 * per_client as u64);
+    }
+}
+
+/// Three 16-node namespaces over two workers, two closed-loop clients at
+/// random namespaces and nodes, and a poller as above. Halfway through,
+/// client 0 issues a burst and drops its watcher with the burst out: the
+/// next watcher takes the slot and must never see one of those notices,
+/// and the service must still settle with every request ended.
+#[test]
+fn settled_never_holds_early_across_namespaces_or_a_dropped_watcher() {
+    const NAMESPACES: usize = 3;
+    const PER_CLIENT: usize = 300;
+    const BURST: usize = 8;
+    for seed in [3, 17, 40] {
+        let protocol =
+            Config::new(N as usize, SimDuration::from_ticks(16), SimDuration::from_ticks(25))
+                .with_contention_slack(SimDuration::from_ticks(50_000));
+        let rt = Runtime::start_multi(
+            RuntimeConfig {
+                workers: 2,
+                tick: Duration::from_micros(20),
+                max_network_delay: Duration::from_micros(200),
+                seed,
+                ..RuntimeConfig::default()
+            },
+            (0..NAMESPACES).map(|_| OpenCubeNode::build_all(protocol)).collect(),
+        );
+        let clients: [Mutex<Client>; 2] = std::array::from_fn(|_| Client::new(&rt));
+        let (done, holds) = (AtomicBool::new(false), AtomicU64::new(0));
+
+        std::thread::scope(|scope| {
+            let (rt, clients, done, holds) = (&rt, &clients, &done, &holds);
+            let poller = scope.spawn(move || {
+                while !done.load(Ordering::SeqCst) {
+                    let mut locked = clients.each_ref().map(lock);
+                    if rt.settled() {
+                        holds.fetch_add(1, Ordering::Relaxed);
+                        for client in &mut locked {
+                            client.take_notices();
+                            assert!(
+                                client.all_received(),
+                                "settled() held while request {:?} had no notice",
+                                client.outstanding
+                            );
+                        }
+                    }
+                    drop(locked);
+                    std::thread::yield_now();
+                }
+            });
+            let loops: Vec<_> = (0..2)
+                .map(|k| {
+                    scope.spawn(move || {
+                        let mut rng = StdRng::seed_from_u64(seed ^ (k as u64 + 1));
+                        let mut place = move || {
+                            let ns = rng.random_range(0..NAMESPACES);
+                            (ns, NodeId::new(rng.random_range(1..=N)))
+                        };
+                        loop {
+                            let mut client = lock(&clients[k]);
+                            client.take_notices();
+                            if client.outstanding.is_none() {
+                                if client.issued.len() >= PER_CLIENT {
+                                    return;
+                                }
+                                if k == 0 && client.issued.len() == PER_CLIENT / 2 {
+                                    client.orphan_a_burst(rt, BURST, &mut place);
+                                }
+                                let (ns, node) = place();
+                                let id = rt.acquire_watched(ns, node, &client.watcher, true);
+                                client.issued.push(id);
+                                client.outstanding = Some(id);
+                            }
+                            drop(client);
+                            std::thread::yield_now();
+                        }
+                    })
+                })
+                .collect();
+            let drove = loops.into_iter().all(|client_loop| client_loop.join().is_ok());
+            let settled = drove && rt.await_settled(Duration::from_secs(30));
+            let seen = holds.load(Ordering::Relaxed);
+            while settled && holds.load(Ordering::Relaxed) == seen && !poller.is_finished() {
+                std::thread::yield_now();
+            }
+            done.store(true, Ordering::SeqCst);
+            assert!(drove, "a client thread panicked");
+            assert!(settled, "the service must settle, the dropped watcher's requests ended too");
+        });
+
+        let issued: usize = clients.iter().map(|client| lock(client).issued.len()).sum();
+        assert_eq!(lock(&clients[0]).orphaned.len(), BURST);
+        for client in &clients {
+            let client = lock(client);
+            assert!(client.all_received(), "seed {seed}");
+            assert_eq!(client.watcher.try_recv(), None, "seed {seed}");
+        }
+        let report = rt.shutdown();
+        assert!(report.is_clean(), "seed {seed}: {report:?}");
+        assert_eq!(report.requests_injected, issued as u64, "seed {seed}");
+        assert_eq!(report.requests_completed, issued as u64, "seed {seed}");
+        assert!(report.messages_sent > 0, "the tokens have to move: {report:?}");
     }
 }
 
