@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use oc_sim::{MessageKind, MsgKind, NodeEvent, Outbox, Protocol};
-use oc_topology::{canonical_father, canonical_sons, NodeId};
+use oc_topology::{canonical_father, NodeId};
 
 /// Raymond's two message types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,17 +71,6 @@ impl RaymondNode {
     #[must_use]
     pub fn build_all(n: usize) -> Vec<RaymondNode> {
         NodeId::all(n).map(|id| RaymondNode::new(id, n)).collect()
-    }
-
-    /// The static neighbors of a node (father + sons in the canonical
-    /// cube). Exposed for tests.
-    #[must_use]
-    pub fn neighbors(n: usize, id: NodeId) -> Vec<NodeId> {
-        let mut neighbors = canonical_sons(n, id);
-        if let Some(f) = canonical_father(n, id) {
-            neighbors.push(f);
-        }
-        neighbors
     }
 
     /// Raymond's ASSIGN_PRIVILEGE: if we hold an idle privilege and the

@@ -7,6 +7,7 @@
 //! cargo run --release -p oc-bench --bin explore -- --json            # BENCH_CHECK.json
 //! cargo run --release -p oc-bench --bin explore -- --loss            # model-violating loss
 //! cargo run --release -p oc-bench --bin explore -- --replay oc1-…    # one scenario, traced
+//! cargo run --release -p oc-bench --bin explore -- --replay oc1-… --tape 01…  # its shrunk draws
 //! cargo run --release -p oc-bench --bin explore -- --substrate runtime:2  # another end
 //! ```
 //!
@@ -18,13 +19,16 @@
 //! are **byte-identical at any `--threads`** — CI pins that. On a violation the first failing
 //! scenario (lowest index) is shrunk to a minimal counterexample and
 //! printed as a replayable scenario ID with the `--replay` command that
-//! traces it; the process then exits 1.
+//! traces it — and, when its draws shrank further, with the `--tape` of
+//! those draws; the process then exits 1.
 //!
 //! `--replay <oc1-id>` runs that one scenario as the battery would, with
 //! the trace on, and prints the scenario, its outcome, the trace and a
-//! verdict line; it exits 1 when the run is not clean. `--hardened` and
-//! `--substrate` apply to it; a battery flag beside `--replay` is a usage
-//! error. `--guided` steers by coverage only the simulator fills, so it
+//! verdict line; it exits 1 when the run is not clean. `--hardened`,
+//! `--substrate` and `--tape` apply to it; a battery flag beside
+//! `--replay`, or `--tape` without it, is a usage error. A tape belongs
+//! to the run, not to the scenario, so it is a flag and not part of the
+//! ID. `--guided` steers by coverage only the simulator fills, so it
 //! is a usage error on any other `--substrate`.
 //!
 //! `--loss` opts into lossy-window scenarios. Message loss between live
@@ -46,7 +50,7 @@ use oc_check::{
     explore_guided_with, run, run_scenario, shrink, GuidedResult, Outcome, Run, Scenario, Space,
     Substrate,
 };
-use oc_sim::Trace;
+use oc_sim::{Tape, Trace};
 
 const USAGE: &str = "\
 Usage: explore [FLAGS]
@@ -79,8 +83,12 @@ safety and liveness oracle suite, sharded across worker threads.
                 of a battery: print the scenario, its outcome, the trace
                 and a verdict line, and exit 1 unless it is clean. With
                 --hardened the replay runs under Hardening::Quorum, with
-                --substrate on that end (runtime:W records no trace); no
-                other flag goes with --replay
+                --substrate on that end (runtime:W records no trace),
+                with --tape on those draws; no other flag goes with
+                --replay
+  --tape HEX    with --replay: take the run's draws (delays, link fates,
+                the runtime's scheduling) from this tape, as the
+                shrinker prints it, instead of the scenario's seed
   --hardened    re-run the same battery under Hardening::Quorum (fencing
                 epochs + quorum-gated regeneration) and report it as a
                 second summary (and a \"hardened\" JSON section). The
@@ -127,6 +135,8 @@ struct Options {
     substrate: Substrate,
     /// The scenario ID `--replay` traces, instead of a battery.
     replay: Option<String>,
+    /// The draws `--replay` plays, instead of the scenario's seed.
+    tape: Option<Tape>,
     /// Where the artifact goes, if anywhere: `--out PATH`, or
     /// `BENCH_CHECK.json` under a bare `--json`.
     out: Option<String>,
@@ -144,15 +154,16 @@ fn parse_options(args: &[String]) -> Options {
         guided: false,
         substrate: Substrate::Sim,
         replay: None,
+        tape: None,
         out: None,
     };
     let mut json = false;
     let mut battery_flag = None;
     let mut parser = FlagParser::new(USAGE, args);
     while let Some(flag) = parser.next_flag() {
-        // Every flag but these three shapes a battery (`--help` exits
+        // Every flag but these four shapes a battery (`--help` exits
         // and an unknown flag is refused below).
-        if !matches!(flag.name.as_str(), "--replay" | "--hardened" | "--substrate") {
+        if !matches!(flag.name.as_str(), "--replay" | "--hardened" | "--substrate" | "--tape") {
             battery_flag = Some(flag.name.clone());
         }
         match flag.name.as_str() {
@@ -161,6 +172,7 @@ fn parse_options(args: &[String]) -> Options {
             "--threads" => options.threads = parser.parsed(&flag, "a positive integer", |&t| t > 0),
             "--out" => options.out = Some(parser.value(&flag, "a file path")),
             "--replay" => options.replay = Some(parser.value(&flag, "an oc1- scenario id")),
+            "--tape" => options.tape = Some(parser.parsed(&flag, "a tape's hex", |_| true)),
             "--substrate" => {
                 let what = "sim, nodeproc, nodeproc-logs or runtime:W with W >= 1";
                 let named = |s: &Substrate| *s != Substrate::Runtime { workers: 0 };
@@ -178,6 +190,9 @@ fn parse_options(args: &[String]) -> Options {
     }
     if let (Some(_), Some(name)) = (&options.replay, battery_flag) {
         parser.usage_error(&format!("{name} shapes a battery: --replay takes no battery flag"));
+    }
+    if options.tape.is_some() && options.replay.is_none() {
+        parser.usage_error("--tape replays the draws of one run: it goes with --replay");
     }
     if options.guided && options.substrate != Substrate::Sim {
         parser.usage_error("--guided steers by coverage only --substrate sim fills");
@@ -331,18 +346,21 @@ fn unless_sim(substrate: Substrate, lead: &str) -> String {
     }
 }
 
-/// `--replay`: one scenario, traced; exits 1 unless it is clean.
-fn replay(id: &str, how: Run) -> ! {
+/// `--replay`: one scenario, traced, drawing from `tape` if given;
+/// exits 1 unless it is clean.
+fn replay(id: &str, how: Run, tape: Option<Tape>) -> ! {
     let scenario = Scenario::from_id(id).unwrap_or_else(|err| {
         eprintln!("error: --replay {id}: {err}");
         std::process::exit(2);
     });
     let mut trace = Trace::default();
-    let outcome = run(&scenario, how, Some(&mut trace));
+    let mut draws = tape.clone();
+    let outcome = run(&scenario, how, Some(&mut trace), draws.as_mut());
     println!(
-        "== replay {id} under Hardening::{:?}{} ==\n",
+        "== replay {id} under Hardening::{:?}{}{} ==\n",
         how.hardening,
-        unless_sim(how.substrate, " on ")
+        unless_sim(how.substrate, " on "),
+        tape.map_or_else(String::new, |tape| format!(" with tape {tape}")),
     );
     let s = &scenario;
     println!(
@@ -378,7 +396,7 @@ fn main() {
     let base = Run { substrate: options.substrate, ..Run::SIM };
     if let Some(id) = &options.replay {
         let hardening = if options.hardened { Hardening::Quorum } else { Hardening::None };
-        replay(id, Run { hardening, ..base });
+        replay(id, Run { hardening, ..base }, options.tape.clone());
     }
     let (seed, budget, threads) = (options.master_seed, options.budget, options.threads);
     let space = Space {
@@ -401,7 +419,7 @@ fn main() {
     let battery = |hardening| {
         sweep::sweep(&indices, threads, |_, &index| {
             let scenario = Scenario::generate(&space, seed, index);
-            (scenario.n, run(&scenario, Run { hardening, ..base }, None))
+            (scenario.n, run(&scenario, Run { hardening, ..base }, None, None))
         })
     };
     let outcome = battery(Hardening::None);
@@ -581,11 +599,23 @@ fn main() {
         }
         let on = unless_sim(options.substrate, " --substrate ");
         println!("   trace it: explore --replay {}{on}", result.scenario.id());
-        vec![Value::Obj(vec![
+        let mut shrunk = vec![
             ("index", Value::UInt(index)),
             ("scenario_id", Value::str(result.scenario.id())),
             ("violations", Value::UInt(result.outcome.violation_count() as u64)),
-        ])]
+        ];
+        if let Some((tape, outcome)) = &result.tape {
+            let draws: Vec<String> = tape.streams().iter().map(|s| s.len().to_string()).collect();
+            println!(
+                "   its draws shrink to {} per stream ({} violation(s)): explore --replay {}{on} \
+                 --tape {tape}",
+                draws.join("/"),
+                outcome.violation_count(),
+                result.scenario.id(),
+            );
+            shrunk.push(("tape", Value::str(tape.to_string())));
+        }
+        vec![Value::Obj(shrunk)]
     });
 
     // The hardened and guided sections are appended after every baseline

@@ -160,7 +160,7 @@ fn main() {
         println!("{}", line(NET_COLS, &shown));
         rows.push(shown);
         if options.differential {
-            let inprocess = run(&scenario, DIFFERENTIAL, None);
+            let inprocess = run(&scenario, DIFFERENTIAL, None, None);
             let both = [("in-process", &inprocess), ("socket", &row.outcome)];
             match conforms(scenario.arrivals.len(), &both) {
                 Ok(()) => println!(

@@ -301,6 +301,35 @@ pub fn e3_world(n: usize, failures: usize, seed: u64, hardening: Hardening) -> W
     world
 }
 
+/// E3's failure run under `Hardening::None` as an [`oc_check::Scenario`]:
+/// the inputs, delays, CS length, contention slack and event cap of
+/// [`e3_world`], so `oc_check::run` plays the run `e3_world` steps and
+/// the shrinker can reduce it.
+#[must_use]
+pub fn e3_scenario(n: usize, failures: usize, seed: u64) -> oc_check::Scenario {
+    let (schedule, failure_plan) = e3_inputs(n, failures, seed);
+    oc_check::Scenario {
+        n,
+        seed,
+        delay_min: 1,
+        delay_max: DELTA,
+        cs_ticks: CS_TICKS,
+        contention_slack: 1_000,
+        max_events: sim_config(seed).max_events,
+        arrivals: schedule.arrivals().iter().map(|(at, node)| (at.ticks(), node.get())).collect(),
+        crashes: failure_plan
+            .events()
+            .iter()
+            .map(|crash| oc_check::ScenarioCrash {
+                node: crash.node.get(),
+                at: crash.at.ticks(),
+                recover_at: crash.recover_at.map(SimTime::ticks),
+            })
+            .collect(),
+        phases: Vec::new(),
+    }
+}
+
 /// Where a finished E3 run's failure overhead went, per failure, by
 /// message kind — `search_father`'s probes and answers, anomaly bounces,
 /// the root's enquiries with their replies — and the searches started.

@@ -5,8 +5,8 @@
 //! them), and this test says so rather than hiding them.
 
 use oc_algo::Hardening;
-use oc_bench::e3_world;
-use oc_sim::check_liveness;
+use oc_bench::{e3_scenario, e3_world};
+use oc_sim::{check_liveness, Violation};
 
 /// The paper's measured overhead per failure at N = 64: its Estelle
 /// implementation on the iPSC/2, over 200 failures.
@@ -27,5 +27,22 @@ fn two_thousand_failures_stay_clean_at_twice_the_papers_cost() {
         per_failure <= 2.0 * PAPER_OVERHEAD_PER_FAILURE,
         "{per_failure:.2} overhead messages per failure, more than twice the paper's \
          {PAPER_OVERHEAD_PER_FAILURE}"
+    );
+}
+
+/// Seed 82 is the one seed of 1–300 that finds a second token at this
+/// horizon (EXPERIMENTS.md, long-horizon table). Built as an `oc1-`
+/// scenario from E3's inputs, `oc_check::run` plays the very run
+/// `e3_world` steps: the same first violation, at the same tick.
+#[test]
+fn seed_82_plays_dirty_as_a_scenario() {
+    let mut world = e3_world(64, 2_000, 82, Hardening::None);
+    world.run_to_quiescence();
+    let first = world.oracle_report().violations().first().cloned();
+    let outcome = oc_check::run(&e3_scenario(64, 2_000, 82), oc_check::Run::SIM, None, None);
+    assert_eq!(outcome.safety.violations().first().cloned(), first);
+    assert!(
+        matches!(first, Some(Violation::TokenDuplication { at, .. }) if at.ticks() == 12_453_510),
+        "{first:?}"
     );
 }

@@ -44,9 +44,9 @@ fn shape(n: usize, requests: usize, seed: u64, kill: Option<GateKill>) -> Scenar
 }
 
 fn gate(transport: TransportKind, scenario: &Scenario) {
-    let sim = run(scenario, Run::SIM, None);
+    let sim = run(scenario, Run::SIM, None, None);
     let on_runtime = Run { substrate: Substrate::Runtime { workers: 4 }, ..Run::SIM };
-    let runtime = run(scenario, on_runtime, None);
+    let runtime = run(scenario, on_runtime, None, None);
     let socket =
         run_scenario_sockets(node_bin(), transport, scenario, SETTLE).expect("deployment runs");
     let all = [("sim", &sim), ("runtime", &runtime), ("socket", &socket.outcome)];

@@ -1,7 +1,13 @@
 //! `explore --replay <oc1-id>`: one scenario, run with the trace on,
-//! printed whole and judged.
+//! printed whole and judged — from its seed, or with `--tape` from a
+//! tape of its run's draws.
 
 use std::process::Command;
+use std::time::Instant;
+
+use oc_bench::e3_scenario;
+use oc_check::{run, shrink, Outcome, Run, Scenario, Substrate};
+use oc_sim::Tape;
 
 /// A scenario in which duplicates alone mint a second token under
 /// `Hardening::None`: no crash, no loss.
@@ -15,6 +21,9 @@ struct Witness {
     /// The last line of its replay on the runtime's workers at W = 2,
     /// where it is pinned there.
     on_runtime: Option<&'static str>,
+    /// Its draws on the runtime's workers at W = 2 after the shrinker's
+    /// tape pass, and the last line of their replay.
+    shrunk_tape: Option<(&'static str, &'static str)>,
 }
 
 /// Every witness is known-dirty until ROADMAP item 1(b) is fixed.
@@ -25,6 +34,7 @@ const DUPLICATION_WITNESSES: [Witness; 3] = [
         n: 8,
         last_line: "verdict: dirty violations=11 safety=11 liveness=0",
         on_runtime: None,
+        shrunk_tape: None,
     },
     // Seed-43 battery index 540940, shrunk: n = 8, a fixed 24-tick delay
     // and a 150 ‰ duplication window over t = 52–220.
@@ -33,17 +43,34 @@ const DUPLICATION_WITNESSES: [Witness; 3] = [
         n: 8,
         last_line: "verdict: dirty violations=10 safety=10 liveness=0",
         on_runtime: None,
+        shrunk_tape: None,
     },
     // Seed 1 of the `runtime:2` battery, index 610912, shrunk: n = 16,
     // twelve arrivals. The runtime's workers mint the second token too,
-    // so this is also the pin of the runtime's virtual end.
+    // so this is also the pin of the runtime's virtual end. Its seeded
+    // run there draws 34, 129 and 196 times from worker 0, worker 1 and
+    // the scheduler; the tape pass leaves 0, 28 and 0 draws (563 runs):
+    // 28 of worker 1's delays mint the second token, with every other
+    // delay the shortest and the scheduler taking the first ready worker
+    // and the smallest cut throughout.
     Witness {
         id: "oc1-10c380b58ed1acbfbdb201011637fc2a90a10f0a87020096010c000a110d2203330688010c990110aa0108bb010ecc0102dd010bee0105ff010f00",
         n: 16,
         last_line: "verdict: dirty violations=32 safety=32 liveness=0",
         on_runtime: Some("verdict: dirty violations=1 safety=1 liveness=0"),
+        shrunk_tape: Some((
+            "03001cc09a0c00aeec090000dbae0f95980a00000000000101000001000000000000000000000100",
+            "verdict: dirty violations=1 safety=1 liveness=0",
+        )),
     },
 ];
+
+/// ROADMAP item 1(a)'s pin: E3's n = 64 run at seed 82 with 2 000
+/// failures (`e3_scenario(64, 2_000, 82)`), shrunk once: one line each
+/// for its ID, its tape and the last line of its replay. The shrinker's
+/// budget ran out in the scenario passes, so the tape is the shrunk
+/// scenario's own seeded draws; `shrink_the_tape_pins` regenerates it.
+const SEED_82_PIN: &str = include_str!("pins/seed-82.txt");
 
 fn explore(args: &[&str]) -> (Option<i32>, String) {
     let out =
@@ -53,7 +80,7 @@ fn explore(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn the_duplication_witness_replays_identically_and_reports_its_second_token() {
-    for Witness { id: witness, n, last_line, on_runtime } in DUPLICATION_WITNESSES {
+    for Witness { id: witness, n, last_line, on_runtime, shrunk_tape } in DUPLICATION_WITNESSES {
         let (code, first) = explore(&["--replay", witness]);
         let (_, second) = explore(&["--replay", witness]);
         assert_eq!(first, second, "two replays of one id differ");
@@ -67,6 +94,11 @@ fn the_duplication_witness_replays_identically_and_reports_its_second_token() {
             let (code, runtime) = explore(&["--replay", witness, "--substrate", "runtime:2"]);
             assert_eq!((code, runtime.lines().last()), (Some(1), Some(runtime_line)), "{runtime}");
         }
+        if let Some((tape, tape_line)) = shrunk_tape {
+            let args = ["--replay", witness, "--substrate", "runtime:2", "--tape", tape];
+            let (code, runtime) = explore(&args);
+            assert_eq!((code, runtime.lines().last()), (Some(1), Some(tape_line)), "{runtime}");
+        }
 
         // Quorum-gated regeneration closes the window on the same id.
         let (code, hardened) = explore(&["--replay", witness, "--hardened"]);
@@ -75,12 +107,43 @@ fn the_duplication_witness_replays_identically_and_reports_its_second_token() {
     }
 }
 
+/// Recording a witness's run and replaying its tape prints the line its
+/// seeded replay is pinned to, on every end it is pinned on.
+#[test]
+fn every_witness_replays_from_its_recorded_tape() {
+    let on_runtime = Run { substrate: Substrate::Runtime { workers: 2 }, ..Run::SIM };
+    for Witness { id, last_line, on_runtime: runtime_line, .. } in DUPLICATION_WITNESSES {
+        let scenario = Scenario::from_id(id).expect("the witness decodes");
+        let ends = [(Run::SIM, "sim", Some(last_line)), (on_runtime, "runtime:2", runtime_line)];
+        for (how, substrate, line) in ends {
+            let Some(line) = line else { continue };
+            let mut tape = Tape::blank();
+            let _ = run(&scenario, how, None, Some(&mut tape));
+            let tape = tape.to_string();
+            let (code, out) = explore(&["--replay", id, "--substrate", substrate, "--tape", &tape]);
+            assert_eq!((code, out.lines().last()), (Some(1), Some(line)), "{id} on {substrate}");
+        }
+    }
+}
+
+#[test]
+fn the_seed_82_pin_replays_from_its_tape() {
+    let [id, tape, last_line] = SEED_82_PIN.lines().collect::<Vec<_>>()[..] else {
+        panic!("the pin is three lines: id, tape, last line")
+    };
+    let (code, out) = explore(&["--replay", id, "--tape", tape]);
+    assert_eq!(code, Some(1), "a dirty replay exits 1");
+    assert!(out.contains("TokenDuplication"), "the second token is seen");
+    assert_eq!(out.lines().last(), Some(last_line));
+}
+
 #[test]
 fn an_id_that_does_not_decode_is_a_usage_error() {
     // So is a battery flag beside `--replay`: a replay runs one
     // scenario and writes no artifact. So are a substrate without its
     // width, with none, or unknown, and the guided explorer off the
-    // simulator, whose coverage it steers by.
+    // simulator, whose coverage it steers by. So is a tape without a
+    // replay, a tape that is not hex, and one that does not decode.
     let witness = DUPLICATION_WITNESSES[0].id;
     let with_battery_flags = [
         "--replay",
@@ -94,16 +157,80 @@ fn an_id_that_does_not_decode_is_a_usage_error() {
         "--threads",
         "1",
     ];
-    let refused: [&[&str]; 6] = [
+    let refused: [&[&str]; 9] = [
         &["--replay", "oc1-zz"],
         &with_battery_flags,
         &["--substrate", "runtime"],
         &["--substrate", "runtime:0"],
         &["--substrate", "gpu"],
         &["--guided", "--substrate", "nodeproc"],
+        &["--tape", "0100"],
+        &["--replay", witness, "--tape", "zz"],
+        &["--replay", witness, "--tape", "0102"],
     ];
     for args in refused {
         let (code, _) = explore(args);
         assert_eq!(code, Some(2), "{args:?}");
     }
+}
+
+/// Shrinks what the tape pins were shrunk from, through the scenario
+/// passes and then the tape pass, and prints each result: its size
+/// before and after, the runs and wall time spent, its ID and tape, and
+/// the verdict line its replay ends with. When the budget ran out before
+/// the tape pass, the tape printed is the shrunk scenario's own draws.
+/// Run with
+/// `cargo test --release -p oc-bench --test replay -- --ignored --nocapture`.
+#[test]
+#[ignore = "about half a minute in release; regenerates the tape pins"]
+fn shrink_the_tape_pins() {
+    let on_runtime = Run { substrate: Substrate::Runtime { workers: 2 }, ..Run::SIM };
+    let witness = Scenario::from_id(DUPLICATION_WITNESSES[2].id).expect("the witness decodes");
+    for (name, scenario, how) in [
+        ("runtime:2 witness", witness, on_runtime),
+        ("seed 82", e3_scenario(64, 2_000, 82), Run::SIM),
+    ] {
+        let seeded = |scenario: &Scenario| {
+            let mut tape = Tape::blank();
+            let outcome = run(scenario, how, None, Some(&mut tape));
+            (tape, outcome)
+        };
+        let start = Instant::now();
+        let result = shrink(&scenario, how);
+        let wall = start.elapsed();
+        let (tape, outcome) = result.tape.clone().unwrap_or_else(|| {
+            let (tape, outcome) = seeded(&result.scenario);
+            (tape.trimmed(), outcome)
+        });
+        let draws = |tape: &Tape| tape.streams().iter().map(Vec::len).collect::<Vec<_>>();
+        println!(
+            "{name}: {} arrivals, {} crashes, draws {:?} -> {} arrivals, {} crashes, draws {:?} \
+             ({} steps, {} runs, {wall:.1?}, tape pass {})",
+            scenario.arrivals.len(),
+            scenario.crashes.len(),
+            draws(&seeded(&scenario).0),
+            result.scenario.arrivals.len(),
+            result.scenario.crashes.len(),
+            draws(&tape),
+            result.steps,
+            result.runs,
+            if result.tape.is_some() { "accepted" } else { "accepted nothing or never ran" },
+        );
+        println!("{}", result.scenario.id());
+        println!("{tape}");
+        println!("{}", verdict(&outcome));
+    }
+}
+
+/// The last line `explore --replay` prints for `outcome`.
+fn verdict(outcome: &Outcome) -> String {
+    if outcome.is_clean() {
+        return "verdict: clean".to_string();
+    }
+    format!(
+        "verdict: dirty violations={} safety={} liveness={}",
+        outcome.violation_count(),
+        outcome.safety.violations().len(),
+        outcome.liveness.violations().len(),
+    )
 }

@@ -172,7 +172,7 @@ pub struct Failure {
 pub fn explore_serial(space: &Space, master_seed: u64, budget: u64, how: Run) -> Option<Failure> {
     for index in 0..budget {
         let scenario = Scenario::generate(space, master_seed, index);
-        let outcome = run(&scenario, how, None);
+        let outcome = run(&scenario, how, None, None);
         if !outcome.is_clean() {
             return Some(Failure { index, scenario, outcome });
         }

@@ -222,7 +222,7 @@ mod tests {
     fn inprocess_gate_run_is_clean_and_serves_everything() {
         let s = gate(20, 100, None).scenario();
         let on_runtime = Run { substrate: Substrate::Runtime { workers: 2 }, ..Run::SIM };
-        let outcome = run(&s, on_runtime, None);
+        let outcome = run(&s, on_runtime, None, None);
         assert!(outcome.drained && outcome.is_clean(), "{outcome:?}");
         assert_eq!(outcome.cs_entries, 20);
         conforms(20, &[("runtime", &outcome)]).expect("a clean full run conforms");

@@ -36,7 +36,7 @@ use std::rc::Rc;
 use oc_algo::Config;
 use oc_sim::{
     check_horizon, Horizon, MessageKind, MsgKind, NodeAtHorizon, NodeEvent, Outbox, Protocol,
-    SimDuration, Trace, World,
+    SimDuration, Tape, Trace, World,
 };
 use oc_topology::NodeId;
 use oc_transport::log::REC_LEN;
@@ -246,6 +246,7 @@ pub(crate) fn play(
     scenario: &Scenario,
     config: Config,
     trace: Option<&mut Trace>,
+    tape: Option<&mut Tape>,
     by_logs: bool,
 ) -> Outcome {
     let clock = Rc::new(Cell::new(0));
@@ -262,7 +263,7 @@ pub(crate) fn play(
             requests: 0,
         })
         .collect();
-    in_scenario_world(scenario, nodes, trace, |world| {
+    in_scenario_world(scenario, nodes, trace, tape, |world| {
         let drained = step_to_quiescence(world, scenario, &clock);
         if by_logs {
             judge_by_logs(world, scenario, drained)

@@ -10,7 +10,7 @@ use oc_algo::{Config, Hardening, Mutation, OpenCubeNode};
 use oc_runtime::{run_virtual, RuntimeConfig};
 use oc_sim::{
     check_horizon, ticks_to_wall, Counter, DelayModel, LivenessReport, MsgKind, OracleReport,
-    Protocol, SimConfig, SimDuration, SimTime, Trace, World,
+    Protocol, SimConfig, SimDuration, SimTime, Tape, Trace, World,
 };
 use oc_topology::NodeId;
 
@@ -229,7 +229,8 @@ impl FromStr for Substrate {
 }
 
 /// How one scenario is played. None of it is part of the scenario, so
-/// one `oc1-` ID replays under every `Run`.
+/// one `oc1-` ID replays under every `Run`. Neither is a tape of the
+/// run's draws, which [`run`] takes beside it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Run {
     /// What carries the messages.
@@ -248,9 +249,17 @@ impl Run {
 }
 
 /// Plays one scenario as `how` says and returns its oracle verdict — a
-/// pure function of `(scenario, how)` on every substrate. With `trace`,
-/// the world ends record the run there (`explore --replay` prints it);
-/// the runtime's cores record none and leave it as given.
+/// pure function of `(scenario, how, tape)` on every substrate. With
+/// `trace`, the world ends record the run there (`explore --replay`
+/// prints it); the runtime's cores record none and leave it as given.
+///
+/// Without `tape` every draw of the run (delays, link fates, and on the
+/// runtime the scheduler's picks) comes from the scenario's seed. With a
+/// blank tape it still does, and the tape records the draws; with a
+/// recorded tape the draws are its entries (`oc_sim::Choices`), so a
+/// recorded run replays exactly and an edited tape plays another valid
+/// run. Either way the tape keeps the draws the run made: one stream on
+/// the world ends, `W + 1` on `runtime:W`.
 ///
 /// The world ends play in the calling thread's one [`World`], reset in
 /// place ([`World::reset`]) rather than built per scenario, so a battery
@@ -258,20 +267,25 @@ impl Run {
 /// reset world is a new world: the verdict does not depend on what the
 /// thread ran before.
 #[must_use]
-pub fn run(scenario: &Scenario, how: Run, trace: Option<&mut Trace>) -> Outcome {
+pub fn run(
+    scenario: &Scenario,
+    how: Run,
+    trace: Option<&mut Trace>,
+    tape: Option<&mut Tape>,
+) -> Outcome {
     let config = scenario.config(how.mutation, how.hardening);
     match how.substrate {
-        Substrate::Sim => on_world(scenario, OpenCubeNode::build_all(config), trace),
-        Substrate::Nodeproc => nodeproc::play(scenario, config, trace, false),
-        Substrate::NodeprocLogs => nodeproc::play(scenario, config, trace, true),
-        Substrate::Runtime { workers } => on_runtime(scenario, config, workers),
+        Substrate::Sim => on_world(scenario, OpenCubeNode::build_all(config), trace, tape),
+        Substrate::Nodeproc => nodeproc::play(scenario, config, trace, tape, false),
+        Substrate::NodeprocLogs => nodeproc::play(scenario, config, trace, tape, true),
+        Substrate::Runtime { workers } => on_runtime(scenario, config, workers, tape),
     }
 }
 
-/// [`run`] on the simulator, unhardened, without a trace.
+/// [`run`] on the simulator, unhardened, seeded, without a trace.
 #[must_use]
 pub fn run_scenario(scenario: &Scenario, mutation: Mutation) -> Outcome {
-    run(scenario, Run { mutation, ..Run::SIM }, None)
+    run(scenario, Run { mutation, ..Run::SIM }, None, None)
 }
 
 /// Runs one scenario against an arbitrary [`Protocol`] and returns its
@@ -289,7 +303,7 @@ where
     P: Protocol + 'static,
     F: FnOnce(&Scenario) -> Vec<P>,
 {
-    on_world(scenario, build(scenario), None)
+    on_world(scenario, build(scenario), None, None)
 }
 
 /// `nodes` in this thread's world, run to quiescence and judged.
@@ -297,8 +311,9 @@ fn on_world<P: Protocol + 'static>(
     scenario: &Scenario,
     nodes: Vec<P>,
     trace: Option<&mut Trace>,
+    tape: Option<&mut Tape>,
 ) -> Outcome {
-    in_scenario_world(scenario, nodes, trace, |world| {
+    in_scenario_world(scenario, nodes, trace, tape, |world| {
         let drained = world.run_to_quiescence();
         judge_world(world, drained)
     })
@@ -310,7 +325,12 @@ const RUNTIME_TICK: Duration = Duration::from_micros(20);
 /// [`Substrate::Runtime`]: ticks mapped to nanoseconds, the horizon
 /// `max_events`. The runtime's links draw their delays in `0..=δ`, not
 /// from the scenario's envelope, so its counters are its own.
-fn on_runtime(scenario: &Scenario, protocol: Config, workers: usize) -> Outcome {
+fn on_runtime(
+    scenario: &Scenario,
+    protocol: Config,
+    workers: usize,
+    tape: Option<&mut Tape>,
+) -> Outcome {
     let config = RuntimeConfig {
         workers,
         tick: RUNTIME_TICK,
@@ -327,6 +347,7 @@ fn on_runtime(scenario: &Scenario, protocol: Config, workers: usize) -> Outcome 
         &scenario.schedule(),
         &scenario.failure_plan(),
         scenario.max_events,
+        tape,
     );
     Outcome {
         drained: report.drained,
@@ -354,7 +375,8 @@ thread_local! {
 /// Hands `play` this thread's world, reset for `scenario` over `nodes`
 /// with every arrival and crash filed — the one place a scenario becomes
 /// a [`SimConfig`] — and, with `trace`, records the run and copies its
-/// trace there. The world is out of its slot while `play` runs, so a
+/// trace there; with `tape`, draws from it (or records into a blank one)
+/// and leaves there what the run drew. The world is out of its slot while `play` runs, so a
 /// runner called inside `play` gets a world of its own, and a world left
 /// mid-event by a panic is never reused. A world of another protocol type
 /// is dropped for a new one.
@@ -362,6 +384,7 @@ pub(crate) fn in_scenario_world<P: Protocol + 'static, R>(
     scenario: &Scenario,
     nodes: Vec<P>,
     trace: Option<&mut Trace>,
+    tape: Option<&mut Tape>,
     play: impl FnOnce(&mut World<P>) -> R,
 ) -> R {
     let sim = SimConfig {
@@ -395,9 +418,15 @@ pub(crate) fn in_scenario_world<P: Protocol + 'static, R>(
             world.schedule_recovery(SimTime::from_ticks(recover_at), node);
         }
     }
+    if let Some(tape) = tape.as_deref() {
+        world.set_choices(tape.choices(0, scenario.seed));
+    }
     let result = play(&mut world);
     if let Some(trace) = trace {
         trace.clone_from(world.trace());
+    }
+    if let Some(tape) = tape {
+        tape.keep([world.choices()]);
     }
     WORLD.set(Some(world));
     result
@@ -494,8 +523,8 @@ mod tests {
             for hardening in [Hardening::None, Hardening::Quorum] {
                 let how = Run { hardening, ..Run::SIM };
                 let mut trace = Trace::default();
-                let traced = run(&scenario, how, Some(&mut trace));
-                assert_eq!(traced, run(&scenario, how, None), "{}", scenario.id());
+                let traced = run(&scenario, how, Some(&mut trace), None);
+                assert_eq!(traced, run(&scenario, how, None, None), "{}", scenario.id());
                 assert!(!trace.records().is_empty(), "{}", scenario.id());
             }
         }

@@ -7,6 +7,7 @@
 //! crash list encodes the rest.
 
 use oc_algo::{Config, Hardening, Mutation};
+use oc_sim::choices::{hex_bytes, push_varint, read_varint};
 use oc_sim::{
     ArrivalSchedule, FailurePlan, FaultPhase, FaultPhaseKind, FaultScript, SimDuration, SimTime,
 };
@@ -515,15 +516,7 @@ impl Scenario {
     /// bad hex, truncated stream, out-of-range field).
     pub fn from_id(id: &str) -> Result<Scenario, String> {
         let hex = id.strip_prefix("oc1-").ok_or("scenario id must start with \"oc1-\"")?;
-        if hex.len() % 2 != 0 {
-            return Err("odd-length hex payload".into());
-        }
-        let bytes: Vec<u8> = (0..hex.len() / 2)
-            .map(|i| {
-                u8::from_str_radix(&hex[2 * i..2 * i + 2], 16)
-                    .map_err(|e| format!("bad hex at byte {i}: {e}"))
-            })
-            .collect::<Result<_, _>>()?;
+        let bytes = hex_bytes(hex)?;
         let mut cursor = 0usize;
         macro_rules! take {
             () => {
@@ -711,35 +704,6 @@ fn node_list(
         members.push(NodeId::new(node as u32));
     }
     Ok(members)
-}
-
-fn push_varint(bytes: &mut Vec<u8>, mut value: u64) {
-    loop {
-        let mut byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value != 0 {
-            byte |= 0x80;
-        }
-        bytes.push(byte);
-        if value == 0 {
-            return;
-        }
-    }
-}
-
-fn read_varint(bytes: &[u8], cursor: &mut usize) -> Result<u64, String> {
-    let mut value = 0u64;
-    for shift in (0..64).step_by(7) {
-        let Some(&byte) = bytes.get(*cursor) else {
-            return Err(format!("truncated varint at byte {cursor}"));
-        };
-        *cursor += 1;
-        value |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
-    }
-    Err(format!("varint too long at byte {cursor}"))
 }
 
 #[cfg(test)]

@@ -19,12 +19,17 @@
 //!   not from the scenario's envelope, so its counters of messages and
 //!   events differ.
 //!
+//! Every run, the simulator's too, draws from its seed through a blank
+//! tape that records the draws, and is played again from that tape: the
+//! replay must give the identical outcome, on every end.
+//!
 //! A scenario on which an end disagrees is a finding: shrink it and pin
 //! its `oc1-` id with the reason.
 
 use std::time::{Duration, Instant};
 
 use oc_check::{run, Outcome, Run, Scenario, Space, Substrate};
+use oc_sim::Tape;
 
 /// What a scenario asks of every substrate.
 fn verdict(outcome: &Outcome) -> (bool, u64, u64, u64, u64, bool) {
@@ -66,21 +71,32 @@ pub fn assert_agrees(substrate: Substrate, scenario: &Scenario, sim: &Outcome, o
 pub struct End {
     /// Its outcomes, index by index.
     pub outcomes: Vec<Outcome>,
-    /// The wall time its runs took, the simulator's not counted.
+    /// The wall time its runs took, each recorded and replayed, the
+    /// simulator's not counted.
     pub wall: Duration,
+}
+
+/// Plays `scenario` as `how` says from its seed, recording its draws,
+/// and returns the outcome once the tape of those draws has replayed it.
+fn recorded_and_replayed(scenario: &Scenario, how: Run) -> Outcome {
+    let mut tape = Tape::blank();
+    let recorded = run(scenario, how, None, Some(&mut tape));
+    let replayed = run(scenario, how, None, Some(&mut tape));
+    assert_eq!(replayed, recorded, "its tape replays {} differently", scenario.id());
+    recorded
 }
 
 /// The 2 000-scenario default battery at `seed` on every end of
 /// `substrates`, in their order; panics on the first scenario an end
-/// disagrees with the simulator on.
+/// disagrees with the simulator on, or a tape replays differently.
 pub fn battery<const N: usize>(seed: u64, substrates: [Substrate; N]) -> [End; N] {
     let mut ends: [End; N] = std::array::from_fn(|_| End::default());
     for index in 0..2_000 {
         let scenario = Scenario::generate(&Space::default(), seed, index);
-        let sim = run(&scenario, Run::SIM, None);
+        let sim = recorded_and_replayed(&scenario, Run::SIM);
         for (substrate, end) in substrates.into_iter().zip(&mut ends) {
             let start = Instant::now();
-            let outcome = run(&scenario, Run { substrate, ..Run::SIM }, None);
+            let outcome = recorded_and_replayed(&scenario, Run { substrate, ..Run::SIM });
             end.wall += start.elapsed();
             assert_agrees(substrate, &scenario, &sim, &outcome);
             end.outcomes.push(outcome);

@@ -10,11 +10,13 @@
 //! snapshot ticks, with crash/recovery plans and scripted partitions
 //! active, for all three uses of a checkpoint: continuing the
 //! snapshotted world, forking a fresh world from the checkpoint, and
-//! restoring a *dirty* world back onto it.
+//! restoring a *dirty* world back onto it — and all three again on a
+//! world that draws from a replayed tape, whose place on the tape a
+//! checkpoint carries.
 
 use oc_algo::{Config, Mutation, OpenCubeNode};
 use oc_check::{Scenario, Space};
-use oc_sim::{check_liveness, DelayModel, SimConfig, SimDuration, SimTime, World};
+use oc_sim::{check_liveness, DelayModel, SimConfig, SimDuration, SimTime, Tape, World};
 use oc_topology::NodeId;
 use proptest::prelude::*;
 
@@ -44,6 +46,13 @@ fn build_world(scenario: &Scenario) -> World<OpenCubeNode> {
         world.schedule_request(SimTime::from_ticks(*at), NodeId::new(*node));
     }
     world.schedule_failures(&scenario.failure_plan());
+    world
+}
+
+/// The world of `scenario` drawing from `tape` instead of its seed.
+fn taped_world(scenario: &Scenario, tape: &Tape) -> World<OpenCubeNode> {
+    let mut world = build_world(scenario);
+    world.set_choices(tape.choices(0, scenario.seed));
     world
 }
 
@@ -105,6 +114,25 @@ proptest! {
         // 3. A dirty world (same scenario, different seed, driven to the
         //    end) restored onto the checkpoint: restore must overwrite
         //    every divergent piece of state.
+        let mut dirty =
+            build_world(&Scenario { seed: scenario.seed ^ 0x5bd1_e995, ..scenario.clone() });
+        dirty.run_to_quiescence();
+        dirty.restore(&checkpoint);
+        prop_assert_eq!(&drive_to_summary(dirty), &reference);
+
+        // 4. The three uses again on a world replaying the tape of the
+        //    seeded run: the replay is the seeded run, and a checkpoint
+        //    taken mid-tape resumes at its place on the tape.
+        let mut recorder = taped_world(&scenario, &Tape::blank());
+        recorder.run_to_quiescence();
+        let mut tape = Tape::blank();
+        tape.keep([recorder.choices()]);
+        prop_assert_eq!(&drive_to_summary(taped_world(&scenario, &tape)), &reference);
+        let mut world = taped_world(&scenario, &tape);
+        world.run_until(snapshot_tick(&scenario, octile));
+        let checkpoint = world.checkpoint();
+        prop_assert_eq!(&drive_to_summary(world), &reference);
+        prop_assert_eq!(&drive_to_summary(checkpoint.to_world()), &reference);
         let mut dirty =
             build_world(&Scenario { seed: scenario.seed ^ 0x5bd1_e995, ..scenario.clone() });
         dirty.run_to_quiescence();

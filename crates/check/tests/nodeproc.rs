@@ -30,7 +30,7 @@ const DUPLICATION_WITNESS: &str =
 /// One virtual-time run of the socket node under `mutation`, judged
 /// twice: `(by the world's oracles, by the nodes' logs)`.
 fn judged(scenario: &Scenario, mutation: Mutation) -> (Outcome, Outcome) {
-    let on = |substrate| run(scenario, Run { substrate, mutation, ..Run::SIM }, None);
+    let on = |substrate| run(scenario, Run { substrate, mutation, ..Run::SIM }, None, None);
     (on(Substrate::Nodeproc), on(Substrate::NodeprocLogs))
 }
 

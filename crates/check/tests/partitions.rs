@@ -38,7 +38,7 @@ fn replay_pins(hardening: Hardening, expect_clean: bool) {
             !scenario.phases.is_empty(),
             "{name}: a partition finding must carry its fault script"
         );
-        let outcome = run(&scenario, Run { hardening, ..Run::SIM }, None);
+        let outcome = run(&scenario, Run { hardening, ..Run::SIM }, None, None);
         if expect_clean {
             assert!(
                 outcome.is_clean(),
@@ -57,7 +57,7 @@ fn replay_pins(hardening: Hardening, expect_clean: bool) {
         }
         // The replay is byte-identical: same scenario, same hardening,
         // same verdict.
-        let again = run(&scenario, Run { hardening, ..Run::SIM }, None);
+        let again = run(&scenario, Run { hardening, ..Run::SIM }, None, None);
         assert_eq!(outcome, again, "{name}: replay must be deterministic");
         assert_eq!(outcome.fingerprint(), again.fingerprint());
     }
@@ -79,7 +79,7 @@ fn retired_partition_pins_replay_clean() {
         let scenario = Scenario::from_id(id)
             .unwrap_or_else(|err| panic!("{name}: pinned id must decode: {err}"));
         for hardening in [Hardening::None, Hardening::Quorum] {
-            let outcome = run(&scenario, Run { hardening, ..Run::SIM }, None);
+            let outcome = run(&scenario, Run { hardening, ..Run::SIM }, None, None);
             assert!(
                 outcome.is_clean() && outcome.drained,
                 "{name}: the retired finding fails again under {hardening:?}: {outcome:?}"
@@ -94,7 +94,7 @@ fn partition_scenarios_count_their_cut_losses() {
     // the lost_to_partition counter is how a battery reads the cut.
     let (_, id) = HEALED_PARTITION_PINS[0];
     let scenario = Scenario::from_id(id).expect("pinned id decodes");
-    let outcome = run(&scenario, Run::SIM, None);
+    let outcome = run(&scenario, Run::SIM, None, None);
     assert!(outcome.lost_to_partition > 0, "the cut must destroy something: {outcome:?}");
 }
 
@@ -109,7 +109,7 @@ fn hunt_partition_findings() {
     let mut found = 0usize;
     for index in 0..5_000u64 {
         let scenario = Scenario::generate(&space, 42, index);
-        let outcome = run(&scenario, Run::SIM, None);
+        let outcome = run(&scenario, Run::SIM, None, None);
         if outcome.is_clean() {
             continue;
         }

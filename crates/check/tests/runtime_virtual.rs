@@ -24,7 +24,12 @@ const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// `scenario` under `mutation` on `workers` runtime workers.
 fn on_runtime(scenario: &Scenario, mutation: Mutation, workers: usize) -> Outcome {
-    run(scenario, Run { substrate: Substrate::Runtime { workers }, mutation, ..Run::SIM }, None)
+    run(
+        scenario,
+        Run { substrate: Substrate::Runtime { workers }, mutation, ..Run::SIM },
+        None,
+        None,
+    )
 }
 
 /// The 2 000-scenario default battery at `seed` on `WORKERS` workers.

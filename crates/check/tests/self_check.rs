@@ -243,7 +243,7 @@ fn hardened_partition_counterexamples_stay_fixed() {
     for (name, id) in HEALED_PARTITION_PINS {
         let scenario = Scenario::from_id(id)
             .unwrap_or_else(|err| panic!("{name}: pinned id must decode: {err}"));
-        let outcome = run(&scenario, Run { hardening: Hardening::Quorum, ..Run::SIM }, None);
+        let outcome = run(&scenario, Run { hardening: Hardening::Quorum, ..Run::SIM }, None, None);
         assert!(
             outcome.is_clean(),
             "{name}: regression — the quorum-hardened replay fails again: {outcome:?}"

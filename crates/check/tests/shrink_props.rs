@@ -1,11 +1,12 @@
-//! Property tests for the shrinker (satellite of the guided-explorer
-//! PR): over arbitrary failing scenarios from the default space,
-//! shrinking is deterministic, monotone under the scenario size metric,
-//! and the shrunk scenario reproduces its violation fingerprint
-//! byte-identically from the portable `oc1-` ID alone.
+//! Property tests for the shrinker: over arbitrary failing scenarios
+//! from the default space, shrinking is deterministic — equal inputs
+//! shrink to equal scenarios and equal tapes — monotone under the
+//! scenario size metric, and the shrunk scenario reproduces its
+//! violation fingerprint byte-identically from the portable `oc1-` ID
+//! alone, as its shrunk tape reproduces the verdict it was kept with.
 
 use oc_algo::Mutation;
-use oc_check::{run_scenario, shrink, Outcome, Run, Scenario, Space};
+use oc_check::{run, run_scenario, shrink, Outcome, Run, Scenario, Space};
 use proptest::prelude::*;
 
 /// The size metric the monotonicity property is judged under: every
@@ -45,12 +46,14 @@ proptest! {
             })
             .expect("the kept token must trip within 32 consecutive scenarios");
 
-        // Deterministic: equal inputs shrink to equal minima, spending
-        // the same run budget.
-        let result = shrink(&scenario, Run { mutation, ..Run::SIM });
-        let again = shrink(&scenario, Run { mutation, ..Run::SIM });
+        // Deterministic: equal inputs shrink to equal minima and equal
+        // tapes, spending the same run budget.
+        let how = Run { mutation, ..Run::SIM };
+        let result = shrink(&scenario, how);
+        let again = shrink(&scenario, how);
         prop_assert_eq!(&result.scenario, &again.scenario);
         prop_assert_eq!(&result.outcome, &again.outcome);
+        prop_assert_eq!(&result.tape, &again.tape);
         prop_assert_eq!((result.steps, result.runs), (again.steps, again.runs));
 
         // Monotone: the minimum is never larger than the input under the
@@ -71,6 +74,14 @@ proptest! {
         let replay_outcome = run_scenario(&replayed, mutation);
         prop_assert_eq!(&replay_outcome, &result.outcome);
         prop_assert_eq!(replay_outcome.fingerprint(), result.outcome.fingerprint());
+
+        // The shrunk tape, played on the minimal scenario, gives the
+        // verdict it was kept with — a safety failure still.
+        if let Some((tape, taped)) = &result.tape {
+            let mut played = tape.clone();
+            prop_assert_eq!(&run(&replayed, how, None, Some(&mut played)), taped);
+            prop_assert!(!taped.safety.is_clean() || result.outcome.safety.is_clean());
+        }
 
         // The planted bug is a safety bug: shrinking must preserve the
         // safety-violation shape, not trade it for a different failure.

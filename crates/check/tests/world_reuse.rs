@@ -44,11 +44,11 @@ fn play(call: &Call) -> (Outcome, Option<(usize, u64)>) {
     let on_sim = |mutation, hardening| Run { mutation, hardening, ..Run::SIM };
     match call {
         Call::Plain(scenario, mutation, hardening) => {
-            (run(scenario, on_sim(*mutation, *hardening), None), None)
+            (run(scenario, on_sim(*mutation, *hardening), None, None), None)
         }
         Call::Traced(scenario, mutation, hardening) => {
             let mut trace = Trace::default();
-            let outcome = run(scenario, on_sim(*mutation, *hardening), Some(&mut trace));
+            let outcome = run(scenario, on_sim(*mutation, *hardening), Some(&mut trace), None);
             (outcome, Some((trace.records().len(), trace.hash64())))
         }
         Call::Raymond(scenario) => {

@@ -299,7 +299,7 @@ impl<P: Protocol + Send + 'static> Runtime<P> {
             let shared = Arc::clone(&shared);
             let mailboxes = worker_txs.clone();
             worker_handles.push(std::thread::spawn(move || {
-                let core = Core::new(me, slots, &shared, &config);
+                let core = Core::new(me, slots, &shared, &config, None);
                 worker_main::<P>(core, &rx, &mailboxes, epoch)
             }));
         }

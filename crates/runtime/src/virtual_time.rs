@@ -21,8 +21,7 @@
 
 use std::collections::VecDeque;
 
-use oc_sim::{ArrivalSchedule, FailurePlan, FaultScript, Protocol};
-use rand::{rngs::StdRng, RngExt, SeedableRng};
+use oc_sim::{ArrivalSchedule, Choices, FailurePlan, FaultScript, Protocol, Tape};
 
 use crate::worker::{assemble, Core, Mail, Next, Shared, Targeted};
 use crate::{judge, RuntimeConfig, RuntimeReport};
@@ -39,7 +38,10 @@ use crate::{judge, RuntimeConfig, RuntimeReport};
 ///
 /// A pure function of its arguments: the same call returns the same
 /// report, `wall` (the virtual time at the cut) included. `config.seed`
-/// seeds the workers' delay and fault streams and the scheduler.
+/// seeds the workers' delay and fault streams and the scheduler. With
+/// `tape`, those `W + 1` draw streams — worker `w`'s is stream `w`, the
+/// scheduler's stream `W` — come from it instead (a blank tape lets the
+/// seed draw), and it keeps what the run drew.
 ///
 /// # Panics
 ///
@@ -53,24 +55,32 @@ pub fn run_virtual<P: Protocol + Send + 'static>(
     schedule: &ArrivalSchedule,
     failures: &FailurePlan,
     max_events: u64,
+    tape: Option<&mut Tape>,
 ) -> RuntimeReport {
     let (shared, config, shards) = assemble(config, script, vec![nodes]);
+    let scheduler_seed = config.seed ^ 0x5DEE_CE66_D1CE_5EED;
     let mut run = VirtualRun {
         shared: &shared,
         cores: shards
             .into_iter()
             .enumerate()
-            .map(|(me, slots)| Core::new(me, slots, &shared, &config))
+            .map(|(me, slots)| Core::new(me, slots, &shared, &config, tape.as_deref()))
             .collect(),
         inboxes: (0..config.workers).map(|_| VecDeque::new()).collect(),
         due: vec![None; config.workers],
         ready: Vec::with_capacity(config.workers),
         now: 0,
-        rng: StdRng::seed_from_u64(config.seed ^ 0x5DEE_CE66_D1CE_5EED),
+        choices: tape.as_deref().map_or_else(
+            || Choices::seeded(scheduler_seed),
+            |tape| tape.choices(config.workers, scheduler_seed),
+        ),
     };
     run.file(shared.arrivals(schedule).1);
     run.file(shared.failures(failures));
     let drained = run.play(max_events);
+    if let Some(tape) = tape {
+        tape.keep(run.cores.iter().map(Core::choices).chain([&run.choices]));
+    }
     let VirtualRun { cores, mut inboxes, now, .. } = run;
     let exits = cores
         .into_iter()
@@ -95,9 +105,9 @@ struct VirtualRun<'a, P: Protocol> {
     ready: Vec<usize>,
     /// Nanoseconds since the epoch.
     now: u64,
-    /// The scheduler's stream: which ready worker runs, and where its
-    /// batch is cut.
-    rng: StdRng,
+    /// The scheduler's draw stream: which ready worker runs, and where
+    /// its batch is cut.
+    choices: Choices,
 }
 
 impl<P: Protocol + Send + 'static> VirtualRun<'_, P> {
@@ -152,7 +162,7 @@ impl<P: Protocol + Send + 'static> VirtualRun<'_, P> {
                     None => return false,
                 }
             }
-            let w = self.ready[self.rng.random_range(0..self.ready.len())];
+            let w = self.ready[self.choices.up_to(self.ready.len() as u64 - 1) as usize];
             self.step(w);
         }
     }
@@ -163,10 +173,14 @@ impl<P: Protocol + Send + 'static> VirtualRun<'_, P> {
     /// top-up, no more once its batch is full.
     fn step(&mut self, w: usize) {
         let now = self.now;
-        let VirtualRun { cores, inboxes, rng, due, .. } = self;
+        let VirtualRun { cores, inboxes, choices, due, .. } = self;
         let inbox = &mut inboxes[w];
         let least = usize::from(due[w].is_none_or(|due| due > now));
-        let take = if inbox.is_empty() { 0 } else { rng.random_range(least..=inbox.len()) };
+        let take = if inbox.is_empty() {
+            0
+        } else {
+            least + choices.up_to((inbox.len() - least) as u64) as usize
+        };
         let core = &mut cores[w];
         for taken in 0..take {
             if taken > 0 && !core.wants_mail() {

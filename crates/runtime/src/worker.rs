@@ -18,12 +18,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::MutexGuard;
 
 use oc_sim::{
-    drive, drive_recovery, ActionSink, ArrivalSchedule, CompiledScript, DeadlineSet, FailurePlan,
-    FaultScript, LinkFate, MessageKind, Metrics, NodeEvent, Oracle, Outbox, Protocol, SimDuration,
-    SimTime,
+    drive, drive_recovery, ActionSink, ArrivalSchedule, Choices, CompiledScript, DeadlineSet,
+    FailurePlan, FaultScript, LinkFate, MessageKind, Metrics, NodeEvent, Oracle, Outbox, Protocol,
+    SimDuration, SimTime, Tape,
 };
 use oc_topology::NodeId;
-use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 use crate::session::{InboxCache, Notice, Padded, Sessions, Ticket};
 use crate::{RequestId, RequestStatus, RuntimeConfig};
@@ -234,27 +233,6 @@ impl Shared {
     /// never narrowed: 2^40 ticks map exactly).
     pub(crate) fn nanos_of(&self, ticks: u64) -> u64 {
         ticks.saturating_mul(self.tick_nanos)
-    }
-
-    /// The fate the fault script gives a `from → to` send at `at`
-    /// (namespace-local ids): `Deliver`, without a look at the script,
-    /// when the runtime was started without one.
-    fn fate(
-        &self,
-        at: u64,
-        from: NodeId,
-        to: NodeId,
-        carries_token: bool,
-        rng: &mut StdRng,
-    ) -> LinkFate {
-        if !self.scripted {
-            return LinkFate::Deliver;
-        }
-        let now = self.ticks_at(at);
-        if !self.script.active_at(now) {
-            return LinkFate::Deliver;
-        }
-        self.script.fate(now, from, to, carries_token, rng)
     }
 
     pub(crate) fn lock_monitor(&self, ns: usize) -> MutexGuard<'_, Oracle> {
@@ -564,7 +542,8 @@ struct Worker<'a, M> {
     max_delay: u64,
     /// `RuntimeConfig::cs_duration` in nanoseconds.
     lease_length: u64,
-    rng: StdRng,
+    /// This worker's draw stream: its messages' delays and fates.
+    choices: Choices,
     /// Messages, events, losses, crashes and recoveries of this worker's
     /// nodes; summed over the workers at shutdown.
     metrics: Metrics,
@@ -648,10 +627,25 @@ impl<M: MessageKind> Worker<'_, M> {
         }
     }
 
+    /// The fate the fault script gives a `from → to` send (namespace-local
+    /// ids) at the current command's clock reading: `Deliver`, without a
+    /// look at the script, when the runtime was started without one.
+    fn fate(&mut self, from: NodeId, to: NodeId, carries_token: bool) -> LinkFate {
+        let shared = self.shared;
+        if !shared.scripted {
+            return LinkFate::Deliver;
+        }
+        let now = shared.ticks_at(self.now);
+        if !shared.script.active_at(now) {
+            return LinkFate::Deliver;
+        }
+        shared.script.fate(now, from, to, carries_token, &mut self.choices)
+    }
+
     /// Puts one copy of a message of namespace `ns` on the wire, under
-    /// its own random delay from the current command's clock reading.
+    /// its own drawn delay from the current command's clock reading.
     fn transmit(&mut self, ns: usize, to: NodeId, from: NodeId, msg: M) {
-        let delay = self.rng.random_range(0..=self.max_delay);
+        let delay = self.choices.up_to(self.max_delay);
         self.tokens_afloat[ns] += i64::from(msg.carries_token());
         self.post(self.now.saturating_add(delay), to, NodeCmd::Deliver { from, msg });
     }
@@ -734,12 +728,14 @@ pub(crate) struct Core<'a, P: Protocol> {
 }
 
 impl<'a, P: Protocol + Send + 'static> Core<'a, P> {
-    /// Worker `me` of `config.workers` over its shard `slots`.
+    /// Worker `me` of `config.workers` over its shard `slots`, drawing
+    /// from its seeded generator, or from stream `me` of `tape`.
     pub(crate) fn new(
         me: usize,
         slots: Vec<Slot<P>>,
         shared: &'a Shared,
         config: &RuntimeConfig,
+        tape: Option<&Tape>,
     ) -> Self {
         let nanos = |d: std::time::Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
         let seed = config.seed
@@ -753,7 +749,7 @@ impl<'a, P: Protocol + Send + 'static> Core<'a, P> {
                 shared,
                 max_delay: nanos(config.max_network_delay),
                 lease_length: nanos(config.cs_duration),
-                rng: StdRng::seed_from_u64(seed),
+                choices: tape.map_or_else(|| Choices::seeded(seed), |tape| tape.choices(me, seed)),
                 metrics: Metrics::default(),
                 tokens_afloat: vec![0; shared.ns.len()],
                 crossed: 0,
@@ -783,6 +779,11 @@ impl<'a, P: Protocol + Send + 'static> Core<'a, P> {
     /// holds.
     pub(crate) fn wants_mail(&self) -> bool {
         self.worker.queue.len() < BATCH
+    }
+
+    /// This worker's draw stream, and what it has recorded of it.
+    pub(crate) fn choices(&self) -> &Choices {
+        &self.worker.choices
     }
 
     /// Commands and timer firings run so far.
@@ -919,13 +920,12 @@ impl<M: MessageKind + Clone + Send + 'static> ActionSink<M> for SeatSink<'_, '_,
     fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
         let (ns, to_global) = (self.seat.ns, NodeId::new(to.get() + self.seat.ns_offset));
         let worker = &mut *self.worker;
-        let shared = worker.shared;
         worker.metrics.record_send(msg.kind());
         // Decide-before-act, identical to the simulator's `Core::send`:
         // the script decides the message's fate before any copy is
         // enqueued, so a drop destroys the logical send outright. A
         // runtime started without a script skips the check entirely.
-        let fate = shared.fate(worker.now, from, to, msg.carries_token(), &mut worker.rng);
+        let fate = worker.fate(from, to, msg.carries_token());
         match worker.metrics.record_fate(fate) {
             0 => return,
             1 => {}

@@ -305,7 +305,12 @@ fn settled_never_holds_early_across_namespaces_or_a_dropped_watcher() {
 /// Runs `scenario` in virtual time at one, two and `n` workers.
 fn at_every_width(scenario: &Scenario, mutation: Mutation) -> [oc_check::Outcome; 3] {
     [1, 2, scenario.n].map(|workers| {
-        run(scenario, Run { substrate: Substrate::Runtime { workers }, mutation, ..Run::SIM }, None)
+        run(
+            scenario,
+            Run { substrate: Substrate::Runtime { workers }, mutation, ..Run::SIM },
+            None,
+            None,
+        )
     })
 }
 

@@ -6,8 +6,8 @@
 //! non-FIFO behaviour whenever the delay is not constant.
 
 use oc_topology::NodeId;
-use rand::{Rng, RngExt};
 
+use crate::choices::Choices;
 use crate::time::{SimDuration, SimTime};
 
 /// How per-message network delays are drawn.
@@ -35,13 +35,14 @@ impl DelayModel {
         }
     }
 
-    /// Samples one message delay.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
+    /// Draws one message delay: `min` plus a draw up to `max - min`, so
+    /// the simplest draw is the shortest delay. A constant draws nothing.
+    pub fn sample(&self, choices: &mut Choices) -> SimDuration {
         match *self {
             DelayModel::Constant(d) => d,
             DelayModel::Uniform { min, max } => {
                 assert!(min <= max, "uniform delay model needs min <= max");
-                SimDuration::from_ticks(rng.random_range(min.ticks()..=max.ticks()))
+                SimDuration::from_ticks(min.ticks() + choices.up_to(max.ticks() - min.ticks()))
             }
         }
     }
@@ -333,13 +334,13 @@ impl CompiledScript {
     /// the sends it matches: the first drop wins and destroys the logical
     /// send outright, duplication flags accumulate into at most one
     /// extra copy.
-    pub fn fate<R: Rng + ?Sized>(
+    pub fn fate(
         &self,
         now: SimTime,
         from: NodeId,
         to: NodeId,
         carries_token: bool,
-        rng: &mut R,
+        choices: &mut Choices,
     ) -> LinkFate {
         let (src, dst) = (from.zero_based() as usize, to.zero_based() as usize);
         let active = || self.phases.iter().filter(|ph| ph.active_at(now));
@@ -358,20 +359,18 @@ impl CompiledScript {
                     if from[src]
                         && to[dst]
                         && *loss_per_mille > 0
-                        && rng.random_range(0..1000u32) < u32::from(*loss_per_mille)
+                        && choices.chance(*loss_per_mille)
                     {
                         return LinkFate::DropLoss;
                     }
                 }
                 CompiledAction::LossDup { loss_per_mille, duplicate_per_mille } => {
-                    if *loss_per_mille > 0
-                        && rng.random_range(0..1000u32) < u32::from(*loss_per_mille)
-                    {
+                    if *loss_per_mille > 0 && choices.chance(*loss_per_mille) {
                         return LinkFate::DropLoss;
                     }
                     if *duplicate_per_mille > 0
                         && !carries_token
-                        && rng.random_range(0..1000u32) < u32::from(*duplicate_per_mille)
+                        && choices.chance(*duplicate_per_mille)
                     {
                         duplicate = true;
                     }
@@ -385,23 +384,14 @@ impl CompiledScript {
         }
     }
 
-    /// Component ids under the partition phases active at `now`: nodes
-    /// share an id iff **no** active partition separates them. `None`
-    /// when no partition phase is active (degradation and loss do not
-    /// isolate — a degraded link still exists).
-    ///
-    /// This is what the liveness oracle's partition awareness reads: a
-    /// node in a different component from every live token holder is
-    /// *unreachable*, and its pending requests cannot be blamed on the
-    /// algorithm.
-    #[must_use]
-    pub fn components_at(&self, now: SimTime, n: usize) -> Option<Vec<u32>> {
-        self.components(n, |ph| ph.active_at(now))
-    }
-
-    /// The component ids the *liveness horizon* is judged under. On an
-    /// undrained horizon (event cap / forced shutdown) this is
-    /// [`CompiledScript::components_at`]: the run was cut off mid-cut,
+    /// The component ids the *liveness horizon* is judged under: nodes
+    /// share an id iff **no** counted partition separates them, and
+    /// `None` when none is counted (degradation and loss do not isolate —
+    /// a degraded link still exists). A node in a different component
+    /// from every live token holder is *unreachable*, and its pending
+    /// requests cannot be blamed on the algorithm. On an
+    /// undrained horizon (event cap / forced shutdown) every partition
+    /// active at `now` counts: the run was cut off mid-cut,
     /// and what happens after the heal is unknowable. On a **drained**
     /// horizon only never-healing phases count: a finite cut will heal
     /// with *nothing scheduled after it* — whatever it left starved
@@ -444,28 +434,28 @@ impl CompiledScript {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
+    use crate::choices::Tape;
 
     #[test]
     fn constant_is_constant() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut choices = Choices::seeded(7);
         let m = DelayModel::Constant(SimDuration::from_ticks(4));
         for _ in 0..32 {
-            assert_eq!(m.sample(&mut rng), SimDuration::from_ticks(4));
+            assert_eq!(m.sample(&mut choices), SimDuration::from_ticks(4));
         }
         assert_eq!(m.delta(), SimDuration::from_ticks(4));
     }
 
     #[test]
     fn uniform_respects_bounds_and_varies() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut choices = Choices::seeded(7);
         let m = DelayModel::Uniform {
             min: SimDuration::from_ticks(2),
             max: SimDuration::from_ticks(9),
         };
         let mut seen = std::collections::HashSet::new();
         for _ in 0..256 {
-            let d = m.sample(&mut rng);
+            let d = m.sample(&mut choices);
             assert!(d.ticks() >= 2 && d.ticks() <= 9);
             seen.insert(d.ticks());
         }
@@ -485,7 +475,7 @@ mod tests {
     fn link_faults_window_bounds_are_half_open() {
         let compiled =
             FaultScript::none().with_phase(FaultPhase::loss_dup(10, 20, 1_000, 0)).compile(2);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut choices = Choices::seeded(7);
         let (a, b) = (NodeId::new(1), NodeId::new(2));
         for (tick, fate) in [
             (9, LinkFate::Deliver),
@@ -494,7 +484,7 @@ mod tests {
             (20, LinkFate::Deliver),
         ] {
             let at = SimTime::from_ticks(tick);
-            assert_eq!(compiled.fate(at, a, b, false, &mut rng), fate, "t={tick}");
+            assert_eq!(compiled.fate(at, a, b, false, &mut choices), fate, "t={tick}");
         }
     }
 
@@ -508,7 +498,7 @@ mod tests {
         let no_rate = FaultScript::none().with_phase(FaultPhase::loss_dup(0, 100, 0, 0)).compile(2);
         assert!(no_rate.active_at(SimTime::ZERO));
         assert_eq!(
-            no_rate.fate(SimTime::ZERO, NodeId::new(1), NodeId::new(2), false, &mut NoDraw),
+            drawless(&no_rate, SimTime::ZERO, NodeId::new(1), NodeId::new(2), false),
             LinkFate::Deliver
         );
     }
@@ -516,8 +506,8 @@ mod tests {
     #[test]
     fn sampling_is_deterministic_under_seed() {
         let m = DelayModel::default();
-        let mut a = StdRng::seed_from_u64(42);
-        let mut b = StdRng::seed_from_u64(42);
+        let mut a = Choices::seeded(42);
+        let mut b = Choices::seeded(42);
         for _ in 0..64 {
             assert_eq!(m.sample(&mut a), m.sample(&mut b));
         }
@@ -546,7 +536,7 @@ mod tests {
         // 0 ‰ never fires and draws nothing on its branch; 1000 ‰ always
         // fires — the `random_range(0..1000) < rate` comparison has no
         // off-by-one at either end.
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut choices = Choices::seeded(9);
         let always = FaultScript::none()
             .with_phase(FaultPhase {
                 from: SimTime::ZERO,
@@ -563,11 +553,11 @@ mod tests {
             .compile(4);
         for _ in 0..256 {
             assert_eq!(
-                always.fate(SimTime::ZERO, NodeId::new(1), NodeId::new(2), false, &mut rng),
+                always.fate(SimTime::ZERO, NodeId::new(1), NodeId::new(2), false, &mut choices),
                 LinkFate::DropLoss
             );
             assert_eq!(
-                never.fate(SimTime::ZERO, NodeId::new(1), NodeId::new(2), false, &mut rng),
+                never.fate(SimTime::ZERO, NodeId::new(1), NodeId::new(2), false, &mut choices),
                 LinkFate::Deliver
             );
         }
@@ -575,12 +565,18 @@ mod tests {
 
     // ---- fault scripts ----
 
-    /// An RNG that panics when used: proves a code path draws nothing.
-    struct NoDraw;
-    impl Rng for NoDraw {
-        fn next_u64(&mut self) -> u64 {
-            panic!("this path must not draw randomness")
-        }
+    /// The fate of one send, proving that deciding it drew nothing.
+    fn drawless(
+        script: &CompiledScript,
+        at: SimTime,
+        from: NodeId,
+        to: NodeId,
+        carries_token: bool,
+    ) -> LinkFate {
+        let mut choices = Tape::new(Vec::new()).choices(0, 0);
+        let fate = script.fate(at, from, to, carries_token, &mut choices);
+        assert!(choices.drawn().is_empty(), "this path must not draw");
+        fate
     }
 
     fn window(from: u64, until: u64, kind: FaultPhaseKind) -> FaultPhase {
@@ -594,10 +590,10 @@ mod tests {
         let compiled = script.compile(8);
         assert!(!compiled.active_at(SimTime::ZERO));
         assert_eq!(
-            compiled.fate(SimTime::ZERO, NodeId::new(1), NodeId::new(2), false, &mut NoDraw),
+            drawless(&compiled, SimTime::ZERO, NodeId::new(1), NodeId::new(2), false),
             LinkFate::Deliver
         );
-        assert_eq!(compiled.components_at(SimTime::ZERO, 8), None);
+        assert_eq!(compiled.components_at_horizon(SimTime::ZERO, 8, false), None);
     }
 
     #[test]
@@ -607,7 +603,7 @@ mod tests {
         assert!(!script.enabled());
         let compiled = script.compile(8);
         assert!(!compiled.active_at(SimTime::from_ticks(10)));
-        assert_eq!(compiled.components_at(SimTime::from_ticks(10), 8), None);
+        assert_eq!(compiled.components_at_horizon(SimTime::from_ticks(10), 8, false), None);
     }
 
     #[test]
@@ -619,22 +615,16 @@ mod tests {
             .compile(8);
         let at = SimTime::from_ticks(5);
         assert_eq!(
-            compiled.fate(at, NodeId::new(1), NodeId::new(3), true, &mut NoDraw),
+            drawless(&compiled, at, NodeId::new(1), NodeId::new(3), true),
             LinkFate::DropPartition
         );
         assert_eq!(
-            compiled.fate(at, NodeId::new(1), NodeId::new(2), true, &mut NoDraw),
+            drawless(&compiled, at, NodeId::new(1), NodeId::new(2), true),
             LinkFate::Deliver
         );
         // The window is half-open: healed at 20 exactly.
         assert_eq!(
-            compiled.fate(
-                SimTime::from_ticks(20),
-                NodeId::new(1),
-                NodeId::new(3),
-                true,
-                &mut NoDraw
-            ),
+            drawless(&compiled, SimTime::from_ticks(20), NodeId::new(1), NodeId::new(3), true),
             LinkFate::Deliver
         );
     }
@@ -651,12 +641,12 @@ mod tests {
             .compile(8);
         let at = SimTime::ZERO;
         assert_eq!(
-            compiled.fate(at, NodeId::new(3), NodeId::new(8), false, &mut NoDraw),
+            drawless(&compiled, at, NodeId::new(3), NodeId::new(8), false),
             LinkFate::Deliver,
             "the nodes left behind share the remainder block"
         );
         assert_eq!(
-            compiled.fate(at, NodeId::new(2), NodeId::new(3), false, &mut NoDraw),
+            drawless(&compiled, at, NodeId::new(2), NodeId::new(3), false),
             LinkFate::DropPartition
         );
     }
@@ -674,14 +664,14 @@ mod tests {
                 },
             ))
             .compile(4);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut choices = Choices::seeded(1);
         assert_eq!(
-            compiled.fate(SimTime::ZERO, NodeId::new(1), NodeId::new(2), false, &mut rng),
+            compiled.fate(SimTime::ZERO, NodeId::new(1), NodeId::new(2), false, &mut choices),
             LinkFate::DropLoss
         );
         // The reverse direction matches no phase and draws nothing.
         assert_eq!(
-            compiled.fate(SimTime::ZERO, NodeId::new(2), NodeId::new(1), false, &mut NoDraw),
+            drawless(&compiled, SimTime::ZERO, NodeId::new(2), NodeId::new(1), false),
             LinkFate::Deliver
         );
     }
@@ -702,18 +692,18 @@ mod tests {
             .compile(4);
         let at = SimTime::from_ticks(10);
         assert_eq!(
-            compiled.fate(at, NodeId::new(1), NodeId::new(3), false, &mut NoDraw),
+            drawless(&compiled, at, NodeId::new(1), NodeId::new(3), false),
             LinkFate::DropPartition,
             "the earlier phase decides before the later one draws"
         );
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut choices = Choices::seeded(2);
         assert_eq!(
-            compiled.fate(at, NodeId::new(1), NodeId::new(2), false, &mut rng),
+            compiled.fate(at, NodeId::new(1), NodeId::new(2), false, &mut choices),
             LinkFate::DeliverAndDuplicate
         );
         // Tokens stay exempt from duplication.
         assert_eq!(
-            compiled.fate(at, NodeId::new(1), NodeId::new(2), true, &mut NoDraw),
+            drawless(&compiled, at, NodeId::new(1), NodeId::new(2), true),
             LinkFate::Deliver
         );
     }
@@ -739,8 +729,8 @@ mod tests {
                 },
             ))
             .compile(2);
-        let mut a = StdRng::seed_from_u64(3);
-        let mut b = StdRng::seed_from_u64(3);
+        let mut a = Choices::seeded(3);
+        let mut b = Choices::seeded(3);
         for _ in 0..32 {
             let fa = compiled.fate(SimTime::ZERO, NodeId::new(1), NodeId::new(2), false, &mut a);
             let fb = compiled.fate(SimTime::ZERO, NodeId::new(1), NodeId::new(2), false, &mut b);
@@ -749,7 +739,7 @@ mod tests {
         }
         // Both streams consumed the same number of draws: they stay in
         // lockstep on fresh samples.
-        assert_eq!(a.random_range(0..u32::MAX), b.random_range(0..u32::MAX));
+        assert_eq!(a.up_to(u64::from(u32::MAX)), b.up_to(u64::from(u32::MAX)));
     }
 
     #[test]
@@ -766,18 +756,18 @@ mod tests {
             ))
             .compile(8);
         // Only phase A active: two components.
-        let early = compiled.components_at(SimTime::from_ticks(10), 8).unwrap();
+        let early = compiled.components_at_horizon(SimTime::from_ticks(10), 8, false).unwrap();
         assert_eq!(early[0], early[3]);
         assert_ne!(early[0], early[4]);
         // Both active: the intersection.
-        let both = compiled.components_at(SimTime::from_ticks(60), 8).unwrap();
+        let both = compiled.components_at_horizon(SimTime::from_ticks(60), 8, false).unwrap();
         assert_eq!(both[0], both[1]);
         assert_ne!(both[0], both[2]);
         assert_ne!(both[0], both[4]);
         assert_eq!(both[4], both[5]);
         assert_ne!(both[4], both[6]);
         // After every partition heals: no components at all.
-        assert_eq!(compiled.components_at(SimTime::from_ticks(150), 8), None);
+        assert_eq!(compiled.components_at_horizon(SimTime::from_ticks(150), 8, false), None);
     }
 
     #[test]

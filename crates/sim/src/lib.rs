@@ -28,6 +28,7 @@ mod pending;
 mod time;
 
 pub mod channel;
+pub mod choices;
 pub mod crash;
 pub mod engine;
 pub mod hash;
@@ -41,6 +42,7 @@ pub mod workload;
 pub mod world;
 
 pub use channel::{CompiledScript, DelayModel, FaultPhase, FaultPhaseKind, FaultScript, LinkFate};
+pub use choices::{Choices, Tape};
 pub use crash::FailurePlan;
 pub use engine::{drive, drive_recovery, ActionSink, DeadlineSet, TimerTable};
 pub use hash::Fnv64;

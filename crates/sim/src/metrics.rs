@@ -237,13 +237,6 @@ impl Metrics {
         }
     }
 
-    /// Difference of total message counts against a baseline run — used to
-    /// attribute "extra messages" to injected failures.
-    #[must_use]
-    pub fn extra_messages_vs(&self, baseline: &Metrics) -> i64 {
-        self.total_sent() as i64 - baseline.total_sent() as i64
-    }
-
     /// Adds every counter of `other` into `self`.
     ///
     /// The reduction step for experiments that aggregate over many
@@ -392,16 +385,5 @@ mod tests {
         let mut right = a.clone();
         right.merge(&bc);
         assert_eq!(left, right);
-    }
-
-    #[test]
-    fn extra_messages_diff() {
-        let mut a = Metrics::new();
-        let mut b = Metrics::new();
-        a.record_send(MsgKind::Request);
-        a.record_send(MsgKind::Test);
-        b.record_send(MsgKind::Request);
-        assert_eq!(a.extra_messages_vs(&b), 1);
-        assert_eq!(b.extra_messages_vs(&a), -1);
     }
 }

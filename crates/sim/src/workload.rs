@@ -102,15 +102,6 @@ impl ArrivalSchedule {
         self.arrivals.is_empty()
     }
 
-    /// Shifts every arrival later by `offset`.
-    #[must_use]
-    pub fn delayed_by(mut self, offset: SimDuration) -> Self {
-        for (at, _) in Arc::make_mut(&mut self.arrivals) {
-            *at += offset;
-        }
-        self
-    }
-
     /// The shared arrivals, for filing by reference.
     pub(crate) fn shared(&self) -> &Arc<Vec<(SimTime, NodeId)>> {
         &self.arrivals
@@ -168,11 +159,11 @@ mod tests {
     }
 
     #[test]
-    fn repeated_and_delay() {
-        let s = ArrivalSchedule::repeated(NodeId::new(3), 4, SimDuration::from_ticks(10))
-            .delayed_by(SimDuration::from_ticks(7));
+    fn repeated_is_evenly_spaced() {
+        let s = ArrivalSchedule::repeated(NodeId::new(3), 4, SimDuration::from_ticks(10));
         let times: Vec<u64> = s.arrivals().iter().map(|(t, _)| t.ticks()).collect();
-        assert_eq!(times, vec![7, 17, 27, 37]);
+        assert_eq!(times, vec![0, 10, 20, 30]);
+        assert!(s.arrivals().iter().all(|(_, node)| *node == NodeId::new(3)));
     }
 
     // ---- generator properties (seeded, many cases per property) ----
@@ -227,29 +218,6 @@ mod tests {
                 prop_assert!(monotone(&ArrivalSchedule::uniform(&mut rng, n, count, gap)));
                 prop_assert!(monotone(&ArrivalSchedule::every_node_once(&mut rng, n, gap)));
                 prop_assert!(monotone(&ArrivalSchedule::repeated(NodeId::new(1), count, gap)));
-            }
-
-            /// Shifting twice equals shifting once by the sum — and the
-            /// shift moves every arrival by exactly the offset.
-            #[test]
-            fn delayed_by_composes(
-                (p, count, a, b, seed) in
-                    (1u32..=5, 1usize..40, 0u64..1_000, 0u64..1_000, 0u64..u64::MAX)
-            ) {
-                let n = 1usize << p;
-                let mut rng = StdRng::seed_from_u64(seed);
-                let base =
-                    ArrivalSchedule::uniform(&mut rng, n, count, SimDuration::from_ticks(7));
-                let twice = base
-                    .clone()
-                    .delayed_by(SimDuration::from_ticks(a))
-                    .delayed_by(SimDuration::from_ticks(b));
-                let once = base.clone().delayed_by(SimDuration::from_ticks(a + b));
-                prop_assert_eq!(&twice, &once);
-                for ((t0, n0), (t1, n1)) in base.arrivals().iter().zip(once.arrivals()) {
-                    prop_assert_eq!(n0, n1);
-                    prop_assert_eq!(t0.ticks() + a + b, t1.ticks());
-                }
             }
         }
     }

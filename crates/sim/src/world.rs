@@ -11,10 +11,10 @@
 use std::sync::Arc;
 
 use oc_topology::NodeId;
-use rand::{rngs::StdRng, SeedableRng};
 
 use crate::{
     channel::{CompiledScript, DelayModel, FaultScript},
+    choices::Choices,
     crash::FailurePlan,
     engine::{self, ActionSink, TimerTable},
     liveness::Horizon,
@@ -131,7 +131,8 @@ pub(crate) struct Core<M> {
     pub(crate) pending: PendingRequests,
     pub(crate) now: SimTime,
     pub(crate) queue: EventQueue<SimEvent<M>, Input, NodeId>,
-    pub(crate) rng: StdRng,
+    /// Every draw of the run: link fates and message delays.
+    pub(crate) choices: Choices,
     pub(crate) metrics: Metrics,
     pub(crate) oracle: Oracle,
     pub(crate) trace: Trace,
@@ -166,7 +167,7 @@ impl<M: Clone> Clone for Core<M> {
             pending: self.pending.clone(),
             now: self.now,
             queue: self.queue.clone(),
-            rng: self.rng.clone(),
+            choices: self.choices.clone(),
             metrics: self.metrics.clone(),
             oracle: self.oracle.clone(),
             trace: self.trace.clone(),
@@ -194,7 +195,7 @@ impl<M: Clone> Clone for Core<M> {
             pending,
             now,
             queue,
-            rng,
+            choices,
             metrics,
             oracle,
             trace,
@@ -214,7 +215,7 @@ impl<M: Clone> Clone for Core<M> {
         self.pending.clone_from(pending);
         self.now = *now;
         self.queue.clone_from(queue);
-        self.rng.clone_from(rng);
+        self.choices.clone_from(choices);
         self.metrics.clone_from(metrics);
         self.oracle.clone_from(oracle);
         self.trace.clone_from(trace);
@@ -261,14 +262,14 @@ impl<M: Clone + core::fmt::Debug + MessageKind> ActionSink<M> for Core<M> {
         // draws nothing.
         let carries_token = msg.carries_token();
         if self.compiled.active_at(self.now) {
-            let fate = self.compiled.fate(self.now, from, to, carries_token, &mut self.rng);
+            let fate = self.compiled.fate(self.now, from, to, carries_token, &mut self.choices);
             match self.metrics.record_fate(fate) {
                 0 => return,
                 1 => {}
                 _ => {
                     // A second, independently delayed delivery of the
                     // same logical send.
-                    let delay = self.config.delay.sample(&mut self.rng);
+                    let delay = self.config.delay.sample(&mut self.choices);
                     self.queue
                         .push(self.now + delay, SimEvent::Deliver { to, from, msg: msg.clone() });
                 }
@@ -286,7 +287,7 @@ impl<M: Clone + core::fmt::Debug + MessageKind> ActionSink<M> for Core<M> {
                 self.in_flight_at_max += 1;
             }
         }
-        let delay = self.config.delay.sample(&mut self.rng);
+        let delay = self.config.delay.sample(&mut self.choices);
         self.queue.push(self.now + delay, SimEvent::Deliver { to, from, msg });
     }
 
@@ -378,7 +379,7 @@ impl<P: Protocol> World<P> {
                 pending: PendingRequests::new(0),
                 now: SimTime::ZERO,
                 queue: EventQueue::new(),
-                rng: StdRng::seed_from_u64(0),
+                choices: Choices::seeded(0),
                 metrics: Metrics::new(),
                 oracle: Oracle::new(),
                 trace: Trace::new(false),
@@ -428,7 +429,7 @@ impl<P: Protocol> World<P> {
             pending,
             now,
             queue,
-            rng,
+            choices,
             metrics,
             oracle,
             trace,
@@ -449,7 +450,7 @@ impl<P: Protocol> World<P> {
         pending.reset(n);
         *now = SimTime::ZERO;
         queue.clear();
-        *rng = StdRng::seed_from_u64(config.seed);
+        *choices = Choices::seeded(config.seed);
         *metrics = Metrics::new();
         oracle.reset();
         trace.reset(config.record_trace);
@@ -566,7 +567,7 @@ impl<P: Protocol> World<P> {
             compiled: _,
             now: _,
             queue: _,
-            rng: _,
+            choices: _,
             metrics: _,
             oracle: _,
             trace: _,
@@ -586,6 +587,20 @@ impl<P: Protocol> World<P> {
             + pending.heap_bytes();
         let n = nodes.len().max(1) as u64;
         ((protocol + substrate) as u64).div_ceil(n)
+    }
+
+    /// Makes every further draw of the run — link fates and message
+    /// delays — from `choices` instead of the seeded generator
+    /// [`World::reset`] starts with. Set before the first event, a tape
+    /// replays a run: `oc_check::run` does so for a run given a tape.
+    pub fn set_choices(&mut self, choices: Choices) {
+        self.core.choices = choices;
+    }
+
+    /// The source of the run's draws, and what it has recorded of them.
+    #[must_use]
+    pub fn choices(&self) -> &Choices {
+        &self.core.choices
     }
 
     /// Metrics collected so far.
@@ -911,7 +926,8 @@ impl<P: Protocol> World<P> {
 ///
 /// Holds deep copies of the protocol nodes, the event queue (pending
 /// deliveries, timers, scheduled arrivals and failures), the timer
-/// table, the RNG, the metrics, the oracle, and the trace — everything
+/// table, the source of draws ([`Choices`]: the generator, or the tape
+/// and its place on it), the metrics, the oracle, and the trace — everything
 /// the run's future depends on. Restoring (or forking) a checkpoint
 /// therefore continues byte-identically to a run that never paused; the
 /// checkpoint equivalence suite pins `checkpoint → restore → drive ==
