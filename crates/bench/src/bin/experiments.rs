@@ -245,7 +245,7 @@ fn e7(options: &Options) {
     println!("== E7: engine throughput scaling (events/sec, heap vs bucketed queue) ==\n");
     // (n, requests, independent seeds): the scaling ladder tops out at
     // n = 2^25, past the Corten-scale target of the ROADMAP (2^24); its
-    // cells peak near 5.5 GiB, and a 2^26 rung would peak near 11 GiB
+    // cells peak near 5.1 GiB, and a 2^26 rung would peak near 10.2 GiB
     // (EXPERIMENTS.md, E7). The rungs from 2^20 up run one request per
     // node at a single seed: at that size the workload is statistically
     // self-averaging and a second repetition would only double a

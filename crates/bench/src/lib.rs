@@ -765,13 +765,15 @@ pub const E7_COLS: &[Col] = &[
     col("messages", "messages", 12, 0),
     col("msgs/req", "msgs_per_request", 10, 2),
     col("B/node", "mem_bytes_per_node", 8, 0),
+    col("B/arrival", "schedule_bytes_per_arrival", 10, 0),
     col("wall s", "wall_secs", 10, 3),
     col("events/sec", "events_per_sec", 14, 0),
 ];
 
 /// The E7 columns that are protocol observables — everything but the
 /// wall clock (and the seed, which names the cell).
-pub const E7_VIRTUAL_KEYS: &[&str] = &["n", "requests", "events", "messages", "mem_bytes_per_node"];
+pub const E7_VIRTUAL_KEYS: &[&str] =
+    &["n", "requests", "events", "messages", "mem_bytes_per_node", "schedule_bytes_per_arrival"];
 
 /// E7: a large-N open-cube run under concurrent uniform load, timed in
 /// wall-clock terms. This is the scale experiment behind the engine
@@ -781,7 +783,9 @@ pub const E7_VIRTUAL_KEYS: &[&str] = &["n", "requests", "events", "messages", "m
 /// differ between runs. The row records the cell's `seed` so it can be
 /// replayed, and the resident
 /// per-node state at end of run (`mem_bytes_per_node`: protocol node +
-/// substrate containers; see `World::mem_bytes_per_node`).
+/// substrate containers; see `World::mem_bytes_per_node`) beside what the
+/// arrival schedule keeps per arrival (`schedule_bytes_per_arrival`; see
+/// `ArrivalSchedule::bytes_per_arrival`).
 #[must_use]
 pub fn e7_throughput(n: usize, requests: usize, seed: u64, hardening: Hardening) -> Value {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -804,6 +808,7 @@ pub fn e7_throughput(n: usize, requests: usize, seed: u64, hardening: Hardening)
         ("messages", Value::UInt(messages)),
         ("msgs_per_request", Value::Num(per(messages, requests as f64))),
         ("mem_bytes_per_node", Value::UInt(world.mem_bytes_per_node())),
+        ("schedule_bytes_per_arrival", Value::UInt(schedule.bytes_per_arrival())),
         ("wall_secs", Value::Num(wall_secs)),
         ("events_per_sec", Value::Num(per(events, wall_secs))),
     ])

@@ -306,12 +306,12 @@ impl Shared {
     ) -> (Vec<RequestId>, Vec<(u64, Targeted<M>)>) {
         let mut ids = Vec::with_capacity(schedule.len());
         let mut later = Vec::with_capacity(schedule.len());
-        for (at, node) in schedule.arrivals() {
-            self.assert_node(*node);
+        for (at, node) in schedule.arrivals().iter() {
+            self.assert_node(node);
             let due = self.nanos_of(at.ticks());
-            let ticket = self.sessions.open(self.ns_of(*node), *node, due, false, None);
+            let ticket = self.sessions.open(self.ns_of(node), node, due, false, None);
             ids.push(ticket.id);
-            later.push((due, Targeted { to: *node, cmd: NodeCmd::Acquire(ticket) }));
+            later.push((due, Targeted { to: node, cmd: NodeCmd::Acquire(ticket) }));
         }
         (ids, later)
     }

@@ -57,5 +57,5 @@ pub use protocol::{Action, MessageKind, NodeEvent, Protocol};
 pub use queue::{EventQueue, QueueBackend};
 pub use time::{ticks_to_wall, SimDuration, SimTime};
 pub use trace::{Trace, TraceRecord};
-pub use workload::ArrivalSchedule;
+pub use workload::{ArrivalSchedule, Arrivals};
 pub use world::{Checkpoint, SimConfig, World};

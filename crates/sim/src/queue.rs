@@ -39,15 +39,16 @@
 //!
 //! * `run` — ascending `(time, seq)` order. An input whose key is above
 //!   the run's last is appended; the run's head pops in O(1) with no sift.
-//!   A time-ordered list filed whole ([`EventQueue::push_input_list`]) is
-//!   not copied into it: the run holds the shared list and a cursor, and
-//!   reads entry `i` as the key `(at_i, first_seq + i)` — exactly the key
-//!   filing the entries one by one would have given it. A schedule of
-//!   millions of arrivals costs the queue one cursor, not an entry each.
+//!   A time-ordered [`ArrivalSchedule`] filed whole
+//!   ([`EventQueue::push_schedule`]) is not copied into it: the run holds
+//!   the shared schedule and a cursor, and reads arrival `i` as the key
+//!   `(at_i, first_seq + i)` — exactly the key filing the arrivals one by
+//!   one would have given it. A schedule of millions of arrivals costs the
+//!   queue one cursor, not an entry each.
 //! * `late` — a binary heap of every input that arrived below the run's
 //!   last key: a failure plan filed after the schedule it interleaves
-//!   with, an arrival injected mid-run, the front of a list that starts
-//!   before the run ends. It is as large as what was filed out of order,
+//!   with, an arrival injected mid-run, the front of a schedule that
+//!   starts before the run ends. It is as large as what was filed out of order,
 //!   not as the horizon.
 //!
 //! The tier used to be one heap of everything behind a 1 024-entry
@@ -97,10 +98,12 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
+
+use oc_topology::NodeId;
 
 use crate::engine::calendar::{CalendarQueue, Entry};
 use crate::time::SimTime;
+use crate::workload::ArrivalSchedule;
 
 /// Which data structure orders the pending events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -211,32 +214,33 @@ impl<E> FrontHeap<E> {
     }
 }
 
-/// A time-ordered list of inputs, shared with whoever filed it.
-pub type InputList<L> = Arc<Vec<(SimTime, L)>>;
-
 /// One stretch of the sorted run.
 #[derive(Debug, Clone)]
-enum Stretch<I, L> {
+enum Stretch<I> {
     /// An input filed on its own.
     One(Entry<I>),
-    /// The unread part of a list filed by reference: `list[next..]`,
-    /// where entry `i` has the key `(list[i].0, first_seq + i)`.
-    Listed { list: InputList<L>, next: usize, first_seq: u64 },
+    /// The unread part of a schedule filed by reference: arrivals
+    /// `next..`, where arrival `i` has the key `(at_i, first_seq + i)` and
+    /// becomes the input `input(node_i)`.
+    Listed { schedule: ArrivalSchedule, next: usize, first_seq: u64, input: fn(NodeId) -> I },
 }
 
-impl<I, L> Stretch<I, L> {
+impl<I> Stretch<I> {
     fn head_key(&self) -> (SimTime, u64) {
         match self {
             Stretch::One(entry) => (entry.at, entry.seq),
-            Stretch::Listed { list, next, first_seq } => (list[*next].0, first_seq + *next as u64),
+            Stretch::Listed { schedule, next, first_seq, .. } => {
+                (schedule.arrivals().get(*next).0, first_seq + *next as u64)
+            }
         }
     }
 
     fn last_key(&self) -> (SimTime, u64) {
         match self {
             Stretch::One(entry) => (entry.at, entry.seq),
-            Stretch::Listed { list, first_seq, .. } => {
-                (list[list.len() - 1].0, first_seq + list.len() as u64 - 1)
+            Stretch::Listed { schedule, first_seq, .. } => {
+                let last = schedule.len() - 1;
+                (schedule.arrivals().get(last).0, first_seq + last as u64)
             }
         }
     }
@@ -244,7 +248,7 @@ impl<I, L> Stretch<I, L> {
     fn len(&self) -> usize {
         match self {
             Stretch::One(_) => 1,
-            Stretch::Listed { list, next, .. } => list.len() - next,
+            Stretch::Listed { schedule, next, .. } => schedule.len() - next,
         }
     }
 }
@@ -252,10 +256,10 @@ impl<I, L> Stretch<I, L> {
 /// The input tier: a sorted run of what was filed in time order, and a
 /// heap of what was not. See the module docs.
 #[derive(Debug, Clone)]
-struct Inputs<I, L> {
+struct Inputs<I> {
     /// Ascending; an input above the last key is appended here. No
     /// `Listed` stretch is ever empty.
-    run: VecDeque<Stretch<I, L>>,
+    run: VecDeque<Stretch<I>>,
     /// Every input filed below `run`'s last key at the time.
     late: BinaryHeap<Reverse<Entry<I>>>,
     /// The earlier of the two stores' head keys, kept current by every
@@ -264,7 +268,7 @@ struct Inputs<I, L> {
     head: Option<(SimTime, u64)>,
 }
 
-impl<I, L> Inputs<I, L> {
+impl<I> Inputs<I> {
     fn new() -> Self {
         Inputs { run: VecDeque::new(), late: BinaryHeap::new(), head: None }
     }
@@ -293,47 +297,51 @@ impl<I, L> Inputs<I, L> {
         };
     }
 
-    /// Files the time-ordered `list` under the keys `first_seq..`: its
-    /// front below the run's last key goes to `late` entry by entry, the
-    /// rest joins the run by reference — where filing each entry with
-    /// [`Inputs::push`] would have put it.
-    fn push_list(&mut self, list: InputList<L>, first_seq: u64)
-    where
-        L: Clone + Into<I>,
-    {
-        // Every key in the list is newer than the run's last, so an entry
-        // extends the run exactly when it is not earlier in time.
+    /// Files the time-ordered `schedule` under the keys `first_seq..`:
+    /// its front below the run's last key goes to `late` arrival by
+    /// arrival, the rest joins the run by reference — where filing each
+    /// arrival with [`Inputs::push`] would have put it.
+    fn push_schedule(
+        &mut self,
+        schedule: &ArrivalSchedule,
+        first_seq: u64,
+        input: fn(NodeId) -> I,
+    ) {
+        let arrivals = schedule.arrivals();
+        // Every key in the schedule is newer than the run's last, so an
+        // arrival extends the run exactly when it is not earlier in time.
         let split = self.run.back().map_or(0, |last| {
             let (last_at, _) = last.last_key();
-            list.partition_point(|(at, _)| *at < last_at)
+            arrivals.iter().take_while(|(at, _)| *at < last_at).count()
         });
-        for (k, (at, input)) in list[..split].iter().enumerate() {
+        for (k, (at, node)) in arrivals.iter().take(split).enumerate() {
             let seq = first_seq + k as u64;
-            self.late.push(Reverse(Entry { at: *at, seq, event: input.clone().into() }));
+            self.late.push(Reverse(Entry { at, seq, event: input(node) }));
         }
-        if split < list.len() {
-            self.run.push_back(Stretch::Listed { list, next: split, first_seq });
+        if split < arrivals.len() {
+            let schedule = schedule.clone();
+            self.run.push_back(Stretch::Listed { schedule, next: split, first_seq, input });
         }
         self.refresh_head();
     }
 
-    fn pop(&mut self) -> Option<Entry<I>>
-    where
-        L: Clone + Into<I>,
-    {
+    fn pop(&mut self) -> Option<Entry<I>> {
         let late_is_next =
             self.late.peek().is_some_and(|Reverse(late)| Some((late.at, late.seq)) == self.head);
         let entry = if late_is_next {
             self.late.pop().map(|Reverse(e)| e)
-        } else if let Some(Stretch::Listed { list, next, first_seq }) = self.run.front_mut() {
+        } else if let Some(Stretch::Listed { schedule, next, first_seq, input }) =
+            self.run.front_mut()
+        {
             // Read in place: the cursor moves, the stretch stays until spent.
-            let (at, input) = list[*next].clone();
+            let (at, node) = schedule.arrivals().get(*next);
             let seq = *first_seq + *next as u64;
+            let event = input(node);
             *next += 1;
-            if *next == list.len() {
+            if *next == schedule.len() {
                 self.run.pop_front();
             }
-            Some(Entry { at, seq, event: input.into() })
+            Some(Entry { at, seq, event })
         } else {
             self.run.pop_front().map(|stretch| match stretch {
                 Stretch::One(entry) => entry,
@@ -346,19 +354,19 @@ impl<I, L> Inputs<I, L> {
 }
 
 /// A deterministic min-priority queue of simulation events: generated
-/// events are `E`s, inputs are `I`s, and a list filed by reference lists
-/// `L`s that become `I`s as they are read (see the module docs).
+/// events are `E`s, inputs are `I`s, and a schedule filed by reference
+/// lists nodes that become `I`s as they are read (see the module docs).
 #[derive(Debug)]
-pub struct EventQueue<E, I = E, L = I> {
+pub struct EventQueue<E, I = E> {
     /// The generated tier, on the chosen backend.
     store: Store<E>,
     /// The input tier: never purged, so never scanned by `retain`.
-    inputs: Inputs<I, L>,
+    inputs: Inputs<I>,
     /// Shared by both tiers: `(at, seq)` keys are unique across the queue.
     next_seq: u64,
 }
 
-impl<E: Clone, I: Clone, L: Clone> Clone for EventQueue<E, I, L> {
+impl<E: Clone, I: Clone> Clone for EventQueue<E, I> {
     fn clone(&self) -> Self {
         EventQueue {
             store: self.store.clone(),
@@ -368,8 +376,8 @@ impl<E: Clone, I: Clone, L: Clone> Clone for EventQueue<E, I, L> {
     }
 
     /// Overwrites in place, keeping every buffer this queue already owns
-    /// (a calendar is copied afresh; a list filed by reference is shared,
-    /// not copied): what [`crate::World::restore`] runs once per rewind. `source` is destructured without `..`, so a new
+    /// (a calendar is copied afresh; a schedule filed by reference is
+    /// shared, not copied): what [`crate::World::restore`] runs once per rewind. `source` is destructured without `..`, so a new
     /// field does not compile until it is restored here.
     fn clone_from(&mut self, source: &Self) {
         let EventQueue { store, inputs: Inputs { run, late, head }, next_seq } = source;
@@ -387,13 +395,13 @@ impl<E: Clone, I: Clone, L: Clone> Clone for EventQueue<E, I, L> {
     }
 }
 
-impl<E, I, L> Default for EventQueue<E, I, L> {
+impl<E, I> Default for EventQueue<E, I> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E, I, L> EventQueue<E, I, L> {
+impl<E, I> EventQueue<E, I> {
     /// Creates an empty queue on the default (heap) backend.
     #[must_use]
     pub fn new() -> Self {
@@ -478,23 +486,24 @@ impl<E, I, L> EventQueue<E, I, L> {
         self.inputs.push(Entry { at, seq, event: input });
     }
 
-    /// Schedules every input of a time-ordered `list` by reference: the
-    /// queue keeps the shared list and reads it in place. Keys and pop
-    /// order are exactly those of [`EventQueue::push_input`] called on
-    /// each entry in turn; what is stored is one cursor, plus whatever
-    /// front of the list falls below inputs already filed.
+    /// Schedules every arrival of a time-ordered `schedule` by reference,
+    /// each as the input its node converts into: the queue shares the
+    /// schedule and reads it in place. Keys and pop order are exactly
+    /// those of [`EventQueue::push_input`] called on each arrival in
+    /// turn; what is stored is one cursor, plus whatever front of the
+    /// schedule falls below inputs already filed.
     ///
     /// # Panics
     ///
-    /// Debug-panics if `list` is not ordered by time.
-    pub fn push_input_list(&mut self, list: InputList<L>)
+    /// Debug-panics if `schedule` is not ordered by time.
+    pub fn push_schedule(&mut self, schedule: &ArrivalSchedule)
     where
-        L: Clone + Into<I>,
+        I: From<NodeId>,
     {
-        debug_assert!(list.is_sorted_by_key(|(at, _)| *at), "an input list must be time-ordered");
+        debug_assert!(schedule.is_time_ordered(), "a schedule filed whole must be time-ordered");
         let first_seq = self.next_seq;
-        self.next_seq += list.len() as u64;
-        self.inputs.push_list(list, first_seq);
+        self.next_seq += schedule.len() as u64;
+        self.inputs.push_schedule(schedule, first_seq, I::from);
     }
 
     /// The `(time, seq)` key of the generated tier's earliest event.
@@ -519,7 +528,6 @@ impl<E, I, L> EventQueue<E, I, L> {
     fn stage_input(&mut self)
     where
         I: Into<E>,
-        L: Clone + Into<I>,
     {
         let Some(Entry { at, seq, event: input }) = self.inputs.pop() else { return };
         let event = input.into();
@@ -543,7 +551,6 @@ impl<E, I, L> EventQueue<E, I, L> {
     pub fn pop(&mut self) -> Option<(SimTime, E)>
     where
         I: Into<E>,
-        L: Clone + Into<I>,
     {
         if self.input_is_next() {
             self.stage_input();

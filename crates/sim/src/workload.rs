@@ -1,4 +1,15 @@
 //! Workload generators — the request patterns of the paper's experiments.
+//!
+//! # What a schedule stores
+//!
+//! Every generator spaces its arrivals `gap` apart from time zero, so a
+//! generated schedule stores only its nodes — 4 bytes an arrival — and
+//! computes arrival `i`'s time as `i · gap`. Only a schedule built by
+//! [`ArrivalSchedule::then`] or `collect` keeps an explicit time per
+//! arrival (16 bytes each); those come from scenario ids and tests and
+//! hold a few thousand arrivals at most. Both forms are read through one
+//! accessor, [`Arrivals::get`], which yields `(time, node)` pairs; no
+//! other module knows how they are stored.
 
 use std::sync::Arc;
 
@@ -12,15 +23,39 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// The arrivals sit behind an `Arc`: a cloned schedule, and a world that
 /// [filed](crate::World::schedule_workload) it, share them instead of
-/// copying them.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// copying them. Two schedules are equal when they list the same
+/// arrivals, however each stores them.
+#[derive(Debug, Clone, Default)]
 pub struct ArrivalSchedule {
-    arrivals: Arc<Vec<(SimTime, NodeId)>>,
+    stored: Arc<Stored>,
 }
+
+/// How a schedule's arrivals are stored (see the module docs).
+#[derive(Debug, Clone)]
+enum Stored {
+    /// Arrival `i` is `nodes[i]` at `i · gap`: what every generator makes.
+    Spaced { gap: SimDuration, nodes: Vec<NodeId> },
+    /// An explicit time per arrival, in insertion order.
+    Timed(Vec<(SimTime, NodeId)>),
+}
+
+impl Default for Stored {
+    fn default() -> Self {
+        Stored::Timed(Vec::new())
+    }
+}
+
+impl PartialEq for ArrivalSchedule {
+    fn eq(&self, other: &Self) -> bool {
+        self.arrivals().iter().eq(other.arrivals().iter())
+    }
+}
+
+impl Eq for ArrivalSchedule {}
 
 impl FromIterator<(SimTime, NodeId)> for ArrivalSchedule {
     fn from_iter<T: IntoIterator<Item = (SimTime, NodeId)>>(arrivals: T) -> Self {
-        ArrivalSchedule { arrivals: Arc::new(arrivals.into_iter().collect()) }
+        ArrivalSchedule { stored: Arc::new(Stored::Timed(arrivals.into_iter().collect())) }
     }
 }
 
@@ -31,10 +66,16 @@ impl ArrivalSchedule {
         ArrivalSchedule::default()
     }
 
-    /// Adds one arrival.
+    /// Adds one arrival. A generated schedule extended this way keeps an
+    /// explicit time per arrival from then on.
     #[must_use]
     pub fn then(mut self, at: SimTime, node: NodeId) -> Self {
-        Arc::make_mut(&mut self.arrivals).push((at, node));
+        if let Stored::Spaced { .. } = *self.stored {
+            self = self.arrivals().iter().collect();
+        }
+        if let Stored::Timed(list) = Arc::make_mut(&mut self.stored) {
+            list.push((at, node));
+        }
         self
     }
 
@@ -86,40 +127,90 @@ impl ArrivalSchedule {
 
     /// The arrivals, in insertion order.
     #[must_use]
-    pub fn arrivals(&self) -> &[(SimTime, NodeId)] {
-        &self.arrivals
+    pub fn arrivals(&self) -> Arrivals<'_> {
+        Arrivals(&self.stored)
     }
 
     /// Number of arrivals.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.arrivals.len()
+        self.arrivals().len()
     }
 
     /// `true` if the schedule has no arrivals.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
+        self.len() == 0
     }
 
-    /// The shared arrivals, for filing by reference.
-    pub(crate) fn shared(&self) -> &Arc<Vec<(SimTime, NodeId)>> {
-        &self.arrivals
+    /// Resident bytes of the stored arrivals, averaged over them: 4 for a
+    /// generated schedule (a node id each), 16 for one with explicit
+    /// times, 0 for an empty one. Reported in the E7 artifact beside the
+    /// per-node footprint.
+    #[must_use]
+    pub fn bytes_per_arrival(&self) -> u64 {
+        let (bytes, len) = match &*self.stored {
+            Stored::Spaced { nodes, .. } => (nodes.capacity() * size_of::<NodeId>(), nodes.len()),
+            Stored::Timed(list) => (list.capacity() * size_of::<(SimTime, NodeId)>(), list.len()),
+        };
+        bytes.div_ceil(len.max(1)) as u64
+    }
+
+    /// `true` if arrival times never go backwards: always, for a
+    /// generated schedule.
+    #[must_use]
+    pub fn is_time_ordered(&self) -> bool {
+        match &*self.stored {
+            Stored::Spaced { .. } => true,
+            Stored::Timed(list) => list.is_sorted_by_key(|(at, _)| *at),
+        }
     }
 }
 
 /// `nodes` arriving one after another, the first at time zero, `gap`
 /// apart.
 fn spaced(gap: SimDuration, nodes: impl IntoIterator<Item = NodeId>) -> ArrivalSchedule {
-    let mut at = SimTime::ZERO;
-    nodes
-        .into_iter()
-        .map(|node| {
-            let arrival = (at, node);
-            at += gap;
-            arrival
-        })
-        .collect()
+    ArrivalSchedule { stored: Arc::new(Stored::Spaced { gap, nodes: nodes.into_iter().collect() }) }
+}
+
+/// A schedule's arrivals as `(time, node)` pairs, read in place.
+#[derive(Debug, Clone, Copy)]
+pub struct Arrivals<'a>(&'a Stored);
+
+impl<'a> Arrivals<'a> {
+    /// Arrival `i`. Its time is computed if the schedule is generated,
+    /// read if it is not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`Arrivals::len`].
+    #[must_use]
+    pub fn get(self, i: usize) -> (SimTime, NodeId) {
+        match self.0 {
+            Stored::Spaced { gap, nodes } => (SimTime::ZERO + *gap * i as u64, nodes[i]),
+            Stored::Timed(list) => list[i],
+        }
+    }
+
+    /// Number of arrivals.
+    #[must_use]
+    pub fn len(self) -> usize {
+        match self.0 {
+            Stored::Spaced { nodes, .. } => nodes.len(),
+            Stored::Timed(list) => list.len(),
+        }
+    }
+
+    /// `true` if there are no arrivals.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The arrivals in insertion order.
+    pub fn iter(self) -> impl DoubleEndedIterator<Item = (SimTime, NodeId)> + 'a {
+        (0..self.len()).map(move |i| self.get(i))
+    }
 }
 
 #[cfg(test)]
@@ -163,7 +254,25 @@ mod tests {
         let s = ArrivalSchedule::repeated(NodeId::new(3), 4, SimDuration::from_ticks(10));
         let times: Vec<u64> = s.arrivals().iter().map(|(t, _)| t.ticks()).collect();
         assert_eq!(times, vec![0, 10, 20, 30]);
-        assert!(s.arrivals().iter().all(|(_, node)| *node == NodeId::new(3)));
+        assert!(s.arrivals().iter().all(|(_, node)| node == NodeId::new(3)));
+    }
+
+    #[test]
+    fn a_generated_schedule_keeps_a_node_id_per_arrival() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let spaced = ArrivalSchedule::uniform(&mut rng, 8, 1_000, SimDuration::from_ticks(25));
+        assert_eq!(spaced.bytes_per_arrival(), 4);
+        let timed: ArrivalSchedule = spaced.arrivals().iter().collect();
+        assert_eq!(timed.bytes_per_arrival(), 16);
+        assert_eq!(spaced, timed);
+        assert_eq!(ArrivalSchedule::new().bytes_per_arrival(), 0);
+        // Extending a generated schedule keeps its arrivals and adds one.
+        let extended = spaced.clone().then(SimTime::from_ticks(7), NodeId::new(2));
+        assert_eq!(extended.len(), 1_001);
+        assert!(extended.arrivals().iter().take(1_000).eq(spaced.arrivals().iter()));
+        assert_eq!(extended.arrivals().get(1_000), (SimTime::from_ticks(7), NodeId::new(2)));
+        assert!(!extended.is_time_ordered());
+        assert_ne!(extended, spaced);
     }
 
     // ---- generator properties (seeded, many cases per property) ----
@@ -174,7 +283,7 @@ mod tests {
 
         /// `true` if arrival times never go backwards.
         fn monotone(s: &ArrivalSchedule) -> bool {
-            s.arrivals().windows(2).all(|w| w[0].0 <= w[1].0)
+            s.arrivals().iter().zip(s.arrivals().iter().skip(1)).all(|(a, b)| a.0 <= b.0)
         }
 
         proptest! {
@@ -195,11 +304,11 @@ mod tests {
 
                 let mut rng = StdRng::seed_from_u64(seed);
                 let all_hot = ArrivalSchedule::hotspot(&mut rng, n, &hot, 1.0, count, gap);
-                prop_assert!(all_hot.arrivals().iter().all(|(_, node)| *node == sentinel));
+                prop_assert!(all_hot.arrivals().iter().all(|(_, node)| node == sentinel));
 
                 let mut rng = StdRng::seed_from_u64(seed);
                 let none_hot = ArrivalSchedule::hotspot(&mut rng, n, &hot, 0.0, count, gap);
-                prop_assert!(none_hot.arrivals().iter().all(|(_, node)| *node != sentinel));
+                prop_assert!(none_hot.arrivals().iter().all(|(_, node)| node != sentinel));
                 prop_assert!(none_hot
                     .arrivals()
                     .iter()

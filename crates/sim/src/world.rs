@@ -8,8 +8,6 @@
 //! [`ActionSink`] implementation — the same loop the threaded `oc-runtime`
 //! uses, so the sans-io contract is enforced in exactly one place.
 
-use std::sync::Arc;
-
 use oc_topology::NodeId;
 
 use crate::{
@@ -130,7 +128,7 @@ pub(crate) struct Core<M> {
     /// Arrival times of each node's unserved requests.
     pub(crate) pending: PendingRequests,
     pub(crate) now: SimTime,
-    pub(crate) queue: EventQueue<SimEvent<M>, Input, NodeId>,
+    pub(crate) queue: EventQueue<SimEvent<M>, Input>,
     /// Every draw of the run: link fates and message delays.
     pub(crate) choices: Choices,
     pub(crate) metrics: Metrics,
@@ -645,18 +643,17 @@ impl<P: Protocol> World<P> {
     ///
     /// Panics if an arrival is earlier than the current time.
     pub fn schedule_workload(&mut self, schedule: &ArrivalSchedule) {
-        let arrivals = schedule.arrivals();
-        if !arrivals.is_sorted_by_key(|(at, _)| *at) {
-            for (at, node) in arrivals {
-                self.schedule_request(*at, *node);
+        if !schedule.is_time_ordered() {
+            for (at, node) in schedule.arrivals().iter() {
+                self.schedule_request(at, node);
             }
             return;
         }
-        if let Some((first, _)) = arrivals.first() {
-            assert!(*first >= self.core.now, "cannot schedule in the past");
+        if let Some((first, _)) = schedule.arrivals().iter().next() {
+            assert!(first >= self.core.now, "cannot schedule in the past");
         }
-        self.core.requests_injected += arrivals.len() as u64;
-        self.core.queue.push_input_list(Arc::clone(schedule.shared()));
+        self.core.requests_injected += schedule.len() as u64;
+        self.core.queue.push_schedule(schedule);
     }
 
     /// Schedules the crash (and optional recovery) events of `plan`.
@@ -997,6 +994,7 @@ mod tests {
     use super::*;
     use crate::channel::{FaultPhase, FaultPhaseKind};
     use crate::metrics::MsgKind;
+    use rand::{rngs::StdRng, SeedableRng};
 
     /// A minimal centralized-coordinator protocol for exercising the world:
     /// node 1 owns the privilege and grants it to requesters in FIFO order;
@@ -1536,10 +1534,12 @@ mod tests {
         }
     }
 
-    /// Runs `schedule` and `plan` on an `Echo` world, the schedule filed
-    /// whole if `whole` and arrival by arrival if not, and returns the
-    /// trace and `[injected, events, served, abandoned, end tick]`.
+    /// Runs `schedule` and `plan` on an `Echo` world, the `early` requests
+    /// filed one by one before the schedule, the schedule filed whole if
+    /// `whole` and arrival by arrival if not, and returns the trace and
+    /// `[injected, events, served, abandoned, end tick]`.
     fn echo_run(
+        early: &[(SimTime, NodeId)],
         schedule: &ArrivalSchedule,
         plan: &FailurePlan,
         whole: bool,
@@ -1548,11 +1548,14 @@ mod tests {
         let nodes = (1..=n).map(|i| Echo { id: NodeId::new(i), n, in_cs: false }).collect();
         let config = SimConfig { seed: 5, record_trace: true, ..SimConfig::default() };
         let mut world = World::new(config, nodes);
+        for (at, node) in early {
+            world.schedule_request(*at, *node);
+        }
         if whole {
             world.schedule_workload(schedule);
         } else {
-            for (at, node) in schedule.arrivals() {
-                world.schedule_request(*at, *node);
+            for (at, node) in schedule.arrivals().iter() {
+                world.schedule_request(at, node);
             }
         }
         world.schedule_failures(plan);
@@ -1566,6 +1569,55 @@ mod tests {
             world.now().ticks(),
         ];
         (world.trace().records().to_vec(), counts)
+    }
+
+    /// A generated schedule — node ids alone, arrival `i` at `i · gap` —
+    /// filed by reference runs exactly as its arrivals filed one by one
+    /// with [`World::schedule_request`]: empty, one arrival, a zero gap,
+    /// filed behind earlier requests so that its front splits into the
+    /// input tier's latecomers, and with a failure plan filed after it.
+    /// It also equals the same arrivals kept with an explicit time each,
+    /// the times summed the way a running clock would.
+    #[test]
+    fn a_spaced_schedule_filed_whole_runs_as_filed_one_by_one() {
+        let none = FailurePlan::none();
+        let plan = FailurePlan::none()
+            .crash_and_recover(NodeId::new(3), SimTime::from_ticks(40), SimTime::from_ticks(400))
+            .crash_and_recover(NodeId::new(5), SimTime::from_ticks(45), SimTime::from_ticks(90));
+        let nothing: &[_] = &[];
+        let early: &[_] = &[
+            (SimTime::from_ticks(300), NodeId::new(3)),
+            (SimTime::from_ticks(301), NodeId::new(5)),
+        ];
+        let cases = [
+            ("empty", 0_usize, 10, nothing, &none),
+            ("one arrival", 1, 10, nothing, &none),
+            ("zero gap", 7, 0, nothing, &none),
+            ("after other inputs", 40, 25, early, &none),
+            ("plan after it", 40, 25, nothing, &plan),
+            ("both", 40, 25, early, &plan),
+        ];
+        for (case, count, gap, early, plan) in cases {
+            let gap = SimDuration::from_ticks(gap);
+            let mut rng = StdRng::seed_from_u64(count as u64);
+            let spaced = ArrivalSchedule::uniform(&mut rng, 6, count, gap);
+            let mut at = SimTime::ZERO;
+            let timed: ArrivalSchedule = spaced
+                .arrivals()
+                .iter()
+                .map(|(_, node)| {
+                    let arrival = (at, node);
+                    at += gap;
+                    arrival
+                })
+                .collect();
+            assert_eq!(spaced, timed, "{case}");
+            assert_eq!(timed, spaced, "{case}");
+            let whole = echo_run(early, &spaced, plan, true);
+            assert_eq!(whole, echo_run(early, &spaced, plan, false), "{case}");
+            assert_eq!(whole, echo_run(early, &timed, plan, true), "{case}");
+            assert_eq!(whole.1[0], (count + early.len()) as u64, "{case}");
+        }
     }
 
     mod props {
@@ -1603,8 +1655,8 @@ mod tests {
                         SimTime::from_ticks(at + down),
                     )
                 });
-                let whole = echo_run(&schedule, &plan, true);
-                prop_assert_eq!(&whole, &echo_run(&schedule, &plan, false));
+                let whole = echo_run(&[], &schedule, &plan, true);
+                prop_assert_eq!(&whole, &echo_run(&[], &schedule, &plan, false));
                 prop_assert_eq!(whole.1[0], schedule.len() as u64);
             }
 
@@ -1618,11 +1670,11 @@ mod tests {
                     .iter()
                     .map(|(at, node)| (SimTime::from_ticks(*at), NodeId::new(*node)))
                     .collect();
-                let whole = echo_run(&schedule, &FailurePlan::none(), true);
+                let whole = echo_run(&[], &schedule, &FailurePlan::none(), true);
                 prop_assert!(whole.0.windows(2).all(|w| w[0].0 <= w[1].0));
                 prop_assert!(whole.0.iter().any(|(_, record)| matches!(record, TraceRecord::EnterCs(_))));
                 prop_assert_eq!(whole.1[0], schedule.len() as u64);
-                prop_assert_eq!(&whole, &echo_run(&schedule, &FailurePlan::none(), false));
+                prop_assert_eq!(&whole, &echo_run(&[], &schedule, &FailurePlan::none(), false));
             }
         }
     }

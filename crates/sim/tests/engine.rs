@@ -1,14 +1,15 @@
 //! Engine conformance tests: `EventQueue` on either backend must be
 //! observationally identical to a sorted map keyed by `(time, seq)` —
 //! same pops, same peeks, same lengths, same purge counts — under
-//! arbitrary interleavings of pushes into both tiers, time-ordered lists
-//! filed by reference, pops, crash-style retains and `clone_from`.
+//! arbitrary interleavings of pushes into both tiers, time-ordered
+//! schedules filed by reference, pops, crash-style retains and
+//! `clone_from`.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use oc_sim::queue::{EventQueue, QueueBackend};
-use oc_sim::SimTime;
+use oc_sim::{ArrivalSchedule, SimDuration, SimTime};
+use oc_topology::NodeId;
 use proptest::prelude::*;
 
 /// One scripted queue operation.
@@ -23,10 +24,15 @@ enum Op {
     /// then `gap` apart: a schedule filed in time order, the shape the
     /// input tier keeps in its sorted run.
     InputBurst { start: u64, gap: u64, count: u64 },
-    /// The same shape filed whole with `push_input_list` (`gap` may be 0:
-    /// ties within the list). The model files it entry by entry, so the
-    /// list must pop exactly as that burst would.
-    InputList { start: u64, gap: u64, count: u64 },
+    /// The same shape collected into an explicit-time schedule and filed
+    /// whole with `push_schedule` (`gap` may be 0: ties within it). Every
+    /// arrival names node `index + 1`, which pops as that payload. The
+    /// model files it arrival by arrival, so the schedule must pop exactly
+    /// as that burst would.
+    Listed { start: u64, gap: u64, count: u64 },
+    /// A generated schedule — `count` arrivals from tick 0, `gap` apart,
+    /// stored as node ids alone — filed whole the same way.
+    Spaced { gap: u64, count: u64 },
     /// Pop once from both queues and compare with the model's minimum.
     Pop,
     /// Drop all generated payloads divisible by the modulus (like a crash
@@ -57,12 +63,15 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             gap,
             count
         }),
-        // Lists by reference, from one entry to dozens, some all one tick.
-        (0u64..20_000, 0u64..60, 1u64..48).prop_map(|(start, gap, count)| Op::InputList {
+        // Schedules by reference, from none to dozens of arrivals, some
+        // all one tick; a generated one starts at tick 0, so past the
+        // script's opening it mostly splits into the latecomers.
+        (0u64..20_000, 0u64..60, 1u64..48).prop_map(|(start, gap, count)| Op::Listed {
             start,
             gap,
             count
         }),
+        (0u64..60, 0u64..48).prop_map(|(gap, count)| Op::Spaced { gap, count }),
         // Twice, so pops keep pace with the six kinds of single push.
         Just(Op::Pop),
         Just(Op::Pop),
@@ -117,6 +126,23 @@ fn file(
     }
 }
 
+/// Files `schedule` whole into both queues, and arrival by arrival into
+/// the model, each arrival's payload its node id.
+fn file_schedule(
+    queues: &mut [EventQueue<usize>; 2],
+    model: &mut Model,
+    next_seq: &mut u64,
+    schedule: &ArrivalSchedule,
+) {
+    for q in queues.iter_mut() {
+        q.push_schedule(schedule);
+    }
+    for (at, node) in schedule.arrivals().iter() {
+        model.insert((at.ticks(), *next_seq), (usize::from(node), true));
+        *next_seq += 1;
+    }
+}
+
 /// A queue on `backend` that holds more than a run's queue usually does —
 /// a generated tier beyond the heap backend's sorted front, inputs in
 /// both stores — overwritten with `clone_from(source)`.
@@ -144,17 +170,17 @@ fn run_script(script: &[Op]) {
                 let ticks = (0..*count).map(|k| start + k * gap);
                 file(&mut queues, &mut model, &mut next_seq, i, true, ticks);
             }
-            Op::InputList { start, gap, count } => {
-                let list: Arc<Vec<_>> = Arc::new(
-                    (0..*count).map(|k| (SimTime::from_ticks(start + k * gap), i)).collect(),
-                );
-                for q in &mut queues {
-                    q.push_input_list(Arc::clone(&list));
-                }
-                for k in 0..*count {
-                    model.insert((start + k * gap, next_seq), (i, true));
-                    next_seq += 1;
-                }
+            Op::Listed { start, gap, count } => {
+                let node = NodeId::new(i as u32 + 1);
+                let schedule: ArrivalSchedule =
+                    (0..*count).map(|k| (SimTime::from_ticks(start + k * gap), node)).collect();
+                file_schedule(&mut queues, &mut model, &mut next_seq, &schedule);
+            }
+            Op::Spaced { gap, count } => {
+                let node = NodeId::new(i as u32 + 1);
+                let schedule =
+                    ArrivalSchedule::repeated(node, *count as usize, SimDuration::from_ticks(*gap));
+                file_schedule(&mut queues, &mut model, &mut next_seq, &schedule);
             }
             Op::Pop => {
                 // Exact (time, seq) order across both tiers: the pop is
@@ -379,12 +405,13 @@ fn unordered_inputs_by_the_thousand_keep_order() {
     run_script(&script);
 }
 
-/// `sim-faults`' shape with the schedule filed by reference: one list for
-/// the arrivals, then a plan filed input by input across its span, then
-/// lists that start below, at and past the run's end while it drains.
+/// `sim-faults`' shape with the schedule filed by reference: one generated
+/// schedule for the arrivals, then a plan filed input by input across its
+/// span, then schedules that start below, at and past the run's end while
+/// it drains.
 #[test]
 fn a_list_then_plan_then_more_lists_keep_order() {
-    let mut script: Vec<Op> = vec![Op::InputList { start: 0, gap: 10, count: 400 }];
+    let mut script: Vec<Op> = vec![Op::Spaced { gap: 10, count: 400 }];
     for k in 0..40u64 {
         script.push(Op::PushInput(k * 100));
         script.push(Op::PushInput(k * 100 + 55));
@@ -392,11 +419,14 @@ fn a_list_then_plan_then_more_lists_keep_order() {
     }
     script.extend(std::iter::repeat_n(Op::Pop, 104));
     script.extend([
-        Op::InputList { start: 700, gap: 5, count: 30 }, // front below the run's end
-        Op::InputList { start: 3_990, gap: 0, count: 4 }, // all at the run's last tick
-        Op::InputList { start: 9_000, gap: 1, count: 10 }, // past it: a second stretch
-        Op::PushInput(9_005),                            // below that stretch's end
-        Op::PushInput(9_500),                            // past it again
+        Op::Listed { start: 700, gap: 5, count: 30 }, // front below the run's end
+        Op::Listed { start: 3_990, gap: 0, count: 4 }, // all at the run's last tick
+        Op::Listed { start: 9_000, gap: 1, count: 10 }, // past it: a second stretch
+        Op::PushInput(9_005),                         // below that stretch's end
+        Op::PushInput(9_500),                         // past it again
+        Op::Spaced { gap: 40, count: 300 },           // from tick 0: front late, tail run
+        Op::Spaced { gap: 0, count: 3 },              // all at tick 0: all late
+        Op::Spaced { gap: 7, count: 0 },              // empty: files nothing
         Op::Retain(2),
     ]);
     for i in 0..700u64 {
