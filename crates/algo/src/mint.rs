@@ -136,7 +136,7 @@ impl OpenCubeNode {
     /// never wrap (at `u64::MAX` the node simply can no longer mint,
     /// which is safe; wrapping to 0 would resurrect every fenced token).
     fn next_ballot_epoch(&self, ceiling: u64) -> u64 {
-        self.epoch_seen.max(self.epoch_promised()).max(ceiling).saturating_add(1)
+        self.epoch_seen().max(self.epoch_promised()).max(ceiling).saturating_add(1)
     }
 
     /// Starts a quorum-gated mint: proposes a fresh epoch to every other
@@ -188,7 +188,7 @@ impl OpenCubeNode {
         } else {
             // Refusal: echo our ceiling so the minter's next ballot
             // clears it in one step.
-            let ceiling = self.epoch_promised().max(self.epoch_seen);
+            let ceiling = self.epoch_promised().max(self.epoch_seen());
             out.send(from, Msg::MintAck { epoch: ceiling, granted: false });
         }
     }
@@ -229,8 +229,9 @@ impl OpenCubeNode {
         out.cancel_timer(TIMER_MINT);
         // A strict majority granted exactly `epoch`, and every grant is
         // single-use: no other node can ever assemble a quorum for it.
-        self.epoch_seen = epoch;
-        self.fault_mut().mint = None;
+        let fault = self.fault_mut();
+        fault.epoch_seen = epoch;
+        fault.mint = None;
         out.count(Counter::MintsCompleted);
         if purpose == MintPurpose::Lender {
             self.loan = None;
@@ -445,7 +446,7 @@ mod tests {
         // again from ring 1 (the cut may have healed under a live root).
         let actions = drain(&mut node, NodeEvent::Timer(TIMER_MINT));
         assert!(node.mint().is_none());
-        assert!(node.search.is_some(), "post-park the Root minter searches again");
+        assert!(node.search().is_some(), "post-park the Root minter searches again");
         assert!(actions.iter().any(|a| matches!(a, Action::Send { msg: Msg::Test { d: 1 }, .. })));
     }
 
@@ -477,7 +478,7 @@ mod tests {
     #[test]
     fn ballot_epochs_never_wrap() {
         let mut node = OpenCubeNode::new(NodeId::new(2), hardened_cfg(4));
-        node.epoch_seen = u64::MAX;
+        node.fault_mut().epoch_seen = u64::MAX;
         node.fault_mut().epoch_promised = u64::MAX;
         assert_eq!(node.next_ballot_epoch(0), u64::MAX, "saturates instead of wrapping to 0");
         // And witnessing at the ceiling keeps fencing coherent: a token at

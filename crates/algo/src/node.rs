@@ -55,14 +55,14 @@ pub(crate) struct Loan {
 }
 
 /// What a node holds only once the Section 5 machinery has touched it:
-/// the promised mint epoch, the running mint ballot and the recycled
-/// state of its last search. One box behind one pointer, allocated on the
-/// first write, so a node that never searched, minted or granted a ballot
-/// — every node of a fault-free run under `Hardening::None`, and one that
-/// only enquired or bounced an anomaly — owns none of it. The fault path's
-/// counts are not here: they leave through the outbox
-/// ([`oc_sim::Outbox::count`]). It survives `on_crash`: the promise is
-/// stable storage.
+/// the promised and the witnessed mint epochs, the running mint ballot
+/// and its search. One box behind one pointer, allocated on the first
+/// write, so a node that never searched, minted, granted a ballot or saw
+/// an epoch above 0 — every node of a fault-free run under
+/// `Hardening::None`, and one that only enquired or bounced an anomaly —
+/// owns none of it. The fault path's counts are not here: they leave
+/// through the outbox ([`oc_sim::Outbox::count`]). It survives
+/// `on_crash`: the epochs are stable storage.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FaultState {
     /// Highest mint ballot this node has granted (a Paxos-style promise).
@@ -70,18 +70,33 @@ pub(crate) struct FaultState {
     /// quorums form for one epoch. Invariant: `epoch_promised >=
     /// epoch_seen`.
     pub epoch_promised: u64,
+    /// Highest minted token epoch this node has witnessed — on a token it
+    /// received or a request that gossiped it. Stable storage: fencing
+    /// must survive crashes. Every request and token the node sends
+    /// carries it ([`OpenCubeNode::epoch_seen`]); it is 0 while the node
+    /// has no box, and always under `Hardening::None`.
+    pub epoch_seen: u64,
     /// In-progress mint ballot (`Hardening::Quorum`; see `crate::mint`).
     /// Volatile: a crash abandons it.
     pub mint: Option<MintState>,
-    /// The state of the last finished search, kept so that the next one
-    /// reuses its ring buffers and allocates nothing. Capacity, not
-    /// protocol state: a crash keeps it too. The one protocol bit it
-    /// carries, [`SearchState::claim_resent`], a crash clears.
-    pub search_spare: Option<Box<SearchState>>,
+    /// The node's search: running while [`SearchState::running`], and
+    /// otherwise the last one, kept so that the next reuses its ring
+    /// buffers and allocates nothing. The buffers are capacity, not
+    /// protocol state: a crash ends the search and keeps them. Inline,
+    /// not boxed apart: under `Hardening::None` only a search opens the
+    /// box, so one allocation holds both.
+    pub search: SearchState,
 }
 
-// The promise, the ballot and the spare search.
-const _: () = assert!(size_of::<FaultState>() <= 72);
+// The two epochs, the ballot and the search.
+const _: () = assert!(size_of::<FaultState>() <= 168);
+
+impl FaultState {
+    /// `true` while a ballot or a search runs.
+    fn busy(&self) -> bool {
+        self.mint.is_some() || self.search.running()
+    }
+}
 
 /// One node of the open-cube mutual exclusion algorithm.
 ///
@@ -121,26 +136,20 @@ pub struct OpenCubeNode {
     local_seq: u32,
 
     // ---- Section 5 state ----
+    /// Inline, not in `fault`: a root lends on every remote claim it
+    /// serves, fault-free runs included.
     pub(crate) loan: Option<Loan>,
-    pub(crate) search: Option<Box<SearchState>>,
     /// Set when the node recovered in a mode that cannot re-join (fault
     /// tolerance disabled): it ignores all input.
     inert: bool,
-    /// Everything else of Section 5; absent until first written.
+    /// Everything else of Section 5, the search and the hardened mode's
+    /// epochs among it; absent until first written.
     fault: Option<Box<FaultState>>,
-
-    // ---- hardened-mode state (Hardening::Quorum; see crate::mint) ----
-    /// Highest minted token epoch this node has witnessed — on a token it
-    /// received or a request that gossiped it. Stable storage: fencing
-    /// must survive crashes. Always 0 under `Hardening::None`. Inline, not
-    /// in `fault`: every request and token the node sends carries it.
-    pub(crate) epoch_seen: u64,
 }
 
-// The Section 3 variables, the claim bookkeeping, the epoch every message
-// carries and one pointer per Section 5 structure: the rest waits in
-// `fault` or `search`.
-const _: () = assert!(size_of::<OpenCubeNode>() <= 112);
+// The Section 3 variables, the claim bookkeeping, the loan and one pointer
+// to the rest of Section 5.
+const _: () = assert!(size_of::<OpenCubeNode>() <= 88);
 
 impl OpenCubeNode {
     /// Creates the node in its canonical initial position: `father` per the
@@ -174,10 +183,8 @@ impl OpenCubeNode {
             current_claim: None,
             local_seq: 0,
             loan: None,
-            search: None,
             inert: false,
             fault: None,
-            epoch_seen: 0,
         }
     }
 
@@ -201,7 +208,7 @@ impl OpenCubeNode {
     /// otherwise derived from the father pointer via Prop. 2.1.
     #[must_use]
     pub fn power(&self) -> u32 {
-        if let Some(search) = &self.search {
+        if let Some(search) = self.search() {
             return search.d.saturating_sub(1);
         }
         match self.father {
@@ -226,7 +233,7 @@ impl OpenCubeNode {
     /// `true` if the node currently believes it is the root.
     #[must_use]
     pub fn believes_root(&self) -> bool {
-        self.father.is_none() && self.search.is_none()
+        self.father.is_none() && self.search().is_none()
     }
 
     /// The configuration this node runs with.
@@ -259,13 +266,31 @@ impl OpenCubeNode {
         self.asking
             || self.in_cs()
             || self.loan.is_some()
-            || self.search.is_some()
-            || self.mint().is_some()
+            || self.fault.as_deref().is_some_and(FaultState::busy)
     }
 
     /// The fault-path state, allocated on first use.
     pub(crate) fn fault_mut(&mut self) -> &mut FaultState {
         self.fault.get_or_insert_default()
+    }
+
+    /// The highest token epoch witnessed; 0 until one above 0 is.
+    pub(crate) fn epoch_seen(&self) -> u64 {
+        self.fault.as_deref().map_or(0, |fault| fault.epoch_seen)
+    }
+
+    /// The running search, if any.
+    pub(crate) fn search(&self) -> Option<&SearchState> {
+        Some(&self.fault.as_deref()?.search).filter(|search| search.running())
+    }
+
+    pub(crate) fn search_mut(&mut self) -> Option<&mut SearchState> {
+        self.search_slot_mut().filter(|search| search.running())
+    }
+
+    /// The search slot, running or kept for its buffers.
+    pub(crate) fn search_slot_mut(&mut self) -> Option<&mut SearchState> {
+        Some(&mut self.fault.as_deref_mut()?.search)
     }
 
     /// Highest mint ballot granted; 0 until one is.
@@ -311,19 +336,14 @@ impl OpenCubeNode {
     /// `true` while the pending claim is the one the last search re-sent
     /// to `father` (see [`SearchState::claim_resent`]).
     pub(crate) fn claim_resent(&self) -> bool {
-        self.fault
-            .as_deref()
-            .and_then(|fault| fault.search_spare.as_deref())
-            .is_some_and(|spare| spare.claim_resent)
+        self.fault.as_deref().is_some_and(|fault| fault.search.claim_resent)
     }
 
-    /// Forgets that the pending claim was re-sent, at a claim start or a
-    /// crash. Allocates nothing on a node that never searched.
+    /// Forgets that the pending claim was re-sent, at a claim start.
+    /// Allocates nothing on a node that never searched.
     fn clear_claim_resent(&mut self) {
-        if let Some(spare) =
-            self.fault.as_deref_mut().and_then(|fault| fault.search_spare.as_deref_mut())
-        {
-            spare.claim_resent = false;
+        if let Some(search) = self.search_slot_mut() {
+            search.claim_resent = false;
         }
     }
 
@@ -356,7 +376,8 @@ impl OpenCubeNode {
     }
 
     fn id_request(&self, seq: u32) -> Msg {
-        Msg::Request { claimant: self.id, source: self.id, source_seq: seq, epoch: self.epoch_seen }
+        let epoch = self.epoch_seen();
+        Msg::Request { claimant: self.id, source: self.id, source_seq: seq, epoch }
     }
 
     // ---- remote request path ----
@@ -388,12 +409,12 @@ impl OpenCubeNode {
                 if self.cfg.mutation != crate::config::Mutation::KeepTokenOnTransit {
                     self.token_here = false;
                 }
-                out.send(claimant, Msg::Token { lender: None, epoch: self.epoch_seen });
+                out.send(claimant, Msg::Token { lender: None, epoch: self.epoch_seen() });
             } else {
                 let father = self.father.expect("a transit node without the token has a father");
                 out.send(
                     father,
-                    Msg::Request { claimant, source, source_seq, epoch: self.epoch_seen },
+                    Msg::Request { claimant, source, source_seq, epoch: self.epoch_seen() },
                 );
             }
             // First half of the b-transformation.
@@ -404,17 +425,15 @@ impl OpenCubeNode {
             if self.token_here {
                 // Temporarily lend the token.
                 self.token_here = false;
-                out.send(claimant, Msg::Token { lender: Some(self.id), epoch: self.epoch_seen });
+                out.send(claimant, Msg::Token { lender: Some(self.id), epoch: self.epoch_seen() });
                 self.start_loan(claimant, source, source_seq, out);
             } else {
                 self.mandator = Some(claimant);
                 self.current_claim = Some((source, source_seq));
                 self.clear_claim_resent();
+                let epoch = self.epoch_seen();
                 let father = self.father.expect("a proxy node without the token has a father");
-                out.send(
-                    father,
-                    Msg::Request { claimant: self.id, source, source_seq, epoch: self.epoch_seen },
-                );
+                out.send(father, Msg::Request { claimant: self.id, source, source_seq, epoch });
                 self.arm_token_wait(out);
             }
         }
@@ -440,9 +459,9 @@ impl OpenCubeNode {
     /// return on `token_here`). No-op under `Hardening::None`, where every
     /// epoch is 0.
     pub(crate) fn witness_epoch(&mut self, epoch: u64, out: &mut Outbox<Msg>) {
-        if epoch > self.epoch_seen {
-            self.epoch_seen = epoch;
+        if epoch > self.epoch_seen() {
             let fault = self.fault_mut();
+            fault.epoch_seen = epoch;
             fault.epoch_promised = fault.epoch_promised.max(epoch);
             if self.token_here {
                 self.token_here = false;
@@ -465,7 +484,7 @@ impl OpenCubeNode {
         // machinery (token-wait timer, search), which ends at the
         // current-epoch token or a quorum-gated mint.
         self.witness_epoch(epoch, out);
-        if epoch < self.epoch_seen {
+        if epoch < self.epoch_seen() {
             out.count(Counter::EpochDiscards);
             return;
         }
@@ -492,7 +511,7 @@ impl OpenCubeNode {
                 // Pass the loaned token along to the mandator.
                 self.father = Some(from);
                 self.token_here = false;
-                out.send(m, Msg::Token { lender: Some(j), epoch: self.epoch_seen });
+                out.send(m, Msg::Token { lender: Some(j), epoch: self.epoch_seen() });
                 self.mandator = None;
                 self.current_claim = None;
                 self.asking = false;
@@ -510,7 +529,7 @@ impl OpenCubeNode {
             // Unsolicited loaned token (regeneration race): hand it back so
             // the lender's accounting settles.
             self.token_here = false;
-            out.send(j, Msg::Token { lender: None, epoch: self.epoch_seen });
+            out.send(j, Msg::Token { lender: None, epoch: self.epoch_seen() });
         } else {
             // Unsolicited ownership transfer (regeneration race): accept it
             // — we are now the root.
@@ -526,7 +545,7 @@ impl OpenCubeNode {
         // while we sat in the critical section.
         if self.lender != self.id && self.token_here {
             self.token_here = false;
-            out.send(self.lender, Msg::Token { lender: None, epoch: self.epoch_seen });
+            out.send(self.lender, Msg::Token { lender: None, epoch: self.epoch_seen() });
         }
         self.asking = false;
         self.process_queue(out);
@@ -626,7 +645,7 @@ impl OpenCubeNode {
             }
             Some(m) => {
                 self.token_here = false;
-                out.send(m, Msg::Token { lender: Some(self.id), epoch: self.epoch_seen });
+                out.send(m, Msg::Token { lender: Some(self.id), epoch: self.epoch_seen() });
                 let (source, seq) =
                     self.current_claim.take().expect("a mandate has claim bookkeeping");
                 self.mandator = None;
@@ -653,8 +672,8 @@ impl OpenCubeNode {
     /// Cancels an in-progress search because the token arrived — the
     /// suspicion was ill-founded or resolved elsewhere.
     pub(crate) fn abort_search_for_token(&mut self, out: &mut Outbox<Msg>) {
-        if self.search.is_some() {
-            self.recycle_search();
+        if self.search().is_some() {
+            self.end_search();
             out.cancel_timer(TIMER_SEARCH_PHASE);
         }
     }
@@ -763,9 +782,8 @@ impl Protocol for OpenCubeNode {
         self.queue.clear();
         self.loan = None;
         // The search's ring buffers are capacity, not protocol state: the
-        // recovery search reuses them. The claim they re-sent is gone.
-        self.recycle_search();
-        self.clear_claim_resent();
+        // recovery search reuses them. The claim it re-sent is gone.
+        self.end_search();
         // The running ballot is volatile; the epoch counters are NOT —
         // like pmax and dist they live on stable storage. Forgetting a
         // promise across a crash would let two quorums form for one epoch,
@@ -798,24 +816,18 @@ impl Protocol for OpenCubeNode {
         !self.asking
             && !self.in_cs()
             && self.queue.is_empty()
-            && self.search.is_none()
             && self.mandator.is_none()
             && self.loan.is_none()
-            && self.mint().is_none()
+            && !self.fault.as_deref().is_some_and(FaultState::busy)
     }
 
     fn heap_bytes(&self) -> usize {
-        let search_bytes = |s: &Option<Box<SearchState>>| {
-            s.as_deref().map_or(0, |s| {
-                std::mem::size_of::<SearchState>() + s.pending.heap_bytes() + s.retry.heap_bytes()
-            })
-        };
         self.queue.heap_bytes()
-            + search_bytes(&self.search)
             + self.fault.as_deref().map_or(0, |fault| {
                 std::mem::size_of::<FaultState>()
                     + fault.mint.as_ref().map_or(0, MintState::heap_bytes)
-                    + search_bytes(&fault.search_spare)
+                    + fault.search.pending.heap_bytes()
+                    + fault.search.retry.heap_bytes()
             })
     }
 
@@ -825,7 +837,7 @@ impl Protocol for OpenCubeNode {
         // receipt, a lower-epoch one is discarded before being held, and
         // higher gossip voids the held token in the same step it advances
         // `epoch_seen`.
-        self.epoch_seen
+        self.epoch_seen()
     }
 
     fn quorum_blocked(&self) -> bool {
@@ -1299,23 +1311,52 @@ mod tests {
         assert_eq!(node.heap_bytes(), 0);
 
         // A suspicion timeout starts a search, counted through the outbox;
-        // its ring buffers come from the box's spare slot.
+        // its ring buffers live in the box.
         let mut node = OpenCubeNode::new(NodeId::new(10), ft_cfg(16));
         let _ = request_cs(&mut node);
         assert!(node.fault.is_none(), "arming a timer is not the fault path");
         let mut out = Outbox::new();
         node.on_event(NodeEvent::Timer(TIMER_TOKEN_WAIT), &mut out);
         assert_eq!(counted(&out.drain(), Counter::SearchesStarted), 1);
-        let search = size_of::<SearchState>();
-        assert!(node.heap_bytes() >= size_of::<FaultState>() + search);
+        assert!(node.heap_bytes() >= size_of::<FaultState>());
 
         // The promise is stable storage, so the box survives a crash; the
         // search's buffers are kept for the recovery search to reuse.
         node.on_crash();
-        let spare = |node: &OpenCubeNode| node.fault.as_deref().unwrap().search_spare.is_some();
-        assert!(node.search.is_none() && spare(&node));
+        let kept = |node: &OpenCubeNode| node.fault.as_deref().unwrap().search.pending.heap_bytes();
+        assert!(node.search().is_none() && kept(&node) > 0);
         node.on_recover(&mut out);
-        assert!(node.search.is_some() && !spare(&node), "recovery reuses it");
+        assert!(node.search().is_some(), "recovery reuses it");
+    }
+
+    #[test]
+    fn a_crash_mid_search_ends_it_and_recovery_reuses_its_buffers() {
+        // Node 10 of 1 024 suspects the loss of its claim's token and
+        // searches; silent rings widen the search to ring 10, whose 512
+        // members take eight words per ring set.
+        let mut node = OpenCubeNode::new(NodeId::new(10), ft_cfg(1024));
+        let _ = request_cs(&mut node);
+        let mut out = Outbox::new();
+        node.on_event(NodeEvent::Timer(TIMER_TOKEN_WAIT), &mut out);
+        while node.search().unwrap().d < 10 {
+            node.on_event(NodeEvent::Timer(TIMER_SEARCH_PHASE), &mut out);
+        }
+        let slot = |node: &OpenCubeNode| std::ptr::from_ref(&node.fault.as_deref().unwrap().search);
+        let (buffers, bytes) = (slot(&node), node.heap_bytes());
+        assert!(bytes >= size_of::<FaultState>() + 2 * 8 * 8);
+
+        node.on_crash();
+        assert!(node.search().is_none(), "a crash ends the search");
+        assert!(!node.busy() && node.is_idle());
+        assert_eq!((slot(&node), node.heap_bytes()), (buffers, bytes), "and keeps its buffers");
+
+        // Recovery searches from ring 1, in the same buffers.
+        let _ = out.drain();
+        node.on_recover(&mut out);
+        let actions = out.drain();
+        assert_eq!(node.search().map(|search| (search.d, search.start)), Some((1, 1)));
+        assert_eq!(sends(&actions), vec![(NodeId::new(9), Msg::Test { d: 1 })]);
+        assert_eq!((slot(&node), node.heap_bytes()), (buffers, bytes), "and allocates nothing");
     }
 
     #[test]

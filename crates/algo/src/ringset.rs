@@ -9,8 +9,8 @@
 //! phase-`d` probe round at production scale (`n = 2^20`, `d = 20`) needs
 //! 8 KiB of words instead of half a million `BTreeSet` tree nodes. All
 //! operations after [`RingSet::assign_ring`] are allocation-free; the word
-//! buffer is retained across phases and across searches (the node keeps a
-//! spare slot), so steady-state *and* failure-recovery events allocate
+//! buffer is retained across phases and across searches (the node keeps
+//! its ended search), so steady-state *and* failure-recovery events allocate
 //! nothing.
 
 use oc_topology::NodeId;

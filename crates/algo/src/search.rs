@@ -26,13 +26,14 @@ use crate::{
 ///
 /// `pending` and `retry` are [`RingSet`] bitmasks over the phase's ring:
 /// after the sets are pointed at a ring, every probe round — including the
-/// try-later re-probe rounds — runs without allocating. The node recycles
-/// the whole `SearchState` (word buffers included) through a spare slot,
-/// so repeated searches allocate nothing once the buffers have grown to
-/// the widest ring ever probed.
+/// try-later re-probe rounds — runs without allocating. The node keeps the
+/// whole `SearchState` (word buffers included) in its fault box when the
+/// search ends, so repeated searches allocate nothing once the buffers
+/// have grown to the widest ring ever probed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct SearchState {
-    /// Current phase = distance of the probed ring.
+    /// Current phase = distance of the probed ring; 0 once the search has
+    /// ended (phases count from 1).
     pub d: u32,
     /// The phase this sweep began at. A search may only conclude "I am
     /// the root" from a sweep that started at ring 1 (see
@@ -46,24 +47,31 @@ pub(crate) struct SearchState {
     pub pending: RingSet,
     /// Ring members that answered "try later" — re-probed next round.
     pub retry: RingSet,
-    /// Set on the recycled state when the search ended by re-sending the
-    /// node's pending claim to the father it found
+    /// Set on the ended search when it ended by re-sending the node's
+    /// pending claim to the father it found
     /// ([`OpenCubeNode::conclude_search_with_father`]); read by
-    /// [`OpenCubeNode::on_test`]. Recycling clears it, and so do the
-    /// node's next claim start and a crash. It sits in the padding after
-    /// the three phase counters, so neither the node nor its fault box
-    /// grows.
+    /// [`OpenCubeNode::on_test`]. The next search's start and end clear
+    /// it, and so do the node's next claim start and a crash. It sits in
+    /// the padding after the three phase counters, so the state does not
+    /// grow.
     pub claim_resent: bool,
 }
 
 // Three phase counters, the flag in their padding, two ring sets.
 const _: () = assert!(size_of::<SearchState>() <= 96);
 
+impl SearchState {
+    /// `true` from the search's start to its end.
+    pub(crate) fn running(&self) -> bool {
+        self.d != 0
+    }
+}
+
 impl OpenCubeNode {
     /// Begins `search_father` at phase `start_d` (clamped to `1..=pmax`).
     /// No-op if a search is already running or fault tolerance is off.
     pub(crate) fn start_search(&mut self, start_d: u32, out: &mut Outbox<Msg>) {
-        if !self.fault_tolerant() || self.search.is_some() {
+        if !self.fault_tolerant() || self.search().is_some() {
             return;
         }
         if self.token_here_inner() || self.loan.is_some() {
@@ -80,20 +88,20 @@ impl OpenCubeNode {
         }
         let d = start_d.clamp(1, pmax);
         out.count(Counter::SearchesStarted);
-        // Reuse the spare state's ring buffers instead of allocating.
-        let mut state = self.fault_mut().search_spare.take().unwrap_or_default();
+        // Reuse the last search's ring buffers instead of allocating.
+        let state = &mut self.fault_mut().search;
         state.d = d;
         state.start = d;
-        self.search = Some(state);
+        state.claim_resent = false;
         self.run_search_phase(out);
     }
 
-    /// Returns the finished search state to the spare slot so its ring
-    /// buffers are reused by the next search.
-    pub(crate) fn recycle_search(&mut self) {
-        if let Some(mut state) = self.search.take() {
+    /// Ends the search, if one runs, and forgets a re-sent claim; the ring
+    /// buffers stay for the next search.
+    pub(crate) fn end_search(&mut self) {
+        if let Some(state) = self.search_slot_mut() {
+            state.d = 0;
             state.claim_resent = false;
-            self.fault_mut().search_spare = Some(state);
         }
     }
 
@@ -104,7 +112,7 @@ impl OpenCubeNode {
         let n = self.config_inner().n;
         let timeout = self.config_inner().search_phase_timeout();
         let patience = self.config_inner().search_patience_rounds();
-        let search = self.search.as_mut().expect("phase run requires a search");
+        let search = self.search_mut().expect("phase run requires a search");
         let d = search.d;
         search.patience = patience;
         search.pending.assign_ring(n, id, d);
@@ -123,7 +131,7 @@ impl OpenCubeNode {
     pub(crate) fn on_search_phase_timeout(&mut self, out: &mut Outbox<Msg>) {
         let pmax = self.config_inner().pmax();
         let timeout = self.config_inner().search_phase_timeout();
-        let Some(search) = self.search.as_mut() else {
+        let Some(search) = self.search_mut() else {
             return; // stale timer
         };
         if !search.retry.is_empty() && search.patience > 0 {
@@ -167,7 +175,7 @@ impl OpenCubeNode {
             // 13-14) is sound only while power claims are consistent,
             // which is precisely what degraded regimes violate.
             out.count(Counter::SearchRestarts);
-            let search = self.search.as_mut().expect("search still running");
+            let search = self.search_mut().expect("search still running");
             search.start = 1;
             search.d = 1;
             self.run_search_phase(out);
@@ -175,7 +183,7 @@ impl OpenCubeNode {
             // Ring pmax failed after a full sweep from ring 1: we probed
             // every node in the system and nobody can be our father —
             // become the root.
-            self.recycle_search();
+            self.end_search();
             self.conclude_search_as_root(out);
         }
     }
@@ -183,7 +191,7 @@ impl OpenCubeNode {
     /// Concludes the search with `father := k` and regenerates the pending
     /// request, if any.
     pub(crate) fn conclude_search_with_father(&mut self, k: NodeId, out: &mut Outbox<Msg>) {
-        self.recycle_search();
+        self.end_search();
         out.cancel_timer(TIMER_SEARCH_PHASE);
         self.set_father(Some(k));
         if self.mandator_inner().is_some() {
@@ -191,11 +199,11 @@ impl OpenCubeNode {
                 self.current_claim_inner().expect("a mandate has claim bookkeeping");
             let claimant = self.id_inner();
             out.count(Counter::RequestsRegenerated);
-            let epoch = self.epoch_seen;
+            let epoch = self.epoch_seen();
             out.send(k, Msg::Request { claimant, source, source_seq: seq, epoch });
             self.arm_token_wait(out);
-            if let Some(spare) = self.fault_mut().search_spare.as_deref_mut() {
-                spare.claim_resent = true;
+            if let Some(ended) = self.search_slot_mut() {
+                ended.claim_resent = true;
             }
         } else {
             // Recovery / anomaly reattachment with no pending claim.
@@ -265,7 +273,7 @@ impl OpenCubeNode {
         if !self.fault_tolerant() {
             return;
         }
-        if let Some(search) = &self.search {
+        if let Some(search) = self.search() {
             let di = search.d;
             if di < d {
                 // Case di < dj: the paper's optimization — we will
@@ -358,7 +366,7 @@ impl OpenCubeNode {
         d: u32,
         out: &mut Outbox<Msg>,
     ) {
-        let Some(search) = self.search.as_mut() else {
+        let Some(search) = self.search_mut() else {
             return; // search already concluded; stale answer
         };
         match kind {
@@ -427,7 +435,7 @@ mod tests {
     #[test]
     fn suspicion_starts_search_at_power_plus_one() {
         let node = searching_node_10();
-        assert_eq!(node.search.as_ref().unwrap().d, 1);
+        assert_eq!(node.search().unwrap().d, 1);
         assert_eq!(node.power(), 0, "searching at phase d evaluates power as d-1");
     }
 
@@ -449,7 +457,7 @@ mod tests {
     fn ok_answer_concludes_and_regenerates_request() {
         let mut node = searching_node_10();
         let actions = deliver(&mut node, 1, Msg::Answer { kind: AnswerKind::Ok, d: 1 });
-        assert!(node.search.is_none());
+        assert!(node.search().is_none());
         assert_eq!(node.father(), Some(NodeId::new(1)));
         // The pending claim is re-sent to the new father.
         let resent: Vec<_> = actions
@@ -484,7 +492,7 @@ mod tests {
         // A silent round then advances to ring 2: one more phase.
         let actions = timer(&mut node, TIMER_SEARCH_PHASE);
         assert_eq!(counted(&actions, Counter::SearchPhases), 1);
-        assert_eq!(node.search.as_ref().unwrap().d, 2);
+        assert_eq!(node.search().unwrap().d, 2);
     }
 
     #[test]
@@ -495,7 +503,7 @@ mod tests {
         // The phase timer re-probes node 9 instead of advancing.
         let actions = timer(&mut node, TIMER_SEARCH_PHASE);
         assert_eq!(sent_tests(&actions), vec![(9, 1)]);
-        assert_eq!(node.search.as_ref().unwrap().d, 1);
+        assert_eq!(node.search().unwrap().d, 1);
     }
 
     #[test]
@@ -505,7 +513,7 @@ mod tests {
         let regenerated: usize = (0..4)
             .map(|_| counted(&timer(&mut node, TIMER_SEARCH_PHASE), Counter::TokensRegenerated))
             .sum();
-        assert!(node.search.is_none());
+        assert!(node.search().is_none());
         assert!(node.believes_root());
         assert!(node.in_cs(), "the pending local claim is honored with the regenerated token");
         assert_eq!(regenerated, 1);
@@ -548,7 +556,7 @@ mod tests {
         let mut c = OpenCubeNode::new(NodeId::new(3), ft_cfg(4));
         let _ = drain(&mut c, NodeEvent::RequestCs); // father 1 (down)
         let _ = timer(&mut c, TIMER_TOKEN_WAIT); // search at phase 2 (power 1)
-        assert_eq!(c.search.as_ref().unwrap().d, 2);
+        assert_eq!(c.search().unwrap().d, 2);
         let actions = deliver(&mut c, 4, Msg::Test { d: 1 });
         assert!(matches!(
             actions[..],
@@ -568,9 +576,9 @@ mod tests {
         c.set_father(Some(NodeId::new(4))); // power 0
         let _ = drain(&mut c, NodeEvent::RequestCs);
         let _ = timer(&mut c, TIMER_TOKEN_WAIT); // phase 1
-        assert_eq!(c.search.as_ref().unwrap().d, 1);
+        assert_eq!(c.search().unwrap().d, 1);
         let actions = deliver(&mut c, 2, Msg::Test { d: 2 });
-        assert!(c.search.is_none());
+        assert!(c.search().is_none());
         assert_eq!(c.father(), Some(NodeId::new(2)));
         // And the pending request is regenerated toward the new father.
         assert!(actions.iter().any(|a| matches!(
@@ -586,9 +594,9 @@ mod tests {
         let mut b = OpenCubeNode::new(NodeId::new(2), cfg);
         let _ = drain(&mut b, NodeEvent::RequestCs);
         let _ = timer(&mut b, TIMER_TOKEN_WAIT); // phase 1 (power 0)
-        assert_eq!(b.search.as_ref().unwrap().d, 1);
+        assert_eq!(b.search().unwrap().d, 1);
         let actions = deliver(&mut b, 3, Msg::Test { d: 2 });
-        assert!(b.search.is_some(), "the smaller searcher keeps searching");
+        assert!(b.search().is_some(), "the smaller searcher keeps searching");
         assert!(matches!(
             actions[..],
             [Action::Send { msg: Msg::Answer { kind: AnswerKind::TryLater, d: 2 }, .. }]
@@ -605,7 +613,7 @@ mod tests {
         let mut larger = OpenCubeNode::new(NodeId::new(2), cfg);
         let _ = drain(&mut larger, NodeEvent::RequestCs);
         let _ = timer(&mut larger, TIMER_TOKEN_WAIT); // phase 1 (power 0)
-        assert_eq!(larger.search.as_ref().unwrap().d, 1);
+        assert_eq!(larger.search().unwrap().d, 1);
         let actions = deliver(&mut larger, 1, Msg::Test { d: 1 });
         assert!(matches!(
             actions[..],
@@ -618,7 +626,7 @@ mod tests {
         smaller.set_father(Some(NodeId::new(4)));
         let _ = drain(&mut smaller, NodeEvent::RequestCs);
         let _ = timer(&mut smaller, TIMER_TOKEN_WAIT); // phase 1 (power 0)
-        assert_eq!(smaller.search.as_ref().unwrap().d, 1);
+        assert_eq!(smaller.search().unwrap().d, 1);
         let actions = deliver(&mut smaller, 4, Msg::Test { d: 1 });
         assert!(matches!(
             actions[..],
@@ -636,7 +644,7 @@ mod tests {
         let actions = deliver(&mut node13, 9, Msg::Anomaly);
         let tests = sent_tests(&actions);
         assert_eq!(tests, vec![(9, 3), (10, 3), (11, 3), (12, 3)]);
-        assert_eq!(node13.search.as_ref().unwrap().d, 3);
+        assert_eq!(node13.search().unwrap().d, 3);
     }
 
     #[test]
@@ -729,7 +737,7 @@ mod tests {
     fn token_arrival_aborts_search() {
         let mut node = searching_node_10();
         let actions = deliver(&mut node, 9, Msg::Token { lender: Some(NodeId::new(9)), epoch: 0 });
-        assert!(node.search.is_none());
+        assert!(node.search().is_none());
         assert!(node.in_cs());
         assert!(actions.iter().any(|a| matches!(a, Action::EnterCs)));
     }

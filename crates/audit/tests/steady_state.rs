@@ -12,14 +12,15 @@
 //! A third stretch then runs crash/recover pairs. The simulator's share
 //! of a crash — the purge of the pending queue — allocates nothing (see
 //! `retain_purge.rs`), but the protocol's recovery does: a node's first
-//! search allocates its search state and ring sets, and its fault-path
-//! counters, and a search's rings grow with the rings it probes. So that
+//! search allocates its fault box, which holds the search state, and its
+//! ring sets, and a search's rings grow with the rings it probes. So that
 //! stretch is not held to zero; its allocation count is pinned, and a
 //! change that makes a failure cost more heap traffic shows here. (It was
 //! 399 while the calendar was the default queue: the probe bursts of
 //! `search_father` kept lifting buckets to new peaks. It was 303 while a
 //! crash dropped the search state the recovery search now reuses, and
-//! each node kept its own timer row and pending-request deque.)
+//! each node kept its own timer row and pending-request deque, and 274
+//! while the search state was a box of its own beside the fault box.)
 //!
 //! This is a `harness = false` test on purpose: libtest runs tests on
 //! spawned threads whose channel machinery allocates while the test body
@@ -31,7 +32,7 @@ use oc_topology::NodeId;
 
 /// Heap allocations across the eight crash/recover pairs of the third
 /// stretch: seeded and single-threaded, so exact.
-const RECOVERY_ALLOCATIONS: u64 = 274;
+const RECOVERY_ALLOCATIONS: u64 = 210;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();

@@ -406,6 +406,10 @@ impl<P: Protocol> World<P> {
     ///
     /// Panics if any node's `id()` disagrees with its position.
     pub fn reset(&mut self, config: SimConfig, nodes: Vec<P>) {
+        // One pass over the population: the identities, and the token
+        // census — every node starts alive, so a holder is a node that
+        // says so.
+        let (mut holders, mut top, mut at_top) = (0, 0, 0);
         for (k, node) in nodes.iter().enumerate() {
             assert_eq!(
                 node.id(),
@@ -413,6 +417,14 @@ impl<P: Protocol> World<P> {
                 "node at position {k} must have identity {}",
                 k + 1
             );
+            if node.holds_token() {
+                holders += 1;
+                let epoch = node.token_epoch();
+                if epoch > top {
+                    (top, at_top) = (epoch, 0);
+                }
+                at_top += usize::from(epoch == top);
+            }
         }
         let n = nodes.len();
         // Rebuilt whole by every judgement: nothing of it survives a reset.
@@ -455,11 +467,9 @@ impl<P: Protocol> World<P> {
         *own_config = config;
         *requests_injected = 0;
         *tokens_in_flight = 0;
-        // Every node starts alive, so a holder is a node that says so.
-        let held_epochs = || own_nodes.iter().filter(|node| node.holds_token()).map(P::token_epoch);
-        *live_holders = held_epochs().count();
-        *max_epoch = held_epochs().max().unwrap_or(0);
-        *holders_at_max = held_epochs().filter(|epoch| *epoch == *max_epoch).count();
+        *live_holders = holders;
+        *max_epoch = top;
+        *holders_at_max = at_top;
         *in_flight_at_max = 0;
     }
 
@@ -810,6 +820,10 @@ impl<P: Protocol> World<P> {
         self.dispatch(node, NodeEvent::ExitCs);
     }
 
+    // Cold and out of line: a crash is rare, and its purge of the event
+    // queue would otherwise be inlined into `step`, the hot loop.
+    #[cold]
+    #[inline(never)]
     fn handle_crash(&mut self, node: NodeId) {
         let idx = node.zero_based() as usize;
         if !self.core.alive[idx] {
@@ -858,6 +872,8 @@ impl<P: Protocol> World<P> {
         self.sync_token_census(idx, before);
     }
 
+    #[cold]
+    #[inline(never)]
     fn handle_recover(&mut self, node: NodeId) {
         let idx = node.zero_based() as usize;
         if self.core.alive[idx] {
@@ -1679,85 +1695,85 @@ mod tests {
         }
     }
 
+    /// A token carrying its mint epoch.
+    #[derive(Debug, Clone)]
+    struct Tok(u64);
+    impl MessageKind for Tok {
+        fn kind(&self) -> MsgKind {
+            MsgKind::Token
+        }
+        fn token_epoch(&self) -> u64 {
+            self.0
+        }
+    }
+    /// Takes, forwards, drops and re-mints the token: a request at a
+    /// holder forwards it, a request elsewhere mints one above every
+    /// epoch the node has seen (forwarding it at once on even nodes),
+    /// a stale arrival is discarded and counted, and a crash loses
+    /// what the node held.
+    #[derive(Debug)]
+    struct Relay {
+        id: NodeId,
+        n: u32,
+        token: Option<u64>,
+        seen: u64,
+        discards: u64,
+    }
+    impl Relay {
+        fn next(&self) -> NodeId {
+            NodeId::new(self.id.get() % self.n + 1)
+        }
+    }
+    impl Protocol for Relay {
+        type Msg = Tok;
+        fn id(&self) -> NodeId {
+            self.id
+        }
+        fn on_event(&mut self, event: NodeEvent<Tok>, out: &mut Outbox<Tok>) {
+            match event {
+                NodeEvent::RequestCs => match self.token.take() {
+                    Some(epoch) => out.send(self.next(), Tok(epoch)),
+                    None => {
+                        self.seen += 1;
+                        if self.id.get().is_multiple_of(2) {
+                            out.send(self.next(), Tok(self.seen));
+                        } else {
+                            self.token = Some(self.seen);
+                        }
+                    }
+                },
+                NodeEvent::Deliver { msg: Tok(epoch), .. } if epoch < self.seen => {
+                    self.discards += 1;
+                    out.count(Counter::EpochDiscards);
+                }
+                NodeEvent::Deliver { msg: Tok(epoch), .. } => {
+                    self.seen = epoch;
+                    if epoch.is_multiple_of(3) {
+                        out.send(self.next(), Tok(epoch));
+                    } else {
+                        self.token = Some(epoch);
+                    }
+                }
+                NodeEvent::ExitCs | NodeEvent::Timer(_) => {}
+            }
+        }
+        fn on_crash(&mut self) {
+            self.token = None;
+        }
+        fn on_recover(&mut self, _out: &mut Outbox<Tok>) {}
+        fn in_cs(&self) -> bool {
+            false
+        }
+        fn holds_token(&self) -> bool {
+            self.token.is_some()
+        }
+        fn token_epoch(&self) -> u64 {
+            self.token.unwrap_or(0)
+        }
+    }
+
     #[test]
     fn token_census_equals_a_recount_after_every_event() {
-        /// A token carrying its mint epoch.
-        #[derive(Debug, Clone)]
-        struct Tok(u64);
-        impl MessageKind for Tok {
-            fn kind(&self) -> MsgKind {
-                MsgKind::Token
-            }
-            fn token_epoch(&self) -> u64 {
-                self.0
-            }
-        }
-        /// Takes, forwards, drops and re-mints the token: a request at a
-        /// holder forwards it, a request elsewhere mints one above every
-        /// epoch the node has seen (forwarding it at once on even nodes),
-        /// a stale arrival is discarded and counted, and a crash loses
-        /// what the node held.
-        #[derive(Debug)]
-        struct Relay {
-            id: NodeId,
-            n: u32,
-            token: Option<u64>,
-            seen: u64,
-            discards: u64,
-        }
-        impl Relay {
-            fn next(&self) -> NodeId {
-                NodeId::new(self.id.get() % self.n + 1)
-            }
-        }
-        impl Protocol for Relay {
-            type Msg = Tok;
-            fn id(&self) -> NodeId {
-                self.id
-            }
-            fn on_event(&mut self, event: NodeEvent<Tok>, out: &mut Outbox<Tok>) {
-                match event {
-                    NodeEvent::RequestCs => match self.token.take() {
-                        Some(epoch) => out.send(self.next(), Tok(epoch)),
-                        None => {
-                            self.seen += 1;
-                            if self.id.get().is_multiple_of(2) {
-                                out.send(self.next(), Tok(self.seen));
-                            } else {
-                                self.token = Some(self.seen);
-                            }
-                        }
-                    },
-                    NodeEvent::Deliver { msg: Tok(epoch), .. } if epoch < self.seen => {
-                        self.discards += 1;
-                        out.count(Counter::EpochDiscards);
-                    }
-                    NodeEvent::Deliver { msg: Tok(epoch), .. } => {
-                        self.seen = epoch;
-                        if epoch.is_multiple_of(3) {
-                            out.send(self.next(), Tok(epoch));
-                        } else {
-                            self.token = Some(epoch);
-                        }
-                    }
-                    NodeEvent::ExitCs | NodeEvent::Timer(_) => {}
-                }
-            }
-            fn on_crash(&mut self) {
-                self.token = None;
-            }
-            fn on_recover(&mut self, _out: &mut Outbox<Tok>) {}
-            fn in_cs(&self) -> bool {
-                false
-            }
-            fn holds_token(&self) -> bool {
-                self.token.is_some()
-            }
-            fn token_epoch(&self) -> u64 {
-                self.token.unwrap_or(0)
-            }
-        }
-
         let n = 6u32;
         let nodes = (1..=n)
             .map(|i| Relay {
@@ -1807,6 +1823,41 @@ mod tests {
             "{m:?}"
         );
         assert!(world.core.max_epoch > 2);
+    }
+
+    #[test]
+    fn reset_counts_the_holders_of_two_epochs_as_a_recount_does() {
+        let n = 6u32;
+        let relays = |tokens: [Option<u64>; 6]| -> Vec<Relay> {
+            (1..=n)
+                .map(|i| Relay {
+                    id: NodeId::new(i),
+                    n,
+                    token: tokens[i as usize - 1],
+                    seen: tokens.iter().flatten().copied().max().unwrap_or(0),
+                    discards: 0,
+                })
+                .collect()
+        };
+        let mut world = World::new(SimConfig::default(), relays([None; 6]));
+        for tokens in [
+            [Some(2), None, Some(5), Some(2), Some(5), None],
+            [Some(5), Some(2), Some(2), None, Some(5), Some(5)],
+            [None, Some(0), None, Some(0), None, None],
+            [None; 6],
+            [None, None, None, None, None, Some(7)],
+        ] {
+            world.reset(SimConfig::default(), relays(tokens));
+            let held: Vec<u64> = tokens.iter().flatten().copied().collect();
+            let max = held.iter().copied().max().unwrap_or(0);
+            let at_max = held.iter().filter(|epoch| **epoch == max).count();
+            let core = &world.core;
+            assert_eq!(
+                (core.live_holders, core.max_epoch, core.holders_at_max),
+                (held.len(), max, at_max),
+                "{tokens:?}"
+            );
+        }
     }
 
     #[test]
