@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use oc_algo::{Config, OpenCubeNode};
 use oc_audit::CountingAlloc;
 use oc_runtime::{Runtime, RuntimeConfig};
-use oc_sim::SimDuration;
+use oc_sim::{DelayModel, SimDuration};
 use oc_topology::NodeId;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
@@ -83,7 +83,10 @@ fn start(n: usize, workers: usize) -> Runtime<OpenCubeNode> {
         RuntimeConfig {
             workers,
             tick: Duration::from_micros(20),
-            max_network_delay: Duration::from_micros(200),
+            max_network_delay: DelayModel::Uniform {
+                min: SimDuration::ZERO,
+                max: SimDuration::from_ticks(10),
+            },
             cs_duration: Duration::from_micros(500),
             seed: 42,
         },

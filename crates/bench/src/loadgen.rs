@@ -37,7 +37,8 @@ use std::time::{Duration, Instant};
 use oc_algo::{Config, OpenCubeNode};
 use oc_runtime::{Runtime, RuntimeConfig, RuntimeReport};
 use oc_sim::{
-    ArrivalSchedule, FailurePlan, FaultPhase, FaultPhaseKind, FaultScript, SimDuration, SimTime,
+    ArrivalSchedule, DelayModel, FailurePlan, FaultPhase, FaultPhaseKind, FaultScript, SimDuration,
+    SimTime,
 };
 use oc_topology::NodeId;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -49,10 +50,11 @@ use crate::report::{col, Col};
 pub const TICK: Duration = Duration::from_micros(20);
 /// Ticks per second at [`TICK`].
 pub const TICKS_PER_SEC: u64 = (1_000_000_000 / TICK.as_nanos()) as u64;
-/// Protocol δ in ticks (16 × 20µs = 320µs ≥ the 200µs delay bound).
+/// Protocol δ in ticks (≥ [`MAX_NET_DELAY`]'s bound of 10).
 pub const DELTA_TICKS: u64 = 16;
-/// The runtime's maximum per-message delay.
-pub const MAX_NET_DELAY: Duration = Duration::from_micros(200);
+/// The runtime's per-message delay: `[0, 10]` ticks, 0–200µs in steps of [`TICK`].
+pub const MAX_NET_DELAY: DelayModel =
+    DelayModel::Uniform { min: SimDuration::ZERO, max: SimDuration::from_ticks(10) };
 /// Critical-section lease, in ticks (500µs).
 pub const CS_TICKS: u64 = 25;
 /// Suspicion slack in ticks (1s of wall time): queueing behind a loaded
@@ -637,17 +639,12 @@ mod tests {
     /// served, both oracles clean.
     #[test]
     fn partition_churn_heals_and_stays_live_in_virtual_time() {
-        use oc_sim::{check_liveness, DelayModel, SimConfig, World};
+        use oc_sim::{check_liveness, SimConfig, World};
         let window = 2 * TICKS_PER_SEC / 5;
         let script = partition_script(16, 2, window);
         assert_eq!(script.phases().len(), 2);
         let config = SimConfig {
-            delay: DelayModel::Uniform {
-                min: SimDuration::from_ticks(1),
-                max: SimDuration::from_ticks(
-                    MAX_NET_DELAY.as_nanos() as u64 / TICK.as_nanos() as u64,
-                ),
-            },
+            delay: MAX_NET_DELAY,
             cs_duration: SimDuration::from_ticks(CS_TICKS),
             seed: 14,
             script,

@@ -10,14 +10,17 @@ use oc_check::{run, shrink, Outcome, Run, Scenario, Substrate};
 use oc_sim::Tape;
 
 /// A scenario in which duplicates alone mint a second token under
-/// `Hardening::None`: no crash, no loss.
+/// `Hardening::None`: no crash, no loss. Each end draws its delays from
+/// the scenario's envelope, but the simulator from one stream and the
+/// runtime's workers each from its own, so a witness shrunk on one end
+/// is pinned there and need not be dirty on the other.
 struct Witness {
     id: &'static str,
     /// The system size the replay prints.
     n: u32,
     /// The last line of its replay on the simulator (and on the socket
-    /// node's code, which CI replays it on).
-    last_line: &'static str,
+    /// node's code, which CI replays it on), where it is pinned there.
+    on_sim: Option<&'static str>,
     /// The last line of its replay on the runtime's workers at W = 2,
     /// where it is pinned there.
     on_runtime: Option<&'static str>,
@@ -27,12 +30,12 @@ struct Witness {
 }
 
 /// Every witness is known-dirty until ROADMAP item 1(b) is fixed.
-const DUPLICATION_WITNESSES: [Witness; 3] = [
+const DUPLICATION_WITNESSES: [Witness; 4] = [
     // n = 8, five arrivals, a 400 ‰ duplication window.
     Witness {
         id: "oc1-08a68eedf2ccf1f2b66107112e881190a10f2fbc030090030500061e033c025a07780100",
         n: 8,
-        last_line: "verdict: dirty violations=11 safety=11 liveness=0",
+        on_sim: Some("verdict: dirty violations=11 safety=11 liveness=0"),
         on_runtime: None,
         shrunk_tape: None,
     },
@@ -41,25 +44,33 @@ const DUPLICATION_WITNESSES: [Witness; 3] = [
     Witness {
         id: "oc1-0884b8e6f2d2e79bc6b10118182af81590a10f34dc01009601055e088d0103bc0106eb0104c9020500",
         n: 8,
-        last_line: "verdict: dirty violations=10 safety=10 liveness=0",
+        on_sim: Some("verdict: dirty violations=10 safety=10 liveness=0"),
         on_runtime: None,
         shrunk_tape: None,
     },
-    // Seed 1 of the `runtime:2` battery, index 610912, shrunk: n = 16,
-    // twelve arrivals. The runtime's workers mint the second token too,
-    // so this is also the pin of the runtime's virtual end. Its seeded
-    // run there draws 34, 129 and 196 times from worker 0, worker 1 and
-    // the scheduler; the tape pass leaves 0, 28 and 0 draws (563 runs):
-    // 28 of worker 1's delays mint the second token, with every other
-    // delay the shortest and the scheduler taking the first ready worker
-    // and the smallest cut throughout.
+    // Seed 1 of the `runtime:2` battery when the runtime's links drew in
+    // `0..=δ`, index 610912, shrunk: n = 16, twelve arrivals.
     Witness {
         id: "oc1-10c380b58ed1acbfbdb201011637fc2a90a10f0a87020096010c000a110d2203330688010c990110aa0108bb010ecc0102dd010bee0105ff010f00",
         n: 16,
-        last_line: "verdict: dirty violations=32 safety=32 liveness=0",
+        on_sim: Some("verdict: dirty violations=32 safety=32 liveness=0"),
+        on_runtime: None,
+        shrunk_tape: None,
+    },
+    // Seed 77 of the `runtime:2` battery, index 674201, shrunk: n = 8,
+    // seven arrivals, delays in 10..=19 and a 400 ‰ duplication window
+    // over t = 86–358: the pin of the runtime's virtual end. Its seeded
+    // run there draws 25, 53 and 78 times from worker 0, worker 1 and
+    // the scheduler; the tape pass leaves 7, 13 and 0 draws (310 runs),
+    // with the scheduler taking the first ready worker and the smallest
+    // cut throughout.
+    Witness {
+        id: "oc1-08a8bbafce81e3c28c96010a130ec80f90a10f56e602009003070003360251066c08870105a20104bd010700",
+        n: 8,
+        on_sim: None,
         on_runtime: Some("verdict: dirty violations=1 safety=1 liveness=0"),
         shrunk_tape: Some((
-            "03001cc09a0c00aeec090000dbae0f95980a00000000000101000001000000000000000000000100",
+            "0307000000080208050d0000000102020005000000000100",
             "verdict: dirty violations=1 safety=1 liveness=0",
         )),
     },
@@ -80,30 +91,31 @@ fn explore(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn the_duplication_witness_replays_identically_and_reports_its_second_token() {
-    for Witness { id: witness, n, last_line, on_runtime, shrunk_tape } in DUPLICATION_WITNESSES {
-        let (code, first) = explore(&["--replay", witness]);
-        let (_, second) = explore(&["--replay", witness]);
-        assert_eq!(first, second, "two replays of one id differ");
-        assert_eq!(code, Some(1), "a dirty replay exits 1:\n{first}");
-        assert!(first.contains(&format!("scenario: n={n} ")), "{first}");
-        assert!(first.contains("TokenDuplication"), "{first}");
-        assert!(first.contains("ENTERS CS"), "the trace is printed:\n{first}");
-        assert_eq!(first.lines().last(), Some(last_line), "{witness}");
+    for Witness { id: witness, n, on_sim, on_runtime, shrunk_tape } in DUPLICATION_WITNESSES {
+        for (substrate, line) in [("sim", on_sim), ("runtime:2", on_runtime)] {
+            let Some(line) = line else { continue };
+            let args = ["--replay", witness, "--substrate", substrate];
+            let (code, first) = explore(&args);
+            let (_, second) = explore(&args);
+            assert_eq!(first, second, "two replays of one id differ");
+            assert_eq!(code, Some(1), "a dirty replay exits 1:\n{first}");
+            assert!(first.contains(&format!("scenario: n={n} ")), "{first}");
+            assert!(first.contains("TokenDuplication"), "{first}");
+            if substrate == "sim" {
+                assert!(first.contains("ENTERS CS"), "the trace is printed:\n{first}");
+            }
+            assert_eq!(first.lines().last(), Some(line), "{witness} on {substrate}");
 
-        if let Some(runtime_line) = on_runtime {
-            let (code, runtime) = explore(&["--replay", witness, "--substrate", "runtime:2"]);
-            assert_eq!((code, runtime.lines().last()), (Some(1), Some(runtime_line)), "{runtime}");
+            // Quorum-gated regeneration closes the window on the same id.
+            let (code, hardened) = explore(&[&args[..], &["--hardened"]].concat());
+            let verdict = (code, hardened.lines().last());
+            assert_eq!(verdict, (Some(0), Some("verdict: clean")), "{hardened}");
         }
         if let Some((tape, tape_line)) = shrunk_tape {
             let args = ["--replay", witness, "--substrate", "runtime:2", "--tape", tape];
             let (code, runtime) = explore(&args);
             assert_eq!((code, runtime.lines().last()), (Some(1), Some(tape_line)), "{runtime}");
         }
-
-        // Quorum-gated regeneration closes the window on the same id.
-        let (code, hardened) = explore(&["--replay", witness, "--hardened"]);
-        let verdict = (code, hardened.lines().last());
-        assert_eq!(verdict, (Some(0), Some("verdict: clean")), "{hardened}");
     }
 }
 
@@ -112,9 +124,9 @@ fn the_duplication_witness_replays_identically_and_reports_its_second_token() {
 #[test]
 fn every_witness_replays_from_its_recorded_tape() {
     let on_runtime = Run { substrate: Substrate::Runtime { workers: 2 }, ..Run::SIM };
-    for Witness { id, last_line, on_runtime: runtime_line, .. } in DUPLICATION_WITNESSES {
+    for Witness { id, on_sim, on_runtime: runtime_line, .. } in DUPLICATION_WITNESSES {
         let scenario = Scenario::from_id(id).expect("the witness decodes");
-        let ends = [(Run::SIM, "sim", Some(last_line)), (on_runtime, "runtime:2", runtime_line)];
+        let ends = [(Run::SIM, "sim", on_sim), (on_runtime, "runtime:2", runtime_line)];
         for (how, substrate, line) in ends {
             let Some(line) = line else { continue };
             let mut tape = Tape::blank();
@@ -185,7 +197,7 @@ fn an_id_that_does_not_decode_is_a_usage_error() {
 #[ignore = "about half a minute in release; regenerates the tape pins"]
 fn shrink_the_tape_pins() {
     let on_runtime = Run { substrate: Substrate::Runtime { workers: 2 }, ..Run::SIM };
-    let witness = Scenario::from_id(DUPLICATION_WITNESSES[2].id).expect("the witness decodes");
+    let witness = Scenario::from_id(DUPLICATION_WITNESSES[3].id).expect("the witness decodes");
     for (name, scenario, how) in [
         ("runtime:2 witness", witness, on_runtime),
         ("seed 82", e3_scenario(64, 2_000, 82), Run::SIM),

@@ -9,8 +9,8 @@ use std::time::Duration;
 use oc_algo::{Config, Hardening, Mutation, OpenCubeNode};
 use oc_runtime::{run_virtual, RuntimeConfig};
 use oc_sim::{
-    check_horizon, ticks_to_wall, Counter, DelayModel, LivenessReport, MsgKind, OracleReport,
-    Protocol, SimConfig, SimDuration, SimTime, Tape, Trace, World,
+    check_horizon, ticks_to_wall, Counter, LivenessReport, MsgKind, OracleReport, Protocol,
+    SimConfig, SimDuration, SimTime, Tape, Trace, World,
 };
 use oc_topology::NodeId;
 
@@ -71,8 +71,8 @@ pub struct CoverageStats {
 /// `coverage`'s search, regeneration and mint counters), because a
 /// `Proc` drops the count actions of its node; [`Substrate::NodeprocLogs`]
 /// fills the fields a socket outcome fills, `events` counting merged log
-/// records. [`Substrate::Runtime`] draws its own message delays, so
-/// equal scenarios give equal *verdicts* with the simulator, not equal
+/// records. [`Substrate::Runtime`] draws the scenario's delays from
+/// streams of its own, so it gives the simulator's *verdicts*, not its
 /// counters. From real processes (`oc_bench::orchestrator::run_scenario_sockets`)
 /// an outcome is verdict evidence, not a fingerprint: real clocks. It is
 /// the one runner that waits for the run to settle up to a wall-clock
@@ -322,9 +322,7 @@ fn on_world<P: Protocol + 'static>(
 /// The length of one scenario tick on the runtime's nanosecond clock.
 const RUNTIME_TICK: Duration = Duration::from_micros(20);
 
-/// [`Substrate::Runtime`]: ticks mapped to nanoseconds, the horizon
-/// `max_events`. The runtime's links draw their delays in `0..=δ`, not
-/// from the scenario's envelope, so its counters are its own.
+/// [`Substrate::Runtime`]: ticks mapped to nanoseconds, the horizon `max_events`.
 fn on_runtime(
     scenario: &Scenario,
     protocol: Config,
@@ -334,9 +332,7 @@ fn on_runtime(
     let config = RuntimeConfig {
         workers,
         tick: RUNTIME_TICK,
-        // The protocol's δ is `delay_max` ticks; the runtime's delay
-        // bound maps it exactly.
-        max_network_delay: ticks_to_wall(scenario.delay_max, RUNTIME_TICK),
+        max_network_delay: scenario.delay(),
         cs_duration: ticks_to_wall(scenario.cs_ticks, RUNTIME_TICK),
         seed: scenario.seed,
     };
@@ -388,10 +384,7 @@ pub(crate) fn in_scenario_world<P: Protocol + 'static, R>(
     play: impl FnOnce(&mut World<P>) -> R,
 ) -> R {
     let sim = SimConfig {
-        delay: DelayModel::Uniform {
-            min: SimDuration::from_ticks(scenario.delay_min),
-            max: SimDuration::from_ticks(scenario.delay_max),
-        },
+        delay: scenario.delay(),
         cs_duration: SimDuration::from_ticks(scenario.cs_ticks),
         seed: scenario.seed,
         record_trace: trace.is_some(),

@@ -9,7 +9,8 @@
 use oc_algo::{Config, Hardening, Mutation};
 use oc_sim::choices::{hex_bytes, push_varint, read_varint};
 use oc_sim::{
-    ArrivalSchedule, FailurePlan, FaultPhase, FaultPhaseKind, FaultScript, SimDuration, SimTime,
+    ArrivalSchedule, DelayModel, FailurePlan, FaultPhase, FaultPhaseKind, FaultScript, SimDuration,
+    SimTime,
 };
 use oc_topology::NodeId;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -349,14 +350,16 @@ impl Scenario {
     /// `oc1-` ID replays under either.
     #[must_use]
     pub fn config(&self, mutation: Mutation, hardening: Hardening) -> Config {
-        Config::new(
-            self.n,
-            SimDuration::from_ticks(self.delay_max),
-            SimDuration::from_ticks(self.cs_ticks),
-        )
-        .with_contention_slack(SimDuration::from_ticks(self.contention_slack))
-        .with_mutation(mutation)
-        .with_hardening(hardening)
+        Config::new(self.n, self.delay().delta(), SimDuration::from_ticks(self.cs_ticks))
+            .with_contention_slack(SimDuration::from_ticks(self.contention_slack))
+            .with_mutation(mutation)
+            .with_hardening(hardening)
+    }
+
+    /// The envelope `[delay_min, delay_max]` every substrate draws each delay from.
+    pub(crate) fn delay(&self) -> DelayModel {
+        let (min, max) = (self.delay_min, self.delay_max);
+        DelayModel::Uniform { min: SimDuration::from_ticks(min), max: SimDuration::from_ticks(max) }
     }
 
     /// The arrival list as the runtime's `schedule_workload` consumes it.

@@ -15,9 +15,10 @@
 //!   logs: the same requests served and abandoned, clean or not alike.
 //! * `runtime:W` — the threaded runtime's worker cores: the same requests
 //!   served or abandoned, the same crashes and recoveries, the same
-//!   drained verdict, clean or not. Its links draw their delays below δ,
-//!   not from the scenario's envelope, so its counters of messages and
-//!   events differ.
+//!   drained verdict, clean or not. Its links draw their delays from the
+//!   scenario's envelope as the simulator's do, but each worker from a
+//!   stream of its own, in an order a seeded scheduler interleaves: its
+//!   draws, and with them its counters of messages and events, differ.
 //!
 //! Every run, the simulator's too, draws from its seed through a blank
 //! tape that records the draws, and is played again from that tape: the

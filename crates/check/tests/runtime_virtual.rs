@@ -15,6 +15,7 @@ use oc_check::{
     conforms, run, run_scenario, GateKill, GateScenario, Outcome, Run, Scenario, ScenarioCrash,
     Substrate,
 };
+use oc_sim::Tape;
 
 /// The runtime's workers per virtual run of the battery.
 const WORKERS: usize = 2;
@@ -94,6 +95,29 @@ fn clean_scenario_is_clean_on_the_runtime_and_agrees_with_the_sim() {
         // Both substrates serve exactly the same requests and abandon
         // nothing.
         assert_eq!((run.cs_entries, run.abandoned), (sim.cs_entries, sim.abandoned));
+    }
+}
+
+#[test]
+fn the_workers_draw_every_delay_from_the_scenarios_envelope() {
+    // Each copy a worker puts on the wire draws its delay once, as the
+    // simulator does: `delay_min` plus an entry of at most
+    // `delay_max - delay_min`, so a fixed delay draws only zeros.
+    for (delay_min, delay_max) in [(5, 9), (7, 7)] {
+        let scenario = Scenario { delay_min, delay_max, ..tiny_scenario() };
+        for workers in [1, 2] {
+            let how = Run { substrate: Substrate::Runtime { workers }, ..Run::SIM };
+            let mut tape = Tape::blank();
+            let run = run(&scenario, how, None, Some(&mut tape));
+            assert!(run.drained && run.is_clean() && run.messages > 0, "{run:?}");
+            let drawn: Vec<u64> = tape.streams()[..workers].iter().flatten().copied().collect();
+            let widest = delay_max - delay_min;
+            assert!(
+                drawn.iter().all(|&entry| entry <= widest),
+                "[{delay_min}, {delay_max}] at W = {workers}: an entry past {widest}: {drawn:?}"
+            );
+            assert_eq!(drawn.len() as u64, run.messages + run.duplicated, "W = {workers}");
+        }
     }
 }
 

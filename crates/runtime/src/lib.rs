@@ -168,8 +168,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use oc_sim::{
-    check_horizon, isolation_from_components, ArrivalSchedule, CompiledScript, FailurePlan,
-    FaultScript, Horizon, LivenessReport, Metrics, NodeAtHorizon, OracleReport, Protocol, SimTime,
+    check_horizon, isolation_from_components, ArrivalSchedule, CompiledScript, DelayModel,
+    FailurePlan, FaultScript, Horizon, LivenessReport, Metrics, NodeAtHorizon, OracleReport,
+    Protocol, SimDuration, SimTime,
 };
 use oc_topology::NodeId;
 
@@ -188,14 +189,13 @@ pub struct RuntimeConfig {
     /// one 4-node namespace asked onto three workers runs on two (blocks
     /// of two), and [`Runtime::workers`] reports what was started.
     pub workers: usize,
-    /// Real-time length of one protocol tick (converts the protocol's
-    /// `SimDuration` timer delays into wall-clock time). Choose it so
-    /// that the protocol's δ (in ticks) times `tick` exceeds
-    /// `max_network_delay`.
+    /// Real-time length of one protocol tick: maps the protocol's timer
+    /// delays and every message delay, all in ticks, to wall-clock time.
     pub tick: Duration,
-    /// Upper bound on the per-message delay the runtime injects (drawn
-    /// uniformly from `0..=max_network_delay` by the sending worker).
-    pub max_network_delay: Duration,
+    /// Each message's delay, in whole ticks, drawn by its sender through
+    /// [`DelayModel::sample`] as the simulator draws it (default `[0, 20]`,
+    /// 1 ms); δ must cover its bound. The name stays: the benchmark sets it.
+    pub max_network_delay: DelayModel,
     /// How long a granted request holds the critical section before the
     /// lease expires (an explicit [`Runtime::release`] ends it earlier;
     /// auto-release requests skip the lease entirely).
@@ -210,7 +210,10 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             workers: 0,
             tick: Duration::from_micros(50),
-            max_network_delay: Duration::from_millis(1),
+            max_network_delay: DelayModel::Uniform {
+                min: SimDuration::ZERO,
+                max: SimDuration::from_ticks(20),
+            },
             cs_duration: Duration::from_micros(500),
             seed: 0,
         }
@@ -812,7 +815,7 @@ mod tests {
     }
 
     fn protocol(n: usize) -> Config {
-        // δ = 40 ticks × 50µs = 2ms ≥ 1ms max network delay.
+        // δ = 40 ticks ≥ the default delay bound of 20.
         Config::new(n, SimDuration::from_ticks(40), SimDuration::from_ticks(20))
             .with_contention_slack(SimDuration::from_ticks(20_000))
     }
@@ -938,7 +941,8 @@ mod tests {
     fn scheduled_workload_and_failures_run() {
         let mut cfg = config(4);
         cfg.tick = Duration::from_micros(20);
-        cfg.max_network_delay = Duration::from_micros(400);
+        cfg.max_network_delay =
+            DelayModel::Uniform { min: SimDuration::ZERO, max: SimDuration::from_ticks(20) };
         cfg.cs_duration = Duration::from_micros(200);
         let proto = Config::new(8, SimDuration::from_ticks(40), SimDuration::from_ticks(10))
             .with_contention_slack(SimDuration::from_ticks(20_000));
@@ -1123,7 +1127,10 @@ mod tests {
         let cfg = RuntimeConfig {
             workers: 2,
             tick: Duration::from_micros(20),
-            max_network_delay: Duration::from_micros(200),
+            max_network_delay: DelayModel::Uniform {
+                min: SimDuration::ZERO,
+                max: SimDuration::from_ticks(10),
+            },
             ..RuntimeConfig::default()
         };
         let rt = Runtime::start_multi(

@@ -19,8 +19,8 @@ use std::sync::MutexGuard;
 
 use oc_sim::{
     drive, drive_recovery, ActionSink, ArrivalSchedule, Choices, CompiledScript, DeadlineSet,
-    FailurePlan, FaultScript, LinkFate, MessageKind, Metrics, NodeEvent, Oracle, Outbox, Protocol,
-    SimDuration, SimTime, Tape,
+    DelayModel, FailurePlan, FaultScript, LinkFate, MessageKind, Metrics, NodeEvent, Oracle,
+    Outbox, Protocol, SimDuration, SimTime, Tape,
 };
 use oc_topology::NodeId;
 
@@ -538,8 +538,8 @@ struct Worker<'a, M> {
     /// on worker `me`.
     me: usize,
     shared: &'a Shared,
-    /// `RuntimeConfig::max_network_delay` in nanoseconds.
-    max_delay: u64,
+    /// `RuntimeConfig::max_network_delay`: every message's delay, in ticks.
+    delay: DelayModel,
     /// `RuntimeConfig::cs_duration` in nanoseconds.
     lease_length: u64,
     /// This worker's draw stream: its messages' delays and fates.
@@ -593,7 +593,7 @@ impl<M: MessageKind> Worker<'_, M> {
         }
     }
 
-    fn delay(&mut self, deliver_at: u64, item: Targeted<M>) {
+    fn defer(&mut self, deliver_at: u64, item: Targeted<M>) {
         self.next_seq += 1;
         self.delayed.push(Reverse(Delayed { deliver_at, seq: self.next_seq, item }));
     }
@@ -605,7 +605,7 @@ impl<M: MessageKind> Worker<'_, M> {
             Mail::One(item) => self.queue.push_back(item),
             Mail::Many(items) => {
                 for (deliver_at, item) in items {
-                    self.delay(deliver_at, item);
+                    self.defer(deliver_at, item);
                 }
             }
         }
@@ -620,7 +620,7 @@ impl<M: MessageKind> Worker<'_, M> {
         let w = self.shared.placement.worker(to);
         let item = Targeted { to, cmd };
         if w == self.me {
-            self.delay(deliver_at, item);
+            self.defer(deliver_at, item);
         } else {
             self.crossed += 1;
             self.outgoing[w].push((deliver_at, item));
@@ -645,7 +645,7 @@ impl<M: MessageKind> Worker<'_, M> {
     /// Puts one copy of a message of namespace `ns` on the wire, under
     /// its own drawn delay from the current command's clock reading.
     fn transmit(&mut self, ns: usize, to: NodeId, from: NodeId, msg: M) {
-        let delay = self.choices.up_to(self.max_delay);
+        let delay = self.shared.nanos_of(self.delay.sample(&mut self.choices).ticks());
         self.tokens_afloat[ns] += i64::from(msg.carries_token());
         self.post(self.now.saturating_add(delay), to, NodeCmd::Deliver { from, msg });
     }
@@ -737,7 +737,6 @@ impl<'a, P: Protocol + Send + 'static> Core<'a, P> {
         config: &RuntimeConfig,
         tape: Option<&Tape>,
     ) -> Self {
-        let nanos = |d: std::time::Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
         let seed = config.seed
             ^ slots
                 .first()
@@ -747,8 +746,8 @@ impl<'a, P: Protocol + Send + 'static> Core<'a, P> {
             worker: Worker {
                 me,
                 shared,
-                max_delay: nanos(config.max_network_delay),
-                lease_length: nanos(config.cs_duration),
+                delay: config.max_network_delay,
+                lease_length: u64::try_from(config.cs_duration.as_nanos()).unwrap_or(u64::MAX),
                 choices: tape.map_or_else(|| Choices::seeded(seed), |tape| tape.choices(me, seed)),
                 metrics: Metrics::default(),
                 tokens_afloat: vec![0; shared.ns.len()],

@@ -33,7 +33,7 @@ use std::time::Duration;
 use oc_algo::{Config, Mutation, OpenCubeNode};
 use oc_check::{explore_serial, run, shrink, Run, Scenario, Space, Substrate};
 use oc_runtime::{RequestId, RequestStatus, Runtime, RuntimeConfig, Watcher};
-use oc_sim::SimDuration;
+use oc_sim::{DelayModel, SimDuration};
 use oc_topology::NodeId;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -119,7 +119,10 @@ proptest! {
             RuntimeConfig {
                 workers: 2,
                 tick: Duration::from_micros(20),
-                max_network_delay: Duration::from_micros(200),
+                max_network_delay: DelayModel::Uniform {
+                    min: SimDuration::ZERO,
+                    max: SimDuration::from_ticks(10),
+                },
                 seed,
                 ..RuntimeConfig::default()
             },
@@ -214,7 +217,10 @@ fn settled_never_holds_early_across_namespaces_or_a_dropped_watcher() {
             RuntimeConfig {
                 workers: 2,
                 tick: Duration::from_micros(20),
-                max_network_delay: Duration::from_micros(200),
+                max_network_delay: DelayModel::Uniform {
+                    min: SimDuration::ZERO,
+                    max: SimDuration::from_ticks(10),
+                },
                 seed,
                 ..RuntimeConfig::default()
             },

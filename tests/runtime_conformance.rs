@@ -93,8 +93,11 @@ fn runtime_config(workers: usize) -> RuntimeConfig {
     RuntimeConfig {
         workers,
         tick: TICK,
-        // δ = 40 ticks × 5µs = 200µs ≥ the largest injected delay.
-        max_network_delay: Duration::from_micros(100),
+        // δ = 40 ticks ≥ the largest injected delay.
+        max_network_delay: DelayModel::Uniform {
+            min: SimDuration::ZERO,
+            max: SimDuration::from_ticks(20),
+        },
         cs_duration: TICK * CS as u32,
         seed: 7,
     }
