@@ -76,6 +76,17 @@ const DUPLICATION_WITNESSES: [Witness; 4] = [
     },
 ];
 
+/// CI's tape that reorders a tie: the `runtime:2` witness's seeded draws
+/// on the simulator, with an order stream that hands the first tie
+/// whose order changes the run (t = 220, two events) to the later of its
+/// two events; and the last line it replays to, on the simulator and on
+/// the socket node's code alike. The run is one event longer than the
+/// seeded one (`events: 71`, not 70), and still clean.
+const REORDERED_TIE: (&str, &str) = (
+    "023c020906030604010408000008010108090200070701060200030100040109020101040008080103080101030002050002000301000700080100030007020001",
+    "verdict: clean",
+);
+
 /// ROADMAP item 1(a)'s pin: E3's n = 64 run at seed 82 with 2 000
 /// failures (`e3_scenario(64, 2_000, 82)`), shrunk once: one line each
 /// for its ID, its tape and the last line of its replay. The shrinker's
@@ -136,6 +147,34 @@ fn every_witness_replays_from_its_recorded_tape() {
             assert_eq!((code, out.lines().last()), (Some(1), Some(line)), "{id} on {substrate}");
         }
     }
+}
+
+/// `REORDERED_TIE`'s tape is derived from a recording: the witness's
+/// seeded draws, and an order stream of zeros up to the first tie whose
+/// reversal changes the outcome, then a one. Both ends replay it to one
+/// last line, one event longer than the seeded run.
+#[test]
+fn a_tape_that_reverses_a_tie_replays_alike_on_sim_and_nodeproc() {
+    let id = DUPLICATION_WITNESSES[3].id;
+    let scenario = Scenario::from_id(id).expect("the witness decodes");
+    let mut recorded = Tape::blank();
+    let seeded = run(&scenario, Run::SIM, None, Some(&mut recorded));
+    let draws = recorded.streams()[0].clone();
+    // An empty order stream keeps the seq order and records a zero per tie.
+    let mut ordered = Tape::new(vec![draws.clone(), Vec::new()]);
+    assert_eq!(run(&scenario, Run::SIM, None, Some(&mut ordered)), seeded);
+    let reversed = (0..ordered.streams()[1].len())
+        .map(|tie| Tape::new(vec![draws.clone(), [vec![0; tie], vec![1]].concat()]).trimmed())
+        .find(|tape| run(&scenario, Run::SIM, None, Some(&mut tape.clone())) != seeded)
+        .expect("some tie's order changes the run");
+    let (tape, line) = REORDERED_TIE;
+    assert_eq!(reversed.to_string(), tape, "the pinned tape is the derived one");
+    for substrate in ["sim", "nodeproc"] {
+        let (code, out) = explore(&["--replay", id, "--substrate", substrate, "--tape", tape]);
+        assert_eq!((code, out.lines().last()), (Some(0), Some(line)), "{substrate}:\n{out}");
+        assert!(out.contains("    events: 71,\n"), "{substrate}: the tie is reversed:\n{out}");
+    }
+    assert_eq!(seeded.events, 70);
 }
 
 #[test]

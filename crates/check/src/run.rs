@@ -258,8 +258,9 @@ impl Run {
 /// blank tape it still does, and the tape records the draws; with a
 /// recorded tape the draws are its entries (`oc_sim::Choices`), so a
 /// recorded run replays exactly and an edited tape plays another valid
-/// run. Either way the tape keeps the draws the run made: one stream on
-/// the world ends, `W + 1` on `runtime:W`.
+/// run. Either way the tape keeps the draws the run made: on the world
+/// ends one stream, and a second of same-tick order when the tape given
+/// has one (`oc_sim::Tape::world_choices`); `W + 1` on `runtime:W`.
 ///
 /// The world ends play in the calling thread's one [`World`], reset in
 /// place ([`World::reset`]) rather than built per scenario, so a battery
@@ -412,7 +413,7 @@ pub(crate) fn in_scenario_world<P: Protocol + 'static, R>(
         }
     }
     if let Some(tape) = tape.as_deref() {
-        world.set_choices(tape.choices(0, scenario.seed));
+        world.set_choices(tape.world_choices(scenario.seed));
     }
     let result = play(&mut world);
     if let Some(trace) = trace {

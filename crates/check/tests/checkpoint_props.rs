@@ -12,7 +12,8 @@
 //! snapshotted world, forking a fresh world from the checkpoint, and
 //! restoring a *dirty* world back onto it — and all three again on a
 //! world that draws from a replayed tape, whose place on the tape a
-//! checkpoint carries.
+//! checkpoint carries, and on one whose tape also reorders same-tick
+//! events, whose place in that order stream a checkpoint carries too.
 
 use oc_algo::{Config, Mutation, OpenCubeNode};
 use oc_check::{Scenario, Space};
@@ -52,7 +53,7 @@ fn build_world(scenario: &Scenario) -> World<OpenCubeNode> {
 /// The world of `scenario` drawing from `tape` instead of its seed.
 fn taped_world(scenario: &Scenario, tape: &Tape) -> World<OpenCubeNode> {
     let mut world = build_world(scenario);
-    world.set_choices(tape.choices(0, scenario.seed));
+    world.set_choices(tape.world_choices(scenario.seed));
     world
 }
 
@@ -89,6 +90,7 @@ proptest! {
         master in 0u64..32,
         index in 0u64..48,
         octile in 0u64..=8,
+        order in proptest::collection::vec(1u64..4, 1..64),
     ) {
         // Partitions on: the fault-script path (cuts, heals, loss/dup
         // phases) must survive snapshotting too. Some of these scenarios
@@ -138,6 +140,23 @@ proptest! {
         dirty.run_to_quiescence();
         dirty.restore(&checkpoint);
         prop_assert_eq!(&drive_to_summary(dirty), &reference);
+
+        // 5. The three uses once more with an order stream beside the
+        //    recorded draws, whose non-zero entries hand each of the first
+        //    ties to another event than the earliest filed: a checkpoint
+        //    resumes at its place in both streams.
+        let reorder = Tape::new(vec![tape.streams()[0].clone(), order]);
+        let reordered = drive_to_summary(taped_world(&scenario, &reorder));
+        let mut world = taped_world(&scenario, &reorder);
+        world.run_until(snapshot_tick(&scenario, octile));
+        let checkpoint = world.checkpoint();
+        prop_assert_eq!(&drive_to_summary(world), &reordered);
+        prop_assert_eq!(&drive_to_summary(checkpoint.to_world()), &reordered);
+        let mut dirty =
+            build_world(&Scenario { seed: scenario.seed ^ 0x5bd1_e995, ..scenario.clone() });
+        dirty.run_to_quiescence();
+        dirty.restore(&checkpoint);
+        prop_assert_eq!(&drive_to_summary(dirty), &reordered);
     }
 }
 

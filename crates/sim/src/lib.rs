@@ -42,7 +42,7 @@ pub mod workload;
 pub mod world;
 
 pub use channel::{CompiledScript, DelayModel, FaultPhase, FaultPhaseKind, FaultScript, LinkFate};
-pub use choices::{Choices, Tape};
+pub use choices::{Choices, Draw, Tape};
 pub use crash::FailurePlan;
 pub use engine::{drive, drive_recovery, ActionSink, DeadlineSet, TimerTable};
 pub use hash::Fnv64;

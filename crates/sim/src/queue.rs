@@ -537,7 +537,10 @@ impl<E, I> EventQueue<E, I> {
         }
     }
 
-    /// Removes and returns the earliest event, FIFO among ties.
+    /// Removes and returns the earliest event: among events due at one
+    /// time, the earliest filed. (A world whose source orders ties picks
+    /// among them itself, over this method, `peek_time` and `push`:
+    /// `World::step`.)
     ///
     /// An input that is next is first staged at the head of the generated
     /// store and popped from there by this same call, so no purge can ever

@@ -129,7 +129,8 @@ pub(crate) struct Core<M> {
     pub(crate) pending: PendingRequests,
     pub(crate) now: SimTime,
     pub(crate) queue: EventQueue<SimEvent<M>, Input>,
-    /// Every draw of the run: link fates and message delays.
+    /// Every draw of the run: link fates, message delays and the order
+    /// of same-tick events.
     pub(crate) choices: Choices,
     pub(crate) metrics: Metrics,
     pub(crate) oracle: Oracle,
@@ -597,10 +598,11 @@ impl<P: Protocol> World<P> {
         ((protocol + substrate) as u64).div_ceil(n)
     }
 
-    /// Makes every further draw of the run — link fates and message
-    /// delays — from `choices` instead of the seeded generator
-    /// [`World::reset`] starts with. Set before the first event, a tape
-    /// replays a run: `oc_check::run` does so for a run given a tape.
+    /// Makes every further draw of the run — link fates, message delays
+    /// and the order of same-tick events — from `choices` instead of the
+    /// seeded generator [`World::reset`] starts with. Set before the first
+    /// event, a tape replays a run: `oc_check::run` does so for a run
+    /// given a tape ([`Tape::world_choices`](crate::Tape::world_choices)).
     pub fn set_choices(&mut self, choices: Choices) {
         self.core.choices = choices;
     }
@@ -735,7 +737,14 @@ impl<P: Protocol> World<P> {
     }
 
     /// Processes one event. Returns `false` if the queue was empty.
+    ///
+    /// Of the events due at one tick the queue hands out the earliest
+    /// filed; a source that orders ties ([`Choices::orders_ties`]) first
+    /// files the one it picks ahead of the others.
     pub fn step(&mut self) -> bool {
+        if self.core.choices.orders_ties() {
+            self.pick_tied();
+        }
         let Some((at, event)) = self.core.queue.pop() else {
             return false;
         };
@@ -758,6 +767,33 @@ impl<P: Protocol> World<P> {
             .oracle
             .token_census(self.core.now, self.core.holders_at_max + self.core.in_flight_at_max);
         true
+    }
+
+    /// Files the event [`Choices::order`] picks among the `k ≥ 2` events
+    /// due at the next tick ahead of the others. All `k` come off the
+    /// queue and go back, the picked one first and the others in their
+    /// own order, behind everything already queued: every event due at
+    /// that tick is among them, and anything a later event files at it is
+    /// filed after them anyway, so a pick of zero is the `seq` order. A
+    /// re-filed input (a request, crash or recovery) lands in the
+    /// generated tier, which a crash's purge scans; that is safe, because
+    /// `handle_crash`'s `retain` drops only deliveries to the crashed node
+    /// and its `ExitCs`.
+    #[cold]
+    #[inline(never)]
+    fn pick_tied(&mut self) {
+        let Some(at) = self.core.queue.peek_time() else { return };
+        let mut tied = Vec::new();
+        while self.core.queue.peek_time() == Some(at) {
+            tied.extend(self.core.queue.pop().map(|(_, event)| event));
+        }
+        if tied.len() >= 2 {
+            let picked = self.core.choices.order(tied.len());
+            tied[..=picked].rotate_right(1);
+        }
+        for event in tied {
+            self.core.queue.push(at, event);
+        }
     }
 
     fn handle_deliver(&mut self, to: NodeId, from: NodeId, msg: P::Msg) {
@@ -940,7 +976,8 @@ impl<P: Protocol> World<P> {
 /// Holds deep copies of the protocol nodes, the event queue (pending
 /// deliveries, timers, scheduled arrivals and failures), the timer
 /// table, the source of draws ([`Choices`]: the generator, or the tape
-/// and its place on it), the metrics, the oracle, and the trace — everything
+/// and its place on both its streams, or the enumerated prefix and the
+/// draws made of it), the metrics, the oracle, and the trace — everything
 /// the run's future depends on. Restoring (or forking) a checkpoint
 /// therefore continues byte-identically to a run that never paused; the
 /// checkpoint equivalence suite pins `checkpoint → restore → drive ==

@@ -16,10 +16,7 @@ use crate::{
 ///
 /// Mutation goes through [`OpenCube::b_transform`], which refuses non-
 /// boundary edges (Theorem 2.1 proves those are exactly the swaps that
-/// preserve the structure). For simulating the *transient* states of the
-/// distributed algorithm — where father pointers are updated one half of a
-/// b-transformation at a time — use [`OpenCube::set_father_unchecked`] and
-/// re-verify at quiescence.
+/// preserve the structure).
 ///
 /// ```
 /// use oc_topology::{OpenCube, NodeId};
@@ -203,19 +200,6 @@ impl OpenCube {
         self.fathers[si] = grandfather;
         self.fathers[fi] = Some(son);
         Ok(())
-    }
-
-    /// Overwrites a father pointer without any structural check.
-    ///
-    /// The distributed algorithm performs b-transformations in *two separate
-    /// steps* on different nodes (the transit node re-points immediately; the
-    /// requester re-points only when the token arrives), so mid-protocol the
-    /// global father graph is temporarily not an open-cube. Simulators use
-    /// this method to mirror those transient states and call
-    /// [`OpenCube::verify`] only at quiescent points.
-    pub fn set_father_unchecked(&mut self, id: NodeId, father: Option<NodeId>) {
-        let i = self.index(id);
-        self.fathers[i] = father;
     }
 
     /// Checks the full open-cube structural invariant (see
